@@ -2,7 +2,9 @@
 
 Runs the three-mode engine comparison of
 :mod:`repro.experiments.engine_bench` on the fig2 smoke workload and writes
-``BENCH_pr4.json`` at the repo root.  Two layers of protection:
+the record under pytest's ``tmp_path`` (the tier-1 suite leaves tracked files
+alone; ``repro.experiments.cli engine-bench --bench-output FILE`` keeps one).
+Two layers of protection:
 
 * **equivalence is exact** — the compiled engine must produce bit-identical
   result multisets, work counters and simulated seconds to the interpreted
@@ -26,7 +28,6 @@ baseline, not over the seed.
 from __future__ import annotations
 
 import json
-import pathlib
 
 from repro.experiments.engine_bench import (
     HEADLINE_BATCH,
@@ -40,7 +41,7 @@ TARGET_COMPILED_SPEEDUP = 1.5
 MIN_COMPILED_SPEEDUP = 1.35
 MIN_TUPLE_SPEEDUP = 3.0
 
-BENCH_OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_pr4.json"
+BENCH_NAME = "BENCH_pr4.json"
 
 
 def _gate_score(record) -> float:
@@ -58,7 +59,7 @@ def _gate_score(record) -> float:
     )
 
 
-def test_engine_bench_equivalence_and_speedup():
+def test_engine_bench_equivalence_and_speedup(tmp_path):
     result = run_engine_benchmark(repeats=5)
     if _gate_score(result) < 1.0:
         # Timing on shared CI runners is noisy; re-measure once and keep the
@@ -70,9 +71,8 @@ def test_engine_bench_equivalence_and_speedup():
             result = retry
     ratios = result["speedups"][str(HEADLINE_BATCH)]
 
-    BENCH_OUTPUT.write_text(
-        json.dumps(result, indent=2) + "\n", encoding="utf-8"
-    )
+    bench_output = tmp_path / BENCH_NAME
+    bench_output.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
 
     # --- exact equivalence (deterministic, no tolerance) -----------------------
     assert result["equivalence_check"], (
@@ -85,12 +85,12 @@ def test_engine_bench_equivalence_and_speedup():
         f"compiled engine is only {ratios['compiled_vs_batched']:.2f}x faster "
         f"than the interpreted batched engine at batch {HEADLINE_BATCH} "
         f"(acceptance bar {TARGET_COMPILED_SPEEDUP}x, CI margin "
-        f"{MIN_COMPILED_SPEEDUP}x; see {BENCH_OUTPUT.name})"
+        f"{MIN_COMPILED_SPEEDUP}x; see {bench_output})"
     )
     assert ratios["compiled_vs_tuple"] >= MIN_TUPLE_SPEEDUP, (
         f"compiled engine is only {ratios['compiled_vs_tuple']:.2f}x faster "
         f"than tuple-at-a-time at batch {HEADLINE_BATCH} "
-        f"(expected >= {MIN_TUPLE_SPEEDUP}x; see {BENCH_OUTPUT.name})"
+        f"(expected >= {MIN_TUPLE_SPEEDUP}x; see {bench_output})"
     )
 
     # The batched engine itself must not have regressed behind the compiled

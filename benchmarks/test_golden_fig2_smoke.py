@@ -4,7 +4,9 @@ Pins headline simulated-seconds / phase-count numbers from the seed run
 (``benchmarks/results/fig2_corrective_local.txt``, scale 0.003, seed 2004)
 behind a tolerance so that engine or cost-model regressions surface in
 tier-1, and measures tuple-at-a-time vs batched wall-clock on the same
-workload, writing the comparison to ``BENCH_pr1.json`` at the repo root.
+workload, writing the comparison under pytest's ``tmp_path`` (the tier-1
+suite leaves tracked files alone; ``python -m bench.run`` is the instrument
+for wall-clock claims).
 
 Two layers of protection:
 
@@ -19,7 +21,6 @@ Two layers of protection:
 from __future__ import annotations
 
 import json
-import pathlib
 import time
 
 from repro.experiments.common import DEFAULT_BATCH_SIZE, build_dataset
@@ -47,10 +48,10 @@ GOLDEN_RELATIVE_TOLERANCE = 0.15
 
 #: The acceptance bar for this PR is 1.5x; the in-test assertion keeps a
 #: small safety margin for slow/noisy CI machines.  The measured ratio is
-#: recorded in BENCH_pr1.json.
+#: recorded in the emitted JSON.
 MIN_SPEEDUP = 1.35
 
-BENCH_OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_pr1.json"
+BENCH_NAME = "BENCH_pr1.json"
 
 
 def _run(batch_size, datasets):
@@ -67,7 +68,7 @@ def _run(batch_size, datasets):
     return results, harness_wall
 
 
-def test_golden_fig2_smoke_and_batched_speedup():
+def test_golden_fig2_smoke_and_batched_speedup(tmp_path):
     datasets = {"uniform": build_dataset("uniform", SCALE_FACTOR, 0.0, SEED)}
 
     tuple_results, tuple_wall = _run(None, datasets)
@@ -132,7 +133,8 @@ def test_golden_fig2_smoke_and_batched_speedup():
             batched_engine_wall = sum(r.wall_seconds for r in batched_results)
             speedup = retry_speedup
 
-    BENCH_OUTPUT.write_text(
+    bench_output = tmp_path / BENCH_NAME
+    bench_output.write_text(
         json.dumps(
             {
                 "benchmark": "fig2_corrective_local_smoke",
@@ -173,5 +175,5 @@ def test_golden_fig2_smoke_and_batched_speedup():
     assert speedup >= MIN_SPEEDUP, (
         f"batched engine (batch_size={DEFAULT_BATCH_SIZE}) is only "
         f"{speedup:.2f}x faster than tuple-at-a-time on the fig2 smoke "
-        f"benchmark (expected >= {MIN_SPEEDUP}x; see {BENCH_OUTPUT.name})"
+        f"benchmark (expected >= {MIN_SPEEDUP}x; see {bench_output})"
     )

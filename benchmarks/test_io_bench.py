@@ -1,4 +1,7 @@
-"""Real-I/O fault-injection benchmark, recorded as ``BENCH_pr9.json``.
+"""Real-I/O fault-injection benchmark (record written under pytest's ``tmp_path``).
+
+The tier-1 suite leaves tracked files alone; keep a record with
+``repro.experiments.cli io-bench --bench-output FILE``.
 
 Runs the ``io-bench`` replay — seeded differential workloads served by the
 local HTTP fixture server under injected faults (delays, resets, outages,
@@ -17,18 +20,19 @@ criteria:
 from __future__ import annotations
 
 import json
-import pathlib
 
 from repro.experiments.io_bench import run_io_benchmark
 
 SEED = 2004
 
-BENCH_OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_pr9.json"
+BENCH_NAME = "BENCH_pr9.json"
 
 
-def test_io_bench_acceptance_and_record():
+def test_io_bench_acceptance_and_record(tmp_path):
     result = run_io_benchmark(seed=SEED)
-    BENCH_OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    (tmp_path / BENCH_NAME).write_text(
+        json.dumps(result, indent=2) + "\n", encoding="utf-8"
+    )
 
     assert result["faults_injected"], "the seeded plans injected no faults"
     for entry in result["streams"]:

@@ -1,4 +1,7 @@
-"""Order-adaptivity acceptance benchmark, recorded as ``BENCH_pr3.json``.
+"""Order-adaptivity acceptance benchmark (record written under pytest's ``tmp_path``).
+
+The tier-1 suite leaves tracked files alone; keep a record with
+``repro.experiments.cli order-bench --bench-output FILE``.
 
 Runs the ``order-bench`` scenario matrix (sorted / near-sorted / unordered /
 lying-promise source mixes, hash-only vs order-adaptive corrective
@@ -15,19 +18,20 @@ processing) and asserts the PR's acceptance criteria:
 from __future__ import annotations
 
 import json
-import pathlib
 
 from repro.experiments.order_bench import run_order_benchmark
 
 SCALE_FACTOR = 0.003
 SEED = 2004
 
-BENCH_OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_pr3.json"
+BENCH_NAME = "BENCH_pr3.json"
 
 
-def test_order_bench_acceptance_and_record():
+def test_order_bench_acceptance_and_record(tmp_path):
     result = run_order_benchmark(scale_factor=SCALE_FACTOR, seed=SEED)
-    BENCH_OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    (tmp_path / BENCH_NAME).write_text(
+        json.dumps(result, indent=2) + "\n", encoding="utf-8"
+    )
 
     scenarios = result["scenarios"]
     assert result["all_verified"], "adaptive answers diverged from hash-only"

@@ -1,4 +1,7 @@
-"""Source-rate adaptivity acceptance benchmark, recorded as ``BENCH_pr5.json``.
+"""Source-rate adaptivity acceptance benchmark (record written under pytest's ``tmp_path``).
+
+The tier-1 suite leaves tracked files alone; keep a record with
+``repro.experiments.cli rate-bench --bench-output FILE``.
 
 Runs the ``rate-bench`` matrix (slow / bursty / flaky remote-source
 deliveries, static vs ``rate_adaptive=True`` corrective processing,
@@ -18,19 +21,20 @@ interpreted and compiled engines) and asserts the PR's acceptance criteria:
 from __future__ import annotations
 
 import json
-import pathlib
 
 from repro.experiments.rate_bench import run_rate_benchmark
 
 SCALE_FACTOR = 0.003
 SEED = 2004
 
-BENCH_OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_pr5.json"
+BENCH_NAME = "BENCH_pr5.json"
 
 
-def test_rate_bench_acceptance_and_record():
+def test_rate_bench_acceptance_and_record(tmp_path):
     result = run_rate_benchmark(scale_factor=SCALE_FACTOR, seed=SEED)
-    BENCH_OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    (tmp_path / BENCH_NAME).write_text(
+        json.dumps(result, indent=2) + "\n", encoding="utf-8"
+    )
 
     assert result["all_verified"], "rate-adaptive answers diverged from static"
     scenarios = result["scenarios"]

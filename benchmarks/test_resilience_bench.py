@@ -1,4 +1,7 @@
-"""Resilience-suite acceptance benchmark, recorded as ``BENCH_pr6.json``.
+"""Resilience-suite acceptance benchmark (record written under pytest's ``tmp_path``).
+
+The tier-1 suite leaves tracked files alone; keep a record with
+``repro.experiments.cli resilience-bench --bench-output FILE``.
 
 Runs the ``resilience-bench`` matrix and asserts the PR's acceptance
 criteria:
@@ -19,19 +22,20 @@ criteria:
 from __future__ import annotations
 
 import json
-import pathlib
 
 from repro.experiments.resilience_bench import run_resilience_benchmark
 
 SCALE_FACTOR = 0.003
 SEED = 2004
 
-BENCH_OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_pr6.json"
+BENCH_NAME = "BENCH_pr6.json"
 
 
-def test_resilience_bench_acceptance_and_record():
+def test_resilience_bench_acceptance_and_record(tmp_path):
     result = run_resilience_benchmark(scale_factor=SCALE_FACTOR, seed=SEED)
-    BENCH_OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    (tmp_path / BENCH_NAME).write_text(
+        json.dumps(result, indent=2) + "\n", encoding="utf-8"
+    )
 
     assert result["all_verified"], (
         "a resilient configuration changed answers against its baseline twin"

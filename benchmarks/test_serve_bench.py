@@ -1,9 +1,11 @@
-"""Serving-layer throughput benchmark (``BENCH_pr2.json``).
+"""Serving-layer throughput benchmark.
 
 Admits 8 concurrent instances of the paper's evaluation queries (Q3A, Q10A,
 Q5 cycled) to the :class:`~repro.serving.server.QueryServer` under both
 scheduling policies and records throughput (queries per simulated second)
-and p50/p95 simulated latency to ``BENCH_pr2.json`` at the repo root.
+and p50/p95 simulated latency under pytest's ``tmp_path`` (the tier-1 suite
+leaves tracked files alone; keep a record with
+``repro.experiments.cli serve-bench --bench-output FILE``).
 
 Assertions:
 
@@ -20,7 +22,6 @@ Assertions:
 from __future__ import annotations
 
 import json
-import pathlib
 
 from repro.experiments.common import DEFAULT_BATCH_SIZE
 from repro.experiments.serving_bench import run_serving_benchmark
@@ -29,10 +30,10 @@ SCALE_FACTOR = 0.002
 SEED = 2004
 NUM_QUERIES = 8
 
-BENCH_OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_pr2.json"
+BENCH_NAME = "BENCH_pr2.json"
 
 
-def test_serve_bench_throughput_and_latency():
+def test_serve_bench_throughput_and_latency(tmp_path):
     result = run_serving_benchmark(
         scale_factor=SCALE_FACTOR,
         seed=SEED,
@@ -60,4 +61,6 @@ def test_serve_bench_throughput_and_latency():
         shortest["p50_latency_seconds"] <= round_robin["p50_latency_seconds"]
     ), "shortest-remaining-cost should not lose on median latency"
 
-    BENCH_OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    (tmp_path / BENCH_NAME).write_text(
+        json.dumps(result, indent=2) + "\n", encoding="utf-8"
+    )

@@ -1,10 +1,12 @@
-"""Sharded-serving scaling benchmark (``BENCH_pr10.json``).
+"""Sharded-serving scaling benchmark.
 
 Runs the same 8-query mix through :class:`~repro.serving.sharded.
 ShardedQueryServer` at 1, 2 and 4 worker processes and records the scaling
 curve — wall-clock throughput (the number the extra processes actually
 move), simulated p50/p95 latency, per-worker utilization and an
-answers-verified flag — to ``BENCH_pr10.json`` at the repo root.
+answers-verified flag — under pytest's ``tmp_path`` (the tier-1 suite leaves
+tracked files alone; keep a record with
+``repro.experiments.cli serve-bench --workers 1 2 4 --bench-output FILE``).
 
 Assertions:
 
@@ -22,7 +24,6 @@ Assertions:
 from __future__ import annotations
 
 import json
-import pathlib
 
 from repro.experiments.common import DEFAULT_BATCH_SIZE
 from repro.experiments.serving_bench import run_sharded_serving_benchmark
@@ -32,10 +33,10 @@ SEED = 2004
 NUM_QUERIES = 8
 WORKER_COUNTS = (1, 2, 4)
 
-BENCH_OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_pr10.json"
+BENCH_NAME = "BENCH_pr10.json"
 
 
-def test_shard_bench_scaling_curve():
+def test_shard_bench_scaling_curve(tmp_path):
     result = run_sharded_serving_benchmark(
         scale_factor=SCALE_FACTOR,
         seed=SEED,
@@ -78,4 +79,6 @@ def test_shard_bench_scaling_curve():
         assert gate["passed"] is None
         assert "not applicable" in gate["reason"]
 
-    BENCH_OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    (tmp_path / BENCH_NAME).write_text(
+        json.dumps(result, indent=2) + "\n", encoding="utf-8"
+    )

@@ -263,10 +263,10 @@ EMIT_PATH_METHODS = frozenset(
         "process_batch",
         "step",
         "step_batch",
+        "_interpreted_group",
         "run_chunk",
         "run_to_completion",
         "read_batch",
-        "read_zero_batch",
         "insert",
         "insert_batch",
         "probe",

@@ -211,17 +211,9 @@ class CorrectiveQueryProcessor:
         hook: the flags above are ignored for policy construction when an
         explicit controller is supplied).
         """
-        from repro.engine.compiled import ENGINE_MODES
+        from repro.engine.compiled import validate_engine_mode
 
-        if engine_mode not in ENGINE_MODES:
-            raise ValueError(
-                f"unknown engine_mode {engine_mode!r}; expected one of {ENGINE_MODES}"
-            )
-        if engine_mode == "compiled" and batch_size is None:
-            raise ValueError(
-                "engine_mode='compiled' requires batch_size (the compiled "
-                "engine specializes the batched execution path)"
-            )
+        validate_engine_mode(engine_mode, batch_size)
         self.catalog = catalog
         self.sources = dict(sources)
         self.cost_model = cost_model or CostModel()

@@ -17,9 +17,11 @@ deferred-accounting API).
 Equivalence contract
 --------------------
 
-A compiled chain performs, for each batch group, *exactly* the operations
-the interpreted ``step_batch`` group body performs, in the same order, with
-the same early-exit structure:
+``PipelinedPlan.step_batch`` hands every scheduled group to its leaf's
+*kernel*; a compiled chain is the kernel of compiled mode.  It performs, for
+each batch group, *exactly* the operations the interpreted kernel
+(``PipelinedPlan._interpreted_group``) performs, in the same order, with the
+same early-exit structure:
 
 * the produced join tuples (and therefore result multisets) are identical —
   the generated comprehensions mirror ``PipelinedJoinNode.push_batch``;
@@ -47,8 +49,10 @@ consistent with the phase's join network and state structures.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
+from repro.optimizer.plans import PlanError
 from repro.relational.expressions import (
     AttributeRef,
     BinaryPredicate,
@@ -65,6 +69,25 @@ from repro.relational.schema import Schema
 #: batched/tuple-at-a-time operator code; ``compiled`` is this module's
 #: fused, plan-specialized batch pipelines (requires a batch size).
 ENGINE_MODES = ("interpreted", "compiled")
+
+
+def validate_engine_mode(engine_mode: str, batch_size: int | None) -> None:
+    """Reject an unknown mode, or compiled mode without a batch size.
+
+    The one statement of the rule, called eagerly by every surface that
+    accepts the pair (plan, corrective processor, serving configuration).
+    :class:`PlanError` is a :class:`ValueError`.
+    """
+    if engine_mode not in ENGINE_MODES:
+        raise PlanError(
+            f"unknown engine_mode {engine_mode!r}; expected one of {ENGINE_MODES}"
+        )
+    if engine_mode == "compiled" and batch_size is None:
+        raise PlanError(
+            "engine_mode='compiled' requires a batch_size (the compiled "
+            "engine specializes the batch path; tuple-at-a-time execution "
+            "is always interpreted)"
+        )
 
 
 class CompilationError(RuntimeError):
@@ -141,22 +164,12 @@ def predicate_source(predicate, schema: Schema, env: _Env, var: str = "row") -> 
     return emit(predicate)
 
 
-def _merge_stage(node, side: str) -> Callable[[list[tuple]], list[tuple]]:
-    """One fused-chain stage wrapping a merge join node's batch processing."""
-    process_batch = node.process_batch
-
-    def stage(rows: list[tuple]) -> list[tuple]:
-        return process_batch(rows, side)
-
-    return stage
-
-
 def compile_chain(plan, binding) -> Callable[[list], None]:
     """Generate the fused leaf→root batch function for one leaf binding.
 
-    The returned callable consumes one non-empty batch group of source rows
-    (exactly what ``_read_schedule`` hands the interpreted group body) and
-    performs selection, the full join chain, root emission, all per-node /
+    The returned callable is that leaf's batch kernel: it consumes one
+    non-empty group of source rows, as cut by ``_read_schedule`` and
+    dispatched by ``step_batch``, and performs selection, the full join chain, root emission, all per-node /
     per-leaf count updates and one deferred ``charge_batch`` call.
     """
     from repro.engine.pipelined import PipelinedJoinNode
@@ -279,7 +292,7 @@ def compile_chain(plan, binding) -> Callable[[list], None]:
             else:
                 # Merge node: one opaque stage, charges handled inside.
                 out = f"t{depth}"
-                stage = env.add(_merge_stage(node, side), "m")
+                stage = env.add(partial(node.process_batch, side=side), "m")
                 emit(f"{out} = {stage}({cur})")
                 emit(f"if {out}:")
                 indent += 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
@@ -51,10 +52,10 @@ class SourceCursor:
     (``arrival == 0.0`` for every row — the local-source common case).
     Chunks come from the source's ``open_stream_columns`` when available
     (one memoized schedule access and two slices per chunk, no per-tuple
-    pair objects), so ``peek_arrival``/``read`` are plain indexing,
-    :meth:`read_batch` is slicing, and :meth:`read_zero_batch` resolves the
-    zero-arrival prefix with one ``bisect`` over the (non-decreasing)
-    arrival column instead of a per-tuple scan.
+    pair objects), so ``peek_arrival``/``read`` are plain indexing and
+    :meth:`read_batch` is slicing — a bounded read resolves the admissible
+    prefix with one ``bisect`` over the (non-decreasing) arrival column
+    instead of a per-tuple scan.
     """
 
     DEFAULT_PREFETCH = 256
@@ -77,8 +78,8 @@ class SourceCursor:
         self._rows: Sequence[tuple] = ()
         self._arrivals: Sequence[float] | None = ()
         self._pos = 0
-        self._stream_done = False
         self.consumed = 0
+        #: set by :meth:`_fill` — the one place that sees the stream end
         self.exhausted = False
         #: order detectors fed with every consumed tuple, keyed by attribute
         #: (empty unless :meth:`ensure_order_detector` was called, so the
@@ -138,14 +139,18 @@ class SourceCursor:
         return stream_chunks()
 
     def _fill(self) -> bool:
-        """Pull the next prefetch chunk into the buffer; False at end of stream."""
-        if self._stream_done:
+        """Pull the next prefetch chunk into the buffer.
+
+        Only called on an empty buffer, so the end of the stream is the
+        cursor's exhaustion: marks it and returns False.
+        """
+        if self.exhausted:
             return False
         while True:
             try:
                 rows, arrivals = next(self._chunks)
             except StopIteration:
-                self._stream_done = True
+                self.exhausted = True
                 return False
             if rows:
                 self._rows = rows
@@ -155,10 +160,8 @@ class SourceCursor:
 
     def peek_arrival(self) -> float | None:
         """Arrival time of the next tuple, or ``None`` when exhausted."""
-        if self._pos >= len(self._rows):
-            if not self._fill():
-                self.exhausted = True
-                return None
+        if self._pos >= len(self._rows) and not self._fill():
+            return None
         arrivals = self._arrivals
         return 0.0 if arrivals is None else arrivals[self._pos]
 
@@ -175,65 +178,46 @@ class SourceCursor:
             self._observe_order(row)
         return row, arrival
 
-    def read_batch(self, max_count: int) -> tuple[list[tuple], float | None]:
+    def read_batch(
+        self, max_count: int, bound: float | None = None
+    ) -> tuple[list[tuple], float | None]:
         """Consume up to ``max_count`` tuples; return ``(rows, last_arrival)``.
 
-        Returns ``([], None)`` when the cursor is exhausted.  Used by the
-        batched engine when one source is the only remaining (or clearly
-        scheduled) input, so the whole run can be drained without per-tuple
-        bookkeeping.
+        The one bulk-read primitive of the batch scheduler.  With a ``bound``
+        it stops before the first tuple arriving after it — per source,
+        arrival times are non-decreasing, so the admissible prefix of a
+        buffered chunk is located with one bisect over the arrival column
+        and everything consumed is guaranteed available by ``bound``
+        (``0.0`` drains only immediately-available tuples: the local-source
+        fast path; a cooperative horizon drains what has arrived by it).
+        ``None`` drains regardless of arrival time.  Returns ``([], None)``
+        when nothing qualifies or the cursor is exhausted.
         """
-        if max_count < 1 or self.peek_arrival() is None:
-            return [], None
         rows: list[tuple] = []
         last_arrival: float | None = None
         while len(rows) < max_count:
             pos = self._pos
-            if pos >= len(self._rows) and not self._fill():
-                break
-            pos = self._pos
+            if pos >= len(self._rows):
+                if not self._fill():
+                    break
+                pos = 0
             end = min(pos + (max_count - len(rows)), len(self._rows))
-            rows.extend(self._rows[pos:end])
             arrivals = self._arrivals
-            last_arrival = 0.0 if arrivals is None else arrivals[end - 1]
+            if arrivals is None:
+                last_arrival = 0.0
+            else:
+                if bound is not None:
+                    end = bisect_right(arrivals, bound, pos, end)
+                    if end == pos:
+                        break
+                last_arrival = arrivals[end - 1]
+            rows.extend(self._rows[pos:end])
             self._pos = end
         self.consumed += len(rows)
         if self._order_detectors:
             for row in rows:
                 self._observe_order(row)
         return rows, last_arrival
-
-    def read_zero_batch(self, max_count: int) -> list[tuple]:
-        """Consume up to ``max_count`` tuples whose arrival time is 0.0.
-
-        Stops early at the first tuple that has a positive arrival time (per
-        source, arrival times are non-decreasing, so everything consumed is
-        guaranteed immediately available — and the zero-arrival prefix of a
-        buffered chunk can be located with one bisect over the arrival
-        column).  This is the bulk-read primitive of the batched scheduler's
-        local-source fast path.
-        """
-        rows: list[tuple] = []
-        while len(rows) < max_count:
-            pos = self._pos
-            if pos >= len(self._rows) and not self._fill():
-                break
-            pos = self._pos
-            limit = min(pos + (max_count - len(rows)), len(self._rows))
-            arrivals = self._arrivals
-            if arrivals is None:
-                end = limit
-            else:
-                end = bisect_right(arrivals, 0.0, pos, limit)
-                if end == pos:
-                    break
-            rows.extend(self._rows[pos:end])
-            self._pos = end
-        self.consumed += len(rows)
-        if self._order_detectors:
-            for row in rows:
-                self._observe_order(row)
-        return rows
 
     def failover_to(self, source_like) -> None:
         """Re-point this cursor at a resumed stream (mirror failover).
@@ -252,7 +236,6 @@ class SourceCursor:
         self._rows = ()
         self._arrivals = ()
         self._pos = 0
-        self._stream_done = False
         self.exhausted = False
         self.promised_rate = getattr(source_like, "promised_rate", self.promised_rate)
         self.arrived_by = getattr(source_like, "arrived_by", self.arrived_by)
@@ -387,9 +370,6 @@ class PipelinedJoinNode:
         """Peak resident build-side tuples (hash tables only ever grow)."""
         return len(self.left_state) + len(self.right_state)
 
-    def state_tuples(self) -> int:
-        return len(self.left_state) + len(self.right_state)
-
 
 @dataclass
 class LeafBinding:
@@ -416,6 +396,22 @@ class PhaseStatistics:
     consumed_per_relation: dict[str, int] = field(default_factory=dict)
 
 
+def _add_rows(
+    groups: list[list], binding: LeafBinding, rows: list[tuple], last_arrival: float
+) -> None:
+    """Merge one scheduled run into its leaf's group (first-grant order).
+
+    A plan has a handful of leaves, so the group is found by scanning.
+    """
+    for group in groups:
+        if group[0] is binding:
+            group[1].extend(rows)
+            if last_arrival > group[2]:
+                group[2] = last_arrival
+            return
+    groups.append([binding, rows, last_arrival])
+
+
 class PipelinedPlan:
     """An instantiated push network for one ADP phase of an SPJA query.
 
@@ -423,11 +419,30 @@ class PipelinedPlan:
     is the paper's tuple-at-a-time mode: one :meth:`step` reads one source
     tuple and fully propagates it.  An integer enables batch-at-a-time mode:
     one step (:meth:`step_batch`) reads up to ``batch_size`` source tuples —
-    **in exactly the order the tuple-at-a-time scheduler would have chosen
-    them** — and propagates them through the join network as whole batches.
-    Because a batch is always fully propagated before the step ends, the plan
-    is in a consistent state between steps, so suspension, monitoring and
-    corrective plan switching keep working, just at batch granularity.
+    **in exactly the per-source counts the tuple-at-a-time scheduler would
+    have chosen** — and propagates them through the join network as whole
+    batches.  Because a batch is always fully propagated before the step
+    ends, the plan is in a consistent state between steps, so suspension,
+    monitoring and corrective plan switching keep working, just at batch
+    granularity.
+
+    The batch path has one shape, whatever the engine mode::
+
+        _read_schedule  ->  [binding, rows, last_arrival] groups
+        step_batch      ->  per group: sync clock, wait_until(last_arrival),
+                            kernel(rows)
+
+    :meth:`_read_schedule` is the only batch scheduler and :meth:`step_batch`
+    the only batch driver.  ``engine_mode`` picks nothing but the per-leaf
+    *kernel* (:meth:`_build_kernels`, consulted once, on the first batch):
+    the interpreted group body or a fused compiled chain.
+
+    :meth:`step` and :meth:`_choose_cursor` state the paper's rule (Section
+    4.1: read the earliest-available tuple, propagate it fully) directly, one
+    tuple at a time, and are kept as the reference the differential suites
+    compare every batch configuration against — not served by
+    ``batch_size=1`` through the shared path, which schedules once per tuple
+    and is about 2x slower (``bench/README.md``).
     """
 
     def __init__(
@@ -458,7 +473,7 @@ class PipelinedPlan:
         a ``batch_size``; chains are (re)generated per plan, so corrective
         phase switches and hash↔merge strategy switches recompile naturally.
         """
-        from repro.engine.compiled import ENGINE_MODES
+        from repro.engine.compiled import validate_engine_mode
 
         if join_tree.relations() != frozenset(query.relations):
             raise PlanError(
@@ -466,22 +481,17 @@ class PipelinedPlan:
             )
         if batch_size is not None and batch_size < 1:
             raise PlanError(f"batch_size must be positive, got {batch_size}")
-        if engine_mode not in ENGINE_MODES:
-            raise PlanError(
-                f"unknown engine_mode {engine_mode!r}; expected one of {ENGINE_MODES}"
-            )
-        if engine_mode == "compiled" and batch_size is None:
-            raise PlanError(
-                "engine_mode='compiled' requires a batch_size (the compiled "
-                "engine specializes the batch path; tuple-at-a-time execution "
-                "is always interpreted)"
-            )
+        validate_engine_mode(engine_mode, batch_size)
         self.query = query
         self.join_tree = join_tree
         self.cursors = cursors
         self.phase_id = phase_id
         self.batch_size = batch_size
         self.engine_mode = engine_mode
+        #: per-leaf batch kernels (relation -> callable consuming one group's
+        #: rows), built on the first batch step; in compiled mode the table
+        #: *is* ``_compiled_chains``, which stays ``None`` otherwise
+        self._kernels: dict[str, Callable[[list], None]] | None = None
         self._compiled_chains: dict[str, Callable[[list], None]] | None = None
         self.join_strategies = dict(join_strategies) if join_strategies else {}
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
@@ -499,10 +509,12 @@ class PipelinedPlan:
         #: arrived tuples, never skipped.
         self.read_priorities: dict[str, int] = {}
         self.leaves: dict[str, LeafBinding] = {}
-        self._leaf_pairs: list[tuple[LeafBinding, SourceCursor]] | None = None
         self.nodes: list[PipelinedJoinNode] = []
         self._charged_work = self.metrics.work(self.cost_model)
         self._build_network()
+        self._leaf_pairs = [
+            (binding, cursors[name]) for name, binding in self.leaves.items()
+        ]
         self.statistics = PhaseStatistics(phase_id=phase_id)
 
     # -- network construction --------------------------------------------------
@@ -651,7 +663,12 @@ class PipelinedPlan:
         return best
 
     def step(self) -> bool:
-        """Read one source tuple and propagate it; return False when done."""
+        """Read one source tuple and propagate it; return False when done.
+
+        The paper-faithful reference step (see the class docstring): the
+        batch path is checked against it, so it shares no scheduling code
+        with :meth:`_read_schedule`.
+        """
         cursor = self._choose_cursor()
         if cursor is None:
             return False
@@ -728,11 +745,12 @@ class PipelinedPlan:
     ) -> list[list]:
         """Read up to ``max_tuples`` source tuples, grouped per leaf.
 
-        The batch consumes **exactly as many tuples from each source** as the
-        tuple-at-a-time scheduler (:meth:`_choose_cursor`) would consume in
-        ``max_tuples`` steps.  For a symmetric-hash-join network every
-        boundary observable — result multiset, per-leaf pass counts, node
-        output counts, work counters (and hence the simulated clock on
+        The only batch scheduler: every batch of either engine mode is cut
+        here.  The batch consumes **exactly as many tuples from each source**
+        as the tuple-at-a-time scheduler (:meth:`_choose_cursor`) would
+        consume in ``max_tuples`` steps.  For a symmetric-hash-join network
+        every boundary observable — result multiset, per-leaf pass counts,
+        node output counts, work counters (and hence the simulated clock on
         immediately-available sources) — depends only on those per-source
         counts, not on the interleaving, so monitor observations and
         re-optimizer decisions taken at chunk boundaries are identical for
@@ -745,7 +763,10 @@ class PipelinedPlan:
         * *zero-arrival fast path* — while every live source's next tuple has
           arrival 0.0 (local data), the scheduler's least-consumed-first
           round-robin is computed arithmetically (:meth:`_zero_quotas`) and
-          each quota is drained with one bulk read;
+          each quota is drained with one bounded bulk read.  One round
+          grants the whole budget unless a source runs dry inside its
+          quota, so the first round's runs *are* the groups and only later
+          rounds merge;
         * *arrival-driven loop* — otherwise tuples are picked one at a time
           by (arrival, consumed) exactly like :meth:`_choose_cursor`, with
           cached arrival keys and run extension while one source stays
@@ -757,38 +778,25 @@ class PipelinedPlan:
         (the default, and the solo execution path) keeps the blocking
         behaviour and its exact tuple-at-a-time equivalence contract.
 
-        Returns a list of ``[binding, rows, last_arrival]`` groups.
+        Returns ``[binding, rows, last_arrival]`` groups in first-grant order.
         """
         budget = max_tuples
         pairs = self._leaf_pairs
-        if pairs is None:
-            pairs = self._leaf_pairs = [
-                (binding, self.cursors[name]) for name, binding in self.leaves.items()
-            ]
-        groups: dict[str, list] = {}
-
-        def add_rows(binding: LeafBinding, rows: list[tuple], last_arrival: float) -> None:
-            group = groups.get(binding.relation)
-            if group is None:
-                groups[binding.relation] = [binding, rows, last_arrival]
-            else:
-                group[1].extend(rows)
-                if last_arrival > group[2]:
-                    group[2] = last_arrival
-
         priorities = self.read_priorities
+        groups: list[list] = []
 
         # -- zero-arrival fast path --------------------------------------------
+        merging = False
         while budget > 0:
             zero_pairs = []
             any_pending = False
-            for binding, cursor in pairs:
-                arrival = cursor.peek_arrival()
+            for pair in pairs:
+                arrival = pair[1].peek_arrival()
                 if arrival is None:
                     continue
                 any_pending = True
                 if arrival <= 0.0:
-                    zero_pairs.append((binding, cursor))
+                    zero_pairs.append(pair)
             if not zero_pairs:
                 break
             if priorities:
@@ -812,26 +820,27 @@ class PipelinedPlan:
             for (binding, cursor), quota in zip(zero_pairs, quotas):
                 if quota <= 0:
                     continue
-                rows = cursor.read_zero_batch(quota)
+                rows, _ = cursor.read_batch(quota, 0.0)
                 if rows:
                     delivered += len(rows)
-                    add_rows(binding, rows, 0.0)
+                    if merging:
+                        _add_rows(groups, binding, rows, 0.0)
+                    else:
+                        groups.append([binding, rows, 0.0])
             budget -= delivered
             if delivered == 0:
                 break
+            merging = True
         if budget <= 0 or not any_pending:
-            return list(groups.values())
+            return groups
 
         # -- arrival-driven loop -----------------------------------------------
-        if priorities:
-            # Rank = (priority class, consumed): the lexicographic
-            # (arrival, rank) order below then matches the tuple-at-a-time
-            # rule (arrival, priority, consumed) exactly.
-            def rank(name: str, cursor: SourceCursor):
-                return (priorities.get(name, 0), cursor.consumed)
-        else:
-            def rank(name: str, cursor: SourceCursor):
-                return cursor.consumed
+        # Rank = (priority class, consumed): the lexicographic (arrival, rank)
+        # order below then matches the tuple-at-a-time rule
+        # (arrival, priority, consumed) exactly — with no overrides every
+        # class is 0 and the order is plain (arrival, consumed).
+        def rank(name: str, cursor: SourceCursor):
+            return (priorities.get(name, 0), cursor.consumed)
         entries = []
         for binding, cursor in pairs:
             arrival = cursor.peek_arrival()
@@ -851,245 +860,118 @@ class PipelinedPlan:
             if horizon is not None and best[0] > horizon:
                 break
             binding, cursor = best[2], best[3]
-            row, arrival = cursor.read()
-            rows = [row]
-            budget -= 1
-            if second_key is None and horizon is None:
-                # Only one live source left: drain it in bulk.
-                more, last_arrival = cursor.read_batch(budget)
-                if more:
-                    rows.extend(more)
-                    arrival = last_arrival
-                    budget -= len(more)
+            if second_key is None:
+                # Only one live source left: drain it in bulk (under a
+                # horizon, as far as it has actually arrived).
+                rows, arrival = cursor.read_batch(budget, horizon)
+                budget -= len(rows)
             else:
                 # Extend the run while this cursor stays strictly ahead (and,
                 # under a horizon, has actually arrived).
+                row, arrival = cursor.read()
+                rows = [row]
+                budget -= 1
                 while budget > 0:
                     next_arrival = cursor.peek_arrival()
-                    if next_arrival is None or (
-                        second_key is not None
-                        and (next_arrival, rank(binding.relation, cursor))
-                        >= second_key
+                    if (
+                        next_arrival is None
+                        or (next_arrival, rank(binding.relation, cursor)) >= second_key
+                        or (horizon is not None and next_arrival > horizon)
                     ):
-                        break
-                    if horizon is not None and next_arrival > horizon:
                         break
                     row, arrival = cursor.read()
                     rows.append(row)
                     budget -= 1
-            add_rows(binding, rows, arrival)
+            _add_rows(groups, binding, rows, arrival)
             next_arrival = cursor.peek_arrival()
             if next_arrival is None:
                 entries.remove(best)
             else:
                 best[0] = next_arrival
                 best[1] = rank(binding.relation, cursor)
-        return list(groups.values())
+        return groups
+
+    def _build_kernels(self) -> dict[str, Callable[[list], None]]:
+        """Per-leaf batch kernels — the one place the plan reads ``engine_mode``.
+
+        A kernel consumes one scheduled group's rows and does everything the
+        group owes: selection, the leaf→root join chain, root emission, and
+        every per-leaf / per-node / work counter.  ``"interpreted"`` binds
+        the generic :meth:`_interpreted_group` body; ``"compiled"`` takes the
+        fused chains of :func:`repro.engine.compiled.compile_plan_chains`.
+        Built on the first batch step, by which point executors have
+        attached their sinks.
+        """
+        if self.engine_mode == "compiled":
+            from repro.engine.compiled import compile_plan_chains
+
+            self._compiled_chains = compile_plan_chains(self)
+            return self._compiled_chains
+        return {
+            relation: partial(self._interpreted_group, binding)
+            for relation, binding in self.leaves.items()
+        }
+
+    def _interpreted_group(self, binding: LeafBinding, rows: list[tuple]) -> None:
+        """The interpreted kernel: one group through the generic operators."""
+        metrics = self.metrics
+        count = len(rows)
+        metrics.tuples_read += count
+        binding.tuples_read += count
+        selection_fn = binding.selection_fn
+        if selection_fn is not None:
+            metrics.predicate_evals += count
+            rows = [row for row in rows if selection_fn(row)]
+            if not rows:
+                return
+        binding.tuples_passed += len(rows)
+        if binding.node is None:
+            # Single-relation query.
+            metrics.tuples_output += len(rows)
+            self._root_sink_batch(rows)
+        else:
+            binding.node.push_batch(rows, binding.side)
 
     def step_batch(
         self, max_tuples: int | None = None, horizon: float | None = None
     ) -> int:
         """Read one batch of source tuples and fully propagate it.
 
-        Returns the number of source tuples consumed (0 when exhausted, or —
-        under a ``horizon`` — when every pending tuple arrives after it).
-        The batch is capped at ``batch_size`` and, when given, at
-        ``max_tuples`` (used by :meth:`run_chunk` to land on exact tuple
-        boundaries).
+        The only batch driver: :meth:`_read_schedule` cuts the batch into
+        per-leaf groups, and each group is handed to its leaf's kernel
+        (:meth:`_build_kernels`).  Returns the number of source tuples
+        consumed (0 when exhausted, or — under a ``horizon`` — when every
+        pending tuple arrives after it).  The batch is capped at
+        ``batch_size`` and, when given, at ``max_tuples`` (used by
+        :meth:`run_chunk` to land on exact tuple boundaries).
         """
         limit = self.batch_size if self.batch_size is not None else 1
         if max_tuples is not None and max_tuples < limit:
             limit = max_tuples
         if limit < 1:
             return 0
-        if self.engine_mode == "compiled":
-            return self._step_batch_compiled(limit, horizon)
+        kernels = self._kernels
+        if kernels is None:
+            kernels = self._kernels = self._build_kernels()
         groups = self._read_schedule(limit, horizon)
         if not groups:
             return 0
-        metrics = self.metrics
-        metrics.batches_read += 1
-        total = 0
-        for binding, rows, last_arrival in groups:
-            # Charge the work accrued so far (including earlier groups of this
-            # batch) before stalling on arrivals, narrowing the simulated-clock
-            # gap to tuple-at-a-time on delayed sources.  On local sources the
-            # waits are no-ops and the clock is bit-identical regardless.
-            self._sync_clock()
-            self.clock.wait_until(last_arrival)
-            count = len(rows)
-            total += count
-            metrics.tuples_read += count
-            binding.tuples_read += count
-            selection_fn = binding.selection_fn
-            if selection_fn is not None:
-                metrics.predicate_evals += count
-                rows = [row for row in rows if selection_fn(row)]
-                if not rows:
-                    continue
-            binding.tuples_passed += len(rows)
-            if binding.node is None:
-                # Single-relation query.
-                metrics.tuples_output += len(rows)
-                self._root_sink_batch(rows)
-            else:
-                binding.node.push_batch(rows, binding.side)
-        self.statistics.steps += 1
-        self.statistics.tuples_read += total
-        return total
-
-    def _step_batch_compiled(self, limit: int, horizon: float | None) -> int:
-        """Read and propagate one batch through the fused compiled chains.
-
-        Mirrors the interpreted step exactly — same read schedule, and per
-        group the clock is synchronized (and stalled to the group's last
-        arrival) *before* the group's work, with each chain charging its
-        whole group's counters before the next group's synchronization — so
-        counter values at every clock-advancing point coincide with
-        interpreted execution, bit for bit (float addition is not
-        associative, so even the charge granularity is preserved; see
-        :mod:`repro.engine.compiled` for the equivalence contract).
-
-        The all-immediate common case (every live source's next tuple has
-        arrival 0.0, i.e. local data) takes a specialized driver that skips
-        the generic schedule assembly: quotas are water-filled exactly like
-        ``_read_schedule``'s zero phase, each quota is drained with one bulk
-        read, and same-leaf grants are merged in first-grant order — the
-        identical groups, in the identical order, that the generic path
-        would build.  This deliberately duplicates the zero phase's
-        scheduling rule; if you change one, change the other — the compiled
-        differential suite (``tests/test_differential_compiled.py``) pins
-        the bit-identity and will catch a divergence.
-        """
-        chains = self._compiled_chains
-        if chains is None:
-            from repro.engine.compiled import compile_plan_chains
-
-            chains = self._compiled_chains = compile_plan_chains(self)
-
-        pairs = self._leaf_pairs
-        if pairs is None:
-            pairs = self._leaf_pairs = [
-                (binding, self.cursors[name]) for name, binding in self.leaves.items()
-            ]
-
-        if self.read_priorities:
-            # Priority overrides (rate adaptivity) route through the generic
-            # scheduler, which implements the priority-aware rule once; the
-            # specialized all-immediate driver below deliberately mirrors
-            # only the priority-free zero phase.
-            groups = self._read_schedule(limit, horizon)
-            if not groups:
-                return 0
-            return self._run_compiled_groups(chains, groups)
-
-        # Fast path precondition: every live source's next tuple is
-        # immediately available.  (A source whose next arrival is in the
-        # future sends the whole step down the generic scheduler.)
-        zero_pairs = []
-        for pair in pairs:
-            arrival = pair[1].peek_arrival()
-            if arrival is None:
-                continue
-            if arrival > 0.0:
-                zero_pairs = None
-                break
-            zero_pairs.append(pair)
-        if not zero_pairs:
-            groups = self._read_schedule(limit, horizon)
-            if not groups:
-                return 0
-            return self._run_compiled_groups(chains, groups)
-
-        # Water-fill quotas and drain them with bulk reads, merging same-leaf
-        # grants in first-grant order — byte-identical groups, in identical
-        # order, to what _read_schedule's zero phase would assemble.
-        budget = limit
-        quotas = self._zero_quotas(
-            [cursor.consumed for _, cursor in zero_pairs], budget
-        )
-        groups = []
-        index: dict[str, list] = {}
-        delivered = 0
-        drained = False
-        for (binding, cursor), quota in zip(zero_pairs, quotas):
-            if quota <= 0:
-                continue
-            rows = cursor.read_zero_batch(quota)
-            if rows:
-                delivered += len(rows)
-                group = [binding, rows, 0.0]
-                index[binding.relation] = group
-                groups.append(group)
-            if len(rows) < quota:
-                drained = True
-        budget -= delivered
-        if not drained:
-            # Common single-round case: the whole budget was granted in one
-            # water-filling round; the granted runs are the final groups.
-            if not groups:
-                return 0
-            return self._run_compiled_groups(chains, groups)
-        while budget > 0 and delivered > 0:
-            zero_pairs = [
-                pair for pair in zero_pairs if pair[1].peek_arrival() == 0.0
-            ]
-            if not zero_pairs:
-                break
-            quotas = self._zero_quotas(
-                [cursor.consumed for _, cursor in zero_pairs], budget
-            )
-            delivered = 0
-            for (binding, cursor), quota in zip(zero_pairs, quotas):
-                if quota <= 0:
-                    continue
-                rows = cursor.read_zero_batch(quota)
-                if rows:
-                    delivered += len(rows)
-                    group = index.get(binding.relation)
-                    if group is None:
-                        group = [binding, rows, 0.0]
-                        index[binding.relation] = group
-                        groups.append(group)
-                    else:
-                        group[1].extend(rows)
-            budget -= delivered
-            if delivered == 0:
-                break
-        if budget > 0:
-            # Sources drained below the budget: any residue lives behind
-            # future arrivals (or everything is exhausted).  Delegate the
-            # rest to the generic scheduler and merge, exactly like
-            # _read_schedule's zero phase falling through to its
-            # arrival-driven loop.
-            for group in self._read_schedule(budget, horizon):
-                merged = index.get(group[0].relation)
-                if merged is None:
-                    groups.append(group)
-                else:
-                    merged[1].extend(group[1])
-                    if group[2] > merged[2]:
-                        merged[2] = group[2]
-        if not groups:
-            return 0
-        return self._run_compiled_groups(chains, groups)
-
-    def _run_compiled_groups(self, chains, groups: list[list]) -> int:
-        """Dispatch scheduled groups through the compiled chains.
-
-        The per-group sync/wait cadence is kept exactly as interpreted:
-        float addition is not associative, so charging the clock in any
-        other granularity would drift the last ulp of simulated seconds.
-        """
         self.metrics.batches_read += 1
         total = 0
         sync = self._sync_clock
         wait = self.clock.wait_until
         for binding, rows, last_arrival in groups:
+            # Charge the work accrued so far (including earlier groups of this
+            # batch) before stalling on arrivals, narrowing the simulated-clock
+            # gap to tuple-at-a-time on delayed sources.  On local sources the
+            # waits are no-ops and the clock is bit-identical regardless.  Both
+            # kernels charge a whole group's counters before the next group's
+            # synchronization: float addition is not associative, so any other
+            # charge granularity would drift the last ulp of simulated seconds.
             sync()
             wait(last_arrival)
             total += len(rows)
-            chains[binding.relation](rows)
+            kernels[binding.relation](rows)
         self.statistics.steps += 1
         self.statistics.tuples_read += total
         return total
@@ -1107,17 +989,10 @@ class PipelinedPlan:
         In tuple-at-a-time mode a step is one source tuple; in batched mode a
         step is one batch of up to ``batch_size`` tuples.
         """
+        step = self.step if self.batch_size is None else self.step_batch
         steps = 0
-        if self.batch_size is None:
-            while max_steps is None or steps < max_steps:
-                if not self.step():
-                    break
-                steps += 1
-        else:
-            while max_steps is None or steps < max_steps:
-                if not self.step_batch():
-                    break
-                steps += 1
+        while (max_steps is None or steps < max_steps) and step():
+            steps += 1
         self._sync_clock()
         self._finalize_statistics()
         return steps
@@ -1162,9 +1037,7 @@ class PipelinedPlan:
         self.statistics.outputs = self.output_count
         self.statistics.work_units = self.metrics.work(self.cost_model)
         self.statistics.simulated_seconds = self.clock.now
-        self.statistics.consumed_per_relation = {
-            name: binding.tuples_passed for name, binding in self.leaves.items()
-        }
+        self.statistics.consumed_per_relation = self.leaf_counts()
 
     def finish_phase(self) -> PhaseStatistics:
         """Flush accounting after the controller decides to stop this phase."""
@@ -1174,9 +1047,7 @@ class PipelinedPlan:
 
     @property
     def sources_exhausted(self) -> bool:
-        return all(
-            self.cursors[name].peek_arrival() is None for name in self.leaves
-        )
+        return self.next_arrival() is None
 
     # -- cooperative scheduling ------------------------------------------------
 

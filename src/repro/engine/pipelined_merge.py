@@ -238,6 +238,3 @@ class PipelinedMergeJoinNode:
     def peak_state_tuples(self) -> int:
         """Peak simultaneously-resident (non-archived) tuples of both inputs."""
         return self.left_state.peak_active + self.right_state.peak_active
-
-    def state_tuples(self) -> int:
-        return len(self.left_state) + len(self.right_state)

@@ -116,7 +116,6 @@ CHANNELS: tuple[SharedChannel, ...] = (
             "engine/operators/scan.py::Scan._produce",
             "engine/pipelined.py::PipelinedPlan.step",
             "engine/pipelined.py::PipelinedPlan.step_batch",
-            "engine/pipelined.py::PipelinedPlan._run_compiled_groups",
             "engine/pipelined.py::PipelinedPlan._sync_clock",
             "core/complementary.py::_JoinDriver.read",
             "core/complementary.py::_JoinDriver.sync_clock",

@@ -171,17 +171,9 @@ def corrective_processor_options(
     processors with exactly the knobs the front-end was configured with.
     Every value is a plain scalar, so the dict pickles as-is.
     """
-    from repro.engine.compiled import ENGINE_MODES
+    from repro.engine.compiled import validate_engine_mode
 
-    if engine_mode not in ENGINE_MODES:
-        raise ValueError(
-            f"unknown engine_mode {engine_mode!r}; expected one of {ENGINE_MODES}"
-        )
-    if engine_mode == "compiled" and batch_size is None:
-        raise ValueError(
-            "engine_mode='compiled' requires batch_size (the compiled "
-            "engine specializes the batched execution path)"
-        )
+    validate_engine_mode(engine_mode, batch_size)
     return {
         "polling_interval_seconds": polling_interval_seconds,
         "switch_threshold": switch_threshold,

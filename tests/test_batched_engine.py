@@ -59,16 +59,21 @@ class TestSourceCursorBatching:
         source = RemoteSource(people, ConstantRateNetworkModel(2.0, latency=0.0))
         # Arrivals: 0.0, 0.5, 1.0, ... -> only the first tuple is "free".
         cursor = SourceCursor("people", source)
-        assert cursor.read_zero_batch(10) == [people.rows[0]]
+        assert cursor.read_batch(10, 0.0) == ([people.rows[0]], 0.0)
         assert cursor.consumed == 1
         # The positive-arrival tuple is still there, untouched.
         assert cursor.peek_arrival() == pytest.approx(0.5)
+        # A later bound (a cooperative horizon) admits what has arrived by it.
+        rows, last_arrival = cursor.read_batch(10, 1.0)
+        assert rows == people.rows[1:3]
+        assert last_arrival == pytest.approx(1.0)
+        assert cursor.peek_arrival() == pytest.approx(1.5)
 
     def test_read_zero_batch_respects_quota(self, people):
         cursor = SourceCursor("people", people, prefetch=2)
-        assert cursor.read_zero_batch(2) == people.rows[:2]
-        assert cursor.read_zero_batch(100) == people.rows[2:]
-        assert cursor.read_zero_batch(1) == []
+        assert cursor.read_batch(2, 0.0) == (people.rows[:2], 0.0)
+        assert cursor.read_batch(100, 0.0) == (people.rows[2:], 0.0)
+        assert cursor.read_batch(1, 0.0) == ([], None)
 
     def test_empty_relation(self, people_schema):
         empty = Relation("nobody", people_schema, [])

@@ -36,7 +36,11 @@ from repro.relational.expressions import (
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleAdapter
-from repro.sources.network import BurstyNetworkModel, NetworkModel
+from repro.sources.network import (
+    BurstyNetworkModel,
+    ConstantRateNetworkModel,
+    NetworkModel,
+)
 from repro.sources.remote import RemoteSource
 
 
@@ -397,6 +401,84 @@ class TestEngineModeSurface:
         assert sorted(compiled_rows) == sorted(interpreted_rows)
         assert compiled_plan.metrics.as_dict() == interpreted_plan.metrics.as_dict()
         assert compiled_plan.clock.now == interpreted_plan.clock.now
+
+    @pytest.mark.parametrize(
+        "priorities", [{}, {"r": 1}, {"s": 1}], ids=["plain", "r-demoted", "s-demoted"]
+    )
+    @pytest.mark.parametrize("r_rows", [5, 24], ids=["merge-residue", "append-residue"])
+    def test_modes_agree_when_local_source_drains_behind_delayed(
+        self, r_rows, priorities
+    ):
+        """Local ``r`` runs dry inside its water-filled quota while delayed
+        ``s`` still has future arrivals, so one batch spans the zero phase
+        *and* the arrival loop: with 5 rows the residue merges into the group
+        ``s`` already got for its one immediate tuple (batch 1), with 24 it
+        becomes a fresh group (batch 4).  After every batch the three modes
+        must agree; compiled and interpreted-batched to the last bit."""
+        query, sources = _tiny_workload()
+        sources["r"] = Relation("r", sources["r"].schema, sources["r"].rows[:r_rows])
+        sources["s"] = RemoteSource(sources["s"], ConstantRateNetworkModel(1000.0))
+        tree = JoinTree.left_deep(["r", "s"])
+
+        def build(batch_size, engine_mode="interpreted"):
+            out = []
+            plan = PipelinedPlan(
+                query,
+                tree,
+                {name: SourceCursor(name, source) for name, source in sources.items()},
+                out.append,
+                batch_size=batch_size,
+                engine_mode=engine_mode,
+            )
+            plan.read_priorities = dict(priorities)
+            return plan, out
+
+        def observables(plan, out):
+            counters = plan.metrics.as_dict()
+            del counters["batches_read"]  # the only counter tuple mode lacks
+            return (
+                sorted(out),
+                counters,
+                plan.consumed_counts(),
+                {
+                    name: (leaf.tuples_read, leaf.tuples_passed)
+                    for name, leaf in plan.leaves.items()
+                },
+                plan.node_output_counts(),
+            )
+
+        (tuple_plan, tuple_out), (batched, batched_out), (compiled, compiled_out) = (
+            build(None), build(8), build(8, "compiled")
+        )
+        mixed_batches = 0
+        while True:
+            before = batched.consumed_counts()
+            read = batched.step_batch()
+            assert compiled.step_batch() == read
+            if read == 0:
+                break
+            for _ in range(read):
+                assert tuple_plan.step()
+            assert observables(compiled, compiled_out) == observables(batched, batched_out)
+            assert observables(batched, batched_out) == observables(tuple_plan, tuple_out)
+            assert compiled.metrics.batches_read == batched.metrics.batches_read
+            assert compiled.clock.now == batched.clock.now
+            # Only s's first tuple is immediate; the rest of s arrives later.
+            after = batched.consumed_counts()
+            first_s = 1 if before["s"] == 0 < after["s"] else 0
+            immediate = after["r"] - before["r"] + first_s
+            delayed = after["s"] - before["s"] - first_s
+            mixed_batches += immediate > 0 and delayed > 0
+            # A merged group waits for its *latest* run: nothing is consumed
+            # before it has arrived.
+            if after["s"]:
+                assert batched.clock.now >= sources["s"].arrival_schedule[after["s"] - 1]
+        assert not tuple_plan.step()
+        assert mixed_batches, "no batch spanned the zero phase and the arrival loop"
+        assert sorted(batched_out)
+        # Waits dominate this run, so even tuple mode's clock (whose waits and
+        # charges interleave differently) lands on the last arrival.
+        assert batched.clock.now == pytest.approx(tuple_plan.clock.now, rel=1e-3)
 
 
 class TestRecompilation:

@@ -76,7 +76,7 @@ class TestCursorOrderDetectors:
         # Mixed read APIs must all feed the detector.
         cursor.read()
         cursor.read_batch(10)
-        cursor.read_zero_batch(20)
+        cursor.read_batch(20, 0.0)
         while cursor.read() is not None:
             pass
         assert detector.observed == 100
