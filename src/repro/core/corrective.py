@@ -534,15 +534,12 @@ class CorrectiveQueryProcessor:
         stitchup_report: StitchUpReport | None = None
         num_phases = phase_manager.phase_count
         if num_phases > 1 and canonical_schema is not None:
-            sink = (
-                accumulator.accumulate if accumulator is not None else collected.append
-            )
             stitchup = StitchUpExecutor(
                 query,
                 registry,
                 num_phases,
                 canonical_schema,
-                sink,
+                accumulator if accumulator is not None else collected,
                 metrics=metrics,
                 clock=clock,
                 cost_model=self.cost_model,

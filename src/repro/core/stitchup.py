@@ -19,6 +19,29 @@ themselves) or with an empty partition, and evaluates each by
 The report records the reuse statistics the paper publishes in Tables 1–2:
 how many tuples were reused from prior phases and how many registered tuples
 were never needed ("discarded").
+
+**Order and accounting contract.**  Every combination is evaluated a set at a
+time, whatever engine mode the phases ran in: the seed is scanned into a
+list, each hop turns the whole working set into the next one, and the final
+working set goes to the output in one call.  Two things are fixed:
+
+* *Order.*  Combinations run in ``itertools.product`` order over the query's
+  relation list; inside one, rows keep seed-scan order, matches of a row keep
+  bucket order, and a rejected residual candidate only drops out.  That is
+  the order a tuple-at-a-time nested loop produces, so the shared group-by
+  folds the same sequence and float sums do not move by a bit.
+* *Charges.*  Counters are charged once per step from batch tallies (the
+  deferred-charging invariant of ``engine/cost.py``): a seed scan
+  ``tuple_copies += len(seed)``; a hop ``hash_probes += len(rows)``,
+  ``predicate_evals += len(residuals) * candidates`` (every residual on every
+  candidate, rejected or not) and ``tuple_copies += len(output)``; a re-key
+  ``hash_inserts += len(partition)``, once per (structure, attribute); the
+  hand-off ``tuples_output += len(rows)`` plus the group-by's own
+  ``aggregate_updates``.  The clock is charged once, at the end of ``run``,
+  and nothing reads it before.
+
+Cached for the run: re-keyed partitions, and per seed entry the *route* —
+join order, attribute positions and the output sink for the final layout.
 """
 
 from __future__ import annotations
@@ -27,12 +50,17 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.engine.compiled import fused_output_sink
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
+from repro.engine.operators.aggregate import GroupAccumulator
 from repro.engine.state.hash_table import HashTableState
 from repro.engine.state.registry import RegistryEntry, StateRegistry
-from repro.relational.algebra import SPJAQuery
+from repro.relational.algebra import QueryError, SPJAQuery
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleAdapter
+
+#: what a finished working set is handed to, a whole combination at a time
+BatchSink = Callable[[list[tuple]], None]
 
 
 @dataclass
@@ -66,6 +94,16 @@ class StitchUpReport:
         }
 
 
+@dataclass(frozen=True)
+class _Hop:
+    """One probe join of a route, with every name resolved to a position."""
+
+    relation: str
+    partition_attr: str  # the attribute the partition must be keyed on
+    probe_pos: int  # where the working set carries the matching value
+    residuals: tuple[tuple[int, int], ...]  # further predicates, as joined-row positions
+
+
 class StitchUpExecutor:
     """Evaluates the cross-phase join combinations at the end of execution."""
 
@@ -75,26 +113,29 @@ class StitchUpExecutor:
         registry: StateRegistry,
         num_phases: int,
         output_schema: Schema,
-        output_sink: Callable[[tuple], None],
+        output: GroupAccumulator | list[tuple],
         metrics: ExecutionMetrics | None = None,
         clock: SimulatedClock | None = None,
         cost_model: CostModel | None = None,
     ) -> None:
+        """``output`` is the query's shared group-by, or for an SPJ query the
+        list collecting its answers; rows reach it laid out as ``output_schema``."""
         self.query = query
         self.registry = registry
         self.num_phases = num_phases
         self.output_schema = output_schema
-        self.output_sink = output_sink
+        self.output = output
         self.cost_model = cost_model or CostModel()
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
         self.clock = clock if clock is not None else SimulatedClock(self.cost_model)
         self._touched_entries: set[int] = set()
         self._rehash_cache: dict[tuple[int, str], HashTableState] = {}
+        self._routes: dict[int, tuple[list[_Hop], BatchSink]] = {}
 
     # -- public API -----------------------------------------------------------------
 
     def run(self) -> StitchUpReport:
-        """Evaluate all cross-phase combinations and push results to the sink."""
+        """Evaluate all cross-phase combinations and hand their rows to the output."""
         relations = list(self.query.relations)
         report = StitchUpReport(num_phases=self.num_phases)
         start_seconds = self.clock.now
@@ -117,13 +158,17 @@ class StitchUpExecutor:
                 report.combinations_excluded += 1
                 report.exclusion_list.append(combo)
                 continue
-            assignment = dict(zip(relations, combo))
-            if self._any_partition_empty(assignment, partitions):
+            entries = {
+                relation: partitions[relation].get(phase)
+                for relation, phase in zip(relations, combo)
+            }
+            if any(entry is None or not entry.cardinality for entry in entries.values()):
                 report.combinations_skipped_empty += 1
                 continue
             report.combinations_evaluated += 1
-            produced = self._evaluate_combination(assignment, partitions, intermediates)
-            report.output_count += produced
+            report.output_count += self._evaluate_combination(
+                frozenset(zip(relations, combo)), entries, intermediates
+            )
 
         self._charge_clock(start_work)
         report.reused_tuples = self._touched_tuples()
@@ -134,63 +179,36 @@ class StitchUpExecutor:
 
     # -- combination evaluation --------------------------------------------------------
 
-    def _any_partition_empty(
-        self,
-        assignment: dict[str, int],
-        partitions: dict[str, dict[int, RegistryEntry]],
-    ) -> bool:
-        for relation, phase in assignment.items():
-            entry = partitions[relation].get(phase)
-            if entry is None or entry.cardinality == 0:
-                return True
-        return False
-
     def _evaluate_combination(
         self,
-        assignment: dict[str, int],
-        partitions: dict[str, dict[int, RegistryEntry]],
+        pairs: frozenset[tuple[str, int]],
+        entries: dict[str, RegistryEntry],
         intermediates: Sequence[RegistryEntry],
     ) -> int:
-        pairs = frozenset(assignment.items())
-        seed_entry = self._best_seed(pairs, intermediates, assignment, partitions)
-        self._mark_touched(seed_entry)
+        seed = self._best_seed(pairs, entries, intermediates)
+        self._mark_touched(seed)
+        hops, sink = self._route(seed, entries)
 
-        current_schema = seed_entry.structure.schema
-        current_rows = list(seed_entry.structure.scan())
-        self.metrics.tuple_copies += len(current_rows)
-        covered = set(rel for rel, _phase in seed_entry.signature)
-
-        remaining = [rel for rel in assignment if rel not in covered]
-        while remaining and current_rows:
-            next_relation = self._next_connected(covered, remaining)
-            if next_relation is None:
-                # Should not happen for connected queries; degrade gracefully.
-                break
-            remaining.remove(next_relation)
-            entry = partitions[next_relation][assignment[next_relation]]
+        metrics = self.metrics
+        rows = list(seed.structure.scan())
+        metrics.tuple_copies += len(rows)
+        for hop in hops:
+            if not rows:
+                return 0
+            entry = entries[hop.relation]
             self._mark_touched(entry)
-            current_rows, current_schema = self._probe_join(
-                current_rows, current_schema, covered, next_relation, entry
-            )
-            covered.add(next_relation)
-
-        if not current_rows:
-            return 0
-        adapter = TupleAdapter(current_schema, self.output_schema)
-        produced = 0
-        for row in current_rows:
-            output = row if adapter.is_identity else adapter.adapt(row)
-            self.metrics.tuples_output += 1
-            self.output_sink(output)
-            produced += 1
-        return produced
+            table = self._keyed_table(entry, hop.partition_attr)
+            rows = self._probe_join(rows, hop, table)
+        if rows:
+            metrics.tuples_output += len(rows)
+            sink(rows)
+        return len(rows)
 
     def _best_seed(
         self,
-        pairs: frozenset,
+        pairs: frozenset[tuple[str, int]],
+        entries: dict[str, RegistryEntry],
         intermediates: Sequence[RegistryEntry],
-        assignment: dict[str, int],
-        partitions: dict[str, dict[int, RegistryEntry]],
     ) -> RegistryEntry:
         """Largest reusable intermediate covered by this combination, else the
         smallest matching base partition."""
@@ -204,61 +222,94 @@ class StitchUpExecutor:
                     best = entry
         if best is not None:
             return best
-        # Fall back to the smallest base partition in the combination.
-        candidates = [
-            partitions[relation][phase] for relation, phase in assignment.items()
-        ]
-        return min(candidates, key=lambda e: e.cardinality)
+        return min(entries.values(), key=lambda e: e.cardinality)
 
-    def _next_connected(self, covered: set[str], remaining: list[str]) -> str | None:
-        for relation in remaining:
-            if self.query.predicates_between(frozenset(covered), frozenset((relation,))):
-                return relation
-        return None
+    def _route(
+        self, seed: RegistryEntry, entries: dict[str, RegistryEntry]
+    ) -> tuple[list[_Hop], BatchSink]:
+        """Hops and output sink for the combinations seeded from ``seed``.
 
-    def _probe_join(
-        self,
-        rows: list[tuple],
-        schema: Schema,
-        covered: set[str],
-        relation: str,
-        entry: RegistryEntry,
-    ) -> tuple[list[tuple], Schema]:
-        """Join the working set with one partition via hash probing."""
-        predicates = self.query.predicates_between(frozenset(covered), frozenset((relation,)))
-        primary = predicates[0]
-        if primary.left_relation == relation:
-            partition_attr, current_attr = primary.left_attr, primary.right_attr
-        else:
-            partition_attr, current_attr = primary.right_attr, primary.left_attr
-
-        table = self._keyed_table(entry, partition_attr)
-        current_pos = schema.position(current_attr)
-        combined_schema = schema.concat(table.schema)
-
-        residual_fns = []
-        for pred in predicates[1:]:
-            if pred.left_relation == relation:
-                rel_attr, cur_attr = pred.left_attr, pred.right_attr
+        Join order, attribute positions and the final layout follow from the
+        seed's layout alone (a relation's partitions have one schema in every
+        phase), so they are resolved for the first such combination and
+        reused by the rest.
+        """
+        route = self._routes.get(id(seed))
+        if route is not None:
+            return route
+        schema = seed.structure.schema
+        covered = set(seed.relations)
+        remaining = [relation for relation in entries if relation not in covered]
+        hops: list[_Hop] = []
+        while remaining:
+            for relation in remaining:
+                predicates = self.query.predicates_between(
+                    frozenset(covered), frozenset((relation,))
+                )
+                if predicates:
+                    break
             else:
-                rel_attr, cur_attr = pred.right_attr, pred.left_attr
-            left_pos = combined_schema.position(cur_attr)
-            right_pos = combined_schema.position(rel_attr)
-            residual_fns.append(lambda row, l=left_pos, r=right_pos: row[l] == row[r])
+                combination = sorted(
+                    pair for entry in entries.values() for pair in entry.signature
+                )
+                raise QueryError(
+                    f"stitch-up of {self.query.name!r}, combination {combination}: "
+                    f"no join predicate connects {remaining} to {sorted(covered)}"
+                )
+            remaining.remove(relation)
+            joined = schema.concat(entries[relation].structure.schema)
+            # (partition attribute, working-set attribute) per predicate
+            attrs = [
+                (p.left_attr, p.right_attr)
+                if p.left_relation == relation
+                else (p.right_attr, p.left_attr)
+                for p in predicates
+            ]
+            hops.append(
+                _Hop(
+                    relation,
+                    partition_attr=attrs[0][0],
+                    probe_pos=schema.position(attrs[0][1]),
+                    residuals=tuple(
+                        (joined.position(current), joined.position(partition))
+                        for partition, current in attrs[1:]
+                    ),
+                )
+            )
+            schema = joined
+            covered.add(relation)
+        route = self._routes[id(seed)] = (hops, self._sink(schema))
+        return route
 
-        output: list[tuple] = []
+    def _sink(self, schema: Schema) -> BatchSink:
+        """Batch hand-off of working sets laid out as ``schema`` to the output."""
+        adapter = TupleAdapter(schema, self.output_schema)
+        output = self.output
+        if isinstance(output, GroupAccumulator):
+            fold = fused_output_sink(output, adapter)
+            if fold is not None:
+                return fold
+            deliver = output.accumulate_batch
+        else:
+            deliver = output.extend
+        if adapter.is_identity:
+            return deliver
+        return lambda rows: deliver(adapter.adapt_many(rows))
+
+    def _probe_join(self, rows: list[tuple], hop: _Hop, table: HashTableState) -> list[tuple]:
+        """Join the working set with one keyed partition; one charge per counter."""
+        get = table.bucket_map().get
+        pos = hop.probe_pos
+        output = [row + match for row in rows for match in get(row[pos], ())]
         metrics = self.metrics
-        for row in rows:
-            metrics.hash_probes += 1
-            for match in table.probe(row[current_pos]):
-                combined = row + match
-                if residual_fns:
-                    metrics.predicate_evals += len(residual_fns)
-                    if not all(fn(combined) for fn in residual_fns):
-                        continue
-                metrics.tuple_copies += 1
-                output.append(combined)
-        return output, combined_schema
+        metrics.hash_probes += len(rows)
+        if hop.residuals:
+            # Every residual is charged on every candidate, rejected or not.
+            metrics.predicate_evals += len(hop.residuals) * len(output)
+            for left, right in hop.residuals:
+                output = [row for row in output if row[left] == row[right]]
+        metrics.tuple_copies += len(output)
+        return output
 
     def _keyed_table(self, entry: RegistryEntry, attribute: str) -> HashTableState:
         """Return the partition keyed on ``attribute``, re-hashing if needed."""
@@ -266,14 +317,12 @@ class StitchUpExecutor:
         if isinstance(structure, HashTableState) and structure.key == attribute:
             return structure
         cache_key = (id(structure), attribute)
-        cached = self._rehash_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        rehashed = HashTableState(structure.schema, attribute)
-        for row in structure.scan():
-            rehashed.insert(row)
-            self.metrics.hash_inserts += 1
-        self._rehash_cache[cache_key] = rehashed
+        rehashed = self._rehash_cache.get(cache_key)
+        if rehashed is None:
+            rehashed = HashTableState(structure.schema, attribute)
+            rehashed.insert_batch(list(structure.scan()))
+            self.metrics.hash_inserts += len(rehashed)
+            self._rehash_cache[cache_key] = rehashed
         return rehashed
 
     # -- accounting -----------------------------------------------------------------

@@ -13,10 +13,12 @@ class HashTableState(StateStructure):
 
     This is the structure pipelined hash joins build on each input, hybrid
     hash joins build on their inner, and the stitch-up join probes.  It also
-    supports *re-keying* (:meth:`rehashed`), which the stitch-up join uses
-    when a reused structure is keyed on the wrong attribute for the join at
-    hand (paper Section 3.4.3), and simulated partition-wise overflow
-    (:meth:`spill_partition`), mirroring the XJoin-style overflow handling.
+    supports *re-keying* (:meth:`rehashed`) for a structure keyed on the
+    wrong attribute for the join at hand (paper Section 3.4.3), and simulated
+    partition-wise overflow (:meth:`spill_partition`), mirroring the
+    XJoin-style overflow handling.  The stitch-up join re-keys through the
+    same :meth:`insert_batch` but from its own ``_keyed_table``: its source
+    may be a ``SortedRunState``, and it charges the inserts.
     """
 
     supports_key_access = True
@@ -103,8 +105,7 @@ class HashTableState(StateStructure):
     def rehashed(self, new_key: str) -> "HashTableState":
         """Return a new hash table over the same tuples keyed on ``new_key``."""
         other = HashTableState(self.schema, new_key)
-        for row in self.scan():
-            other.insert(row)
+        other.insert_batch(list(self.scan()))
         return other
 
     # -- simulated overflow handling ------------------------------------------

@@ -64,6 +64,11 @@ class TupleAdapter:
             else:
                 getter = lambda values: ()  # noqa: E731
         object.__setattr__(self, "_getter", getter)
+        object.__setattr__(
+            self,
+            "_is_identity",
+            len(self.source) == len(mapping) and mapping == list(range(len(mapping))),
+        )
 
     @property
     def is_identity(self) -> bool:
@@ -73,9 +78,7 @@ class TupleAdapter:
         still needs a projecting gather (``adapt_many`` short-circuits
         identity adapters by returning rows unchanged).
         """
-        return len(self.source) == len(self.target) and self._mapping == tuple(
-            range(len(self.target))
-        )  # type: ignore[attr-defined]
+        return self._is_identity  # type: ignore[attr-defined]
 
     @property
     def has_missing(self) -> bool:
