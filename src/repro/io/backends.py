@@ -6,17 +6,36 @@ on pygrametl's iterable dict-row datasources but offset-addressable so the
 envelope can resume mid-stream:
 
 * ``Transport.open(offset)`` establishes a fresh connection positioned at
-  the given global row offset and returns a :class:`RowReader`;
+  the given global row offset and returns a :class:`RowReader`; a source
+  that no longer holds ``offset`` rows (it shrank between accesses) raises
+  :class:`~repro.io.errors.TruncatedPayloadError` — ``offset == row count``
+  is a valid empty remainder;
 * ``RowReader.read_rows(max_rows)`` returns the next chunk of engine tuples,
   where an **empty list means verified end-of-stream** — a reader that
   cannot prove the stream is complete must raise
   :class:`~repro.io.errors.TruncatedPayloadError` instead of returning
   ``[]``, because a silent early EOF is indistinguishable from row loss.
 
-Values are coerced back to engine types from the schema's informal type tags
-(``int``/``float``/``str``/``date``); the ``any`` tag falls back to literal
-parsing (int, then float, then str), which round-trips every generated
-workload exactly.
+**Every reader streams.**  A file reader keeps its handle open between
+calls and parses and converts only the ``max_rows`` records a call asks
+for.  ``open(offset)`` costs one scan of the ``offset`` records before the
+resume point (through ``csv.reader`` / line iteration, so quoted newlines
+and blank lines count as they did when the rows were first delivered) but
+converts none of them.  Each delivered record is validated on its own: its
+field count against the schema and, for a JSON line, its parse and shape.
+A record that fails is where the file was cut: the valid rows before it
+are delivered first and the error is raised by the next call (**prefix,
+then raise** — progress is never discarded; the HTTP reader does the
+same).  So a cut file surfaces from ``read_rows``, as a
+*read* fault: it spends the envelope's read retry budget, not the connect
+one, and every retry resumes past the rows already delivered.
+
+CSV values are coerced back to engine types by one function generated per
+schema from its informal type tags (:func:`compile_converter`): ``int`` and
+``float`` columns through the constructors, ``str`` columns untouched, and
+``date`` / ``any`` columns through literal parsing (int, then float, then
+str) — the engine's dates are int day numbers and ISO text stays text —
+which round-trips every generated workload exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +46,8 @@ import json
 import socket
 import sqlite3
 import urllib.parse
-from typing import Callable, Protocol, Sequence
+from itertools import islice
+from typing import IO, Callable, Generic, Iterator, Protocol, Sequence, TypeVar
 
 from repro.io.errors import (
     ConnectError,
@@ -38,6 +58,9 @@ from repro.io.errors import (
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+
+#: a file format's raw record: a CSV field list, a JSON line
+_Raw = TypeVar("_Raw")
 
 #: JSON key of the completeness marker the HTTP wire protocol ends with;
 #: its value is the number of rows served since the requested offset
@@ -56,20 +79,26 @@ def _parse_literal(text: str) -> object:
         return text
 
 
-def converters_for(schema: Schema) -> tuple[Callable[[str], object], ...]:
-    """Per-column text → value coercers derived from the schema's type tags."""
-    out: list[Callable[[str], object]] = []
-    for attribute in schema.attributes:
-        tag = attribute.type_name
-        if tag == "int":
-            out.append(int)
-        elif tag == "float":
-            out.append(float)
-        elif tag in ("str", "date"):
-            out.append(str)
-        else:
-            out.append(_parse_literal)
-    return tuple(out)
+#: type tag → how the generated converter coerces a field (``{}`` is the
+#: field); any other tag (``date``, ``any``) goes through literal parsing
+_COERCIONS = {"int": "int({})", "float": "float({})", "str": "{}"}
+
+
+def compile_converter(
+    schema: Schema,
+) -> Callable[[Sequence[str]], tuple[object, ...]]:
+    """One text-record → engine-tuple function generated from the schema's
+    type tags; its source stays on it as ``__compiled_source__``."""
+    fields = [
+        _COERCIONS.get(attribute.type_name, "_parse_literal({})").format(f"v[{i}]")
+        for i, attribute in enumerate(schema.attributes)
+    ]
+    source = f"lambda v: ({', '.join(fields)}{',' * (len(fields) == 1)})"
+    convert: Callable[[Sequence[str]], tuple[object, ...]] = eval(
+        source, {"_parse_literal": _parse_literal}
+    )
+    setattr(convert, "__compiled_source__", source)
+    return convert
 
 
 class RowReader(Protocol):
@@ -103,95 +132,135 @@ class Transport:
         return f"{type(self).__name__}({self.name!r})"
 
 
-class _ListReader:
-    """RowReader over rows materialized at open time (file/DB backends)."""
+class _RecordReader(Generic[_Raw]):
+    """RowReader streaming an open file's records, a call's worth at a time.
 
-    def __init__(self, rows: list[tuple[object, ...]]) -> None:
-        self._rows = rows
-        self._position = 0
+    ``records`` yields raw records (CSV field lists, non-blank JSON lines)
+    from the resume offset on; ``decode`` validates and converts one.
+    """
+
+    def __init__(
+        self,
+        handle: IO[str],
+        records: Iterator[_Raw],
+        decode: Callable[[_Raw], tuple[object, ...]],
+    ) -> None:
+        self._handle = handle
+        self._records = records
+        self._decode = decode
+        self._failed: TransportError | None = None
 
     def read_rows(self, max_rows: int) -> list[tuple[object, ...]]:
-        chunk = self._rows[self._position : self._position + max_rows]
-        self._position += len(chunk)
-        return chunk
+        if self._failed is not None:
+            raise self._failed
+        rows: list[tuple[object, ...]] = []
+        decode = self._decode
+        try:
+            for record in islice(self._records, max_rows):
+                rows.append(decode(record))
+        except TransportError as exc:
+            self._failed = exc
+        except OSError as exc:
+            self._failed = ReadError(f"{self._handle.name}: {exc}")
+        if not rows:
+            # the cut (every later call's answer too), or verified end-of-stream
+            self.close()
+            self._records = iter(())
+            if self._failed is not None:
+                raise self._failed
+        # a valid prefix goes out first, so progress is never discarded; the
+        # error that ended it is raised by the next call
+        return rows
 
     def close(self) -> None:
-        self._rows = []
+        self._handle.close()
 
 
-class CSVFileTransport(Transport):
+class _FileTransport(Transport, Generic[_Raw]):
+    """A file of records, one engine row each, read through a
+    :class:`_RecordReader`; the formats differ only in how a handle is cut
+    into raw records and how one raw record is decoded."""
+
+    def __init__(self, name: str, path: str, schema: Schema) -> None:
+        super().__init__(name, schema)
+        self.path = path
+        self._width = len(schema.attributes)
+
+    def _records(self, handle: IO[str]) -> Iterator[_Raw]:
+        """The handle's raw records from row 0 on (consumes any header)."""
+        raise NotImplementedError
+
+    def _decode(self, record: _Raw) -> tuple[object, ...]:
+        """One raw record validated and converted to an engine row."""
+        raise NotImplementedError
+
+    def open(self, offset: int) -> RowReader:
+        try:
+            handle = open(self.path, "r", encoding="utf-8", newline="")
+            try:
+                records = self._records(handle)
+                # position by scanning, not converting: the skipped records
+                # were validated when they were delivered
+                skipped = sum(1 for _ in islice(records, offset))
+                if skipped < offset:
+                    raise TruncatedPayloadError(
+                        f"{self.path}: resume offset {offset} is past the "
+                        f"{skipped} records the file now holds"
+                    )
+            except BaseException:
+                handle.close()
+                raise
+        except OSError as exc:
+            raise ConnectError(f"{self.path}: {exc}") from exc
+        return _RecordReader(handle, records, self._decode)
+
+
+class CSVFileTransport(_FileTransport[list[str]]):
     """Rows from a header-first CSV file (pygrametl ``CSVSource`` shape)."""
 
     def __init__(
         self, name: str, path: str, schema: Schema, delimiter: str = ","
     ) -> None:
-        super().__init__(name, schema)
-        self.path = path
+        super().__init__(name, path, schema)
         self.delimiter = delimiter
-        self._converters = converters_for(schema)
+        self._convert = compile_converter(schema)
 
-    def open(self, offset: int) -> RowReader:
-        width = len(self.schema.attributes)
-        try:
-            with open(self.path, "r", encoding="utf-8", newline="") as handle:
-                reader = csv.reader(handle, delimiter=self.delimiter)
-                header = next(reader, None)
-                if header is None or len(header) != width:
-                    raise TruncatedPayloadError(
-                        f"{self.path}: missing or short CSV header"
-                    )
-                rows: list[tuple[object, ...]] = []
-                for values in reader:
-                    if len(values) != width:
-                        # a partial final record: the file was cut mid-row
-                        raise TruncatedPayloadError(
-                            f"{self.path}: partial CSV record "
-                            f"({len(values)}/{width} fields)"
-                        )
-                    rows.append(
-                        tuple(
-                            convert(value)
-                            for convert, value in zip(self._converters, values)
-                        )
-                    )
-        except OSError as exc:
-            raise ConnectError(f"{self.path}: {exc}") from exc
-        return _ListReader(rows[offset:])
+    def _records(self, handle: IO[str]) -> Iterator[list[str]]:
+        records = csv.reader(handle, delimiter=self.delimiter)
+        header = next(records, None)
+        if header is None or len(header) != self._width:
+            raise TruncatedPayloadError(f"{self.path}: missing or short CSV header")
+        return records
+
+    def _decode(self, record: list[str]) -> tuple[object, ...]:
+        if len(record) != self._width:
+            # a partial final record: the file was cut mid-row
+            raise TruncatedPayloadError(
+                f"{self.path}: partial CSV record "
+                f"({len(record)}/{self._width} fields)"
+            )
+        return self._convert(record)
 
     def describe(self) -> str:
         return f"csv:{self.path}"
 
 
-class JSONLinesTransport(Transport):
-    """Rows from a JSON-lines file (one JSON array per line)."""
+class JSONLinesTransport(_FileTransport[str]):
+    """Rows from a JSON-lines file (one JSON array per line; blank lines
+    are not records and do not count toward an offset)."""
 
-    def __init__(self, name: str, path: str, schema: Schema) -> None:
-        super().__init__(name, schema)
-        self.path = path
+    def _records(self, handle: IO[str]) -> Iterator[str]:
+        return filter(str.strip, handle)
 
-    def open(self, offset: int) -> RowReader:
-        width = len(self.schema.attributes)
+    def _decode(self, record: str) -> tuple[object, ...]:
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                rows: list[tuple[object, ...]] = []
-                for line in handle:
-                    if not line.strip():
-                        continue
-                    try:
-                        values = json.loads(line)
-                    except ValueError as exc:
-                        # a partial final line: the file was cut mid-record
-                        raise TruncatedPayloadError(
-                            f"{self.path}: partial JSON record"
-                        ) from exc
-                    if not isinstance(values, list) or len(values) != width:
-                        raise TruncatedPayloadError(
-                            f"{self.path}: malformed JSON record"
-                        )
-                    rows.append(tuple(values))
-        except OSError as exc:
-            raise ConnectError(f"{self.path}: {exc}") from exc
-        return _ListReader(rows[offset:])
+            values = json.loads(record)
+        except ValueError as exc:
+            # a partial final line: the file was cut mid-record
+            raise TruncatedPayloadError(f"{self.path}: partial JSON record") from exc
+        if not isinstance(values, list) or len(values) != self._width:
+            raise TruncatedPayloadError(f"{self.path}: malformed JSON record")
+        return tuple(values)
 
     def describe(self) -> str:
         return f"jsonl:{self.path}"
@@ -273,7 +342,14 @@ class DBAPITransport(Transport):
             except Exception:  # pragma: no cover - close is best-effort
                 pass
             raise ConnectError(f"DB-API query failed: {exc}") from exc
-        return _DBAPIReader(connection, cursor)
+        reader = _DBAPIReader(connection, cursor)
+        if skipped < offset:
+            reader.close()
+            raise TruncatedPayloadError(
+                f"resume offset {offset} is past the {skipped} rows "
+                "the query now returns"
+            )
+        return reader
 
     def describe(self) -> str:
         return f"dbapi:{self.query!r}"
@@ -286,8 +362,12 @@ class _HTTPReader:
     ``{"__end__": n}`` marker counting the rows served since the requested
     offset. A response that ends without the marker (or whose count
     disagrees) raises :class:`TruncatedPayloadError`; socket-level failures
-    mid-body raise :class:`ReadError`.
+    mid-body raise :class:`ReadError`. The body is read a block at a time
+    (whatever the socket holds, at most one HTTP chunk) and split into
+    lines here; a line cut by a block boundary waits for the next block.
     """
+
+    BLOCK_BYTES = 1 << 16
 
     def __init__(
         self,
@@ -301,6 +381,8 @@ class _HTTPReader:
         self._delivered = 0
         self._complete = False
         self._pending: TransportError | None = None
+        self._lines: Iterator[bytes] = iter(())
+        self._tail = b""
 
     def read_rows(self, max_rows: int) -> list[tuple[object, ...]]:
         if self._pending is not None:
@@ -323,39 +405,51 @@ class _HTTPReader:
             self.close()
         return rows
 
+    def _next_lines(self) -> Iterator[bytes]:
+        """The complete lines of the next block (plus the carried tail)."""
+        try:
+            block = self._response.read1(self.BLOCK_BYTES)
+        except socket.timeout as exc:
+            raise TransportTimeout(f"HTTP read timed out: {exc}") from exc
+        except (http.client.HTTPException, OSError, ValueError) as exc:
+            raise ReadError(f"HTTP stream died mid-body: {exc}") from exc
+        if block:
+            lines = (self._tail + block).split(b"\n")
+            self._tail = lines.pop()  # cut by the block boundary, or empty
+        elif self._tail:
+            lines, self._tail = [self._tail], b""  # body ended mid-line
+        else:
+            raise TruncatedPayloadError(
+                "HTTP stream ended without its completeness marker"
+            )
+        return iter(lines)
+
     def _fill(self, rows: list[tuple[object, ...]], max_rows: int) -> None:
         while len(rows) < max_rows:
-            try:
-                line = self._response.readline()
-            except socket.timeout as exc:
-                raise TransportTimeout(f"HTTP read timed out: {exc}") from exc
-            except (http.client.HTTPException, OSError, ValueError) as exc:
-                raise ReadError(f"HTTP stream died mid-body: {exc}") from exc
-            if not line:
-                raise TruncatedPayloadError(
-                    "HTTP stream ended without its completeness marker"
-                )
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                payload = json.loads(text)
-            except ValueError as exc:
-                raise TruncatedPayloadError(
-                    "HTTP stream cut mid-record"
-                ) from exc
-            if isinstance(payload, dict):
-                served = payload.get(END_MARKER_KEY)
-                if served != self._delivered + len(rows):
+            for line in self._lines:
+                if not line.strip():
+                    continue
+                try:
+                    payload = json.loads(line)
+                except ValueError as exc:
                     raise TruncatedPayloadError(
-                        f"HTTP completeness marker disagrees: marker={served} "
-                        f"delivered={self._delivered + len(rows)}"
-                    )
-                self._complete = True
-                return
-            if not isinstance(payload, list) or len(payload) != self._width:
-                raise TruncatedPayloadError("HTTP stream sent a malformed row")
-            rows.append(tuple(payload))
+                        "HTTP stream cut mid-record"
+                    ) from exc
+                if isinstance(payload, dict):
+                    served = payload.get(END_MARKER_KEY)
+                    if served != self._delivered + len(rows):
+                        raise TruncatedPayloadError(
+                            f"HTTP completeness marker disagrees: marker={served} "
+                            f"delivered={self._delivered + len(rows)}"
+                        )
+                    self._complete = True
+                    return
+                if not isinstance(payload, list) or len(payload) != self._width:
+                    raise TruncatedPayloadError("HTTP stream sent a malformed row")
+                rows.append(tuple(payload))
+                if len(rows) >= max_rows:
+                    return
+            self._lines = self._next_lines()
 
     def close(self) -> None:
         if self._connection is not None:

@@ -21,6 +21,20 @@ it exactly like a simulated source. Around every read it provides:
   :meth:`ResilientSource.reopen_from`, the mirror-failover hook
   `RemoteSource` defined.
 
+There is **one retry/resume loop**, and it moves transport *chunks*
+(``ResilientSource._chunks_from``: connect, ``read_rows(chunk_rows)``, on a
+transport error record the failure, back off, reconnect at the offset the
+delivered chunks add up to). ``open_stream`` is its per-row view;
+``open_stream_batches`` — the prefetch override point `DataSource` documents,
+which the inherited ``open_stream_columns`` transposes for the cursor —
+re-cuts chunks into engine batches. A chunk is read only when the batch
+being filled needs a row, and each *segment* of a chunk is counted in
+``rows_delivered`` and stamped with one ``timeline.now()`` at the pull that
+emits it (rows held over from a chunk get the next pull's reading), so the
+``(row, arrival)`` sequence and every telemetry field equal the per-row
+view's. Under :class:`WallTimeline` a row's arrival is therefore the instant
+its chunk was read, not the instant the row was handed over.
+
 Time flows through a :class:`Timeline`: the default
 :class:`SimulatedTimeline` accounts every backoff delay and injected stall
 as deterministic simulated seconds (answers bit-identical, no wall reads);
@@ -32,6 +46,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 from repro.io.backends import RowReader, Transport
@@ -255,7 +270,12 @@ class ResilientSource(DataSource):
     # -- the DataSource stream protocol ---------------------------------
 
     def open_stream(self) -> Iterator[tuple[tuple[object, ...], float]]:
-        return self._stream_from(0, self.timeline)
+        return self._rows_from(0, self.timeline)
+
+    def open_stream_batches(
+        self, batch_size: int
+    ) -> Iterator[list[tuple[tuple[object, ...], float]]]:
+        return self._batches_from(0, self.timeline, batch_size)
 
     # -- mirror failover (the RemoteSource reopen_from contract) ---------
 
@@ -277,9 +297,46 @@ class ResilientSource(DataSource):
 
     # -- envelope internals ----------------------------------------------
 
-    def _stream_from(
+    def _rows_from(
         self, offset: int, timeline: Timeline
     ) -> Iterator[tuple[tuple[object, ...], float]]:
+        """The per-row view of the chunk loop."""
+        telemetry = self.telemetry
+        for chunk in self._chunks_from(offset, timeline):
+            for row in chunk:
+                telemetry.rows_delivered += 1
+                yield row, timeline.now()
+
+    def _batches_from(
+        self, offset: int, timeline: Timeline, batch_size: int
+    ) -> Iterator[list[tuple[tuple[object, ...], float]]]:
+        """Transport chunks re-cut into ``batch_size`` batches.
+
+        A chunk is read only when the batch being filled needs a row, and
+        each segment of a chunk is stamped and counted at the pull that
+        emits it, so the pairs and the telemetry equal the per-row view's.
+        """
+        if batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        telemetry = self.telemetry
+        batch: list[tuple[tuple[object, ...], float]] = []
+        for chunk in self._chunks_from(offset, timeline):
+            start = 0
+            while start < len(chunk):
+                take = chunk[start : start + batch_size - len(batch)]
+                start += len(take)
+                telemetry.rows_delivered += len(take)
+                batch.extend(zip(take, repeat(timeline.now())))
+                if len(batch) >= batch_size:
+                    yield batch
+                    batch = []
+        if batch:
+            yield batch
+
+    def _chunks_from(
+        self, offset: int, timeline: Timeline
+    ) -> Iterator[list[tuple[object, ...]]]:
+        """The one retry/resume loop: transport chunks from ``offset`` on."""
         state = _StreamState()
         reader: RowReader | None = self._connect(offset, timeline, state)
         try:
@@ -297,10 +354,8 @@ class ResilientSource(DataSource):
                 if not chunk:
                     break
                 self.breaker.record_success()
-                for row in chunk:
-                    offset += 1
-                    self.telemetry.rows_delivered += 1
-                    yield row, timeline.now()
+                offset += len(chunk)
+                yield chunk
         finally:
             if reader is not None:
                 reader.close()
@@ -376,7 +431,13 @@ class ResumedResilientStream(DataSource):
 
     def open_stream(self) -> Iterator[tuple[tuple[object, ...], float]]:
         timeline = self.envelope.timeline.branch(self.start_at)
-        return self.envelope._stream_from(self.offset, timeline)
+        return self.envelope._rows_from(self.offset, timeline)
+
+    def open_stream_batches(
+        self, batch_size: int
+    ) -> Iterator[list[tuple[tuple[object, ...], float]]]:
+        timeline = self.envelope.timeline.branch(self.start_at)
+        return self.envelope._batches_from(self.offset, timeline, batch_size)
 
 
 __all__ = [

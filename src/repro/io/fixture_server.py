@@ -1,8 +1,9 @@
 """A local HTTP fixture server with server-side deterministic fault injection.
 
 The server speaks the `HTTPTransport` wire protocol — ``GET
-/rows/<name>?offset=N`` streams JSON-lines rows from global offset ``N``,
-chunked, terminated by the ``{"__end__": served}`` completeness marker — and
+/rows/<name>?offset=N`` streams JSON-lines rows from global offset ``N`` in
+HTTP chunks of up to 64 lines, terminated by the ``{"__end__": served}``
+completeness marker — and
 interprets the *same* :class:`~repro.io.faults.FaultPlan` schedules the
 in-process injector applies, but over real sockets:
 
@@ -29,6 +30,10 @@ from repro.io.backends import END_MARKER_KEY
 from repro.io.faults import DELAY, FLAP, OUTAGE, RESET, TRUNCATE, FaultPlan
 from repro.io.wallclock import wall_sleep
 from repro.relational.relation import Relation
+
+
+#: rows coalesced into one HTTP chunk (a fault flushes a shorter one)
+CHUNK_ROWS = 64
 
 
 class _QuietServer(ThreadingHTTPServer):
@@ -94,11 +99,22 @@ class FixtureServer:
                 self.send_header("Transfer-Encoding", "chunked")
                 self.end_headers()
                 served_rows = 0
+                lines: list[bytes] = []
+
+                def flush() -> None:
+                    if lines:
+                        self._chunk(b"".join(lines))
+                        lines.clear()
+
                 try:
                     for position in range(offset, len(state.rows)):
                         with state.guard:
                             fault = state.script.on_row(position)
                         if fault is not None:
+                            # everything before the faulted row reaches the
+                            # client first: a fault lands at its row whatever
+                            # the chunking
+                            flush()
                             if fault.kind == DELAY:
                                 wall_sleep(fault.seconds)
                             elif fault.kind in (RESET, OUTAGE):
@@ -114,10 +130,13 @@ class FixtureServer:
                                 self.close_connection = True
                                 return
                         row = state.rows[position]
-                        self._chunk(json.dumps(list(row)).encode() + b"\n")
+                        lines.append(json.dumps(list(row)).encode() + b"\n")
                         served_rows += 1
+                        if len(lines) >= CHUNK_ROWS:
+                            flush()
                     marker = {END_MARKER_KEY: served_rows}
-                    self._chunk(json.dumps(marker).encode() + b"\n")
+                    lines.append(json.dumps(marker).encode() + b"\n")
+                    flush()
                     self._chunk(b"")
                     self.wfile.write(b"\r\n")
                 except (BrokenPipeError, ConnectionResetError):
