@@ -61,11 +61,49 @@ class PlanCostModel:
         cost, cardinality = self._tree_cost(
             query, tree, estimator, cardinalities, join_strategies
         )
+        return CostEstimate(
+            self.with_aggregation(query, cost, cardinality), cardinality, cardinalities
+        )
+
+    # The three terms below are the whole cost formula.  ``_tree_cost`` sums
+    # them over a given tree; the join enumerator composes the same calls from
+    # its memo, which is what keeps the two bit-identical.
+
+    def with_aggregation(self, query: SPJAQuery, cost: float, cardinality: float) -> float:
+        """``cost`` of a (sub)tree plus the final aggregation over its output."""
         if query.aggregation is not None:
             cost += cardinality * self.cost_model.aggregate_update * max(
                 len(query.aggregation.aggregates), 1
             )
-        return CostEstimate(cost, cardinality, cardinalities)
+        return cost
+
+    def leaf_cost(self, estimator: SelectivityEstimator, relation: str) -> float:
+        """Reading one source and evaluating its selection."""
+        base = estimator.base_cardinality(relation)
+        return base * (self.cost_model.tuple_read + self.cost_model.predicate_eval)
+
+    def join_cost(
+        self,
+        left_card: float,
+        right_card: float,
+        cardinality: float,
+        strategy: JoinStrategy | None = None,
+    ) -> float:
+        """One join node's own work, given its input and output cardinalities."""
+        model = self.cost_model
+        if strategy is not None and strategy.algorithm == "merge":
+            return (
+                self._merge_side_cost(left_card, strategy.left_in_order)
+                + self._merge_side_cost(right_card, strategy.right_in_order)
+                + cardinality * model.tuple_copy
+            )
+        # Symmetric hash join: every input tuple is inserted into its own
+        # hash table and probes the other side's table; every output tuple
+        # is copied.
+        return (
+            (left_card + right_card) * (model.hash_insert + model.hash_probe)
+            + cardinality * model.tuple_copy
+        )
 
     def _merge_side_cost(self, cardinality: float, in_order_fraction: float) -> float:
         """Per-input cost of one merge-join side.
@@ -93,10 +131,7 @@ class PlanCostModel:
         if tree.is_leaf:
             cardinality = estimator.estimate_cardinality(relations)
             cardinalities[relations] = cardinality
-            # Reading the source and evaluating its selection.
-            base = estimator.base_cardinality(tree.relation)
-            cost = base * (self.cost_model.tuple_read + self.cost_model.predicate_eval)
-            return cost, cardinality
+            return self.leaf_cost(estimator, tree.relation), cardinality
 
         left_cost, left_card = self._tree_cost(
             query, tree.left, estimator, cardinalities, join_strategies
@@ -106,23 +141,8 @@ class PlanCostModel:
         )
         cardinality = estimator.estimate_cardinality(relations)
         cardinalities[relations] = cardinality
-
-        model = self.cost_model
         strategy = join_strategies.get(relations) if join_strategies else None
-        if strategy is not None and strategy.algorithm == "merge":
-            join_cost = (
-                self._merge_side_cost(left_card, strategy.left_in_order)
-                + self._merge_side_cost(right_card, strategy.right_in_order)
-                + cardinality * model.tuple_copy
-            )
-        else:
-            # Symmetric hash join: every input tuple is inserted into its own
-            # hash table and probes the other side's table; every output
-            # tuple is copied.
-            join_cost = (
-                (left_card + right_card) * (model.hash_insert + model.hash_probe)
-                + cardinality * model.tuple_copy
-            )
+        join_cost = self.join_cost(left_card, right_card, cardinality, strategy)
         return left_cost + right_cost + join_cost, cardinality
 
     # -- physical plans --------------------------------------------------------------

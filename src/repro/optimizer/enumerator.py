@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 from repro.engine.cost import CostModel
 from repro.optimizer.cost_model import CostEstimate, PlanCostModel
-from repro.optimizer.ordering import OrderingKnowledge, plan_join_strategies
+from repro.optimizer.ordering import (
+    JoinStrategy,
+    OrderingKnowledge,
+    SideOrdering,
+    merge_step,
+    plan_join_strategies,
+)
 from repro.optimizer.plans import JoinTree, PhysicalPlan, PreAggPoint
 from repro.optimizer.rewrite import find_preaggregation_points
 from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
@@ -26,13 +32,46 @@ from repro.relational.catalog import Catalog, DEFAULT_ASSUMED_CARDINALITY
 
 @dataclass
 class _MemoEntry:
+    """The cheapest plan found for one relation set, carrying what a parent
+    candidate needs to be costed on top of it without walking ``tree``."""
+
     tree: JoinTree
+    #: ``raw`` plus the final aggregation over this subtree's output — what
+    #: candidates are compared on, equal to ``estimate_tree(...).total_cost``
     cost: float
     cardinality: float
+    #: cost before aggregation (what ``PlanCostModel._tree_cost`` returns)
+    raw: float
+    #: known orderings of the subtree's output stream, by attribute
+    orderings: dict[str, SideOrdering]
+    #: merge strategies of the subtree's nodes (empty: all hash joins)
+    strategies: dict[frozenset[str], JoinStrategy]
 
 
 class JoinEnumerator:
-    """Memoized top-down enumeration of bushy join trees."""
+    """Memoized top-down enumeration of bushy join trees.
+
+    Two things are remembered, with different lifetimes:
+
+    * **per enumerator (one optimizer invocation, one set of observations)**
+      — the memo: for every connected relation set reached, the cheapest
+      tree with its cost, cardinality, output orderings and merge strategies.
+      A candidate ``left ⋈ right`` is costed from its two memo entries plus
+      the one new node (``PlanCostModel.join_cost``, ``ordering.merge_step``),
+      so an invocation costs O(valid splits), not O(valid splits × subtree
+      size).  Costs depend on the observations, so the memo dies with the
+      enumerator.
+    * **per join graph (the query's lifetime)** — which ``(left, right)``
+      splits of a relation set are valid at all, and each split's join keys:
+      ``SPJAQuery.join_graph.splits``.  That depends on the predicates only,
+      so every re-optimization poll of a query reuses one table.
+
+    The composition uses the same term functions ``PlanCostModel.estimate_tree``
+    sums over a whole tree, so every memo entry's cost is bit-identical to
+    costing its tree from scratch.  ``estimate_tree`` stays the public way to
+    cost a tree nobody enumerated (:meth:`cost_of`: the *running* plan, a
+    gating tree, a plan with pre-aggregation).
+    """
 
     def __init__(
         self,
@@ -56,10 +95,10 @@ class JoinEnumerator:
 
     def best_tree(self) -> JoinTree:
         """Cheapest join tree over all of the query's relations."""
-        return self._best(frozenset(self.query.relations)).tree
+        return self.best_entry().tree
 
     def best_entry(self) -> _MemoEntry:
-        """Memo entry (tree, cost, cardinality) for the full relation set."""
+        """Memo entry (tree, cost, strategies, …) for the full relation set."""
         return self._best(frozenset(self.query.relations))
 
     def best_tree_for(self, relations) -> JoinTree:
@@ -80,7 +119,7 @@ class JoinEnumerator:
     def cost_of(
         self, tree: JoinTree, join_strategies: dict[frozenset[str], JoinStrategy] | None = None
     ) -> CostEstimate:
-        """Cost of a specific (externally supplied) join tree.
+        """Cost of a specific (externally supplied) join tree, from scratch.
 
         Without an explicit ``join_strategies`` map the enumerator's own
         ordering knowledge (if any) picks the strategies; pass a map to cost
@@ -94,86 +133,58 @@ class JoinEnumerator:
 
     # -- enumeration ------------------------------------------------------------
 
-    def _connected(self, relations: frozenset[str]) -> bool:
-        """True when the join graph restricted to ``relations`` is connected."""
-        if len(relations) <= 1:
-            return True
-        relations = set(relations)
-        start = next(iter(relations))
-        reached = {start}
-        frontier = {start}
-        while frontier:
-            nxt = set()
-            for pred in self.query.join_predicates:
-                if not (pred.left_relation in relations and pred.right_relation in relations):
-                    continue
-                if pred.left_relation in frontier and pred.right_relation not in reached:
-                    nxt.add(pred.right_relation)
-                if pred.right_relation in frontier and pred.left_relation not in reached:
-                    nxt.add(pred.left_relation)
-            reached |= nxt
-            frontier = nxt
-        return reached == relations
-
-    def _splits(self, relations: frozenset[str]):
-        """Yield (left, right) partitions of ``relations`` to consider."""
-        members = sorted(relations)
-        n = len(members)
-        if not self.bushy:
-            # Left-deep enumeration: the right input is always a single relation.
-            for name in members:
-                right_set = frozenset((name,))
-                left_set = relations - right_set
-                if left_set:
-                    yield left_set, right_set
-            return
-        # Bushy enumeration: proper non-empty subsets; fixing the first member
-        # on the left side avoids generating every partition twice.
-        first = members[0]
-        rest = members[1:]
-        for mask in range(1 << len(rest)):
-            left = {first}
-            for i, name in enumerate(rest):
-                if mask & (1 << i):
-                    left.add(name)
-            if len(left) == n:
-                continue
-            left_set = frozenset(left)
-            yield left_set, relations - left_set
-
     def _best(self, relations: frozenset[str]) -> _MemoEntry:
         entry = self._memo.get(relations)
-        if entry is not None:
-            return entry
-        if len(relations) == 1:
-            (relation,) = relations
-            tree = JoinTree.leaf(relation)
-            estimate = self.plan_cost_model.estimate_tree(self.query, tree, self.estimator)
-            entry = _MemoEntry(tree, estimate.total_cost, estimate.output_cardinality)
-            self._memo[relations] = entry
-            return entry
-
-        best: _MemoEntry | None = None
-        for left_set, right_set in self._splits(relations):
-            if not self.query.predicates_between(left_set, right_set):
-                continue
-            if not self._connected(left_set) or not self._connected(right_set):
-                continue
-            left_entry = self._best(left_set)
-            right_entry = self._best(right_set)
-            tree = JoinTree.join(left_entry.tree, right_entry.tree)
-            estimate = self.plan_cost_model.estimate_tree(
-                self.query, tree, self.estimator, self.strategies_for(tree)
+        if entry is None:
+            entry = self._memo[relations] = (
+                self._leaf_entry(relations)
+                if len(relations) == 1
+                else self._cheapest_split(relations)
             )
-            if best is None or estimate.total_cost < best.cost:
-                best = _MemoEntry(tree, estimate.total_cost, estimate.output_cardinality)
+        return entry
+
+    def _leaf_entry(self, relations: frozenset[str]) -> _MemoEntry:
+        (relation,) = relations
+        costs = self.plan_cost_model
+        cardinality = self.estimator.estimate_cardinality(relations)
+        raw = costs.leaf_cost(self.estimator, relation)
+        return _MemoEntry(
+            JoinTree.leaf(relation),
+            costs.with_aggregation(self.query, raw, cardinality),
+            cardinality,
+            raw,
+            self.ordering.leaf_orderings(relation) if self.ordering is not None else {},
+            {},
+        )
+
+    def _cheapest_split(self, relations: frozenset[str]) -> _MemoEntry:
+        query, costs = self.query, self.plan_cost_model
+        cardinality = self.estimator.estimate_cardinality(relations)
+        best = None  # (cost, raw, left entry, right entry, strategy, orderings)
+        for left_set, right_set, *keys in query.join_graph.splits(relations, self.bushy):
+            left = self._best(left_set)
+            right = self._best(right_set)
+            strategy, orderings = merge_step(
+                left.orderings, right.orderings, keys, len(left_set) == 1, len(right_set) == 1
+            )
+            raw = left.raw + right.raw + costs.join_cost(
+                left.cardinality, right.cardinality, cardinality, strategy
+            )
+            cost = costs.with_aggregation(query, raw, cardinality)
+            if best is None or cost < best[0]:
+                best = (cost, raw, left, right, strategy, orderings)
         if best is None:
             raise ValueError(
                 f"no connected join tree exists for relations {sorted(relations)} "
-                f"of query {self.query.name}"
+                f"of query {query.name}"
             )
-        self._memo[relations] = best
-        return best
+        cost, raw, left, right, strategy, orderings = best
+        strategies = {**left.strategies, **right.strategies}
+        if strategy is not None:
+            strategies[relations] = strategy
+        return _MemoEntry(
+            JoinTree.join(left.tree, right.tree), cost, cardinality, raw, orderings, strategies
+        )
 
 
 class Optimizer:

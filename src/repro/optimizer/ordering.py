@@ -137,22 +137,52 @@ class OrderingKnowledge:
         }
 
 
-def _oriented_keys(
-    query: SPJAQuery, left_relations: frozenset[str], right_relations: frozenset[str]
-) -> tuple[str, str] | None:
-    """The primary join-key pair of a node, oriented (left_attr, right_attr).
+def merge_step(
+    left_ordered: dict[str, SideOrdering],
+    right_ordered: dict[str, SideOrdering],
+    keys: tuple[str, str],
+    left_is_leaf: bool,
+    right_is_leaf: bool,
+    min_in_order: float = 0.8,
+) -> tuple[JoinStrategy | None, dict[str, SideOrdering]]:
+    """Strategy and output orderings of one join node, given its inputs'.
 
-    Mirrors ``PipelinedPlan._build_node``: the first predicate returned by
-    ``predicates_between`` drives the node's key; remaining predicates become
-    residual filters and do not affect strategy eligibility.
+    The node runs a merge join when both inputs are known (near-)sorted on
+    its join ``keys`` in the same direction with at least ``min_in_order`` of
+    arrivals in order; otherwise it stays a hash join (``None``) and its
+    output carries no ordering.
     """
-    predicates = query.predicates_between(left_relations, right_relations)
-    if not predicates:
-        return None
-    primary = predicates[0]
-    if primary.left_relation in left_relations:
-        return primary.left_attr, primary.right_attr
-    return primary.right_attr, primary.left_attr
+    left_key, right_key = keys
+    left_side = left_ordered.get(left_key)
+    right_side = right_ordered.get(right_key)
+    if (
+        left_side is None
+        or right_side is None
+        or left_side.direction is None
+        or left_side.direction != right_side.direction
+        or min(left_side.in_order_fraction, right_side.in_order_fraction)
+        < min_in_order
+    ):
+        return None, {}
+    strategy = JoinStrategy(
+        algorithm="merge",
+        direction=left_side.direction,
+        left_key=left_key,
+        right_key=right_key,
+        # The out-of-order penalty is charged where disorder is measured:
+        # at the sources.  Internal (child-join) inputs inherit their
+        # order from already-accounted leaves.
+        left_in_order=left_side.in_order_fraction if left_is_leaf else 1.0,
+        right_in_order=right_side.in_order_fraction if right_is_leaf else 1.0,
+    )
+    derived = SideOrdering(
+        left_side.direction,
+        min(left_side.in_order_fraction, right_side.in_order_fraction),
+        "derived",
+    )
+    # A merge join emits outputs in join-key order, and both key columns
+    # carry the same values, so the output is ordered on either name.
+    return strategy, {left_key: derived, right_key: derived}
 
 
 def plan_join_strategies(
@@ -161,12 +191,9 @@ def plan_join_strategies(
     knowledge: OrderingKnowledge,
     min_in_order: float = 0.8,
 ) -> dict[frozenset, JoinStrategy]:
-    """Assign the merge strategy to every order-eligible node of ``tree``.
-
-    A node is merge-eligible when both inputs are known (near-)sorted on the
-    node's join keys in the same direction with at least ``min_in_order`` of
-    arrivals in order.  Nodes not in the returned mapping run the default
-    symmetric hash join.
+    """Assign the merge strategy to every order-eligible node of ``tree``
+    (:func:`merge_step`, bottom-up).  Nodes not in the returned mapping run
+    the default symmetric hash join.
     """
     strategies: dict[frozenset, JoinStrategy] = {}
 
@@ -175,40 +202,20 @@ def plan_join_strategies(
             return knowledge.leaf_orderings(node.relation)
         left_ordered = visit(node.left)
         right_ordered = visit(node.right)
-        keys = _oriented_keys(query, node.left.relations(), node.right.relations())
+        keys = query.join_graph.join_keys(node.left.relations(), node.right.relations())
         if keys is None:
             return {}
-        left_key, right_key = keys
-        left_side = left_ordered.get(left_key)
-        right_side = right_ordered.get(right_key)
-        if (
-            left_side is None
-            or right_side is None
-            or left_side.direction is None
-            or left_side.direction != right_side.direction
-            or min(left_side.in_order_fraction, right_side.in_order_fraction)
-            < min_in_order
-        ):
-            return {}
-        strategies[node.relations()] = JoinStrategy(
-            algorithm="merge",
-            direction=left_side.direction,
-            left_key=left_key,
-            right_key=right_key,
-            # The out-of-order penalty is charged where disorder is measured:
-            # at the sources.  Internal (child-join) inputs inherit their
-            # order from already-accounted leaves.
-            left_in_order=left_side.in_order_fraction if node.left.is_leaf else 1.0,
-            right_in_order=right_side.in_order_fraction if node.right.is_leaf else 1.0,
+        strategy, ordered = merge_step(
+            left_ordered,
+            right_ordered,
+            keys,
+            node.left.is_leaf,
+            node.right.is_leaf,
+            min_in_order,
         )
-        derived = SideOrdering(
-            left_side.direction,
-            min(left_side.in_order_fraction, right_side.in_order_fraction),
-            "derived",
-        )
-        # A merge join emits outputs in join-key order, and both key columns
-        # carry the same values, so the output is ordered on either name.
-        return {left_key: derived, right_key: derived}
+        if strategy is not None:
+            strategies[node.relations()] = strategy
+        return ordered
 
     visit(tree)
     return strategies

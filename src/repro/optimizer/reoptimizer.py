@@ -176,9 +176,8 @@ class ReOptimizer:
             current_estimate = enumerator.cost_of(
                 current_tree, join_strategies=running_strategies or None
             )
-        best_tree = enumerator.best_tree()
-        best_strategies = enumerator.strategies_for(best_tree) or {}
-        best_estimate = enumerator.cost_of(best_tree, join_strategies=best_strategies)
+        best = enumerator.best_entry()
+        best_tree, best_strategies = best.tree, best.strategies
         remaining = self._remaining_fraction(query, observed, estimator)
 
         # Cost to finish with the current plan: the unread fraction of the
@@ -203,7 +202,7 @@ class ReOptimizer:
             # materially cheaper than stitching across different join orders.
             stitchup_weight *= 0.5
         current_remaining_cost = current_estimate.total_cost * remaining
-        best_remaining_cost = best_estimate.total_cost * (
+        best_remaining_cost = best.cost * (
             remaining + stitchup_weight * completed
         )
         same_strategies = algorithms_of(running_strategies) == algorithms_of(

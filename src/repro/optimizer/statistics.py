@@ -226,7 +226,11 @@ class SelectivityEstimator:
         self.query = query
         self.observed = observed or ObservedStatistics()
         self.default_cardinality = default_cardinality
+        # Memos for one estimator lifetime (one optimizer invocation): the
+        # observations are read-only while it lives, see ``invalidate_cache``.
         self._cache: dict[frozenset, float] = {}
+        self._base_cache: dict[str, float] = {}
+        self._selected_cache: dict[str, float] = {}
 
     # -- base relations ----------------------------------------------------------
 
@@ -239,6 +243,16 @@ class SelectivityEstimator:
         Section 4.5); published catalog statistics; the default assumption —
         never less than what has already been read.
         """
+        return self._memoized(self._base_cache, relation, self._base_cardinality)
+
+    @staticmethod
+    def _memoized(cache: dict, key, compute) -> float:
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = compute(key)
+        return value
+
+    def _base_cardinality(self, relation: str) -> float:
         obs = self.observed.source(relation)
         if obs is not None and obs.exhausted:
             return max(obs.tuples_read, 1)
@@ -299,6 +313,9 @@ class SelectivityEstimator:
 
     def selected_cardinality(self, relation: str) -> float:
         """Cardinality of a base relation after its pushed-down selection."""
+        return self._memoized(self._selected_cache, relation, self._selected_cardinality)
+
+    def _selected_cardinality(self, relation: str) -> float:
         base = self.base_cardinality(relation)
         predicate = self.query.selection_for(relation)
         obs = self.observed.source(relation)
@@ -351,31 +368,33 @@ class SelectivityEstimator:
 
     def estimate_cardinality(self, relations: frozenset[str]) -> float:
         """Estimated output cardinality of joining ``relations`` (selections applied)."""
-        relations = frozenset(relations)
-        if relations in self._cache:
-            return self._cache[relations]
+        return self._memoized(self._cache, relations, self._estimate_cardinality)
+
+    def _estimate_cardinality(self, relations: frozenset[str]) -> float:
         if len(relations) == 1:
             (relation,) = relations
-            value = self.selected_cardinality(relation)
-            self._cache[relations] = value
-            return value
+            return self.selected_cardinality(relation)
 
         observed = self.observed.selectivity_of(relations)
         if observed is not None:
-            product = 1.0
-            for relation in relations:
-                product *= self.selected_cardinality(relation)
-            value = max(observed * product, 1.0)
-            self._cache[relations] = value
-            return value
+            return max(observed * self._input_product(relations), 1.0)
 
         system_r = self._system_r_estimate(relations)
         fk_speculation = self._foreign_key_speculation(relations)
         value = (system_r + fk_speculation) / 2.0
         value *= self._multiplicative_penalty(relations)
-        value = max(value, 1.0)
-        self._cache[relations] = value
-        return value
+        return max(value, 1.0)
+
+    def _input_product(self, relations: frozenset[str]) -> float:
+        """Product of the inputs' selected cardinalities, taken in query
+        order: a float product depends on its order, and a frozenset iterates
+        in an order that depends on how it was built and on ``PYTHONHASHSEED``
+        — an estimate must depend on neither."""
+        product = 1.0
+        for relation in self.query.relations:
+            if relation in relations:
+                product *= self.selected_cardinality(relation)
+        return product
 
     def _internal_predicates(self, relations: frozenset) -> list[JoinPredicate]:
         return [
@@ -386,9 +405,7 @@ class SelectivityEstimator:
 
     def _system_r_estimate(self, relations: frozenset[str]) -> float:
         """Product of input cardinalities scaled by 1/max(distinct) per predicate."""
-        value = 1.0
-        for relation in relations:
-            value *= self.selected_cardinality(relation)
+        value = self._input_product(relations)
         for pred in self._internal_predicates(relations):
             left_distinct = self.distinct_values(pred.left_relation, pred.left_attr)
             right_distinct = self.distinct_values(pred.right_relation, pred.right_attr)
@@ -408,15 +425,15 @@ class SelectivityEstimator:
 
     def selectivity(self, relations: frozenset[str]) -> float:
         """Selectivity (output / product of inputs) of a subexpression estimate."""
-        product = 1.0
-        for relation in relations:
-            product *= self.selected_cardinality(relation)
+        product = self._input_product(relations)
         if product <= 0:
             return 1.0
         return self.estimate_cardinality(relations) / product
 
     def invalidate_cache(self) -> None:
         self._cache.clear()
+        self._base_cache.clear()
+        self._selected_cache.clear()
 
 
 def fraction_consumed(

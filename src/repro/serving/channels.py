@@ -217,10 +217,12 @@ CHANNELS: tuple[SharedChannel, ...] = (
         type_name="",
         discipline="cross_process_safe",
         rationale=(
-            "the FIFO task hand-off of the sharded server: the front-end "
-            "routes sessions to shards and enqueues one ShardTask per "
-            "worker (catalog snapshot, source pool, picklable session "
-            "specs, processor knobs, statistics snapshot); compiled "
+            "the task hand-off of the sharded server: the front-end routes "
+            "sessions to shards and starts each worker process with its one "
+            "ShardTask as the process argument — inherited under fork, "
+            "pickled once by Process.start under spawn (catalog snapshot, "
+            "source pool, picklable session specs, processor knobs, "
+            "statistics snapshot); compiled "
             "pipelines rehydrate worker-side from generated source, never "
             "as code objects"
         ),

@@ -6,11 +6,12 @@ become picklable :class:`~repro.serving.specs.SessionSpec` records), the
 deterministic session→worker routing
 (:func:`~repro.serving.scheduler.shard_assignment` — plain round-robin by
 admission index), and the persistent statistics cache.  All execution
-happens in worker processes (:mod:`repro.serving.worker`): each worker
-receives one :class:`~repro.serving.specs.ShardTask` over a FIFO task queue,
-drives its scheduler shard with per-session private clocks, and returns one
-:class:`~repro.serving.specs.ShardResult` over the FIFO result queue — the
-``shard_tasks`` / ``handoff`` channels of :mod:`repro.serving.channels`.
+happens in worker processes (:mod:`repro.serving.worker`): each worker is
+started with one :class:`~repro.serving.specs.ShardTask` as its process
+argument, drives its scheduler shard with per-session private clocks, and
+returns one :class:`~repro.serving.specs.ShardResult` over the FIFO result
+queue — the ``shard_tasks`` / ``handoff`` channels of
+:mod:`repro.serving.channels`.
 
 Determinism contract: session results (multisets, metrics, phase counts,
 simulated seconds) are bit-identical to solo runs of the same queries —
@@ -58,6 +59,11 @@ from repro.serving.specs import SessionResult, SessionSpec, ShardResult, ShardTa
 from repro.serving.stats_cache import SharedStatisticsCache, StatisticsSnapshot
 from repro.serving.worker import drive_shard, worker_main
 from repro.sources.source import LocalSource
+
+
+#: how often the front-end, while waiting for shard results, checks that the
+#: workers it is waiting for are still alive
+DEAD_WORKER_POLL_SECONDS = 0.5
 
 
 class StatisticsBackend(Protocol):
@@ -329,32 +335,60 @@ class ShardedQueryServer:
         if self.start_method == "inline":
             return [drive_shard(task) for task in tasks]
         ctx = multiprocessing.get_context(self.start_method)
-        task_queue = ctx.Queue()
         result_queue = ctx.Queue()
-        processes = [
-            ctx.Process(
-                target=worker_main, args=(task_queue, result_queue), daemon=True
+        # The task is the process argument: inherited under ``fork``, pickled
+        # once by ``start()`` under ``spawn`` — never fed through a queue.
+        pending = {
+            task.worker_id: ctx.Process(
+                target=worker_main, args=(task, result_queue), daemon=True
             )
-            for _ in tasks
-        ]
+            for task in tasks
+        }
+        processes = list(pending.values())
         for process in processes:
             process.start()
-        for task in tasks:
-            task_queue.put(task)
         results: list[ShardResult] = []
         try:
-            for _ in tasks:
+            deadline = wall_now() + self.result_timeout_seconds
+            while pending:
+                # A worker flushes its result before it exits, so whatever an
+                # exited worker delivered is already readable: with one gone,
+                # drain without blocking, and if the queue runs dry while its
+                # result is still missing, it never sent one.
+                gone = {
+                    worker_id: process.exitcode
+                    for worker_id, process in pending.items()
+                    if process.exitcode is not None
+                }
                 try:
-                    results.append(
-                        result_queue.get(timeout=self.result_timeout_seconds)
+                    result = result_queue.get(
+                        timeout=0.0 if gone else DEAD_WORKER_POLL_SECONDS
                     )
                 except queue_module.Empty:
-                    raise RuntimeError(
-                        f"sharded run timed out: {len(results)} of "
-                        f"{len(tasks)} shard results arrived within "
-                        f"{self.result_timeout_seconds:.0f}s"
-                    ) from None
+                    if gone:
+                        raise RuntimeError(
+                            "sharded run lost "
+                            + ", ".join(
+                                f"worker {worker_id} (exit code {code})"
+                                for worker_id, code in sorted(gone.items())
+                            )
+                            + " before its shard result arrived"
+                        ) from None
+                    if wall_now() > deadline:
+                        raise RuntimeError(
+                            f"sharded run timed out: {len(results)} of "
+                            f"{len(tasks)} shard results arrived within "
+                            f"{self.result_timeout_seconds:.0f}s"
+                        ) from None
+                    continue
+                del pending[result.worker_id]
+                results.append(result)
+                deadline = wall_now() + self.result_timeout_seconds
         finally:
+            # Only a failing run leaves workers pending: nobody will read
+            # what they still send, so do not wait for them to finish.
+            for process in pending.values():
+                process.terminate()
             for process in processes:
                 process.join(timeout=30.0)
                 if process.is_alive():  # pragma: no cover - hang safety net

@@ -1,8 +1,10 @@
 """Worker-process side of the sharded serving tier.
 
-A worker process receives exactly one :class:`~repro.serving.specs.ShardTask`
-over its task queue, drives the shard to completion, and sends one
-:class:`~repro.serving.specs.ShardResult` back over the result queue.  The
+A worker process is started with exactly one
+:class:`~repro.serving.specs.ShardTask` as its argument (inherited under
+``fork``, pickled once by ``Process.start`` under ``spawn``), drives the shard
+to completion, and sends one :class:`~repro.serving.specs.ShardResult` back
+over the result queue.  The
 shard driver is deliberately a plain function (:func:`drive_shard`) so the
 same code runs in-process for ``workers=1`` and for deterministic tests.
 
@@ -29,7 +31,7 @@ partition override proves nothing about the full relation's cardinality.
 from __future__ import annotations
 
 import traceback
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.adaptivity import AdaptationController, SharedLearningPolicy
 from repro.core.corrective import CorrectiveQueryProcessor
@@ -165,16 +167,14 @@ def drive_shard(task: ShardTask) -> ShardResult:
     )
 
 
-def worker_main(
-    task_queue: "MPQueue[ShardTask]", result_queue: "MPQueue[ShardResult]"
-) -> None:
-    """Process entry point: one task in, one result out, then exit.
+def worker_main(task: ShardTask, result_queue: "MPQueue[ShardResult]") -> None:
+    """Process entry point: drive the task it was started with, send one
+    result, exit.
 
     Any failure travels home as a :class:`ShardResult` carrying the formatted
     traceback — the front-end re-raises it — so a crashing shard fails the
     run loudly instead of hanging the result collection.
     """
-    task = task_queue.get()
     try:
         result = drive_shard(task)
     except BaseException:
@@ -184,9 +184,3 @@ def worker_main(
     # Flush the feeder thread before the process exits so the payload is
     # never truncated by a fast shutdown.
     result_queue.join_thread()
-
-
-def run_task_inline(task: ShardTask) -> ShardResult:
-    """Drive a shard in the calling process (the ``workers=1`` fast path and
-    the deterministic harness used by unit tests)."""
-    return drive_shard(task)

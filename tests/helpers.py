@@ -127,3 +127,17 @@ def assert_same_aggregates(
             ), (key, actual_value, expected_value)
         else:
             assert actual_value == expected_value, (key, actual_value, expected_value)
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap method ``owner.name`` so every call appends its arguments (after
+    ``self``) to the returned list, and still runs."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls

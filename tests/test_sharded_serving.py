@@ -9,7 +9,9 @@ the front-end's admission validation.
 
 from __future__ import annotations
 
+import os
 import pickle
+import time
 
 import pytest
 
@@ -39,6 +41,7 @@ from repro.serving.partition import (
 )
 from repro.serving.specs import SessionResult
 from repro.serving.worker import worker_main
+from repro.sources.source import DataSource, LocalSource
 
 
 def _rel(name: str, attrs: list[str], rows: list[tuple]) -> Relation:
@@ -234,12 +237,8 @@ class TestPartitionHelpers:
 class _StubQueue:
     """Just enough queue surface for ``worker_main`` outside a process."""
 
-    def __init__(self, items=()):
-        self.items = list(items)
+    def __init__(self):
         self.out: list = []
-
-    def get(self):
-        return self.items.pop(0)
 
     def put(self, item):
         self.out.append(item)
@@ -249,6 +248,19 @@ class _StubQueue:
 
     def join_thread(self):
         pass
+
+
+class _ExitingSource(LocalSource):
+    """Streams a few rows, then takes its process down the way SIGKILL or the
+    OOM killer would: no exception, no traceback, no ``ShardResult``."""
+
+    def open_stream(self):
+        for row in self.relation.rows[:3]:
+            yield row, 0.0
+        os._exit(3)
+
+    open_stream_batches = DataSource.open_stream_batches
+    open_stream_columns = DataSource.open_stream_columns
 
 
 class TestWorkerFailures:
@@ -269,7 +281,7 @@ class TestWorkerFailures:
 
     def test_worker_main_reports_tracebacks_instead_of_dying(self):
         results = _StubQueue()
-        worker_main(_StubQueue([self._broken_task()]), results)
+        worker_main(self._broken_task(), results)
         assert len(results.out) == 1
         result = results.out[0]
         assert result.worker_id == 3
@@ -287,6 +299,35 @@ class TestWorkerFailures:
         server.submit(workload.query)
         with pytest.raises(RuntimeError, match="worker 0 failed"):
             server.run()
+
+    def test_dead_worker_fails_the_run_promptly_and_is_named(self):
+        """A worker that exits without posting a result must not leave the
+        front-end waiting out ``result_timeout_seconds`` (ten minutes); the
+        healthy worker, which exits 0 after delivering, is not blamed."""
+        healthy = generate_workload(2, name_prefix="ok_")
+        doomed = generate_workload(2, name_prefix="bad_")
+        catalog = healthy.catalog()
+        for name, relation in doomed.relations.items():
+            catalog.register(name, relation.schema)
+        sources = healthy.sources()
+        sources.update(
+            (name, _ExitingSource(relation))
+            for name, relation in doomed.relations.items()
+        )
+        server = ShardedQueryServer(
+            catalog,
+            sources,
+            workers=2,
+            quantum_tuples=POLL_STEP_LIMIT,
+            polling_interval_seconds=POLLING_INTERVAL,
+        )
+        server.submit(healthy.query)  # -> worker 0
+        server.submit(doomed.query)  # -> worker 1
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"worker 1 \(exit code 3\)") as raised:
+            server.run()
+        assert time.monotonic() - started < 5.0
+        assert "worker 0" not in str(raised.value)
 
 
 class TestShardedServerValidation:
