@@ -3,10 +3,11 @@
 Pins headline simulated-seconds / phase-count numbers from the seed run
 (``benchmarks/results/fig2_corrective_local.txt``, scale 0.003, seed 2004)
 behind a tolerance so that engine or cost-model regressions surface in
-tier-1, and measures tuple-at-a-time vs batched wall-clock on the same
-workload, writing the comparison under pytest's ``tmp_path`` (the tier-1
-suite leaves tracked files alone; ``python -m bench.run`` is the instrument
-for wall-clock claims).
+tier-1, and records tuple-at-a-time vs batched wall-clock on the same
+workload under pytest's ``tmp_path`` (the tier-1 suite leaves tracked files
+alone).  The wall-clock ratio is written down, not asserted: its numerator
+is the tuple engine, so it falls whenever tuple mode gets faster, and
+``python -m bench.run`` is the instrument for wall-clock claims.
 
 Two layers of protection:
 
@@ -15,7 +16,7 @@ Two layers of protection:
   tuning, not for accidental behaviour changes);
 * the *batched* engine must report the **same** simulated seconds, answers
   and phase counts as tuple-at-a-time (tight tolerance — work accounting is
-  designed to be identical) while being substantially faster in wall-clock.
+  designed to be identical).
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ GOLDEN = {
     ("Q5", "adaptive", "none"): (1.33, 2),
 }
 GOLDEN_RELATIVE_TOLERANCE = 0.15
-
-#: The acceptance bar for this PR is 1.5x; the in-test assertion keeps a
-#: small safety margin for slow/noisy CI machines.  The measured ratio is
-#: recorded in the emitted JSON.
-MIN_SPEEDUP = 1.35
 
 BENCH_NAME = "BENCH_pr1.json"
 
@@ -106,32 +102,10 @@ def test_golden_fig2_smoke_and_batched_speedup(tmp_path):
             f"{tuple_run.simulated_seconds!r})"
         )
 
-    # --- wall-clock comparison ---------------------------------------------------
+    # --- wall-clock comparison (recorded, not gated) -----------------------------
     tuple_engine_wall = sum(r.wall_seconds for r in tuple_results)
     batched_engine_wall = sum(r.wall_seconds for r in batched_results)
     speedup = tuple_engine_wall / max(batched_engine_wall, 1e-9)
-    if speedup < MIN_SPEEDUP:
-        # Timing assertions on shared CI runners are noisy; before failing,
-        # re-measure once and keep the better observation (all recorded
-        # numbers below come from whichever measurement is kept, so the
-        # emitted JSON stays internally consistent).
-        tuple_retry, tuple_retry_wall = _run(None, datasets)
-        batched_retry, batched_retry_wall = _run(DEFAULT_BATCH_SIZE, datasets)
-        retry_speedup = sum(r.wall_seconds for r in tuple_retry) / max(
-            sum(r.wall_seconds for r in batched_retry), 1e-9
-        )
-        if retry_speedup > speedup:
-            tuple_results, tuple_wall = tuple_retry, tuple_retry_wall
-            batched_results, batched_wall = batched_retry, batched_retry_wall
-            by_key = {
-                (r.query_name, r.strategy, r.statistics): r for r in tuple_results
-            }
-            batched_by_key = {
-                (r.query_name, r.strategy, r.statistics): r for r in batched_results
-            }
-            tuple_engine_wall = sum(r.wall_seconds for r in tuple_results)
-            batched_engine_wall = sum(r.wall_seconds for r in batched_results)
-            speedup = retry_speedup
 
     bench_output = tmp_path / BENCH_NAME
     bench_output.write_text(
@@ -170,10 +144,4 @@ def test_golden_fig2_smoke_and_batched_speedup(tmp_path):
         )
         + "\n",
         encoding="utf-8",
-    )
-
-    assert speedup >= MIN_SPEEDUP, (
-        f"batched engine (batch_size={DEFAULT_BATCH_SIZE}) is only "
-        f"{speedup:.2f}x faster than tuple-at-a-time on the fig2 smoke "
-        f"benchmark (expected >= {MIN_SPEEDUP}x; see {bench_output})"
     )

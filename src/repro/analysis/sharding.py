@@ -21,7 +21,9 @@ explicit sharing contract of :mod:`repro.serving.channels`:
   reach :class:`~repro.engine.cost.SimulatedClock` mutators
   (``advance`` / ``wait_until`` / ``charge`` / ``charge_metrics``); any
   other access — calls *or* aliasing loads like ``hop = self.clock.advance``
-  — is a finding.  Sessions, policies and operators may only read ``now``.
+  — is a finding.  Sessions, policies and operators may only read ``now``,
+  and a direct store to a time field (``clock.now += ...``) is a finding
+  everywhere: the mutator *names* are all the rule could otherwise see.
 * ``sharding.picklability`` — transitive field-type inference over every
   ``cross_process_safe`` channel type and hand-off payload: lambdas,
   generator expressions, bound methods and fields annotated with
@@ -766,20 +768,31 @@ class SessionIsolationRule(LintRule):
         return findings
 
 
+#: the time fields a SimulatedClock's own mutators maintain (``engine/cost.py``
+#: reaches them through ``self``, which is not a clock name)
+CLOCK_STATE_FIELDS = frozenset({"now", "cpu_time", "wait_time"})
+
+
 class _ClockAccessVisitor(ScopeTracker):
-    """Collects every mutator access on a clock-named receiver."""
+    """Collects every mutator access, and every direct store to a time
+    field, on a clock-named receiver."""
 
     def __init__(self, mutators: frozenset[str], clock_names: frozenset[str]) -> None:
         super().__init__()
         self.mutators = mutators
         self.clock_names = clock_names
         self.accesses: list[tuple[int, str, str]] = []
+        self.stores: list[tuple[int, str, str]] = []
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr in self.mutators and (
-            _attr_chain(node.value) & self.clock_names
-        ):
-            self.accesses.append((node.lineno, self.symbol, node.attr))
+        found = None
+        if node.attr in self.mutators:
+            found = self.accesses
+        elif node.attr in CLOCK_STATE_FIELDS and isinstance(node.ctx, ast.Store):
+            # Plain and augmented assignment targets both carry Store.
+            found = self.stores
+        if found is not None and _attr_chain(node.value) & self.clock_names:
+            found.append((node.lineno, self.symbol, node.attr))
         self.generic_visit(node)
 
 
@@ -792,7 +805,9 @@ class ClockDisciplineRule(LintRule):
         "SimulatedClock mutators (advance/wait_until/charge/charge_metrics) "
         "may be reached only from the clock channel's sanctioned writer "
         "symbols; sessions, policies and operators may only read .now — "
-        "aliasing a mutator (hop = clock.advance) counts as an access"
+        "aliasing a mutator (hop = clock.advance) counts as an access, and "
+        "nobody, writers included, may store to .now/.cpu_time/.wait_time "
+        "directly (clock.now += ...): the mutators are the only way to move time"
     )
     project_wide = True
     scope_dirs = None
@@ -835,6 +850,21 @@ class ClockDisciplineRule(LintRule):
                             "sanctioned drive loops; only the clock "
                             "channel's writers may advance or charge the "
                             "shared clock — everything else reads .now"
+                        ),
+                    )
+                )
+            for line, symbol, state_field in visitor.stores:
+                findings.append(
+                    Finding(
+                        rule=self.name,
+                        path=ctx.relpath,
+                        line=line,
+                        symbol=symbol,
+                        message=(
+                            f"direct store to clock field .{state_field}; "
+                            "time moves only through the clock's mutators "
+                            f"({', '.join(clock.mutators)}), also inside "
+                            "the sanctioned drive loops"
                         ),
                     )
                 )

@@ -82,6 +82,10 @@ class CostModel:
     seconds_per_unit: float = 2.0e-5
 
 
+#: the default weights, shared by every ``work()`` call that names no model
+_DEFAULT_COST_MODEL = CostModel()
+
+
 @dataclass
 class ExecutionMetrics:
     """Mutable work counters shared by all operators of one execution."""
@@ -98,7 +102,7 @@ class ExecutionMetrics:
 
     def work(self, model: CostModel | None = None) -> float:
         """Weighted total work units under ``model`` (default weights if None)."""
-        model = model or CostModel()
+        model = model or _DEFAULT_COST_MODEL
         return (
             self.tuples_read * model.tuple_read
             + self.hash_inserts * model.hash_insert

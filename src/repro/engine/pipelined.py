@@ -17,9 +17,11 @@ can reuse them (Section 3.4).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
@@ -160,23 +162,27 @@ class SourceCursor:
 
     def peek_arrival(self) -> float | None:
         """Arrival time of the next tuple, or ``None`` when exhausted."""
-        if self._pos >= len(self._rows) and not self._fill():
+        if self._pos >= len(self._rows) and (self.exhausted or not self._fill()):
             return None
         arrivals = self._arrivals
         return 0.0 if arrivals is None else arrivals[self._pos]
 
-    def read(self) -> tuple[tuple, float] | None:
-        """Consume and return ``(row, arrival_time)``, or ``None`` at end."""
-        arrival = self.peek_arrival()
-        if arrival is None:
-            return None
+    def _take(self) -> tuple:
+        """Consume the buffered tuple a :meth:`peek_arrival` just reported."""
         pos = self._pos
         row = self._rows[pos]
         self._pos = pos + 1
         self.consumed += 1
         if self._order_detectors:
             self._observe_order(row)
-        return row, arrival
+        return row
+
+    def read(self) -> tuple[tuple, float] | None:
+        """Consume and return ``(row, arrival_time)``, or ``None`` at end."""
+        arrival = self.peek_arrival()
+        if arrival is None:
+            return None
+        return self._take(), arrival
 
     def read_batch(
         self, max_count: int, bound: float | None = None
@@ -412,6 +418,10 @@ def _add_rows(
     groups.append([binding, rows, last_arrival])
 
 
+#: tuple drive-loop entry -> its read key
+_entry_key = itemgetter(0)
+
+
 class PipelinedPlan:
     """An instantiated push network for one ADP phase of an SPJA query.
 
@@ -437,12 +447,17 @@ class PipelinedPlan:
     *kernel* (:meth:`_build_kernels`, consulted once, on the first batch):
     the interpreted group body or a fused compiled chain.
 
-    :meth:`step` and :meth:`_choose_cursor` state the paper's rule (Section
-    4.1: read the earliest-available tuple, propagate it fully) directly, one
-    tuple at a time, and are kept as the reference the differential suites
-    compare every batch configuration against — not served by
-    ``batch_size=1`` through the shared path, which schedules once per tuple
-    and is about 2x slower (``bench/README.md``).
+    Tuple mode has one scheduler and driver of its own,
+    :meth:`_drive_tuples`, behind :meth:`step` (a budget of one),
+    :meth:`run` and :meth:`run_chunk`.  It states the paper's rule (Section
+    4.1: read the earliest-available tuple, propagate it fully) one tuple at
+    a time and is the reference the differential suites compare every batch
+    configuration against, so it shares no scheduling code with
+    :meth:`_read_schedule` — ``batch_size=1`` through the shared path
+    schedules from scratch once per tuple and is several times slower
+    (``bench/README.md``).  What it caches lives for one call only: the live
+    cursors' read keys (one entry re-keyed per step); the clock is still
+    charged once per step, from :meth:`ExecutionMetrics.work`.
     """
 
     def __init__(
@@ -636,67 +651,88 @@ class PipelinedPlan:
 
     # -- execution -------------------------------------------------------------
 
-    def _choose_cursor(self) -> SourceCursor | None:
-        """Pick the next source to read: earliest arrival, then least consumed.
+    def _drive_tuples(self, budget: int | None, horizon: float | None = None) -> int:
+        """Run up to ``budget`` tuple-at-a-time steps; return how many ran.
 
-        Preferring the earliest-arriving tuple is the data-availability-driven
-        scheduling that masks bursty network delays; breaking ties by
-        consumption count keeps sources draining at similar rates.  When
-        :attr:`read_priorities` demotes a source, its priority class breaks
-        ties *before* the consumption count (availability still dominates).
+        The paper's rule (Section 4.1), one tuple at a time: read the
+        earliest-available source tuple and propagate it fully.  The next
+        read is the minimum ``(arrival, priority class, consumed)``, first in
+        leaf order on ties — the earliest arrival masks bursty network
+        delays, the consumption count keeps sources draining at similar
+        rates, and a :attr:`read_priorities` demotion only defers a source
+        behind equally *available* ones.  Between two steps only the cursor
+        that was read changes its key, so the live set is keyed once on
+        entry and re-keyed one entry per step, and an exhausted cursor leaves
+        it.  (The controller replaces ``read_priorities`` and fails cursors
+        over only between calls, so nothing invalidates the set meanwhile.)
+
+        With a ``horizon`` the loop stops before the first tuple arriving
+        after it.  Each step charges the work accrued so far, reads, stalls
+        until the arrival, then propagates — one ``clock.charge`` per step:
+        float addition is not associative, so coarser charging would drift
+        the last ulp of simulated seconds.
         """
-        best: SourceCursor | None = None
-        best_key: tuple | None = None
         priorities = self.read_priorities
-        for relation in self.leaves:
-            cursor = self.cursors[relation]
+        live = []
+        for binding, cursor in self._leaf_pairs:
             arrival = cursor.peek_arrival()
-            if arrival is None:
-                continue
-            if priorities:
-                key = (arrival, priorities.get(relation, 0), cursor.consumed)
-            else:
-                key = (arrival, cursor.consumed)
-            if best_key is None or key < best_key:
-                best = cursor
-                best_key = key
-        return best
+            if arrival is not None:
+                priority = priorities.get(binding.relation, 0)
+                live.append([(arrival, priority, cursor.consumed), cursor, binding])
+        metrics = self.metrics
+        clock = self.clock
+        charge = clock.charge
+        charged = self._charged_work
+        model = self.cost_model
+        # No budget / no horizon: bounds no step count or arrival reaches.
+        limit = math.inf if budget is None else budget
+        if horizon is None:
+            horizon = math.inf
+        steps = 0
+        try:
+            while live and steps < limit:
+                entry = live[0] if len(live) == 1 else min(live, key=_entry_key)
+                key, cursor, binding = entry
+                arrival = key[0]
+                if arrival > horizon:
+                    break
+                work = metrics.work(model)
+                if work > charged:
+                    charge(work - charged)
+                    charged = work
+                row = cursor._take()
+                if arrival > clock.now:
+                    clock.wait_until(arrival)
+                steps += 1
+                metrics.tuples_read += 1
+                binding.tuples_read += 1
+                selection_fn = binding.selection_fn
+                if selection_fn is not None:
+                    metrics.predicate_evals += 1
+                if selection_fn is None or selection_fn(row):
+                    binding.tuples_passed += 1
+                    if binding.node is None:
+                        # Single-relation query.
+                        metrics.tuples_output += 1
+                        self._root_sink(row)
+                    else:
+                        binding.node.push(row, binding.side)
+                arrival = cursor.peek_arrival()
+                if arrival is None:
+                    live.remove(entry)
+                else:
+                    entry[0] = (arrival, key[1], cursor.consumed)
+        finally:
+            # Also on an error out of a source, predicate or sink: the clock
+            # has been charged, so a later sync must not charge it again.
+            self._charged_work = charged
+            self.statistics.steps += steps
+            self.statistics.tuples_read += steps
+        return steps
 
     def step(self) -> bool:
-        """Read one source tuple and propagate it; return False when done.
-
-        The paper-faithful reference step (see the class docstring): the
-        batch path is checked against it, so it shares no scheduling code
-        with :meth:`_read_schedule`.
-        """
-        cursor = self._choose_cursor()
-        if cursor is None:
-            return False
-        self._sync_clock()
-        item = cursor.read()
-        if item is None:
-            return False
-        row, arrival = item
-        self.clock.wait_until(arrival)
-        self.metrics.tuples_read += 1
-        binding = self.leaves[cursor.name]
-        binding.tuples_read += 1
-        if binding.selection_fn is not None:
-            self.metrics.predicate_evals += 1
-            if not binding.selection_fn(row):
-                self.statistics.steps += 1
-                self.statistics.tuples_read += 1
-                return True
-        binding.tuples_passed += 1
-        if binding.node is None:
-            # Single-relation query.
-            self.metrics.tuples_output += 1
-            self._root_sink(row)
-        else:
-            binding.node.push(row, binding.side)
-        self.statistics.steps += 1
-        self.statistics.tuples_read += 1
-        return True
+        """Read one source tuple and propagate it; return False when done."""
+        return self._drive_tuples(1) == 1
 
     @staticmethod
     def _zero_quotas(counts: list[int], budget: int) -> list[int]:
@@ -747,7 +783,7 @@ class PipelinedPlan:
 
         The only batch scheduler: every batch of either engine mode is cut
         here.  The batch consumes **exactly as many tuples from each source**
-        as the tuple-at-a-time scheduler (:meth:`_choose_cursor`) would
+        as the tuple-at-a-time scheduler (:meth:`_drive_tuples`) would
         consume in ``max_tuples`` steps.  For a symmetric-hash-join network
         every boundary observable — result multiset, per-leaf pass counts,
         node output counts, work counters (and hence the simulated clock on
@@ -768,7 +804,7 @@ class PipelinedPlan:
           quota, so the first round's runs *are* the groups and only later
           rounds merge;
         * *arrival-driven loop* — otherwise tuples are picked one at a time
-          by (arrival, consumed) exactly like :meth:`_choose_cursor`, with
+          by (arrival, consumed) exactly like :meth:`_drive_tuples`, with
           cached arrival keys and run extension while one source stays
           strictly ahead.
 
@@ -989,10 +1025,12 @@ class PipelinedPlan:
         In tuple-at-a-time mode a step is one source tuple; in batched mode a
         step is one batch of up to ``batch_size`` tuples.
         """
-        step = self.step if self.batch_size is None else self.step_batch
-        steps = 0
-        while (max_steps is None or steps < max_steps) and step():
-            steps += 1
+        if self.batch_size is None:
+            steps = self._drive_tuples(max_steps)
+        else:
+            steps = 0
+            while (max_steps is None or steps < max_steps) and self.step_batch():
+                steps += 1
         self._sync_clock()
         self._finalize_statistics()
         return steps
@@ -1013,17 +1051,10 @@ class PipelinedPlan:
         queries' work.  A return of 0 with :attr:`sources_exhausted` still
         false means "blocked until :meth:`next_arrival`".
         """
-        processed = 0
         if self.batch_size is None:
-            while processed < max_tuples:
-                if horizon is not None:
-                    arrival = self.next_arrival()
-                    if arrival is None or arrival > horizon:
-                        break
-                if not self.step():
-                    break
-                processed += 1
+            processed = self._drive_tuples(max_tuples, horizon)
         else:
+            processed = 0
             while processed < max_tuples:
                 read = self.step_batch(max_tuples - processed, horizon=horizon)
                 if read == 0:

@@ -114,7 +114,7 @@ CHANNELS: tuple[SharedChannel, ...] = (
             "serving/server.py::QueryServer.run",
             "engine/executor.py::PullExecutor.execute",
             "engine/operators/scan.py::Scan._produce",
-            "engine/pipelined.py::PipelinedPlan.step",
+            "engine/pipelined.py::PipelinedPlan._drive_tuples",
             "engine/pipelined.py::PipelinedPlan.step_batch",
             "engine/pipelined.py::PipelinedPlan._sync_clock",
             "core/complementary.py::_JoinDriver.read",

@@ -2,7 +2,9 @@
 
 ``MiniLoop.run`` is certified in the fixture registry as the clock
 channel's single writer; ``EagerPolicy`` both calls a clock mutator
-directly and aliases one — each a ``sharding.clock-discipline`` violation.
+directly and aliases one — each a ``sharding.clock-discipline`` violation —
+and ``HandRolledLoop`` moves time by storing to the clock's fields, which
+no mutator name gives away.
 """
 
 
@@ -29,3 +31,14 @@ class EagerPolicy:
     def grab(self):
         hop = self.clock.advance  # LINT: rogue-clock-alias
         return hop
+
+
+class HandRolledLoop:
+    def __init__(self, clock) -> None:
+        self.clock = clock
+
+    def charge_inline(self, seconds: float) -> float:
+        clock = self.clock
+        clock.now += seconds  # LINT: rogue-clock-augstore
+        self.clock.wait_time = 0.0  # LINT: rogue-clock-store
+        return clock.now

@@ -310,6 +310,31 @@ class TestClockDisciplineRule:
         assert locations == {
             (line_of(self.PATH, "rogue-clock-write"), "EagerPolicy.decide"),
             (line_of(self.PATH, "rogue-clock-alias"), "EagerPolicy.grab"),
+            (
+                line_of(self.PATH, "rogue-clock-augstore"),
+                "HandRolledLoop.charge_inline",
+            ),
+            (
+                line_of(self.PATH, "rogue-clock-store"),
+                "HandRolledLoop.charge_inline",
+            ),
+        }
+
+    def test_direct_time_stores_fire_but_reads_of_now_are_silent(
+        self, fixture_findings
+    ):
+        """`clock.now += ...` names no mutator; the store itself is flagged."""
+        hits = findings_for(fixture_findings, self.RULE, self.PATH)
+        stores = {f.line: f.message for f in hits if "direct store" in f.message}
+        assert stores.keys() == {
+            line_of(self.PATH, "rogue-clock-augstore"),
+            line_of(self.PATH, "rogue-clock-store"),
+        }
+        assert ".now" in stores[line_of(self.PATH, "rogue-clock-augstore")]
+        assert ".wait_time" in stores[line_of(self.PATH, "rogue-clock-store")]
+        # `return clock.now` two lines further down is a read.
+        assert line_of(self.PATH, "rogue-clock-store") + 1 not in {
+            f.line for f in hits
         }
 
     def test_certified_writer_is_silent(self, fixture_findings):

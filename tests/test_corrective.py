@@ -103,6 +103,39 @@ class TestCorrectness:
         assert report.wait_seconds > 0
 
 
+class TestAblationWeights:
+    def test_tuple_mode_run_under_non_default_weights_is_pinned(self, small_tpch):
+        """Under weights that are not exact binary fractions any reordering
+        of the per-step work sum (or a coarser charge than one per step)
+        moves the last bits of the clock.  Pinned from the commit before the
+        tuple drive loop replaced ``step``'s body."""
+        from repro.engine.cost import CostModel
+
+        query = query_10a()
+        processor = CorrectiveQueryProcessor(
+            small_tpch.catalog(with_cardinalities=False),
+            small_tpch.as_sources(),
+            cost_model=CostModel(
+                hash_probe=1.3, predicate_eval=0.1, tuple_copy=0.7, tuple_output=0.3
+            ),
+            polling_interval_seconds=0.1,
+        )
+        report = processor.execute(query, initial_tree=bad_tree(query))
+        assert repr(report.simulated_seconds) == "0.5534049999999959"
+        assert report.num_phases == 2
+        assert report.metrics.as_dict() == {
+            "tuples_read": 7571,
+            "hash_inserts": 4780,
+            "hash_probes": 6931,
+            "comparisons": 0,
+            "predicate_evals": 5896,
+            "tuple_copies": 5256,
+            "aggregate_updates": 1943,
+            "tuples_output": 1943,
+            "batches_read": 0,
+        }
+
+
 class TestAdaptationBehaviour:
     def test_switches_away_from_bad_plan_and_improves(self, small_tpch):
         query = query_3a()

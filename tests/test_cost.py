@@ -15,6 +15,33 @@ class TestExecutionMetrics:
         metrics = ExecutionMetrics(tuples_read=3)
         assert metrics.work() == pytest.approx(3 * CostModel().tuple_read)
 
+    def test_work_pairs_each_counter_with_its_own_weight(self):
+        """``work()`` is the only weighted sum (the tuple drive loop calls it
+        every step): nine distinct weights make a counter multiplied by its
+        neighbour's weight visible."""
+        weight_of = {
+            "tuples_read": "tuple_read",
+            "hash_inserts": "hash_insert",
+            "hash_probes": "hash_probe",
+            "comparisons": "comparison",
+            "predicate_evals": "predicate_eval",
+            "tuple_copies": "tuple_copy",
+            "aggregate_updates": "aggregate_update",
+            "tuples_output": "tuple_output",
+            "batches_read": "batch_read",
+        }
+        assert list(ExecutionMetrics().as_dict()) == list(weight_of)
+        model = CostModel(
+            **{name: 1.0 + i / 16 for i, name in enumerate(weight_of.values())}
+        )
+        for counter, weight in weight_of.items():
+            assert ExecutionMetrics(**{counter: 3}).work(model) == 3 * getattr(
+                model, weight
+            )
+        # seconds_per_unit converts work to time; it is not a work weight.
+        everything = ExecutionMetrics(**dict.fromkeys(weight_of, 1))
+        assert everything.work(model) == sum(1.0 + i / 16 for i in range(9))
+
     def test_snapshot_is_independent(self):
         metrics = ExecutionMetrics(hash_probes=1)
         snap = metrics.snapshot()

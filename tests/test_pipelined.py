@@ -1,9 +1,11 @@
 """Tests for the push-based pipelined hash-join network."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_same_aggregates, assert_same_bag, reference_spja
-from repro.engine.cost import ExecutionMetrics, SimulatedClock
+from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.pipelined import PipelinedExecutor, PipelinedPlan, SourceCursor
 from repro.engine.state.registry import StateRegistry, expression_signature
 from repro.optimizer.plans import JoinTree, PlanError
@@ -194,3 +196,336 @@ class TestPipelinedPlan:
         # arrived; total time is dominated by the 4-second people transfer.
         assert clock.now >= 4.0
         assert plan.leaf_counts()["simple_orders"] == len(simple_orders)
+
+
+# -- the tuple drive loop against a from-scratch statement of the rule -----------
+
+
+class ScheduledSource:
+    """Rows with an explicit (non-decreasing) arrival schedule."""
+
+    def __init__(self, schema, rows, arrivals):
+        self.schema = schema
+        self.rows = list(rows)
+        self.arrivals = list(arrivals)
+
+    def open_stream(self):
+        return iter(zip(self.rows, self.arrivals))
+
+
+class CountingCursor(SourceCursor):
+    """Logs every consumed tuple's relation and counts the scheduler's calls."""
+
+    def __init__(self, name, source, prefetch, log):
+        super().__init__(name, source, prefetch=prefetch)
+        self.log = log
+        self.peeks = 0
+        self.fills_when_exhausted = 0
+
+    def peek_arrival(self):
+        self.peeks += 1
+        return super().peek_arrival()
+
+    def _fill(self):
+        if self.exhausted:
+            self.fills_when_exhausted += 1
+        return super()._fill()
+
+    def _take(self):
+        self.log.append(self.name)
+        return super()._take()
+
+
+def chain_query(leaves: int, selective: bool) -> SPJAQuery:
+    """r0 ⋈ r1 ⋈ ... on a shared small-domain key, optionally filtering r0."""
+    names = [f"r{i}" for i in range(leaves)]
+    selections = {}
+    if selective:
+        selections["r0"] = Comparison(AttributeRef("r0_v"), "<", Constant(2))
+    return SPJAQuery(
+        name="chain",
+        relations=tuple(names),
+        join_predicates=tuple(
+            JoinPredicate(a, f"{a}_k", b, f"{b}_k") for a, b in zip(names, names[1:])
+        ),
+        selections=selections,
+    )
+
+
+def build_plan(query, streams, prefetch, cost_model, log):
+    """A tuple-mode plan over fresh counting cursors; returns (plan, outputs)."""
+    cursors = {}
+    for name, (rows, arrivals) in streams.items():
+        schema = Schema.from_names([f"{name}_k", f"{name}_v"], relation=name)
+        cursors[name] = CountingCursor(
+            name, ScheduledSource(schema, rows, arrivals), prefetch, log
+        )
+    outputs = []
+    plan = PipelinedPlan(
+        query,
+        JoinTree.left_deep(list(query.relations)),
+        cursors,
+        outputs.append,
+        cost_model=cost_model,
+    )
+    return plan, outputs
+
+
+class RuleOracle:
+    """Section 4.1, from scratch: every step scans every leaf for the minimum
+    ``(arrival, priority, consumed, leaf index)``, charges the work accrued so
+    far through ``metrics.work``, reads, waits for the arrival, propagates.
+    It borrows a plan's join network and nothing of its scheduling."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.charged = 0.0
+
+    def sync(self):
+        work = self.plan.metrics.work(self.plan.cost_model)
+        if work > self.charged:
+            self.plan.clock.charge(work - self.charged)
+            self.charged = work
+
+    def run_chunk(self, max_tuples, horizon):
+        plan = self.plan
+        ran = 0
+        while ran < max_tuples:
+            best = None
+            for index, (name, binding) in enumerate(plan.leaves.items()):
+                cursor = plan.cursors[name]
+                arrival = cursor.peek_arrival()
+                if arrival is None:
+                    continue
+                key = (arrival, plan.read_priorities.get(name, 0), cursor.consumed, index)
+                if best is None or key < best[0]:
+                    best = (key, cursor, binding)
+            if best is None or (horizon is not None and best[0][0] > horizon):
+                break
+            _, cursor, binding = best
+            self.sync()
+            row, arrival = cursor.read()
+            plan.clock.wait_until(arrival)
+            ran += 1
+            plan.metrics.tuples_read += 1
+            if binding.selection_fn is not None:
+                plan.metrics.predicate_evals += 1
+                if not binding.selection_fn(row):
+                    continue
+            binding.node.push(row, binding.side)
+        self.sync()
+        return ran
+
+
+ABLATION_WEIGHTS = CostModel(
+    hash_probe=1.3, predicate_eval=0.1, tuple_copy=0.7, tuple_output=0.3
+)
+
+arrival_steps = st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0, 3.5])
+
+
+@st.composite
+def schedules(draw, min_size=0):
+    """(rows, arrivals): arrivals non-decreasing, with zeros and ties."""
+    size = draw(st.integers(min_size, 12))
+    rows = [(draw(st.integers(0, 3)), draw(st.integers(0, 3))) for _ in range(size)]
+    arrivals, at = [], draw(st.sampled_from([0.0, 0.0, 0.5]))
+    for _ in range(size):
+        at += draw(arrival_steps)
+        arrivals.append(at)
+    return rows, arrivals
+
+
+@st.composite
+def drive_cases(draw):
+    leaves = draw(st.integers(2, 5))
+    names = [f"r{i}" for i in range(leaves)]
+    streams = {name: draw(schedules()) for name in names}
+    chunks = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 7),
+                # horizon: None (blocking), or the clock plus this much
+                st.one_of(st.none(), st.sampled_from([0.0, 0.25, 2.0])),
+                st.dictionaries(st.sampled_from(names), st.integers(0, 2)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    failover = (
+        draw(st.integers(0, len(chunks) - 1)),
+        draw(st.sampled_from(names)),
+        draw(schedules())[1],
+    )
+    return {
+        "query": chain_query(leaves, draw(st.booleans())),
+        "streams": streams,
+        "prefetch": draw(st.integers(1, 4)),
+        "cost_model": draw(st.sampled_from([CostModel(), ABLATION_WEIGHTS])),
+        "chunks": chunks,
+        "failover": failover,
+    }
+
+
+class TestTupleDriveLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(case=drive_cases())
+    def test_loop_equals_the_rule_stated_from_scratch(self, case):
+        query, streams = case["query"], case["streams"]
+        loop_log, rule_log = [], []
+        plan, outputs = build_plan(
+            query, streams, case["prefetch"], case["cost_model"], loop_log
+        )
+        rule_plan, rule_outputs = build_plan(
+            query, streams, case["prefetch"], case["cost_model"], rule_log
+        )
+        oracle = RuleOracle(rule_plan)
+        fail_at, fail_name, fail_arrivals = case["failover"]
+
+        def check():
+            assert loop_log == rule_log
+            assert plan.consumed_counts() == rule_plan.consumed_counts()
+            assert plan.metrics.as_dict() == rule_plan.metrics.as_dict()
+            assert plan.clock.now == rule_plan.clock.now
+            assert plan.clock.wait_time == rule_plan.clock.wait_time
+            assert outputs == rule_outputs
+
+        # The drawn chunks, then blocking chunks until everything is drained.
+        chunks = case["chunks"] + [(5, None, {})] * 13
+        for index, (size, ahead, priorities) in enumerate(chunks):
+            if index == fail_at:
+                # Mirror failover between chunks: the remainder of the
+                # relation, from the consumed offset, on another schedule.
+                rows = streams[fail_name][0]
+                for side in (plan, rule_plan):
+                    cursor = side.cursors[fail_name]
+                    rest = rows[cursor.consumed :]
+                    late = [99.0] * (len(rest) - len(fail_arrivals))
+                    cursor.failover_to(
+                        ScheduledSource(
+                            cursor.schema, rest, fail_arrivals[: len(rest)] + late
+                        )
+                    )
+            # The controller replaces the dict, it never edits it in place.
+            plan.read_priorities = dict(priorities)
+            rule_plan.read_priorities = dict(priorities)
+            horizon = None if ahead is None else plan.clock.now + ahead
+            steps_before = plan.statistics.steps
+            ran = plan.run_chunk(size, horizon=horizon)
+            assert ran == oracle.run_chunk(size, horizon)
+            assert plan.statistics.steps - steps_before == ran
+            check()
+        assert plan.sources_exhausted and rule_plan.sources_exhausted
+        assert len(loop_log) == sum(len(rows) for rows, _ in streams.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counters=st.lists(st.integers(0, 10**9), min_size=9, max_size=9),
+        weights=st.lists(
+            st.floats(0.0, 4.0, allow_nan=False), min_size=9, max_size=9
+        ),
+    )
+    def test_loop_charges_exactly_metrics_work(self, counters, weights):
+        """What the loop charges ``==`` ``work(model)`` for arbitrary counters
+        and a non-default model (the ablations override weights): its first
+        charge, from a clock at zero, is exactly ``work * seconds_per_unit``."""
+        model = CostModel(*weights)
+        plan, _ = build_plan(
+            chain_query(2, selective=False),
+            {"r0": ([(0, 0)], [0.0]), "r1": ([], [])},
+            1,
+            model,
+            [],
+        )
+        for name, value in zip(plan.metrics.as_dict(), counters):
+            setattr(plan.metrics, name, value)
+        expected = plan.metrics.work(model)
+        assert plan.step()
+        assert plan.clock.now == expected * model.seconds_per_unit
+
+    def test_step_is_the_loop_with_a_budget_of_one(self):
+        streams = {
+            "r0": ([(1, 0), (2, 5), (1, 1)], [0.0, 0.0, 2.0]),
+            "r1": ([(1, 7), (1, 8)], [0.0, 1.0]),
+        }
+        query = chain_query(2, selective=True)
+        loop_log, rule_log = [], []
+        plan, outputs = build_plan(query, streams, 2, CostModel(), loop_log)
+        rule_plan, rule_outputs = build_plan(query, streams, 2, CostModel(), rule_log)
+        oracle = RuleOracle(rule_plan)
+        while plan.step():
+            assert oracle.run_chunk(1, None) == 1
+            # step() leaves the last step's work uncharged, as it always has.
+            plan.finish_phase()
+            assert loop_log == rule_log
+            assert plan.clock.now == rule_plan.clock.now
+        assert oracle.run_chunk(1, None) == 0
+        assert loop_log == ["r0", "r1", "r0", "r1", "r0"]
+        assert outputs == rule_outputs == [(1, 0, 1, 7), (1, 0, 1, 8), (1, 1, 1, 7), (1, 1, 1, 8)]
+        assert plan.statistics.steps == plan.statistics.tuples_read == 5
+
+    def test_an_error_mid_chunk_leaves_the_accounting_consistent(self):
+        """A sink (or predicate, or source) that raises must not lose the
+        chunk's step count or leave charged work un-noted: the next sync
+        would charge it to the clock a second time."""
+        streams = {
+            "r0": ([(1, 0), (1, 1), (1, 2)], [0.0] * 3),
+            "r1": ([(1, 7), (1, 8), (1, 9)], [0.0] * 3),
+        }
+        log = []
+        plan, outputs = build_plan(
+            chain_query(2, selective=False), streams, 2, ABLATION_WEIGHTS, log
+        )
+
+        def sink(row):
+            if len(outputs) == 2:
+                raise RuntimeError("sink full")
+            outputs.append(row)
+
+        plan.output_sink = sink
+        with pytest.raises(RuntimeError, match="sink full"):
+            plan.run_chunk(6)
+        assert plan.statistics.steps == plan.statistics.tuples_read == len(log)
+        assert plan.metrics.tuples_read == len(log)
+        plan.finish_phase()
+        assert plan.clock.now == pytest.approx(
+            plan.metrics.work(ABLATION_WEIGHTS) * ABLATION_WEIGHTS.seconds_per_unit,
+            rel=1e-12,
+        )
+
+    def test_one_peek_per_step_and_none_into_an_exhausted_cursor(self):
+        """Guards the work removed: the old step rescanned every leaf per
+        tuple (5.4 peeks a step on the benchmark's queries) and called
+        ``_fill`` on every drained cursor each time."""
+        sizes = {"r0": 3, "r1": 40, "r2": 7, "r3": 1}
+        streams = {
+            name: ([(i % 3, i % 4) for i in range(size)], [0.0] * size)
+            for name, size in sizes.items()
+        }
+        plan, _ = build_plan(chain_query(4, selective=False), streams, 4, CostModel(), [])
+        cursors = list(plan.cursors.values())
+        chunks = steps = 0
+        while True:
+            ran = plan.run_chunk(6)
+            chunks += 1
+            steps += ran
+            if ran == 0:
+                break
+        assert steps == sum(sizes.values())
+        assert sum(c.peeks for c in cursors) <= steps + len(cursors) * chunks
+        assert [c.fills_when_exhausted for c in cursors] == [0, 0, 0, 0]
+        # ... and a peek of a drained cursor does not reach _fill at all.
+        assert all(c.exhausted and c.peek_arrival() is None for c in cursors)
+        assert [c.fills_when_exhausted for c in cursors] == [0, 0, 0, 0]
+
+    def test_failed_over_cursor_peeks_its_new_stream(self, people):
+        """``exhausted`` short-circuits ``peek_arrival``; failover must clear it."""
+        cursor = SourceCursor("people", people)
+        while cursor.read() is not None:
+            pass
+        assert cursor.exhausted and cursor.peek_arrival() is None
+        cursor.failover_to(ScheduledSource(people.schema, people.rows[:2], [4.0, 6.0]))
+        assert cursor.peek_arrival() == 4.0
+        assert cursor.read() == (people.rows[0], 4.0)
+        assert cursor.consumed == len(people) + 1
