@@ -20,28 +20,52 @@ The report records the reuse statistics the paper publishes in Tables 1–2:
 how many tuples were reused from prior phases and how many registered tuples
 were never needed ("discarded").
 
-**Order and accounting contract.**  Every combination is evaluated a set at a
-time, whatever engine mode the phases ran in: the seed is scanned into a
-list, each hop turns the whole working set into the next one, and the final
-working set goes to the output in one call.  Two things are fixed:
+**Order and accounting contract.**  Whatever engine mode the phases ran in,
+every combination is evaluated by one generated nested loop, its *route*:
+level 0 iterates the seed's scan, level *k* probes hop *k*'s keyed partition
+(``b = get_k(<key>)``, ``if b is None: continue``, ``for m_k in b:``), and the
+innermost body hands the row to the output.  No level concatenates anything:
+every position of the joined layout is resolved, when the text is generated,
+to the loop variable that holds it (``r0[3]``, ``m2[1]``) — the loop's locals
+are the paper's "vector of pointers into value containers" (Section 3.2), so
+no joined tuple is ever built.  The innermost body folds straight into the
+shared group-by (the accumulator's own key/update lines, reading the loop
+variables through the canonical-layout permutation) when the group-by can
+specialise; otherwise — SPJ output, partial-aggregate input, an attribute the
+layout lacks — it builds the output-layout tuple once, already permuted, and
+the combination's list goes to ``extend`` / ``accumulate_batch`` in one call.
+Two things are fixed:
 
 * *Order.*  Combinations run in ``itertools.product`` order over the query's
-  relation list; inside one, rows keep seed-scan order, matches of a row keep
-  bucket order, and a rejected residual candidate only drops out.  That is
-  the order a tuple-at-a-time nested loop produces, so the shared group-by
-  folds the same sequence and float sums do not move by a bit.
-* *Charges.*  Counters are charged once per step from batch tallies (the
-  deferred-charging invariant of ``engine/cost.py``): a seed scan
-  ``tuple_copies += len(seed)``; a hop ``hash_probes += len(rows)``,
-  ``predicate_evals += len(residuals) * candidates`` (every residual on every
-  candidate, rejected or not) and ``tuple_copies += len(output)``; a re-key
-  ``hash_inserts += len(partition)``, once per (structure, attribute); the
-  hand-off ``tuples_output += len(rows)`` plus the group-by's own
-  ``aggregate_updates``.  The clock is charged once, at the end of ``run``,
-  and nothing reads it before.
+  relation list; inside one, a nested loop *is* seed-scan order × bucket
+  order, with a rejected residual candidate only dropping out.  That is the
+  order the tuple-at-a-time oracle produces, so the shared group-by folds the
+  same sequence and float sums do not move by a bit.
+* *Charges.*  The loop charges nothing for the joins.  It returns per-level
+  tallies — survivors ``n_k`` of every hop and, on hops with residual
+  predicates, candidates ``c_k``, bumped by ``len(bucket)`` per probe where
+  no residual can reject — and the combination is charged once from them (the
+  deferred-charging invariant of ``engine/cost.py``): with ``n_0 = len(seed)``,
+  ``hash_probes += n_0 + … + n_(K-1)`` (hop *k* probes once per row that
+  reaches it), ``predicate_evals += len(residuals_k) * c_k`` (every residual
+  on every candidate, rejected or not), ``tuple_copies += n_0 + … + n_K`` and
+  ``tuples_output += n_K``; the group-by's own ``aggregate_updates`` and
+  ``tuples_consumed`` are charged once per combination too, from ``n_K`` by
+  the inlined fold or by ``accumulate_batch``.  ``tuple_copies`` keeps its
+  meaning: it is the copies the paper's cost model charges a join for its
+  output, *simulated* work that prices the plan, whether or not this
+  implementation performs them.  A hop's partition is opened — marked reused
+  and, when keyed on the wrong attribute, re-keyed for ``hash_inserts +=
+  len(partition)``, once per (structure, attribute) — by the first row that
+  reaches its level, so a hop no row reaches leaves its partition untouched.
+  The clock is charged once, at the end of ``run``, and nothing reads it
+  before.
 
-Cached for the run: re-keyed partitions, and per seed entry the *route* —
-join order, attribute positions and the output sink for the final layout.
+Cached for the run: re-keyed partitions, and per seed entry the route — join
+order and the generated loop follow from the seed's layout alone.  The
+generated text contains positions only, never object identities, so equal
+route shapes share one code object (``engine.compiled._code_for``) across
+executors, sessions, rounds and workers.
 """
 
 from __future__ import annotations
@@ -50,17 +74,18 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.engine.compiled import fused_output_sink
+from repro.engine.compiled import _code_for
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
-from repro.engine.operators.aggregate import GroupAccumulator
+from repro.engine.operators.aggregate import GroupAccumulator, _tuple_display
 from repro.engine.state.hash_table import HashTableState
 from repro.engine.state.registry import RegistryEntry, StateRegistry
 from repro.relational.algebra import QueryError, SPJAQuery
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleAdapter
 
-#: what a finished working set is handed to, a whole combination at a time
-BatchSink = Callable[[list[tuple]], None]
+#: CPython compiles at most 20 statically nested blocks, and a route is one
+#: ``for`` per hop inside the seed's
+_MAX_NESTED_LOOPS = 20
 
 
 @dataclass
@@ -96,12 +121,66 @@ class StitchUpReport:
 
 @dataclass(frozen=True)
 class _Hop:
-    """One probe join of a route, with every name resolved to a position."""
+    """One probe join of a route.  Values are read through the loop variables
+    of the levels above: ``r0[i]`` of the seed row, ``m<k>[j]`` of hop *k*'s match."""
 
     relation: str
     partition_attr: str  # the attribute the partition must be keyed on
-    probe_pos: int  # where the working set carries the matching value
-    residuals: tuple[tuple[int, int], ...]  # further predicates, as joined-row positions
+    probe: str  # where the levels above carry the matching value
+    residuals: tuple[tuple[str, str], ...]  # further predicates, as pairs of values
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How the combinations seeded from one entry are evaluated.  There is at
+    least one hop: a registered structure is an input of some phase's join, so
+    it never spans a whole combination."""
+
+    hops: tuple[_Hop, ...]
+    #: ``loop(seed rows, open hop) -> (survivors per hop, residual candidates
+    #: per hop)``; hands every produced row to the output on the way
+    loop: Callable[[list[tuple], Callable[[int], Callable]], tuple[tuple, tuple]]
+
+
+def _loop_source(
+    hops: Sequence[_Hop], params: str, prologue: Sequence[str],
+    body: Sequence[str], epilogue: Sequence[str],
+) -> str:
+    """Text of a route: one loop per level around ``body``, tallies returned."""
+    levels = range(1, len(hops) + 1)
+    survivors = [f"n{k}" for k in levels]
+    candidates = [f"c{k}" if hop.residuals else "0" for k, hop in zip(levels, hops)]
+    tallies = survivors + [name for name in candidates if name != "0"]
+    lines = [
+        f"def _route(rows, _open{params}):",
+        "    " + " = ".join(tallies) + " = 0",
+        "    " + " = ".join(f"g{k}" for k in levels) + " = None",
+    ]
+    lines.extend("    " + line for line in prologue)
+    lines.append("    for r0 in rows:")
+    for k, hop in zip(levels, hops):
+        pad = "    " * (k + 1)
+        lines += [
+            f"{pad}if g{k} is None:",
+            f"{pad}    g{k} = _open({k - 1})",
+            f"{pad}b{k} = g{k}({hop.probe})",
+            f"{pad}if b{k} is None:",
+            f"{pad}    continue",
+            f"{pad}{'c' if hop.residuals else 'n'}{k} += len(b{k})",
+            f"{pad}for m{k} in b{k}:",
+        ]
+        if hop.residuals:
+            rejected = " or ".join(f"{a} != {b}" for a, b in hop.residuals)
+            lines += [
+                f"{pad}    if {rejected}:",
+                f"{pad}        continue",
+                f"{pad}    n{k} += 1",
+            ]
+    pad = "    " * (len(hops) + 2)
+    lines.extend(pad + line for line in body)
+    lines.extend("    " + line for line in epilogue)
+    lines.append(f"    return {_tuple_display(survivors)}, {_tuple_display(candidates)}")
+    return "\n".join(lines) + "\n"
 
 
 class StitchUpExecutor:
@@ -130,7 +209,7 @@ class StitchUpExecutor:
         self.clock = clock if clock is not None else SimulatedClock(self.cost_model)
         self._touched_entries: set[int] = set()
         self._rehash_cache: dict[tuple[int, str], HashTableState] = {}
-        self._routes: dict[int, tuple[list[_Hop], BatchSink]] = {}
+        self._routes: dict[int, _Route] = {}
 
     # -- public API -----------------------------------------------------------------
 
@@ -187,22 +266,27 @@ class StitchUpExecutor:
     ) -> int:
         seed = self._best_seed(pairs, entries, intermediates)
         self._mark_touched(seed)
-        hops, sink = self._route(seed, entries)
+        route = self._route(seed, entries)
 
-        metrics = self.metrics
-        rows = list(seed.structure.scan())
-        metrics.tuple_copies += len(rows)
-        for hop in hops:
-            if not rows:
-                return 0
+        def open_hop(index: int) -> Callable:
+            """Called by the first row to reach the hop: its partition's buckets."""
+            hop = route.hops[index]
             entry = entries[hop.relation]
             self._mark_touched(entry)
-            table = self._keyed_table(entry, hop.partition_attr)
-            rows = self._probe_join(rows, hop, table)
-        if rows:
-            metrics.tuples_output += len(rows)
-            sink(rows)
-        return len(rows)
+            return self._keyed_table(entry, hop.partition_attr).bucket_map().get
+
+        rows = list(seed.structure.scan())
+        survivors, candidates = route.loop(rows, open_hop)
+        reached = (len(rows), *survivors)  # rows per level, the seed's first
+        produced = reached[-1]
+        metrics = self.metrics
+        metrics.hash_probes += sum(reached) - produced
+        metrics.predicate_evals += sum(
+            len(hop.residuals) * count for hop, count in zip(route.hops, candidates)
+        )
+        metrics.tuple_copies += sum(reached)
+        metrics.tuples_output += produced
+        return produced
 
     def _best_seed(
         self,
@@ -224,10 +308,8 @@ class StitchUpExecutor:
             return best
         return min(entries.values(), key=lambda e: e.cardinality)
 
-    def _route(
-        self, seed: RegistryEntry, entries: dict[str, RegistryEntry]
-    ) -> tuple[list[_Hop], BatchSink]:
-        """Hops and output sink for the combinations seeded from ``seed``.
+    def _route(self, seed: RegistryEntry, entries: dict[str, RegistryEntry]) -> _Route:
+        """Hops and generated loop for the combinations seeded from ``seed``.
 
         Join order, attribute positions and the final layout follow from the
         seed's layout alone (a relation's partitions have one schema in every
@@ -240,6 +322,14 @@ class StitchUpExecutor:
         schema = seed.structure.schema
         covered = set(seed.relations)
         remaining = [relation for relation in entries if relation not in covered]
+        if len(remaining) >= _MAX_NESTED_LOOPS:
+            raise QueryError(
+                f"stitch-up of {self.query.name!r}: a route of {len(remaining)} hops "
+                f"nests {len(remaining) + 1} loops, and CPython compiles at most "
+                f"{_MAX_NESTED_LOOPS} nested blocks"
+            )
+        # the loop variable holding each position of the joined layout
+        values = [f"r0[{i}]" for i in range(len(schema))]
         hops: list[_Hop] = []
         while remaining:
             for relation in remaining:
@@ -257,8 +347,10 @@ class StitchUpExecutor:
                     f"no join predicate connects {remaining} to {sorted(covered)}"
                 )
             remaining.remove(relation)
-            joined = schema.concat(entries[relation].structure.schema)
-            # (partition attribute, working-set attribute) per predicate
+            partition = entries[relation].structure.schema
+            joined = schema.concat(partition)
+            values += [f"m{len(hops) + 1}[{i}]" for i in range(len(partition))]
+            # (partition attribute, attribute of the levels above) per predicate
             attrs = [
                 (p.left_attr, p.right_attr)
                 if p.left_relation == relation
@@ -269,47 +361,61 @@ class StitchUpExecutor:
                 _Hop(
                     relation,
                     partition_attr=attrs[0][0],
-                    probe_pos=schema.position(attrs[0][1]),
+                    probe=values[schema.position(attrs[0][1])],
                     residuals=tuple(
-                        (joined.position(current), joined.position(partition))
-                        for partition, current in attrs[1:]
+                        (values[joined.position(above)], values[joined.position(own)])
+                        for own, above in attrs[1:]
                     ),
                 )
             )
             schema = joined
             covered.add(relation)
-        route = self._routes[id(seed)] = (hops, self._sink(schema))
+        route = self._routes[id(seed)] = _Route(tuple(hops), self._loop(hops, schema, values))
         return route
 
-    def _sink(self, schema: Schema) -> BatchSink:
-        """Batch hand-off of working sets laid out as ``schema`` to the output."""
-        adapter = TupleAdapter(schema, self.output_schema)
+    def _loop(self, hops: Sequence[_Hop], schema: Schema, values: Sequence[str]):
+        """Generate a route's loop; rows laid out as ``schema`` reach the output."""
+        mapping = TupleAdapter(schema, self.output_schema)._mapping  # type: ignore[attr-defined]
         output = self.output
+        produced = f"n{len(hops)}"
+        fold = None
         if isinstance(output, GroupAccumulator):
-            fold = fused_output_sink(output, adapter)
-            if fold is not None:
-                return fold
-            deliver = output.accumulate_batch
+            fold = output._fold_lines(
+                lambda pos: values[mapping[pos]] if mapping[pos] >= 0 else None
+            )
+        if fold is not None:
+            # The group-by's own fold, reading the loop variables in place.
+            bindings = {"_groups": output._groups, "_self": output, "_metrics": output.metrics}
+            src = _loop_source(
+                hops,
+                ", _groups=_groups, _get=_groups.get, _self=_self, _metrics=_metrics",
+                (),
+                fold,
+                (
+                    f"_self.tuples_consumed += {produced}",
+                    f"_metrics.aggregate_updates += {produced} * {len(output.aggregates)}",
+                ),
+            )
         else:
-            deliver = output.extend
-        if adapter.is_identity:
-            return deliver
-        return lambda rows: deliver(adapter.adapt_many(rows))
-
-    def _probe_join(self, rows: list[tuple], hop: _Hop, table: HashTableState) -> list[tuple]:
-        """Join the working set with one keyed partition; one charge per counter."""
-        get = table.bucket_map().get
-        pos = hop.probe_pos
-        output = [row + match for row in rows for match in get(row[pos], ())]
-        metrics = self.metrics
-        metrics.hash_probes += len(rows)
-        if hop.residuals:
-            # Every residual is charged on every candidate, rejected or not.
-            metrics.predicate_evals += len(hop.residuals) * len(output)
-            for left, right in hop.residuals:
-                output = [row for row in output if row[left] == row[right]]
-        metrics.tuple_copies += len(output)
-        return output
+            # The output-layout tuple, built once and already permuted.
+            deliver = (
+                output.accumulate_batch
+                if isinstance(output, GroupAccumulator)
+                else output.extend
+            )
+            bindings = {"_deliver": deliver}
+            row = _tuple_display([values[q] if q >= 0 else "None" for q in mapping])
+            src = _loop_source(
+                hops,
+                ", _deliver=_deliver",
+                ("out = []", "_emit = out.append"),
+                (f"_emit({row})",),
+                ("_deliver(out)",),
+            )
+        exec(_code_for(src), bindings)
+        loop = bindings["_route"]
+        loop.__compiled_source__ = src  # for the codegen audit and tests
+        return loop
 
     def _keyed_table(self, entry: RegistryEntry, attribute: str) -> HashTableState:
         """Return the partition keyed on ``attribute``, re-hashing if needed."""

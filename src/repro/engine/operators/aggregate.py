@@ -30,6 +30,11 @@ from repro.relational.expressions import Aggregate
 from repro.relational.schema import Attribute, Schema
 
 
+def _tuple_display(items: Sequence[str]) -> str:
+    """Source text of the tuple of ``items`` (generated code builds keys and rows with it)."""
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
 def aggregate_output_schema(
     group_attributes: Sequence[str],
     aggregates: Sequence[Aggregate],
@@ -140,6 +145,58 @@ class GroupAccumulator:
         self.tuples_consumed += count
         self.metrics.aggregate_updates += count * len(aggregates)
 
+    def _fold_lines(self, value_at) -> list[str] | None:
+        """Source lines folding one raw tuple, the body of a generated loop.
+
+        ``value_at(pos)`` is the expression that reads this accumulator's
+        input position ``pos`` from the loop's variables, or ``None`` when
+        they do not carry it.  The lines find the tuple's group through
+        ``_groups`` / ``_get = _groups.get`` and update its states with the
+        aggregate merges inlined, evolving the group dictionary exactly as
+        :meth:`accumulate` does; ``tuples_consumed`` and ``aggregate_updates``
+        are left for the caller to charge once per batch.  Returns ``None``
+        when no specialization applies (partial-aggregate input, or an
+        attribute the loop cannot reach).
+        """
+        if self.input_is_partial:
+            return None
+        keys = [value_at(pos) for pos in self._group_positions]
+        values = [value_at(pos) if pos >= 0 else None for pos in self._value_positions]
+        if None in keys or any(
+            value is None and agg.function != "count"
+            for value, agg in zip(values, self.aggregates)
+        ):
+            return None
+
+        init_exprs: list[str] = []
+        update_lines: list[str] = []
+        for idx, (agg, value) in enumerate(zip(self.aggregates, values)):
+            fn = agg.function
+            if fn == "count":
+                init_exprs.append("0")
+                update_lines.append(f"st[{idx}] = st[{idx}] + 1")
+            elif fn == "sum":
+                init_exprs.append("0")
+                update_lines.append(f"st[{idx}] = st[{idx}] + {value}")
+            elif fn == "avg":
+                init_exprs.append("(0.0, 0)")
+                update_lines.append(f"_t, _c = st[{idx}]")
+                update_lines.append(f"st[{idx}] = (_t + {value}, _c + 1)")
+            else:  # min / max
+                init_exprs.append("None")
+                update_lines.append(f"_v = {value}")
+                update_lines.append(f"_s = st[{idx}]")
+                update_lines.append(
+                    f"st[{idx}] = _v if _s is None or _v {'<' if fn == 'min' else '>'} _s else _s"
+                )
+        return [
+            f"key = {_tuple_display(keys)}",
+            "st = _get(key)",
+            "if st is None:",
+            f"    _groups[key] = st = [{', '.join(init_exprs)}]",
+            *update_lines,
+        ]
+
     def make_batch_fold(self, position_map: Sequence[int] | None = None):
         """Generate a specialized batch-fold equivalent to :meth:`accumulate_batch`.
 
@@ -157,65 +214,20 @@ class GroupAccumulator:
         the map cannot reach), in which case callers fall back to the
         generic path.
         """
-        if self.input_is_partial:
+
+        def value_at(pos: int) -> str | None:
+            if position_map is not None:
+                pos = position_map[pos]
+            return f"row[{pos}]" if pos >= 0 else None
+
+        fold_lines = self._fold_lines(value_at)
+        if fold_lines is None:
             return None
-
-        def mapped(pos: int) -> int:
-            if pos < 0 or position_map is None:
-                return pos
-            return position_map[pos]
-
-        key_positions = [mapped(p) for p in self._group_positions]
-        value_positions = [mapped(p) for p in self._value_positions]
-        if any(p < 0 for p in key_positions) or any(
-            p < 0 and agg.function != "count"
-            for p, agg in zip(value_positions, self.aggregates)
-        ):
-            return None
-
-        if len(key_positions) == 1:
-            key_expr = f"(row[{key_positions[0]}],)"
-        else:
-            key_expr = "(" + ", ".join(f"row[{p}]" for p in key_positions) + ")"
-
-        init_exprs: list[str] = []
-        update_lines: list[str] = []
-        for idx, (agg, pos) in enumerate(zip(self.aggregates, value_positions)):
-            fn = agg.function
-            if fn == "count":
-                init_exprs.append("0")
-                update_lines.append(f"st[{idx}] = st[{idx}] + 1")
-            elif fn == "sum":
-                init_exprs.append("0")
-                update_lines.append(f"st[{idx}] = st[{idx}] + row[{pos}]")
-            elif fn == "avg":
-                init_exprs.append("(0.0, 0)")
-                update_lines.append(f"_t, _c = st[{idx}]")
-                update_lines.append(f"st[{idx}] = (_t + row[{pos}], _c + 1)")
-            elif fn == "min":
-                init_exprs.append("None")
-                update_lines.append(f"_v = row[{pos}]")
-                update_lines.append(f"_s = st[{idx}]")
-                update_lines.append(
-                    f"st[{idx}] = _v if _s is None or _v < _s else _s"
-                )
-            else:  # max
-                init_exprs.append("None")
-                update_lines.append(f"_v = row[{pos}]")
-                update_lines.append(f"_s = st[{idx}]")
-                update_lines.append(
-                    f"st[{idx}] = _v if _s is None or _v > _s else _s"
-                )
-
-        body = "\n".join(f"        {line}" for line in update_lines)
+        body = "\n".join(f"        {line}" for line in fold_lines)
         src = (
             "def _fold(rows, _groups=_groups, _get=_groups.get, _self=_self, "
             "_metrics=_metrics):\n"
             "    for row in rows:\n"
-            f"        key = {key_expr}\n"
-            "        st = _get(key)\n"
-            "        if st is None:\n"
-            f"            _groups[key] = st = [{', '.join(init_exprs)}]\n"
             f"{body}\n"
             "    n = len(rows)\n"
             "    _self.tuples_consumed += n\n"

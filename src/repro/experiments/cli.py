@@ -682,6 +682,7 @@ def run_repro_lint(
             "clean": codegen_report.clean,
             "pipelines_audited": codegen_report.pipelines_audited,
             "folds_audited": codegen_report.folds_audited,
+            "routes_audited": codegen_report.routes_audited,
             "findings": [f.as_dict() for f in codegen_report.findings],
         }
 

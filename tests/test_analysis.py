@@ -29,10 +29,12 @@ from repro.analysis import (
 from repro.analysis.codegen_audit import (
     RULE_ACCOUNTING,
     RULE_DETERMINISM,
+    RULE_MATERIALISATION,
     RULE_PURITY,
     audit_chain_source,
     audit_fold_source,
     audit_generated_pipelines,
+    audit_route_source,
 )
 from repro.analysis.runner import (
     STALE_ENTRY_RULE,
@@ -41,6 +43,7 @@ from repro.analysis.runner import (
     load_contexts,
 )
 from repro.analysis.sharding import parse_channel_registry
+from repro.core.stitchup import _Hop, _loop_source
 from repro.serving import channels
 
 FIXTURE_ROOT = Path(__file__).parent / "analysis_fixtures"
@@ -606,6 +609,8 @@ class TestCodegenAudit:
         assert report.opaque_predicate_chains > 0
         assert report.folds_audited > 0
         assert report.chains_audited >= report.pipelines_audited
+        assert report.routes_audited >= 10
+        assert report.folding_routes >= 3 and report.materialising_routes >= 3
 
     def test_missing_charge_fires(self):
         src = "def _chain(rows, _b=None, _sink=None):\n    _tr = len(rows)\n    _sink(rows)\n"
@@ -677,3 +682,86 @@ class TestCodegenAudit:
         messages = " | ".join(f.message for f in findings)
         assert "aggregate_updates" in messages
         assert "tuples_consumed" in messages
+
+    #: a stitch-up route as ``core/stitchup.py`` generates it: one plain hop,
+    #: one hop with a residual predicate, folding into a ``sum`` group-by
+    ROUTE = _loop_source(
+        [_Hop("s", "a", "r0[1]", ()), _Hop("t", "b", "m1[0]", (("r0[0]", "m2[1]"),))],
+        ", _groups=_groups, _get=_groups.get, _self=_self, _metrics=_metrics",
+        (),
+        (
+            "key = (r0[2], m1[1])",
+            "st = _get(key)",
+            "if st is None:",
+            "    _groups[key] = st = [0]",
+            "st[0] = st[0] + m2[2]",
+        ),
+        ("_self.tuples_consumed += n2", "_metrics.aggregate_updates += n2 * 1"),
+    )
+
+    def doctored_route(self, old, new):
+        assert self.ROUTE.count(old) == 1
+        return audit_route_source(self.ROUTE.replace(old, new), "<doctored-route>")
+
+    def test_route_fixture_is_clean(self):
+        assert audit_route_source(self.ROUTE, "<route>") == []
+
+    @pytest.mark.parametrize(
+        "old, new, complaint",
+        [
+            # only counted when the bucket is long: short ones reach the level untallied
+            (
+                "        n1 += len(b1)\n",
+                "        if len(b1) > 1:\n            n1 += len(b1)\n",
+                "no returned tally counts len(b1)",
+            ),
+            # not counted at all
+            (
+                "                continue\n            c2 += len(b2)\n",
+                "                continue\n",
+                "no returned tally counts len(b2)",
+            ),
+            (
+                "                n2 += 1\n                key",
+                "                key",
+                "survivors of the residual guard on b2",
+            ),
+            (
+                "                n2 += 1\n                key = (r0[2], m1[1])\n",
+                "                key = (r0[2], m1[1])\n                n2 += 1\n",
+                "tally 'n2' is bumped away from its level's guard",
+            ),
+        ],
+    )
+    def test_untallied_route_level_fires(self, old, new, complaint):
+        findings = self.doctored_route(old, new)
+        assert any(f.rule == RULE_ACCOUNTING and complaint in f.message for f in findings)
+
+    def test_uncharged_folding_route_fires(self):
+        findings = self.doctored_route(
+            "    _self.tuples_consumed += n2\n",
+            "    if n2:\n        _self.tuples_consumed += n2\n",
+        )
+        assert any(
+            f.rule == RULE_ACCOUNTING and "tuples_consumed" in f.message for f in findings
+        )
+
+    def test_nondeterministic_route_fires(self):
+        findings = self.doctored_route(
+            "    for r0 in rows:\n", "    for r0 in set(rows):\n"
+        )
+        assert any(f.rule == RULE_DETERMINISM and "'set'" in f.message for f in findings)
+
+    @pytest.mark.parametrize(
+        "new, complaint",
+        [
+            ("                row = r0 + m1 + m2\n", "concatenates rows"),
+            ("                row = (r0[2], m1[1], m2[2])\n", "not the group key"),
+        ],
+    )
+    def test_rematerialising_route_fires(self, new, complaint):
+        old = "                key = (r0[2], m1[1])\n"
+        findings = self.doctored_route(old, new + old)
+        assert any(
+            f.rule == RULE_MATERIALISATION and complaint in f.message for f in findings
+        )

@@ -5,19 +5,26 @@ phase joining only its own partitions) and then stitching up the cross-phase
 combinations must produce exactly the same answers as a single-phase run.
 """
 
+import ast
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from helpers import assert_same_bag, reference_spja
-from repro.core.stitchup import StitchUpExecutor, StitchUpReport
+from repro.core.stitchup import StitchUpExecutor, StitchUpReport, _Hop, _loop_source
+from repro.engine import compiled
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.operators.aggregate import GroupAccumulator
 from repro.engine.pipelined import PipelinedPlan, SourceCursor
 from repro.engine.state.hash_table import HashTableState
-from repro.engine.state.registry import StateRegistry
+from repro.engine.state.registry import StateRegistry, expression_signature
 from repro.engine.state.sorted_run import SortedRunState
 from repro.optimizer.ordering import JoinStrategy
 from repro.optimizer.plans import JoinTree
@@ -264,6 +271,8 @@ def oracle_stitchup(query, registry, num_phases, output_schema, sink, metrics):
                     joined.append(combined)
             rows, schema = joined, joined_schema
             covered.add(relation)
+        # the rows ran dry after at least one hop: the later ones are never made
+        paths["late_hop_unreached"] += bool(remaining) and covered != set(seed.relations)
         adapter = TupleAdapter(schema, output_schema)
         paths["layout_permuted"] += bool(rows) and not adapter.is_identity
         for row in rows:
@@ -371,21 +380,55 @@ def stitch_both(query, registry, canonical, num_phases, partial=False):
         return report, metrics, (output.results(), output.tuples_consumed)
 
     metrics, output = fresh()
-    report = StitchUpExecutor(
-        query, registry, num_phases, canonical, output, metrics=metrics
-    ).run().as_dict()
-    executor = produced(report, metrics, output)
+    stitchup = StitchUpExecutor(query, registry, num_phases, canonical, output, metrics=metrics)
+    executor = produced(stitchup.run().as_dict(), metrics, output)
 
     metrics, output = fresh()
     sink = output.append if isinstance(output, list) else output.accumulate
     report, paths = oracle_stitchup(query, registry, num_phases, canonical, sink, metrics)
+    for source in route_sources(stitchup):
+        paths["route_folded" if folds_inline(source) else "route_materialised"] += 1
     return executor, produced(report, metrics, output), paths
+
+
+def route_sources(stitchup):
+    """Generated text of every route ``stitchup`` built, in combination order."""
+    return [route.loop.__compiled_source__ for route in stitchup._routes.values()]
+
+
+def folds_inline(source):
+    """Does this route fold into the group-by in place (else it builds each
+    output tuple once and hands the combination's list over)?"""
+    return "_groups[key]" in source and "_deliver" not in source
 
 
 #: seeds of ``generate_workload`` with at least two relations
 CONTRACT_SEEDS = [
     seed for seed in range(40) if len(generate_workload(seed).query.relations) >= 2
 ]
+
+
+#: the case the text-stability tests generate routes for: three phases, five
+#: relations, an avg/sum group-by
+FIXED_CASE = 35
+
+
+def case_route_sources(seed):
+    """Every route text of ``stitch_case(seed)``: its SPJ variant's
+    (materialise-once bodies), then the aggregating query's (inlined folds)."""
+    query, (registry, canonical, num_phases) = stitch_case(seed)
+    texts = []
+    for aggregation in (None, query.aggregation):
+        output = [] if aggregation is None else GroupAccumulator(
+            canonical, aggregation.group_attributes, aggregation.aggregates
+        )
+        variant = SPJAQuery(
+            query.name, query.relations, query.join_predicates, query.selections, aggregation
+        )
+        stitchup = StitchUpExecutor(variant, registry, num_phases, canonical, output)
+        stitchup.run()
+        texts.extend(route_sources(stitchup))
+    return texts
 
 
 class TestStitchUpContract:
@@ -408,12 +451,19 @@ class TestStitchUpContract:
     def test_population_takes_every_path(self):
         """The sweep is only evidence if it reaches the paths the contract
         names; count them over the whole population."""
-        paths, reports, aggregated, floats = Counter(), Counter(), 0, 0
+        paths, reports, routes, aggregated, floats = Counter(), Counter(), Counter(), 0, 0
         for seed in CONTRACT_SEEDS:
             query, (registry, canonical, num_phases) = stitch_case(seed)
-            _executor, oracle, case_paths = stitch_both(query, registry, canonical, num_phases)
+            executor, oracle, case_paths = stitch_both(query, registry, canonical, num_phases)
             paths.update({name: 1 for name, count in case_paths.items() if count})
             reports.update({name: 1 for name, count in oracle[0].items() if count})
+            routes.update({
+                name: count for name, count in case_paths.items() if name.startswith("route_")
+            })
+            if case_paths["late_hop_unreached"]:
+                # the hop nobody reached left its partition alone
+                assert executor[0]["discarded_tuples"] == oracle[0]["discarded_tuples"]
+                assert executor[1].hash_inserts == oracle[1].hash_inserts
             if query.aggregation is not None and oracle[0]["output_count"]:
                 aggregated += 1
                 floats += any(a.function == "avg" for a in query.aggregation.aggregates)
@@ -421,6 +471,8 @@ class TestStitchUpContract:
         assert paths["rekey_built"] >= 5 and paths["rekey_hit"] >= 3
         assert paths["rekey_sorted_run"] >= 1
         assert paths["layout_permuted"] >= 5
+        assert paths["late_hop_unreached"] >= 2
+        assert routes["route_folded"] >= 5 and routes["route_materialised"] >= 5
         assert reports["combinations_skipped_empty"] >= 3
         assert reports["discarded_tuples"] >= 3
         assert aggregated >= 5 and floats >= 3
@@ -447,16 +499,11 @@ class TestStitchUpContract:
         assert executor[1].hash_inserts == oracle[1].hash_inserts > 0
         assert executor == oracle
 
-    def test_fallback_sink_when_fold_cannot_specialise(self, monkeypatch):
+    def test_fallback_sink_when_fold_cannot_specialise(self):
         """A group-by over partial aggregates (which it finds under the
-        aggregate's alias) has no generated fold: rows go through
-        ``adapt_many`` → ``accumulate_batch``, in the same order."""
-        adapted = []
-        adapt_many = TupleAdapter.adapt_many
-        monkeypatch.setattr(
-            TupleAdapter, "adapt_many",
-            lambda self, rows: adapted.append(self.is_identity) or adapt_many(self, rows),
-        )
+        aggregate's alias) has no inlined fold: over a layout that is not the
+        canonical one, each output tuple is built once, already permuted, and
+        the group-by gets the oracle's rows in the oracle's order."""
         query, (registry, canonical, num_phases) = stitch_case(3)
         assert query.aggregation.aggregates[0].function == "avg"
         partials = SPJAQuery(
@@ -465,11 +512,121 @@ class TestStitchUpContract:
                 Aggregate("sum", "r0_val", "r0_val"), Aggregate("min", "r1_val", "r1_val"),
             )),
         )
-        executor, oracle, _paths = stitch_both(
+        executor, oracle, paths = stitch_both(
             partials, registry, canonical, num_phases, partial=True
         )
-        assert executor == oracle and executor[0]["output_count"]
-        assert False in adapted  # a non-identity layout took the fallback
+        assert paths["layout_permuted"] and executor[0]["output_count"]
+        assert paths["route_materialised"] and not paths["route_folded"]
+        groups, tuples_consumed = executor[2]
+        assert groups == oracle[2][0]  # float sums folded in the oracle's order
+        assert tuples_consumed == oracle[2][1] == executor[0]["output_count"]
+        assert executor[1] == oracle[1] and executor[0] == oracle[0]
+
+    def test_no_working_set_between_the_seed_and_the_group_by(self):
+        """Q10A's shape — a small seed fanning out through two hops into a
+        group-by: nothing as long as a joined working set ever exists.  The
+        group-by is handed no list at all, and its routes build none."""
+        handed = []
+
+        class Watched(GroupAccumulator):
+            def accumulate_batch(self, rows):
+                handed.append(len(rows))
+                super().accumulate_batch(rows)
+
+            def make_batch_fold(self, position_map=None):
+                fold = super().make_batch_fold(position_map)
+                return lambda rows: handed.append(len(rows)) or fold(rows)
+
+        rng = random.Random(10)
+        sources = {
+            "r": Relation("r", Schema.from_names(["rk", "rv"], "r"),
+                          [(i, i % 5) for i in range(20)]),
+            "s": Relation("s", Schema.from_names(["sk", "s_rk"], "s"),
+                          [(i, rng.randrange(20)) for i in range(120)]),
+            "t": Relation("t", Schema.from_names(["tk", "t_sk"], "t"),
+                          [(i, rng.randrange(120)) for i in range(900)]),
+        }
+        query = SPJAQuery(
+            "rst", ("r", "s", "t"), three_way_query().join_predicates,
+            aggregation=AggregateSpec(
+                ("rv",), (Aggregate("sum", "tk", "total"), Aggregate("count", None, "n")),
+            ),
+        )
+        tree = JoinTree.left_deep(["r", "s", "t"])
+        registry, canonical, num_phases = register_phases(
+            query, sources, [tree] * 2, [350, None]
+        )
+        seeds = []
+
+        class Watching(StitchUpExecutor):
+            def _best_seed(self, *args):
+                seeds.append(super()._best_seed(*args))
+                return seeds[-1]
+
+        output = Watched(
+            canonical, query.aggregation.group_attributes, query.aggregation.aggregates
+        )
+        stitchup = Watching(query, registry, num_phases, canonical, output)
+        report = stitchup.run()
+        # some combination produced several times the rows of the largest seed:
+        # a working set would have had to hold them
+        largest_seed = max(seed.cardinality for seed in seeds)
+        assert report.output_count > 4 * report.combinations_evaluated * largest_seed > 0
+        assert output.tuples_consumed == report.output_count
+        assert handed == []
+        for source in route_sources(stitchup):
+            assert folds_inline(source)
+            nodes = list(ast.walk(ast.parse(source)))
+            # the only list it makes is a new group's state, one slot per aggregate
+            assert not [n for n in nodes if isinstance(n, (ast.ListComp, ast.GeneratorExp))]
+            assert [len(n.elts) for n in nodes if isinstance(n, ast.List)] == [2]
+            assert not [
+                n for n in nodes if isinstance(n, ast.Attribute) and n.attr in ("append", "extend")
+            ]
+
+    def test_generated_text_is_a_function_of_the_route_shape(self):
+        """Route construction walks dicts and frozensets, and both the code
+        cache and worker-side rehydration key on the text: it must not depend
+        on the interpreter's hash seed."""
+        script = (
+            "import json\n"
+            "from test_stitchup import case_route_sources\n"
+            f"print(json.dumps(case_route_sources({FIXED_CASE})))\n"
+        )
+        tests = Path(__file__).parent
+        texts = []
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ, PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            texts.append(json.loads(done.stdout))
+        assert texts[0] == texts[1] == case_route_sources(FIXED_CASE)
+        assert len(texts[0]) >= 4 and len(set(texts[0])) >= 3
+
+    def test_equal_route_shapes_share_one_code_object(self):
+        query, (registry, canonical, num_phases) = stitch_case(FIXED_CASE)
+
+        def routes():
+            output = GroupAccumulator(
+                canonical, query.aggregation.group_attributes, query.aggregation.aggregates
+            )
+            stitchup = StitchUpExecutor(query, registry, num_phases, canonical, output)
+            stitchup.run()
+            return list(stitchup._routes.values())
+
+        first = routes()
+        cached = len(compiled._code_cache)
+        second = routes()
+        assert len(compiled._code_cache) == cached  # nothing new was compiled
+        assert first and len(first) == len(second)
+        for a, b in zip(first, second):
+            assert a.loop is not b.loop and a.loop.__code__ is b.loop.__code__
 
     def test_disconnected_combination_is_rejected(self):
         query, sources = three_way_query(), make_sources()
@@ -482,6 +639,54 @@ class TestStitchUpContract:
         object.__setattr__(query, "join_predicates", query.join_predicates[:1])
         with pytest.raises(QueryError, match=r"combination \[.*\('t', \d\).*no join predicate"):
             StitchUpExecutor(query, registry, num_phases, canonical, []).run()
+
+
+def chain_registry(length, num_phases=2):
+    """A ``length``-relation chain query ``r0 ⋈ r1 ⋈ …`` and a registry
+    holding a one-row partition of every relation in every phase."""
+    names = [f"r{i}" for i in range(length)]
+    query = SPJAQuery(
+        name="chain",
+        relations=tuple(names),
+        join_predicates=tuple(
+            JoinPredicate(f"r{i}", f"b{i}", f"r{i + 1}", f"a{i + 1}") for i in range(length - 1)
+        ),
+    )
+    registry, canonical = StateRegistry(), Schema(())
+    for i, name in enumerate(names):
+        schema = Schema.from_names([f"a{i}", f"b{i}"], name)
+        canonical = canonical.concat(schema)
+        for phase in range(num_phases):
+            table = HashTableState(schema, f"a{i}")
+            table.insert((0, 0))
+            registry.register(expression_signature([(name, phase)]), table, phase)
+    return query, registry, canonical
+
+
+class TestRouteNestingLimit:
+    def test_too_long_a_route_is_rejected_before_any_text_is_compiled(self):
+        query, registry, canonical = chain_registry(22)
+        collected = []
+        with pytest.raises(QueryError, match=r"'chain'.* 21 hops .* at most 20 nested"):
+            StitchUpExecutor(query, registry, 2, canonical, collected).run()
+        assert collected == []
+
+    def test_the_longest_accepted_route_compiles(self):
+        """19 hops inside the seed's loop are 20 nested blocks, the most the
+        compiler takes; residual tests and the fold's ``if`` do not count."""
+        hops = [
+            _Hop(f"r{k}", f"a{k}", f"r0[{k}]", (("r0[0]", f"m{k}[0]"),) * (k % 2))
+            for k in range(1, 20)
+        ]
+        body = ("if rows is None:", "    pass")
+        compile(_loop_source(hops, "", (), body, ()), "<route>", "exec")
+
+    def test_a_six_relation_chain_is_stitched(self):
+        query, registry, canonical = chain_registry(6)
+        collected = []
+        report = StitchUpExecutor(query, registry, 2, canonical, collected).run()
+        assert report.combinations_evaluated == 2**6 - 2
+        assert collected == [(0,) * 12] * report.output_count == [(0,) * 12] * (2**6 - 2)
 
 
 def test_is_identity_is_computed_once(monkeypatch):
