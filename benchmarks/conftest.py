@@ -1,10 +1,9 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one (or one pair) of the paper's tables/figures
-and writes the reproduced rows to ``benchmarks/results/<name>.txt`` so they
-can be pasted into EXPERIMENTS.md.  The numbers reported by pytest-benchmark
-itself are the wall-clock cost of regenerating the experiment, not the
-simulated query times — those are inside the result tables.
+Every test here regenerates one (or one pair) of the paper's tables/figures
+and writes the reproduced rows — simulated query times, phase counts — to
+``benchmarks/results/<name>.txt``: tracked golden tables, which a run must
+regenerate byte-identical (CI checks ``git diff --exit-code`` after tier-1).
 """
 
 from __future__ import annotations
@@ -32,8 +31,3 @@ def save_result(results_dir):
         return path
 
     return _save
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under the benchmark timer and return its result."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

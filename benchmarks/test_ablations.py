@@ -8,8 +8,6 @@ in DESIGN.md.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.experiments.ablations import (
     sweep_polling_interval,
     sweep_priority_queue_capacity,
@@ -20,8 +18,8 @@ from repro.experiments.common import format_table
 SCALE_FACTOR = 0.002
 
 
-def test_ablation_polling_interval(benchmark, save_result):
-    rows = run_once(benchmark, sweep_polling_interval, scale_factor=SCALE_FACTOR)
+def test_ablation_polling_interval(save_result):
+    rows = sweep_polling_interval(scale_factor=SCALE_FACTOR)
     save_result("ablation_polling_interval", format_table(rows))
     by_interval = {row["polling_interval"]: row for row in rows}
     # Short intervals poll more often ...
@@ -33,10 +31,8 @@ def test_ablation_polling_interval(benchmark, save_result):
     assert fastest <= slowest
 
 
-def test_ablation_priority_queue_capacity(benchmark, save_result):
-    rows = run_once(
-        benchmark, sweep_priority_queue_capacity, scale_factor=SCALE_FACTOR
-    )
+def test_ablation_priority_queue_capacity(save_result):
+    rows = sweep_priority_queue_capacity(scale_factor=SCALE_FACTOR)
     save_result("ablation_priority_queue_capacity", format_table(rows))
     by_capacity = {row["queue_capacity"]: row for row in rows}
     # Larger queues repair more disorder: the merge share is non-decreasing
@@ -45,8 +41,8 @@ def test_ablation_priority_queue_capacity(benchmark, save_result):
     assert by_capacity[1024]["merge_share"] >= 0.5
 
 
-def test_ablation_window_policy(benchmark, save_result):
-    rows = run_once(benchmark, sweep_window_policy, scale_factor=SCALE_FACTOR)
+def test_ablation_window_policy(save_result):
+    rows = sweep_window_policy(scale_factor=SCALE_FACTOR)
     save_result("ablation_window_policy", format_table(rows))
     # Lineitem grouped by order key coalesces ~4:1, so every policy must
     # deliver a real reduction, and the window must end up larger than it

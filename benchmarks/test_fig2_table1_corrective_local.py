@@ -8,8 +8,6 @@ stitch-up time and reuse (Table 1).
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.experiments.common import format_table
 from repro.experiments.corrective import (
     comparison_rows,
@@ -27,12 +25,9 @@ def _group(results):
     }
 
 
-def test_fig2_and_table1_corrective_local(benchmark, save_result):
-    results = run_once(
-        benchmark,
-        run_corrective_comparison,
-        scale_factor=SCALE_FACTOR,
-        forced_bad_start=True,
+def test_fig2_and_table1_corrective_local(save_result):
+    results = run_corrective_comparison(
+        scale_factor=SCALE_FACTOR, forced_bad_start=True
     )
     by_key = _group(results)
 

@@ -8,8 +8,6 @@ work with them.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.experiments.common import format_table
 from repro.experiments.corrective import (
     comparison_rows,
@@ -21,10 +19,8 @@ SCALE_FACTOR = 0.002
 QUERIES = ("Q3A", "Q10A", "Q5")
 
 
-def test_fig3_and_table2_corrective_wireless(benchmark, save_result):
-    results = run_once(
-        benchmark,
-        run_corrective_comparison,
+def test_fig3_and_table2_corrective_wireless(save_result):
+    results = run_corrective_comparison(
         query_names=QUERIES,
         scale_factor=SCALE_FACTOR,
         wireless=True,

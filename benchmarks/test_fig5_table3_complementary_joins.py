@@ -8,8 +8,6 @@ reporting the per-component output distribution.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.experiments.common import format_table
 from repro.experiments.complementary import (
     complementary_distribution,
@@ -23,10 +21,8 @@ def _index(rows):
     return {(r["dataset"], r["reordered"], r["strategy"]): r for r in rows}
 
 
-def test_fig5_and_table3_complementary_joins(benchmark, save_result):
-    rows = run_once(
-        benchmark, run_complementary_comparison, scale_factor=SCALE_FACTOR
-    )
+def test_fig5_and_table3_complementary_joins(save_result):
+    rows = run_complementary_comparison(scale_factor=SCALE_FACTOR)
     save_result("fig5_complementary_joins", format_table(rows))
     save_result("table3_complementary_distribution", format_table(complementary_distribution(rows)))
 

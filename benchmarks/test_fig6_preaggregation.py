@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.experiments.common import format_table
 from repro.experiments.preaggregation import run_preaggregation_comparison
 
 SCALE_FACTOR = 0.003
 
 
-def test_fig6_preaggregation(benchmark, save_result):
-    rows = run_once(
-        benchmark, run_preaggregation_comparison, scale_factor=SCALE_FACTOR
-    )
+def test_fig6_preaggregation(save_result):
+    rows = run_preaggregation_comparison(scale_factor=SCALE_FACTOR)
     save_result("fig6_preaggregation", format_table(rows))
 
     by_key = {(r["query"], r["dataset"], r["strategy"]): r for r in rows}

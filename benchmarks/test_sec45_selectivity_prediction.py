@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.experiments.common import format_table
 from repro.experiments.selectivity import run_selectivity_prediction
 
 SCALE_FACTOR = 0.003
 
 
-def test_sec45_selectivity_prediction(benchmark, save_result):
-    result = run_once(benchmark, run_selectivity_prediction, scale_factor=SCALE_FACTOR)
+def test_sec45_selectivity_prediction(save_result):
+    result = run_selectivity_prediction(scale_factor=SCALE_FACTOR)
     rows = result["prediction_rows"]
     overhead = result["overhead"]
     content = format_table(rows) + "\n\nhistogram maintenance overhead: " + str(overhead)

@@ -9,9 +9,8 @@ clock (see ``engine/cost.py``):
   the package except ``src/repro/io/``, the real-I/O fabric whose
   ``wallclock`` module is the single sanctioned wall-clock surface.
   Callers that legitimately need wall seconds (the executors' reporting
-  fields, the bench harnesses) import ``repro.io.wallclock.wall_now``
-  instead of ``time`` — a package-scope statement that replaced the old
-  per-site whitelist entries.
+  fields) import ``repro.io.wallclock.wall_now`` instead of ``time`` — a
+  package-scope statement that replaced the old per-site whitelist entries.
 
 * :class:`ModuleRandomRule` — drawing from the module-level ``random``
   generator (global, mutated by unrelated code) silently breaks per-seed
@@ -40,10 +39,9 @@ from repro.analysis.rules import (
 )
 
 #: engine answer paths: directories where unordered iteration is forbidden
-#: (experiments/ is the wall-clock bench harness and is deliberately out of
-#: scope; workloads/, stats/, relational/ hold no tuple-emit code but are
-#: still covered by the module-random rule, whose scope is the whole
-#: package)
+#: (experiments/, workloads/, stats/, relational/ hold no tuple-emit code but
+#: are still covered by the wall-clock and module-random rules, whose scope
+#: is the whole package)
 ENGINE_SCOPE = frozenset(
     {
         "engine",

@@ -30,10 +30,6 @@ from repro.analysis.whitelist import default_whitelist
 STALE_ENTRY_RULE = "whitelist.stale-entry"
 STALE_PRAGMA_RULE = "pragma.stale-ignore"
 
-#: directories under the scan root that the analyzer never reads: the bench
-#: harness is wall-clock instrumentation by design
-EXCLUDED_TOP_DIRS = frozenset({"experiments"})
-
 
 def package_root() -> Path:
     """The ``src/repro`` directory this module lives in."""
@@ -88,16 +84,12 @@ class LintReport:
         }
 
 
-def load_contexts(root: Path, excluded: frozenset[str] = EXCLUDED_TOP_DIRS) -> list[RuleContext]:
+def load_contexts(root: Path) -> list[RuleContext]:
     """Parse every ``*.py`` under ``root`` into rule contexts, sorted by path."""
-    contexts: list[RuleContext] = []
-    for path in sorted(root.rglob("*.py")):
-        relpath = path.relative_to(root).as_posix()
-        head, _, _ = relpath.partition("/")
-        if "/" in relpath and head in excluded:
-            continue
-        contexts.append(RuleContext.from_source(relpath, path.read_text()))
-    return contexts
+    return [
+        RuleContext.from_source(path.relative_to(root).as_posix(), path.read_text())
+        for path in sorted(root.rglob("*.py"))
+    ]
 
 
 def apply_rules(

@@ -20,9 +20,10 @@ module                     reproduces
                            capacity, window policy)
 ========================  ==========================================================
 
-The pytest-benchmark targets under ``benchmarks/`` and several examples are
-thin wrappers around these functions, so the numbers in EXPERIMENTS.md can be
-regenerated with a single command per experiment.
+The tests under ``benchmarks/`` (which regenerate the golden tables in
+``benchmarks/results/``), the CLI and several examples are thin wrappers
+around these functions, so every number can be regenerated with a single
+command per experiment.
 """
 
 from repro.experiments.common import (

@@ -15,7 +15,7 @@ network model (the Figure 3 / Table 2 configuration).  ``forced_bad_start``
 additionally runs static and adaptive execution from the *worst* left-deep
 plan, which isolates the recovery behaviour corrective query processing is
 designed to provide even when the default optimizer happens to choose well at
-small scale (see EXPERIMENTS.md for the discussion).
+small scale.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class CorrectiveRunResult:
     strategy: str
     statistics: str
     simulated_seconds: float
-    wall_seconds: float
     answers: int
     phases: int = 1
     stitchup_seconds: float = 0.0
@@ -189,7 +188,6 @@ def _run_single(
             strategy=strategy,
             statistics=statistics,
             simulated_seconds=report.simulated_seconds,
-            wall_seconds=report.wall_seconds,
             answers=len(report.rows),
             details={"join_tree": str(report.join_tree)},
         )
@@ -203,7 +201,6 @@ def _run_single(
             strategy=strategy,
             statistics=statistics,
             simulated_seconds=report.simulated_seconds,
-            wall_seconds=report.wall_seconds,
             answers=len(report.rows),
             details={"materialized": report.materialized},
         )
@@ -222,7 +219,6 @@ def _run_single(
         strategy=strategy,
         statistics=statistics,
         simulated_seconds=report.simulated_seconds,
-        wall_seconds=report.wall_seconds,
         answers=len(report.rows),
         phases=report.num_phases,
         stitchup_seconds=report.stitchup_seconds,

@@ -11,8 +11,8 @@ It is also, deliberately, the only package where reading the wall clock is
 legal: `repro.io.wallclock` is the single sanctioned wall-clock surface, and
 the `determinism.wall-clock` lint rule exempts exactly this directory.
 Everything else stays on the `SimulatedClock`, so the differential suites
-remain bit-identical while the same envelope code can replay workloads over
-real sockets in the `io-bench` wall-clock mode.
+remain bit-identical while the same envelope code, given a `WallTimeline`,
+serves a deployment on real sockets and real time.
 """
 
 from repro.io.backends import (

@@ -513,7 +513,7 @@ class HTTPTransport(Transport):
 
 # ---------------------------------------------------------------------------
 # Materializers: write a Relation to each backend's native format, used by
-# the differential suite and io-bench to stage real data for the transports.
+# the differential suite and the benchmark to stage real data for the transports.
 # ---------------------------------------------------------------------------
 
 

@@ -38,8 +38,8 @@ its chunk was read, not the instant the row was handed over.
 Time flows through a :class:`Timeline`: the default
 :class:`SimulatedTimeline` accounts every backoff delay and injected stall
 as deterministic simulated seconds (answers bit-identical, no wall reads);
-:class:`WallTimeline` really sleeps, which is what the `io-bench` wall-clock
-mode runs on.
+:class:`WallTimeline` reads and sleeps real time — the timeline for a
+deployment, where backoff must actually wait.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class SimulatedTimeline(Timeline):
 
 
 class WallTimeline(Timeline):
-    """Real timeline for the io-bench mode: readings elapse, sleeps sleep."""
+    """The timeline for a deployment on real time: readings elapse, sleeps sleep."""
 
     def __init__(self, start_at: float = 0.0) -> None:
         self._origin = wall_now() - start_at

@@ -55,7 +55,7 @@ class _ServedRelation:
 
 
 class FixtureServer:
-    """A threading HTTP server for the fault-injection suites and io-bench."""
+    """A threading HTTP server for the fault-injection suites and the benchmark."""
 
     def __init__(self) -> None:
         served: dict[str, _ServedRelation] = {}

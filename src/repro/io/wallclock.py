@@ -3,8 +3,8 @@
 Every wall-clock read in the repository flows through these two functions.
 The `determinism.wall-clock` lint rule forbids `time.*` / `datetime.now()`
 everywhere except `src/repro/io/`, so callers outside this package (the
-executors' `wall_seconds` reporting fields, the bench harnesses) import
-`wall_now` from here instead of touching `time` directly — which keeps the
+executors' `wall_seconds` reporting fields) import `wall_now` from here
+instead of touching `time` directly — which keeps the
 set of real-clock call sites greppable to one module and lets the lint rule
 be a package-scope statement instead of a per-site whitelist.
 

@@ -19,7 +19,8 @@ sessions run blocking on private clocks, exactly like solo execution — and
 the front-end folds worker statistics snapshots in worker-id order, so the
 persistent cache's end state never depends on wall-clock races.  Wall-clock
 *speed* is where the workers show up: shards execute concurrently across
-processes, which is the scaling curve ``serve-bench --workers`` measures.
+processes — the benchmark's ``serve_sharded`` workload
+(``python -m bench.run``) is the instrument for it.
 
 Partition-parallel execution rides on the same fabric:
 :meth:`ShardedQueryServer.submit_partitioned` hash-partitions one heavy

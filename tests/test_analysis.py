@@ -94,6 +94,19 @@ class TestWallClockRule:
         )
         assert hits == []
 
+    def test_experiments_directory_is_scanned(self, tmp_path):
+        """No directory is exempt from the scan: a timing bracket in an
+        experiment harness is a finding like anywhere else outside io/."""
+        module = tmp_path / "experiments" / "timed_table.py"
+        module.parent.mkdir()
+        module.write_text(
+            "import time\n\n\ndef timed_table():\n    return time.perf_counter()\n"
+        )
+        report = run_lint(tmp_path, whitelist=Whitelist())
+        assert [(f.rule, f.path, f.line, f.symbol) for f in report.findings] == [
+            ("determinism.wall-clock", "experiments/timed_table.py", 5, "timed_table")
+        ]
+
 
 class TestModuleRandomRule:
     def test_fires_on_module_level_draws(self, fixture_findings):

@@ -19,6 +19,8 @@ from repro.engine.cost import CostModel, ExecutionMetrics
 from repro.engine.operators.aggregate import GroupAccumulator
 from repro.engine.pipelined import PipelinedExecutor, PipelinedPlan, SourceCursor
 from repro.core.corrective import CorrectiveQueryProcessor
+from repro.experiments.common import build_dataset, paper_queries
+from repro.optimizer.enumerator import Optimizer
 from repro.optimizer.plans import JoinTree, PlanError
 from repro.relational.algebra import AggregateSpec, SPJAQuery
 from repro.relational.expressions import (
@@ -390,17 +392,30 @@ class TestEngineModeSurface:
         assert ENGINE_MODES == ("interpreted", "compiled")
 
     def test_compiled_executor_matches_interpreted(self):
+        """Answers, every work counter and the clock, to the last bit — on the
+        tiny join and on the fig2 smoke workload (Q3A/Q10A/Q5 from the
+        optimizer's no-statistics plan) at batch 1, 64 and 1024."""
         query, sources = _tiny_workload()
-        tree = JoinTree.left_deep(["r", "s"])
-        interpreted_rows, interpreted_plan = PipelinedExecutor(
-            sources, batch_size=8
-        ).execute(query, tree)
-        compiled_rows, compiled_plan = PipelinedExecutor(
-            sources, batch_size=8, engine_mode="compiled"
-        ).execute(query, tree)
-        assert sorted(compiled_rows) == sorted(interpreted_rows)
-        assert compiled_plan.metrics.as_dict() == interpreted_plan.metrics.as_dict()
-        assert compiled_plan.clock.now == interpreted_plan.clock.now
+        cases = [("tiny", query, sources, JoinTree.left_deep(["r", "s"]), (8,))]
+        dataset = build_dataset("uniform", 0.003, 0.0, 2004)
+        optimizer = Optimizer(dataset.catalog_no_statistics, CostModel())
+        for name, query in paper_queries(("Q3A", "Q10A", "Q5")).items():
+            tree = optimizer.optimize_tree(query)
+            cases.append((name, query, dataset.sources, tree, (1, 64, 1024)))
+        for name, query, sources, tree, batch_sizes in cases:
+            for batch_size in batch_sizes:
+                case = f"{name} at batch {batch_size}"
+                interpreted_rows, interpreted_plan = PipelinedExecutor(
+                    sources, batch_size=batch_size
+                ).execute(query, tree)
+                compiled_rows, compiled_plan = PipelinedExecutor(
+                    sources, batch_size=batch_size, engine_mode="compiled"
+                ).execute(query, tree)
+                assert sorted(compiled_rows) == sorted(interpreted_rows), case
+                assert (
+                    compiled_plan.metrics.as_dict() == interpreted_plan.metrics.as_dict()
+                ), case
+                assert compiled_plan.clock.now == interpreted_plan.clock.now, case
 
     @pytest.mark.parametrize(
         "priorities", [{}, {"r": 1}, {"s": 1}], ids=["plain", "r-demoted", "s-demoted"]

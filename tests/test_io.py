@@ -23,7 +23,6 @@ stuck breaker loop fails fast instead of hanging the suite.
 import random
 import signal
 import sqlite3
-import time
 from collections import Counter
 
 import pytest
@@ -53,8 +52,10 @@ from repro.io.envelope import (
     BackoffSchedule,
     CircuitBreaker,
     SimulatedTimeline,
+    WallTimeline,
 )
 from repro.io.faults import DELAY, OUTAGE, RESET, TRUNCATE, Fault
+from repro.io.wallclock import wall_now
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.workloads.generator import TPCHGenerator
@@ -674,6 +675,25 @@ class TestFixtureServer:
         assert source.telemetry.read_faults >= 2
         assert source.telemetry.resumes >= 2
 
+    def test_seeded_faults_resume_exactly_on_real_time(self):
+        """The deployment configuration: real sockets *and* a real clock —
+        backoff really sleeps, arrivals are wall readings."""
+        relation = make_relation(count=60)
+        plan = FaultPlan.seeded(23, len(relation.rows))
+        assert {RESET, DELAY} <= {fault.kind for fault in plan.read_faults.values()}
+        with FixtureServer() as server:
+            url = server.add_relation("r", relation, plan)
+            source = ResilientSource(
+                HTTPTransport("r", url, relation.schema), timeline=WallTimeline()
+            )
+            stream = list(source.open_stream())
+        assert [row for row, _t in stream] == relation.rows
+        arrivals = [arrival for _row, arrival in stream]
+        assert arrivals == sorted(arrivals)
+        # nothing arrives before the backoff the envelope really slept
+        assert arrivals[-1] >= source.telemetry.backoff_seconds > 0.0
+        assert source.telemetry.resumes >= 1
+
     def test_offset_query_serves_a_suffix(self):
         relation = make_relation(count=25)
         with FixtureServer() as server:
@@ -720,10 +740,10 @@ class TestFixtureServer:
                 plan = FaultPlan({offset: Fault(DELAY, offset, seconds=delay)})
                 url = server.add_relation(f"r{offset}", relation, plan)
                 reader = HTTPTransport("r", url, relation.schema).open(0)
-                started = time.monotonic()
+                started = wall_now()
                 received = reader.read_rows(offset) if offset else []
                 # the prefix does not wait for the stalled row behind it
-                assert time.monotonic() - started < delay / 2
+                assert wall_now() - started < delay / 2
                 assert received == relation.rows[:offset]
                 while True:
                     chunk = reader.read_rows(50)
@@ -731,7 +751,7 @@ class TestFixtureServer:
                         break
                     received.extend(chunk)
                 reader.close()
-                assert time.monotonic() - started >= delay
+                assert wall_now() - started >= delay
                 assert received == relation.rows
 
     def test_a_line_split_across_blocks_parses_once(self):

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.core.corrective import CorrectiveQueryProcessor
+from repro.experiments.common import DEFAULT_BATCH_SIZE, build_dataset
 from repro.integration.system import AdaptiveIntegrationSystem
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import SPJAQuery
@@ -142,6 +143,29 @@ class TestSchedulingPolicies:
         ]
         # Smallest estimate wins; admission order breaks the tie.
         assert ShortestRemainingCostPolicy().pick(sessions, now=0.0).index == 1
+
+    def test_shortest_remaining_cost_does_not_lose_on_median_latency(self):
+        """The point of an SRPT-style discipline, on eight concurrent instances
+        of the paper's queries (Q3A, Q10A, Q5 cycled).  Simulated latencies are
+        a pure function of scale and seed: a stable pin, not a timing check."""
+        dataset = build_dataset("uniform", 0.002, 0.0, 2004)
+        makers = (query_3a, query_10a, query_5)
+        p50 = {}
+        for policy in ("round_robin", "shortest_remaining_cost"):
+            server = QueryServer(
+                dataset.catalog_no_statistics,
+                dataset.sources,
+                policy=policy,
+                batch_size=DEFAULT_BATCH_SIZE,
+                quantum_tuples=200,
+                polling_interval_seconds=0.25,
+            )
+            for index in range(8):
+                server.submit(makers[index % len(makers)]())
+            report = server.run()
+            assert len(report.served) == 8
+            p50[policy] = report.latency_percentile(0.5)
+        assert p50["shortest_remaining_cost"] <= p50["round_robin"]
 
 
 class TestQueryServer:

@@ -303,6 +303,23 @@ class TestRateSeededPlans:
         )
         return catalog, sources, relations, query_shape
 
+    def _serve(self, rate_seeded):
+        """The same query twice, 0.05 s apart: sessions by label, relations, query."""
+        catalog, sources, relations, (names, predicates) = self._pool()
+        server = QueryServer(
+            catalog,
+            sources,
+            policy="round_robin",
+            quantum_tuples=32,
+            rate_seeded_plans=rate_seeded,
+        )
+        first = SPJAQuery("repeat_0", names, predicates)
+        server.submit(first, admit_at=0.0, label="first")
+        server.submit(SPJAQuery("repeat_1", names, predicates), admit_at=0.05, label="second")
+        report = server.run()
+        assert len(report.served) == 2
+        return {served.label: served for served in report.served}, relations, first
+
     def test_repeat_query_over_a_known_slow_source_starts_gated(self):
         """The second identical query must *begin* on a gating tree.
 
@@ -312,22 +329,7 @@ class TestRateSeededPlans:
         plan choice gates it — ``f`` joins last, on top — from phase 0,
         with answers identical to the oracle.
         """
-        catalog, sources, relations, (names, predicates) = self._pool()
-        server = QueryServer(
-            catalog,
-            sources,
-            policy="round_robin",
-            quantum_tuples=32,
-            rate_seeded_plans=True,
-        )
-        first = SPJAQuery("repeat_0", names, predicates)
-        second = SPJAQuery("repeat_1", names, predicates)
-        server.submit(first, admit_at=0.0, label="first")
-        server.submit(second, admit_at=0.05, label="second")
-        report = server.run()
-
-        assert len(report.served) == 2
-        by_label = {served.label: served for served in report.served}
+        by_label, relations, first = self._serve(rate_seeded=True)
         reference = Counter(map(tuple, reference_spja(first, relations)))
         for label in ("first", "second"):
             served = by_label[label]
@@ -352,18 +354,7 @@ class TestRateSeededPlans:
 
     def test_rate_seeding_off_leaves_the_repeat_ungated(self):
         """Same pool, knob off: both sessions start on the same cold tree."""
-        catalog, sources, relations, (names, predicates) = self._pool()
-        server = QueryServer(
-            catalog,
-            sources,
-            policy="round_robin",
-            quantum_tuples=32,
-            rate_seeded_plans=False,
-        )
-        server.submit(SPJAQuery("repeat_0", names, predicates), admit_at=0.0, label="first")
-        server.submit(SPJAQuery("repeat_1", names, predicates), admit_at=0.05, label="second")
-        report = server.run()
-        by_label = {served.label: served for served in report.served}
+        by_label, _relations, _first = self._serve(rate_seeded=False)
         trees = {
             label: str(by_label[label].report.phases[0].join_tree)
             for label in ("first", "second")
@@ -373,3 +364,9 @@ class TestRateSeededPlans:
         assert not (
             second_tree.right.is_leaf and second_tree.right.relation == "f"
         )
+
+    def test_a_gated_start_does_not_slow_the_repeat(self):
+        """Gating ``f`` from phase 0 may not cost the repeat latency (1% slack)."""
+        cold, _, _ = self._serve(rate_seeded=False)
+        seeded, _, _ = self._serve(rate_seeded=True)
+        assert seeded["second"].latency <= cold["second"].latency * 1.01

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 
 import pytest
 
 from differential import POLL_STEP_LIMIT, POLLING_INTERVAL, generate_workload
 
+from repro.io.wallclock import wall_now
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import AggregateSpec, SPJAQuery
 from repro.relational.catalog import Catalog, TableStatistics
@@ -323,10 +323,10 @@ class TestWorkerFailures:
         )
         server.submit(healthy.query)  # -> worker 0
         server.submit(doomed.query)  # -> worker 1
-        started = time.monotonic()
+        started = wall_now()
         with pytest.raises(RuntimeError, match=r"worker 1 \(exit code 3\)") as raised:
             server.run()
-        assert time.monotonic() - started < 5.0
+        assert wall_now() - started < 5.0
         assert "worker 0" not in str(raised.value)
 
 
