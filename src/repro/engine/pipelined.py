@@ -18,7 +18,7 @@ can reuse them (Section 3.4).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -219,6 +219,47 @@ class SourceCursor:
                 last_arrival = arrivals[end - 1]
             rows.extend(self._rows[pos:end])
             self._pos = end
+        self.consumed += len(rows)
+        if self._order_detectors:
+            for row in rows:
+                self._observe_order(row)
+        return rows, last_arrival
+
+    def read_run(
+        self, max_count: int, runner_up: float, tie_until: float, horizon: float | None
+    ) -> tuple[list[tuple], float]:
+        """Consume the buffered head tuple (the caller's choice: it may have won
+        a tie on leaf order alone) and the run behind it that the rule
+        ``(arrival, priority, consumed)`` prefers to a runner-up arriving at
+        ``runner_up``; return ``(rows, last_arrival)``.  The rule in closed form
+        over the non-decreasing arrival column: everything strictly before
+        ``runner_up`` (``bisect_left``) and, of the plateau arriving exactly at
+        it, the tuples read while :attr:`consumed` is below ``tie_until`` —
+        ``inf`` for a lower priority class than the runner-up's, its consumed
+        count for an equal one, 0 for a higher one.  Capped by ``max_count``,
+        ``horizon`` (``bisect_right``) and the buffer's end, where it refills.
+        """
+        rows: list[tuple] = []
+        floor = self._pos + 1
+        while True:
+            pos = self._pos
+            arrivals = self._arrivals or (0.0,) * len(self._rows)
+            stop = min(pos + max_count - len(rows), len(arrivals))
+            if horizon is not None:
+                stop = bisect_right(arrivals, horizon, pos, stop)
+            end = bisect_left(arrivals, runner_up, pos, stop)
+            ties = min(stop, pos + tie_until - self.consumed - len(rows))
+            if ties > end:
+                end = bisect_right(arrivals, runner_up, end, ties)
+            end = max(end, floor)
+            if end == pos:
+                break
+            last_arrival = arrivals[end - 1]
+            rows.extend(self._rows[pos:end])
+            self._pos = end
+            if end < len(arrivals) or len(rows) >= max_count or not self._fill():
+                break
+            floor = 0
         self.consumed += len(rows)
         if self._order_detectors:
             for row in rows:
@@ -803,10 +844,10 @@ class PipelinedPlan:
           grants the whole budget unless a source runs dry inside its
           quota, so the first round's runs *are* the groups and only later
           rounds merge;
-        * *arrival-driven loop* — otherwise tuples are picked one at a time
-          by (arrival, consumed) exactly like :meth:`_drive_tuples`, with
-          cached arrival keys and run extension while one source stays
-          strictly ahead.
+        * *arrival-driven loop* — otherwise the minimum (arrival, priority,
+          consumed) key picks the source exactly like :meth:`_drive_tuples`,
+          and the whole run it stays ahead of the runner-up for is cut from
+          its arrival column by :meth:`SourceCursor.read_run`, in bisects.
 
         ``horizon`` (cooperative serving mode) stops the schedule at the
         first tuple whose arrival lies beyond it, so a batch never makes the
@@ -886,38 +927,24 @@ class PipelinedPlan:
                 )
         while budget > 0 and entries:
             best = entries[0]
-            second_key: tuple | None = None
+            # the runner-up's key: with one live source left, one never reached
+            second_key = (math.inf, (math.inf, math.inf))
             for entry in entries[1:]:
                 if entry[0] < best[0] or (entry[0] == best[0] and entry[1] < best[1]):
                     second_key = (best[0], best[1])
                     best = entry
-                elif second_key is None or (entry[0], entry[1]) < second_key:
+                elif (entry[0], entry[1]) < second_key:
                     second_key = (entry[0], entry[1])
             if horizon is not None and best[0] > horizon:
                 break
             binding, cursor = best[2], best[3]
-            if second_key is None:
-                # Only one live source left: drain it in bulk (under a
-                # horizon, as far as it has actually arrived).
-                rows, arrival = cursor.read_batch(budget, horizon)
-                budget -= len(rows)
-            else:
-                # Extend the run while this cursor stays strictly ahead (and,
-                # under a horizon, has actually arrived).
-                row, arrival = cursor.read()
-                rows = [row]
-                budget -= 1
-                while budget > 0:
-                    next_arrival = cursor.peek_arrival()
-                    if (
-                        next_arrival is None
-                        or (next_arrival, rank(binding.relation, cursor)) >= second_key
-                        or (horizon is not None and next_arrival > horizon)
-                    ):
-                        break
-                    row, arrival = cursor.read()
-                    rows.append(row)
-                    budget -= 1
+            # The run this cursor stays ahead for (under a horizon: has arrived
+            # for); an arrival tie goes by priority class, then consumed count.
+            runner_up, (second_class, tie_until) = second_key
+            if best[1][0] != second_class:
+                tie_until = math.inf if best[1][0] < second_class else 0
+            rows, arrival = cursor.read_run(budget, runner_up, tie_until, horizon)
+            budget -= len(rows)
             _add_rows(groups, binding, rows, arrival)
             next_arrival = cursor.peek_arrival()
             if next_arrival is None:

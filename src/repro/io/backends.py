@@ -30,12 +30,16 @@ same).  So a cut file surfaces from ``read_rows``, as a
 *read* fault: it spends the envelope's read retry budget, not the connect
 one, and every retry resumes past the rows already delivered.
 
-CSV values are coerced back to engine types by one function generated per
-schema from its informal type tags (:func:`compile_converter`): ``int`` and
-``float`` columns through the constructors, ``str`` columns untouched, and
-``date`` / ``any`` columns through literal parsing (int, then float, then
-str) — the engine's dates are int day numbers and ISO text stays text —
-which round-trips every generated workload exactly.
+**A chunk is the unit of work.**  CSV records are validated and coerced by
+one *chunk* decoder generated per schema from its informal type tags
+(:func:`compile_csv_decoder`): ``int`` and ``float`` columns through the
+constructors, ``str`` columns untouched, ``date`` / ``any`` columns through
+literal parsing (int, then float, then str) — the engine's dates are int
+day numbers and ISO text stays text — which round-trips every generated
+workload exactly.  JSON lines, from a file or off the HTTP wire, go through
+one validator (:func:`scan_json_rows`) that hands each line of a block
+straight to the C scanner and sends only the lines that are not plainly a
+row — blanks, padding, cuts, the wire's marker — down a per-line branch.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import socket
 import sqlite3
 import urllib.parse
 from itertools import islice
-from typing import IO, Callable, Generic, Iterator, Protocol, Sequence, TypeVar
+from typing import IO, Any, Callable, Generic, Iterator, Protocol, Sequence, TypeVar
 
 from repro.io.errors import (
     ConnectError,
@@ -79,26 +83,78 @@ def _parse_literal(text: str) -> object:
         return text
 
 
-#: type tag → how the generated converter coerces a field (``{}`` is the
+#: type tag → how the generated decoder coerces a field (``{}`` is the
 #: field); any other tag (``date``, ``any``) goes through literal parsing
 _COERCIONS = {"int": "int({})", "float": "float({})", "str": "{}"}
 
+_Rows = list[tuple[object, ...]]
 
-def compile_converter(
-    schema: Schema,
-) -> Callable[[Sequence[str]], tuple[object, ...]]:
-    """One text-record → engine-tuple function generated from the schema's
-    type tags; its source stays on it as ``__compiled_source__``."""
+
+def compile_csv_decoder(schema: Schema) -> Callable[[Iterator[list[str]], _Rows], None]:
+    """One chunk decoder generated from the schema's type tags: it appends CSV
+    records to ``rows`` as engine tuples, the unpack doing the width check (a
+    record cut mid-row, like a field that does not convert, is a
+    ``ValueError`` after the records before it); its source stays on it as
+    ``__compiled_source__``."""
+    names = [f"v{i}" for i in range(len(schema.attributes))]
     fields = [
-        _COERCIONS.get(attribute.type_name, "_parse_literal({})").format(f"v[{i}]")
-        for i, attribute in enumerate(schema.attributes)
+        _COERCIONS.get(attribute.type_name, "_parse_literal({})").format(name)
+        for name, attribute in zip(names, schema.attributes)
     ]
-    source = f"lambda v: ({', '.join(fields)}{',' * (len(fields) == 1)})"
-    convert: Callable[[Sequence[str]], tuple[object, ...]] = eval(
-        source, {"_parse_literal": _parse_literal}
+    source = (
+        "def decode(records, rows):\n"
+        "    append = rows.append\n"
+        f"    for {', '.join(names)}, in records:\n"
+        f"        append(({', '.join(fields)},))\n"
     )
-    setattr(convert, "__compiled_source__", source)
-    return convert
+    namespace: dict[str, Any] = {"_parse_literal": _parse_literal}
+    exec(source, namespace)
+    decode: Callable[[Iterator[list[str]], _Rows], None] = namespace["decode"]
+    setattr(decode, "__compiled_source__", source)
+    return decode
+
+
+#: the C scanner, without the calls ``json.loads`` wraps around it
+_scan_json = json.JSONDecoder().raw_decode
+
+
+def scan_json_rows(
+    lines: Iterator[str], width: int, rows: _Rows, limit: int, what: str
+) -> dict[str, object] | None:
+    """Append the rows of JSON ``lines`` to ``rows`` until it holds ``limit``.
+
+    The one JSON-lines validator.  A line the scanner consumes whole as a list
+    of ``width`` values is a row; any other line takes the per-line branch: a
+    blank is skipped, a JSON object (the wire's completeness marker) is
+    returned, anything else — cut, malformed, two documents — raises
+    :class:`TruncatedPayloadError`, the rows before it already in ``rows``.
+    ``None`` means ``limit`` was reached or the lines ran out.
+    """
+    append = rows.append
+    try:
+        for line in lines:
+            try:
+                values, end = _scan_json(line)
+                whole = end == len(line) or line[end:] == "\n"
+            except ValueError:
+                whole = False
+            if not (whole and isinstance(values, list) and len(values) == width):
+                if not line.strip():
+                    continue
+                try:
+                    values = json.loads(line)
+                except ValueError as exc:
+                    raise TruncatedPayloadError(f"{what}: cut mid-record") from exc
+                if isinstance(values, dict):
+                    return values
+                if not isinstance(values, list) or len(values) != width:
+                    raise TruncatedPayloadError(f"{what}: malformed row")
+            append(tuple(values))
+            if len(rows) >= limit:
+                break
+    except UnicodeDecodeError as exc:
+        raise TruncatedPayloadError(f"{what}: cut inside a character") from exc
+    return None
 
 
 class RowReader(Protocol):
@@ -136,30 +192,34 @@ class _RecordReader(Generic[_Raw]):
     """RowReader streaming an open file's records, a call's worth at a time.
 
     ``records`` yields raw records (CSV field lists, non-blank JSON lines)
-    from the resume offset on; ``decode`` validates and converts one.
+    from the resume offset on; ``decode`` validates and converts up to
+    ``limit`` of them into the row list it is handed.
     """
 
     def __init__(
         self,
         handle: IO[str],
         records: Iterator[_Raw],
-        decode: Callable[[_Raw], tuple[object, ...]],
+        decode: Callable[[Iterator[_Raw], _Rows, int], None],
     ) -> None:
         self._handle = handle
         self._records = records
         self._decode = decode
         self._failed: TransportError | None = None
 
-    def read_rows(self, max_rows: int) -> list[tuple[object, ...]]:
+    def read_rows(self, max_rows: int) -> _Rows:
         if self._failed is not None:
             raise self._failed
-        rows: list[tuple[object, ...]] = []
-        decode = self._decode
+        rows: _Rows = []
         try:
-            for record in islice(self._records, max_rows):
-                rows.append(decode(record))
+            self._decode(self._records, rows, max_rows)
         except TransportError as exc:
             self._failed = exc
+        except (ValueError, csv.Error) as exc:
+            # another width, an unconvertible field, a character cut in two
+            self._failed = TruncatedPayloadError(
+                f"{self._handle.name}: partial or malformed record ({exc})"
+            )
         except OSError as exc:
             self._failed = ReadError(f"{self._handle.name}: {exc}")
         if not rows:
@@ -179,7 +239,7 @@ class _RecordReader(Generic[_Raw]):
 class _FileTransport(Transport, Generic[_Raw]):
     """A file of records, one engine row each, read through a
     :class:`_RecordReader`; the formats differ only in how a handle is cut
-    into raw records and how one raw record is decoded."""
+    into raw records and how a chunk of raw records is decoded."""
 
     def __init__(self, name: str, path: str, schema: Schema) -> None:
         super().__init__(name, schema)
@@ -190,8 +250,8 @@ class _FileTransport(Transport, Generic[_Raw]):
         """The handle's raw records from row 0 on (consumes any header)."""
         raise NotImplementedError
 
-    def _decode(self, record: _Raw) -> tuple[object, ...]:
-        """One raw record validated and converted to an engine row."""
+    def _decode(self, records: Iterator[_Raw], rows: _Rows, limit: int) -> None:
+        """Append up to ``limit`` records, validated and converted, to ``rows``."""
         raise NotImplementedError
 
     def open(self, offset: int) -> RowReader:
@@ -212,6 +272,8 @@ class _FileTransport(Transport, Generic[_Raw]):
                 raise
         except OSError as exc:
             raise ConnectError(f"{self.path}: {exc}") from exc
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise TruncatedPayloadError(f"{self.path}: {exc}") from exc
         return _RecordReader(handle, records, self._decode)
 
 
@@ -223,7 +285,7 @@ class CSVFileTransport(_FileTransport[list[str]]):
     ) -> None:
         super().__init__(name, path, schema)
         self.delimiter = delimiter
-        self._convert = compile_converter(schema)
+        self._decode_chunk = compile_csv_decoder(schema)
 
     def _records(self, handle: IO[str]) -> Iterator[list[str]]:
         records = csv.reader(handle, delimiter=self.delimiter)
@@ -232,14 +294,8 @@ class CSVFileTransport(_FileTransport[list[str]]):
             raise TruncatedPayloadError(f"{self.path}: missing or short CSV header")
         return records
 
-    def _decode(self, record: list[str]) -> tuple[object, ...]:
-        if len(record) != self._width:
-            # a partial final record: the file was cut mid-row
-            raise TruncatedPayloadError(
-                f"{self.path}: partial CSV record "
-                f"({len(record)}/{self._width} fields)"
-            )
-        return self._convert(record)
+    def _decode(self, records: Iterator[list[str]], rows: _Rows, limit: int) -> None:
+        self._decode_chunk(islice(records, limit), rows)
 
     def describe(self) -> str:
         return f"csv:{self.path}"
@@ -252,15 +308,9 @@ class JSONLinesTransport(_FileTransport[str]):
     def _records(self, handle: IO[str]) -> Iterator[str]:
         return filter(str.strip, handle)
 
-    def _decode(self, record: str) -> tuple[object, ...]:
-        try:
-            values = json.loads(record)
-        except ValueError as exc:
-            # a partial final line: the file was cut mid-record
-            raise TruncatedPayloadError(f"{self.path}: partial JSON record") from exc
-        if not isinstance(values, list) or len(values) != self._width:
-            raise TruncatedPayloadError(f"{self.path}: malformed JSON record")
-        return tuple(values)
+    def _decode(self, records: Iterator[str], rows: _Rows, limit: int) -> None:
+        if scan_json_rows(records, self._width, rows, limit, self.path) is not None:
+            raise TruncatedPayloadError(f"{self.path}: malformed row")
 
     def describe(self) -> str:
         return f"jsonl:{self.path}"
@@ -381,16 +431,16 @@ class _HTTPReader:
         self._delivered = 0
         self._complete = False
         self._pending: TransportError | None = None
-        self._lines: Iterator[bytes] = iter(())
+        self._lines: Iterator[str] = iter(())
         self._tail = b""
 
-    def read_rows(self, max_rows: int) -> list[tuple[object, ...]]:
+    def read_rows(self, max_rows: int) -> _Rows:
         if self._pending is not None:
             pending, self._pending = self._pending, None
             raise pending
         if self._complete:
             return []
-        rows: list[tuple[object, ...]] = []
+        rows: _Rows = []
         try:
             self._fill(rows, max_rows)
         except TransportError as exc:
@@ -405,7 +455,7 @@ class _HTTPReader:
             self.close()
         return rows
 
-    def _next_lines(self) -> Iterator[bytes]:
+    def _next_lines(self) -> Iterator[str]:
         """The complete lines of the next block (plus the carried tail)."""
         try:
             block = self._response.read1(self.BLOCK_BYTES)
@@ -414,42 +464,32 @@ class _HTTPReader:
         except (http.client.HTTPException, OSError, ValueError) as exc:
             raise ReadError(f"HTTP stream died mid-body: {exc}") from exc
         if block:
-            lines = (self._tail + block).split(b"\n")
-            self._tail = lines.pop()  # cut by the block boundary, or empty
+            # the tail is cut by the block boundary, or empty
+            head, _, self._tail = (self._tail + block).rpartition(b"\n")
         elif self._tail:
-            lines, self._tail = [self._tail], b""  # body ended mid-line
+            head, self._tail = self._tail, b""  # body ended mid-line
         else:
             raise TruncatedPayloadError(
                 "HTTP stream ended without its completeness marker"
             )
-        return iter(lines)
+        # decoded as they are scanned (in C): a character cut in two fails at
+        # its line, after the lines before it
+        return map(bytes.decode, head.split(b"\n"))
 
-    def _fill(self, rows: list[tuple[object, ...]], max_rows: int) -> None:
+    def _fill(self, rows: _Rows, max_rows: int) -> None:
         while len(rows) < max_rows:
-            for line in self._lines:
-                if not line.strip():
-                    continue
-                try:
-                    payload = json.loads(line)
-                except ValueError as exc:
+            marker = scan_json_rows(self._lines, self._width, rows, max_rows, "HTTP")
+            if marker is not None:
+                served = marker.get(END_MARKER_KEY)
+                if served != self._delivered + len(rows):
                     raise TruncatedPayloadError(
-                        "HTTP stream cut mid-record"
-                    ) from exc
-                if isinstance(payload, dict):
-                    served = payload.get(END_MARKER_KEY)
-                    if served != self._delivered + len(rows):
-                        raise TruncatedPayloadError(
-                            f"HTTP completeness marker disagrees: marker={served} "
-                            f"delivered={self._delivered + len(rows)}"
-                        )
-                    self._complete = True
-                    return
-                if not isinstance(payload, list) or len(payload) != self._width:
-                    raise TruncatedPayloadError("HTTP stream sent a malformed row")
-                rows.append(tuple(payload))
-                if len(rows) >= max_rows:
-                    return
-            self._lines = self._next_lines()
+                        f"HTTP completeness marker disagrees: marker={served} "
+                        f"delivered={self._delivered + len(rows)}"
+                    )
+                self._complete = True
+                return
+            if len(rows) < max_rows:
+                self._lines = self._next_lines()
 
     def close(self) -> None:
         if self._connection is not None:
@@ -502,6 +542,8 @@ class HTTPTransport(Transport):
             raise ConnectError(f"HTTP connect failed: {exc}") from exc
         if response.status != 200:
             connection.close()
+            if response.status == 416:
+                raise TruncatedPayloadError(f"{self.url}: no row {offset} any more")
             raise ConnectError(f"HTTP status {response.status} from {self.url}")
         if connection.sock is not None:
             connection.sock.settimeout(self.read_timeout)

@@ -21,19 +21,19 @@ it exactly like a simulated source. Around every read it provides:
   :meth:`ResilientSource.reopen_from`, the mirror-failover hook
   `RemoteSource` defined.
 
-There is **one retry/resume loop**, and it moves transport *chunks*
-(``ResilientSource._chunks_from``: connect, ``read_rows(chunk_rows)``, on a
-transport error record the failure, back off, reconnect at the offset the
-delivered chunks add up to). ``open_stream`` is its per-row view;
-``open_stream_batches`` — the prefetch override point `DataSource` documents,
-which the inherited ``open_stream_columns`` transposes for the cursor —
-re-cuts chunks into engine batches. A chunk is read only when the batch
-being filled needs a row, and each *segment* of a chunk is counted in
-``rows_delivered`` and stamped with one ``timeline.now()`` at the pull that
-emits it (rows held over from a chunk get the next pull's reading), so the
-``(row, arrival)`` sequence and every telemetry field equal the per-row
-view's. Under :class:`WallTimeline` a row's arrival is therefore the instant
-its chunk was read, not the instant the row was handed over.
+There is **one retry/resume loop, with two views**.  The loop moves
+transport *chunks* (``ResilientSource._chunks_from``: connect,
+``read_rows(chunk_rows)``, on a transport error record the failure, back
+off, reconnect at the offset the delivered chunks add up to).
+``open_stream`` is its per-row view; ``open_stream_columns`` — what a
+`SourceCursor` pulls — is its columnar view, chunks re-cut into
+``(rows, arrivals)`` column pairs with no per-row object in between.  A
+chunk is read only when the batch being filled needs a row, and each
+*segment* of a chunk is counted in ``rows_delivered`` and stamped with one
+``timeline.now()`` at the pull that emits it (rows held over from a chunk
+get the next pull's reading), so the two views agree on every row, arrival
+and telemetry field.  Under :class:`WallTimeline` a row's arrival is
+therefore the instant its chunk was read, not the instant it was handed over.
 
 Time flows through a :class:`Timeline`: the default
 :class:`SimulatedTimeline` accounts every backoff delay and injected stall
@@ -46,13 +46,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.io.backends import RowReader, Transport
 from repro.io.errors import CircuitOpenError, TransportError, TruncatedPayloadError
 from repro.io.wallclock import wall_now, wall_sleep
 from repro.sources.source import DataSource
+
+
+#: one column chunk: rows, and their arrivals (``None``: all at 0.0)
+_Columns = tuple[Sequence[tuple[object, ...]], Sequence[float] | None]
 
 
 class Timeline:
@@ -272,10 +275,8 @@ class ResilientSource(DataSource):
     def open_stream(self) -> Iterator[tuple[tuple[object, ...], float]]:
         return self._rows_from(0, self.timeline)
 
-    def open_stream_batches(
-        self, batch_size: int
-    ) -> Iterator[list[tuple[tuple[object, ...], float]]]:
-        return self._batches_from(0, self.timeline, batch_size)
+    def _stream_columns(self, batch_size: int) -> Iterator[_Columns]:
+        return self._columns_from(0, self.timeline, batch_size)
 
     # -- mirror failover (the RemoteSource reopen_from contract) ---------
 
@@ -307,31 +308,34 @@ class ResilientSource(DataSource):
                 telemetry.rows_delivered += 1
                 yield row, timeline.now()
 
-    def _batches_from(
+    def _columns_from(
         self, offset: int, timeline: Timeline, batch_size: int
-    ) -> Iterator[list[tuple[tuple[object, ...], float]]]:
-        """Transport chunks re-cut into ``batch_size`` batches.
-
-        A chunk is read only when the batch being filled needs a row, and
-        each segment of a chunk is stamped and counted at the pull that
-        emits it, so the pairs and the telemetry equal the per-row view's.
+    ) -> Iterator[_Columns]:
+        """The columnar view of the chunk loop: transport chunks re-cut into
+        the ``(rows, arrivals)`` columns of ``batch_size`` rows a cursor
+        consumes.  A chunk is read only when the batch being filled needs a
+        row, and each segment of a chunk is stamped and counted at the pull
+        that emits it, so rows, arrivals and telemetry equal the per-row view's.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         telemetry = self.telemetry
-        batch: list[tuple[tuple[object, ...], float]] = []
+        rows: list[tuple[object, ...]] = []
+        arrivals: list[float] = []
         for chunk in self._chunks_from(offset, timeline):
             start = 0
             while start < len(chunk):
-                take = chunk[start : start + batch_size - len(batch)]
+                take = chunk[start : start + batch_size - len(rows)]
                 start += len(take)
                 telemetry.rows_delivered += len(take)
-                batch.extend(zip(take, repeat(timeline.now())))
-                if len(batch) >= batch_size:
-                    yield batch
-                    batch = []
-        if batch:
-            yield batch
+                rows += take
+                arrivals += [timeline.now()] * len(take)
+                if len(rows) >= batch_size:
+                    # stamps never decrease, so the last bounds the chunk
+                    yield rows, (None if arrivals[-1] <= 0.0 else arrivals)
+                    rows, arrivals = [], []
+        if rows:
+            yield rows, (None if arrivals[-1] <= 0.0 else arrivals)
 
     def _chunks_from(
         self, offset: int, timeline: Timeline
@@ -433,11 +437,9 @@ class ResumedResilientStream(DataSource):
         timeline = self.envelope.timeline.branch(self.start_at)
         return self.envelope._rows_from(self.offset, timeline)
 
-    def open_stream_batches(
-        self, batch_size: int
-    ) -> Iterator[list[tuple[tuple[object, ...], float]]]:
+    def _stream_columns(self, batch_size: int) -> Iterator[_Columns]:
         timeline = self.envelope.timeline.branch(self.start_at)
-        return self.envelope._batches_from(self.offset, timeline, batch_size)
+        return self.envelope._columns_from(self.offset, timeline, batch_size)
 
 
 __all__ = [

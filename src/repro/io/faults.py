@@ -31,6 +31,8 @@ The fault taxonomy:
 Each fault fires exactly once per :class:`FaultScript` lifetime, so a
 resumed connection re-reading the faulted offset passes through — which is
 precisely the retry-then-resume behavior the envelope must implement.
+Both interpreters ask once per chunk where the next unfired read fault lies
+(:meth:`FaultScript.next_read_fault`); the rows before it move untouched.
 """
 
 from __future__ import annotations
@@ -168,6 +170,12 @@ class FaultScript:
             self._outage_connects = max(fault.count, 1)
         return fault
 
+    def next_read_fault(self, start: int, stop: int) -> int | None:
+        """Offset of the first unfired read fault in ``[start, stop)`` — the one
+        lookup a chunk costs; :meth:`on_row` still fires it, at its row."""
+        unfired = self.plan.read_faults.keys() - self._fired
+        return min((at for at in unfired if start <= at < stop), default=None)
+
 
 def _no_stall(seconds: float) -> None:
     """Default stall hook: delays cost nothing (pure-logic tests)."""
@@ -203,8 +211,15 @@ class _InjectedReader:
             fault, self._pending = self._pending, None
             self._raise_fault(fault)
         chunk = self._inner.read_rows(max_rows)
-        delivered: list[tuple[object, ...]] = []
-        for row in chunk:
+        start = self._offset
+        at = self._script.next_read_fault(start, start + len(chunk))
+        if at is None:
+            self._offset += len(chunk)
+            return chunk
+        # a fault in this chunk: the rows before it as they are, then row by row
+        delivered = chunk[: at - start]
+        self._offset = at
+        for row in chunk[at - start :]:
             fault = self._script.on_row(self._offset)
             if fault is not None and fault.kind == DELAY:
                 self._stall(fault.seconds)

@@ -17,6 +17,12 @@ in-process injector applies, but over real sockets:
 One :class:`~repro.io.faults.FaultScript` per registered relation persists
 across requests, so a fault fires exactly once and a resumed connection
 re-reading the faulted offset passes — mirroring the in-process injector.
+
+A served relation *is* its wire body: every row is encoded to its JSON line
+once, at registration, and a request slices that list into HTTP chunks, one
+script lookup per fault-free stretch.  A fault is still taken at its row,
+after a flush of the rows before it, so the bytes and the chunk framing are
+those of encoding and checking row by row.
 """
 
 from __future__ import annotations
@@ -46,10 +52,16 @@ class _QuietServer(ThreadingHTTPServer):
 
 
 class _ServedRelation:
-    """One registered relation's rows plus its live fault script."""
+    """One registered relation as its wire body — a JSON line per row,
+    encoded once — plus its live fault script."""
 
-    def __init__(self, relation: Relation, plan: FaultPlan) -> None:
-        self.rows = relation.rows
+    def __init__(
+        self, relation: Relation, plan: FaultPlan, lines: list[bytes] | None
+    ) -> None:
+        self.relation = relation
+        self.lines = lines or [
+            json.dumps(list(row)).encode() + b"\n" for row in relation.rows
+        ]
         self.script = plan.script()
         self.guard = threading.Lock()
 
@@ -94,49 +106,55 @@ class FixtureServer:
                     return
                 if connect_fault is not None and connect_fault.kind == DELAY:
                     wall_sleep(connect_fault.seconds)
+                lines = state.lines
+                end = len(lines)
+                if not 0 <= offset <= end:
+                    # shrunk below a resume point; ``offset == end`` would be
+                    # a valid empty remainder
+                    self.send_response(416)
+                    self.send_header("Content-Length", "0")
+                    self.end_headers()
+                    return
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json-lines")
                 self.send_header("Transfer-Encoding", "chunked")
                 self.end_headers()
-                served_rows = 0
-                lines: list[bytes] = []
-
-                def flush() -> None:
-                    if lines:
-                        self._chunk(b"".join(lines))
-                        lines.clear()
-
+                start = offset  # the first line not yet on the wire
                 try:
-                    for position in range(offset, len(state.rows)):
+                    while True:
                         with state.guard:
-                            fault = state.script.on_row(position)
-                        if fault is not None:
-                            # everything before the faulted row reaches the
-                            # client first: a fault lands at its row whatever
-                            # the chunking
-                            flush()
-                            if fault.kind == DELAY:
-                                wall_sleep(fault.seconds)
-                            elif fault.kind in (RESET, OUTAGE):
-                                # drop the socket mid-body: no final chunk,
-                                # the client sees a connection reset
-                                self.close_connection = True
-                                return
-                            elif fault.kind == TRUNCATE:
-                                # end cleanly but WITHOUT the completeness
-                                # marker: silent row loss unless detected
-                                self._chunk(b"")
-                                self.wfile.write(b"\r\n")
-                                self.close_connection = True
-                                return
-                        row = state.rows[position]
-                        lines.append(json.dumps(list(row)).encode() + b"\n")
-                        served_rows += 1
-                        if len(lines) >= CHUNK_ROWS:
-                            flush()
-                    marker = {END_MARKER_KEY: served_rows}
-                    lines.append(json.dumps(marker).encode() + b"\n")
-                    flush()
+                            at = state.script.next_read_fault(start, end)
+                        stop = end if at is None else at
+                        while stop - start >= CHUNK_ROWS:
+                            self._chunk(b"".join(lines[start : start + CHUNK_ROWS]))
+                            start += CHUNK_ROWS
+                        if at is None:
+                            break
+                        with state.guard:
+                            fault = state.script.on_row(at)
+                        if fault is None:
+                            continue  # another request took it meanwhile
+                        # everything before the faulted row reaches the client
+                        # first: a fault lands at its row whatever the chunking
+                        if start < at:
+                            self._chunk(b"".join(lines[start:at]))
+                            start = at
+                        if fault.kind == DELAY:
+                            wall_sleep(fault.seconds)
+                        elif fault.kind in (RESET, OUTAGE):
+                            # drop the socket mid-body: no final chunk, the
+                            # client sees a connection reset
+                            self.close_connection = True
+                            return
+                        elif fault.kind == TRUNCATE:
+                            # end cleanly but WITHOUT the completeness marker:
+                            # silent row loss unless detected
+                            self._chunk(b"")
+                            self.wfile.write(b"\r\n")
+                            self.close_connection = True
+                            return
+                    marker = json.dumps({END_MARKER_KEY: end - offset}).encode()
+                    self._chunk(b"".join(lines[start:]) + marker + b"\n")
                     self._chunk(b"")
                     self.wfile.write(b"\r\n")
                 except (BrokenPipeError, ConnectionResetError):
@@ -153,7 +171,11 @@ class FixtureServer:
     ) -> str:
         """Serve ``relation`` under ``name`` with an optional fault plan;
         returns the endpoint URL for an `HTTPTransport`."""
-        self._served[name] = _ServedRelation(relation, plan or FaultPlan.quiet())
+        was = self._served.get(name)
+        # Re-registering the object already served (for a fresh fault script)
+        # keeps its encoded body: a Relation is never mutated in place.
+        lines = was.lines if was and was.relation is relation else None
+        self._served[name] = _ServedRelation(relation, plan or FaultPlan.quiet(), lines)
         return self.url_for(name)
 
     def url_for(self, name: str) -> str:

@@ -53,9 +53,19 @@ class DataSource:
         per the source contract) or ``None``, meaning *every* row of the chunk
         arrives at time 0.0 — the representation that lets cursors consume
         local data with plain slices instead of per-tuple pair unpacking.
-        Materialized sources override this with direct slicing; the default
-        adapter transposes :meth:`open_stream_batches` chunks once per chunk.
+        Materialized sources override this with direct slicing.  A source
+        that emits columns natively implements :meth:`_stream_columns` and
+        leaves this, the one entry a cursor calls, alone: the benchmark's
+        ``io.pull`` span is wrapped around this attribute from outside
+        (``bench/trace.py``).  Once the benchmark installs a sink instead
+        (ROADMAP item 2) the pair collapses into a plain override.
         """
+        return self._stream_columns(batch_size)
+
+    def _stream_columns(
+        self, batch_size: int
+    ) -> Iterator[tuple[Sequence[tuple], Sequence[float] | None]]:
+        """Default columns: :meth:`open_stream_batches` transposed once per chunk."""
         for batch in self.open_stream_batches(batch_size):
             if not batch:
                 continue

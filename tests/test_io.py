@@ -7,10 +7,12 @@ Covers the PR's satellite contracts directly:
 * resume-offset correctness — no duplicated and no dropped rows after a
   mid-stream reconnect on every backend;
 * the fixture server's wire protocol (completeness marker, fault shapes,
-  64-line chunk framing) and the thread-pool prefetch layer;
+  64-line chunk framing — byte for byte against a row-at-a-time reference
+  encoder) and the thread-pool prefetch layer;
 * the streaming read contract — lazy offset-resuming file readers, prefix
-  then raise on a cut record, a shrunken source never read as end-of-stream,
-  and the envelope's batch view equal to its per-row view pair for pair.
+  then raise on a cut record or a cut character, a shrunken source never
+  read as end-of-stream, the JSON-lines block parser equal to a per-line
+  ``json.loads``, and the envelope's column view equal to its per-row view.
 
 The CI ``io`` job runs this file with ``-W error::ResourceWarning`` (and
 pytest's unraisable-exception warning as an error): file readers hold a
@@ -20,12 +22,17 @@ Every test runs under a hard SIGALRM deadline so a wedged socket or a
 stuck breaker loop fails fast instead of hanging the suite.
 """
 
+import json
 import random
 import signal
+import socket
 import sqlite3
+import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.experiments.common import build_dataset
@@ -47,7 +54,7 @@ from repro.io import (
     write_jsonl,
     write_sqlite,
 )
-from repro.io.backends import Transport, _HTTPReader, compile_converter
+from repro.io.backends import Transport, _HTTPReader, compile_csv_decoder
 from repro.io.envelope import (
     BackoffSchedule,
     CircuitBreaker,
@@ -302,43 +309,99 @@ class TestBackends:
         assert delivered == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
 
     def test_file_readers_convert_only_what_is_read(self, tmp_path):
-        relation = make_relation(count=10_000)
-        path = str(tmp_path / "big.csv")
-        write_csv(path, relation)
-        transport = CSVFileTransport("big", path, relation.schema)
-        converted = []
-        convert = transport._convert
-
-        def counting(values):
-            converted.append(values)
-            return convert(values)
-
-        transport._convert = counting
-        reader = transport.open(0)
-        assert converted == []
-        reader.close()
+        # Only records 6 000–6 004 convert: had any other been converted, not
+        # just scanned past, the int columns would have raised.
+        schema = Schema.from_names(["a", "b", "c"], types=["int", "int", "int"])
+        good = [(i, i * 2, i * i) for i in range(6_000, 6_005)]
+        path = tmp_path / "big.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("a,b,c\r\n" + "x,y,z\r\n" * 6_000)
+            handle.writelines(f"{a},{b},{c}\r\n" for a, b, c in good)
+            handle.write("x,y,z\r\n" * 3_995)
+        transport = CSVFileTransport("big", str(path), schema)
+        transport.open(0).close()
         reader = transport.open(6_000)
-        assert converted == []
-        assert reader.read_rows(5) == relation.rows[6_000:6_005]
-        assert len(converted) == 5
+        assert reader.read_rows(5) == good
+        with pytest.raises(TruncatedPayloadError):
+            reader.read_rows(5)
         reader.close()
 
-    @pytest.mark.parametrize("kind", ["csv", "jsonl", "sqlite"])
+    @pytest.mark.parametrize("kind", ["csv", "jsonl", "sqlite", "http"])
     def test_resume_past_a_shrunken_source_is_not_end_of_stream(
         self, tmp_path, kind
     ):
         relation = make_relation(count=10)
-        transport = make_transport(kind, tmp_path, relation)
-        # the whole source delivered: a valid, verified-empty remainder
-        reader = transport.open(10)
-        assert reader.read_rows(5) == []
-        reader.close()
-        # the source holds fewer rows than were already delivered
+        with FixtureServer() as server:
+            transport = make_transport(kind, tmp_path, relation, server)
+            # the whole source delivered: a valid, verified-empty remainder
+            reader = transport.open(10)
+            assert reader.read_rows(5) == []
+            reader.close()
+            # the source holds fewer rows than were already delivered
+            with pytest.raises(TruncatedPayloadError):
+                transport.open(11)
+            source = ResilientSource(transport, connect_retry_limit=1)
+            with pytest.raises(CircuitOpenError):
+                list(source.reopen_from(11, start_at=0.0).open_stream())
+            # ... because it changed between two accesses (Section 3.5): 8 of
+            # 10 rows delivered, then the same path / endpoint holds 5
+            reader = transport.open(8)
+            assert reader.read_rows(8) == relation.rows[8:]
+            reader.close()
+            make_transport(kind, tmp_path, make_relation(count=5), server)
+            with pytest.raises(TruncatedPayloadError):
+                transport.open(8)
+
+    @pytest.mark.parametrize("kind", ["csv", "jsonl"])
+    def test_a_file_cut_inside_a_character_is_a_truncation(self, tmp_path, kind):
+        schema = Schema.from_names(["a", "b"], types=["int", "str"])
+        rows = [(1, "zoé"), (2, "año"), (3, "café")]
+        if kind == "csv":
+            text = "a,b\r\n" + "".join(f"{a},{b}\r\n" for a, b in rows)
+        else:
+            text = "".join(
+                json.dumps(list(row), ensure_ascii=False) + "\n" for row in rows
+            )
+        data = text.encode("utf-8")
+        path = tmp_path / f"cut.{kind}"
+        # the file ends on the first byte of the last record's two-byte "é"
+        path.write_bytes(data[: data.rindex("é".encode("utf-8")) + 1])
+        make = CSVFileTransport if kind == "csv" else JSONLinesTransport
+        transport = make("cut", str(path), schema)
+        reader = transport.open(0)
+        assert reader.read_rows(10) == rows[:2]
         with pytest.raises(TruncatedPayloadError):
-            transport.open(11)
-        source = ResilientSource(transport, connect_retry_limit=1)
+            reader.read_rows(10)
+        reader.close()
+        # a resume whose positioning scan runs into the cut fails from open
+        with pytest.raises(TruncatedPayloadError):
+            transport.open(3)
+        # behind the envelope it is a counted, retried read fault
+        source = ResilientSource(transport, read_retry_limit=2)
+        delivered = []
         with pytest.raises(CircuitOpenError):
-            list(source.reopen_from(11, start_at=0.0).open_stream())
+            for row, _t in source.open_stream():
+                delivered.append(row)
+        assert delivered == rows[:2]
+        assert source.telemetry.read_faults == source.telemetry.truncations == 3
+        assert source.telemetry.connect_retries == 0
+
+    def test_csv_cut_header_and_parser_errors_are_truncations(self, tmp_path):
+        schema = Schema.from_names(["a", "b"], types=["int", "str"])
+        path = tmp_path / "bad.csv"
+        transport = CSVFileTransport("bad", str(path), schema)
+        path.write_bytes("é,b".encode("utf-8")[:1])  # cut inside the header
+        with pytest.raises(TruncatedPayloadError):
+            transport.open(0)
+        # csv.Error (a field over the parser's limit) and a field that does
+        # not convert: both after the valid prefix, both normalised
+        for bad in ('2,"' + "x" * 200_000 + '"', "two,b"):
+            path.write_text(f"a,b\r\n1,one\r\n{bad}\r\n3,three\r\n")
+            reader = transport.open(0)
+            assert reader.read_rows(10) == [(1, "one")]
+            with pytest.raises(TruncatedPayloadError):
+                reader.read_rows(10)
+            reader.close()
 
     @pytest.mark.parametrize("name", ["orders", "lineitem"])
     def test_csv_round_trips_tpch_rows_with_int_dates(self, tmp_path, name):
@@ -371,19 +434,32 @@ class TestBackends:
         assert answer(sources) == oracle
 
     def test_generated_converter_source(self):
-        convert = compile_converter(LINEITEM_SCHEMA)
-        assert convert.__compiled_source__ == (
-            "lambda v: (int(v[0]), int(v[1]), int(v[2]), int(v[3]), "
-            "float(v[4]), float(v[5]), float(v[6]), v[7], "
-            "_parse_literal(v[8]))"
+        decode = compile_csv_decoder(LINEITEM_SCHEMA)
+        assert decode.__compiled_source__ == (
+            "def decode(records, rows):\n"
+            "    append = rows.append\n"
+            "    for v0, v1, v2, v3, v4, v5, v6, v7, v8, in records:\n"
+            "        append((int(v0), int(v1), int(v2), int(v3), float(v4), "
+            "float(v5), float(v6), v7, _parse_literal(v8),))\n"
         )
+
+        def convert(decoder, *records):
+            rows = []
+            decoder(iter(records), rows)
+            return rows
+
         values = ["1", "2", "3", "4", "5.5", "0.1", "4.95", "R", "1753"]
-        assert convert(values) == (1, 2, 3, 4, 5.5, 0.1, 4.95, "R", 1753)
-        one = compile_converter(Schema.from_names(["a"], types=["int"]))
-        assert one.__compiled_source__ == "lambda v: (int(v[0]),)"
-        assert one(["7"]) == (7,)
-        iso = compile_converter(Schema.from_names(["d"], types=["date"]))
-        assert iso(["1998-09-02"]) == ("1998-09-02",)
+        assert convert(decode, values) == [(1, 2, 3, 4, 5.5, 0.1, 4.95, "R", 1753)]
+        one = compile_csv_decoder(Schema.from_names(["a"], types=["int"]))
+        assert "for v0, in records:" in one.__compiled_source__
+        assert convert(one, ["7"], ["8"]) == [(7,), (8,)]
+        iso = compile_csv_decoder(Schema.from_names(["d"], types=["date"]))
+        assert convert(iso, ["1998-09-02"]) == [("1998-09-02",)]
+        # the unpack is the width check, and the records before it stay
+        rows = []
+        with pytest.raises(ValueError):
+            one(iter([["7"], ["8", "9"]]), rows)
+        assert rows == [(7,)]
 
     @pytest.mark.parametrize("kind", ["csv", "jsonl", "sqlite", "http"])
     def test_reader_close_is_idempotent(self, tmp_path, kind):
@@ -593,8 +669,10 @@ def equivalence_plan(seed, row_count):
 
 
 class TestEnvelopeBatchView:
-    """`open_stream_columns(n)` is the chunk loop re-cut into batches; it
-    must equal the per-row view pair for pair, telemetry and clock included."""
+    """One loop, two views: `open_stream_columns(n)` — the chunk loop re-cut
+    into `(rows, arrivals)` columns, natively, for the envelope and for a
+    `reopen_from` stream on its branched timeline — must equal the per-row
+    view row for row and stamp for stamp, telemetry and clock included."""
 
     ROWS = 300
 
@@ -645,6 +723,21 @@ class TestEnvelopeBatchView:
                     # moved arrivals inside the stream, not only at its start
                     assert by_row.telemetry.read_faults == 3
                     assert len(set(arrivals)) > 3
+
+
+class Blocks:
+    """An HTTP response body that arrives in exactly these blocks."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def read1(self, size):
+        return self.blocks.pop(0) if self.blocks else b""
+
+
+class NoConnection:
+    def close(self):
+        pass
 
 
 class TestFixtureServer:
@@ -755,29 +848,221 @@ class TestFixtureServer:
                 assert received == relation.rows
 
     def test_a_line_split_across_blocks_parses_once(self):
-        class Blocks:
-            def __init__(self, *blocks):
-                self.blocks = list(blocks)
-
-            def read1(self, size):
-                return self.blocks.pop(0) if self.blocks else b""
-
-        class Connection:
-            def close(self):
-                pass
-
         response = Blocks(
             b"[1, 2", b", 3]\n[4, 5, 6]\n[7, ", b"8, 9]\n", b'{"__end__": 3}\n'
         )
-        reader = _HTTPReader(Connection(), response, width=3)
+        reader = _HTTPReader(NoConnection(), response, width=3)
         assert reader.read_rows(2) == [(1, 2, 3), (4, 5, 6)]
         assert reader.read_rows(2) == [(7, 8, 9)]
         assert reader.read_rows(2) == []
         # a body that ends inside a record is a truncation, after its prefix
-        cut = _HTTPReader(Connection(), Blocks(b"[1, 2, 3]\n[4, 5"), width=3)
+        cut = _HTTPReader(NoConnection(), Blocks(b"[1, 2, 3]\n[4, 5"), width=3)
         assert cut.read_rows(5) == [(1, 2, 3)]
         with pytest.raises(TruncatedPayloadError):
             cut.read_rows(5)
+
+
+def raw_body(url, offset):
+    """The bytes one ``GET ...?offset=N`` puts on a socket, headers aside
+    (or the status, when it is not 200)."""
+    parts = url.split("/", 3)
+    host, port = parts[2].split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            f"GET /{parts[3]}?offset={offset} HTTP/1.1\r\n"
+            f"Host: {host}\r\nConnection: close\r\n\r\n".encode()
+        )
+        received = b""
+        while True:
+            block = sock.recv(1 << 16)
+            if not block:
+                break
+            received += block
+    head, _, body = received.partition(b"\r\n\r\n")
+    return body if head.startswith(b"HTTP/1.1 200") else int(head.split()[1])
+
+
+def reference_body(rows, offset, faults):
+    """The wire protocol from scratch, a row at a time: JSON lines in HTTP
+    chunks of at most 64, a flush before a fault, the marker in the last."""
+    out, lines = [], []
+
+    def flush():
+        if lines:
+            data = b"".join(lines)
+            out.append(b"%X\r\n" % len(data) + data + b"\r\n")
+            lines.clear()
+
+    for position in range(offset, len(rows)):
+        fault = faults.get(position)
+        if fault is not None:
+            flush()
+            if fault.kind in (RESET, OUTAGE):
+                return b"".join(out)  # the socket is dropped mid-body
+            if fault.kind == TRUNCATE:
+                return b"".join(out) + b"0\r\n\r\n\r\n"  # a clean end, unmarked
+        lines.append(json.dumps(list(rows[position])).encode() + b"\n")
+        if len(lines) >= 64:
+            flush()
+    lines.append(json.dumps({"__end__": len(rows) - offset}).encode() + b"\n")
+    flush()
+    return b"".join(out) + b"0\r\n\r\n\r\n"
+
+
+class TestFixtureServerWire:
+    """The served relation is pre-encoded and sliced; the bytes on the wire
+    and their chunk framing are still the row-at-a-time protocol's."""
+
+    ROWS = 150
+
+    @pytest.mark.parametrize("kind", [DELAY, RESET, OUTAGE, TRUNCATE])
+    def test_response_bytes_equal_the_reference_encoder(self, kind):
+        relation = make_relation(count=self.ROWS)
+        with FixtureServer() as server:
+            for at in (0, 1, 63, 64, 65, self.ROWS - 1):
+                for start in (0, 10):
+                    fault = Fault(kind, at, seconds=0.001, count=1)
+                    url = server.add_relation("r", relation, FaultPlan({at: fault}))
+                    expected = reference_body(relation.rows, start, {at: fault})
+                    assert raw_body(url, start) == expected, (kind, at, start)
+                    if at >= start:
+                        # the fault fired (an outage refuses the next connect
+                        # too); after that a reconnect passes its row
+                        if kind == OUTAGE:
+                            assert raw_body(url, start) == 503
+                        clean = reference_body(relation.rows, start, {})
+                        assert raw_body(url, start) == clean, (kind, at, start)
+
+    def test_concurrent_requests_fire_a_fault_once_between_them(self):
+        relation = make_relation(count=self.ROWS)
+        fault = Fault(RESET, 100)
+        bodies = []
+        with FixtureServer() as server:
+            url = server.add_relation("r", relation, FaultPlan({100: fault}))
+            threads = [
+                threading.Thread(target=lambda: bodies.append(raw_body(url, 0)))
+                for _ in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        assert sorted(bodies, key=len) == [
+            reference_body(relation.rows, 0, {100: fault}),
+            reference_body(relation.rows, 0, {}),
+        ]
+
+    def test_reregistering_keeps_or_replaces_the_encoded_body(self):
+        relation = make_relation(count=20)
+        served = list(relation.rows)
+        with FixtureServer() as server:
+            url = server.add_relation("r", relation)
+            # The same object again (the benchmark does this before every
+            # round, for a fresh fault script) is not encoded again.  Seen
+            # from outside by breaking the contract that makes it safe — a
+            # Relation is never mutated in place: the edit is not served.
+            relation.rows[0] = (-1, -1, -1)
+            server.add_relation("r", relation, FaultPlan.quiet())
+            assert raw_body(url, 0) == reference_body(served, 0, {})
+            # another object under the served name: its rows are served
+            other = Relation.from_rows("r", relation.schema, relation.rows[:7])
+            assert server.add_relation("r", other) == url
+            assert raw_body(url, 0) == reference_body(other.rows, 0, {})
+            reader = HTTPTransport("r", url, relation.schema).open(0)
+            assert reader.read_rows(100) == other.rows
+            reader.close()
+
+
+# -- the JSON-lines block parser against a per-line json.loads reference ---------
+
+json_values = st.one_of(
+    st.integers(-5, 5), st.text(max_size=3), st.floats(allow_nan=False, width=16),
+    st.none(), st.booleans(),
+)  # fmt: skip
+row_lines = st.lists(json_values, min_size=3, max_size=3).map(
+    lambda row: json.dumps(row, ensure_ascii=False)
+)
+odd_lines = st.one_of(
+    st.sampled_from(["", "   ", "\t", "7", '"text"', "null", "[1, 2]", "[1, 2, 3, 4]"]),
+    st.sampled_from(["[1, 2, 3] [4, 5, 6]", "[1,1],[[2]", "[3]]", "[1, 2", '[1, "a'] ),
+    row_lines.map(lambda line: "  " + line), row_lines.map(lambda line: line + " \t"),
+    st.integers(0, 6).map(lambda n: json.dumps({"__end__": n})),
+    st.just('{"other": 1}'),
+)  # fmt: skip
+
+
+def reference_rows(lines, width, marker_ends):
+    """Rows then outcome, one ``json.loads`` per line.  On the wire the
+    marker ends the stream (and must count right); in a file it is just a
+    malformed record and the end of the file is the end of the stream."""
+    rows = []
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            document = json.loads(line)
+        except ValueError:
+            return rows, "cut"
+        if marker_ends and isinstance(document, dict):
+            served = document.get("__end__")
+            return rows, "complete" if served == len(rows) else "cut"
+        if not isinstance(document, list) or len(document) != width:
+            return rows, "cut"
+        rows.append(tuple(document))
+    return rows, "cut" if marker_ends else "complete"
+
+
+def drain(reader, sizes):
+    """Rows then outcome through ``read_rows``, in calls of the drawn sizes."""
+    rows = []
+    try:
+        for size in sizes:
+            chunk = reader.read_rows(size)
+            if not chunk:
+                return rows, "complete"
+            rows.extend(chunk)
+    except TruncatedPayloadError:
+        return rows, "cut"
+    finally:
+        reader.close()
+    raise AssertionError("the drawn read sizes ran out")
+
+
+class TestJSONLinesBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lines=st.lists(st.one_of(row_lines, row_lines, row_lines, odd_lines), max_size=12),
+        cut_last=st.booleans(),
+        cuts=st.lists(st.integers(0, 400), max_size=6),
+        size=st.integers(1, 5),
+    )
+    def test_http_reader_and_file_reader_equal_the_per_line_reference(
+        self, tmp_path_factory, lines, cut_last, cuts, size
+    ):
+        if cut_last and lines:
+            lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        text = "\n".join(lines) + ("" if cut_last else "\n")
+        sizes = [size] * (len(lines) + 2)
+
+        # over the wire: the same bytes in blocks cut anywhere
+        data = text.encode("utf-8")
+        edges = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
+
+        blocks = Blocks(*(data[a:b] for a, b in zip(edges, edges[1:])))
+        reader = _HTTPReader(NoConnection(), blocks, width=3)
+        assert drain(reader, sizes) == reference_rows(
+            data.split(b"\n"), 3, marker_ends=True
+        )
+
+        # from a file
+        path = tmp_path_factory.mktemp("jsonl") / "block.jsonl"
+        path.write_bytes(data)
+        schema = Schema.from_names(["a", "b", "c"])
+        reader = JSONLinesTransport("block", str(path), schema).open(0)
+        assert drain(reader, sizes) == reference_rows(
+            text.split("\n"), 3, marker_ends=False
+        )
 
 
 class TestThreadedPrefetch:
