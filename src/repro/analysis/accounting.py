@@ -194,14 +194,10 @@ class WorkAccountingRule(LintRule):
     project_wide = True
     scope_dirs = frozenset({"engine"})
 
-    #: passive state/channel structures account at the operator level by
-    #: design: engine/state/ holds the join-state structures, and TupleQueue
-    #: is the inter-subplan channel whose enqueues are charged as
-    #: tuple_copies by the Split/Combine operators driving it
-    exempt_path_prefixes: tuple[str, ...] = (
-        "engine/state/",
-        "engine/operators/queue.py",
-    )
+    #: passive state structures account at the operator level by design:
+    #: engine/state/ holds the join-state structures, whose inserts the
+    #: operator driving them charges
+    exempt_path_prefixes: tuple[str, ...] = ("engine/state/",)
 
     def check_project(self, contexts: list[RuleContext]) -> list[Finding]:
         scoped = [ctx for ctx in contexts if self.applies_to(ctx)]

@@ -268,17 +268,12 @@ EMIT_PATH_METHODS = frozenset(
         "insert",
         "insert_batch",
         "probe",
-        "probe_batch",
         "accumulate",
         "accumulate_batch",
         "accumulate_many",
         "results",
         "scan",
         "drain",
-        "stitch_up",
-        "next_tuple",
-        "route",
-        "route_batch",
         "adapt",
         "adapt_many",
     }

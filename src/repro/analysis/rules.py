@@ -42,7 +42,7 @@ class RuleContext:
         return cls(relpath=relpath, source=source, tree=ast.parse(source))
 
     def top_directory(self) -> str:
-        """First path segment (``engine`` for ``engine/state/btree.py``)."""
+        """First path segment (``engine`` for ``engine/state/hash_table.py``)."""
         head, _, _ = self.relpath.partition("/")
         return head if "/" in self.relpath else ""
 

@@ -122,7 +122,6 @@ UNPICKLABLE_TYPE_NAMES = frozenset(
         "RowReader",
         "Semaphore",
         "Thread",
-        "ThreadedPrefetchSource",
         "Transport",
         "socket",
     }

@@ -12,7 +12,8 @@ This package contains the paper's contributions proper:
   (partial) order (Section 5).
 * :mod:`repro.core.preaggregation` — adjustable-window pre-aggregation
   (Section 6).
-* :mod:`repro.core.router` — tuple-routing policies for the split operator.
+* :mod:`repro.core.router` — the bounded window that pre-sorts tuples ahead
+  of the complementary pair's order check (Section 3.3's router).
 """
 
 from repro.core.monitor import ExecutionMonitor
@@ -25,12 +26,7 @@ from repro.core.complementary import (
     PipelinedHashJoinBaseline,
 )
 from repro.core.preaggregation import AdjustableWindowPreAggregate, WindowedPreAggregator
-from repro.core.router import (
-    HashPartitionRouter,
-    OrderConformanceRouter,
-    PriorityQueueReorderer,
-    RoundRobinRouter,
-)
+from repro.core.router import PriorityQueueReorderer
 
 __all__ = [
     "ExecutionMonitor",
@@ -45,8 +41,5 @@ __all__ = [
     "PipelinedHashJoinBaseline",
     "AdjustableWindowPreAggregate",
     "WindowedPreAggregator",
-    "HashPartitionRouter",
-    "OrderConformanceRouter",
     "PriorityQueueReorderer",
-    "RoundRobinRouter",
 ]

@@ -1,4 +1,4 @@
-"""Tuple-routing policies for the split operator.
+"""The router's window pre-sort for the complementary join pair.
 
 Section 3.3: "the third adaptive component ... is a router module that helps
 the split operator decide what subplan is most appropriate for an incoming
@@ -6,141 +6,19 @@ tuple.  The router is given a specification of each operator's constraints
 (e.g., order), and it may perform some additional pre-processing before
 routing (e.g., pre-sorting a window of the data)."
 
-The policies here are usable directly as the ``router`` argument of
-:class:`repro.engine.operators.split.Split`; the complementary-join machinery
-uses :class:`OrderConformanceRouter` and :class:`PriorityQueueReorderer`.
+The one router this reproduction needs is the complementary join pair's
+(Section 5), and :mod:`repro.core.complementary` makes its order-conformance
+decision inline.  What lives here is that router's pre-processing step:
+:class:`PriorityQueueReorderer`, the bounded window that pre-sorts tuples
+before the order check.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.engine.cost import ExecutionMetrics
 from repro.relational.schema import Schema
-
-
-class RouterPolicy:
-    """Base class: map a tuple to the index of the subplan that should process it."""
-
-    def __call__(self, row: tuple) -> int:
-        raise NotImplementedError
-
-    def route_batch(self, rows: list[tuple]) -> list[int]:
-        """Route a whole batch; returns one target index per row.
-
-        The default simply applies :meth:`__call__` per row (so every policy
-        is batch-capable); stateless policies override it with a vectorized
-        computation.  Overrides must leave the policy in exactly the state a
-        row-at-a-time routing of the same batch would have left it.
-        """
-        return [self(row) for row in rows]
-
-
-@dataclass
-class RoundRobinRouter(RouterPolicy):
-    """Distributes tuples evenly across ``targets`` subplans.
-
-    Used for the data-partitioning comparison strategy of Example 2.3 (feed a
-    few subsets into each alternative plan, compare, then commit).
-    """
-
-    targets: int
-    chunk_size: int = 1
-    _count: int = 0
-
-    def __call__(self, row: tuple) -> int:
-        index = (self._count // self.chunk_size) % self.targets
-        self._count += 1
-        return index
-
-    def route_batch(self, rows: list[tuple]) -> list[int]:
-        start = self._count
-        chunk_size = self.chunk_size
-        targets = self.targets
-        indices = [
-            ((start + offset) // chunk_size) % targets for offset in range(len(rows))
-        ]
-        self._count = start + len(rows)
-        return indices
-
-
-class HashPartitionRouter(RouterPolicy):
-    """Routes by hash of a key attribute — value-disjoint parallel subplans."""
-
-    def __init__(self, schema: Schema, key: str, targets: int) -> None:
-        if targets < 1:
-            raise ValueError("targets must be positive")
-        self._key_pos = schema.position(key)
-        self.targets = targets
-
-    def __call__(self, row: tuple) -> int:
-        return hash(row[self._key_pos]) % self.targets
-
-    def route_batch(self, rows: list[tuple]) -> list[int]:
-        key_pos = self._key_pos
-        targets = self.targets
-        return [hash(row[key_pos]) % targets for row in rows]
-
-
-class OrderConformanceRouter(RouterPolicy):
-    """Routes in-order tuples to target 0 (merge plan), others to target 1 (hash plan).
-
-    A tuple conforms when its key is >= the last key already routed to the
-    ordered plan; the comparison cost is charged to the shared metrics so the
-    router overhead shows up in the work accounting.
-    """
-
-    ORDERED = 0
-    UNORDERED = 1
-
-    def __init__(
-        self, schema: Schema, key: str, metrics: ExecutionMetrics | None = None
-    ) -> None:
-        self._key_pos = schema.position(key)
-        self.metrics = metrics if metrics is not None else ExecutionMetrics()
-        self._last_ordered_key: object = None
-        self.ordered_count = 0
-        self.unordered_count = 0
-
-    def __call__(self, row: tuple) -> int:
-        key = row[self._key_pos]
-        self.metrics.comparisons += 1
-        if self._last_ordered_key is None or key >= self._last_ordered_key:
-            self._last_ordered_key = key
-            self.ordered_count += 1
-            return self.ORDERED
-        self.unordered_count += 1
-        return self.UNORDERED
-
-    def route_batch(self, rows: list[tuple]) -> list[int]:
-        """Batched routing with one tight loop; state updates are sequential
-        (conformance of row *i* depends on rows routed before it), so the
-        result — and every counter — matches row-at-a-time routing exactly."""
-        key_pos = self._key_pos
-        last = self._last_ordered_key
-        ordered = 0
-        indices = []
-        append = indices.append
-        for row in rows:
-            key = row[key_pos]
-            if last is None or key >= last:
-                last = key
-                ordered += 1
-                append(self.ORDERED)
-            else:
-                append(self.UNORDERED)
-        self.metrics.comparisons += len(rows)
-        self._last_ordered_key = last
-        self.ordered_count += ordered
-        self.unordered_count += len(rows) - ordered
-        return indices
-
-    @property
-    def ordered_fraction(self) -> float:
-        total = self.ordered_count + self.unordered_count
-        return self.ordered_count / total if total else 1.0
 
 
 class PriorityQueueReorderer:
@@ -199,16 +77,3 @@ class PriorityQueueReorderer:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-@dataclass
-class CallbackRouter(RouterPolicy):
-    """Adapts an arbitrary callable into a router policy (testing convenience)."""
-
-    fn: Callable[[tuple], int]
-    routed: list[int] = field(default_factory=list)
-
-    def __call__(self, row: tuple) -> int:
-        index = self.fn(row)
-        self.routed.append(index)
-        return index

@@ -8,7 +8,9 @@ paper:
   from the iteration strategy so they can be *shared and reused* across the
   plans of different adaptive-data-partitioning phases.
 * **Operators** (:mod:`repro.engine.operators`) are pull-based iterators used
-  for static plan execution, stitch-up computation and the baselines.
+  for static plan execution by :class:`PullExecutor` (the pre-aggregation
+  experiment); their group-by, ``GroupAccumulator``, is the one every
+  execution path folds into.
 * The **pipelined executor** (:mod:`repro.engine.pipelined`) is a push-based
   network of symmetric (pipelined) hash joins — Tukwila's workhorse join —
   whose execution can be suspended between steps, which is what makes

@@ -90,10 +90,6 @@ def validate_engine_mode(engine_mode: str, batch_size: int | None) -> None:
         )
 
 
-class CompilationError(RuntimeError):
-    """Raised when a plan cannot be specialized (engine bug, not user error)."""
-
-
 class _Env:
     """Collects runtime objects referenced by generated code, under fresh names."""
 

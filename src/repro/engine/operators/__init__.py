@@ -1,8 +1,10 @@
 """Pull-based (iterator-model) physical operators.
 
-These operators implement the conventional open/next/close pipeline used for
-static plan execution, the baselines and the stitch-up computation.  The
-adaptive, suspendable execution path lives in
+These operators implement the conventional open/next/close pipeline that
+:class:`~repro.engine.executor.PullExecutor` builds for static plans — the
+pre-aggregation experiment (Fig. 6) runs on it.  :class:`GroupAccumulator`
+is also the group-by every other execution path folds into.  The adaptive,
+suspendable execution path lives in
 :mod:`repro.engine.pipelined` (push-based symmetric hash join network) and in
 :mod:`repro.core`.
 """
@@ -11,19 +13,14 @@ from repro.engine.operators.base import Operator, OperatorError
 from repro.engine.operators.scan import Scan
 from repro.engine.operators.filter import Filter
 from repro.engine.operators.project import ProjectOp
-from repro.engine.operators.union import UnionAll
-from repro.engine.operators.nested_loops import NestedLoopsJoin
 from repro.engine.operators.hash_join import HybridHashJoin
 from repro.engine.operators.pipelined_hash import SymmetricHashJoin
-from repro.engine.operators.merge_join import MergeJoin
 from repro.engine.operators.aggregate import (
     GroupAccumulator,
     HashAggregate,
     Pseudogroup,
     TraditionalPreAggregate,
 )
-from repro.engine.operators.queue import TupleQueue
-from repro.engine.operators.split import Combine, Split
 
 __all__ = [
     "Operator",
@@ -31,16 +28,10 @@ __all__ = [
     "Scan",
     "Filter",
     "ProjectOp",
-    "UnionAll",
-    "NestedLoopsJoin",
     "HybridHashJoin",
     "SymmetricHashJoin",
-    "MergeJoin",
     "GroupAccumulator",
     "HashAggregate",
     "Pseudogroup",
     "TraditionalPreAggregate",
-    "TupleQueue",
-    "Combine",
-    "Split",
 ]

@@ -2,106 +2,40 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.relational.schema import Schema
-from repro.relational.tuples import TupleAdapter
-
-
-class StateStructureError(RuntimeError):
-    """Raised on misuse of a state structure (e.g. keyed probe on a list)."""
 
 
 class StateStructure:
     """Base class for the stores behind stateful operators.
 
-    Every structure stores tuples laid out according to ``schema`` and
-    advertises its capabilities so that the re-optimizer and the stitch-up
-    planner can decide whether an existing structure can be reused directly,
-    needs a :class:`~repro.relational.tuples.TupleAdapter`, or must be
-    re-keyed (Section 3.2, "state structure key compatibility").
+    Every structure stores tuples laid out according to ``schema``, keyed on
+    the attribute ``key``.  The stitch-up planner reads a registered
+    structure through :meth:`scan` and re-keys it when its key is the wrong
+    one for the join at hand (Section 3.2, "state structure key
+    compatibility").
 
-    Subclasses must implement :meth:`insert` and :meth:`scan`.
+    Subclasses must implement :meth:`insert`, :meth:`scan`, :meth:`probe`
+    and ``len``.
     """
-
-    #: whether :meth:`probe` is supported (key-based access)
-    supports_key_access: bool = False
-    #: whether the structure requires its input to arrive in sorted order
-    requires_sorted_input: bool = False
-    #: whether the structure keeps tuples in sorted order internally
-    provides_sorted_scan: bool = False
 
     def __init__(self, schema: Schema, key: str | None = None) -> None:
         self.schema = schema
         self.key = key
-        #: simulated "swapped to disk" flag (paper: overflow coordination)
-        self.swapped_to_disk = False
-
-    # -- core protocol --------------------------------------------------------
 
     def insert(self, row: tuple) -> None:
         raise NotImplementedError
-
-    def insert_many(self, rows: Iterable[tuple]) -> None:
-        for row in rows:
-            self.insert(row)
 
     def scan(self) -> Iterator[tuple]:
         raise NotImplementedError
 
     def probe(self, key_value: object) -> list[tuple]:
         """Return all stored tuples whose key equals ``key_value``."""
-        raise StateStructureError(
-            f"{type(self).__name__} does not support key-based access"
-        )
+        raise NotImplementedError
 
     def __len__(self) -> int:
         raise NotImplementedError
 
     def __iter__(self) -> Iterator[tuple]:
         return self.scan()
-
-    @property
-    def cardinality(self) -> int:
-        return len(self)
-
-    # -- reuse helpers ---------------------------------------------------------
-
-    def key_position(self) -> int:
-        """Position of the key attribute in the schema (if keyed)."""
-        if self.key is None:
-            raise StateStructureError(f"{type(self).__name__} has no key attribute")
-        return self.schema.position(self.key)
-
-    def adapted_scan(self, target: Schema, fill_value: object = None) -> Iterator[tuple]:
-        """Scan tuples re-ordered into ``target``'s attribute layout.
-
-        This is the tuple-adapter path the paper uses to reuse a state
-        structure built by a plan with a different physical tuple ordering.
-        """
-        adapter = TupleAdapter(self.schema, target, fill_value)
-        if adapter.is_identity:
-            yield from self.scan()
-        else:
-            for row in self.scan():
-                yield adapter.adapt(row)
-
-    def swap_to_disk(self) -> None:
-        """Mark the structure as spilled (simulation only; data stays resident)."""
-        self.swapped_to_disk = True
-
-    def restore_from_disk(self) -> None:
-        self.swapped_to_disk = False
-
-    def describe(self) -> dict[str, object]:
-        """Properties exposed to the re-optimizer (Section 3.3)."""
-        return {
-            "type": type(self).__name__,
-            "cardinality": len(self),
-            "key": self.key,
-            "supports_key_access": self.supports_key_access,
-            "requires_sorted_input": self.requires_sorted_input,
-            "provides_sorted_scan": self.provides_sorted_scan,
-            "swapped_to_disk": self.swapped_to_disk,
-            "attributes": self.schema.names,
-        }

@@ -15,7 +15,7 @@ table holding the phase-0 result of ``orders ⋈ customer`` has the signature
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.engine.state.base import StateStructure
@@ -49,12 +49,6 @@ class RegistryEntry:
     @property
     def phases(self) -> frozenset[int]:
         return frozenset(phase for _rel, phase in self.signature)
-
-    def phase_of(self, relation: str) -> int:
-        for rel, phase in self.signature:
-            if rel == relation:
-                return phase
-        raise KeyError(f"relation {relation!r} not covered by {set(self.signature)}")
 
 
 class StateRegistry:
@@ -96,9 +90,6 @@ class StateRegistry:
             raise KeyError(f"no state structure registered for {set(signature)}")
         return entry
 
-    def entries_for_plan(self, plan_id: int) -> list[RegistryEntry]:
-        return [e for e in self._entries.values() if e.plan_id == plan_id]
-
     def base_partitions(self, relation: str) -> dict[int, RegistryEntry]:
         """All single-relation partitions of ``relation``, keyed by phase."""
         result: dict[int, RegistryEntry] = {}
@@ -112,22 +103,6 @@ class StateRegistry:
     def intermediate_entries(self) -> list[RegistryEntry]:
         """Entries covering more than one relation (join intermediates)."""
         return [e for e in self._entries.values() if len(e.signature) > 1]
-
-    def total_registered_tuples(self) -> int:
-        return sum(e.cardinality for e in self._entries.values())
-
-    def spill_order(self) -> list[RegistryEntry]:
-        """Entries in the order they would be paged out under memory pressure.
-
-        The paper's heuristic: most-complex-expression first, "based on the
-        principle that larger expressions are less likely to be shared
-        between plans than simpler expressions."
-        """
-        return sorted(
-            self._entries.values(),
-            key=lambda e: (len(e.signature), e.cardinality),
-            reverse=True,
-        )
 
     def describe(self) -> list[dict[str, object]]:
         """Summary rows for reports and debugging."""

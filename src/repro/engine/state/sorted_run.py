@@ -34,8 +34,6 @@ _COMPACT_THRESHOLD = 512
 class SortedRunState(StateStructure):
     """Two-tier (active sorted run + evicted archive) merge-join state."""
 
-    supports_key_access = True
-
     def __init__(self, schema: Schema, key: str) -> None:
         super().__init__(schema, key=key)
         self._key_pos = schema.position(key)
@@ -101,8 +99,6 @@ class SortedRunState(StateStructure):
             del keys[: self._head]
             del self._rows[: self._head]
             self._head = 0
-        if self._archive:
-            self.swapped_to_disk = True
         return moved
 
     def evict_above(self, bound: object) -> int:
@@ -115,8 +111,6 @@ class SortedRunState(StateStructure):
             self._archive_row(keys[i], self._rows[i])
         del keys[idx:]
         del self._rows[idx:]
-        if self._archive:
-            self.swapped_to_disk = True
         return moved
 
     # -- inspection -------------------------------------------------------------
@@ -134,10 +128,3 @@ class SortedRunState(StateStructure):
 
     def __len__(self) -> int:
         return self.active_size() + self._archived
-
-    def describe(self) -> dict[str, object]:
-        summary = super().describe()
-        summary["active"] = self.active_size()
-        summary["archived"] = self._archived
-        summary["peak_active"] = self.peak_active
-        return summary

@@ -45,7 +45,6 @@ from repro.io.errors import (
     TruncatedPayloadError,
 )
 from repro.io.faults import Fault, FaultPlan, FaultScript, InjectedTransport
-from repro.io.fetch import ThreadedPrefetchSource
 from repro.io.fixture_server import FixtureServer
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "ResumedResilientStream",
     "RowReader",
     "SimulatedTimeline",
-    "ThreadedPrefetchSource",
     "Timeline",
     "Transport",
     "TransportError",

@@ -114,10 +114,6 @@ class FaultPlan:
                 )
         return cls(read_faults, connect_flaps, connect_delay)
 
-    def fault_count(self) -> int:
-        """Total scheduled faults (read faults plus connect flaps)."""
-        return len(self.read_faults) + self.connect_flaps
-
     def script(self) -> "FaultScript":
         """A fresh stateful interpreter of this plan."""
         return FaultScript(self)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.cost import CostModel
-from repro.optimizer.plans import JoinTree, PhysicalPlan, PreAggPoint
+from repro.optimizer.plans import JoinTree
 from repro.optimizer.statistics import SelectivityEstimator
 from repro.relational.algebra import SPJAQuery
 
@@ -144,62 +144,3 @@ class PlanCostModel:
         strategy = join_strategies.get(relations) if join_strategies else None
         join_cost = self.join_cost(left_card, right_card, cardinality, strategy)
         return left_cost + right_cost + join_cost, cardinality
-
-    # -- physical plans --------------------------------------------------------------
-
-    def estimate_plan(
-        self,
-        plan: PhysicalPlan,
-        estimator: SelectivityEstimator,
-    ) -> CostEstimate:
-        """Cost of a physical plan, accounting for pre-aggregation points."""
-        base = self.estimate_tree(plan.query, plan.join_tree, estimator)
-        if not plan.preagg_points:
-            return base
-        adjustment = 0.0
-        for point in plan.preagg_points:
-            adjustment += self._preagg_adjustment(plan, point, base, estimator)
-        return CostEstimate(
-            base.total_cost + adjustment, base.output_cardinality, base.cardinalities
-        )
-
-    def _preagg_adjustment(
-        self,
-        plan: PhysicalPlan,
-        point: PreAggPoint,
-        base: CostEstimate,
-        estimator: SelectivityEstimator,
-    ) -> float:
-        """Cost delta of inserting a pre-aggregation operator above a subtree.
-
-        Pre-aggregation pays one aggregate update per input tuple and, in
-        exchange, shrinks the tuple stream feeding the joins above.  The
-        reduction factor is estimated from the ratio of distinct grouping
-        keys to input cardinality; without statistics the operator is assumed
-        to be roughly cost-neutral, which mirrors the paper's observation
-        that the adjustable-window operator is low-risk.
-        """
-        input_card = base.cardinalities.get(frozenset(point.below))
-        if input_card is None:
-            input_card = estimator.estimate_cardinality(frozenset(point.below))
-        update_cost = input_card * self.cost_model.aggregate_update
-        # Estimated reduction: estimated partial-group count / input cardinality,
-        # where the group count is the product of the grouping attributes'
-        # distinct counts (capped at the input size).
-        reduction = 0.5
-        if point.group_attributes:
-            group_estimate = 1.0
-            found = False
-            for attr in point.group_attributes:
-                for rel in point.below:
-                    if attr in estimator.catalog.schema(rel).names:
-                        group_estimate *= estimator.distinct_values(rel, attr)
-                        found = True
-                        break
-            if not found:
-                group_estimate = input_card
-            reduction = min(group_estimate / max(input_card, 1.0), 1.0)
-        saved = input_card * (1.0 - reduction) * (
-            self.cost_model.hash_insert + self.cost_model.hash_probe
-        )
-        return update_cost - saved

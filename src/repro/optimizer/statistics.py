@@ -78,15 +78,6 @@ class OrderingObservation:
     max_value: object = None
     promised_direction: int | None = None
 
-    @property
-    def promise_violated(self) -> bool:
-        """True when enough data has arrived to contradict the promise."""
-        return (
-            self.promised_direction is not None
-            and self.observed > 1
-            and self.direction != self.promised_direction
-        )
-
     def progress_fraction(self, domain_low: float, domain_high: float) -> float | None:
         """Fraction of ``[domain_low, domain_high]`` the sorted stream covered."""
         if self.direction is None or self.observed == 0:

@@ -199,8 +199,8 @@ CHANNELS: tuple[SharedChannel, ...] = (
         type_name="ResilientSource",
         discipline="single_writer",
         rationale=(
-            "real-I/O transport envelopes own sockets, file handles, DB-API "
-            "connections and prefetch threads — per-process resources that "
+            "real-I/O transport envelopes own sockets, file handles and "
+            "DB-API connections — per-process resources that "
             "must never cross a process boundary (deliberately NOT "
             "cross_process_safe; the picklability audit rejects their field "
             "types). The serving loop of the owning worker opens them and "

@@ -518,7 +518,6 @@ class TestChannelRegistry:
             "FixtureServer",
             "InjectedTransport",
             "ResilientSource",
-            "ThreadedPrefetchSource",
             "Transport",
         }
         for channel in channels.CHANNELS:

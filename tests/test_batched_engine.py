@@ -2,8 +2,8 @@
 
 The differential harness (``test_differential_batched.py``) proves end-to-end
 equivalence; these tests pin down the individual batched building blocks —
-cursors, hash state, join nodes, split/router batching, the water-filling
-scheduler — including their *counter* equivalence, which the simulated-clock
+cursors, hash state, join nodes, the water-filling scheduler, batched
+aggregation — including their *counter* equivalence, which the simulated-clock
 comparability of the two modes rests on.
 """
 
@@ -14,17 +14,9 @@ import random
 import pytest
 
 from repro.engine.cost import ExecutionMetrics
-from repro.engine.operators.queue import TupleQueue
-from repro.engine.operators.split import Split
 from repro.engine.operators.aggregate import GroupAccumulator
 from repro.engine.pipelined import PipelinedJoinNode, PipelinedPlan, SourceCursor
 from repro.engine.state.hash_table import HashTableState
-from repro.core.router import (
-    CallbackRouter,
-    HashPartitionRouter,
-    OrderConformanceRouter,
-    RoundRobinRouter,
-)
 from repro.optimizer.plans import PlanError
 from repro.relational.expressions import Aggregate
 from repro.relational.relation import Relation
@@ -99,14 +91,6 @@ class TestHashTableBatching:
         assert sorted(batched.scan()) == sorted(sequential.scan())
         for key in (0, 1, 2, 99):
             assert batched.probe(key) == sequential.probe(key)
-
-    def test_probe_batch(self):
-        table = self._table()
-        table.insert_batch([(1, "a"), (1, "b"), (2, "c")])
-        buckets = table.probe_batch([1, 2, 7])
-        assert buckets[0] == [(1, "a"), (1, "b")]
-        assert buckets[1] == [(2, "c")]
-        assert buckets[2] == []
 
     def test_bucket_map_is_live_view(self):
         table = self._table()
@@ -186,96 +170,6 @@ class TestZeroQuotas:
         quotas = PipelinedPlan._zero_quotas([5, 0, 3], 7)
         assert sum(quotas) == 7
         assert quotas == self._simulate([5, 0, 3], 7)
-
-
-class TestSplitBatching:
-    def _queues(self, n):
-        return [TupleQueue(f"q{n_}") for n_ in range(n)]
-
-    def test_push_batch_round_robin(self):
-        schema = Schema.from_names(["v"])
-        queues = self._queues(2)
-        metrics = ExecutionMetrics()
-        split = Split(schema, queues, RoundRobinRouter(targets=2), metrics)
-        rows = [(i,) for i in range(7)]
-        indices = split.push_batch(rows)
-        assert indices == [0, 1, 0, 1, 0, 1, 0]
-        assert list(queues[0].drain()) == [(0,), (2,), (4,), (6,)]
-        assert list(queues[1].drain()) == [(1,), (3,), (5,)]
-        assert split.distribution() == {0: 4, 1: 3}
-        assert metrics.tuple_copies == 7
-
-    def test_push_batch_matches_push_for_stateful_router(self):
-        schema = Schema.from_names(["v"])
-        rows = [(3,), (1,), (4,), (1,), (5,), (2,), (6,)]
-
-        tuple_queues = self._queues(2)
-        tuple_router = OrderConformanceRouter(schema, "v")
-        tuple_split = Split(schema, tuple_queues, tuple_router)
-        for row in rows:
-            tuple_split.push(row)
-
-        batch_queues = self._queues(2)
-        batch_router = OrderConformanceRouter(schema, "v")
-        batch_split = Split(schema, batch_queues, batch_router)
-        batch_split.push_batch(rows)
-
-        assert [list(q.drain()) for q in batch_queues] == [
-            list(q.drain()) for q in tuple_queues
-        ]
-        assert batch_router.ordered_count == tuple_router.ordered_count
-        assert batch_router.unordered_count == tuple_router.unordered_count
-        assert batch_router.metrics.comparisons == tuple_router.metrics.comparisons
-        assert batch_split.distribution() == tuple_split.distribution()
-
-    def test_push_batch_default_router_path(self):
-        schema = Schema.from_names(["v"])
-        queues = self._queues(3)
-        split = Split(schema, queues, CallbackRouter(fn=lambda row: row[0] % 3))
-        split.push_batch([(0,), (1,), (2,), (4,)])
-        assert split.distribution() == {0: 1, 1: 2, 2: 1}
-
-    def test_push_batch_rejects_bad_index(self):
-        schema = Schema.from_names(["v"])
-        split = Split(schema, self._queues(1), CallbackRouter(fn=lambda row: 5))
-        with pytest.raises(IndexError):
-            split.push_batch([(1,)])
-
-    def test_empty_batch(self):
-        schema = Schema.from_names(["v"])
-        split = Split(schema, self._queues(1), RoundRobinRouter(targets=1))
-        assert split.push_batch([]) == []
-
-
-class TestRouterBatchEquivalence:
-    def test_round_robin_route_batch_preserves_state(self):
-        tuple_router = RoundRobinRouter(targets=3, chunk_size=2)
-        batch_router = RoundRobinRouter(targets=3, chunk_size=2)
-        rows = [(i,) for i in range(11)]
-        assert batch_router.route_batch(rows) == [tuple_router(r) for r in rows]
-        # Both should continue identically after the batch.
-        assert batch_router((99,)) == tuple_router((99,))
-
-    def test_hash_partition_route_batch(self):
-        schema = Schema.from_names(["k"])
-        router = HashPartitionRouter(schema, "k", 4)
-        rows = [(i,) for i in range(20)]
-        assert router.route_batch(rows) == [router(r) for r in rows]
-
-
-class TestTupleQueueBatch:
-    def test_push_many(self):
-        queue = TupleQueue("q")
-        queue.push_many([(1,), (2,)])
-        queue.push((3,))
-        assert queue.total_enqueued == 3
-        assert list(queue.drain()) == [(1,), (2,), (3,)]
-
-    def test_push_many_after_close_raises(self):
-        queue = TupleQueue("q")
-        queue.close()
-        with pytest.raises(Exception):
-            queue.push_many([(1,)])
 
 
 class TestGroupAccumulatorBatch:

@@ -1,6 +1,6 @@
-"""Unit tests for the real-I/O fabric: backends, faults, envelope, fetch.
+"""Unit tests for the real-I/O fabric: backends, faults, envelope, fixture server.
 
-Covers the PR's satellite contracts directly:
+Covers the fabric's contracts directly:
 
 * seeded-jitter backoff determinism, cap behavior, and retry-budget
   exhaustion surfacing as a circuit-breaker trip;
@@ -8,7 +8,8 @@ Covers the PR's satellite contracts directly:
   mid-stream reconnect on every backend;
 * the fixture server's wire protocol (completeness marker, fault shapes,
   64-line chunk framing — byte for byte against a row-at-a-time reference
-  encoder) and the thread-pool prefetch layer;
+  encoder), and seeded faults resumed exactly on a `WallTimeline` over real
+  sockets;
 * the streaming read contract — lazy offset-resuming file readers, prefix
   then raise on a cut record or a cut character, a shrunken source never
   read as end-of-stream, the JSON-lines block parser equal to a per-line
@@ -48,7 +49,6 @@ from repro.io import (
     JSONLinesTransport,
     ReadError,
     ResilientSource,
-    ThreadedPrefetchSource,
     TruncatedPayloadError,
     write_csv,
     write_jsonl,
@@ -1064,23 +1064,3 @@ class TestJSONLinesBlocks:
             text.split("\n"), 3, marker_ends=False
         )
 
-
-class TestThreadedPrefetch:
-    def test_prefetch_preserves_rows_and_order(self, tmp_path):
-        relation = make_relation(count=80)
-        path = str(tmp_path / "r.csv")
-        write_csv(path, relation)
-        inner = ResilientSource(
-            InjectedTransport(
-                CSVFileTransport("r", path, relation.schema),
-                FaultPlan.seeded(31, 80),
-            )
-        )
-        prefetch = ThreadedPrefetchSource(inner, depth=2)
-        delivered = [row for row, _t in prefetch.open_stream()]
-        assert delivered == relation.rows
-
-    def test_prefetch_propagates_failures(self):
-        prefetch = ThreadedPrefetchSource(ResilientSource(FailingTransport()))
-        with pytest.raises(CircuitOpenError):
-            list(prefetch.open_stream())

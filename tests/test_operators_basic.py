@@ -1,16 +1,13 @@
-"""Tests for scan, filter, project and union operators."""
+"""Tests for scan, filter and project operators."""
 
 import pytest
 
 from repro.engine.cost import ExecutionMetrics, SimulatedClock
-from repro.engine.operators.base import Operator, OperatorError
+from repro.engine.operators.base import Operator
 from repro.engine.operators.filter import Filter
 from repro.engine.operators.project import ProjectOp
 from repro.engine.operators.scan import Scan
-from repro.engine.operators.union import UnionAll
 from repro.relational.expressions import AttributeRef, Comparison, Constant
-from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.sources.network import ConstantRateNetworkModel
 from repro.sources.remote import RemoteSource
 
@@ -77,33 +74,6 @@ class TestProject:
         rows = operator.run_to_completion()
         assert rows[0] == ("ada", 1)
         assert operator.schema.names == ("name", "pid")
-
-
-class TestUnionAll:
-    def test_union_concatenates(self, people):
-        union = UnionAll([Scan(people), Scan(people)])
-        assert len(union.run_to_completion()) == 10
-
-    def test_union_adapts_layouts(self, people):
-        reordered_schema = people.schema.project(["city", "pid", "name", "age"])
-        reordered = Relation(
-            "people2",
-            reordered_schema,
-            [(row[3], row[0], row[1], row[2]) for row in people.rows],
-        )
-        union = UnionAll([Scan(people), Scan(reordered)])
-        rows = union.run_to_completion()
-        assert len(rows) == 10
-        # Every adapted row must match the target layout (pid first).
-        assert all(isinstance(row[0], int) for row in rows)
-
-    def test_union_requires_children(self):
-        with pytest.raises(OperatorError):
-            UnionAll([])
-
-    def test_union_incompatible_attribute_sets(self, people, simple_orders):
-        with pytest.raises(OperatorError):
-            UnionAll([Scan(people), Scan(simple_orders)])
 
 
 class TestMaterializeHelper:

@@ -1,17 +1,13 @@
 """Tests for the join operators, checked against a brute-force reference."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_same_bag, reference_join
-from repro.engine.operators.base import OperatorError
 from repro.engine.operators.hash_join import HybridHashJoin
-from repro.engine.operators.merge_join import MergeJoin
-from repro.engine.operators.nested_loops import NestedLoopsJoin
 from repro.engine.operators.pipelined_hash import SymmetricHashJoin
 from repro.engine.operators.scan import Scan
-from repro.relational.expressions import AttributeRef, BinaryPredicate, Comparison
+from repro.relational.expressions import BinaryPredicate
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -48,17 +44,6 @@ class TestEquiJoins:
         join = SymmetricHashJoin(Scan(LEFT), Scan(RIGHT), "lk", "rk")
         assert_same_bag(join.run_to_completion(), EXPECTED)
 
-    def test_nested_loops_equi(self):
-        predicate = Comparison(AttributeRef("lk"), "=", AttributeRef("rk"))
-        join = NestedLoopsJoin(Scan(LEFT), Scan(RIGHT), predicate)
-        assert_same_bag(join.run_to_completion(), EXPECTED)
-
-    def test_merge_join_sorted_inputs(self):
-        left = make_left(sorted([1, 2, 2, 3, 5]))
-        right = make_right(sorted([2, 3, 3, 4]))
-        join = MergeJoin(Scan(left), Scan(right), "lk", "rk")
-        assert_same_bag(join.run_to_completion(), reference_join(left, right, "lk", "rk"))
-
     def test_empty_inputs(self):
         empty_left = make_left([])
         join = SymmetricHashJoin(Scan(empty_left), Scan(RIGHT), "lk", "rk")
@@ -80,30 +65,6 @@ class TestResidualPredicates:
         assert join.run_to_completion() == []
 
 
-class TestMergeJoinValidation:
-    def test_unsorted_left_raises(self):
-        left = make_left([3, 1])
-        right = make_right([1, 3])
-        join = MergeJoin(Scan(left), Scan(right), "lk", "rk")
-        with pytest.raises(OperatorError):
-            join.run_to_completion()
-
-    def test_unsorted_right_raises(self):
-        left = make_left([1, 3])
-        right = make_right([3, 1, 5])
-        join = MergeJoin(Scan(left), Scan(right), "lk", "rk")
-        with pytest.raises(OperatorError):
-            join.run_to_completion()
-
-    def test_duplicate_keys_on_both_sides(self):
-        left = make_left([1, 1, 2])
-        right = make_right([1, 1, 1, 2])
-        join = MergeJoin(Scan(left), Scan(right), "lk", "rk")
-        rows = join.run_to_completion()
-        # 2 left ones x 3 right ones + 1x1 for key 2
-        assert len(rows) == 7
-
-
 class TestJoinStateExposure:
     def test_symmetric_join_exposes_both_hash_tables(self):
         join = SymmetricHashJoin(Scan(LEFT), Scan(RIGHT), "lk", "rk")
@@ -114,12 +75,6 @@ class TestJoinStateExposure:
 
     def test_hybrid_hash_exposes_inner_state(self):
         join = HybridHashJoin(Scan(LEFT), Scan(RIGHT), "lk", "rk")
-        join.run_to_completion()
-        assert len(join.inner_state) == len(RIGHT)
-
-    def test_nested_loops_buffers_inner(self):
-        predicate = Comparison(AttributeRef("lk"), "=", AttributeRef("rk"))
-        join = NestedLoopsJoin(Scan(LEFT), Scan(RIGHT), predicate)
         join.run_to_completion()
         assert len(join.inner_state) == len(RIGHT)
 
@@ -140,8 +95,8 @@ class TestCostAccounting:
 
 
 # ---------------------------------------------------------------------------
-# Property: all equi-join implementations agree with the brute-force reference
-# for arbitrary key multisets (merge join gets sorted copies of the inputs).
+# Property: both pull equi-join implementations agree with the brute-force
+# reference for arbitrary key multisets.
 # ---------------------------------------------------------------------------
 
 key_lists = st.lists(st.integers(min_value=0, max_value=8), max_size=40)
@@ -158,10 +113,3 @@ def test_property_join_implementations_agree(left_keys, right_keys):
     symmetric = SymmetricHashJoin(Scan(left), Scan(right), "lk", "rk").run_to_completion()
     assert_same_bag(hybrid, expected)
     assert_same_bag(symmetric, expected)
-
-    sorted_left = left.sorted_by("lk")
-    sorted_right = right.sorted_by("rk")
-    merge = MergeJoin(Scan(sorted_left), Scan(sorted_right), "lk", "rk").run_to_completion()
-    assert_same_bag(merge, reference_join(sorted_left, sorted_right, "lk", "rk"))
-    # Join cardinality does not depend on input order.
-    assert len(merge) == len(expected)

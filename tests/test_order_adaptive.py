@@ -223,7 +223,6 @@ class TestSortedRunState:
         assert len(state) == 5
         assert sorted(state.scan()) == [(1, 10), (2, 20), (2, 20), (3, 30), (5, 50)]
         assert state.peak_active == 5
-        assert state.swapped_to_disk
 
     def test_out_of_order_insert_after_eviction_stays_probeable(self):
         schema = Schema.from_names(["k"])

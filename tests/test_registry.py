@@ -9,7 +9,7 @@ SCHEMA = Schema.from_names(["k", "v"])
 
 def table_with(n, key="k"):
     table = HashTableState(SCHEMA, key)
-    table.insert_many([(i, i) for i in range(n)])
+    table.insert_batch([(i, i) for i in range(n)])
     return table
 
 
@@ -64,28 +64,18 @@ class TestRegistry:
         assert len(intermediates) == 1
         assert intermediates[0].relations == frozenset({"r", "s"})
 
-    def test_entries_for_plan_and_totals(self):
+    def test_entries_record_plan_and_cardinality(self):
         registry = StateRegistry()
         registry.register(expression_signature([("r", 0)]), table_with(1), 0)
         registry.register(expression_signature([("s", 1)]), table_with(4), 1)
-        assert len(registry.entries_for_plan(1)) == 1
-        assert registry.total_registered_tuples() == 5
+        assert [entry.plan_id for entry in registry] == [0, 1]
+        assert sum(entry.cardinality for entry in registry) == 5
 
-    def test_spill_order_prefers_complex_expressions(self):
-        registry = StateRegistry()
-        registry.register(expression_signature([("r", 0)]), table_with(100), 0)
-        registry.register(
-            expression_signature([("r", 0), ("s", 0)]), table_with(10), 0
-        )
-        order = registry.spill_order()
-        assert order[0].relations == frozenset({"r", "s"})
-
-    def test_entry_phase_of(self):
+    def test_entry_phases(self):
         registry = StateRegistry()
         entry = registry.register(
             expression_signature([("r", 2), ("s", 0)]), table_with(1), 2
         )
-        assert entry.phase_of("r") == 2
         assert entry.phases == frozenset({0, 2})
 
     def test_describe(self):

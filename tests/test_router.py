@@ -1,65 +1,11 @@
-"""Tests for tuple-routing policies."""
+"""Tests for the router's window pre-sort (the complementary pair's reorderer)."""
 
 import pytest
 
-from repro.core.router import (
-    CallbackRouter,
-    HashPartitionRouter,
-    OrderConformanceRouter,
-    PriorityQueueReorderer,
-    RoundRobinRouter,
-    RouterPolicy,
-)
+from repro.core.router import PriorityQueueReorderer
 from repro.relational.schema import Schema
 
 SCHEMA = Schema.from_names(["k", "v"])
-
-
-class TestRoundRobin:
-    def test_even_distribution(self):
-        router = RoundRobinRouter(targets=3)
-        routed = [router((i,)) for i in range(9)]
-        assert routed == [0, 1, 2, 0, 1, 2, 0, 1, 2]
-
-    def test_chunked(self):
-        router = RoundRobinRouter(targets=2, chunk_size=3)
-        routed = [router((i,)) for i in range(8)]
-        assert routed == [0, 0, 0, 1, 1, 1, 0, 0]
-
-
-class TestHashPartition:
-    def test_same_key_same_target(self):
-        router = HashPartitionRouter(SCHEMA, "k", targets=4)
-        assert router((42, "a")) == router((42, "b"))
-
-    def test_target_range(self):
-        router = HashPartitionRouter(SCHEMA, "k", targets=3)
-        assert all(0 <= router((i, None)) < 3 for i in range(50))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HashPartitionRouter(SCHEMA, "k", targets=0)
-
-
-class TestOrderConformance:
-    def test_sorted_stream_all_ordered(self):
-        router = OrderConformanceRouter(SCHEMA, "k")
-        assert all(router((i, None)) == router.ORDERED for i in range(20))
-        assert router.ordered_fraction == 1.0
-
-    def test_out_of_order_tuples_diverted(self):
-        router = OrderConformanceRouter(SCHEMA, "k")
-        assert router((5, None)) == router.ORDERED
-        assert router((3, None)) == router.UNORDERED
-        assert router((6, None)) == router.ORDERED
-        assert router.ordered_count == 2
-        assert router.unordered_count == 1
-        assert 0 < router.ordered_fraction < 1
-
-    def test_duplicates_count_as_ordered(self):
-        router = OrderConformanceRouter(SCHEMA, "k")
-        router((1, None))
-        assert router((1, None)) == router.ORDERED
 
 
 class TestPriorityQueueReorderer:
@@ -109,15 +55,3 @@ class TestPriorityQueueReorderer:
         with pytest.raises(ValueError):
             PriorityQueueReorderer(SCHEMA, "k", capacity=0)
 
-
-class TestCallbackRouter:
-    def test_records_decisions(self):
-        router = CallbackRouter(fn=lambda row: row[0] % 2)
-        assert [router((i,)) for i in range(4)] == [0, 1, 0, 1]
-        assert router.routed == [0, 1, 0, 1]
-
-
-class TestBase:
-    def test_policy_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            RouterPolicy()((1,))

@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.state.base import StateStructure, StateStructureError
-from repro.engine.state.btree import BPlusTreeState
-from repro.engine.state.hash_sorted import SortedHashState
+from repro.engine.state.base import StateStructure
 from repro.engine.state.hash_table import HashTableState
-from repro.engine.state.list_state import ListState
-from repro.engine.state.sorted_list import SortedListState
+from repro.engine.state.sorted_run import SortedRunState
 from repro.relational.schema import Schema
 
 SCHEMA = Schema.from_names(["k", "v"])
@@ -20,37 +17,6 @@ def rows_from_keys(keys):
 
 
 class TestBaseBehaviour:
-    def test_probe_unsupported_on_list(self):
-        state = ListState(SCHEMA)
-        with pytest.raises(StateStructureError):
-            state.probe(1)
-
-    def test_describe_reports_properties(self):
-        state = HashTableState(SCHEMA, "k")
-        state.insert((1, "a"))
-        info = state.describe()
-        assert info["cardinality"] == 1
-        assert info["key"] == "k"
-        assert info["supports_key_access"] is True
-
-    def test_adapted_scan_permutes(self):
-        state = ListState(SCHEMA)
-        state.insert((1, "a"))
-        target = Schema.from_names(["v", "k"])
-        assert list(state.adapted_scan(target)) == [("a", 1)]
-
-    def test_swap_flags(self):
-        state = ListState(SCHEMA)
-        state.swap_to_disk()
-        assert state.swapped_to_disk
-        state.restore_from_disk()
-        assert not state.swapped_to_disk
-
-    def test_key_position_requires_key(self):
-        with pytest.raises(StateStructureError):
-            ListState(SCHEMA).key_position()
-        assert HashTableState(SCHEMA, "v").key_position() == 1
-
     def test_base_class_is_abstract(self):
         base = StateStructure(SCHEMA)
         with pytest.raises(NotImplementedError):
@@ -59,159 +25,70 @@ class TestBaseBehaviour:
             base.scan()
 
 
-class TestListState:
-    def test_insert_scan_order_preserved(self):
-        state = ListState(SCHEMA)
-        state.insert_many(rows_from_keys([3, 1, 2]))
-        assert [r[0] for r in state.scan()] == [3, 1, 2]
-        assert len(state) == 3
-
-
-class TestSortedListState:
-    def test_keeps_sorted_under_random_inserts(self):
-        state = SortedListState(SCHEMA, "k")
-        state.insert_many(rows_from_keys([5, 1, 3, 2, 4]))
-        assert [r[0] for r in state.scan()] == [1, 2, 3, 4, 5]
-
-    def test_probe_duplicates(self):
-        state = SortedListState(SCHEMA, "k")
-        state.insert((1, "a"))
-        state.insert((1, "b"))
-        state.insert((2, "c"))
-        assert len(state.probe(1)) == 2
-        assert state.probe(9) == []
-
-    def test_range_scan(self):
-        state = SortedListState(SCHEMA, "k")
-        state.insert_many(rows_from_keys(range(10)))
-        assert [r[0] for r in state.range_scan(3, 6)] == [3, 4, 5, 6]
-
-    def test_min_max(self):
-        state = SortedListState(SCHEMA, "k")
-        with pytest.raises(StateStructureError):
-            state.min_key()
-        state.insert_many(rows_from_keys([7, 2]))
-        assert state.min_key() == 2 and state.max_key() == 7
-
-
 class TestHashTableState:
     def test_probe(self):
         state = HashTableState(SCHEMA, "k")
-        state.insert_many(rows_from_keys([1, 2, 1]))
+        state.insert_batch(rows_from_keys([1, 2, 1]))
         assert len(state.probe(1)) == 2
         assert state.probe(3) == []
         assert 1 in state and 3 not in state
 
     def test_scan_covers_everything(self):
         state = HashTableState(SCHEMA, "k")
-        state.insert_many(rows_from_keys(range(20)))
+        state.insert_batch(rows_from_keys(range(20)))
         assert sorted(r[0] for r in state.scan()) == list(range(20))
-        assert state.bucket_count() == 20
-
-    def test_rehashed(self):
-        state = HashTableState(SCHEMA, "k")
-        state.insert((1, "a"))
-        state.insert((2, "a"))
-        rekeyed = state.rehashed("v")
-        assert rekeyed.key == "v"
-        assert len(rekeyed.probe("a")) == 2
-
-    def test_spill_partition(self):
-        state = HashTableState(SCHEMA, "k")
-        state.insert_many(rows_from_keys(range(10)))
-        spilled = state.spill_partition(lambda key: key % 2 == 0)
-        assert spilled == 5
-        assert state.is_spilled(4) and not state.is_spilled(3)
-        assert state.swapped_to_disk
-        state.unspill_all()
-        assert not state.swapped_to_disk and not state.spilled_keys
-
-
-class TestSortedHashState:
-    def test_probe_and_sorted_scan(self):
-        state = SortedHashState(SCHEMA, "k", bucket_count=4)
-        state.insert_many(rows_from_keys([9, 3, 7, 1, 3]))
-        assert len(state.probe(3)) == 2
-        assert [r[0] for r in state.sorted_scan()] == [1, 3, 3, 7, 9]
-        assert sorted(r[0] for r in state.scan()) == [1, 3, 3, 7, 9]
-        assert sum(state.bucket_sizes()) == 5
-
-    def test_invalid_bucket_count(self):
-        with pytest.raises(ValueError):
-            SortedHashState(SCHEMA, "k", bucket_count=0)
-
-
-class TestBPlusTree:
-    def test_probe_and_duplicates(self):
-        tree = BPlusTreeState(SCHEMA, "k", order=4)
-        tree.insert_many(rows_from_keys([5, 1, 5, 3]))
-        assert len(tree.probe(5)) == 2
-        assert tree.probe(2) == []
-
-    def test_sorted_full_scan_after_many_inserts(self):
-        tree = BPlusTreeState(SCHEMA, "k", order=4)
-        keys = [37, 2, 99, 4, 4, 58, 21, 13, 8, 71, 64, 50, 1, 90, 33]
-        tree.insert_many(rows_from_keys(keys))
-        assert [r[0] for r in tree.scan()] == sorted(keys)
-        assert tree.min_key() == 1 and tree.max_key() == 99
-        assert tree.height >= 2
-
-    def test_range_scan(self):
-        tree = BPlusTreeState(SCHEMA, "k", order=4)
-        tree.insert_many(rows_from_keys(range(50)))
-        assert [r[0] for r in tree.range_scan(10, 15)] == list(range(10, 16))
-        assert list(tree.range_scan(30, 20)) == []
-
-    def test_empty_tree_min_raises(self):
-        tree = BPlusTreeState(SCHEMA, "k")
-        with pytest.raises(StateStructureError):
-            tree.min_key()
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            BPlusTreeState(SCHEMA, "k", order=2)
+        assert len(state.bucket_map()) == 20
 
 
 # ---------------------------------------------------------------------------
-# Property-based consistency: every keyed structure must agree with a naive
-# dict-of-lists reference under arbitrary insertion sequences.
+# Property-based consistency: both structures the engine builds must agree
+# with a naive dict-of-lists reference under arbitrary insertion sequences —
+# the sorted run also under evictions interleaved with the inserts.
 # ---------------------------------------------------------------------------
 
-keys_strategy = st.lists(st.integers(min_value=-50, max_value=50), max_size=200)
+keys = st.integers(min_value=-50, max_value=50)
+steps_strategy = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.lists(keys, max_size=20)),
+        st.tuples(st.sampled_from(["evict_below", "evict_above"]), keys),
+    ),
+    max_size=25,
+)
 
 
 @settings(max_examples=60, deadline=None)
-@given(keys=keys_strategy)
-def test_property_keyed_structures_agree_with_reference(keys):
-    rows = [(k, i) for i, k in enumerate(keys)]
+@given(steps=steps_strategy)
+def test_property_keyed_structures_agree_with_reference(steps):
+    hash_table = HashTableState(SCHEMA, "k")
+    sorted_run = SortedRunState(SCHEMA, "k")
+    inserted: list[tuple] = []
     reference: dict[int, list[tuple]] = {}
-    for row in rows:
-        reference.setdefault(row[0], []).append(row)
 
-    structures = [
-        HashTableState(SCHEMA, "k"),
-        SortedListState(SCHEMA, "k"),
-        SortedHashState(SCHEMA, "k", bucket_count=8),
-        BPlusTreeState(SCHEMA, "k", order=4),
-    ]
-    for structure in structures:
-        structure.insert_many(rows)
-        assert len(structure) == len(rows)
-        for key in set(keys) | {999}:
-            assert sorted(structure.probe(key)) == sorted(reference.get(key, []))
-        assert sorted(structure.scan()) == sorted(rows)
+    for op, arg in steps:
+        if op == "insert":
+            rows = [(k, len(inserted) + i) for i, k in enumerate(arg)]
+            inserted.extend(rows)
+            for row in rows:
+                reference.setdefault(row[0], []).append(row)
+            hash_table.insert_batch(rows)
+            for row in rows:
+                sorted_run.insert(row)
+        else:
+            active_before = sorted_run.active_size()
+            moved = getattr(sorted_run, op)(arg)
+            assert sorted_run.active_size() == active_before - moved
+            # nothing on the evicted side of the bound stays active
+            evicted = (lambda k: k < arg) if op == "evict_below" else (lambda k: k > arg)
+            for key in filter(evicted, reference):
+                assert sorted_run.probe_active(key) == []
 
-
-@settings(max_examples=60, deadline=None)
-@given(keys=keys_strategy)
-def test_property_ordered_structures_scan_in_key_order(keys):
-    rows = [(k, i) for i, k in enumerate(keys)]
-    sorted_list = SortedListState(SCHEMA, "k")
-    btree = BPlusTreeState(SCHEMA, "k", order=4)
-    sorted_hash = SortedHashState(SCHEMA, "k", bucket_count=8)
-    for structure in (sorted_list, btree, sorted_hash):
-        structure.insert_many(rows)
-    expected_keys = sorted(k for k, _ in rows)
-    assert [r[0] for r in sorted_list.scan()] == expected_keys
-    assert [r[0] for r in btree.scan()] == expected_keys
-    assert [r[0] for r in sorted_hash.sorted_scan()] == expected_keys
+        for structure in (hash_table, sorted_run):
+            assert len(structure) == len(inserted)
+            assert sorted(structure.scan()) == sorted(inserted)
+            for key in set(reference) | {999}:
+                assert sorted(structure.probe(key)) == sorted(reference.get(key, []))
+        for key in set(reference) | {999}:
+            assert sorted_run.probe(key) == (
+                sorted_run.probe_active(key) + sorted_run.probe_archive(key)
+            )
+        assert sorted_run.active_size() <= sorted_run.peak_active

@@ -188,7 +188,7 @@ class TestStitchUpAccounting:
         report = stitchup.run()
         assert (
             report.reused_tuples + report.discarded_tuples
-            == registry.total_registered_tuples()
+            == sum(entry.cardinality for entry in registry)
         )
 
 
