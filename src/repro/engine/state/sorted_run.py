@@ -118,9 +118,6 @@ class SortedRunState(StateStructure):
     def active_size(self) -> int:
         return len(self._keys) - self._head
 
-    def archived_size(self) -> int:
-        return self._archived
-
     def scan(self) -> Iterator[tuple]:
         for bucket in self._archive.values():
             yield from bucket

@@ -25,14 +25,6 @@ class CostEstimate:
     output_cardinality: float
     cardinalities: dict[frozenset, float] = field(default_factory=dict)
 
-    def scaled(self, factor: float) -> "CostEstimate":
-        """Scale the cost (used to estimate cost over a fraction of the data)."""
-        return CostEstimate(
-            total_cost=self.total_cost * factor,
-            output_cardinality=self.output_cardinality * factor,
-            cardinalities=dict(self.cardinalities),
-        )
-
 
 class PlanCostModel:
     """Estimates plan costs for pipelined-hash-join execution."""

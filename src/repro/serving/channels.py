@@ -128,9 +128,11 @@ CHANNELS: tuple[SharedChannel, ...] = (
         discipline="single_writer",
         rationale=(
             "server-private catalog copy; sessions read it during plan "
-            "choice, and learned exact cardinalities are published between "
-            "quanta by the shared-learning policy only — the front-end tier "
-            "owns it under sharding"
+            "choice and re-optimization, and only the statistics cache "
+            "publishes learned exact cardinalities into it. In-process that "
+            "happens between quanta; under sharding each worker publishes the "
+            "run-start snapshot's once, before its first activation, and "
+            "never again, so every session reads its activation-time catalog"
         ),
         attributes=("catalog",),
         mutators=("register", "set_statistics"),
@@ -170,14 +172,17 @@ CHANNELS: tuple[SharedChannel, ...] = (
             "the cross-query learning store; mutated only by the serving "
             "loop's telemetry hook and the shared-learning policy between "
             "sessions, and every reachable field must pickle — under "
-            "sharding each worker hydrates a private cache from a snapshot "
-            "and the front-end folds post-run snapshots in worker-id order "
-            "(see the stats_store channel for the manager-hosted variant)"
+            "sharding each worker hydrates a private cache from a snapshot, "
+            "absorbs each retired session into it without publishing to the "
+            "catalog, and the front-end folds post-run snapshots in "
+            "worker-id order (see the stats_store channel for the "
+            "manager-hosted variant)"
         ),
         attributes=("stats_cache", "cache"),
         mutators=("absorb", "record_rate_sample", "record_histogram"),
         writers=(
             "serving/server.py::QueryServer._record_rate_telemetry",
+            "serving/worker.py::drive_shard",
             "adaptivity/policies.py::SharedLearningPolicy.session_finished",
         ),
         payload_types=("ObservedStatistics", "DynamicCompressedHistogram"),

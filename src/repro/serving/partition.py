@@ -87,13 +87,24 @@ def partition_relation(
     relation: Relation, attribute: str, partitions: int
 ) -> list[Relation]:
     """Split one relation into ``partitions`` fragments by key hash."""
+    return _split(relation, attribute, partitions, {})
+
+
+def _split(
+    relation: Relation, attribute: str, partitions: int, memo: dict[object, int]
+) -> list[Relation]:
+    """:func:`partition_relation`, hashing each distinct key once: ``memo``
+    (key → bucket) may serve every relation over one key domain, because
+    keys that compare equal have equal ``repr`` (see above)."""
     position = relation.schema.position(attribute)
     buckets: list[list[tuple]] = [[] for _ in range(partitions)]
     for row in relation.rows:
-        buckets[stable_partition_index(row[position], partitions)].append(row)
-    return [
-        Relation(relation.name, relation.schema, rows) for rows in buckets
-    ]
+        key = row[position]
+        index = memo.get(key)
+        if index is None:
+            index = memo[key] = stable_partition_index(key, partitions)
+        buckets[index].append(row)
+    return [Relation(relation.name, relation.schema, rows) for rows in buckets]
 
 
 def fragment_query(query: SPJAQuery) -> SPJAQuery:
@@ -152,11 +163,13 @@ def build_partition_plan(
     if partitions < 2:
         raise ValueError("partitions must be at least 2")
     edge = choose_partition_edge(query, relations)
-    left_fragments = partition_relation(
-        relations[edge.left_relation], edge.left_attr, partitions
+    # Both sides join on one key domain: hash each distinct key once.
+    memo: dict[object, int] = {}
+    left_fragments = _split(
+        relations[edge.left_relation], edge.left_attr, partitions, memo
     )
-    right_fragments = partition_relation(
-        relations[edge.right_relation], edge.right_attr, partitions
+    right_fragments = _split(
+        relations[edge.right_relation], edge.right_attr, partitions, memo
     )
     overrides = tuple(
         {

@@ -8,15 +8,18 @@ deterministic session→worker routing
 admission index), and the persistent statistics cache.  All execution
 happens in worker processes (:mod:`repro.serving.worker`): each worker is
 started with one :class:`~repro.serving.specs.ShardTask` as its process
-argument, drives its scheduler shard with per-session private clocks, and
-returns one :class:`~repro.serving.specs.ShardResult` over the FIFO result
-queue — the ``shard_tasks`` / ``handoff`` channels of
-:mod:`repro.serving.channels`.
+argument, runs its shard's sessions one at a time to completion — the
+scheduling policy orders sessions, not quanta — and returns one
+:class:`~repro.serving.specs.ShardResult` over the FIFO result queue — the
+``shard_tasks`` / ``handoff`` channels of :mod:`repro.serving.channels`.
 
 Determinism contract: session results (multisets, metrics, phase counts,
-simulated seconds) are bit-identical to solo runs of the same queries —
-sessions run blocking on private clocks, exactly like solo execution — and
-the front-end folds worker statistics snapshots in worker-id order, so the
+simulated seconds) are bit-identical to solo runs of the same queries under
+every scheduling policy.  Sessions run blocking on private clocks, exactly
+like solo execution, and each reads the catalog as it stood at activation
+(the run-start snapshot's cardinalities, never what a session of the same
+run learned), so the order a policy picks cannot show in any result.  The
+front-end folds worker statistics snapshots in worker-id order, so the
 persistent cache's end state never depends on wall-clock races.  Wall-clock
 *speed* is where the workers show up: shards execute concurrently across
 processes — the benchmark's ``serve_sharded`` workload

@@ -8,20 +8,25 @@ over the result queue.  The
 shard driver is deliberately a plain function (:func:`drive_shard`) so the
 same code runs in-process for ``workers=1`` and for deterministic tests.
 
-Determinism contract (the sharded differential suites pin all of it):
+Determinism contract (the sharded differential suites pin all of it): a
+session is a pure function of its spec and the run-start snapshot, so its
+multiset, metrics, phase count and simulated seconds are bit-identical to a
+solo run under every scheduling policy:
 
-* every session runs in **blocking** mode on its own **private**
-  :class:`~repro.engine.cost.SimulatedClock` — exactly the solo-execution
-  configuration, so each session's result multiset, metrics, phase count
-  and simulated seconds are bit-identical to a solo run of the same query;
-* sessions are activated in ``(admit_at, index)`` order and their quanta
-  interleaved by the shard's scheduling policy at tick granularity; because
-  clocks are private, interleaving affects wall-clock overlap only, never
-  results or simulated timings;
-* each worker learns statistics into a private cache hydrated from the
-  front-end's run-start snapshot; its post-run snapshot rides home in the
-  :class:`ShardResult` and the front-end folds snapshots in worker-id order,
-  so the persistent cache's end state is independent of wall-clock races.
+* it runs **blocking** on its own **private**
+  :class:`~repro.engine.cost.SimulatedClock`, as solo execution does;
+* it reads the catalog as it stood at activation: the snapshot's exact
+  cardinalities are published once, before the first activation, and never
+  again (the re-optimizer rebuilds its estimator from the catalog at every
+  poll, so a later publication would leak one session's learning into
+  another's plan choices);
+* every session is activated in ``(admit_at, index)`` order before any
+  runs, then the worker runs **one session at a time to completion** — the
+  policy orders sessions, not quanta (results ship home together, so
+  interleaving would buy nothing and cost cache locality);
+* retired sessions are absorbed into the worker's private cache, whose
+  post-run snapshot rides home in the :class:`ShardResult`; the front-end
+  folds snapshots in worker-id order, independent of wall-clock races.
 
 Partition fragments (``spec.partition_of`` set) read partition-local source
 overrides and are excluded from statistics absorption: an exhausted
@@ -33,7 +38,6 @@ from __future__ import annotations
 import traceback
 from typing import TYPE_CHECKING
 
-from repro.adaptivity import AdaptationController, SharedLearningPolicy
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.engine.cost import CostModel, SimulatedClock
 from repro.io.wallclock import wall_now
@@ -65,9 +69,9 @@ def drive_shard(task: ShardTask) -> ShardResult:
     cache = SharedStatisticsCache()
     if task.snapshot is not None:
         cache.hydrate_state(task.snapshot)
-    adaptation = AdaptationController(
-        [SharedLearningPolicy(cache, share_statistics=task.share_statistics)]
-    )
+    if task.share_statistics:
+        # The catalog's only publication: sessions must not see each other.
+        cache.apply_cardinalities(catalog)
     policy = make_policy(task.policy)
     specs_by_index = {spec.index: spec for spec in task.specs}
     sessions: list[QuerySession] = []
@@ -92,50 +96,35 @@ def drive_shard(task: ShardTask) -> ShardResult:
             )
         )
 
-    finished: list[QuerySession] = []
-    active: list[QuerySession] = []
-    quanta = 0
-    turn = 0
-
-    def retire(session: QuerySession) -> None:
-        report = session.report
-        assert report is not None
-        session.finished_at = session.admit_at + report.simulated_seconds
-        spec = specs_by_index[session.index]
-        if spec.partition_of is None:
-            adaptation.session_finished(report, catalog)
-        finished.append(session)
-
     # Activate in (admit_at, index) order.  On a private-clock shard,
-    # admission time orders activations (and therefore which published
-    # statistics each initial plan sees) but gates nothing else.
+    # admission time orders activations but gates nothing else.
+    pending: list[QuerySession] = []
     for session in sorted(sessions, key=lambda item: (item.admit_at, item.index)):
         step_start = wall_now()
-        seed = adaptation.session_starting(session.query, catalog)
+        seed = cache.seed_for(session.query) if task.share_statistics else None
         session.start(SimulatedClock(cost_model), seed)
         busy_seconds += wall_now() - step_start
-        if session.state is QuerySession.DONE:
-            retire(session)
-        else:
-            active.append(session)
+        pending.append(session)
 
-    while active:
-        # Blocking sessions are always ready (they wait on their own clock,
-        # never on the scheduler); the turn counter is the shard's logical
-        # time — both policies ignore the wall meaning of ``now``.
-        session = policy.pick(active, float(turn))
-        session.last_granted_turn = turn
-        turn += 1
-        quanta += 1
+    # Ask the policy once per session, then grant that session quanta until
+    # it finishes.  Blocking sessions are always ready (they wait on their own
+    # clock, never on the scheduler), so the policy's ``now`` means nothing.
+    quanta = 0
+    while pending:
+        session = policy.pick(pending, 0.0)
+        pending.remove(session)
         step_start = wall_now()
-        done = session.grant()
+        while session.state is QuerySession.ACTIVE:
+            session.grant()
         busy_seconds += wall_now() - step_start
-        if done:
-            active.remove(session)
-            retire(session)
+        quanta += session.quanta
+        report = session.report
+        assert report is not None
+        if specs_by_index[session.index].partition_of is None:
+            cache.absorb(report.details["observed_statistics"])
 
     collected: list[SessionResult] = []
-    for session in sorted(finished, key=lambda item: item.index):
+    for session in sessions:
         report = session.report
         assert report is not None
         spec = specs_by_index[session.index]

@@ -17,13 +17,15 @@ exactly — including decomposed-avg aggregation, which the workload
 generator never draws and is therefore pinned by a hand-built query.
 
 The workloads reuse the same seeded generator as the engine differential
-tests; a meta-test pins population diversity so the assertions cannot
-silently become vacuous.
+tests, whose workloads never share a relation; the shared-relation cases run
+the paper's TPC-H queries over one dataset instead.  A meta-test pins
+population diversity so the assertions cannot silently become vacuous.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -33,7 +35,12 @@ from differential import (
     run_sharded_differential_case,
 )
 
+from repro.core.corrective import CorrectiveQueryProcessor
+from repro.experiments.common import build_dataset
+from repro.relational.algebra import SPJAQuery
 from repro.relational.expressions import Aggregate
+from repro.serving.sharded import ShardedQueryServer
+from repro.workloads.queries import query_3a, query_5, query_10a
 
 POLICIES = ("round_robin", "shortest_remaining_cost")
 
@@ -56,7 +63,18 @@ ENGINE_CASES = (
 PARTITION_SPJ_SEEDS = (3, 22)
 PARTITION_AGG_SEEDS = (23, 33)
 
+#: Shared-relation cases: eight sessions cycling Q3A/Q10A/Q5 over one TPC-H
+#: dataset, so every session reads the same relations, at (scale factor,
+#: dataset seed) in this grid.  One combination runs under ``fork``.
+SHARED_DATASETS = ((0.001, 2004), (0.001, 7), (0.002, 2004), (0.002, 7))
+SHARED_ENGINES = (("compiled", 64), ("interpreted", None))
+SHARED_FORK_CASE = (0.002, 7, "shortest_remaining_cost", "compiled")
+SHARED_SESSIONS = 8
+SHARED_POLLING_INTERVAL = 0.25
+SHARED_QUANTUM = 200
+
 _CASE_CACHE: dict[tuple, object] = {}
+_SHARED_CACHE: dict[tuple, "SharedRelationCase"] = {}
 
 
 def _case(seeds, policy, workers, engine_mode="interpreted", batch_size=None,
@@ -74,6 +92,97 @@ def _case(seeds, policy, workers, engine_mode="interpreted", batch_size=None,
         )
         _CASE_CACHE[key] = result
     return result
+
+
+@dataclass
+class SharedRelationCase:
+    """One shared-relation sharded run: the queries in admission order and
+    the report whose every session matched its solo run."""
+
+    queries: list[SPJAQuery]
+    report: object  # repro.serving.sharded.ShardedServingReport
+
+
+def _observables(report) -> tuple:
+    return (
+        Counter(report.rows),
+        report.metrics.as_dict(),
+        repr(report.simulated_seconds),
+        report.num_phases,
+    )
+
+
+def _shared_case(scale_factor, seed, policy, engine_mode, batch_size):
+    key = (scale_factor, seed, policy, engine_mode)
+    cached = _SHARED_CACHE.get(key)
+    if cached is not None:
+        return cached
+    dataset = build_dataset("uniform", scale_factor, 0.0, seed)
+    makers = (query_3a, query_10a, query_5)
+    queries = [makers[index % len(makers)]() for index in range(SHARED_SESSIONS)]
+    options = dict(
+        polling_interval_seconds=SHARED_POLLING_INTERVAL,
+        batch_size=batch_size,
+        engine_mode=engine_mode,
+    )
+    solo = {
+        query.name: _observables(
+            CorrectiveQueryProcessor(
+                dataset.catalog_no_statistics.copy(), dataset.sources, **options
+            ).execute(query, poll_step_limit=SHARED_QUANTUM)
+        )
+        for query in queries[: len(makers)]
+    }
+    server = ShardedQueryServer(
+        dataset.catalog_no_statistics,
+        dataset.sources,
+        policy=policy,
+        workers=2,
+        quantum_tuples=SHARED_QUANTUM,
+        start_method="fork" if key == SHARED_FORK_CASE else "inline",
+        **options,
+    )
+    for query in queries:
+        server.submit(query)
+    report = server.run()
+    assert [served.query_name for served in report.served] == [
+        query.name for query in queries
+    ]
+    for served in report.served:
+        assert _observables(served.report) == solo[served.query_name], (
+            f"SF {scale_factor}, seed {seed}, policy={policy!r}, "
+            f"engine={engine_mode}@{batch_size}: session {served.label!r} "
+            "diverges from its solo run"
+        )
+    case = _SHARED_CACHE[key] = SharedRelationCase(queries, report)
+    return case
+
+
+@pytest.mark.parametrize("engine_mode,batch_size", SHARED_ENGINES,
+                         ids=lambda value: str(value))
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("scale_factor,seed", SHARED_DATASETS,
+                         ids=lambda value: str(value))
+def test_sharded_sessions_sharing_relations_match_solo(
+    scale_factor, seed, policy, engine_mode, batch_size
+):
+    """Sessions that read the same relations stay bit-identical to solo
+    (asserted in the runner): nothing one session learns reaches another
+    session of the same run, whatever order the policy runs them in."""
+    case = _shared_case(scale_factor, seed, policy, engine_mode, batch_size)
+    forked = (scale_factor, seed, policy, engine_mode) == SHARED_FORK_CASE
+    assert case.report.start_method == ("fork" if forked else "inline")
+    assert len(case.report.served) == SHARED_SESSIONS
+    assert len(case.report.worker_summaries) == 2
+
+
+def _shares_a_relation(queries) -> bool:
+    seen: set[str] = set()
+    for query in queries:
+        if seen & set(query.relations):
+            return True
+        seen |= set(query.relations)
+    return False
 
 
 @pytest.mark.parametrize("engine_mode,batch_size", ENGINE_CASES,
@@ -201,12 +310,30 @@ def test_partition_parallel_avg_decomposition(partitions):
 def test_sharded_population_covers_interesting_regimes():
     """The bit-identical claims only bite if the sharded population is
     diverse: remote (bursty-arrival) sources, multi-phase corrective
-    executions, multi-join queries and aggregation must all appear."""
+    executions, multi-join queries and aggregation must all appear, and so
+    must two sessions reading one relation.  The generated population cannot
+    supply that last regime: it gives workload ``i`` its own ``w{i}_``
+    relations, so what one session learns about a relation never has
+    another session to leak into.  The shared-relation cases do."""
     cases = [
         _case(seeds, policy, workers)
         for workers, seeds in WORKER_CASES
         for policy in POLICIES
     ]
+    shared_cases = [
+        _shared_case(scale_factor, seed, policy, engine_mode, batch_size)
+        for scale_factor, seed in SHARED_DATASETS[:1]
+        for policy in POLICIES
+        for engine_mode, batch_size in SHARED_ENGINES[:1]
+    ]
+    sharing = sum(
+        1
+        for queries in [
+            [workload.query for workload in case.workloads] for case in cases
+        ]
+        + [case.queries for case in shared_cases]
+        if _shares_a_relation(queries)
+    )
     remote = sum(case.num_remote for case in cases)
     multi_phase = sum(
         1 for case in cases for phases in case.served_phase_counts if phases >= 2
@@ -230,3 +357,7 @@ def test_sharded_population_covers_interesting_regimes():
     )
     assert multi_join >= 4
     assert aggregated >= 2
+    assert sharing >= 1, (
+        "no sharded run has two sessions reading one relation — leaks "
+        "between sessions of one run are untested"
+    )

@@ -215,7 +215,7 @@ class TestSortedRunState:
         assert state.active_size() == 5
         moved = state.evict_below(3)
         assert moved == 3
-        assert state.active_size() == 2 and state.archived_size() == 3
+        assert state.active_size() == 2 and len(state) - state.active_size() == 3
         assert state.probe_active(2) == []
         assert sorted(state.probe_archive(2)) == [(2, 20), (2, 20)]
         # probe() spans both tiers; scan()/len() always cover everything.
@@ -241,7 +241,7 @@ class TestSortedRunState:
             state.insert((key,))
         moved = state.evict_above(5)
         assert moved == 2
-        assert state.active_size() == 2 and state.archived_size() == 2
+        assert state.active_size() == 2 and len(state) - state.active_size() == 2
         assert state.probe_archive(9) == [(9,)]
 
 

@@ -4,7 +4,8 @@ The differential suites (``test_differential_sharded.py``) pin the
 end-to-end bit-identity contract; these tests pin the individual pieces:
 session→worker routing, the statistics snapshot protocol, the cross-process
 manager store, the hash-partition helpers, worker failure propagation and
-the front-end's admission validation.
+the front-end's admission validation, and the worker's run-to-completion
+order.
 """
 
 from __future__ import annotations
@@ -13,8 +14,15 @@ import os
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from differential import POLL_STEP_LIMIT, POLLING_INTERVAL, generate_workload
+from differential import (
+    POLL_STEP_LIMIT,
+    POLLING_INTERVAL,
+    generate_workload,
+    run_sharded_workloads,
+)
 
 from repro.io.wallclock import wall_now
 from repro.optimizer.statistics import ObservedStatistics
@@ -39,6 +47,7 @@ from repro.serving.partition import (
     partition_relation,
     stable_partition_index,
 )
+from repro.serving.session import QuerySession
 from repro.serving.specs import SessionResult
 from repro.serving.worker import worker_main
 from repro.sources.source import DataSource, LocalSource
@@ -192,6 +201,48 @@ class TestPartitionHelpers:
                 for row in fragment.rows
             )
 
+    @staticmethod
+    def _per_row_reference(rows, position, partitions):
+        fragments = [[] for _ in range(partitions)]
+        for row in rows:
+            fragments[stable_partition_index(row[position], partitions)].append(row)
+        return fragments
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_fragments_match_per_row_hashing(self, data):
+        """Hashing each distinct key once, with one memo for both sides of
+        the edge, leaves every fragment exactly what hashing every row gives:
+        same rows, same order, on both sides."""
+        pool = data.draw(
+            st.lists(
+                st.one_of(st.integers(-30, 30), st.text(max_size=3)),
+                min_size=1,
+                max_size=6,
+                unique=True,
+            ),
+            label="key pool",
+        )
+        key = st.sampled_from(pool)
+        left_rows = data.draw(st.lists(st.tuples(key, st.integers(0, 9)), max_size=40))
+        right_rows = data.draw(st.lists(st.tuples(st.integers(0, 9), key), max_size=40))
+        partitions = data.draw(st.sampled_from((2, 3, 4)), label="k")
+        left = _rel("r", ["a", "x"], left_rows)
+        right = _rel("s", ["y", "b"], right_rows)
+        query = SPJAQuery(
+            name="q",
+            relations=("r", "s"),
+            join_predicates=(JoinPredicate("r", "a", "s", "b"),),
+        )
+        plan = build_partition_plan("q", query, {"r": left, "s": right}, partitions)
+        expected_left = self._per_row_reference(left_rows, 0, partitions)
+        expected_right = self._per_row_reference(right_rows, 1, partitions)
+        assert [override["r"].rows for override in plan.overrides] == expected_left
+        assert [override["s"].rows for override in plan.overrides] == expected_right
+        assert [
+            fragment.rows for fragment in partition_relation(left, "a", partitions)
+        ] == expected_left
+
     def test_fragment_query_identity_without_avg(self):
         workload = generate_workload(23)
         assert fragment_query(workload.query) is workload.query
@@ -232,6 +283,71 @@ class TestPartitionHelpers:
         plan = build_partition_plan("q", query, relations, 2)
         with pytest.raises(ValueError, match="expected fragments"):
             merge_partition_results(plan, [])
+
+
+def _consumed(session: QuerySession) -> int:
+    tick = session.last_tick
+    return sum(tick.consumed.values()) if tick is not None else 0
+
+
+class TestRunToCompletion:
+    """A worker runs one session at a time, in its policy's order."""
+
+    #: one shard of four differential workloads over 4, 2, 3 and 2 relations
+    SEEDS = (0, 1, 3, 6)
+    #: retire order per policy: admission order, or shortest estimate first
+    RETIRE_ORDER = {
+        "round_robin": [0, 1, 2, 3],
+        "shortest_remaining_cost": [1, 3, 2, 0],
+    }
+    #: per-session quanta, the same as when workers interleaved quanta
+    QUANTA = [7, 5, 7, 4]
+
+    @pytest.mark.parametrize("policy", sorted(RETIRE_ORDER))
+    def test_sessions_run_to_completion_in_policy_order(self, policy, monkeypatch):
+        started: list[QuerySession] = []
+        estimates: dict[int, float] = {}
+        grants: list[tuple[int, bool, dict[int, int]]] = []
+        original_start, original_grant = QuerySession.start, QuerySession.grant
+
+        def start(session, *args):
+            original_start(session, *args)
+            started.append(session)
+            estimates[session.index] = session.remaining_cost_estimate()
+
+        def grant(session):
+            done = original_grant(session)
+            consumed = {other.index: _consumed(other) for other in started}
+            grants.append((session.index, done, consumed))
+            return done
+
+        monkeypatch.setattr(QuerySession, "start", start)
+        monkeypatch.setattr(QuerySession, "grant", grant)
+        workloads = [
+            generate_workload(seed, name_prefix=f"w{index}_")
+            for index, seed in enumerate(self.SEEDS)
+        ]
+        report, _ = run_sharded_workloads(workloads, policy, 1, start_method="inline")
+
+        retired = [index for index, done, _ in grants if done]
+        assert retired == self.RETIRE_ORDER[policy]
+        if policy == "shortest_remaining_cost":
+            assert retired == sorted(estimates, key=lambda i: (estimates[i], i))
+        # A session reads nothing until the one before it has retired ...
+        for index, _, consumed in grants:
+            later = retired[retired.index(index) + 1 :]
+            assert all(consumed[other] == 0 for other in later)
+        # ... and then holds the worker until it retires.
+        runs = [
+            index
+            for position, (index, _, _) in enumerate(grants)
+            if position == 0 or grants[position - 1][0] != index
+        ]
+        assert runs == retired
+        assert [served.quanta for served in report.served] == self.QUANTA
+        assert [summary.quanta for summary in report.worker_summaries] == [
+            sum(self.QUANTA)
+        ]
 
 
 class _StubQueue:
