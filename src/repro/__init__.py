@@ -27,7 +27,7 @@ True
 from repro.integration.system import AdaptiveIntegrationSystem, QueryAnswer
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.core.complementary import ComplementaryJoinPair, PipelinedHashJoinBaseline
-from repro.core.preaggregation import AdjustableWindowPreAggregate, WindowedPreAggregator
+from repro.core.preaggregation import WindowedPreAggregator
 from repro.baselines.static_executor import StaticExecutor
 from repro.baselines.plan_partitioning import PlanPartitioningExecutor
 from repro.relational.algebra import AggregateSpec, SPJAQuery
@@ -50,7 +50,6 @@ __all__ = [
     "CorrectiveQueryProcessor",
     "ComplementaryJoinPair",
     "PipelinedHashJoinBaseline",
-    "AdjustableWindowPreAggregate",
     "WindowedPreAggregator",
     "StaticExecutor",
     "PlanPartitioningExecutor",

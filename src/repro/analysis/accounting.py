@@ -62,7 +62,6 @@ MUTATION_ENTRY_POINTS = frozenset(
         "_emit",
         "accumulate",
         "accumulate_batch",
-        "accumulate_many",
     }
 )
 

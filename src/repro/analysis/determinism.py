@@ -263,14 +263,12 @@ EMIT_PATH_METHODS = frozenset(
         "step_batch",
         "_interpreted_group",
         "run_chunk",
-        "run_to_completion",
         "read_batch",
         "insert",
         "insert_batch",
         "probe",
         "accumulate",
         "accumulate_batch",
-        "accumulate_many",
         "results",
         "scan",
         "drain",

@@ -30,7 +30,7 @@ class Finding:
     """One rule violation at a specific location.
 
     ``path`` is the file's posix-style path relative to the scan root
-    (``engine/executor.py``); ``symbol`` is the dotted enclosing scope
+    (``engine/pipelined.py``); ``symbol`` is the dotted enclosing scope
     (``PipelinedExecutor.execute``, or ``<module>`` at module level) —
     whitelist entries match on ``(rule, path, symbol)``.
     """

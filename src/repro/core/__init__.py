@@ -25,7 +25,7 @@ from repro.core.complementary import (
     ComplementaryJoinReport,
     PipelinedHashJoinBaseline,
 )
-from repro.core.preaggregation import AdjustableWindowPreAggregate, WindowedPreAggregator
+from repro.core.preaggregation import WindowedPreAggregator
 from repro.core.router import PriorityQueueReorderer
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "ComplementaryJoinPair",
     "ComplementaryJoinReport",
     "PipelinedHashJoinBaseline",
-    "AdjustableWindowPreAggregate",
     "WindowedPreAggregator",
     "PriorityQueueReorderer",
 ]

@@ -10,22 +10,23 @@ even in the worst case".  Because aggregation functions distribute over
 union, emitting per-window partials is always correct; the final GROUP BY
 coalesces them.
 
-Two interfaces are provided:
-
-* :class:`AdjustableWindowPreAggregate` — a pull-based operator usable inside
-  ordinary plans (this is what the Figure 6 benchmark runs).
-* :class:`WindowedPreAggregator` — a push-style wrapper (``feed`` / ``flush``)
-  for use inside the pipelined network or the integration facade.
+:class:`WindowedPreAggregator` is the operator, push-style (``feed`` /
+``flush``).  Every pre-aggregation point of a plan runs it as a stage of the
+pipelined engine (:mod:`repro.engine.pipelined`, which Figure 6 executes):
+``"window"`` points with the default :class:`WindowPolicy`, traditional
+blocking points with :meth:`WindowPolicy.unbounded` — one window over the
+whole input, closed only by ``flush``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+import sys
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.engine.cost import ExecutionMetrics
 from repro.engine.operators.aggregate import GroupAccumulator, aggregate_output_schema
-from repro.engine.operators.base import Operator, OperatorError
+from repro.optimizer.plans import PlanError
 from repro.relational.expressions import Aggregate
 from repro.relational.schema import Schema
 
@@ -79,35 +80,46 @@ class WindowPolicy:
         if not 0.0 < self.effectiveness_threshold <= 1.0:
             raise ValueError("effectiveness_threshold must be in (0, 1]")
 
+    @classmethod
+    def unbounded(cls) -> "WindowPolicy":
+        """Traditional (blocking) pre-aggregation: a window no input fills,
+        so the whole input is grouped once, when ``flush`` closes it."""
+        return cls(initial_window=sys.maxsize, max_window=sys.maxsize)
+
     def next_size(self, current: int, reduction_ratio: float) -> int:
         if reduction_ratio <= self.effectiveness_threshold:
             return min(current * self.grow_factor, self.max_window)
         return max(current // self.shrink_factor, self.min_window)
 
 
-class _WindowCore:
-    """Shared windowing logic used by both the pull and push interfaces."""
+class WindowedPreAggregator:
+    """Push-style adjustable-window pre-aggregation.
+
+    ``feed`` returns the partial-aggregate tuples that became ready (if the
+    current window closed); ``flush`` closes the final window.  The caller is
+    responsible for forwarding the returned tuples downstream.
+    """
 
     def __init__(
         self,
         input_schema: Schema,
         group_attributes: Sequence[str],
         aggregates: Sequence[Aggregate],
-        policy: WindowPolicy,
-        metrics: ExecutionMetrics,
+        policy: WindowPolicy | None = None,
+        metrics: ExecutionMetrics | None = None,
     ) -> None:
         if not group_attributes:
-            raise OperatorError("pre-aggregation requires at least one grouping attribute")
+            raise PlanError("pre-aggregation requires at least one grouping attribute")
         self.input_schema = input_schema
         self.group_attributes = tuple(group_attributes)
         self.aggregates = tuple(aggregates)
-        self.policy = policy
-        self.metrics = metrics
+        self.policy = policy or WindowPolicy()
+        self.metrics = metrics if metrics is not None else ExecutionMetrics()
         self.output_schema = aggregate_output_schema(
             group_attributes, aggregates, input_schema
         )
-        self.window_size = policy.initial_window
-        self.decisions: list[WindowDecision] = []
+        self.current_window_size = self.policy.initial_window
+        self.window_decisions: list[WindowDecision] = []
         self.tuples_in = 0
         self.tuples_out = 0
         self._buffer: list[tuple] = []
@@ -121,10 +133,10 @@ class _WindowCore:
     def feed(self, row: tuple) -> list[tuple]:
         """Add one tuple; returns the emitted partials when a window closes."""
         self.tuples_in += 1
-        if self.window_size <= 1:
+        if self.current_window_size <= 1:
             return self._passthrough(row)
         self._buffer.append(row)
-        if len(self._buffer) >= self.window_size:
+        if len(self._buffer) >= self.current_window_size:
             return self._close_window()
         return []
 
@@ -142,7 +154,7 @@ class _WindowCore:
             self.policy.reprobe_interval
             and self._passthrough_count % self.policy.reprobe_interval == 0
         ):
-            self.window_size = min(self.policy.reprobe_window, self.policy.max_window)
+            self.current_window_size = min(self.policy.reprobe_window, self.policy.max_window)
         self.tuples_out += 1
         key = tuple(row[p] for p in self._group_positions)
         partials = tuple(
@@ -167,22 +179,21 @@ class _WindowCore:
             input_is_partial=False,
             metrics=self.metrics,
         )
-        for row in window:
-            accumulator.accumulate(row)
+        accumulator.accumulate_batch(window)
         output = accumulator.results()
         self.tuples_out += len(output)
         next_size = self.policy.next_size(
-            self.window_size, len(output) / max(len(window), 1)
+            self.current_window_size, len(output) / max(len(window), 1)
         )
-        self.decisions.append(
+        self.window_decisions.append(
             WindowDecision(
-                window_size=self.window_size,
+                window_size=self.current_window_size,
                 tuples_in=len(window),
                 tuples_out=len(output),
                 next_window_size=next_size,
             )
         )
-        self.window_size = next_size
+        self.current_window_size = next_size
         self.metrics.tuple_copies += len(output)
         return output
 
@@ -193,94 +204,3 @@ class _WindowCore:
         return self.tuples_out / self.tuples_in
 
 
-class AdjustableWindowPreAggregate(Operator):
-    """Pull-based adjustable-window pre-aggregation operator."""
-
-    def __init__(
-        self,
-        child: Operator,
-        group_attributes: Sequence[str],
-        aggregates: Sequence[Aggregate],
-        policy: WindowPolicy | None = None,
-        metrics: ExecutionMetrics | None = None,
-    ) -> None:
-        metrics = metrics if metrics is not None else child.metrics
-        core = _WindowCore(
-            child.schema,
-            group_attributes,
-            aggregates,
-            policy or WindowPolicy(),
-            metrics,
-        )
-        super().__init__(core.output_schema, metrics)
-        self.child = child
-        self.core = core
-
-    def _produce(self) -> Iterator[tuple]:
-        feed = self.core.feed
-        for row in self.child.execute():
-            emitted = feed(row)
-            if emitted:
-                yield from emitted
-        yield from self.core.flush()
-
-    # -- reporting ----------------------------------------------------------------
-
-    @property
-    def window_decisions(self) -> list[WindowDecision]:
-        return self.core.decisions
-
-    @property
-    def overall_reduction(self) -> float:
-        return self.core.overall_reduction
-
-    @property
-    def current_window_size(self) -> int:
-        return self.core.window_size
-
-
-class WindowedPreAggregator:
-    """Push-style adjustable-window pre-aggregation.
-
-    ``feed`` returns the partial-aggregate tuples that became ready (if the
-    current window closed); ``flush`` closes the final window.  The caller is
-    responsible for forwarding the returned tuples downstream.
-    """
-
-    def __init__(
-        self,
-        input_schema: Schema,
-        group_attributes: Sequence[str],
-        aggregates: Sequence[Aggregate],
-        policy: WindowPolicy | None = None,
-        metrics: ExecutionMetrics | None = None,
-    ) -> None:
-        self.core = _WindowCore(
-            input_schema,
-            group_attributes,
-            aggregates,
-            policy or WindowPolicy(),
-            metrics if metrics is not None else ExecutionMetrics(),
-        )
-
-    @property
-    def output_schema(self) -> Schema:
-        return self.core.output_schema
-
-    def feed(self, row: tuple) -> list[tuple]:
-        return self.core.feed(row)
-
-    def flush(self) -> list[tuple]:
-        return self.core.flush()
-
-    @property
-    def window_decisions(self) -> list[WindowDecision]:
-        return self.core.decisions
-
-    @property
-    def overall_reduction(self) -> float:
-        return self.core.overall_reduction
-
-    @property
-    def current_window_size(self) -> int:
-        return self.core.window_size

@@ -1,31 +1,22 @@
-"""Grouping / aggregation operators.
+"""Grouping / aggregation.
 
-Three flavours are relevant to the paper:
-
-* :class:`HashAggregate` — conventional blocking hash aggregation, used for
-  the final GROUP BY of every SPJA query.  It can consume either raw tuples
-  or *partial aggregates* produced upstream by pre-aggregation, in which case
-  it "coalesces pre-grouped information instead of operating on original
-  tuples" (Section 2.2).
-* :class:`Pseudogroup` — the trivial operator of Section 3.2 that converts
-  each raw tuple into a schema-compatible singleton partial aggregate, so
-  that plans with and without pre-aggregation produce identically shaped
-  subexpressions.
-* the adjustable-window pre-aggregation operator lives in
-  :mod:`repro.core.preaggregation` because it is one of the paper's adaptive
-  contributions.
-
-There is also :class:`GroupAccumulator`, the push-style shared group-by state
-that corrective query processing feeds from multiple phases and the stitch-up
-plan (the "shared group-by operator" of Figure 1).
+:class:`GroupAccumulator` is the one hash GROUP BY every execution path folds
+into: the final aggregation of a static pipelined run, the shared group-by
+that corrective query processing feeds from multiple phases and the
+stitch-up plan (the "shared group-by operator" of Figure 1), and each window
+of adjustable-window pre-aggregation (:mod:`repro.core.preaggregation`).
+With ``input_is_partial`` it consumes the *partial aggregates* a
+pre-aggregation stage emits, "coalescing pre-grouped information instead of
+operating on original tuples" (Section 2.2).  A window of one tuple is the
+pseudogroup of Section 3.2: each raw tuple becomes a schema-compatible
+singleton partial aggregate.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.engine.cost import ExecutionMetrics
-from repro.engine.operators.base import Operator, OperatorError
 from repro.relational.expressions import Aggregate
 from repro.relational.schema import Attribute, Schema
 
@@ -51,8 +42,7 @@ class GroupAccumulator:
 
     ``accumulate(row)`` folds one tuple (raw or partial, depending on
     ``input_is_partial``), ``results()`` finalizes and returns the grouped
-    output.  Both the blocking :class:`HashAggregate` operator and the
-    corrective query processor's shared group-by are built on this class.
+    output.
     """
 
     def __init__(
@@ -100,10 +90,6 @@ class GroupAccumulator:
                 states[idx] = agg.merge_partial(states[idx], value)
             else:
                 states[idx] = agg.merge_value(states[idx], value)
-
-    def accumulate_many(self, rows) -> None:
-        for row in rows:
-            self.accumulate(row)
 
     def accumulate_batch(self, rows: list[tuple]) -> None:
         """Fold a whole batch with one tight loop per aggregate term.
@@ -247,10 +233,6 @@ class GroupAccumulator:
         fold.__compiled_source__ = src
         return fold
 
-    @property
-    def group_count(self) -> int:
-        return len(self._groups)
-
     def results(self) -> list[tuple]:
         """Finalize and return one output tuple per group."""
         output = []
@@ -260,105 +242,3 @@ class GroupAccumulator:
             )
             output.append(key + finals)
         return output
-
-
-class HashAggregate(Operator):
-    """Blocking hash-based GROUP BY over a pull-based child."""
-
-    def __init__(
-        self,
-        child: Operator,
-        group_attributes: Sequence[str],
-        aggregates: Sequence[Aggregate],
-        input_is_partial: bool = False,
-        metrics: ExecutionMetrics | None = None,
-    ) -> None:
-        metrics = metrics if metrics is not None else child.metrics
-        accumulator = GroupAccumulator(
-            child.schema, group_attributes, aggregates, input_is_partial, metrics
-        )
-        super().__init__(accumulator.output_schema, metrics)
-        self.child = child
-        self.accumulator = accumulator
-
-    def _produce(self) -> Iterator[tuple]:
-        accumulate = self.accumulator.accumulate
-        for row in self.child.execute():
-            accumulate(row)
-        yield from self.accumulator.results()
-
-
-class Pseudogroup(Operator):
-    """Converts raw tuples into schema-compatible singleton partial aggregates.
-
-    For each input tuple it projects out the non-grouping attributes and
-    manufactures partial-aggregate values from the current tuple alone, so
-    its output schema equals that of a real pre-aggregation operator over the
-    same input — "eliminating a source of incompatibility, but costing little
-    more than a conventional projection" (Section 3.2).
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        group_attributes: Sequence[str],
-        aggregates: Sequence[Aggregate],
-        metrics: ExecutionMetrics | None = None,
-    ) -> None:
-        metrics = metrics if metrics is not None else child.metrics
-        schema = aggregate_output_schema(group_attributes, aggregates, child.schema)
-        super().__init__(schema, metrics)
-        self.child = child
-        self.group_attributes = tuple(group_attributes)
-        self.aggregates = tuple(aggregates)
-        self._group_positions = child.schema.positions(self.group_attributes)
-        self._value_positions = []
-        for agg in self.aggregates:
-            if agg.attribute is None:
-                self._value_positions.append(-1)
-            else:
-                self._value_positions.append(child.schema.position(agg.attribute))
-
-    def _produce(self) -> Iterator[tuple]:
-        metrics = self.metrics
-        for row in self.child.execute():
-            metrics.tuple_copies += 1
-            key = tuple(row[p] for p in self._group_positions)
-            partials = tuple(
-                agg.singleton_partial(row[pos] if pos >= 0 else None)
-                for agg, pos in zip(self.aggregates, self._value_positions)
-            )
-            yield key + partials
-
-
-class TraditionalPreAggregate(Operator):
-    """Blocking pre-aggregation: group the whole input before the join.
-
-    This is the conventional (non-adaptive) early-aggregation transformation
-    the paper compares against in Figure 6 — it groups on the union of the
-    final grouping attributes and the join attributes, producing partial
-    aggregates, but only emits once its entire input has been consumed.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        group_attributes: Sequence[str],
-        aggregates: Sequence[Aggregate],
-        metrics: ExecutionMetrics | None = None,
-    ) -> None:
-        metrics = metrics if metrics is not None else child.metrics
-        if not group_attributes:
-            raise OperatorError("pre-aggregation requires at least one grouping attribute")
-        accumulator = GroupAccumulator(
-            child.schema, group_attributes, aggregates, False, metrics
-        )
-        super().__init__(accumulator.output_schema, metrics)
-        self.child = child
-        self.accumulator = accumulator
-
-    def _produce(self) -> Iterator[tuple]:
-        accumulate = self.accumulator.accumulate
-        for row in self.child.execute():
-            accumulate(row)
-        yield from self.accumulator.results()

@@ -28,7 +28,7 @@ from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.pipelined_merge import PipelinedMergeJoinNode
 from repro.engine.state.hash_table import HashTableState
 from repro.engine.state.registry import StateRegistry, expression_signature
-from repro.optimizer.plans import JoinTree, PlanError
+from repro.optimizer.plans import JoinTree, PlanError, PreAggPoint
 from repro.relational.algebra import SPJAQuery
 from repro.relational.expressions import (
     AttributeRef,
@@ -418,6 +418,40 @@ class PipelinedJoinNode:
         return len(self.left_state) + len(self.right_state)
 
 
+class PreAggregationStage:
+    """A plan's pre-aggregation point (Section 6) as a stage of the network.
+
+    It sits where its subtree's output went — a leaf's binding, or the
+    parent of the subtree's root join — and has the join node's ``push`` /
+    ``push_batch`` interface, so neither drive loop nor the batch kernel
+    knows it is there.  Every tuple is fed to the stage's
+    :class:`~repro.core.preaggregation.WindowedPreAggregator`; the partial
+    aggregates a closing window emits go on to the join above, and
+    :meth:`flush` closes the last window once the sources are exhausted.
+    """
+
+    def __init__(self, aggregator) -> None:
+        self.aggregator = aggregator
+        # Wiring (set by PipelinedPlan): the join node and side fed.
+        self.parent: PipelinedJoinNode | None = None
+        self.parent_side: str | None = None
+
+    def push(self, row: tuple, side: str) -> None:
+        for partial in self.aggregator.feed(row):
+            self.parent.push(partial, self.parent_side)
+
+    def push_batch(self, rows: list[tuple], side: str) -> None:
+        feed = self.aggregator.feed
+        partials = [partial for row in rows for partial in feed(row)]
+        if partials:
+            self.parent.push_batch(partials, self.parent_side)
+
+    def flush(self) -> None:
+        partials = self.aggregator.flush()
+        if partials:
+            self.parent.push_batch(partials, self.parent_side)
+
+
 @dataclass
 class LeafBinding:
     """Where tuples of one base relation enter the join network."""
@@ -515,6 +549,7 @@ class PipelinedPlan:
         output_sink_batch: Callable[[list[tuple]], None] | None = None,
         join_strategies: dict[frozenset[str], object] | None = None,
         engine_mode: str = "interpreted",
+        preagg_points: Sequence[PreAggPoint] = (),
     ) -> None:
         """``join_strategies`` optionally maps a node's relation set to a
         :class:`~repro.optimizer.ordering.JoinStrategy`; nodes mapped to the
@@ -528,6 +563,11 @@ class PipelinedPlan:
         with identical results and work accounting.  Compiled mode requires
         a ``batch_size``; chains are (re)generated per plan, so corrective
         phase switches and hash↔merge strategy switches recompile naturally.
+
+        ``preagg_points`` are a :class:`~repro.optimizer.plans.PhysicalPlan`'s
+        pre-aggregation points; each becomes a :class:`PreAggregationStage`
+        above its subtree, and the sink then receives partial aggregates.
+        The compiled chains do not run stages.
         """
         from repro.engine.compiled import validate_engine_mode
 
@@ -538,6 +578,14 @@ class PipelinedPlan:
         if batch_size is not None and batch_size < 1:
             raise PlanError(f"batch_size must be positive, got {batch_size}")
         validate_engine_mode(engine_mode, batch_size)
+        if preagg_points and engine_mode == "compiled":
+            raise PlanError(
+                f"engine_mode='compiled' cannot run the {len(preagg_points)} "
+                f"pre-aggregation point(s) of query {query.name}; use "
+                "engine_mode='interpreted'"
+            )
+        if preagg_points and query.aggregation is None:
+            raise PlanError(f"query {query.name} has pre-aggregation points but no GROUP BY")
         self.query = query
         self.join_tree = join_tree
         self.cursors = cursors
@@ -566,8 +614,10 @@ class PipelinedPlan:
         self.read_priorities: dict[str, int] = {}
         self.leaves: dict[str, LeafBinding] = {}
         self.nodes: list[PipelinedJoinNode] = []
+        #: pre-aggregation stages by the relation set below them
+        self.stages: dict[frozenset[str], PreAggregationStage] = {}
         self._charged_work = self.metrics.work(self.cost_model)
-        self._build_network()
+        self._build_network(preagg_points)
         self._leaf_pairs = [
             (binding, cursors[name]) for name, binding in self.leaves.items()
         ]
@@ -576,11 +626,51 @@ class PipelinedPlan:
     # -- network construction --------------------------------------------------
 
     def _output_schema_of(self, tree: JoinTree) -> Schema:
+        if self.stages:
+            stage = self.stages.get(tree.relations())
+            if stage is not None:
+                return stage.aggregator.output_schema
         if tree.is_leaf:
             return self.cursors[tree.relation].schema
         return self._output_schema_of(tree.left).concat(self._output_schema_of(tree.right))
 
-    def _build_network(self) -> None:
+    def _build_stages(self, tree: JoinTree, points: dict[frozenset, PreAggPoint]) -> None:
+        """One stage per point, bottom-up.  Consumes ``points``.
+
+        A window folds raw tuples, so a point may not sit above another one
+        (the optimizer only places minimal points)."""
+        from repro.core.preaggregation import WindowedPreAggregator, WindowPolicy
+
+        if not tree.is_leaf:
+            self._build_stages(tree.left, points)
+            self._build_stages(tree.right, points)
+        point = points.pop(tree.relations(), None)
+        if point is None:
+            return
+        if any(below < point.below for below in self.stages):
+            raise PlanError(
+                f"pre-aggregation point above {sorted(point.below)} sits above another one"
+            )
+        policy = WindowPolicy() if point.mode == "window" else WindowPolicy.unbounded()
+        aggregator = WindowedPreAggregator(
+            self._output_schema_of(tree),
+            point.group_attributes,
+            self.query.aggregation.aggregates,
+            policy,
+            self.metrics,
+        )
+        self.stages[point.below] = PreAggregationStage(aggregator)
+
+    def _build_network(self, preagg_points: Sequence[PreAggPoint]) -> None:
+        points = {point.below: point for point in preagg_points}
+        if points and not self.join_tree.is_leaf:
+            self._build_stages(self.join_tree.left, points)
+            self._build_stages(self.join_tree.right, points)
+        if points:
+            raise PlanError(
+                f"pre-aggregation points above {[sorted(below) for below in points]} "
+                f"match no subtree with a join above it in {self.join_tree}"
+            )
         if self.join_tree.is_leaf:
             # Single-relation query: tuples go straight to the sink.
             relation = self.join_tree.relation
@@ -659,17 +749,26 @@ class PipelinedPlan:
             node.sink_batch = self._root_sink_batch
         self.nodes.append(node)
 
-        for child_tree, side in ((tree.left, "left"), (tree.right, "right")):
+        for child_tree, side, relations in (
+            (tree.left, "left", left_relations),
+            (tree.right, "right", right_relations),
+        ):
+            # A stage above the child takes the child's output to this node.
+            target = node
+            stage = self.stages.get(relations)
+            if stage is not None:
+                stage.parent, stage.parent_side = node, side
+                target = stage
             if child_tree.is_leaf:
                 relation = child_tree.relation
                 self.leaves[relation] = LeafBinding(
                     relation=relation,
-                    node=node,
+                    node=target,
                     side=side,
                     selection_fn=self._compile_selection(relation),
                 )
             else:
-                self._build_node(child_tree, parent=node, parent_side=side)
+                self._build_node(child_tree, parent=target, parent_side=side)
         return node
 
     def _root_sink(self, row: tuple) -> None:
@@ -1058,6 +1157,7 @@ class PipelinedPlan:
             steps = 0
             while (max_steps is None or steps < max_steps) and self.step_batch():
                 steps += 1
+        self._flush_stages()
         self._sync_clock()
         self._finalize_statistics()
         return steps
@@ -1087,9 +1187,17 @@ class PipelinedPlan:
                 if read == 0:
                     break
                 processed += read
+        self._flush_stages()
         self._sync_clock()
         self._finalize_statistics()
         return processed
+
+    def _flush_stages(self) -> None:
+        """Close every pre-aggregation stage's last window once every cursor
+        is exhausted (a flushed stage has nothing left to emit)."""
+        if self.stages and self.sources_exhausted:
+            for stage in self.stages.values():
+                stage.flush()
 
     def _finalize_statistics(self) -> None:
         self.statistics.outputs = self.output_count
@@ -1218,11 +1326,14 @@ class PipelinedExecutor:
         join_tree: JoinTree,
         clock: SimulatedClock | None = None,
         metrics: ExecutionMetrics | None = None,
+        preagg_points: Sequence[PreAggPoint] = (),
     ):
         """Run ``query`` with ``join_tree``; returns ``(rows, plan)``.
 
         For aggregation queries the rows are the final grouped output; for SPJ
-        queries they are the raw join results.
+        queries they are the raw join results.  ``preagg_points`` (a
+        :class:`~repro.optimizer.plans.PhysicalPlan`'s) run as window stages,
+        and the final GROUP BY then coalesces their partial aggregates.
         """
         from repro.engine.operators.aggregate import GroupAccumulator
 
@@ -1251,6 +1362,7 @@ class PipelinedExecutor:
             output_sink_batch=collected.extend,
             join_strategies=self.join_strategies,
             engine_mode=self.engine_mode,
+            preagg_points=preagg_points,
         )
         if query.aggregation is not None:
             # The accumulator needs the join output schema, which depends on
@@ -1259,7 +1371,7 @@ class PipelinedExecutor:
                 plan.output_schema,
                 query.aggregation.group_attributes,
                 query.aggregation.aggregates,
-                input_is_partial=False,
+                input_is_partial=bool(preagg_points),
                 metrics=metrics,
             )
             plan.output_sink = accumulator.accumulate

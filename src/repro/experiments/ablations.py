@@ -12,8 +12,7 @@ from typing import Sequence
 
 from repro.core.complementary import ComplementaryJoinPair
 from repro.core.corrective import CorrectiveQueryProcessor
-from repro.core.preaggregation import AdjustableWindowPreAggregate, WindowPolicy
-from repro.engine.operators.scan import Scan
+from repro.core.preaggregation import WindowedPreAggregator, WindowPolicy
 from repro.experiments.common import (
     DEFAULT_SCALE_FACTOR,
     DEFAULT_SEED,
@@ -113,18 +112,19 @@ def sweep_window_policy(
     for threshold in thresholds:
         for initial in initial_windows:
             policy = WindowPolicy(initial_window=initial, effectiveness_threshold=threshold)
-            operator = AdjustableWindowPreAggregate(
-                Scan(lineitem), ("l_orderkey",), aggregates, policy=policy
+            pre = WindowedPreAggregator(
+                lineitem.schema, ("l_orderkey",), aggregates, policy=policy
             )
-            output = operator.run_to_completion()
+            outputs = sum(len(pre.feed(row)) for row in lineitem.rows)
+            outputs += len(pre.flush())
             rows.append(
                 {
                     "effectiveness_threshold": threshold,
                     "initial_window": initial,
-                    "final_window": operator.current_window_size,
-                    "reduction": round(operator.overall_reduction, 3),
-                    "outputs": len(output),
-                    "windows_closed": len(operator.window_decisions),
+                    "final_window": pre.current_window_size,
+                    "reduction": round(pre.overall_reduction, 3),
+                    "outputs": outputs,
+                    "windows_closed": len(pre.window_decisions),
                 }
             )
     return rows

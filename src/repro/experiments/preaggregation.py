@@ -9,13 +9,16 @@ are compared:
 * **traditional pre-aggregation** — a blocking partial GROUP BY, applied only
   where the optimizer's benefit estimate says it will shrink the data (it is
   therefore absent for query 5, exactly as in the paper).
+
+Every plan runs on the pipelined engine, tuple at a time; each
+pre-aggregation point is a window stage inside its join network.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.engine.executor import PullExecutor
+from repro.engine.pipelined import PipelinedExecutor
 from repro.experiments.common import (
     DEFAULT_SCALE_FACTOR,
     DEFAULT_SEED,
@@ -45,20 +48,22 @@ def run_preaggregation_comparison(
     rows: list[dict[str, object]] = []
     for dataset_label, dataset in datasets.items():
         optimizer = Optimizer(dataset.catalog_with_cardinalities)
-        executor = PullExecutor(dataset.sources)
+        executor = PipelinedExecutor(dataset.sources)
         for query_name, query in queries.items():
             for strategy, mode in STRATEGY_MODES.items():
                 plan = optimizer.optimize(query, preaggregation=mode)
-                result = executor.execute(plan)
+                answers, pipelined = executor.execute(
+                    query, plan.join_tree, preagg_points=plan.preagg_points
+                )
                 rows.append(
                     {
                         "query": query_name,
                         "dataset": dataset_label,
                         "strategy": strategy,
-                        "seconds": round(result.simulated_seconds, 2),
+                        "seconds": round(pipelined.clock.now, 2),
                         "preagg_points": len(plan.preagg_points),
-                        "answers": result.cardinality,
-                        "work_units": round(result.work(), 0),
+                        "answers": len(answers),
+                        "work_units": round(pipelined.metrics.work(), 0),
                     }
                 )
     return rows

@@ -101,13 +101,13 @@ class JoinTree:
 
 @dataclass(frozen=True)
 class PreAggPoint:
-    """A point in the plan where pre-aggregation (or a pseudogroup) is inserted.
+    """A point in the plan where pre-aggregation is inserted.
 
     ``below`` identifies the subtree (by its relation set) whose output is
     pre-aggregated before being fed into the join above it.  ``mode`` selects
-    the operator: ``"window"`` for the adjustable-window pre-aggregation of
-    Section 6, ``"traditional"`` for a blocking pre-aggregate, and
-    ``"pseudogroup"`` for the schema-compatibility shim of Section 3.2.
+    the window: ``"window"`` for the adjustable-window pre-aggregation of
+    Section 6, ``"traditional"`` for a blocking pre-aggregate (one unbounded
+    window).  Both run as a stage of the pipelined engine.
     """
 
     below: frozenset[str]
@@ -115,7 +115,7 @@ class PreAggPoint:
     group_attributes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.mode not in ("window", "traditional", "pseudogroup"):
+        if self.mode not in ("window", "traditional"):
             raise PlanError(f"unknown pre-aggregation mode {self.mode!r}")
         object.__setattr__(self, "below", frozenset(self.below))
         object.__setattr__(self, "group_attributes", tuple(self.group_attributes))
@@ -136,7 +136,6 @@ class PhysicalPlan:
     preagg_points: tuple[PreAggPoint, ...] = ()
     estimated_cost: float = 0.0
     estimated_cardinalities: dict[frozenset, float] = field(default_factory=dict)
-    join_algorithm: str = "pipelined_hash"
 
     def __post_init__(self) -> None:
         tree_relations = self.join_tree.relations()
@@ -162,7 +161,6 @@ class PhysicalPlan:
         lines = [
             f"plan for {self.query.name}: {self.join_tree}",
             f"  estimated cost: {self.estimated_cost:.1f}",
-            f"  join algorithm: {self.join_algorithm}",
         ]
         for point in self.preagg_points:
             lines.append(

@@ -112,8 +112,6 @@ CHANNELS: tuple[SharedChannel, ...] = (
         mutators=("charge", "charge_metrics", "wait_until", "advance"),
         writers=(
             "serving/server.py::QueryServer.run",
-            "engine/executor.py::PullExecutor.execute",
-            "engine/operators/scan.py::Scan._produce",
             "engine/pipelined.py::PipelinedPlan._drive_tuples",
             "engine/pipelined.py::PipelinedPlan.step_batch",
             "engine/pipelined.py::PipelinedPlan._sync_clock",

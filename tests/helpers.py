@@ -129,6 +129,13 @@ def assert_same_aggregates(
             assert actual_value == expected_value, (key, actual_value, expected_value)
 
 
+def preaggregate(pre, rows: Sequence[tuple]) -> list[tuple]:
+    """Feed ``rows`` through a ``WindowedPreAggregator``, then close its last
+    window; returns every partial aggregate emitted."""
+    partials = [partial for row in rows for partial in pre.feed(row)]
+    return partials + pre.flush()
+
+
 def count_calls(monkeypatch, owner, name: str) -> list:
     """Wrap method ``owner.name`` so every call appends its arguments (after
     ``self``) to the returned list, and still runs."""

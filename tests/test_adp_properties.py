@@ -128,7 +128,7 @@ def test_property_aggregation_distributes_over_partitions(rows, cut_a, cut_b):
         Aggregate("max", "v", "hi"),
     ]
     direct = GroupAccumulator(schema, ["g"], aggregates)
-    direct.accumulate_many(rows)
+    direct.accumulate_batch(rows)
 
     final = GroupAccumulator(
         Schema.from_names(["g", "total", "n", "lo", "hi"]),
@@ -138,8 +138,8 @@ def test_property_aggregation_distributes_over_partitions(rows, cut_a, cut_b):
     )
     for part in split_rows(rows, sorted([cut_a, cut_b])):
         partial = GroupAccumulator(schema, ["g"], aggregates)
-        partial.accumulate_many(part)
-        final.accumulate_many(partial.results())
+        partial.accumulate_batch(part)
+        final.accumulate_batch(partial.results())
 
     assert sorted(final.results()) == sorted(direct.results())
 

@@ -1,27 +1,24 @@
-"""Tests for aggregation operators: HashAggregate, Pseudogroup, pre-aggregates."""
+"""Tests for aggregation: the hash GROUP BY, pseudogroups, pre-aggregates."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.operators.aggregate import (
-    GroupAccumulator,
-    HashAggregate,
-    Pseudogroup,
-    TraditionalPreAggregate,
-    aggregate_output_schema,
-)
-from repro.engine.operators.base import OperatorError
-from repro.engine.operators.scan import Scan
+from helpers import preaggregate
+from repro.core.preaggregation import WindowedPreAggregator, WindowPolicy
+from repro.engine.operators.aggregate import GroupAccumulator, aggregate_output_schema
+from repro.optimizer.plans import PlanError
 from repro.relational.expressions import Aggregate
-from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
 SCHEMA = Schema.from_names(["g", "j", "v"])
 
 
-def make_relation(rows):
-    return Relation("t", SCHEMA, rows)
+def aggregate(rows, group_attributes, aggregates):
+    """Blocking hash aggregation of raw ``rows``."""
+    accumulator = GroupAccumulator(SCHEMA, group_attributes, aggregates)
+    accumulator.accumulate_batch(rows)
+    return accumulator
 
 
 ROWS = [
@@ -42,10 +39,10 @@ class TestOutputSchema:
 class TestGroupAccumulator:
     def test_accumulate_and_results(self):
         acc = GroupAccumulator(SCHEMA, ["g"], [Aggregate("sum", "v", "total")])
-        acc.accumulate_many(ROWS)
+        acc.accumulate_batch(ROWS)
         results = dict((row[0], row[1]) for row in acc.results())
         assert results == {"a": 31, "b": 12}
-        assert acc.group_count == 2
+        assert len(acc.results()) == 2
         assert acc.tuples_consumed == len(ROWS)
 
     def test_multiple_aggregates(self):
@@ -59,7 +56,7 @@ class TestGroupAccumulator:
                 Aggregate("avg", "v", "mean"),
             ],
         )
-        acc.accumulate_many(ROWS)
+        acc.accumulate_batch(ROWS)
         by_group = {row[0]: row[1:] for row in acc.results()}
         assert by_group["a"] == (31, 3, 20, pytest.approx(31 / 3))
         assert by_group["b"] == (12, 2, 7, pytest.approx(6.0))
@@ -81,58 +78,66 @@ class TestGroupAccumulator:
 
 
 class TestHashAggregate:
+    """Blocking hash GROUP BY: the GroupAccumulator every final aggregation is."""
+
     def test_blocking_aggregation(self):
-        operator = HashAggregate(
-            Scan(make_relation(ROWS)), ["g"], [Aggregate("min", "v", "lo")]
-        )
-        assert dict(operator.run_to_completion()) == {"a": 1, "b": 5}
-        assert operator.schema.names == ("g", "lo")
+        acc = aggregate(ROWS, ["g"], [Aggregate("min", "v", "lo")])
+        assert dict(acc.results()) == {"a": 1, "b": 5}
+        assert acc.output_schema.names == ("g", "lo")
 
     def test_group_by_multiple_attributes(self):
-        operator = HashAggregate(
-            Scan(make_relation(ROWS)), ["g", "j"], [Aggregate("count", None, "n")]
-        )
-        results = {row[:2]: row[2] for row in operator.run_to_completion()}
+        acc = aggregate(ROWS, ["g", "j"], [Aggregate("count", None, "n")])
+        results = {row[:2]: row[2] for row in acc.results()}
         assert results[("a", 1)] == 2
         assert results[("b", 2)] == 1
 
 
 class TestPseudogroup:
+    """A window of one tuple is the pseudogroup of Section 3.2."""
+
     def test_converts_each_tuple_to_singleton_partial(self):
-        operator = Pseudogroup(
-            Scan(make_relation(ROWS)), ["g"], [Aggregate("sum", "v", "total"), Aggregate("count", None, "n")]
+        pseudo = WindowedPreAggregator(
+            SCHEMA,
+            ["g"],
+            [Aggregate("sum", "v", "total"), Aggregate("count", None, "n")],
+            policy=WindowPolicy(initial_window=1),
         )
-        rows = operator.run_to_completion()
+        rows = preaggregate(pseudo, ROWS)
         assert len(rows) == len(ROWS)
         assert rows[0] == ("a", 10, 1)
-        assert operator.schema.names == ("g", "total", "n")
+        assert pseudo.output_schema.names == ("g", "total", "n")
 
     def test_pseudogroup_then_coalesce_equals_direct(self):
-        pseudo = Pseudogroup(Scan(make_relation(ROWS)), ["g"], [Aggregate("sum", "v", "total")])
-        final = GroupAccumulator(
-            pseudo.schema, ["g"], [Aggregate("sum", "v", "total")], input_is_partial=True
+        aggregates = [Aggregate("sum", "v", "total")]
+        pseudo = WindowedPreAggregator(
+            SCHEMA, ["g"], aggregates, policy=WindowPolicy(initial_window=1)
         )
-        final.accumulate_many(pseudo.run_to_completion())
-        direct = HashAggregate(Scan(make_relation(ROWS)), ["g"], [Aggregate("sum", "v", "total")])
-        assert sorted(final.results()) == sorted(direct.run_to_completion())
+        final = GroupAccumulator(pseudo.output_schema, ["g"], aggregates, input_is_partial=True)
+        final.accumulate_batch(preaggregate(pseudo, ROWS))
+        direct = aggregate(ROWS, ["g"], aggregates)
+        assert sorted(final.results()) == sorted(direct.results())
 
 
 class TestTraditionalPreAggregate:
+    """Traditional pre-aggregation is one unbounded window, closed by flush."""
+
     def test_reduces_then_coalesces_correctly(self):
-        pre = TraditionalPreAggregate(
-            Scan(make_relation(ROWS)), ["g", "j"], [Aggregate("sum", "v", "total")]
+        pre = WindowedPreAggregator(
+            SCHEMA, ["g", "j"], [Aggregate("sum", "v", "total")], WindowPolicy.unbounded()
         )
-        partials = pre.run_to_completion()
+        partials = preaggregate(pre, ROWS)
         assert len(partials) == 4  # (a,1), (b,1), (b,2), (a,2)
         final = GroupAccumulator(
-            pre.schema, ["g"], [Aggregate("sum", "v", "total")], input_is_partial=True
+            pre.output_schema, ["g"], [Aggregate("sum", "v", "total")], input_is_partial=True
         )
-        final.accumulate_many(partials)
+        final.accumulate_batch(partials)
         assert dict((r[0], r[1]) for r in final.results()) == {"a": 31, "b": 12}
 
     def test_requires_group_attributes(self):
-        with pytest.raises(OperatorError):
-            TraditionalPreAggregate(Scan(make_relation(ROWS)), [], [Aggregate("sum", "v", "t")])
+        with pytest.raises(PlanError):
+            WindowedPreAggregator(
+                SCHEMA, [], [Aggregate("sum", "v", "t")], WindowPolicy.unbounded()
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +159,17 @@ rows_strategy = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(rows=rows_strategy)
 def test_property_preaggregation_is_exact(rows):
-    relation = make_relation(rows)
     aggregates = [
         Aggregate("sum", "v", "total"),
         Aggregate("count", None, "n"),
         Aggregate("min", "v", "lo"),
         Aggregate("max", "v", "hi"),
     ]
-    direct = HashAggregate(Scan(relation), ["g"], aggregates).run_to_completion()
+    direct = aggregate(rows, ["g"], aggregates).results()
 
-    pre = TraditionalPreAggregate(Scan(relation), ["g", "j"], aggregates)
-    partials = pre.run_to_completion()
-    final = GroupAccumulator(pre.schema, ["g"], aggregates, input_is_partial=True)
-    final.accumulate_many(partials)
+    pre = WindowedPreAggregator(SCHEMA, ["g", "j"], aggregates, WindowPolicy.unbounded())
+    partials = preaggregate(pre, rows)
+    final = GroupAccumulator(pre.output_schema, ["g"], aggregates, input_is_partial=True)
+    final.accumulate_batch(partials)
 
     assert sorted(final.results()) == sorted(direct)

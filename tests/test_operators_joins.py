@@ -1,12 +1,13 @@
-"""Tests for the join operators, checked against a brute-force reference."""
+"""Tests for the symmetric hash join node, checked against a brute-force reference."""
+
+from itertools import zip_longest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_same_bag, reference_join
-from repro.engine.operators.hash_join import HybridHashJoin
-from repro.engine.operators.pipelined_hash import SymmetricHashJoin
-from repro.engine.operators.scan import Scan
+from repro.engine.cost import ExecutionMetrics
+from repro.engine.pipelined import PipelinedJoinNode
 from repro.relational.expressions import BinaryPredicate
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -28,75 +29,65 @@ RIGHT = make_right([2, 3, 3, 4])
 EXPECTED = reference_join(LEFT, RIGHT, "lk", "rk")
 
 
+def join(left, right, residual=None, batched=False):
+    """Push both inputs through one root node; returns ``(node, output rows)``.
+
+    Tuple mode alternates the two inputs, ``batched`` pushes each whole.
+    """
+    residual_fn = residual.compile(left.schema.concat(right.schema)) if residual else None
+    node = PipelinedJoinNode(
+        left.schema, right.schema, "lk", "rk", residual_fn, ExecutionMetrics()
+    )
+    output: list[tuple] = []
+    node.sink = output.append
+    node.sink_batch = output.extend
+    if batched:
+        node.push_batch(list(left.rows), "left")
+        node.push_batch(list(right.rows), "right")
+    else:
+        for left_row, right_row in zip_longest(left.rows, right.rows):
+            if left_row is not None:
+                node.push(left_row, "left")
+            if right_row is not None:
+                node.push(right_row, "right")
+    return node, output
+
+
 class TestEquiJoins:
-    def test_hybrid_hash_join_matches_reference(self, people, simple_orders):
-        join = HybridHashJoin(Scan(simple_orders), Scan(people), "o_pid", "pid")
-        # people.pid is unique; the dangling order (o_pid=9) must not appear
-        rows = join.run_to_completion()
-        assert len(rows) == 6
-        assert all(row[1] == row[3] for row in rows)
-
-    def test_hybrid_hash_small(self):
-        join = HybridHashJoin(Scan(LEFT), Scan(RIGHT), "lk", "rk")
-        assert_same_bag(join.run_to_completion(), EXPECTED)
-
     def test_symmetric_hash_small(self):
-        join = SymmetricHashJoin(Scan(LEFT), Scan(RIGHT), "lk", "rk")
-        assert_same_bag(join.run_to_completion(), EXPECTED)
+        assert_same_bag(join(LEFT, RIGHT)[1], EXPECTED)
 
     def test_empty_inputs(self):
-        empty_left = make_left([])
-        join = SymmetricHashJoin(Scan(empty_left), Scan(RIGHT), "lk", "rk")
-        assert join.run_to_completion() == []
-        join2 = HybridHashJoin(Scan(LEFT), Scan(make_right([])), "lk", "rk")
-        assert join2.run_to_completion() == []
+        assert join(make_left([]), RIGHT)[1] == []
+        assert join(LEFT, make_right([]), batched=True)[1] == []
 
 
 class TestResidualPredicates:
     def test_residual_filters_matches(self):
         residual = BinaryPredicate("lv", "rv", lambda a, b: a.endswith("0") and b.endswith("0"))
-        join = SymmetricHashJoin(Scan(LEFT), Scan(RIGHT), "lk", "rk", residual=residual)
-        rows = join.run_to_completion()
+        _, rows = join(LEFT, RIGHT, residual=residual)
         assert all(row[1].endswith("0") and row[3].endswith("0") for row in rows)
-
-    def test_hybrid_hash_residual(self):
-        residual = BinaryPredicate("lv", "rv", lambda a, b: False)
-        join = HybridHashJoin(Scan(LEFT), Scan(RIGHT), "lk", "rk", residual=residual)
-        assert join.run_to_completion() == []
 
 
 class TestJoinStateExposure:
     def test_symmetric_join_exposes_both_hash_tables(self):
-        join = SymmetricHashJoin(Scan(LEFT), Scan(RIGHT), "lk", "rk")
-        join.run_to_completion()
-        assert len(join.left_state) == len(LEFT)
-        assert len(join.right_state) == len(RIGHT)
-        assert join.left_state.key == "lk"
-
-    def test_hybrid_hash_exposes_inner_state(self):
-        join = HybridHashJoin(Scan(LEFT), Scan(RIGHT), "lk", "rk")
-        join.run_to_completion()
-        assert len(join.inner_state) == len(RIGHT)
+        node, _ = join(LEFT, RIGHT)
+        assert len(node.left_state) == len(LEFT)
+        assert len(node.right_state) == len(RIGHT)
+        assert node.left_state.key == "lk"
 
 
 class TestCostAccounting:
     def test_symmetric_join_charges_inserts_and_probes(self):
-        join = SymmetricHashJoin(Scan(LEFT), Scan(RIGHT), "lk", "rk")
-        join.run_to_completion()
+        node, _ = join(LEFT, RIGHT)
         total_inputs = len(LEFT) + len(RIGHT)
-        assert join.metrics.hash_inserts == total_inputs
-        assert join.metrics.hash_probes == total_inputs
-
-    def test_hybrid_hash_builds_then_probes(self):
-        join = HybridHashJoin(Scan(LEFT), Scan(RIGHT), "lk", "rk")
-        join.run_to_completion()
-        assert join.metrics.hash_inserts == len(RIGHT)
-        assert join.metrics.hash_probes == len(LEFT)
+        assert node.metrics.hash_inserts == total_inputs
+        assert node.metrics.hash_probes == total_inputs
 
 
 # ---------------------------------------------------------------------------
-# Property: both pull equi-join implementations agree with the brute-force
-# reference for arbitrary key multisets.
+# Property: the join node agrees with the brute-force reference for arbitrary
+# key multisets, pushed tuple at a time and as whole batches.
 # ---------------------------------------------------------------------------
 
 key_lists = st.lists(st.integers(min_value=0, max_value=8), max_size=40)
@@ -109,7 +100,5 @@ def test_property_join_implementations_agree(left_keys, right_keys):
     right = make_right(right_keys)
     expected = reference_join(left, right, "lk", "rk")
 
-    hybrid = HybridHashJoin(Scan(left), Scan(right), "lk", "rk").run_to_completion()
-    symmetric = SymmetricHashJoin(Scan(left), Scan(right), "lk", "rk").run_to_completion()
-    assert_same_bag(hybrid, expected)
-    assert_same_bag(symmetric, expected)
+    assert_same_bag(join(left, right)[1], expected)
+    assert_same_bag(join(left, right, batched=True)[1], expected)

@@ -46,13 +46,15 @@ class TestJoinTree:
 
 class TestPreAggPoint:
     def test_valid_modes(self):
-        for mode in ("window", "traditional", "pseudogroup"):
+        for mode in ("window", "traditional"):
             point = PreAggPoint(frozenset({"lineitem"}), mode, ("l_orderkey",))
             assert point.mode == mode
 
     def test_invalid_mode(self):
-        with pytest.raises(PlanError):
-            PreAggPoint(frozenset({"lineitem"}), "bogus", ())
+        # A pseudogroup is a window of one tuple, not a mode of its own.
+        for mode in ("bogus", "pseudogroup"):
+            with pytest.raises(PlanError):
+                PreAggPoint(frozenset({"lineitem"}), mode, ())
 
 
 class TestPhysicalPlan:
