@@ -196,7 +196,7 @@ class PlanPartitioningExecutor:
                 schema=None if query.aggregation is not None else plan.output_schema,
                 stage1_tree=tree,
                 stage2_tree=None,
-                stage1_cardinality=plan.output_count,
+                stage1_cardinality=plan.output.count,
                 metrics=metrics,
                 simulated_seconds=clock.now,
                 wall_seconds=wall_now() - wall_start,

@@ -401,11 +401,11 @@ class CorrectiveQueryProcessor:
                 accumulate = accumulator.accumulate
                 accumulate_batch = accumulator.accumulate_batch
                 if adapter.is_identity:
-                    plan.output_sink = accumulate
-                    plan.output_sink_batch = accumulate_batch
+                    plan.output.sink = accumulate
+                    plan.output.sink_batch = accumulate_batch
                 else:
-                    plan.output_sink = lambda row: accumulate(adapt(row))
-                    plan.output_sink_batch = lambda rows: accumulate_batch(
+                    plan.output.sink = lambda row: accumulate(adapt(row))
+                    plan.output.sink_batch = lambda rows: accumulate_batch(
                         adapter.adapt_many(rows)
                     )
                 if self.engine_mode == "compiled":
@@ -414,14 +414,14 @@ class CorrectiveQueryProcessor:
                     # group states are identical — see make_batch_fold).
                     fold = fused_output_sink(accumulator, adapter)
                     if fold is not None:
-                        plan.output_sink_batch = fold
+                        plan.output.sink_batch = fold
             elif adapter.is_identity:
-                plan.output_sink = collected.append
-                plan.output_sink_batch = collected.extend
+                plan.output.sink = collected.append
+                plan.output.sink_batch = collected.extend
             else:
                 append = collected.append
-                plan.output_sink = lambda row: append(adapt(row))
-                plan.output_sink_batch = lambda rows: collected.extend(
+                plan.output.sink = lambda row: append(adapt(row))
+                plan.output.sink_batch = lambda rows: collected.extend(
                     adapter.adapt_many(rows)
                 )
 
@@ -520,7 +520,7 @@ class CorrectiveQueryProcessor:
                 ended_at=clock.now,
                 steps=stats.steps,
                 tuples_read=stats.tuples_read,
-                outputs=plan.output_count,
+                outputs=plan.output.count,
                 consumed_per_relation=stats.consumed_per_relation,
                 work_units=stats.work_units,
                 switch_reason=switch_reason,

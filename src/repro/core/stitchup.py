@@ -413,7 +413,7 @@ class StitchUpExecutor:
                 ("_deliver(out)",),
             )
         exec(_code_for(src), bindings)
-        loop = bindings["_route"]
+        loop = bindings.pop("_route")  # left in its own globals, it is a cycle
         loop.__compiled_source__ = src  # for the codegen audit and tests
         return loop
 

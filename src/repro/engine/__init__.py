@@ -12,7 +12,8 @@ paper:
   Tukwila's workhorse join — whose execution can be suspended between steps,
   which is what makes mid-pipeline plan switching safe.  A plan's
   pre-aggregation points run inside it as window stages (the Figure 6
-  experiment).
+  experiment).  Nothing in a plan points back at it (its root emits
+  through a ``PlanOutput``), so reference counting frees a replaced phase.
 * **Aggregation** (:mod:`repro.engine.operators`) is ``GroupAccumulator``,
   the group-by every execution path folds into.
 * **Cost accounting** (:mod:`repro.engine.cost`) charges abstract work units

@@ -20,7 +20,7 @@ Equivalence contract
 ``PipelinedPlan.step_batch`` hands every scheduled group to its leaf's
 *kernel*; a compiled chain is the kernel of compiled mode.  It performs, for
 each batch group, *exactly* the operations the interpreted kernel
-(``PipelinedPlan._interpreted_group``) performs, in the same order, with the
+(``PlanOutput._interpreted_group``) performs, in the same order, with the
 same early-exit structure:
 
 * the produced join tuples (and therefore result multisets) are identical —
@@ -125,39 +125,38 @@ def predicate_source(predicate, schema: Schema, env: _Env, var: str = "row") -> 
     Attribute references become constant-index subscripts; constants and
     opaque callables are bound through ``env``.  Unknown predicate types
     degrade gracefully to a call of their own ``compile()`` closure, so the
-    emitter accepts anything the interpreter accepts.
+    emitter accepts anything the interpreter accepts.  It recurses at module
+    level: a closure calling itself would hold itself, and ``env``, in a cycle.
     """
+    p = predicate
+    if isinstance(p, TruePredicate):
+        return "True"
+    if isinstance(p, Comparison):
+        left = _scalar_source(p.left, schema, env, var)
+        return f"({left} {_OP_SOURCE[p.op]} {_scalar_source(p.right, schema, env, var)})"
+    if isinstance(p, (Conjunction, Disjunction)):
+        if not p.children:
+            return "True" if isinstance(p, Conjunction) else "False"
+        joiner = " and " if isinstance(p, Conjunction) else " or "
+        return "(" + joiner.join(
+            predicate_source(c, schema, env, var) for c in p.children
+        ) + ")"
+    if isinstance(p, Negation):
+        return f"(not {predicate_source(p.child, schema, env, var)})"
+    if isinstance(p, BinaryPredicate):
+        fn = env.add(p.fn, "f")
+        lpos = schema.position(p.left)
+        rpos = schema.position(p.right)
+        return f"{fn}({var}[{lpos}], {var}[{rpos}])"
+    return f"{env.add(p.compile(schema), 'p')}({var})"
 
-    def scalar(expr) -> str:
-        if isinstance(expr, AttributeRef):
-            return f"{var}[{schema.position(expr.name)}]"
-        if isinstance(expr, Constant):
-            return env.add(expr.value, "c")
-        return f"{env.add(expr.compile(schema), 'f')}({var})"
 
-    def emit(p) -> str:
-        if isinstance(p, TruePredicate):
-            return "True"
-        if isinstance(p, Comparison):
-            return f"({scalar(p.left)} {_OP_SOURCE[p.op]} {scalar(p.right)})"
-        if isinstance(p, Conjunction):
-            if not p.children:
-                return "True"
-            return "(" + " and ".join(emit(c) for c in p.children) + ")"
-        if isinstance(p, Disjunction):
-            if not p.children:
-                return "False"
-            return "(" + " or ".join(emit(c) for c in p.children) + ")"
-        if isinstance(p, Negation):
-            return f"(not {emit(p.child)})"
-        if isinstance(p, BinaryPredicate):
-            fn = env.add(p.fn, "f")
-            lpos = schema.position(p.left)
-            rpos = schema.position(p.right)
-            return f"{fn}({var}[{lpos}], {var}[{rpos}])"
-        return f"{env.add(p.compile(schema), 'p')}({var})"
-
-    return emit(predicate)
+def _scalar_source(expr, schema: Schema, env: _Env, var: str) -> str:
+    if isinstance(expr, AttributeRef):
+        return f"{var}[{schema.position(expr.name)}]"
+    if isinstance(expr, Constant):
+        return env.add(expr.value, "c")
+    return f"{env.add(expr.compile(schema), 'f')}({var})"
 
 
 def compile_chain(plan, binding) -> Callable[[list], None]:
@@ -173,16 +172,17 @@ def compile_chain(plan, binding) -> Callable[[list], None]:
     env = _Env()
     env.bindings["_charge"] = plan.metrics.charge_batch
     env.bindings["_b"] = binding
-    # Root emission: bind the plan's batch sink directly when one is attached
-    # (chains are compiled lazily, on the first batch step, by which point
-    # executors have attached their sinks); the root must also bump the
-    # plan's output_count exactly like _root_sink_batch does.
-    if plan.output_sink_batch is not None:
-        env.bindings["_sink"] = plan.output_sink_batch
-        env.bindings["_po"] = plan
-        root_lines = ["_po.output_count += _n", "_sink({var})"]
+    # Root emission binds the plan's PlanOutput, never the plan: its batch
+    # sink directly when one is attached (chains are compiled lazily, on the
+    # first batch step, by which point executors have attached their sinks),
+    # bumping its count exactly like emit_batch does.
+    output = plan.output
+    if output.sink_batch is not None:
+        env.bindings["_sink"] = output.sink_batch
+        env.bindings["_po"] = output
+        root_lines = ["_po.count += _n", "_sink({var})"]
     else:
-        env.bindings["_sink"] = plan._root_sink_batch
+        env.bindings["_sink"] = output.emit_batch
         root_lines = ["_sink({var})"]
 
     lines: list[str] = []
@@ -337,7 +337,8 @@ def bind_chain(src: str, bindings: dict) -> Callable[[list], None]:
     """
     namespace = dict(bindings)
     exec(_code_for(src), namespace)
-    chain = namespace["_chain"]
+    # popped: a namespace holding the function it is the globals of is a cycle
+    chain = namespace.pop("_chain")
     chain.__compiled_source__ = src  # for tests / debugging / rehydration
     return chain
 

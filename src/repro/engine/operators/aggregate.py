@@ -227,7 +227,7 @@ class GroupAccumulator:
             "_metrics": self.metrics,
         }
         exec(_code_for(src), namespace)
-        fold = namespace["_fold"]
+        fold = namespace.pop("_fold")  # left in its own globals, it is a cycle
         # Expose the generated source for the compiled-codegen audit, same
         # as compile_chain does for fused chains.
         fold.__compiled_source__ = src

@@ -12,7 +12,8 @@ reach a consistent state ... and switch to another plan").
 The hash tables inside each join node double as the per-phase source
 partitions and intermediate results; they are registered in the
 :class:`~repro.engine.state.registry.StateRegistry` so the stitch-up phase
-can reuse them (Section 3.4).
+can reuse them (Section 3.4).  The network holds no reference cycle (see
+:class:`PlanOutput`), so reference counting frees a replaced phase's plan.
 """
 
 from __future__ import annotations
@@ -452,6 +453,55 @@ class PreAggregationStage:
             self.parent.push_batch(partials, self.parent_side)
 
 
+class PlanOutput:
+    """Where a plan's root delivers: its output sinks and :attr:`count`.
+
+    The plan owns it, and the root node's sinks, the interpreted kernels and
+    the compiled chains bind it in place of the plan.  Nothing the plan
+    reaches points back at the plan, so reference counting frees a phase's
+    plan, join state included, as soon as the phase is replaced.
+    """
+
+    def __init__(self, sink, sink_batch, metrics: ExecutionMetrics) -> None:
+        self.sink: Callable[[tuple], None] = sink
+        self.sink_batch: Callable[[list[tuple]], None] | None = sink_batch
+        self.metrics = metrics
+        self.count = 0
+
+    def emit(self, row: tuple) -> None:
+        self.count += 1
+        self.sink(row)
+
+    def emit_batch(self, rows: list[tuple]) -> None:
+        self.count += len(rows)
+        if self.sink_batch is not None:
+            self.sink_batch(rows)
+        else:
+            sink = self.sink
+            for row in rows:
+                sink(row)
+
+    def _interpreted_group(self, binding: "LeafBinding", rows: list[tuple]) -> None:
+        """The interpreted kernel: one group through the generic operators."""
+        metrics = self.metrics
+        count = len(rows)
+        metrics.tuples_read += count
+        binding.tuples_read += count
+        selection_fn = binding.selection_fn
+        if selection_fn is not None:
+            metrics.predicate_evals += count
+            rows = [row for row in rows if selection_fn(row)]
+            if not rows:
+                return
+        binding.tuples_passed += len(rows)
+        if binding.node is None:
+            # Single-relation query.
+            metrics.tuples_output += len(rows)
+            self.emit_batch(rows)
+        else:
+            binding.node.push_batch(rows, binding.side)
+
+
 @dataclass
 class LeafBinding:
     """Where tuples of one base relation enter the join network."""
@@ -601,9 +651,8 @@ class PipelinedPlan:
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
         self.cost_model = cost_model or CostModel()
         self.clock = clock if clock is not None else SimulatedClock(self.cost_model)
-        self.output_sink = output_sink
-        self.output_sink_batch = output_sink_batch
-        self.output_count = 0
+        #: the root's sinks and output count (executors re-point the sinks)
+        self.output = PlanOutput(output_sink, output_sink_batch, self.metrics)
         #: read-priority overrides (relation -> priority class, lower runs
         #: first among equally *available* tuples).  Empty by default, in
         #: which case every scheduling path below is byte-identical to the
@@ -745,8 +794,8 @@ class PipelinedPlan:
         node.parent = parent
         node.parent_side = parent_side
         if parent is None:
-            node.sink = self._root_sink
-            node.sink_batch = self._root_sink_batch
+            node.sink = self.output.emit
+            node.sink_batch = self.output.emit_batch
         self.nodes.append(node)
 
         for child_tree, side, relations in (
@@ -770,19 +819,6 @@ class PipelinedPlan:
             else:
                 self._build_node(child_tree, parent=target, parent_side=side)
         return node
-
-    def _root_sink(self, row: tuple) -> None:
-        self.output_count += 1
-        self.output_sink(row)
-
-    def _root_sink_batch(self, rows: list[tuple]) -> None:
-        self.output_count += len(rows)
-        if self.output_sink_batch is not None:
-            self.output_sink_batch(rows)
-        else:
-            sink = self.output_sink
-            for row in rows:
-                sink(row)
 
     @property
     def output_schema(self) -> Schema:
@@ -854,7 +890,7 @@ class PipelinedPlan:
                     if binding.node is None:
                         # Single-relation query.
                         metrics.tuples_output += 1
-                        self._root_sink(row)
+                        self.output.emit(row)
                     else:
                         binding.node.push(row, binding.side)
                 arrival = cursor.peek_arrival()
@@ -1059,10 +1095,11 @@ class PipelinedPlan:
         A kernel consumes one scheduled group's rows and does everything the
         group owes: selection, the leaf→root join chain, root emission, and
         every per-leaf / per-node / work counter.  ``"interpreted"`` binds
-        the generic :meth:`_interpreted_group` body; ``"compiled"`` takes the
-        fused chains of :func:`repro.engine.compiled.compile_plan_chains`.
-        Built on the first batch step, by which point executors have
-        attached their sinks.
+        the generic :meth:`PlanOutput._interpreted_group` body; ``"compiled"``
+        takes the fused chains of
+        :func:`repro.engine.compiled.compile_plan_chains`.  Either binds the
+        plan's :class:`PlanOutput`, never the plan.  Built on the first batch
+        step, by which point executors have attached their sinks.
         """
         if self.engine_mode == "compiled":
             from repro.engine.compiled import compile_plan_chains
@@ -1070,29 +1107,9 @@ class PipelinedPlan:
             self._compiled_chains = compile_plan_chains(self)
             return self._compiled_chains
         return {
-            relation: partial(self._interpreted_group, binding)
+            relation: partial(self.output._interpreted_group, binding)
             for relation, binding in self.leaves.items()
         }
-
-    def _interpreted_group(self, binding: LeafBinding, rows: list[tuple]) -> None:
-        """The interpreted kernel: one group through the generic operators."""
-        metrics = self.metrics
-        count = len(rows)
-        metrics.tuples_read += count
-        binding.tuples_read += count
-        selection_fn = binding.selection_fn
-        if selection_fn is not None:
-            metrics.predicate_evals += count
-            rows = [row for row in rows if selection_fn(row)]
-            if not rows:
-                return
-        binding.tuples_passed += len(rows)
-        if binding.node is None:
-            # Single-relation query.
-            metrics.tuples_output += len(rows)
-            self._root_sink_batch(rows)
-        else:
-            binding.node.push_batch(rows, binding.side)
 
     def step_batch(
         self, max_tuples: int | None = None, horizon: float | None = None
@@ -1200,7 +1217,7 @@ class PipelinedPlan:
                 stage.flush()
 
     def _finalize_statistics(self) -> None:
-        self.statistics.outputs = self.output_count
+        self.statistics.outputs = self.output.count
         self.statistics.work_units = self.metrics.work(self.cost_model)
         self.statistics.simulated_seconds = self.clock.now
         self.statistics.consumed_per_relation = self.leaf_counts()
@@ -1374,14 +1391,14 @@ class PipelinedExecutor:
                 input_is_partial=bool(preagg_points),
                 metrics=metrics,
             )
-            plan.output_sink = accumulator.accumulate
-            plan.output_sink_batch = accumulator.accumulate_batch
+            plan.output.sink = accumulator.accumulate
+            plan.output.sink_batch = accumulator.accumulate_batch
             if self.engine_mode == "compiled":
                 from repro.engine.compiled import fused_output_sink
 
                 fold = fused_output_sink(accumulator)
                 if fold is not None:
-                    plan.output_sink_batch = fold
+                    plan.output.sink_batch = fold
 
         plan.run()
         if accumulator is not None:

@@ -109,7 +109,8 @@ def compile_csv_decoder(schema: Schema) -> Callable[[Iterator[list[str]], _Rows]
     )
     namespace: dict[str, Any] = {"_parse_literal": _parse_literal}
     exec(source, namespace)
-    decode: Callable[[Iterator[list[str]], _Rows], None] = namespace["decode"]
+    # popped: left in its own globals, the function would sit in a cycle
+    decode: Callable[[Iterator[list[str]], _Rows], None] = namespace.pop("decode")
     setattr(decode, "__compiled_source__", source)
     return decode
 
@@ -208,13 +209,15 @@ class _RecordReader(Generic[_Raw]):
         self._failed: TransportError | None = None
 
     def read_rows(self, max_rows: int) -> _Rows:
+        # The saved fault is raised with a fresh traceback each time: kept,
+        # its frames would grow per raise and pin this reader in a cycle.
         if self._failed is not None:
-            raise self._failed
+            raise self._failed.with_traceback(None)
         rows: _Rows = []
         try:
             self._decode(self._records, rows, max_rows)
         except TransportError as exc:
-            self._failed = exc
+            self._failed = exc.with_traceback(None)
         except (ValueError, csv.Error) as exc:
             # another width, an unconvertible field, a character cut in two
             self._failed = TruncatedPayloadError(
@@ -224,7 +227,7 @@ class _RecordReader(Generic[_Raw]):
             self._failed = ReadError(f"{self._handle.name}: {exc}")
         if not rows:
             # the cut (every later call's answer too), or verified end-of-stream
-            self.close()
+            self._handle.close()
             self._records = iter(())
             if self._failed is not None:
                 raise self._failed
@@ -233,6 +236,7 @@ class _RecordReader(Generic[_Raw]):
         return rows
 
     def close(self) -> None:
+        self._failed = None
         self._handle.close()
 
 
@@ -436,8 +440,13 @@ class _HTTPReader:
 
     def read_rows(self, max_rows: int) -> _Rows:
         if self._pending is not None:
-            pending, self._pending = self._pending, None
-            raise pending
+            # raised from the attribute, not a local: a local would hold the
+            # exception whose traceback holds this frame (close() forgets one
+            # never raised)
+            try:
+                raise self._pending
+            finally:
+                self._pending = None
         if self._complete:
             return []
         rows: _Rows = []
@@ -492,6 +501,7 @@ class _HTTPReader:
                 self._lines = self._next_lines()
 
     def close(self) -> None:
+        self._pending = None
         if self._connection is not None:
             try:
                 self._connection.close()

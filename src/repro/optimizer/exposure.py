@@ -91,51 +91,61 @@ def split_remaining_cost(
     only needs the dominant terms).
     """
     model = cost_model
-    gated = 0.0
-    ungated = 0.0
-
-    def visit(node: JoinTree) -> tuple[float, float]:
-        """Returns (estimated output cardinality, remaining fraction)."""
-        nonlocal gated, ungated
-        relations = node.relations()
-        if node.is_leaf:
-            base = estimator.base_cardinality(node.relation)
-            fraction = remaining_fraction(estimator, observed, node.relation)
-            cost = base * fraction * (model.tuple_read + model.predicate_eval)
-            if node.relation == relation:
-                gated += cost
-            else:
-                ungated += cost
-            return estimator.estimate_cardinality(relations), fraction
-        left_card, left_fraction = visit(node.left)
-        right_card, right_fraction = visit(node.right)
-        per_input = model.hash_insert + model.hash_probe
-        left_cost = left_card * left_fraction * per_input
-        right_cost = right_card * right_fraction * per_input
-        if relation in node.left.relations():
-            gated += left_cost
-            ungated += right_cost
-        elif relation in node.right.relations():
-            gated += right_cost
-            ungated += left_cost
-        else:
-            ungated += left_cost + right_cost
-        card = estimator.estimate_cardinality(relations)
-        fraction = left_fraction * right_fraction
-        output_cost = card * fraction * model.tuple_copy
-        if relation in relations:
-            gated += output_cost
-        else:
-            ungated += output_cost
-        return card, fraction
-
-    output_card, output_fraction = visit(tree)
+    # [gated, ungated], summed in visiting order
+    split = [0.0, 0.0]
+    output_card, output_fraction = _split_visit(
+        tree, estimator, relation, observed, model, split
+    )
+    gated, ungated = split
     if query.aggregation is not None:
         # Final answers need every source, so aggregation work is gated.
         gated += output_card * output_fraction * model.aggregate_update * max(
             len(query.aggregation.aggregates), 1
         )
     return gated, ungated
+
+
+def _split_visit(
+    node: JoinTree,
+    estimator: SelectivityEstimator,
+    relation: str,
+    observed,
+    model: CostModel,
+    split: list[float],
+) -> tuple[float, float]:
+    """The bottom-up pass of :func:`split_remaining_cost`: adds ``node``'s
+    costs to ``split`` and returns (estimated output cardinality, remaining
+    fraction).  Module-level: a closure calling itself would hold itself in
+    a reference cycle."""
+    relations = node.relations()
+    if node.is_leaf:
+        base = estimator.base_cardinality(node.relation)
+        fraction = remaining_fraction(estimator, observed, node.relation)
+        cost = base * fraction * (model.tuple_read + model.predicate_eval)
+        split[0 if node.relation == relation else 1] += cost
+        return estimator.estimate_cardinality(relations), fraction
+    left_card, left_fraction = _split_visit(
+        node.left, estimator, relation, observed, model, split
+    )
+    right_card, right_fraction = _split_visit(
+        node.right, estimator, relation, observed, model, split
+    )
+    per_input = model.hash_insert + model.hash_probe
+    left_cost = left_card * left_fraction * per_input
+    right_cost = right_card * right_fraction * per_input
+    if relation in node.left.relations():
+        split[0] += left_cost
+        split[1] += right_cost
+    elif relation in node.right.relations():
+        split[0] += right_cost
+        split[1] += left_cost
+    else:
+        split[1] += left_cost + right_cost
+    card = estimator.estimate_cardinality(relations)
+    fraction = left_fraction * right_fraction
+    output_cost = card * fraction * model.tuple_copy
+    split[0 if relation in relations else 1] += output_cost
+    return card, fraction
 
 
 def exposed_seconds(

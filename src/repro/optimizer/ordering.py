@@ -196,29 +196,38 @@ def plan_join_strategies(
     the default symmetric hash join.
     """
     strategies: dict[frozenset, JoinStrategy] = {}
-
-    def visit(node: JoinTree) -> dict[str, SideOrdering]:
-        if node.is_leaf:
-            return knowledge.leaf_orderings(node.relation)
-        left_ordered = visit(node.left)
-        right_ordered = visit(node.right)
-        keys = query.join_graph.join_keys(node.left.relations(), node.right.relations())
-        if keys is None:
-            return {}
-        strategy, ordered = merge_step(
-            left_ordered,
-            right_ordered,
-            keys,
-            node.left.is_leaf,
-            node.right.is_leaf,
-            min_in_order,
-        )
-        if strategy is not None:
-            strategies[node.relations()] = strategy
-        return ordered
-
-    visit(tree)
+    _assign_strategies(query, tree, knowledge, min_in_order, strategies)
     return strategies
+
+
+def _assign_strategies(
+    query: SPJAQuery,
+    node: JoinTree,
+    knowledge: OrderingKnowledge,
+    min_in_order: float,
+    strategies: dict[frozenset, JoinStrategy],
+) -> dict[str, SideOrdering]:
+    """The bottom-up pass of :func:`plan_join_strategies`; returns the
+    orderings ``node``'s output carries.  Module-level: a closure calling
+    itself would hold itself in a reference cycle."""
+    if node.is_leaf:
+        return knowledge.leaf_orderings(node.relation)
+    left_ordered = _assign_strategies(query, node.left, knowledge, min_in_order, strategies)
+    right_ordered = _assign_strategies(query, node.right, knowledge, min_in_order, strategies)
+    keys = query.join_graph.join_keys(node.left.relations(), node.right.relations())
+    if keys is None:
+        return {}
+    strategy, ordered = merge_step(
+        left_ordered,
+        right_ordered,
+        keys,
+        node.left.is_leaf,
+        node.right.is_leaf,
+        min_in_order,
+    )
+    if strategy is not None:
+        strategies[node.relations()] = strategy
+    return ordered
 
 
 def refresh_strategies(

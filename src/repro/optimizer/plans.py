@@ -147,13 +147,6 @@ class PhysicalPlan:
             )
         self.preagg_points = tuple(self.preagg_points)
 
-    def preagg_for(self, relations: frozenset[str]) -> PreAggPoint | None:
-        """The pre-aggregation point (if any) sitting on top of ``relations``."""
-        for point in self.preagg_points:
-            if point.below == relations:
-                return point
-        return None
-
     def estimated_cardinality(self, relations: frozenset[str]) -> float | None:
         return self.estimated_cardinalities.get(frozenset(relations))
 

@@ -285,9 +285,6 @@ class SPJAQuery:
     aggregation:
         Optional final grouping/aggregation.  ``None`` makes this a pure SPJ
         query.
-    projection:
-        Optional output attribute list applied after joins (ignored when an
-        aggregation is present, which defines its own output schema).
     """
 
     name: str
@@ -295,7 +292,6 @@ class SPJAQuery:
     join_predicates: tuple[JoinPredicate, ...]
     selections: dict[str, Predicate] = field(default_factory=dict)
     aggregation: AggregateSpec | None = None
-    projection: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relations", tuple(self.relations))

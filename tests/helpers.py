@@ -80,9 +80,6 @@ def reference_spja(query: SPJAQuery, sources: dict[str, Relation]) -> list[tuple
             raise AssertionError("query join graph is not connected")
 
     if query.aggregation is None:
-        if query.projection:
-            positions = schema.positions(query.projection)
-            return [tuple(row[p] for p in positions) for row in rows]
         return rows
 
     # Group-by / aggregation.

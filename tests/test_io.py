@@ -23,6 +23,7 @@ Every test runs under a hard SIGALRM deadline so a wedged socket or a
 stuck breaker loop fails fast instead of hanging the suite.
 """
 
+import gc
 import json
 import random
 import signal
@@ -281,6 +282,46 @@ class TestBackends:
         assert delivered == [(1, 2, 3), (4, 5, 6)]
         assert source.telemetry.truncations == 3
         assert source.telemetry.connect_retries == 0
+
+    @pytest.mark.parametrize("kind", ["csv", "jsonl"])
+    def test_a_saved_cut_keeps_its_traceback_and_is_forgotten_on_close(self, tmp_path, kind):
+        path = tmp_path / f"cut.{kind}"
+        path.write_text("a,b,c\n1,2,3\n7,8\n" if kind == "csv" else "[1,2,3]\n[7,8")
+        transport = (CSVFileTransport if kind == "csv" else JSONLinesTransport)(
+            "cut", str(path), Schema.from_names(["a", "b", "c"])
+        )
+
+        def traceback_length(exc):
+            length, tb = 0, exc.__traceback__
+            while tb is not None:
+                length, tb = length + 1, tb.tb_next
+            return length
+
+        # every later call raises the cut again, and no raise adds frames to it
+        reader = transport.open(0)
+        assert reader.read_rows(10) == [(1, 2, 3)]
+        lengths = []
+        for _ in range(4):
+            try:
+                reader.read_rows(10)
+            except TruncatedPayloadError as exc:
+                lengths.append(traceback_length(exc))
+        assert lengths == [lengths[0]] * 4
+        reader.close()
+        # the saved fault's traceback holds the reader's frame: close() forgets
+        # it, so a failed-then-closed reader is freed without the collector
+        gc.collect()
+        gc.disable()
+        try:
+            reader = transport.open(0)
+            reader.read_rows(10)
+            with pytest.raises(TruncatedPayloadError):
+                reader.read_rows(10)
+            reader.close()
+            del reader
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_jsonl_cut_line_is_a_truncation_and_blank_lines_are_not_rows(
         self, tmp_path

@@ -63,13 +63,12 @@ class TestPhysicalPlan:
         with pytest.raises(PlanError):
             PhysicalPlan(query, JoinTree.left_deep(["customer", "orders"]))
 
-    def test_preagg_lookup_and_describe(self):
+    def test_preagg_describe(self):
         query = query_3a()
         tree = JoinTree.left_deep(["customer", "orders", "lineitem"])
         point = PreAggPoint(frozenset({"lineitem"}), "window", ("l_orderkey",))
         plan = PhysicalPlan(query, tree, preagg_points=(point,), estimated_cost=42.0)
-        assert plan.preagg_for(frozenset({"lineitem"})) is point
-        assert plan.preagg_for(frozenset({"orders"})) is None
+        assert plan.preagg_points == (point,)
         text = plan.describe()
         assert "42.0" in text and "lineitem" in text
 

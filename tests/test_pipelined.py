@@ -69,7 +69,7 @@ class TestPipelinedPlan:
         executor = PipelinedExecutor(sources)
         rows, plan = executor.execute(query, JoinTree.left_deep(["people", "simple_orders"]))
         assert_same_bag(rows, reference_spja(query, sources))
-        assert plan.output_count == len(rows)
+        assert plan.output.count == len(rows)
 
     def test_selection_applied_at_leaf(self, people, simple_orders):
         query = SPJAQuery(
@@ -504,7 +504,7 @@ class TestTupleDriveLoop:
                 raise RuntimeError("sink full")
             outputs.append(row)
 
-        plan.output_sink = sink
+        plan.output.sink = sink
         with pytest.raises(RuntimeError, match="sink full"):
             plan.run_chunk(6)
         assert plan.statistics.steps == plan.statistics.tuples_read == len(log)

@@ -75,7 +75,7 @@ def run_in_phases(query, sources, trees, boundaries):
         if canonical_schema is None:
             canonical_schema = plan.output_schema
         adapter = TupleAdapter(plan.output_schema, canonical_schema)
-        plan.output_sink = (
+        plan.output.sink = (
             collected.append
             if adapter.is_identity
             else (lambda row, a=adapter: collected.append(a.adapt(row)))
