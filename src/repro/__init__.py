@@ -26,6 +26,7 @@ True
 
 from repro.integration.system import AdaptiveIntegrationSystem, QueryAnswer
 from repro.core.corrective import CorrectiveQueryProcessor
+from repro.core.options import ProcessorOptions
 from repro.core.complementary import ComplementaryJoinPair, PipelinedHashJoinBaseline
 from repro.core.preaggregation import WindowedPreAggregator
 from repro.baselines.static_executor import StaticExecutor
@@ -48,6 +49,7 @@ __all__ = [
     "AdaptiveIntegrationSystem",
     "QueryAnswer",
     "CorrectiveQueryProcessor",
+    "ProcessorOptions",
     "ComplementaryJoinPair",
     "PipelinedHashJoinBaseline",
     "WindowedPreAggregator",

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.adaptivity import AdaptationController
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.pipelined import PipelinedExecutor
 from repro.io.wallclock import wall_now
 from repro.optimizer.enumerator import Optimizer
 from repro.optimizer.plans import JoinTree
 from repro.relational.algebra import SPJAQuery
-from repro.relational.catalog import Catalog, DEFAULT_ASSUMED_CARDINALITY, TableStatistics
+from repro.relational.catalog import Catalog, TableStatistics
 from repro.relational.expressions import JoinPredicate
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -75,36 +74,22 @@ class PlanPartitioningExecutor:
         sources: dict[str, object],
         cost_model: CostModel | None = None,
         materialize_after_joins: int = 3,
-        default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
         batch_size: int | None = None,
         engine_mode: str = "interpreted",
-        adaptation: AdaptationController | None = None,
     ) -> None:
         self.catalog = catalog
         self.sources = dict(sources)
         self.cost_model = cost_model or CostModel()
         self.materialize_after_joins = materialize_after_joins
-        self.default_cardinality = default_cardinality
         self.batch_size = batch_size
         self.engine_mode = engine_mode
-        # Like the static baseline, plan partitioning drives the shared
-        # adaptivity kernel for its run lifecycle and (one-shot) plan
-        # choices; the default controller has no policies and is inert.
-        self.adaptation = adaptation or AdaptationController()
-        self.optimizer = Optimizer(
-            catalog, self.cost_model, bushy=True, default_cardinality=default_cardinality
-        )
+        self.optimizer = Optimizer(catalog, self.cost_model)
 
     # -- stage construction -----------------------------------------------------------
 
     def _stage1_relations(self, query: SPJAQuery) -> tuple[str, ...]:
         """First ``materialize_after_joins + 1`` relations of a left-deep order."""
-        left_deep_optimizer = Optimizer(
-            self.catalog,
-            self.cost_model,
-            bushy=False,
-            default_cardinality=self.default_cardinality,
-        )
+        left_deep_optimizer = Optimizer(self.catalog, self.cost_model, bushy=False)
         order = left_deep_optimizer.optimize_tree(query).leaf_order()
         return order[: self.materialize_after_joins + 1]
 
@@ -174,15 +159,12 @@ class PlanPartitioningExecutor:
         metrics = ExecutionMetrics()
         clock = SimulatedClock(self.cost_model)
         wall_start = wall_now()
-        run = self.adaptation.begin(query, self.catalog, sources=self.sources)
 
         stage1_relations = self._stage1_relations(query)
         if len(stage1_relations) >= len(query.relations):
             # Materialization point falls at (or beyond) the end of the query:
             # plan partitioning degenerates to static execution.
-            tree = self.optimizer.optimize_tree(
-                query, ordering=run.current_ordering()
-            )
+            tree = self.optimizer.optimize_tree(query)
             executor = PipelinedExecutor(
                 self.sources,
                 self.cost_model,
@@ -200,7 +182,7 @@ class PlanPartitioningExecutor:
                 metrics=metrics,
                 simulated_seconds=clock.now,
                 wall_seconds=wall_now() - wall_start,
-                details={"degenerate": True, "adaptation": run.describe()},
+                details={"degenerate": True},
             )
 
         # Stage 1: join the first few relations and materialize.
@@ -235,12 +217,7 @@ class PlanPartitioningExecutor:
             TableStatistics(cardinality=len(stage1_relation)),
             stage1_relation,
         )
-        stage2_optimizer = Optimizer(
-            stage2_catalog,
-            self.cost_model,
-            bushy=True,
-            default_cardinality=self.default_cardinality,
-        )
+        stage2_optimizer = Optimizer(stage2_catalog, self.cost_model)
         stage2_tree = stage2_optimizer.optimize_tree(stage2_query)
         stage2_sources = dict(self.sources)
         stage2_sources[STAGE_RELATION_NAME] = stage1_relation
@@ -267,6 +244,5 @@ class PlanPartitioningExecutor:
             details={
                 "stage1_relations": stage1_relations,
                 "stage2_relations": stage2_query.relations,
-                "adaptation": run.describe(),
             },
         )

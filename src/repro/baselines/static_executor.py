@@ -4,14 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.adaptivity import AdaptationController
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.pipelined import PipelinedExecutor
 from repro.io.wallclock import wall_now
 from repro.optimizer.enumerator import Optimizer
 from repro.optimizer.plans import JoinTree
 from repro.relational.algebra import SPJAQuery
-from repro.relational.catalog import Catalog, DEFAULT_ASSUMED_CARDINALITY
+from repro.relational.catalog import Catalog
 from repro.relational.schema import Schema
 
 
@@ -57,36 +56,21 @@ class StaticExecutor:
         catalog: Catalog,
         sources: dict[str, object],
         cost_model: CostModel | None = None,
-        default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
-        bushy: bool = True,
         batch_size: int | None = None,
         engine_mode: str = "interpreted",
-        adaptation: AdaptationController | None = None,
     ) -> None:
         self.catalog = catalog
         self.sources = dict(sources)
         self.cost_model = cost_model or CostModel()
         self.batch_size = batch_size
         self.engine_mode = engine_mode
-        # Static execution adapts nothing *at runtime*, but it still drives
-        # the shared adaptivity kernel: registered policies get the run
-        # lifecycle and may inform the one-shot plan choice (e.g. a
-        # join-strategy policy lets the static optimizer exploit promised
-        # orderings).  The default controller has no policies and changes
-        # nothing.
-        self.adaptation = adaptation or AdaptationController()
-        self.optimizer = Optimizer(
-            catalog, self.cost_model, bushy=bushy, default_cardinality=default_cardinality
-        )
+        self.optimizer = Optimizer(catalog, self.cost_model)
 
     def execute(
         self, query: SPJAQuery, join_tree: JoinTree | None = None
     ) -> StaticExecutionReport:
         """Run ``query`` statically; ``join_tree`` overrides the optimizer."""
-        run = self.adaptation.begin(query, self.catalog, sources=self.sources)
-        tree = join_tree or self.optimizer.optimize_tree(
-            query, ordering=run.current_ordering()
-        )
+        tree = join_tree or self.optimizer.optimize_tree(query)
         metrics = ExecutionMetrics()
         clock = SimulatedClock(self.cost_model)
         executor = PipelinedExecutor(
@@ -110,8 +94,5 @@ class StaticExecutor:
             simulated_seconds=clock.now,
             wall_seconds=wall_seconds,
             wait_seconds=clock.wait_time,
-            details={
-                "phase_statistics": plan.statistics,
-                "adaptation": run.describe(),
-            },
+            details={"phase_statistics": plan.statistics},
         )

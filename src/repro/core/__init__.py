@@ -8,6 +8,7 @@ This package contains the paper's contributions proper:
 * :mod:`repro.core.stitchup` — stitch-up planning and the specialized
   stitch-up join (Section 3.4).
 * :mod:`repro.core.corrective` — corrective query processing (Section 4).
+* :mod:`repro.core.options` — its knobs, one validated record.
 * :mod:`repro.core.complementary` — complementary join pairs exploiting
   (partial) order (Section 5).
 * :mod:`repro.core.preaggregation` — adjustable-window pre-aggregation
@@ -20,6 +21,7 @@ from repro.core.monitor import ExecutionMonitor
 from repro.core.phases import PhaseManager, PhaseRecord
 from repro.core.stitchup import StitchUpExecutor, StitchUpReport
 from repro.core.corrective import CorrectiveExecutionReport, CorrectiveQueryProcessor
+from repro.core.options import ProcessorOptions
 from repro.core.complementary import (
     ComplementaryJoinPair,
     ComplementaryJoinReport,
@@ -36,6 +38,7 @@ __all__ = [
     "StitchUpReport",
     "CorrectiveExecutionReport",
     "CorrectiveQueryProcessor",
+    "ProcessorOptions",
     "ComplementaryJoinPair",
     "ComplementaryJoinReport",
     "PipelinedHashJoinBaseline",

@@ -21,6 +21,7 @@ new policy requires no change here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.adaptivity import (
     AdaptationController,
@@ -30,6 +31,7 @@ from repro.adaptivity import (
     SourceRatePolicy,
 )
 from repro.core.monitor import ExecutionMonitor
+from repro.core.options import ProcessorOptions, resolve_options
 from repro.core.phases import PhaseManager, PhaseRecord
 from repro.core.stitchup import StitchUpExecutor, StitchUpReport
 from repro.engine.compiled import fused_output_sink
@@ -42,7 +44,7 @@ from repro.optimizer.enumerator import Optimizer
 from repro.optimizer.plans import JoinTree
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import SPJAQuery
-from repro.relational.catalog import Catalog, DEFAULT_ASSUMED_CARDINALITY
+from repro.relational.catalog import Catalog
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleAdapter
 
@@ -133,143 +135,37 @@ class CorrectiveQueryProcessor:
         catalog: Catalog,
         sources: dict[str, object],
         cost_model: CostModel | None = None,
-        polling_interval_seconds: float = 1.0,
-        switch_threshold: float = 0.8,
-        max_phases: int = 8,
-        default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
-        bushy: bool = True,
-        batch_size: int | None = None,
-        order_adaptive: bool = False,
-        order_tolerance: float = 0.05,
-        engine_mode: str = "interpreted",
-        rate_adaptive: bool = False,
-        rate_collapse_fraction: float = 0.5,
-        rate_switch_threshold: float = 0.8,
-        failover_adaptive: bool = False,
-        failover_stall_seconds: float = 0.05,
-        failover_outage_polls: int = 2,
-        adaptation: AdaptationController | None = None,
+        options: ProcessorOptions | None = None,
+        **knobs: Any,
     ) -> None:
-        """Parameters mirror the paper's experimental knobs.
-
-        ``polling_interval_seconds`` is the re-optimization poll interval
-        (the paper uses 1 s of wall-clock; here it is simulated seconds);
-        ``switch_threshold`` is how much cheaper an alternative plan must be
-        before the processor switches; ``max_phases`` bounds the number of
-        sequential plans (a safety valve, rarely reached); ``batch_size``
-        selects batch-at-a-time execution (``None`` = tuple-at-a-time).
-
-        ``order_adaptive=True`` turns on order-adaptive join processing:
-        every source cursor gets an order detector on its join attributes
-        (tolerance ``order_tolerance`` out-of-order arrivals), promised
-        orderings from the catalog seed the knowledge, the optimizer /
-        re-optimizer cost merge-join strategies on order-eligible nodes, and
-        plan switches may change only the physical strategies (hash↔merge)
-        mid-flight.  Off by default because — like incremental histograms —
-        the per-tuple detector bookkeeping is a real overhead and order
-        exploitation changes plan choices, which the paper-reproduction
-        benchmarks pin.
-        Monitor polls always land on the same tuple positions regardless of
-        batch size, so on immediately-available (local) sources — where the
-        simulated clock is a pure function of work done — adaptation
-        decisions, and therefore phase counts, are identical in both modes;
-        only the per-tuple overhead changes.  On delayed (remote) sources
-        the clock can drift slightly within a batch (waits and work charges
-        interleave differently), which in principle can shift clock-driven
-        poll timing; results are identical either way.
-
-        ``rate_adaptive=True`` adds the source-rate adaptation policy
-        (:class:`~repro.adaptivity.rate.SourceRatePolicy`): sources whose
-        observed delivery falls below ``rate_collapse_fraction`` of their
-        catalog ``promised_rate`` are demoted in the read schedule, and a
-        plan switch is proposed when gating work behind the collapsed
-        source's arrivals improves estimated completion time by
-        ``rate_switch_threshold``.  Opt-in; without catalog rate promises
-        the policy never acts.
-
-        ``failover_adaptive=True`` adds the mirror-failover policy
-        (:class:`~repro.adaptivity.failover.MirrorFailoverPolicy`): a source
-        in sustained outage — ``failover_outage_polls`` consecutive polls
-        stalled past ``failover_stall_seconds`` or decisively behind its
-        delivery promise — whose :class:`~repro.sources.remote.RemoteSource`
-        has registered mirrors gets its cursor re-pointed at a mirror's
-        resumed stream for the remainder of the relation.  Answers are
-        bit-identical (same rows, different arrival times); registered
-        before the rate policy so a recoverable outage is repaired rather
-        than merely gated around.
-
-        ``engine_mode="compiled"`` (opt-in, requires ``batch_size``) runs
-        every phase through fused plan-specialized batch pipelines
-        (:mod:`repro.engine.compiled`) instead of the generic operator code.
-        Answers, work counters, simulated seconds and phase counts are
-        bit-identical to the interpreted batched engine; each phase's plan —
-        including strategy-only hash↔merge switches — is recompiled when it
-        is built, and the shared group-by / canonical-layout adaptation is
-        fused into the generated sinks.
-
-        ``adaptation`` overrides the default policy stack entirely (expert
-        hook: the flags above are ignored for policy construction when an
-        explicit controller is supplied).
-        """
-        from repro.engine.compiled import validate_engine_mode
-
-        validate_engine_mode(engine_mode, batch_size)
+        """The knobs are :class:`~repro.core.options.ProcessorOptions`
+        fields: pass one ``options`` record, keywords, or both (keywords
+        override the record's fields)."""
+        self.options = options = resolve_options(options, knobs)
         self.catalog = catalog
         self.sources = dict(sources)
         self.cost_model = cost_model or CostModel()
-        self.polling_interval_seconds = polling_interval_seconds
-        self.switch_threshold = switch_threshold
-        self.max_phases = max_phases
-        self.default_cardinality = default_cardinality
-        self.bushy = bushy
-        self.batch_size = batch_size
-        self.order_adaptive = order_adaptive
-        self.order_tolerance = order_tolerance
-        self.engine_mode = engine_mode
-        self.rate_adaptive = rate_adaptive
-        self.failover_adaptive = failover_adaptive
-        self.optimizer = Optimizer(
-            catalog, self.cost_model, bushy=bushy, default_cardinality=default_cardinality
-        )
-        if adaptation is not None:
-            self.adaptation = adaptation
-        else:
-            policies = []
-            if order_adaptive:
-                policies.append(
-                    JoinStrategyPolicy(catalog, order_tolerance=order_tolerance)
-                )
-            if failover_adaptive:
-                policies.append(
-                    MirrorFailoverPolicy(
-                        catalog,
-                        stall_threshold_seconds=failover_stall_seconds,
-                        outage_polls=failover_outage_polls,
-                        collapse_fraction=rate_collapse_fraction,
-                    )
-                )
-            if rate_adaptive:
-                policies.append(
-                    SourceRatePolicy(
-                        catalog,
-                        self.cost_model,
-                        collapse_fraction=rate_collapse_fraction,
-                        switch_threshold=rate_switch_threshold,
-                        bushy=bushy,
-                        default_cardinality=default_cardinality,
-                    )
-                )
+        self.optimizer = Optimizer(catalog, self.cost_model)
+        policies = []
+        if options.order_adaptive:
+            policies.append(JoinStrategyPolicy(catalog))
+        if options.failover_adaptive:
             policies.append(
-                PlanSwitchPolicy(
-                    catalog,
-                    self.cost_model,
-                    switch_threshold=switch_threshold,
-                    bushy=bushy,
-                    default_cardinality=default_cardinality,
-                    order_adaptive=order_adaptive,
+                MirrorFailoverPolicy(
+                    catalog, stall_threshold_seconds=options.failover_stall_seconds
                 )
             )
-            self.adaptation = AdaptationController(policies)
+        if options.rate_adaptive:
+            policies.append(SourceRatePolicy(catalog, self.cost_model))
+        policies.append(
+            PlanSwitchPolicy(
+                catalog,
+                self.cost_model,
+                switch_threshold=options.switch_threshold,
+                order_adaptive=options.order_adaptive,
+            )
+        )
+        self.adaptation = AdaptationController(policies)
 
     @property
     def reoptimizer(self):
@@ -350,9 +246,10 @@ class CorrectiveQueryProcessor:
             monitor.observed.merge(seed_statistics)
         phase_manager = PhaseManager()
 
+        options = self.options
         prefetch = None
-        if self.batch_size is not None:
-            prefetch = max(self.batch_size, SourceCursor.DEFAULT_PREFETCH)
+        if options.batch_size is not None:
+            prefetch = max(options.batch_size, SourceCursor.DEFAULT_PREFETCH)
         cursors = {
             name: SourceCursor(name, self.sources[name], prefetch=prefetch)
             for name in query.relations
@@ -408,7 +305,7 @@ class CorrectiveQueryProcessor:
                     plan.output.sink_batch = lambda rows: accumulate_batch(
                         adapter.adapt_many(rows)
                     )
-                if self.engine_mode == "compiled":
+                if options.engine_mode == "compiled":
                     # Fuse the canonical-layout permutation into the group-by
                     # fold (no adapted tuples are materialized; charges and
                     # group states are identical — see make_batch_fold).
@@ -437,9 +334,9 @@ class CorrectiveQueryProcessor:
                 metrics=metrics,
                 clock=clock,
                 cost_model=self.cost_model,
-                batch_size=self.batch_size,
+                batch_size=options.batch_size,
                 join_strategies=current_strategies,
-                engine_mode=self.engine_mode,
+                engine_mode=options.engine_mode,
             )
             if run.read_priorities:
                 plan.read_priorities = dict(run.read_priorities)
@@ -459,7 +356,7 @@ class CorrectiveQueryProcessor:
             wait_mark = clock.wait_time
 
             while True:
-                next_poll = clock.now + self.polling_interval_seconds
+                next_poll = clock.now + options.polling_interval_seconds
                 progressed = False
                 while clock.now < next_poll:
                     horizon = clock.now if cooperative else None
@@ -497,7 +394,7 @@ class CorrectiveQueryProcessor:
                     current_strategies=current_strategies,
                     phase_id=phase_id,
                     now=clock.now,
-                    can_switch=phase_id + 1 < self.max_phases,
+                    can_switch=phase_id + 1 < options.max_phases,
                 )
                 if switch is not None:
                     switch_reason = switch.reason
@@ -579,10 +476,6 @@ class CorrectiveQueryProcessor:
                 # statistics sharing by the serving layer.
                 "observed_statistics": monitor.observed,
                 "seeded_statistics": seed_statistics is not None,
-                "order_adaptive": self.order_adaptive,
-                "rate_adaptive": self.rate_adaptive,
-                "failover_adaptive": self.failover_adaptive,
-                "engine_mode": self.engine_mode,
                 # Physical join algorithm per node, per phase (shows
                 # hash↔merge switches), and the peak resident join state.
                 "phase_join_algorithms": phase_algorithms,

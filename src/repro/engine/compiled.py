@@ -72,12 +72,16 @@ ENGINE_MODES = ("interpreted", "compiled")
 
 
 def validate_engine_mode(engine_mode: str, batch_size: int | None) -> None:
-    """Reject an unknown mode, or compiled mode without a batch size.
+    """Reject a batch size below 1, an unknown mode, or compiled mode
+    without a batch size.
 
-    The one statement of the rule, called eagerly by every surface that
-    accepts the pair (plan, corrective processor, serving configuration).
-    :class:`PlanError` is a :class:`ValueError`.
+    The one statement of the rule, checked by the two places that accept
+    the pair: :class:`~repro.engine.pipelined.PipelinedPlan` and
+    :class:`~repro.core.options.ProcessorOptions`.  :class:`PlanError` is a
+    :class:`ValueError`.
     """
+    if batch_size is not None and batch_size < 1:
+        raise PlanError(f"batch_size must be positive, got {batch_size}")
     if engine_mode not in ENGINE_MODES:
         raise PlanError(
             f"unknown engine_mode {engine_mode!r}; expected one of {ENGINE_MODES}"

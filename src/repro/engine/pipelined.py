@@ -625,8 +625,6 @@ class PipelinedPlan:
             raise PlanError(
                 f"join tree {join_tree} does not cover the relations of query {query.name}"
             )
-        if batch_size is not None and batch_size < 1:
-            raise PlanError(f"batch_size must be positive, got {batch_size}")
         validate_engine_mode(engine_mode, batch_size)
         if preagg_points and engine_mode == "compiled":
             raise PlanError(

@@ -29,6 +29,7 @@ import argparse
 import pathlib
 from typing import Callable
 
+from repro.core.options import ProcessorOptions
 from repro.experiments.ablations import (
     sweep_polling_interval,
     sweep_priority_queue_capacity,
@@ -304,11 +305,11 @@ def main(argv: list[str] | None = None) -> int:
             output_format=args.output_format,
             report_output=args.report_output,
         )
-    if args.batch_size is not None and args.batch_size < 1:
-        raise SystemExit("--batch-size must be a positive integer")
-    if args.engine_mode == "compiled" and args.batch_size is None:
-        raise SystemExit("--engine-mode compiled requires --batch-size")
     engine = {"batch_size": args.batch_size, "engine_mode": args.engine_mode}
+    try:
+        ProcessorOptions(**engine)
+    except ValueError as error:
+        parser.error(str(error))
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         EXPERIMENTS[name](

@@ -127,26 +127,12 @@ class AdaptiveIntegrationSystem:
     ) -> QueryAnswer:
         """Execute ``query`` with the chosen strategy.
 
-        Keyword options are forwarded to the strategy's executor — e.g.
-        ``polling_interval_seconds`` and ``switch_threshold`` for
-        ``"corrective"``, ``materialize_after_joins`` for
-        ``"plan_partitioning"``.  Every strategy accepts ``batch_size``:
-        ``None`` (default) executes tuple-at-a-time as in the paper, an
-        integer executes batch-at-a-time with identical results and work
-        accounting but far lower per-tuple interpreter overhead.  Every
-        strategy also accepts ``engine_mode``: ``"interpreted"`` (default)
-        runs the generic operator code, ``"compiled"`` (requires a
-        ``batch_size``) runs fused plan-specialized batch pipelines with
-        bit-identical answers, work counters and simulated timings (see
-        :mod:`repro.engine.compiled`).  The ``"corrective"`` strategy
-        additionally accepts ``order_adaptive=True`` to detect source order
-        at runtime and run / switch to streaming merge joins on
-        (near-)sorted inputs, and ``rate_adaptive=True`` to react to sources
-        whose delivery collapses below their catalog ``promised_rate``
-        (read-schedule demotion plus rate-aware plan switches — see
-        :mod:`repro.adaptivity.rate`).  All adaptation flows through each
-        executor's :class:`~repro.adaptivity.controller.AdaptationController`,
-        so new behaviours can be added by registering policies on it.
+        Keyword options are forwarded to the strategy's executor.  Every
+        strategy accepts ``batch_size`` and ``engine_mode``;
+        ``"plan_partitioning"`` also accepts ``materialize_after_joins``, and
+        ``"corrective"`` accepts every
+        :class:`~repro.core.options.ProcessorOptions` field (or one
+        ``options=`` record).
         """
         if strategy not in _STRATEGIES:
             raise UnknownStrategyError(
@@ -190,7 +176,6 @@ class AdaptiveIntegrationSystem:
         self,
         queries: Iterable[SPJAQuery],
         policy: str = "round_robin",
-        batch_size: int | None = None,
         quantum_tuples: int = 200,
         admission_times: Iterable[float] | None = None,
         stats_cache: SharedStatisticsCache | None = None,
@@ -207,10 +192,9 @@ class AdaptiveIntegrationSystem:
         statistics cache, so selectivities and exact cardinalities learned
         while serving one query inform the plans of the next.  Pass a
         ``stats_cache`` to carry learned statistics across successive
-        ``serve`` calls.  Remaining keyword ``options`` go to the server
-        (``polling_interval_seconds``, ``switch_threshold``,
-        ``order_adaptive``, ``rate_adaptive``, ``engine_mode``,
-        ``session_policies``, …).
+        ``serve`` calls.  Remaining keyword ``options`` go to the server:
+        its own settings (``session_policies``, …) and every
+        :class:`~repro.core.options.ProcessorOptions` field.
 
         Each query's result multiset is identical to what a solo
         ``execute(query, strategy="corrective")`` run would return; only the
@@ -229,7 +213,6 @@ class AdaptiveIntegrationSystem:
             self._sources,
             cost_model=self.cost_model,
             policy=policy,
-            batch_size=batch_size,
             quantum_tuples=quantum_tuples,
             stats_cache=stats_cache,
             **options,

@@ -163,6 +163,17 @@ CHANNELS: tuple[SharedChannel, ...] = (
         attributes=("cost_model",),
     ),
     SharedChannel(
+        name="options",
+        type_name="ProcessorOptions",
+        discipline="read_only",
+        rationale=(
+            "frozen, validated record of every session's processor knobs; "
+            "each session's processor reads it and none can change it, and "
+            "under sharding it crosses to the workers inside each ShardTask"
+        ),
+        attributes=("options",),
+    ),
+    SharedChannel(
         name="stats_cache",
         type_name="SharedStatisticsCache",
         discipline="cross_process_safe",
@@ -224,8 +235,9 @@ CHANNELS: tuple[SharedChannel, ...] = (
             "sessions to shards and starts each worker process with its one "
             "ShardTask as the process argument — inherited under fork, "
             "pickled once by Process.start under spawn (catalog snapshot, "
-            "source pool, picklable session specs, processor knobs, "
-            "statistics snapshot); compiled "
+            "source pool, picklable session specs, the frozen "
+            "ProcessorOptions record every session's processor is built "
+            "from, statistics snapshot); compiled "
             "pipelines rehydrate worker-side from generated source, never "
             "as code objects"
         ),

@@ -41,10 +41,11 @@ from repro.adaptivity import (
     SharedLearningPolicy,
 )
 from repro.core.corrective import CorrectiveExecutionReport, CorrectiveQueryProcessor
+from repro.core.options import ProcessorOptions, resolve_options
 from repro.engine.cost import CostModel, SimulatedClock
 from repro.optimizer.plans import JoinTree
 from repro.relational.algebra import SPJAQuery
-from repro.relational.catalog import Catalog, DEFAULT_ASSUMED_CARDINALITY
+from repro.relational.catalog import Catalog
 from repro.relational.schema import Schema
 from repro.serving.scheduler import SchedulingPolicy, make_policy
 from repro.serving.session import QuerySession
@@ -145,51 +146,9 @@ class ServingReport:
         }
 
 
-def corrective_processor_options(
-    *,
-    polling_interval_seconds: float = 1.0,
-    switch_threshold: float = 0.8,
-    max_phases: int = 8,
-    default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
-    bushy: bool = True,
-    batch_size: int | None = None,
-    order_adaptive: bool = False,
-    engine_mode: str = "interpreted",
-    rate_adaptive: bool = False,
-    rate_collapse_fraction: float = 0.5,
-    rate_switch_threshold: float = 0.8,
-    failover_adaptive: bool = False,
-    failover_stall_seconds: float = 0.05,
-    failover_outage_polls: int = 2,
-) -> dict[str, Any]:
-    """The :class:`CorrectiveQueryProcessor` keyword set as a plain dict.
-
-    One definition shared by the in-process server and the sharded worker
-    fabric: :meth:`QueryServer.submit` expands it locally, while
-    :class:`~repro.serving.sharded.ShardedQueryServer` embeds it in each
-    picklable :class:`~repro.serving.specs.ShardTask` so workers build
-    processors with exactly the knobs the front-end was configured with.
-    Every value is a plain scalar, so the dict pickles as-is.
-    """
-    from repro.engine.compiled import validate_engine_mode
-
-    validate_engine_mode(engine_mode, batch_size)
-    return {
-        "polling_interval_seconds": polling_interval_seconds,
-        "switch_threshold": switch_threshold,
-        "max_phases": max_phases,
-        "default_cardinality": default_cardinality,
-        "bushy": bushy,
-        "batch_size": batch_size,
-        "order_adaptive": order_adaptive,
-        "engine_mode": engine_mode,
-        "rate_adaptive": rate_adaptive,
-        "rate_collapse_fraction": rate_collapse_fraction,
-        "rate_switch_threshold": rate_switch_threshold,
-        "failover_adaptive": failover_adaptive,
-        "failover_stall_seconds": failover_stall_seconds,
-        "failover_outage_polls": failover_outage_polls,
-    }
+#: The :class:`ProcessorOptions` constructor under its former name, kept for
+#: the benchmark's pickle probe.
+corrective_processor_options = ProcessorOptions
 
 
 class QueryServer:
@@ -201,56 +160,29 @@ class QueryServer:
         sources: dict[str, object],
         cost_model: CostModel | None = None,
         policy: str | SchedulingPolicy = "round_robin",
-        batch_size: int | None = None,
         quantum_tuples: int = 200,
-        polling_interval_seconds: float = 1.0,
-        switch_threshold: float = 0.8,
-        max_phases: int = 8,
-        bushy: bool = True,
-        default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
         stats_cache: SharedStatisticsCache | None = None,
         share_statistics: bool = True,
-        order_adaptive: bool = False,
-        engine_mode: str = "interpreted",
-        rate_adaptive: bool = False,
-        rate_collapse_fraction: float = 0.5,
-        rate_switch_threshold: float = 0.8,
-        failover_adaptive: bool = False,
-        failover_stall_seconds: float = 0.05,
-        failover_outage_polls: int = 2,
         admission_backpressure: bool = False,
-        backpressure_collapse_fraction: float = 0.5,
         rate_seeded_plans: bool = False,
         session_policies: tuple[AdaptationPolicy, ...] = (),
+        options: ProcessorOptions | None = None,
+        **knobs: Any,
     ) -> None:
         """``quantum_tuples`` is the scheduling granularity: how many source
         tuples one grant may process before control returns to the scheduler
         (it doubles as each session's re-optimization ``poll_step_limit``).
         ``share_statistics=False`` disables cross-query seeding while keeping
-        the cache's learning (useful for ablations).  ``order_adaptive=True``
-        turns on order-adaptive join processing in every session; discovered
-        orderings travel through the shared statistics cache, so an order
-        learned while serving one query lets later queries start on merge
-        joins immediately.  ``rate_adaptive=True`` adds the source-rate
-        policy to every session (collapsed sources are demoted in the read
-        schedule and can trigger rate-aware plan switches — see
-        :class:`~repro.adaptivity.rate.SourceRatePolicy`).
-        ``engine_mode="compiled"`` (requires a
-        ``batch_size``) runs every session's phases through the fused
-        compiled batch pipelines; served answers, per-query simulated
-        timings and phase counts are bit-identical to interpreted serving,
-        and each session recompiles per phase exactly as in solo execution —
-        incremental quanta suspend and resume compiled plans transparently.
-        ``failover_adaptive=True`` adds the mirror-failover policy to every
-        session (sources in sustained outage resume from registered mirrors
-        — see :class:`~repro.adaptivity.failover.MirrorFailoverPolicy`).
+        the cache's learning (useful for ablations).  Orderings an
+        order-adaptive session discovers travel through the shared
+        statistics cache, so later queries can start on merge joins.
         ``admission_backpressure=True`` defers *activating* a due session
-        while a source it reads is collapsed (delivery below
-        ``backpressure_collapse_fraction`` of its promise, judged from the
-        cache's rate telemetry): healthy sessions run first and the flaky
-        session stops contending for quanta it would only spend waiting.  A
-        deferred session is force-admitted the moment it would hold the only
-        runnable slot, so backpressure can starve nobody.
+        while a source it reads is collapsed (delivery decisively below its
+        promise, judged from the cache's rate telemetry): healthy sessions
+        run first and the flaky session stops contending for quanta it
+        would only spend waiting.  A deferred session is force-admitted the
+        moment it would hold the only runnable slot, so backpressure can
+        starve nobody.
         ``rate_seeded_plans=True`` registers a
         :class:`~repro.adaptivity.rate.RateOutlookPolicy` with every session:
         repeat queries over a source the cache knows is slow get an initial
@@ -258,39 +190,23 @@ class QueryServer:
         ``session_policies`` are extra adaptation policies registered with
         every session's controller — the serving-side extension point for
         new adaptive behaviours (no server change needed to add one).
-        The remaining knobs are forwarded to each session's
-        :class:`CorrectiveQueryProcessor`.
+        ``options`` and the keyword ``knobs`` are every session's
+        :class:`~repro.core.options.ProcessorOptions` (compiled sessions
+        recompile per phase exactly as in solo execution).
         """
         if quantum_tuples < 1:
             raise ValueError("quantum_tuples must be positive")
-        # Validates engine_mode / batch_size combinations as a side effect;
-        # submit() re-derives the dict so later attribute tweaks still apply.
-        corrective_processor_options(batch_size=batch_size, engine_mode=engine_mode)
+        self.options = resolve_options(options, knobs)
         # The server owns a private catalog copy: learned statistics are
         # published into it between sessions without mutating the caller's.
         self.catalog = catalog.copy()
         self.sources = dict(sources)
         self.cost_model = cost_model or CostModel()
         self.policy = make_policy(policy)
-        self.batch_size = batch_size
         self.quantum_tuples = quantum_tuples
-        self.polling_interval_seconds = polling_interval_seconds
-        self.switch_threshold = switch_threshold
-        self.max_phases = max_phases
-        self.bushy = bushy
-        self.default_cardinality = default_cardinality
         self.stats_cache = stats_cache or SharedStatisticsCache()
         self.share_statistics = share_statistics
-        self.order_adaptive = order_adaptive
-        self.engine_mode = engine_mode
-        self.rate_adaptive = rate_adaptive
-        self.rate_collapse_fraction = rate_collapse_fraction
-        self.rate_switch_threshold = rate_switch_threshold
-        self.failover_adaptive = failover_adaptive
-        self.failover_stall_seconds = failover_stall_seconds
-        self.failover_outage_polls = failover_outage_polls
         self.admission_backpressure = admission_backpressure
-        self.backpressure_collapse_fraction = backpressure_collapse_fraction
         self.rate_seeded_plans = rate_seeded_plans
         self.session_policies = tuple(session_policies)
         self._deferred_labels: list[str] = []
@@ -304,25 +220,6 @@ class QueryServer:
         self._sessions: list[QuerySession] = []
         self._turn = 0
         self._ran = False
-
-    def processor_options(self) -> dict[str, Any]:
-        """This server's per-session :class:`CorrectiveQueryProcessor` knobs."""
-        return corrective_processor_options(
-            polling_interval_seconds=self.polling_interval_seconds,
-            switch_threshold=self.switch_threshold,
-            max_phases=self.max_phases,
-            default_cardinality=self.default_cardinality,
-            bushy=self.bushy,
-            batch_size=self.batch_size,
-            order_adaptive=self.order_adaptive,
-            engine_mode=self.engine_mode,
-            rate_adaptive=self.rate_adaptive,
-            rate_collapse_fraction=self.rate_collapse_fraction,
-            rate_switch_threshold=self.rate_switch_threshold,
-            failover_adaptive=self.failover_adaptive,
-            failover_stall_seconds=self.failover_stall_seconds,
-            failover_outage_polls=self.failover_outage_polls,
-        )
 
     # -- admission ---------------------------------------------------------------
 
@@ -351,20 +248,12 @@ class QueryServer:
         if any(session.label == session_label for session in self._sessions):
             session_label = f"{session_label}#{index}"
         processor = CorrectiveQueryProcessor(
-            self.catalog,
-            self.sources,
-            self.cost_model,
-            **self.processor_options(),
+            self.catalog, self.sources, self.cost_model, self.options
         )
         for policy in self.session_policies:
             processor.adaptation.register(policy)
         if self.rate_seeded_plans:
-            processor.adaptation.register(
-                RateOutlookPolicy(
-                    self.stats_cache,
-                    collapse_fraction=self.backpressure_collapse_fraction,
-                )
-            )
+            processor.adaptation.register(RateOutlookPolicy(self.stats_cache))
         self._sessions.append(
             QuerySession(
                 index=index,
@@ -502,7 +391,7 @@ class QueryServer:
             )
         return ServingReport(
             policy=self.policy.name,
-            batch_size=self.batch_size,
+            batch_size=self.options.batch_size,
             quantum_tuples=self.quantum_tuples,
             served=served,
             makespan=clock.now - started_now,
@@ -567,10 +456,7 @@ class QueryServer:
         if not self.admission_backpressure:
             return None
         self._record_rate_telemetry(session.query.relations)
-        outlook = self.stats_cache.rate_outlook(
-            session.query.relations,
-            collapse_fraction=self.backpressure_collapse_fraction,
-        )
+        outlook = self.stats_cache.rate_outlook(session.query.relations)
         if not outlook:
             return None
         worst = max(outlook, key=lambda name: (outlook[name], name))

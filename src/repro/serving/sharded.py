@@ -45,11 +45,12 @@ import queue as queue_module
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
+from repro.core.options import ProcessorOptions, resolve_options
 from repro.engine.cost import CostModel
 from repro.io.wallclock import wall_now
 from repro.optimizer.plans import JoinTree
 from repro.relational.algebra import SPJAQuery
-from repro.relational.catalog import Catalog, DEFAULT_ASSUMED_CARDINALITY
+from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.serving.partition import (
@@ -58,7 +59,7 @@ from repro.serving.partition import (
     merge_partition_results,
 )
 from repro.serving.scheduler import SchedulingPolicy, make_policy, shard_assignment
-from repro.serving.server import ServedQuery, ServingReport, corrective_processor_options
+from repro.serving.server import ServedQuery, ServingReport
 from repro.serving.specs import SessionResult, SessionSpec, ShardResult, ShardTask
 from repro.serving.stats_cache import SharedStatisticsCache, StatisticsSnapshot
 from repro.serving.worker import drive_shard, worker_main
@@ -68,6 +69,9 @@ from repro.sources.source import LocalSource
 #: how often the front-end, while waiting for shard results, checks that the
 #: workers it is waiting for are still alive
 DEAD_WORKER_POLL_SECONDS = 0.5
+#: how long the front-end waits for the next shard result before it gives
+#: the run up as hung
+RESULT_TIMEOUT_SECONDS = 600.0
 
 
 class StatisticsBackend(Protocol):
@@ -162,64 +166,37 @@ class ShardedQueryServer:
         cost_model: CostModel | None = None,
         policy: str | SchedulingPolicy = "round_robin",
         workers: int = 2,
-        batch_size: int | None = None,
         quantum_tuples: int = 200,
-        polling_interval_seconds: float = 1.0,
-        switch_threshold: float = 0.8,
-        max_phases: int = 8,
-        bushy: bool = True,
-        default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
         stats_cache: StatisticsBackend | None = None,
         share_statistics: bool = True,
-        order_adaptive: bool = False,
-        engine_mode: str = "interpreted",
-        rate_adaptive: bool = False,
-        rate_collapse_fraction: float = 0.5,
-        rate_switch_threshold: float = 0.8,
-        failover_adaptive: bool = False,
-        failover_stall_seconds: float = 0.05,
-        failover_outage_polls: int = 2,
         start_method: str | None = None,
-        result_timeout_seconds: float = 600.0,
+        options: ProcessorOptions | None = None,
+        **knobs: Any,
     ) -> None:
         """``workers`` is the shard count; ``start_method`` picks the
         multiprocessing start method (``None`` = platform default, e.g.
         ``fork`` on Linux) or the special value ``"inline"`` which drives
         every shard in the calling process — same scheduling, same results,
-        no concurrency — for debugging and deterministic unit tests."""
+        no concurrency — for debugging and deterministic unit tests.
+        ``options`` and the keyword ``knobs`` are every session's
+        :class:`~repro.core.options.ProcessorOptions`; each worker builds
+        its processors from this one record."""
         if workers < 1:
             raise ValueError("workers must be positive")
         if quantum_tuples < 1:
             raise ValueError("quantum_tuples must be positive")
+        self.options = resolve_options(options, knobs)
         self.catalog = catalog.copy()
         self.sources = dict(sources)
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.policy = make_policy(policy)
         self.workers = workers
-        self.batch_size = batch_size
         self.quantum_tuples = quantum_tuples
         self.stats_cache: StatisticsBackend = (
             stats_cache if stats_cache is not None else SharedStatisticsCache()
         )
         self.share_statistics = share_statistics
         self.start_method = start_method
-        self.result_timeout_seconds = result_timeout_seconds
-        self._options: dict[str, Any] = corrective_processor_options(
-            polling_interval_seconds=polling_interval_seconds,
-            switch_threshold=switch_threshold,
-            max_phases=max_phases,
-            default_cardinality=default_cardinality,
-            bushy=bushy,
-            batch_size=batch_size,
-            order_adaptive=order_adaptive,
-            engine_mode=engine_mode,
-            rate_adaptive=rate_adaptive,
-            rate_collapse_fraction=rate_collapse_fraction,
-            rate_switch_threshold=rate_switch_threshold,
-            failover_adaptive=failover_adaptive,
-            failover_stall_seconds=failover_stall_seconds,
-            failover_outage_polls=failover_outage_polls,
-        )
         self._specs: list[SessionSpec] = []
         self._partition_plans: dict[str, PartitionPlan] = {}
         self._ran = False
@@ -326,7 +303,7 @@ class ShardedQueryServer:
                 catalog=self.catalog,
                 sources=self.sources,
                 specs=tuple(specs),
-                processor_options=dict(self._options),
+                processor_options=self.options,
                 snapshot=snapshot,
                 share_statistics=self.share_statistics,
                 cost_model=self.cost_model,
@@ -353,7 +330,7 @@ class ShardedQueryServer:
             process.start()
         results: list[ShardResult] = []
         try:
-            deadline = wall_now() + self.result_timeout_seconds
+            deadline = wall_now() + RESULT_TIMEOUT_SECONDS
             while pending:
                 # A worker flushes its result before it exits, so whatever an
                 # exited worker delivered is already readable: with one gone,
@@ -382,12 +359,12 @@ class ShardedQueryServer:
                         raise RuntimeError(
                             f"sharded run timed out: {len(results)} of "
                             f"{len(tasks)} shard results arrived within "
-                            f"{self.result_timeout_seconds:.0f}s"
+                            f"{RESULT_TIMEOUT_SECONDS:.0f}s"
                         ) from None
                     continue
                 del pending[result.worker_id]
                 results.append(result)
-                deadline = wall_now() + self.result_timeout_seconds
+                deadline = wall_now() + RESULT_TIMEOUT_SECONDS
         finally:
             # Only a failing run leaves workers pending: nobody will read
             # what they still send, so do not wait for them to finish.
@@ -468,7 +445,7 @@ class ShardedQueryServer:
         )
         return ShardedServingReport(
             policy=self.policy.name,
-            batch_size=self.batch_size,
+            batch_size=self.options.batch_size,
             quantum_tuples=self.quantum_tuples,
             served=served,
             makespan=makespan,

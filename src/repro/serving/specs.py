@@ -12,8 +12,9 @@ is one of the plain-data shapes below:
   compiled pipelines are rebuilt from generated source on the worker side
   (see :func:`repro.engine.compiled.bind_chain`), never pickled.
 * :class:`ShardTask` — one worker's entire assignment: catalog snapshot,
-  source pool, processor knobs, scheduling policy, statistics snapshot, and
-  the specs of every session routed to that shard.
+  source pool, the :class:`~repro.core.options.ProcessorOptions` record,
+  scheduling policy, statistics snapshot, and the specs of every session
+  routed to that shard.
 * :class:`SessionResult` — one finished session: shard-clock timing plus the
   complete :class:`~repro.core.corrective.CorrectiveExecutionReport` (the
   report is plain data end to end, so workers return it whole and the
@@ -30,9 +31,9 @@ annotations reference — under the shard audit's picklability rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.core.corrective import CorrectiveExecutionReport
+from repro.core.options import ProcessorOptions
 from repro.engine.cost import CostModel
 from repro.optimizer.plans import JoinTree
 from repro.relational.algebra import SPJAQuery
@@ -71,7 +72,8 @@ class ShardTask:
     catalog: Catalog
     sources: dict[str, object]
     specs: tuple[SessionSpec, ...]
-    processor_options: dict[str, Any] = field(default_factory=dict)
+    #: the knobs every session's processor is built with
+    processor_options: ProcessorOptions = field(default_factory=ProcessorOptions)
     snapshot: StatisticsSnapshot | None = None
     share_statistics: bool = True
     #: the front-end's cost model (a plain dataclass of weights); ``None``

@@ -80,7 +80,7 @@ def drive_shard(task: ShardTask) -> ShardResult:
             catalog,
             _session_sources(task, spec),
             cost_model,
-            **task.processor_options,
+            options=task.processor_options,
         )
         sessions.append(
             QuerySession(

@@ -30,10 +30,10 @@ from differential import (
     run_solo_corrective,
 )
 
+from repro.core.options import ProcessorOptions
 from repro.engine.compiled import bind_chain
 from repro.engine.pipelined import PipelinedExecutor
 from repro.optimizer.plans import JoinTree
-from repro.serving.server import corrective_processor_options
 from repro.serving.specs import SessionSpec, ShardTask
 from repro.serving.worker import drive_shard
 
@@ -122,7 +122,7 @@ def test_session_spec_rehydrates_across_spawn_boundary():
                 initial_tree=_bad_initial_tree(workload),
             ),
         ),
-        processor_options=corrective_processor_options(
+        processor_options=ProcessorOptions(
             polling_interval_seconds=POLLING_INTERVAL,
             batch_size=BATCH_SIZE,
             engine_mode="compiled",

@@ -19,15 +19,16 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The strict surface: the analysis subsystem, the serving layer it
-#: certifies for sharding (home of the channel registry), and the two
-#: invariant-bearing modules it audits against.  Keep in sync with
-#: .github/workflows/ci.yml.
+#: certifies for sharding (home of the channel registry), the two
+#: invariant-bearing modules it audits against, and the processor-options
+#: record.  Keep in sync with .github/workflows/ci.yml.
 STRICT_TARGETS = (
     "src/repro/analysis",
     "src/repro/serving",
     "src/repro/io",
     "src/repro/engine/cost.py",
     "src/repro/adaptivity/events.py",
+    "src/repro/core/options.py",
 )
 
 
