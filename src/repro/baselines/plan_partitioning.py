@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.engine.collector import collector_paused
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.pipelined import PipelinedExecutor
 from repro.io.wallclock import wall_now
@@ -75,7 +76,7 @@ class PlanPartitioningExecutor:
         cost_model: CostModel | None = None,
         materialize_after_joins: int = 3,
         batch_size: int | None = None,
-        engine_mode: str = "interpreted",
+        engine_mode: str | None = None,
     ) -> None:
         self.catalog = catalog
         self.sources = dict(sources)
@@ -155,6 +156,7 @@ class PlanPartitioningExecutor:
 
     # -- execution ----------------------------------------------------------------------
 
+    @collector_paused()
     def execute(self, query: SPJAQuery) -> PlanPartitioningReport:
         metrics = ExecutionMetrics()
         clock = SimulatedClock(self.cost_model)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.engine.collector import collector_paused
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.pipelined import PipelinedExecutor
 from repro.io.wallclock import wall_now
@@ -57,7 +58,7 @@ class StaticExecutor:
         sources: dict[str, object],
         cost_model: CostModel | None = None,
         batch_size: int | None = None,
-        engine_mode: str = "interpreted",
+        engine_mode: str | None = None,
     ) -> None:
         self.catalog = catalog
         self.sources = dict(sources)
@@ -66,6 +67,7 @@ class StaticExecutor:
         self.engine_mode = engine_mode
         self.optimizer = Optimizer(catalog, self.cost_model)
 
+    @collector_paused()
     def execute(
         self, query: SPJAQuery, join_tree: JoinTree | None = None
     ) -> StaticExecutionReport:

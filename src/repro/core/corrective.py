@@ -34,6 +34,7 @@ from repro.core.monitor import ExecutionMonitor
 from repro.core.options import ProcessorOptions, resolve_options
 from repro.core.phases import PhaseManager, PhaseRecord
 from repro.core.stitchup import StitchUpExecutor, StitchUpReport
+from repro.engine.collector import collector_paused
 from repro.engine.compiled import fused_output_sink
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.operators.aggregate import GroupAccumulator
@@ -175,6 +176,7 @@ class CorrectiveQueryProcessor:
 
     # -- public API ------------------------------------------------------------------
 
+    @collector_paused()
     def execute(
         self,
         query: SPJAQuery,
@@ -305,7 +307,7 @@ class CorrectiveQueryProcessor:
                     plan.output.sink_batch = lambda rows: accumulate_batch(
                         adapter.adapt_many(rows)
                     )
-                if options.engine_mode == "compiled":
+                if plan.engine_mode == "compiled":
                     # Fuse the canonical-layout permutation into the group-by
                     # fold (no adapted tuples are materialized; charges and
                     # group states are identical — see make_batch_fold).

@@ -34,12 +34,12 @@ class ProcessorOptions:
     #: work charges interleave differently within a batch, so poll timing may
     #: drift slightly.  Answers are identical either way.
     batch_size: int | None = None
-    #: ``"interpreted"`` walks the generic operator code; ``"compiled"``
-    #: (requires a ``batch_size``) runs every phase through fused
-    #: plan-specialized batch pipelines (:mod:`repro.engine.compiled`), with
-    #: answers, work counters, simulated seconds and phase counts
-    #: bit-identical to the interpreted batched engine.
-    engine_mode: str = "interpreted"
+    #: the batch kernel.  By default (``None``) a batched run goes through the
+    #: fused plan-specialized pipelines of :mod:`repro.engine.compiled`.
+    #: ``"interpreted"`` forces the generic operator code, the reference they
+    #: are held to: answers, work counters, simulated seconds and phase
+    #: counts are bit-identical.
+    engine_mode: str | None = None
     #: the re-optimization poll interval, in simulated seconds (the paper
     #: polls every second of wall-clock); must be ``> 0``
     polling_interval_seconds: float = 1.0

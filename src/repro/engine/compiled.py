@@ -71,9 +71,15 @@ from repro.relational.schema import Schema
 ENGINE_MODES = ("interpreted", "compiled")
 
 
-def validate_engine_mode(engine_mode: str, batch_size: int | None) -> None:
+def validate_engine_mode(
+    engine_mode: str | None, batch_size: int | None, staged: bool = False
+) -> str:
     """Reject a batch size below 1, an unknown mode, or compiled mode
-    without a batch size.
+    without a batch size; return the mode a plan runs.
+
+    ``None`` lets the plan decide: a batched plan runs the compiled chains,
+    and tuple mode — or a plan with pre-aggregation stages (``staged``),
+    which the chains cannot run — the interpreted kernel.
 
     The one statement of the rule, checked by the two places that accept
     the pair: :class:`~repro.engine.pipelined.PipelinedPlan` and
@@ -82,6 +88,8 @@ def validate_engine_mode(engine_mode: str, batch_size: int | None) -> None:
     """
     if batch_size is not None and batch_size < 1:
         raise PlanError(f"batch_size must be positive, got {batch_size}")
+    if engine_mode is None:
+        return "compiled" if batch_size is not None and not staged else "interpreted"
     if engine_mode not in ENGINE_MODES:
         raise PlanError(
             f"unknown engine_mode {engine_mode!r}; expected one of {ENGINE_MODES}"
@@ -92,6 +100,7 @@ def validate_engine_mode(engine_mode: str, batch_size: int | None) -> None:
             "engine specializes the batch path; tuple-at-a-time execution "
             "is always interpreted)"
         )
+    return engine_mode
 
 
 class _Env:

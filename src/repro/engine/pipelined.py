@@ -598,7 +598,7 @@ class PipelinedPlan:
         batch_size: int | None = None,
         output_sink_batch: Callable[[list[tuple]], None] | None = None,
         join_strategies: dict[frozenset[str], object] | None = None,
-        engine_mode: str = "interpreted",
+        engine_mode: str | None = None,
         preagg_points: Sequence[PreAggPoint] = (),
     ) -> None:
         """``join_strategies`` optionally maps a node's relation set to a
@@ -613,6 +613,7 @@ class PipelinedPlan:
         with identical results and work accounting.  Compiled mode requires
         a ``batch_size``; chains are (re)generated per plan, so corrective
         phase switches and hash↔merge strategy switches recompile naturally.
+        By default (``None``) a batched plan without stages runs compiled.
 
         ``preagg_points`` are a :class:`~repro.optimizer.plans.PhysicalPlan`'s
         pre-aggregation points; each becomes a :class:`PreAggregationStage`
@@ -625,8 +626,8 @@ class PipelinedPlan:
             raise PlanError(
                 f"join tree {join_tree} does not cover the relations of query {query.name}"
             )
-        validate_engine_mode(engine_mode, batch_size)
-        if preagg_points and engine_mode == "compiled":
+        mode = validate_engine_mode(engine_mode, batch_size, staged=bool(preagg_points))
+        if preagg_points and mode == "compiled":
             raise PlanError(
                 f"engine_mode='compiled' cannot run the {len(preagg_points)} "
                 f"pre-aggregation point(s) of query {query.name}; use "
@@ -639,7 +640,8 @@ class PipelinedPlan:
         self.cursors = cursors
         self.phase_id = phase_id
         self.batch_size = batch_size
-        self.engine_mode = engine_mode
+        #: the kernel this plan runs, ``"interpreted"`` or ``"compiled"``
+        self.engine_mode = mode
         #: per-leaf batch kernels (relation -> callable consuming one group's
         #: rows), built on the first batch step; in compiled mode the table
         #: *is* ``_compiled_chains``, which stays ``None`` otherwise
@@ -1327,7 +1329,7 @@ class PipelinedExecutor:
         cost_model: CostModel | None = None,
         batch_size: int | None = None,
         join_strategies: dict[frozenset[str], object] | None = None,
-        engine_mode: str = "interpreted",
+        engine_mode: str | None = None,
     ) -> None:
         self.sources = dict(sources)
         self.cost_model = cost_model or CostModel()
@@ -1391,7 +1393,7 @@ class PipelinedExecutor:
             )
             plan.output.sink = accumulator.accumulate
             plan.output.sink_batch = accumulator.accumulate_batch
-            if self.engine_mode == "compiled":
+            if plan.engine_mode == "compiled":
                 from repro.engine.compiled import fused_output_sink
 
                 fold = fused_output_sink(accumulator)

@@ -58,7 +58,7 @@ def run_fig2(
     scale: float,
     seed: int,
     batch_size: int | None = None,
-    engine_mode: str = "interpreted",
+    engine_mode: str | None = None,
 ) -> None:
     results = run_corrective_comparison(
         scale_factor=scale,
@@ -75,7 +75,7 @@ def run_fig3(
     scale: float,
     seed: int,
     batch_size: int | None = None,
-    engine_mode: str = "interpreted",
+    engine_mode: str | None = None,
 ) -> None:
     results = run_corrective_comparison(
         scale_factor=scale,
@@ -169,13 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine-mode",
         choices=("interpreted", "compiled"),
-        default="interpreted",
+        default=None,
         help=(
-            "fig2, fig3: execution mode for the pipelined engines; "
+            "fig2, fig3: execution mode for the pipelined engines (default: "
+            "'compiled' with --batch-size, 'interpreted' without); "
             "'compiled' runs fused plan-specialized batch pipelines and "
-            "requires --batch-size; results and simulated timings are "
-            "bit-identical to 'interpreted'.  A usage error with any other "
-            "experiment."
+            "requires --batch-size; 'interpreted' is the reference, and "
+            "results and simulated timings are bit-identical to it.  A "
+            "usage error with any other experiment."
         ),
     )
     parser.add_argument(
@@ -291,7 +292,7 @@ def run_repro_lint(
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    engine_flags = args.batch_size is not None or args.engine_mode != "interpreted"
+    engine_flags = args.batch_size is not None or args.engine_mode is not None
     if engine_flags and args.experiment not in (*ENGINE_MODE_EXPERIMENTS, "all"):
         parser.error(
             f"--batch-size / --engine-mode are honoured by "

@@ -104,7 +104,7 @@ def run_corrective_comparison(
     forced_bad_start: bool = False,
     seed: int = DEFAULT_SEED,
     batch_size: int | None = None,
-    engine_mode: str = "interpreted",
+    engine_mode: str | None = None,
 ) -> list[CorrectiveRunResult]:
     """Run the Figure 2 (or Figure 3, with ``wireless=True``) comparison.
 
@@ -115,10 +115,9 @@ def run_corrective_comparison(
     charges interleave differently within a batch.  Only the wall-clock cost
     of regenerating the experiment changes materially.
 
-    ``engine_mode="compiled"`` (requires a ``batch_size``) additionally runs
-    every engine through the fused compiled batch pipelines — results,
-    simulated seconds and phase counts are bit-identical to
-    ``"interpreted"`` batched execution at the same batch size.
+    A batched run goes through the fused compiled batch pipelines unless
+    ``engine_mode="interpreted"`` asks for the reference kernel — results,
+    simulated seconds and phase counts are bit-identical either way.
     """
     datasets = datasets or build_paper_datasets(scale_factor, seed)
     queries = paper_queries(query_names)
@@ -176,7 +175,7 @@ def _run_single(
     polling_interval: float,
     initial_tree: JoinTree | None,
     batch_size: int | None = None,
-    engine_mode: str = "interpreted",
+    engine_mode: str | None = None,
 ) -> CorrectiveRunResult:
     if strategy.startswith("static"):
         report = StaticExecutor(

@@ -1,6 +1,6 @@
 """Real-I/O source fabric: transports, resilience envelope, fault injection.
 
-This package is the bridge from "reproduction" to "system" (ROADMAP item 2):
+This package is the bridge from "reproduction" to "system":
 `DataSource` adapters over real backends — CSV/JSON-lines files, DB-API
 queries, HTTP endpoints — wrapped in a resilience envelope (timeouts, seeded
 retry/backoff, a per-source circuit breaker, offset-based resume) and paired

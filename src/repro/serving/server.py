@@ -42,6 +42,7 @@ from repro.adaptivity import (
 )
 from repro.core.corrective import CorrectiveExecutionReport, CorrectiveQueryProcessor
 from repro.core.options import ProcessorOptions, resolve_options
+from repro.engine.collector import collector_paused
 from repro.engine.cost import CostModel, SimulatedClock
 from repro.optimizer.plans import JoinTree
 from repro.relational.algebra import SPJAQuery
@@ -270,6 +271,7 @@ class QueryServer:
 
     # -- serving loop ------------------------------------------------------------
 
+    @collector_paused()
     def run(self) -> ServingReport:
         """Serve every admitted query to completion; returns the report."""
         if self._ran:

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Protocol
 
 from repro.core.options import ProcessorOptions, resolve_options
+from repro.engine.collector import collector_paused
 from repro.engine.cost import CostModel
 from repro.io.wallclock import wall_now
 from repro.optimizer.plans import JoinTree
@@ -326,10 +327,14 @@ class ShardedQueryServer:
             for task in tasks
         }
         processes = list(pending.values())
-        for process in processes:
-            process.start()
+        started = 0
         results: list[ShardResult] = []
         try:
+            # Inside the guard: if a later fork fails, the workers already
+            # running are stopped below, not left blocked on their result.
+            for process in processes:
+                process.start()
+                started += 1
             deadline = wall_now() + RESULT_TIMEOUT_SECONDS
             while pending:
                 # A worker flushes its result before it exits, so whatever an
@@ -367,10 +372,13 @@ class ShardedQueryServer:
                 deadline = wall_now() + RESULT_TIMEOUT_SECONDS
         finally:
             # Only a failing run leaves workers pending: nobody will read
-            # what they still send, so do not wait for them to finish.
-            for process in pending.values():
-                process.terminate()
-            for process in processes:
+            # what they still send, so do not wait for them to finish.  A
+            # worker that never started needs neither call.
+            live = processes[:started]
+            for process in live:
+                if process in pending.values():
+                    process.terminate()
+            for process in live:
                 process.join(timeout=30.0)
                 if process.is_alive():  # pragma: no cover - hang safety net
                     process.terminate()
@@ -382,6 +390,7 @@ class ShardedQueryServer:
                 )
         return results
 
+    @collector_paused()
     def run(self) -> ShardedServingReport:
         """Route specs to shards, execute them, fold statistics and results."""
         if self._ran:

@@ -39,6 +39,7 @@ import traceback
 from typing import TYPE_CHECKING
 
 from repro.core.corrective import CorrectiveQueryProcessor
+from repro.engine.collector import collector_paused
 from repro.engine.cost import CostModel, SimulatedClock
 from repro.io.wallclock import wall_now
 from repro.serving.scheduler import make_policy
@@ -60,6 +61,7 @@ def _session_sources(task: ShardTask, spec: SessionSpec) -> dict[str, object]:
     return merged
 
 
+@collector_paused()
 def drive_shard(task: ShardTask) -> ShardResult:
     """Run one shard's sessions to completion; pure function of the task."""
     wall_start = wall_now()

@@ -58,7 +58,7 @@ class DataSource:
         leaves this, the one entry a cursor calls, alone: the benchmark's
         ``io.pull`` span is wrapped around this attribute from outside
         (``bench/trace.py``).  Once the benchmark installs a sink instead
-        (ROADMAP item 2) the pair collapses into a plain override.
+        (ROADMAP items 3(a) and 7) the pair collapses into a plain override.
         """
         return self._stream_columns(batch_size)
 

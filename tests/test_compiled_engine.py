@@ -406,7 +406,7 @@ class TestEngineModeSurface:
             for batch_size in batch_sizes:
                 case = f"{name} at batch {batch_size}"
                 interpreted_rows, interpreted_plan = PipelinedExecutor(
-                    sources, batch_size=batch_size
+                    sources, batch_size=batch_size, engine_mode="interpreted"
                 ).execute(query, tree)
                 compiled_rows, compiled_plan = PipelinedExecutor(
                     sources, batch_size=batch_size, engine_mode="compiled"

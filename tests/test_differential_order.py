@@ -66,6 +66,7 @@ def test_forced_merge_matches_reference_on_arbitrary_workloads(seed):
             workload.sources(),
             batch_size=batch_size,
             join_strategies=_force_merge_strategies(tree),
+            engine_mode="interpreted",
         ).execute(query, tree)
         names = (
             canonical_names
@@ -101,6 +102,7 @@ def test_order_adaptive_corrective_differential(seed, variant):
                 workload.sources(),
                 polling_interval_seconds=POLLING_INTERVAL,
                 batch_size=batch_size,
+                engine_mode="interpreted",
                 order_adaptive=True,
             ).execute(query, poll_step_limit=POLL_STEP_LIMIT)
             label = f"adaptive[promise={with_promises},batch={batch_size}]"
@@ -189,6 +191,7 @@ def test_order_adaptive_serving_matches_reference(policy, batch_size):
         sources,
         policy=policy,
         batch_size=batch_size,
+        engine_mode="interpreted",
         quantum_tuples=POLL_STEP_LIMIT,
         polling_interval_seconds=POLLING_INTERVAL,
         order_adaptive=True,

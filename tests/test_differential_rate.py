@@ -114,6 +114,7 @@ def test_rate_adaptive_serving_answers_identical(policy):
         sources,
         policy=policy,
         batch_size=64,
+        engine_mode="interpreted",
         quantum_tuples=POLL_STEP_LIMIT,
         polling_interval_seconds=POLLING_INTERVAL,
         rate_adaptive=True,

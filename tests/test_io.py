@@ -873,6 +873,9 @@ class TestFixtureServer:
             for offset in (0, 37, 64, 128):
                 plan = FaultPlan({offset: Fault(DELAY, offset, seconds=delay)})
                 url = server.add_relation(f"r{offset}", relation, plan)
+                # At offset 0 the server starts the delay when the request
+                # arrives, inside ``open``: the total bracket starts before it.
+                requested = wall_now()
                 reader = HTTPTransport("r", url, relation.schema).open(0)
                 started = wall_now()
                 received = reader.read_rows(offset) if offset else []
@@ -885,7 +888,7 @@ class TestFixtureServer:
                         break
                     received.extend(chunk)
                 reader.close()
-                assert wall_now() - started >= delay
+                assert wall_now() - requested >= delay
                 assert received == relation.rows
 
     def test_a_line_split_across_blocks_parses_once(self):

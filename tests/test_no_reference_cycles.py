@@ -3,8 +3,10 @@
 Corrective processing keeps a phase's join state only until stitch-up has
 combined it.  The execution path holds no reference cycle, so a replaced
 phase's plan (hash tables and all) is freed when the processor drops it and
-the whole query when its report is built, without waiting for a gen-2
-collection.  Three things keep it so:
+the whole query when its report is built.  That is the contract that lets
+every driver run its queries with the cyclic collector paused
+(:mod:`repro.engine.collector`): whatever a cycle kept alive would stay
+until the pause ends.  Three things keep it so:
 
 * a plan's root emits through its ``PlanOutput``, which the root node, the
   batch kernels and the compiled chains bind instead of the plan;
@@ -17,7 +19,10 @@ collection.  Three things keep it so:
 
 Each case runs once to warm up (imports, code caches), then again with the
 collector off, and asserts that a collection afterwards finds nothing.  A
-failure prints the garbage's type census.
+failure prints the garbage's type census.  Every pausing driver has a case:
+corrective ``execute``, the static and plan-partitioning executors, both
+servers, and a sharded run both inline and forked (whose front-end forks,
+reads the result queue, unpickles and merges).
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.baselines.plan_partitioning import PlanPartitioningExecutor
+from repro.baselines.static_executor import StaticExecutor
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.engine.cost import CostModel
 from repro.engine.pipelined import PipelinedExecutor, SourceCursor
@@ -51,6 +58,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.expressions import JoinPredicate
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.serving.server import QueryServer
 from repro.serving.sharded import ShardedQueryServer
 from repro.workloads.queries import query_3a, query_10a
 from repro.workloads.scenarios import (
@@ -268,5 +276,70 @@ def test_an_inline_sharded_run_with_a_partitioned_query_leaves_no_cycles(small_t
         server.submit_partitioned(query_3a(), 2)
         report = server.run()
         assert len(report.served) == 2 and len(report.partitioned[0].fragments) == 2
+
+    assert_no_cycles(run)
+
+
+def test_a_forked_sharded_run_leaves_no_cycles_in_the_front_end(small_tpch):
+    """The default start method: fork, the result queue, unpickling and the
+    partition merge all run in this process."""
+
+    def run():
+        server = ShardedQueryServer(
+            small_tpch.catalog(with_cardinalities=False),
+            small_tpch.as_sources(),
+            workers=2,
+            batch_size=64,
+            quantum_tuples=200,
+            polling_interval_seconds=0.1,
+        )
+        server.submit(query_3a())
+        server.submit(query_10a())
+        server.submit_partitioned(query_3a(), 2)
+        report = server.run()
+        assert len(report.served) == 2 and len(report.partitioned[0].fragments) == 2
+
+    assert_no_cycles(run)
+
+
+def test_a_shared_clock_server_run_leaves_no_cycles(small_tpch):
+    def run():
+        server = QueryServer(
+            small_tpch.catalog(with_cardinalities=False),
+            small_tpch.as_sources(),
+            batch_size=64,
+            quantum_tuples=200,
+            polling_interval_seconds=0.1,
+        )
+        server.submit(query_3a())
+        server.submit(query_10a(), initial_tree=bad_tree(query_10a()))
+        assert len(server.run().served) == 2
+
+    assert_no_cycles(run)
+
+
+@pytest.mark.parametrize("batch_size", [None, 64])
+def test_a_static_run_leaves_no_cycles(small_tpch, batch_size):
+    def run():
+        report = StaticExecutor(
+            small_tpch.catalog(with_cardinalities=False),
+            small_tpch.as_sources(),
+            batch_size=batch_size,
+        ).execute(query_3a(), join_tree=bad_tree(query_3a()))
+        assert report.rows
+
+    assert_no_cycles(run)
+
+
+@pytest.mark.parametrize("batch_size", [None, 64])
+def test_a_plan_partitioning_run_leaves_no_cycles(small_tpch, batch_size):
+    def run():
+        report = PlanPartitioningExecutor(
+            small_tpch.catalog(with_cardinalities=False),
+            small_tpch.as_sources(),
+            materialize_after_joins=1,
+            batch_size=batch_size,
+        ).execute(query_10a())
+        assert report.rows and report.materialized
 
     assert_no_cycles(run)

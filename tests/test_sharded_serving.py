@@ -10,8 +10,12 @@ order.
 
 from __future__ import annotations
 
+import errno
+import multiprocessing
 import os
 import pickle
+import threading
+from multiprocessing.process import BaseProcess
 
 import pytest
 from hypothesis import given, settings
@@ -379,6 +383,17 @@ class _ExitingSource(LocalSource):
     open_stream_columns = DataSource.open_stream_columns
 
 
+class _StalledSource(LocalSource):
+    """Never delivers a row: a worker reading it runs until it is stopped."""
+
+    def open_stream(self):
+        threading.Event().wait()
+        yield from ()
+
+    open_stream_batches = DataSource.open_stream_batches
+    open_stream_columns = DataSource.open_stream_columns
+
+
 class TestWorkerFailures:
     def _broken_task(self) -> ShardTask:
         workload = generate_workload(2)  # local
@@ -444,6 +459,40 @@ class TestWorkerFailures:
             server.run()
         assert wall_now() - started < 5.0
         assert "worker 0" not in str(raised.value)
+
+    def test_a_failed_worker_start_stops_the_workers_already_started(
+        self, monkeypatch
+    ):
+        """When the second fork fails (EAGAIN, ENOMEM), the error propagates
+        and the first worker, which would otherwise run on with nobody to
+        read its result, is stopped."""
+        workload = generate_workload(2)
+        server = ShardedQueryServer(
+            workload.catalog(),
+            {
+                name: _StalledSource(relation)
+                for name, relation in workload.relations.items()
+            },
+            workers=2,
+            quantum_tuples=POLL_STEP_LIMIT,
+            polling_interval_seconds=POLLING_INTERVAL,
+        )
+        server.submit(workload.query)
+        server.submit(workload.query)
+        start = BaseProcess.start
+        starts: list[BaseProcess] = []
+
+        def failing_second_start(process):
+            starts.append(process)
+            if len(starts) == 2:
+                raise OSError(errno.EAGAIN, "fork failed")
+            start(process)
+
+        monkeypatch.setattr(BaseProcess, "start", failing_second_start)
+        with pytest.raises(OSError, match="fork failed"):
+            server.run()
+        assert len(starts) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestShardedServerValidation:

@@ -20,8 +20,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The strict surface: the analysis subsystem, the serving layer it
 #: certifies for sharding (home of the channel registry), the two
-#: invariant-bearing modules it audits against, and the processor-options
-#: record.  Keep in sync with .github/workflows/ci.yml.
+#: invariant-bearing modules it audits against, the processor-options
+#: record and the collector pause.  Keep in sync with .github/workflows/ci.yml.
 STRICT_TARGETS = (
     "src/repro/analysis",
     "src/repro/serving",
@@ -29,6 +29,7 @@ STRICT_TARGETS = (
     "src/repro/engine/cost.py",
     "src/repro/adaptivity/events.py",
     "src/repro/core/options.py",
+    "src/repro/engine/collector.py",
 )
 
 
