@@ -117,11 +117,11 @@ class ReprioritizeReadsAction(AdaptationAction):
 
 
 class FailoverSourceAction(AdaptationAction):
-    """Re-point one relation's cursor at a mirror's resumed stream.
+    """Re-point one relation's cursor at a mirror, opened at ``start_at``.
 
-    ``resumed`` is a stream provider for the *remainder* of the relation
-    (``RemoteSource.reopen_from``): the same rows the dead primary would
-    have delivered from the cursor's consumed offset, on the mirror's
+    Applying it calls ``cursor.failover_to(mirror, start_at)``: the mirror
+    is opened at the cursor's consumed offset, so it supplies the same rows
+    the dead primary would have delivered from there, on the mirror's
     arrival schedule.  The cursor object itself survives — the running plan
     never learns the source changed — so answers are bit-identical by
     construction; only arrival times (and therefore completion time) move.
@@ -130,15 +130,16 @@ class FailoverSourceAction(AdaptationAction):
     def __init__(
         self,
         relation: str,
-        resumed: Any,
+        mirror: Any,
+        start_at: float,
         reason: str,
-        mirror_name: str = "",
         policy: str = "",
     ) -> None:
         self.relation = relation
-        self.resumed = resumed
+        self.mirror = mirror
+        self.start_at = start_at
         self.reason = reason
-        self.mirror_name = mirror_name
+        self.mirror_name: str = mirror.name
         self.policy = policy
 
     def __repr__(self) -> str:
@@ -292,7 +293,7 @@ class AdaptationRun:
         cursor = self.cursors.get(action.relation)
         if cursor is None or not hasattr(cursor, "failover_to"):
             return
-        cursor.failover_to(action.resumed)
+        cursor.failover_to(action.mirror, action.start_at)
         self.failovers.append(action)
 
     # -- reporting -------------------------------------------------------------------

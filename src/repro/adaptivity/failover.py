@@ -14,10 +14,11 @@ a *sustained* outage — ``outage_polls`` consecutive polls in which the
 source is either stalled past ``stall_threshold_seconds`` or decisively
 behind its promised delivery — and then proposes a
 :class:`~repro.adaptivity.controller.FailoverSourceAction` carrying the
-mirror's resumed stream (``RemoteSource.reopen_from``): the same rows the
-primary would have produced from the cursor's consumed offset, on the
-mirror's arrival schedule starting now.  The controller re-points the
-running cursor at the resumed stream in place, so the executing plan never
+mirror and the current instant.  The controller applies it with
+``cursor.failover_to(mirror, now)``, one ``open_stream_columns`` call on
+the mirror at the cursor's consumed offset: the same rows the primary
+would have produced from there, on the mirror's arrival schedule starting
+now.  The running cursor is re-pointed in place, so the executing plan never
 learns the source changed — answers are **bit-identical by construction**
 (pinned by the mirror-failover differential suite); only arrival times, and
 therefore completion time, move.
@@ -141,20 +142,19 @@ class MirrorFailoverPolicy(AdaptationPolicy):
             if cursor is None or not hasattr(cursor, "failover_to"):
                 continue
             mirror = mirrors[index]
-            resumed = mirror.reopen_from(cursor.consumed, context.now)
             used[relation] = index + 1
             streaks[relation] = 0
             actions.append(
                 FailoverSourceAction(
                     relation=relation,
-                    resumed=resumed,
+                    mirror=mirror,
+                    start_at=context.now,
                     reason=(
                         f"{relation} in sustained outage "
                         f"({self.outage_polls} polls, "
                         f"{cursor.consumed} tuples consumed); resuming "
                         f"remainder from mirror {mirror.name!r}"
                     ),
-                    mirror_name=getattr(mirror, "name", ""),
                     policy=self.name,
                 )
             )

@@ -39,6 +39,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.sources.source import LocalSource
 
 
 class SourceCursor:
@@ -53,9 +54,9 @@ class SourceCursor:
     in **columnar** form: a row sequence plus either a parallel arrival
     sequence or ``None`` when the whole chunk is immediately available
     (``arrival == 0.0`` for every row — the local-source common case).
-    Chunks come from the source's ``open_stream_columns`` when available
-    (one memoized schedule access and two slices per chunk, no per-tuple
-    pair objects), so ``peek_arrival``/``read`` are plain indexing and
+    Chunks come from the source's ``open_stream_columns`` (one memoized
+    schedule access and two slices per chunk, no per-tuple pair objects),
+    so ``peek_arrival``/``read`` are plain indexing and
     :meth:`read_batch` is slicing — a bounded read resolves the admissible
     prefix with one ``bisect`` over the (non-decreasing) arrival column
     instead of a per-tuple scan.
@@ -77,7 +78,9 @@ class SourceCursor:
         #: source can answer it (remote sources bisect their cached arrival
         #: schedule); ``None`` for plain local relations
         self.arrived_by = getattr(source, "arrived_by", None)
-        self._chunks = self._open(source, self.prefetch)
+        if isinstance(source, Relation):
+            source = LocalSource(source)
+        self._chunks = iter(source.open_stream_columns(self.prefetch))
         self._rows: Sequence[tuple] = ()
         self._arrivals: Sequence[float] | None = ()
         self._pos = 0
@@ -114,32 +117,6 @@ class SourceCursor:
     def _observe_order(self, row: tuple) -> None:
         for position, detector in self._order_detectors.values():
             detector.add(row[position])
-
-    @staticmethod
-    def _open(source, prefetch: int):
-        from repro.sources.source import LocalSource
-
-        if isinstance(source, Relation):
-            source = LocalSource(source)
-        open_columns = getattr(source, "open_stream_columns", None)
-        if open_columns is not None:
-            return iter(open_columns(prefetch))
-
-        # Duck-typed sources exposing only open_stream(): chunk and
-        # transpose it here (one zip per chunk, not per tuple).
-        def stream_chunks():
-            batch = []
-            for item in source.open_stream():
-                batch.append(item)
-                if len(batch) >= prefetch:
-                    rows, arrivals = zip(*batch)
-                    yield rows, (None if max(arrivals) <= 0.0 else arrivals)
-                    batch = []
-            if batch:
-                rows, arrivals = zip(*batch)
-                yield rows, (None if max(arrivals) <= 0.0 else arrivals)
-
-        return stream_chunks()
 
     def _fill(self) -> bool:
         """Pull the next prefetch chunk into the buffer.
@@ -267,26 +244,28 @@ class SourceCursor:
                 self._observe_order(row)
         return rows, last_arrival
 
-    def failover_to(self, source_like) -> None:
-        """Re-point this cursor at a resumed stream (mirror failover).
+    def failover_to(self, mirror, start_at: float | None) -> None:
+        """Re-open this cursor's stream on ``mirror`` (mirror failover).
 
-        ``source_like`` supplies the *remainder* of the relation from this
-        cursor's current :attr:`consumed` offset (see
-        ``RemoteSource.reopen_from``) — the consumed count, order detectors,
-        and every consumer-side invariant carry over untouched, so the
-        running plan sees one continuous stream whose rows are identical to
-        the primary's and only the arrival times change.  The buffered
-        prefetch chunk is discarded: its rows were *scheduled* by the dead
-        primary but never consumed, and the resumed stream re-delivers them
-        on the mirror's schedule.
+        The mirror is opened at this cursor's :attr:`consumed` offset with a
+        connection at ``start_at``, so it supplies the *remainder* of the
+        relation — the consumed count, order detectors, and every
+        consumer-side invariant carry over untouched, and the running plan
+        sees one continuous stream whose rows are identical to the primary's
+        and only the arrival times change.  The buffered prefetch chunk is
+        discarded: its rows were *scheduled* by the dead primary but never
+        consumed, and the mirror re-delivers them on its own schedule.
         """
-        self._chunks = self._open(source_like, self.prefetch)
+        offset = self.consumed
+        self._chunks = iter(mirror.open_stream_columns(self.prefetch, offset, start_at))
         self._rows = ()
         self._arrivals = ()
         self._pos = 0
         self.exhausted = False
-        self.promised_rate = getattr(source_like, "promised_rate", self.promised_rate)
-        self.arrived_by = getattr(source_like, "arrived_by", self.arrived_by)
+        self.promised_rate = getattr(mirror, "promised_rate", self.promised_rate)
+        arrived_by = getattr(mirror, "arrived_by", None)
+        if arrived_by is not None:
+            self.arrived_by = partial(arrived_by, offset=offset, start_at=start_at)
 
 
 class PipelinedJoinNode:

@@ -31,7 +31,6 @@ from repro.io.envelope import (
     CircuitBreaker,
     EnvelopeTelemetry,
     ResilientSource,
-    ResumedResilientStream,
     SimulatedTimeline,
     Timeline,
     WallTimeline,
@@ -64,7 +63,6 @@ __all__ = [
     "JSONLinesTransport",
     "ReadError",
     "ResilientSource",
-    "ResumedResilientStream",
     "RowReader",
     "SimulatedTimeline",
     "Timeline",

@@ -17,23 +17,17 @@ it exactly like a simulated source. Around every read it provides:
   surfaces as :class:`~repro.io.errors.CircuitOpenError`;
 * **offset-based resume** — reconnects reopen the transport at the last
   delivered row offset, so mid-stream resets and truncations never
-  duplicate or drop rows. The same contract powers
-  :meth:`ResilientSource.reopen_from`, the mirror-failover hook
-  `RemoteSource` defined.
+  duplicate or drop rows. A mirror failover onto an envelope is the same
+  resume from outside: ``open_stream_columns(batch_size, offset, start_at)``.
 
-There is **one retry/resume loop, with two views**.  The loop moves
-transport *chunks* (``ResilientSource._chunks_from``: connect,
-``read_rows(chunk_rows)``, on a transport error record the failure, back
-off, reconnect at the offset the delivered chunks add up to).
-``open_stream`` is its per-row view; ``open_stream_columns`` — what a
-`SourceCursor` pulls — is its columnar view, chunks re-cut into
-``(rows, arrivals)`` column pairs with no per-row object in between.  A
-chunk is read only when the batch being filled needs a row, and each
-*segment* of a chunk is counted in ``rows_delivered`` and stamped with one
-``timeline.now()`` at the pull that emits it (rows held over from a chunk
-get the next pull's reading), so the two views agree on every row, arrival
-and telemetry field.  Under :class:`WallTimeline` a row's arrival is
-therefore the instant its chunk was read, not the instant it was handed over.
+There is **one retry/resume loop** (``ResilientSource._chunks_from``), and
+``_stream_columns`` re-cuts its transport chunks into the ``(rows,
+arrivals)`` columns a `SourceCursor` pulls.  A chunk is read only when the
+batch being filled needs a row, and each *segment* of a chunk is counted in
+``rows_delivered`` and stamped with one ``timeline.now()`` at the pull that
+emits it, so rows, arrivals and telemetry do not depend on the batch size.
+Under :class:`WallTimeline` a row's arrival is therefore the instant its
+chunk was read, not the instant it was handed over.
 
 Time flows through a :class:`Timeline`: the default
 :class:`SimulatedTimeline` accounts every backoff delay and injected stall
@@ -46,16 +40,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.io.backends import RowReader, Transport
 from repro.io.errors import CircuitOpenError, TransportError, TruncatedPayloadError
 from repro.io.wallclock import wall_now, wall_sleep
-from repro.sources.source import DataSource
-
-
-#: one column chunk: rows, and their arrivals (``None``: all at 0.0)
-_Columns = tuple[Sequence[tuple[object, ...]], Sequence[float] | None]
+from repro.sources.source import Columns, DataSource
 
 
 class Timeline:
@@ -235,7 +225,7 @@ class EnvelopeTelemetry:
 
 @dataclass
 class _StreamState:
-    """Per-stream retry accounting (budgets are per open_stream call)."""
+    """Per-stream retry accounting (budgets are per opened stream)."""
 
     connect_failures: int = 0
     read_failures: int = 0
@@ -270,15 +260,7 @@ class ResilientSource(DataSource):
         self.telemetry = EnvelopeTelemetry()
         self.mirrors: list["ResilientSource"] = []
 
-    # -- the DataSource stream protocol ---------------------------------
-
-    def open_stream(self) -> Iterator[tuple[tuple[object, ...], float]]:
-        return self._rows_from(0, self.timeline)
-
-    def _stream_columns(self, batch_size: int) -> Iterator[_Columns]:
-        return self._columns_from(0, self.timeline, batch_size)
-
-    # -- mirror failover (the RemoteSource reopen_from contract) ---------
+    # -- mirror failover (the RemoteSource mirror contract) ------------
 
     def register_mirror(self, mirror: "ResilientSource") -> None:
         """Declare an envelope serving the same rows as a failover target."""
@@ -291,34 +273,14 @@ class ResilientSource(DataSource):
             )
         self.mirrors.append(mirror)
 
-    def reopen_from(self, offset: int, start_at: float) -> "ResumedResilientStream":
-        """A stream over this envelope resuming at ``offset``, with arrival
-        times rebased to ``start_at`` — the failover hand-off hook."""
-        return ResumedResilientStream(self, offset, start_at)
+    # -- the DataSource stream protocol ---------------------------------
 
-    # -- envelope internals ----------------------------------------------
-
-    def _rows_from(
-        self, offset: int, timeline: Timeline
-    ) -> Iterator[tuple[tuple[object, ...], float]]:
-        """The per-row view of the chunk loop."""
-        telemetry = self.telemetry
-        for chunk in self._chunks_from(offset, timeline):
-            for row in chunk:
-                telemetry.rows_delivered += 1
-                yield row, timeline.now()
-
-    def _columns_from(
-        self, offset: int, timeline: Timeline, batch_size: int
-    ) -> Iterator[_Columns]:
-        """The columnar view of the chunk loop: transport chunks re-cut into
-        the ``(rows, arrivals)`` columns of ``batch_size`` rows a cursor
-        consumes.  A chunk is read only when the batch being filled needs a
-        row, and each segment of a chunk is stamped and counted at the pull
-        that emits it, so rows, arrivals and telemetry equal the per-row view's.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+    def _stream_columns(
+        self, batch_size: int, offset: int, start_at: float | None
+    ) -> Iterator[Columns]:
+        """The chunk loop from ``offset`` in columns of ``batch_size`` rows;
+        a float ``start_at`` runs it on ``timeline.branch(start_at)``."""
+        timeline = self.timeline if start_at is None else self.timeline.branch(start_at)
         telemetry = self.telemetry
         rows: list[tuple[object, ...]] = []
         arrivals: list[float] = []
@@ -336,6 +298,8 @@ class ResilientSource(DataSource):
                     rows, arrivals = [], []
         if rows:
             yield rows, (None if arrivals[-1] <= 0.0 else arrivals)
+
+    # -- envelope internals ----------------------------------------------
 
     def _chunks_from(
         self, offset: int, timeline: Timeline
@@ -415,39 +379,11 @@ class ResilientSource(DataSource):
         timeline.sleep(delay)
 
 
-class ResumedResilientStream(DataSource):
-    """A mid-stream resume handle over an envelope (failover hand-off).
-
-    Quacks like `ResumedRemoteStream`: the stream starts at the saved row
-    offset and its arrival times are rebased to the hand-off instant, so a
-    `SourceCursor.failover_to` continues exactly where the failed source
-    stopped — no duplicated, no dropped rows.
-    """
-
-    def __init__(
-        self, envelope: ResilientSource, offset: int, start_at: float
-    ) -> None:
-        super().__init__(envelope.name, envelope.schema)
-        self.envelope = envelope
-        self.offset = offset
-        self.start_at = start_at
-        self.promised_rate = envelope.promised_rate
-
-    def open_stream(self) -> Iterator[tuple[tuple[object, ...], float]]:
-        timeline = self.envelope.timeline.branch(self.start_at)
-        return self.envelope._rows_from(self.offset, timeline)
-
-    def _stream_columns(self, batch_size: int) -> Iterator[_Columns]:
-        timeline = self.envelope.timeline.branch(self.start_at)
-        return self.envelope._columns_from(self.offset, timeline, batch_size)
-
-
 __all__ = [
     "BackoffSchedule",
     "CircuitBreaker",
     "EnvelopeTelemetry",
     "ResilientSource",
-    "ResumedResilientStream",
     "SimulatedTimeline",
     "Timeline",
     "WallTimeline",

@@ -220,10 +220,12 @@ CHANNELS: tuple[SharedChannel, ...] = (
             "types). The serving loop of the owning worker opens them and "
             "registers mirrors at setup time only; under sharding each "
             "worker rebuilds its own envelopes from picklable backend "
-            "descriptions (paths, URLs, queries, fault plans)"
+            "descriptions (paths, URLs, queries, fault plans). Envelopes "
+            "travel in the source pool only: no attribute is declared, so a "
+            "ResilientSource parameter stored on an object is an undeclared "
+            "alias"
         ),
-        attributes=("envelope",),
-        mutators=("register_mirror", "reopen_from"),
+        mutators=("register_mirror",),
         writers=("serving/server.py::QueryServer._prime_sources",),
     ),
     SharedChannel(

@@ -12,12 +12,13 @@ all of which may be absent or stale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 from repro.relational.catalog import TableStatistics
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
-from repro.sources.source import DataSource
+from repro.sources.source import Columns, DataSource, LocalSource
 
 
 class MappingError(ValueError):
@@ -85,7 +86,10 @@ class MappedSource(DataSource):
 
     Wraps either an in-memory :class:`Relation` or any streaming source and
     applies the description's attribute mapping (projection + renaming) to
-    every tuple, so the query processor only ever sees the mediated schema.
+    every row, so the query processor only ever sees the mediated schema.
+    Arrivals pass through unchanged, and so does the wrapped source's rate
+    telemetry (``promised_rate``, ``network``, ``arrived_by``).  Its
+    ``mirrors`` do not: a mirror serves the unmapped schema.
     """
 
     def __init__(self, source, description: SourceDescription) -> None:
@@ -96,16 +100,19 @@ class MappedSource(DataSource):
         self.wrapped = source
         self.description = description
         self._source_schema = source_schema
+        self.promised_rate = getattr(source, "promised_rate", None)
+        self.network = getattr(source, "network", None)
+        self.arrived_by = getattr(source, "arrived_by", None)
 
-    def open_stream(self) -> Iterator[tuple[tuple, float]]:
-        description = self.description
-        source_schema = self._source_schema
-        if isinstance(self.wrapped, Relation):
-            for row in self.wrapped.rows:
-                yield description.translate_row(source_schema, row), 0.0
-        else:
-            for row, arrival in self.wrapped.open_stream():
-                yield description.translate_row(source_schema, row), arrival
+    def _stream_columns(
+        self, batch_size: int, offset: int, start_at: float | None
+    ) -> Iterator[Columns]:
+        translate = partial(self.description.translate_row, self._source_schema)
+        source = self.wrapped
+        if isinstance(source, Relation):
+            source = LocalSource(source)
+        chunks = source.open_stream_columns(batch_size, offset, start_at)
+        return (([translate(row) for row in rows], arrivals) for rows, arrivals in chunks)
 
     def to_relation(self) -> Relation:
         """Materialize the translated contents (only for in-memory sources)."""

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator
 
 from repro.relational.relation import Relation
 from repro.sources.network import InstantNetworkModel, NetworkModel
-from repro.sources.source import DataSource
+from repro.sources.source import (
+    Columns,
+    DataSource,
+    check_stream_arguments,
+    column_chunks,
+)
 
 
 class RemoteSource(DataSource):
     """A relation delivered over a (possibly slow, bursty) network connection.
 
-    Each :meth:`open_stream` call simulates a fresh connection, but the
+    Each :meth:`open_stream_columns` call simulates a fresh connection, but the
     per-tuple arrival times are computed **once** per (source, network) pair
     and cached in :attr:`arrival_schedule`.  Repeated opens within one
     experiment — a corrective phase switch re-opening a source, or several
@@ -58,22 +64,28 @@ class RemoteSource(DataSource):
             )
         return self._arrival_schedule
 
-    @property
-    def schedule_materialized(self) -> bool:
-        return self._arrival_schedule is not None
-
-    def arrived_by(self, now: float) -> int:
+    def arrived_by(
+        self, now: float, offset: int = 0, start_at: float | None = None
+    ) -> int:
         """How many tuples the link has delivered by simulated time ``now``.
 
         This is what a real client observes in its receive buffer, and it is
         the honest signal for rate adaptivity: a source whose tuples sit
         unread behind other work has *delivered* them even though the cursor
         has not consumed them yet (consumption lag is the engine's choice,
-        not the source's failure).
+        not the source's failure).  ``offset`` and ``start_at`` name a stream
+        as :meth:`open_stream_columns` does; the count is numbered from row
+        0, so rate telemetry stays continuous across a failover.
         """
-        from bisect import bisect_right
-
-        return bisect_right(self.arrival_schedule, now)
+        schedule = self.arrival_schedule
+        if start_at is None:
+            return bisect_right(schedule, now, offset)
+        # The same sums the resumed stream's arrival column holds: comparing
+        # ``t <= now - start_at`` instead could round the other way.
+        remaining = max(len(schedule) - offset, 0)
+        return offset + bisect_right(
+            schedule, now, 0, remaining, key=lambda t: start_at + t
+        )
 
     def prime(self) -> "RemoteSource":
         """Force-compute the arrival schedule; returns ``self``.
@@ -87,61 +99,26 @@ class RemoteSource(DataSource):
         _ = self.arrival_schedule
         return self
 
-    def open_stream(self) -> Iterator[tuple[tuple, float]]:
+    def open_stream_columns(
+        self, batch_size: int, offset: int = 0, start_at: float | None = None
+    ) -> Iterator[Columns]:
+        """Column chunks over the cached schedule: one row slice plus one
+        schedule slice each, the schedule computed at most once per
+        (source, network) pair.  A connection opened at ``start_at`` — a
+        mirror taking over mid-query — sees the remaining rows on this
+        source's schedule re-based to it, as a fresh client would."""
+        check_stream_arguments(batch_size, offset)
         self.open_count += 1
-        return zip(self.relation.rows, self.arrival_schedule)
-
-    def open_stream_batches(self, batch_size: int) -> Iterator[list[tuple[tuple, float]]]:
-        """Batched reads: slice rows and the cached schedule chunk by chunk."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        self.open_count += 1
-        rows = self.relation.rows
+        rows = self.relation.rows[offset:] if offset else self.relation.rows
         schedule = self.arrival_schedule
-
-        def batches() -> Iterator[list[tuple[tuple, float]]]:
-            for start in range(0, len(rows), batch_size):
-                stop = start + batch_size
-                yield list(zip(rows[start:stop], schedule[start:stop]))
-
-        return batches()
-
-    def open_stream_columns(self, batch_size: int):
-        """Column chunks over the cached schedule, without pair materialization.
-
-        The primed :attr:`arrival_schedule` tuple is fetched **once** per
-        open (one memoized property access — priming therefore happens at
-        most once per (source, network) pair no matter how many cursors or
-        chunks consume the source), and each chunk is one row slice plus one
-        schedule slice.  Chunks whose last arrival is 0.0 are emitted with
-        ``arrivals=None`` (the all-immediate representation): per-source
-        arrival times are non-decreasing, so the last entry bounds the chunk.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        self.open_count += 1
-        rows = self.relation.rows
-        schedule = self.arrival_schedule
-
-        def chunks():
-            for start in range(0, len(rows), batch_size):
-                stop = start + batch_size
-                arrivals = schedule[start:stop]
-                if arrivals and arrivals[-1] <= 0.0:
-                    yield rows[start:stop], None
-                else:
-                    yield rows[start:stop], arrivals
-
-        return chunks()
+        if start_at is not None:
+            schedule = tuple(start_at + t for t in schedule[: len(rows)])
+        elif offset:
+            schedule = schedule[offset:]
+        return column_chunks(rows, schedule, batch_size)
 
     def __len__(self) -> int:
         return len(self.relation)
-
-    def with_network(self, network: NetworkModel) -> "RemoteSource":
-        """Return a copy of this source behind a different network model."""
-        return RemoteSource(
-            self.relation, network, self.name, promised_rate=self.promised_rate
-        )
 
     # -- mirrors ---------------------------------------------------------------------
 
@@ -166,70 +143,3 @@ class RemoteSource(DataSource):
             )
         self.mirrors.append(mirror)
         return mirror
-
-    def reopen_from(self, offset: int, start_at: float) -> "ResumedRemoteStream":
-        """Open this source's stream from row ``offset``, connecting at
-        ``start_at`` (simulated seconds).  The remaining rows arrive on this
-        source's own network schedule re-based to the connection time — what
-        a fresh client opening the replica mid-query would observe."""
-        if offset < 0:
-            raise ValueError("offset must be >= 0")
-        return ResumedRemoteStream(self, offset, start_at)
-
-
-class ResumedRemoteStream:
-    """The remainder of a relation, re-opened from a mirror mid-query.
-
-    Quacks like a source for exactly the surface a
-    :class:`~repro.engine.pipelined.SourceCursor` re-points itself at during
-    mirror failover: ``open_stream_columns`` (the remaining rows on the
-    mirror's arrival schedule shifted to the connection time),
-    ``promised_rate``, and the ``arrived_by`` delivery oracle — which counts
-    from the *original stream's start*, i.e. it reports ``offset`` delivered
-    tuples at connection time, so rate telemetry stays continuous across the
-    failover.
-    """
-
-    def __init__(self, source: RemoteSource, offset: int, start_at: float) -> None:
-        self.source = source
-        self.name = source.name
-        self.offset = offset
-        self.start_at = start_at
-        self.promised_rate = source.promised_rate
-        self._rows = source.relation.rows[offset:]
-        self._arrivals = tuple(
-            start_at + t for t in source.arrival_schedule[: len(self._rows)]
-        )
-
-    def __len__(self) -> int:
-        return self.offset + len(self._rows)
-
-    def arrived_by(self, now: float) -> int:
-        """Delivered count by ``now``, continuing the primary's numbering."""
-        from bisect import bisect_right
-
-        return self.offset + bisect_right(self._arrivals, now)
-
-    def open_stream_columns(self, batch_size: int):
-        """Column chunks of the remaining rows (see RemoteSource's variant)."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        self.source.open_count += 1
-        rows = self._rows
-        arrivals = self._arrivals
-
-        def chunks():
-            for start in range(0, len(rows), batch_size):
-                stop = start + batch_size
-                chunk_arrivals = arrivals[start:stop]
-                if chunk_arrivals and chunk_arrivals[-1] <= 0.0:
-                    yield rows[start:stop], None
-                else:
-                    yield rows[start:stop], chunk_arrivals
-        return chunks()
-
-    def __repr__(self) -> str:
-        return (
-            f"ResumedRemoteStream({self.name!r}, offset={self.offset}, "
-            f"start_at={self.start_at:.3f}s, remaining={len(self._rows)})"
-        )

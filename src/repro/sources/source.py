@@ -1,76 +1,84 @@
-"""Source abstractions."""
+"""Source abstractions: one sequential stream protocol.
+
+A source is a schema plus one way to read it,
+``open_stream_columns(batch_size, offset, start_at)``: a fresh access to
+the rows from ``offset`` on, as ``(rows, arrivals)`` column chunks.  That
+is the data-integration access model — "we limit access to the input
+relations to be sequential only, and assume that they may change between
+successive accesses" (Section 3.5) — and resuming a stream, whether an
+envelope reconnecting or a mirror taking over a dead primary, is the same
+call with an ``offset`` and a ``start_at``.
+"""
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
+#: one column chunk: rows, and their arrivals (``None``: every row at 0.0)
+Columns = tuple[Sequence[tuple[object, ...]], Sequence[float] | None]
+
+
+def check_stream_arguments(batch_size: int, offset: int) -> None:
+    """Reject a chunk size below 1 or a negative offset."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    if offset < 0:
+        raise ValueError("offset must be >= 0")
+
+
+def column_chunks(
+    rows: Sequence[tuple[object, ...]],
+    arrivals: Sequence[float] | None,
+    batch_size: int,
+) -> Iterator[Columns]:
+    """Cut parallel row and arrival columns into chunks of ``batch_size``;
+    arrivals never decrease, so a chunk whose last arrival is 0.0 is
+    emitted with ``arrivals=None``."""
+    for start in range(0, len(rows), batch_size):
+        stop = start + batch_size
+        if arrivals is None:
+            yield rows[start:stop], None
+        else:
+            chunk = arrivals[start:stop]
+            yield rows[start:stop], (None if chunk[-1] <= 0.0 else chunk)
+
 
 class DataSource:
-    """Base class for data sources.
-
-    A source exposes only a schema and a sequential stream of
-    ``(row, arrival_time)`` pairs — mirroring the data-integration access
-    model: "we limit access to the input relations to be sequential only, and
-    assume that they may change between successive accesses" (Section 3.5).
-    Each call to :meth:`open_stream` represents a fresh access.
-    """
+    """Base class for data sources: a schema and one sequential stream."""
 
     def __init__(self, name: str, schema: Schema) -> None:
         self.name = name
         self.schema = schema
 
-    def open_stream(self) -> Iterator[tuple[tuple, float]]:
-        raise NotImplementedError
-
-    def open_stream_batches(self, batch_size: int) -> Iterator[list[tuple[tuple, float]]]:
-        """Yield the stream in chunks of up to ``batch_size`` items.
-
-        This is the prefetch primitive of the batched execution mode: a
-        cursor pulls one chunk ahead instead of one tuple ahead.  The default
-        implementation chunks :meth:`open_stream`; sources whose data is
-        already materialized override it with direct slicing.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        batch: list[tuple[tuple, float]] = []
-        for item in self.open_stream():
-            batch.append(item)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
     def open_stream_columns(
-        self, batch_size: int
-    ) -> Iterator[tuple[Sequence[tuple], Sequence[float] | None]]:
-        """Yield the stream as ``(rows, arrivals)`` column chunks.
-
-        ``arrivals`` is either a sequence parallel to ``rows`` (non-decreasing
-        per the source contract) or ``None``, meaning *every* row of the chunk
-        arrives at time 0.0 — the representation that lets cursors consume
-        local data with plain slices instead of per-tuple pair unpacking.
-        Materialized sources override this with direct slicing.  A source
-        that emits columns natively implements :meth:`_stream_columns` and
-        leaves this, the one entry a cursor calls, alone: the benchmark's
-        ``io.pull`` span is wrapped around this attribute from outside
-        (``bench/trace.py``).  Once the benchmark installs a sink instead
-        (ROADMAP items 3(a) and 7) the pair collapses into a plain override.
+        self, batch_size: int, offset: int = 0, start_at: float | None = None
+    ) -> Iterator[Columns]:
+        """Open a fresh access: chunks of up to ``batch_size`` rows from row
+        ``offset`` on, each with a parallel, non-decreasing arrival column
+        or ``None`` (every row at 0.0).  ``start_at=None`` reads on the
+        source's own clock; a float opens the connection at that simulated
+        instant.  Subclasses implement :meth:`_stream_columns`: this entry
+        is wrapped per class by ``bench/trace.py``, which pins only it and
+        the overrides of ``LocalSource`` and ``RemoteSource``.
         """
-        return self._stream_columns(batch_size)
+        check_stream_arguments(batch_size, offset)
+        return self._stream_columns(batch_size, offset, start_at)
 
     def _stream_columns(
-        self, batch_size: int
-    ) -> Iterator[tuple[Sequence[tuple], Sequence[float] | None]]:
-        """Default columns: :meth:`open_stream_batches` transposed once per chunk."""
-        for batch in self.open_stream_batches(batch_size):
-            if not batch:
-                continue
-            rows, arrivals = zip(*batch)
-            yield rows, (None if max(arrivals) <= 0.0 else arrivals)
+        self, batch_size: int, offset: int, start_at: float | None
+    ) -> Iterator[Columns]:
+        raise NotImplementedError
+
+    def open_stream(self) -> Iterator[tuple[tuple[object, ...], float]]:
+        """The stream as ``(row, arrival)`` pairs, read 256 rows ahead."""
+        return chain.from_iterable(
+            zip(rows, repeat(0.0) if arrivals is None else arrivals)
+            for rows, arrivals in self.open_stream_columns(256)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"{type(self).__name__}({self.name!r})"
@@ -87,26 +95,14 @@ class LocalSource(DataSource):
         super().__init__(relation.name, relation.schema)
         self.relation = relation
 
-    def open_stream(self) -> Iterator[tuple[tuple, float]]:
-        for row in self.relation.rows:
-            yield row, 0.0
-
-    def open_stream_batches(self, batch_size: int) -> Iterator[list[tuple[tuple, float]]]:
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        rows = self.relation.rows
-        for start in range(0, len(rows), batch_size):
-            yield [(row, 0.0) for row in rows[start : start + batch_size]]
-
     def open_stream_columns(
-        self, batch_size: int
-    ) -> Iterator[tuple[Sequence[tuple], None]]:
-        """Local data: plain row slices, arrivals implicitly all-zero."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        self, batch_size: int, offset: int = 0, start_at: float | None = None
+    ) -> Iterator[Columns]:
+        """Plain row slices, arrivals implicitly all-zero.  No connection is
+        opened, so ``start_at`` changes nothing."""
+        check_stream_arguments(batch_size, offset)
         rows = self.relation.rows
-        for start in range(0, len(rows), batch_size):
-            yield rows[start : start + batch_size], None
+        return column_chunks(rows[offset:] if offset else rows, None, batch_size)
 
     def __len__(self) -> int:
         return len(self.relation)

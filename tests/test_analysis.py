@@ -514,6 +514,8 @@ class TestChannelRegistry:
         registry = channels.registered_channels()
         transports = registry["transports"]
         assert transports.discipline == "single_writer"
+        # envelopes travel in the source pool only: no attribute holds one
+        assert transports.attributes == ()
         unsafe = {
             "FixtureServer",
             "InjectedTransport",

@@ -218,26 +218,22 @@ class TestRemoteSourceScheduleCache:
         second = [arrival for _, arrival in source.open_stream()]
         batched = [
             arrival
-            for chunk in source.open_stream_batches(2)
-            for _, arrival in chunk
+            for rows, arrivals in source.open_stream_columns(2)
+            for arrival in arrivals or [0.0] * len(rows)
         ]
         assert first == second == batched
         assert network.calls == 1, "arrival schedule must be cached per source"
 
-    def test_with_network_gets_fresh_schedule(self, people):
-        first_net, second_net = self.CountingNetwork(), self.CountingNetwork()
-        source = RemoteSource(people, first_net)
-        source.arrival_schedule
-        copy = source.with_network(second_net)
-        copy.arrival_schedule
-        assert first_net.calls == 1 and second_net.calls == 1
-
     def test_batched_and_streamed_reads_agree(self, people):
         source = RemoteSource(people, ConstantRateNetworkModel(8.0))
         streamed = list(source.open_stream())
-        chunks = list(source.open_stream_batches(2))
-        assert [item for chunk in chunks for item in chunk] == streamed
-        assert all(len(chunk) <= 2 for chunk in chunks)
+        chunks = list(source.open_stream_columns(2))
+        assert [
+            item
+            for rows, arrivals in chunks
+            for item in zip(rows, arrivals or [0.0] * len(rows))
+        ] == streamed
+        assert all(len(rows) <= 2 for rows, _arrivals in chunks)
 
 
 class TestIntegrationSystemBatchKnob:
@@ -287,10 +283,14 @@ class TestValidation:
                 batch_size=0,
             )
 
-    def test_open_stream_batches_rejects_bad_batch_size(self, people):
+    def test_open_stream_columns_rejects_bad_arguments(self, people):
         source = LocalSource(people)
         with pytest.raises(ValueError):
-            list(source.open_stream_batches(0))
+            source.open_stream_columns(0)
+        with pytest.raises(ValueError):
+            source.open_stream_columns(8, offset=-1)
         remote = RemoteSource(people)
         with pytest.raises(ValueError):
-            list(remote.open_stream_batches(-1))
+            remote.open_stream_columns(-1)
+        with pytest.raises(ValueError):
+            remote.open_stream_columns(8, offset=-1)

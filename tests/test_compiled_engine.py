@@ -298,10 +298,10 @@ class TestArrivalSchedulePriming:
         source = RemoteSource(self._relation(), network)
         source.prime()
         assert network.calls == 1
-        # Every subsequent consumer — column streams, batch streams, tuple
+        # Every subsequent consumer — column streams, resumed streams, tuple
         # streams, cursors, repeated opens — reuses the cached schedule.
         list(source.open_stream_columns(8))
-        list(source.open_stream_batches(8))
+        list(source.open_stream_columns(8, offset=5, start_at=1.0))
         list(source.open_stream())
         for _ in range(3):
             cursor = SourceCursor("r", source, prefetch=4)
@@ -322,13 +322,14 @@ class TestArrivalSchedulePriming:
 
     def test_column_chunks_match_pair_chunks(self):
         source = RemoteSource(self._relation(), BurstyNetworkModel(seed=13))
-        pairs = [item for chunk in source.open_stream_batches(7) for item in chunk]
+        pairs = list(zip(source.relation.rows, source.arrival_schedule))
         flattened = []
         for rows, arrivals in source.open_stream_columns(7):
             if arrivals is None:
                 arrivals = [0.0] * len(rows)
             flattened.extend(zip(rows, arrivals))
         assert flattened == pairs
+        assert list(source.open_stream()) == pairs
 
 
 def _tiny_workload():

@@ -135,18 +135,17 @@ class NaiveSource(DataSource):
         super().__init__(transport.name, transport.schema)
         self.transport = transport
 
-    def open_stream(self):
+    def _stream_columns(self, batch_size, offset, start_at):
         try:
-            reader = self.transport.open(0)
+            reader = self.transport.open(offset)
         except TransportError:
             return
         try:
             while True:
-                chunk = reader.read_rows(64)
+                chunk = reader.read_rows(batch_size)
                 if not chunk:
                     return
-                for row in chunk:
-                    yield row, 0.0
+                yield chunk, None
         except TransportError:
             return  # swallowed: rows silently lost
         finally:

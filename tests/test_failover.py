@@ -26,7 +26,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.sources.network import ConstantRateNetworkModel, InstantNetworkModel
-from repro.sources.remote import RemoteSource, ResumedRemoteStream
+from repro.sources.remote import RemoteSource
 
 
 def _relation(name: str = "r", rows: int = 20) -> Relation:
@@ -57,14 +57,11 @@ class TestMirrorRegistration:
             primary.register_mirror(other)
 
 
-class TestResumedRemoteStream:
+class TestResumedMirrorStream:
     def test_schedule_rebased_to_connection_time(self):
         relation = _relation(rows=10)
         mirror = RemoteSource(relation, ConstantRateNetworkModel(10.0, latency=1.0))
-        resumed = mirror.reopen_from(4, start_at=50.0)
-        assert isinstance(resumed, ResumedRemoteStream)
-        assert len(resumed) == 10
-        chunks = list(resumed.open_stream_columns(4))
+        chunks = list(mirror.open_stream_columns(4, offset=4, start_at=50.0))
         rows = [row for chunk_rows, _arr in chunks for row in chunk_rows]
         assert rows == relation.rows[4:]
         arrivals = [t for _rows, arr in chunks for t in arr]
@@ -76,21 +73,20 @@ class TestResumedRemoteStream:
 
     def test_arrived_by_continues_the_primarys_numbering(self):
         mirror = RemoteSource(_relation(rows=10), ConstantRateNetworkModel(10.0, latency=1.0))
-        resumed = mirror.reopen_from(4, start_at=50.0)
-        assert resumed.arrived_by(50.0) == 4  # nothing new yet, 4 already read
-        assert resumed.arrived_by(51.05) == 5
-        assert resumed.arrived_by(1e9) == 10
+        resumed = dict(offset=4, start_at=50.0)
+        assert mirror.arrived_by(50.0, **resumed) == 4  # nothing new yet, 4 already read
+        assert mirror.arrived_by(51.05, **resumed) == 5
+        assert mirror.arrived_by(1e9, **resumed) == 10
 
     def test_open_counts_toward_the_mirror(self):
         mirror = RemoteSource(_relation(), InstantNetworkModel())
-        resumed = mirror.reopen_from(0, start_at=0.0)
-        list(resumed.open_stream_columns(8))
+        list(mirror.open_stream_columns(8, offset=0, start_at=0.0))
         assert mirror.open_count == 1
 
     def test_offset_validation(self):
         mirror = RemoteSource(_relation(), InstantNetworkModel())
         with pytest.raises(ValueError):
-            mirror.reopen_from(-1, start_at=0.0)
+            mirror.open_stream_columns(8, offset=-1, start_at=0.0)
 
 
 class TestCursorFailover:
@@ -104,7 +100,7 @@ class TestCursorFailover:
         first = [cursor.read()[0] for _ in range(12)]
         assert cursor.consumed == 12
 
-        cursor.failover_to(mirror.reopen_from(cursor.consumed, start_at=7.0))
+        cursor.failover_to(mirror, start_at=7.0)
         assert not cursor.exhausted
         rest = []
         while True:
@@ -129,7 +125,7 @@ class TestCursorFailover:
         detector = cursor.ensure_order_detector("r_k")
         for _ in range(6):
             cursor.read()
-        cursor.failover_to(mirror.reopen_from(cursor.consumed, start_at=0.0))
+        cursor.failover_to(mirror, start_at=0.0)
         while cursor.read() is not None:
             pass
         assert detector.direction() == 1  # ascending keys, across both halves
@@ -200,8 +196,8 @@ class TestMirrorFailoverPolicy:
         assert isinstance(action, FailoverSourceAction)
         assert action.relation == relation_name
         assert action.mirror_name == f"{relation_name}_mirror"
-        assert isinstance(action.resumed, ResumedRemoteStream)
-        assert action.resumed.offset == cursor.consumed
+        assert action.mirror is mirror
+        assert action.start_at == 1.2
 
         # The mirror list is consumed: a renewed outage finds no second mirror.
         run.scratch(policy)["streaks"][relation_name] = 5

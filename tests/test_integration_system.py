@@ -3,6 +3,7 @@
 import pytest
 
 from helpers import assert_same_aggregates, reference_spja
+from repro.engine.pipelined import SourceCursor
 from repro.integration.system import AdaptiveIntegrationSystem, UnknownStrategyError
 from repro.relational.catalog import TableStatistics
 from repro.relational.relation import Relation
@@ -53,6 +54,43 @@ class TestRegistration:
         name = system.register_source(crm, description=description)
         assert name == "customer"
         assert system.catalog.schema("customer").names == ("c_custkey", "c_mktsegment")
+
+    def test_described_remote_source_keeps_its_rate_telemetry(self, tiny_tpch):
+        """A description renames columns; it must not blind the rate policies."""
+        customer = tiny_tpch.customer
+        crm_names = [f"crm_{name}" for name in customer.schema.names]
+        crm = Relation(
+            "crm", Schema.from_names(crm_names, relation="crm"), customer.rows
+        )
+        description = SourceDescription(
+            "crm", "customer", attribute_mapping=dict(zip(crm_names, customer.schema.names))
+        )
+
+        def answer(customer_source, description=None):
+            system = AdaptiveIntegrationSystem()
+            system.register_source(customer_source, description=description)
+            for name, relation in tiny_tpch.relations.items():
+                if name != "customer":
+                    system.register_source(relation)
+            return system, system.execute(query_3a(), strategy="corrective")
+
+        def remote(relation):
+            network = ConstantRateNetworkModel(2_000.0, latency=0.01)
+            return RemoteSource(relation, network, promised_rate=2_000.0)
+
+        described, described_answer = answer(remote(crm), description)
+        cursor = SourceCursor("customer", described._sources["customer"])
+        assert cursor.is_remote
+        assert cursor.promised_rate == 2_000.0
+        assert cursor.arrived_by is not None
+        assert cursor.arrived_by(0.01) == 1
+        assert cursor.arrived_by(1e9) == len(customer)
+
+        _, direct_answer = answer(remote(customer))
+        assert described_answer.rows == direct_answer.rows
+        assert described_answer.simulated_seconds == direct_answer.simulated_seconds
+        expected = reference_spja(query_3a(), tiny_tpch.as_sources())
+        assert_same_aggregates(described_answer.rows, expected)
 
 
 class TestExecution:

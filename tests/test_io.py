@@ -277,8 +277,8 @@ class TestBackends:
         source = ResilientSource(transport, read_retry_limit=2)
         delivered = []
         with pytest.raises(CircuitOpenError):
-            for row, _t in source.open_stream():
-                delivered.append(row)
+            for chunk, _arrivals in source.open_stream_columns(1):
+                delivered.extend(chunk)
         assert delivered == [(1, 2, 3), (4, 5, 6)]
         assert source.telemetry.truncations == 3
         assert source.telemetry.connect_retries == 0
@@ -345,8 +345,8 @@ class TestBackends:
         source = ResilientSource(transport, read_retry_limit=2)
         delivered = []
         with pytest.raises(CircuitOpenError):
-            for row, _t in source.open_stream():
-                delivered.append(row)
+            for chunk, _arrivals in source.open_stream_columns(1):
+                delivered.extend(chunk)
         assert delivered == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
 
     def test_file_readers_convert_only_what_is_read(self, tmp_path):
@@ -383,7 +383,7 @@ class TestBackends:
                 transport.open(11)
             source = ResilientSource(transport, connect_retry_limit=1)
             with pytest.raises(CircuitOpenError):
-                list(source.reopen_from(11, start_at=0.0).open_stream())
+                list(source.open_stream_columns(1, offset=11, start_at=0.0))
             # ... because it changed between two accesses (Section 3.5): 8 of
             # 10 rows delivered, then the same path / endpoint holds 5
             reader = transport.open(8)
@@ -421,8 +421,8 @@ class TestBackends:
         source = ResilientSource(transport, read_retry_limit=2)
         delivered = []
         with pytest.raises(CircuitOpenError):
-            for row, _t in source.open_stream():
-                delivered.append(row)
+            for chunk, _arrivals in source.open_stream_columns(1):
+                delivered.extend(chunk)
         assert delivered == rows[:2]
         assert source.telemetry.read_faults == source.telemetry.truncations == 3
         assert source.telemetry.connect_retries == 0
@@ -653,16 +653,17 @@ class TestResilientEnvelope:
         assert source.breaker.trip_count >= 1
         assert timeline.now() >= 0.5
 
-    def test_reopen_from_continues_exactly(self, tmp_path):
+    def test_an_open_at_an_offset_continues_exactly(self, tmp_path):
         relation, source = self.make_faulted_source(
             tmp_path, FaultPlan.seeded(5, 40)
         )
-        resumed = source.reopen_from(17, start_at=9.0)
-        out = list(resumed.open_stream())
+        out = TestEnvelopeBatchView.flatten(
+            source.open_stream_columns(8, offset=17, start_at=9.0)
+        )
         assert [row for row, _t in out] == relation.rows[17:]
         assert all(t >= 9.0 for _row, t in out)
-        assert resumed.name == source.name
-        assert resumed.offset == 17
+        # the connection ran on a branch: the envelope's own clock stayed put
+        assert source.timeline.now() == 0.0
 
     def test_register_mirror_requires_matching_schema(self, tmp_path):
         relation, source = self.make_faulted_source(tmp_path, FaultPlan.quiet())
@@ -710,10 +711,11 @@ def equivalence_plan(seed, row_count):
 
 
 class TestEnvelopeBatchView:
-    """One loop, two views: `open_stream_columns(n)` — the chunk loop re-cut
-    into `(rows, arrivals)` columns, natively, for the envelope and for a
-    `reopen_from` stream on its branched timeline — must equal the per-row
-    view row for row and stamp for stamp, telemetry and clock included."""
+    """Batch-size invariance: `open_stream_columns(n)` re-cuts the one chunk
+    loop into columns of `n` rows, and for every `n` — from the start and
+    resumed at an offset on a branched timeline — it must equal the
+    one-row-at-a-time stream, `n = 1`, row for row and stamp for stamp,
+    telemetry and clock included."""
 
     ROWS = 300
 
@@ -740,30 +742,27 @@ class TestEnvelopeBatchView:
         write_csv(path, relation)
         resume_at = random.Random(seed).randrange(self.ROWS)
 
-        def views(source):
-            return source, source.reopen_from(resume_at, start_at=2.5)
-
-        for batch_size in (1, 7, 64, 256):
-            for view in (0, 1):
-                by_row = self.envelope(path, relation, seed)
+        for offset, start_at in ((0, None), (resume_at, 2.5)):
+            by_row = self.envelope(path, relation, seed)
+            expected = self.flatten(by_row.open_stream_columns(1, offset, start_at))
+            assert [row for row, _t in expected] == relation.rows[offset:]
+            arrivals = [t for _row, t in expected]
+            assert arrivals == sorted(arrivals)
+            if start_at is None:
+                # every scheduled fault fired; the stalls and backoffs
+                # moved arrivals inside the stream, not only at its start
+                assert by_row.telemetry.read_faults == 3
+                assert len(set(arrivals)) > 3
+            else:
+                assert arrivals[0] >= start_at
+            for batch_size in (7, 64, 256):
                 by_batch = self.envelope(path, relation, seed)
-                expected = list(views(by_row)[view].open_stream())
                 got = self.flatten(
-                    views(by_batch)[view].open_stream_columns(batch_size)
+                    by_batch.open_stream_columns(batch_size, offset, start_at)
                 )
                 assert got == expected
-                assert [row for row, _t in got] == relation.rows[
-                    resume_at if view else 0 :
-                ]
                 assert by_batch.telemetry.as_dict() == by_row.telemetry.as_dict()
                 assert by_batch.timeline.now() == by_row.timeline.now()
-                arrivals = [t for _row, t in expected]
-                assert arrivals == sorted(arrivals)
-                if view == 0:
-                    # every scheduled fault fired; the stalls and backoffs
-                    # moved arrivals inside the stream, not only at its start
-                    assert by_row.telemetry.read_faults == 3
-                    assert len(set(arrivals)) > 3
 
 
 class Blocks:

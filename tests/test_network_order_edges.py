@@ -118,7 +118,7 @@ class TestRemoteSourceEdges:
             source = RemoteSource(self._empty_relation(), network)
             assert len(source) == 0
             assert list(source.open_stream()) == []
-            assert list(source.open_stream_batches(8)) == []
+            assert list(source.open_stream_columns(8)) == []
             cursor = SourceCursor("empty", source)
             assert cursor.peek_arrival() is None
             assert cursor.read_batch(16) == ([], None)

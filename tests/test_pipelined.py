@@ -21,6 +21,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.sources.network import ConstantRateNetworkModel
 from repro.sources.remote import RemoteSource
+from repro.sources.source import DataSource, column_chunks
 from repro.workloads.queries import query_3a
 
 
@@ -201,16 +202,16 @@ class TestPipelinedPlan:
 # -- the tuple drive loop against a from-scratch statement of the rule -----------
 
 
-class ScheduledSource:
+class ScheduledSource(DataSource):
     """Rows with an explicit (non-decreasing) arrival schedule."""
 
     def __init__(self, schema, rows, arrivals):
-        self.schema = schema
+        super().__init__("scheduled", schema)
         self.rows = list(rows)
         self.arrivals = list(arrivals)
 
-    def open_stream(self):
-        return iter(zip(self.rows, self.arrivals))
+    def _stream_columns(self, batch_size, offset, start_at):
+        return column_chunks(self.rows[offset:], self.arrivals[offset:], batch_size)
 
 
 class CountingCursor(SourceCursor):
@@ -387,17 +388,20 @@ def drive_cases(draw, stream=schedules(), max_leaves=5):
 
 
 def fail_over(case, plans):
-    """Mirror failover between chunks, on every plan alike: the remainder of
-    the drawn relation, from the consumed offset, on another schedule."""
+    """Mirror failover between chunks, on every plan alike: the drawn
+    relation, opened at the consumed offset, on another schedule (the
+    consumed rows' arrivals are never read)."""
     _, name, arrivals = case["failover"]
     rows = case["streams"][name][0]
     for plan in plans:
         cursor = plan.cursors[name]
-        rest = rows[cursor.consumed :]
-        late = [99.0] * (len(rest) - len(arrivals))
-        cursor.failover_to(
-            ScheduledSource(cursor.schema, rest, arrivals[: len(rest)] + late)
+        rest = len(rows) - cursor.consumed
+        schedule = (
+            [0.0] * cursor.consumed
+            + arrivals[:rest]
+            + [99.0] * (rest - len(arrivals))
         )
+        cursor.failover_to(ScheduledSource(cursor.schema, rows, schedule), None)
 
 
 class TestTupleDriveLoop:
@@ -546,7 +550,12 @@ class TestTupleDriveLoop:
         while cursor.read() is not None:
             pass
         assert cursor.exhausted and cursor.peek_arrival() is None
-        cursor.failover_to(ScheduledSource(people.schema, people.rows[:2], [4.0, 6.0]))
+        # the mirror has grown two rows since (sources may change between
+        # accesses, Section 3.5): they are all a failover re-opens
+        grown = ScheduledSource(
+            people.schema, people.rows + people.rows[:2], [0.0] * len(people) + [4.0, 6.0]
+        )
+        cursor.failover_to(grown, None)
         assert cursor.peek_arrival() == 4.0
         assert cursor.read() == (people.rows[0], 4.0)
         assert cursor.consumed == len(people) + 1

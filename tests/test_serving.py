@@ -302,6 +302,11 @@ class TestRemoteSourceSharing:
     def test_sessions_share_one_arrival_schedule(self, people, simple_orders):
         people_src = self._remote(people, 3)
         orders_src = self._remote(simple_orders, 4)
+        schedules = []
+        arrival_times = people_src.network.arrival_times
+        people_src.network.arrival_times = (
+            lambda count: schedules.append(count) or arrival_times(count)
+        )
         catalog = Catalog()
         catalog.register_relation(people)
         catalog.register_relation(simple_orders)
@@ -316,7 +321,7 @@ class TestRemoteSourceSharing:
         report = server.run()
         # Priming materialized one schedule; both sessions opened streams
         # over the same source objects.
-        assert people_src.schedule_materialized
+        assert schedules == [len(people)]
         assert people_src.open_count >= 2
         assert report.source_opens["people"] == people_src.open_count
         # Arrival waits actually showed up on the shared clock.

@@ -54,7 +54,7 @@ from repro.serving.partition import (
 from repro.serving.session import QuerySession
 from repro.serving.specs import SessionResult
 from repro.serving.worker import worker_main
-from repro.sources.source import DataSource, LocalSource
+from repro.sources.source import LocalSource
 
 
 def _rel(name: str, attrs: list[str], rows: list[tuple]) -> Relation:
@@ -374,24 +374,17 @@ class _ExitingSource(LocalSource):
     """Streams a few rows, then takes its process down the way SIGKILL or the
     OOM killer would: no exception, no traceback, no ``ShardResult``."""
 
-    def open_stream(self):
-        for row in self.relation.rows[:3]:
-            yield row, 0.0
+    def open_stream_columns(self, batch_size, offset=0, start_at=None):
+        yield self.relation.rows[:3], None
         os._exit(3)
-
-    open_stream_batches = DataSource.open_stream_batches
-    open_stream_columns = DataSource.open_stream_columns
 
 
 class _StalledSource(LocalSource):
     """Never delivers a row: a worker reading it runs until it is stopped."""
 
-    def open_stream(self):
+    def open_stream_columns(self, batch_size, offset=0, start_at=None):
         threading.Event().wait()
         yield from ()
-
-    open_stream_batches = DataSource.open_stream_batches
-    open_stream_columns = DataSource.open_stream_columns
 
 
 class TestWorkerFailures:

@@ -1,11 +1,20 @@
 """Tests for data sources, network models and source descriptions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.io import (
+    CSVFileTransport,
+    FaultPlan,
+    InjectedTransport,
+    ResilientSource,
+    write_csv,
+)
 from repro.relational.catalog import TableStatistics
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.sources.description import MappingError, SourceDescription
+from repro.sources.description import MappedSource, MappingError, SourceDescription
 from repro.sources.network import (
     BurstyNetworkModel,
     ConstantRateNetworkModel,
@@ -129,12 +138,6 @@ class TestRemoteSource:
         source = RemoteSource(people, BurstyNetworkModel(seed=3))
         assert list(source.open_stream()) == list(source.open_stream())
 
-    def test_with_network(self, people):
-        source = RemoteSource(people, InstantNetworkModel())
-        slowed = source.with_network(ConstantRateNetworkModel(1.0))
-        assert slowed.name == source.name
-        assert list(slowed.open_stream())[-1][1] > 0
-
 
 class TestSourceDescription:
     def test_translate_schema_and_rows(self):
@@ -172,3 +175,106 @@ class TestSourceDescription:
         description = SourceDescription("src", "global")
         assert isinstance(description.promised_statistics, TableStatistics)
         assert description.promised_statistics.cardinality is None
+
+
+# -- the one stream protocol --------------------------------------------------------
+
+PROTOCOL_RELATION = Relation(
+    "r",
+    Schema.from_names(["k", "v"], relation="r"),
+    [(i, i * 7 % 11) for i in range(40)],
+)
+PROTOCOL_NETWORKS = {
+    "instant": InstantNetworkModel,
+    "constant": lambda: ConstantRateNetworkModel(50.0, latency=0.2),
+    "bursty": lambda: BurstyNetworkModel(mean_gap_seconds=0.3, seed=5),
+}
+SOURCE_KINDS = ("local", *PROTOCOL_NETWORKS, "resilient", "mapped")
+
+
+@pytest.fixture(scope="module")
+def protocol_csv(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("protocol") / "r.csv")
+    write_csv(path, PROTOCOL_RELATION)
+    return path
+
+
+def protocol_source(kind, csv_path, fault_seed):
+    relation = PROTOCOL_RELATION
+    if kind == "local":
+        return LocalSource(relation)
+    if kind == "resilient":
+        transport = InjectedTransport(
+            CSVFileTransport("r", csv_path, relation.schema),
+            FaultPlan.seeded(fault_seed, len(relation.rows)),
+        )
+        return ResilientSource(transport)
+    if kind == "mapped":
+        remote = RemoteSource(relation, ConstantRateNetworkModel(50.0, latency=0.2))
+        return MappedSource(remote, SourceDescription("r", "g", {"v": "g_v"}))
+    return RemoteSource(relation, PROTOCOL_NETWORKS[kind]())
+
+
+class TestOneStreamProtocol:
+    """Every source kind answers ``open_stream_columns(batch_size, offset,
+    start_at)`` alike: the rows from ``offset`` in chunks of at most
+    ``batch_size``, arrivals on the source's own clock or re-based to a
+    connection at ``start_at``, one counted open, and a delivery oracle that
+    counts exactly the arrivals the stream itself carries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(SOURCE_KINDS),
+        batch_size=st.integers(1, 50),
+        offset=st.integers(0, len(PROTOCOL_RELATION.rows)),
+        start_at=st.one_of(st.none(), st.sampled_from([0.0, 0.1, 2.5, 1e3])),
+        fault_seed=st.integers(0, 30),
+    )
+    def test_every_source_kind_honours_the_protocol(
+        self, protocol_csv, kind, batch_size, offset, start_at, fault_seed
+    ):
+        source = protocol_source(kind, protocol_csv, fault_seed)
+        remote = source.wrapped if kind == "mapped" else source
+        opens = getattr(remote, "open_count", 0)
+        chunks = list(source.open_stream_columns(batch_size, offset, start_at))
+        if isinstance(remote, RemoteSource):
+            assert remote.open_count == opens + 1
+
+        expected_rows = PROTOCOL_RELATION.rows[offset:]
+        if kind == "mapped":
+            expected_rows = [(v,) for _k, v in expected_rows]
+        assert [row for rows, _arr in chunks for row in rows] == expected_rows
+        for rows, arrivals in chunks:
+            assert 1 <= len(rows) <= batch_size
+            assert arrivals is None or (len(arrivals) == len(rows) and arrivals[-1] > 0.0)
+        arrivals = [
+            t for rows, column in chunks for t in (column or [0.0] * len(rows))
+        ]
+        assert arrivals == sorted(arrivals)
+
+        if kind == "local":
+            assert set(arrivals) <= {0.0}
+        elif kind == "resilient":
+            again = protocol_source(kind, protocol_csv, fault_seed)
+            one_by_one = [
+                t
+                for rows, column in again.open_stream_columns(1, offset, start_at)
+                for t in (column or [0.0] * len(rows))
+            ]
+            assert arrivals == one_by_one
+            assert source.telemetry.as_dict() == again.telemetry.as_dict()
+            assert source.telemetry.rows_delivered == len(expected_rows)
+            if start_at is not None:
+                assert all(t >= start_at for t in arrivals)
+                assert source.timeline.now() == 0.0  # ran on a branch
+        else:
+            schedule = remote.arrival_schedule
+            if start_at is None:
+                assert arrivals == list(schedule[offset:])
+            else:
+                rebased = [start_at + t for t in schedule[: len(expected_rows)]]
+                assert arrivals == rebased
+            # the oracle keeps the numbering of a stream read from row 0
+            for now in {*arrivals, -1.0, 0.0, 1e9}:
+                delivered = offset + sum(1 for t in arrivals if t <= now)
+                assert source.arrived_by(now, offset, start_at) == delivered

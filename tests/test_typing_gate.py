@@ -19,13 +19,15 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The strict surface: the analysis subsystem, the serving layer it
-#: certifies for sharding (home of the channel registry), the two
-#: invariant-bearing modules it audits against, the processor-options
-#: record and the collector pause.  Keep in sync with .github/workflows/ci.yml.
+#: certifies for sharding (home of the channel registry), the real-I/O
+#: fabric, the source protocol, the two invariant-bearing modules it audits
+#: against, the processor-options record and the collector pause.  Keep in
+#: sync with .github/workflows/ci.yml.
 STRICT_TARGETS = (
     "src/repro/analysis",
     "src/repro/serving",
     "src/repro/io",
+    "src/repro/sources/source.py",
     "src/repro/engine/cost.py",
     "src/repro/adaptivity/events.py",
     "src/repro/core/options.py",
