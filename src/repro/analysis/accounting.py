@@ -12,7 +12,7 @@ This rule checks the invariant statically over the ``engine/`` package:
 
 1. It indexes every function, records which ones **charge directly**
    (an augmented assignment to a metrics counter, or a call to
-   ``charge`` / ``charge_batch`` / ``charge_metrics``), and propagates
+   ``charge`` / ``charge_batch``), and propagates
    charging through the call graph (resolved by callee name — an
    over-approximation that is cheap and stable).
 
@@ -51,7 +51,7 @@ COUNTER_FIELDS = frozenset(
 )
 
 #: call targets that apply charges
-CHARGE_CALLS = frozenset({"charge", "charge_batch", "charge_metrics", "_charge"})
+CHARGE_CALLS = frozenset({"charge", "charge_batch", "_charge"})
 
 #: operator-level mutation entry points that must reach a charge
 MUTATION_ENTRY_POINTS = frozenset(

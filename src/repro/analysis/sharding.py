@@ -19,7 +19,7 @@ explicit sharing contract of :mod:`repro.serving.channels`:
   symbols; everything else they touch must be session-owned.
 * ``sharding.clock-discipline`` — only the declared drive-loop writers may
   reach :class:`~repro.engine.cost.SimulatedClock` mutators
-  (``advance`` / ``wait_until`` / ``charge`` / ``charge_metrics``); any
+  (``advance`` / ``wait_until`` / ``charge``); any
   other access — calls *or* aliasing loads like ``hop = self.clock.advance``
   — is a finding.  Sessions, policies and operators may only read ``now``,
   and a direct store to a time field (``clock.now += ...``) is a finding
@@ -768,8 +768,9 @@ class SessionIsolationRule(LintRule):
 
 
 #: the time fields a SimulatedClock's own mutators maintain (``engine/cost.py``
-#: reaches them through ``self``, which is not a clock name)
-CLOCK_STATE_FIELDS = frozenset({"now", "cpu_time", "wait_time"})
+#: reaches them through ``self``, which is not a clock name); ``cpu_time`` is
+#: derived from them when read
+CLOCK_STATE_FIELDS = frozenset({"now", "wait_time", "_anchor", "_anchor_work", "_work"})
 
 
 class _ClockAccessVisitor(ScopeTracker):
@@ -801,11 +802,11 @@ class ClockDisciplineRule(LintRule):
 
     name = "sharding.clock-discipline"
     description = (
-        "SimulatedClock mutators (advance/wait_until/charge/charge_metrics) "
+        "SimulatedClock mutators (advance/wait_until/charge) "
         "may be reached only from the clock channel's sanctioned writer "
         "symbols; sessions, policies and operators may only read .now — "
         "aliasing a mutator (hop = clock.advance) counts as an access, and "
-        "nobody, writers included, may store to .now/.cpu_time/.wait_time "
+        "nobody, writers included, may store to .now/.wait_time or the anchor "
         "directly (clock.now += ...): the mutators are the only way to move time"
     )
     project_wide = True

@@ -126,9 +126,8 @@ class _JoinDriver:
 
     def sync_clock(self) -> None:
         work = self.metrics.work(self.cost_model)
-        delta = work - self._charged_work
-        if delta > 0:
-            self.clock.charge(delta)
+        if work > self._charged_work:
+            self.clock.charge(work, self._charged_work)
             self._charged_work = work
 
 

@@ -451,6 +451,6 @@ class StitchUpExecutor:
         )
 
     def _charge_clock(self, start_work: float) -> None:
-        delta = self.metrics.work(self.cost_model) - start_work
-        if delta > 0:
-            self.clock.charge(delta)
+        work = self.metrics.work(self.cost_model)
+        if work > start_work:
+            self.clock.charge(work, start_work)

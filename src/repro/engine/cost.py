@@ -32,21 +32,22 @@ weights in :class:`CostModel`; benchmarks report it alongside wall-clock.
 **Deferred charging invariant** (the compiled engine's accounting contract):
 :meth:`ExecutionMetrics.charge_batch` applies one integer delta per counter,
 computed from batch-level tallies, instead of incrementing counters once per
-tuple.  Because every counter is a plain integer sum and the engine never
-reads the clock in the middle of a batch, charging ``N`` tuples' worth of
-work as one delta of ``N`` is *provably equal* to ``N`` per-tuple charges:
-the counter values — and therefore ``work()`` and every
-:class:`SimulatedClock` charge derived from them — coincide exactly at every
-point where the engine synchronizes the clock (batch group boundaries, chunk
-boundaries, phase ends).  The compiled fused pipelines rely on this to do
-O(1) counter updates per batch while staying bit-identical to the
-interpreted engine's accounting.
+tuple.  Because every counter is a plain integer sum, charging ``N``
+tuples' worth of work as one delta of ``N`` is *provably equal* to ``N``
+per-tuple charges: the counter values — and therefore ``work()`` — coincide
+exactly at every point where the engine synchronizes the clock.  The
+compiled fused pipelines rely on this to do O(1) counter updates per batch
+while staying bit-identical to the interpreted engine's accounting.
 
 The :class:`SimulatedClock` converts work units into simulated seconds and
 additionally models waiting on delayed sources (the wireless experiment of
 Figure 3): pulling a tuple that has not "arrived" yet advances the clock to
 its arrival time, and the time spent waiting is recorded separately so that
-reports can distinguish computation from I/O stall.
+reports can distinguish computation from I/O stall.  Between two stalls it
+derives the time from the cumulative ``work()`` once, so how often the
+engine syncs it — per tuple, per group, per poll chunk — cannot move the
+result: on local sources every engine mode and batch size reports the same
+simulated seconds to the last bit, under any :class:`CostModel`.
 """
 
 from __future__ import annotations
@@ -204,11 +205,20 @@ class SimulatedClock:
 
     The clock moves forward in two ways:
 
-    * :meth:`charge` converts work units into simulated seconds
-      (``units * cost_model.seconds_per_unit``).
+    * :meth:`charge` reports that a charger's cumulative work (its
+      :meth:`ExecutionMetrics.work`) moved from ``since`` to ``work``;
     * :meth:`wait_until` jumps the clock forward to a source tuple's arrival
       time when the engine has to stall for it; the stalled interval is
       accumulated in :attr:`wait_time`.
+
+    Time is exact: the clock keeps an *anchor* — the instant of the last
+    stall and the cumulative work charged by then — and sets
+    ``now = anchor + (work - anchor_work) * seconds_per_unit``, so how the
+    engine groups its charges cannot move simulated seconds.  A charge whose
+    ``since`` is not the last charged work (another query's metrics on a
+    shared serving clock) first re-anchors at ``now``.  ``now`` stays a plain
+    attribute and ``cpu_time`` is derived when read, so the tuple loop's
+    per-step charge stores two attributes, as a running sum would.
 
     The adaptive scheduler avoids most stalls by working on whichever input
     has data available, which is exactly the behaviour that Figure 3's
@@ -218,24 +228,35 @@ class SimulatedClock:
     def __init__(self, cost_model: CostModel | None = None) -> None:
         self.cost_model = cost_model or CostModel()
         self.now: float = 0.0
-        self.cpu_time: float = 0.0
         self.wait_time: float = 0.0
+        #: the instant of the last stall (or re-anchoring charge)
+        self._anchor: float = 0.0
+        #: the charger's cumulative work at :attr:`_anchor`
+        self._anchor_work: float = 0.0
+        #: the cumulative work of the last charge
+        self._work: float = 0.0
 
-    def charge(self, units: float) -> None:
-        """Advance the clock by the simulated duration of ``units`` work units."""
-        seconds = units * self.cost_model.seconds_per_unit
-        self.now += seconds
-        self.cpu_time += seconds
+    @property
+    def cpu_time(self) -> float:
+        """Simulated seconds spent working rather than waiting."""
+        return self.now - self.wait_time
 
-    def charge_metrics(self, delta: ExecutionMetrics) -> None:
-        """Advance the clock by the work represented by a metrics delta."""
-        self.charge(delta.work(self.cost_model))
+    def charge(self, work: float, since: float) -> None:
+        """Advance the clock as the charger's cumulative work moves from
+        ``since`` to ``work`` (both :meth:`ExecutionMetrics.work` values)."""
+        if since != self._work:
+            self._anchor = self.now
+            self._anchor_work = since
+        self._work = work
+        seconds = (work - self._anchor_work) * self.cost_model.seconds_per_unit
+        self.now = self._anchor + seconds
 
     def wait_until(self, arrival_time: float) -> float:
         """Stall until ``arrival_time`` if it is in the future; return the stall."""
         if arrival_time > self.now:
             stalled = arrival_time - self.now
-            self.now = arrival_time
+            self.now = self._anchor = arrival_time
+            self._anchor_work = self._work
             self.wait_time += stalled
             return stalled
         return 0.0

@@ -80,6 +80,9 @@ class SourceCursor:
         self.arrived_by = getattr(source, "arrived_by", None)
         if isinstance(source, Relation):
             source = LocalSource(source)
+        #: every tuple of the stream arrives at 0.0 (a local source), so a
+        #: poll chunk over it is one schedule (:meth:`PipelinedPlan.step_batch`)
+        self.local = isinstance(source, LocalSource)
         self._chunks = iter(source.open_stream_columns(self.prefetch))
         self._rows: Sequence[tuple] = ()
         self._arrivals: Sequence[float] | None = ()
@@ -258,6 +261,7 @@ class SourceCursor:
         """
         offset = self.consumed
         self._chunks = iter(mirror.open_stream_columns(self.prefetch, offset, start_at))
+        self.local = isinstance(mirror, LocalSource)
         self._rows = ()
         self._arrivals = ()
         self._pos = 0
@@ -543,8 +547,9 @@ class PipelinedPlan:
     The batch path has one shape, whatever the engine mode::
 
         _read_schedule  ->  [binding, rows, last_arrival] groups
-        step_batch      ->  per group: sync clock, wait_until(last_arrival),
-                            kernel(rows)
+        step_batch      ->  per group: sync clock, wait_until(last_arrival)
+                            (only if last_arrival > 0.0), kernel(rows) in
+                            slices of at most batch_size rows
 
     :meth:`_read_schedule` is the only batch scheduler and :meth:`step_batch`
     the only batch driver.  ``engine_mode`` picks nothing but the per-leaf
@@ -560,8 +565,8 @@ class PipelinedPlan:
     :meth:`_read_schedule` — ``batch_size=1`` through the shared path
     schedules from scratch once per tuple and is several times slower
     (``bench/README.md``).  What it caches lives for one call only: the live
-    cursors' read keys (one entry re-keyed per step); the clock is still
-    charged once per step, from :meth:`ExecutionMetrics.work`.
+    cursors' read keys (one entry re-keyed per step); the clock is charged
+    once per step, from :meth:`ExecutionMetrics.work`.
     """
 
     def __init__(
@@ -823,9 +828,8 @@ class PipelinedPlan:
 
         With a ``horizon`` the loop stops before the first tuple arriving
         after it.  Each step charges the work accrued so far, reads, stalls
-        until the arrival, then propagates — one ``clock.charge`` per step:
-        float addition is not associative, so coarser charging would drift
-        the last ulp of simulated seconds.
+        until the arrival, then propagates — one ``clock.charge`` per step,
+        so every stall starts from the current time.
         """
         priorities = self.read_priorities
         live = []
@@ -853,7 +857,7 @@ class PipelinedPlan:
                     break
                 work = metrics.work(model)
                 if work > charged:
-                    charge(work - charged)
+                    charge(work, charged)
                     charged = work
                 row = cursor._take()
                 if arrival > clock.now:
@@ -957,7 +961,8 @@ class PipelinedPlan:
           each quota is drained with one bounded bulk read.  One round
           grants the whole budget unless a source runs dry inside its
           quota, so the first round's runs *are* the groups and only later
-          rounds merge;
+          rounds merge.  On local sources :meth:`step_batch` passes a whole
+          poll chunk's budget, and this path is all the schedule runs;
         * *arrival-driven loop* — otherwise the minimum (arrival, priority,
           consumed) key picks the source exactly like :meth:`_drive_tuples`,
           and the whole run it stays ahead of the runner-up for is cut from
@@ -1099,9 +1104,16 @@ class PipelinedPlan:
         per-leaf groups, and each group is handed to its leaf's kernel
         (:meth:`_build_kernels`).  Returns the number of source tuples
         consumed (0 when exhausted, or — under a ``horizon`` — when every
-        pending tuple arrives after it).  The batch is capped at
-        ``batch_size`` and, when given, at ``max_tuples`` (used by
-        :meth:`run_chunk` to land on exact tuple boundaries).
+        pending tuple arrives after it).
+
+        The schedule's budget is ``batch_size``, clipped to ``max_tuples``
+        (which :meth:`run_chunk` passes to land on exact tuple boundaries) —
+        except when ``max_tuples`` is larger and every cursor reads a local
+        source: then nothing can stall, and one schedule water-fills
+        all ``max_tuples``.  Groups run in order, each in kernel calls of at
+        most ``batch_size`` rows; a group whose last arrival lies after 0.0
+        first syncs the clock and waits for it.  The clock is exact, so a
+        zero-arrival group needs no sync: the next one charges the same time.
         """
         limit = self.batch_size if self.batch_size is not None else 1
         if max_tuples is not None and max_tuples < limit:
@@ -1111,34 +1123,38 @@ class PipelinedPlan:
         kernels = self._kernels
         if kernels is None:
             kernels = self._kernels = self._build_kernels()
-        groups = self._read_schedule(limit, horizon)
+        local = (
+            max_tuples is not None
+            and max_tuples > limit
+            and all(cursor.local for _, cursor in self._leaf_pairs)
+        )
+        groups = self._read_schedule(max_tuples if local else limit, horizon)
         if not groups:
             return 0
         self.metrics.batches_read += 1
         total = 0
-        sync = self._sync_clock
-        wait = self.clock.wait_until
         for binding, rows, last_arrival in groups:
-            # Charge the work accrued so far (including earlier groups of this
-            # batch) before stalling on arrivals, narrowing the simulated-clock
-            # gap to tuple-at-a-time on delayed sources.  On local sources the
-            # waits are no-ops and the clock is bit-identical regardless.  Both
-            # kernels charge a whole group's counters before the next group's
-            # synchronization: float addition is not associative, so any other
-            # charge granularity would drift the last ulp of simulated seconds.
-            sync()
-            wait(last_arrival)
+            if last_arrival > 0.0:
+                # Charge the work accrued so far (including earlier groups of
+                # this batch) before stalling on arrivals, narrowing the
+                # simulated-clock gap to tuple-at-a-time on delayed sources.
+                self._sync_clock()
+                self.clock.wait_until(last_arrival)
+            kernel = kernels[binding.relation]
             total += len(rows)
-            kernels[binding.relation](rows)
+            if len(rows) <= limit:
+                kernel(rows)
+            else:
+                for start in range(0, len(rows), limit):
+                    kernel(rows[start : start + limit])
         self.statistics.steps += 1
         self.statistics.tuples_read += total
         return total
 
     def _sync_clock(self) -> None:
         work = self.metrics.work(self.cost_model)
-        delta = work - self._charged_work
-        if delta > 0:
-            self.clock.charge(delta)
+        if work > self._charged_work:
+            self.clock.charge(work, self._charged_work)
             self._charged_work = work
 
     def run(self, max_steps: int | None = None) -> int:
@@ -1167,6 +1183,10 @@ class PipelinedPlan:
         at chunk boundaries, so plan-switch decisions are taken at identical
         tuple positions regardless of batch size — which is what makes phase
         counts comparable (and differential-testable) across batch sizes.
+
+        In batched mode the remaining chunk goes to :meth:`step_batch` as
+        its cap: on local sources the whole chunk is one schedule (one
+        ``batches_read``), elsewhere it is cut into ``batch_size`` batches.
 
         With a ``horizon`` (cooperative serving mode) the chunk stops before
         the first tuple that arrives after it, instead of stalling the clock:

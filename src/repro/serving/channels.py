@@ -109,7 +109,7 @@ CHANNELS: tuple[SharedChannel, ...] = (
             "each worker owns a clock shard synchronized at hand-off points"
         ),
         attributes=("clock", "_clock"),
-        mutators=("charge", "charge_metrics", "wait_until", "advance"),
+        mutators=("charge", "wait_until", "advance"),
         writers=(
             "serving/server.py::QueryServer.run",
             "engine/pipelined.py::PipelinedPlan._drive_tuples",

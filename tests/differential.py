@@ -14,14 +14,15 @@ one through every engine configuration:
 
 Every configuration must produce the **identical multiset** of result rows,
 and — on local (immediately-available) sources — every corrective
-configuration must report the **identical number of corrective phases**.
-Phase-count equality across batch sizes is by construction there: batches
-consume the same per-source tuple counts at every poll boundary as
-tuple-at-a-time execution (see ``PipelinedPlan._read_schedule``), and on
-local sources the simulated clock that drives polling is a pure function of
-those counts.  On remote sources the clock can drift slightly within a
-batch (arrival waits and work charges interleave differently), so phase
-counts are recorded but not asserted equal; the result multisets still
+configuration must report the **identical number of corrective phases** and
+the **identical simulated seconds** (``repr``-equal).  Both hold by
+construction there: batches consume the same per-source tuple counts at
+every poll boundary as tuple-at-a-time execution (see
+``PipelinedPlan._read_schedule``), and on local sources the simulated clock
+that drives polling is a pure function of the work done, rounded once.  On
+remote sources the clock can drift slightly within a batch (arrival waits
+and work charges interleave differently; ROADMAP item 14), so phase counts
+and clocks are recorded but not asserted equal; the result multisets still
 must match exactly.
 
 All aggregate input values are integers, so grouped sums compare exactly
@@ -310,6 +311,8 @@ class DifferentialResult:
     reference: Counter
     row_multisets: dict[str, Counter] = field(default_factory=dict)
     phase_counts: dict[str, int] = field(default_factory=dict)
+    #: ``repr`` of each corrective column's simulated seconds
+    clocks: dict[str, str] = field(default_factory=dict)
 
     @property
     def uses_aggregation(self) -> bool:
@@ -382,6 +385,7 @@ def run_differential_case(seed: int) -> DifferentialResult:
         )
         result.row_multisets[label] = observables.multiset
         result.phase_counts[label] = observables.phases
+        result.clocks[label] = repr(observables.simulated_seconds)
 
     return result
 
@@ -831,11 +835,17 @@ def assert_differential_case(result: DifferentialResult) -> None:
     if not result.workload.remote:
         # Guaranteed by construction only on local sources, where the
         # clock driving the corrective poll loop is a pure function of the
-        # (batch-size-invariant) per-source consumption counts.
+        # (batch-size-invariant) per-source consumption counts.  Remote
+        # sources stall at batch granularity (ROADMAP item 14).
         phase_counts = set(result.phase_counts.values())
         assert len(phase_counts) <= 1, (
             f"seed {result.seed}: corrective phase counts diverge across "
             f"batch sizes: {result.phase_counts} for query "
+            f"{result.workload.query.name}"
+        )
+        assert len(set(result.clocks.values())) == 1, (
+            f"seed {result.seed}: corrective simulated seconds diverge "
+            f"across engine modes: {result.clocks} for query "
             f"{result.workload.query.name}"
         )
 

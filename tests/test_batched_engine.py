@@ -172,6 +172,71 @@ class TestZeroQuotas:
         assert quotas == self._simulate([5, 0, 3], 7)
 
 
+class TestChunkSchedule:
+    """On local sources a poll chunk is one schedule, whose groups reach
+    their kernels in slices of at most ``batch_size`` rows."""
+
+    @pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
+    @pytest.mark.parametrize("priorities", [{}, {"lineitem": 1}])
+    def test_one_schedule_per_chunk_matches_tuple_mode(
+        self, tiny_tpch, engine_mode, priorities
+    ):
+        from repro.optimizer.plans import JoinTree
+        from repro.workloads.queries import query_3a
+
+        query = query_3a()
+        tree = JoinTree.left_deep(["lineitem", "orders", "customer"])
+
+        def build(batch_size, mode=None):
+            cursors = {
+                name: SourceCursor(name, tiny_tpch.relations[name])
+                for name in query.relations
+            }
+            plan = PipelinedPlan(
+                query,
+                tree,
+                cursors,
+                lambda row: None,
+                batch_size=batch_size,
+                engine_mode=mode,
+            )
+            plan.read_priorities = dict(priorities)
+            return plan
+
+        tuple_plan, plan = build(None), build(64, engine_mode)
+        calls = []
+
+        def recording(kernel):
+            def run(rows):
+                calls.append(len(rows))
+                kernel(rows)
+            return run
+
+        plan._kernels = {
+            relation: recording(kernel)
+            for relation, kernel in plan._build_kernels().items()
+        }
+        chunks = 0
+        while True:
+            batches = plan.metrics.batches_read
+            ran = plan.run_chunk(200)
+            assert tuple_plan.run_chunk(200) == ran
+            if ran == 0:
+                break
+            chunks += 1
+            assert plan.metrics.batches_read == batches + 1
+            assert plan.consumed_counts() == tuple_plan.consumed_counts()
+            counters = plan.metrics.as_dict()
+            tuple_counters = tuple_plan.metrics.as_dict()
+            del counters["batches_read"], tuple_counters["batches_read"]
+            assert counters == tuple_counters
+            assert plan.node_output_counts() == tuple_plan.node_output_counts()
+            assert repr(plan.clock.now) == repr(tuple_plan.clock.now)
+        assert chunks > 1
+        # groups larger than a batch were sliced, and no slice exceeds it
+        assert max(calls) == plan.batch_size
+
+
 class TestGroupAccumulatorBatch:
     def _accumulators(self, aggregates):
         schema = Schema.from_names(["g", "v"])
@@ -262,9 +327,7 @@ class TestIntegrationSystemBatchKnob:
         tuple_answer = build().execute(query, strategy=strategy)
         batched_answer = build().execute(query, strategy=strategy, batch_size=16)
         assert sorted(batched_answer.rows) == sorted(tuple_answer.rows)
-        assert batched_answer.simulated_seconds == pytest.approx(
-            tuple_answer.simulated_seconds
-        )
+        assert batched_answer.simulated_seconds == tuple_answer.simulated_seconds
 
 
 class TestValidation:

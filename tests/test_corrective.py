@@ -104,24 +104,30 @@ class TestCorrectness:
 
 
 class TestAblationWeights:
-    def test_tuple_mode_run_under_non_default_weights_is_pinned(self, small_tpch):
-        """Under weights that are not exact binary fractions any reordering
-        of the per-step work sum (or a coarser charge than one per step)
-        moves the last bits of the clock.  Pinned from the commit before the
-        tuple drive loop replaced ``step``'s body."""
+    WEIGHTS = dict(hash_probe=1.3, predicate_eval=0.1, tuple_copy=0.7, tuple_output=0.3)
+    PINNED = "0.5534050000000001"
+
+    def _run(self, small_tpch, **engine):
         from repro.engine.cost import CostModel
 
         query = query_10a()
         processor = CorrectiveQueryProcessor(
             small_tpch.catalog(with_cardinalities=False),
             small_tpch.as_sources(),
-            cost_model=CostModel(
-                hash_probe=1.3, predicate_eval=0.1, tuple_copy=0.7, tuple_output=0.3
-            ),
+            cost_model=CostModel(**self.WEIGHTS),
             polling_interval_seconds=0.1,
+            **engine,
         )
-        report = processor.execute(query, initial_tree=bad_tree(query))
-        assert repr(report.simulated_seconds) == "0.5534049999999959"
+        return processor.execute(query, initial_tree=bad_tree(query))
+
+    def test_tuple_mode_run_under_non_default_weights_is_pinned(self, small_tpch):
+        """Weights that are not binary fractions (1.3, 0.1, 0.7, 0.3) make
+        every float sum of work deltas depend on its order and grouping.
+        The clock no longer sums deltas: between stalls it derives ``now``
+        from the cumulative work once, so the pinned value is the one every
+        engine configuration reaches, whatever its charge cadence."""
+        report = self._run(small_tpch)
+        assert repr(report.simulated_seconds) == self.PINNED
         assert report.num_phases == 2
         assert report.metrics.as_dict() == {
             "tuples_read": 7571,
@@ -134,6 +140,16 @@ class TestAblationWeights:
             "tuples_output": 1943,
             "batches_read": 0,
         }
+
+    @pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
+    def test_every_batch_size_reaches_the_tuple_mode_clock(self, small_tpch, engine_mode):
+        """Under the same non-binary weights, batches of 1/7/64 charge at
+        other cadences than tuple mode yet give its pinned
+        ``repr(simulated_seconds)``."""
+        for batch_size in (1, 7, 64):
+            report = self._run(small_tpch, batch_size=batch_size, engine_mode=engine_mode)
+            assert repr(report.simulated_seconds) == self.PINNED
+            assert report.num_phases == 2
 
 
 class TestAdaptationBehaviour:

@@ -69,7 +69,7 @@ class TestExecutionMetrics:
 class TestSimulatedClock:
     def test_charge_advances_cpu_time(self):
         clock = SimulatedClock(CostModel(seconds_per_unit=0.001))
-        clock.charge(100)
+        clock.charge(100, 0.0)
         assert clock.now == pytest.approx(0.1)
         assert clock.cpu_time == pytest.approx(0.1)
         assert clock.wait_time == 0.0
@@ -83,20 +83,42 @@ class TestSimulatedClock:
 
     def test_wait_until_past_is_noop(self):
         clock = SimulatedClock()
-        clock.charge(10_000)
+        clock.charge(10_000, 0.0)
         before = clock.now
         assert clock.wait_until(before / 2) == 0.0
         assert clock.now == before
 
-    def test_charge_metrics(self):
-        model = CostModel(seconds_per_unit=1.0)
-        clock = SimulatedClock(model)
-        clock.charge_metrics(ExecutionMetrics(tuples_read=2))
-        assert clock.now == pytest.approx(2 * model.tuple_read)
+    def test_charge_is_exact_however_grouped(self):
+        """Between stalls ``now`` is one product of the cumulative work, so
+        one charge and many partial charges of the same work agree to the
+        last bit — a per-charge float sum does not (0.1 s ten times)."""
+        model = CostModel(seconds_per_unit=0.1)
+        coarse, fine = SimulatedClock(model), SimulatedClock(model)
+        coarse.charge(10.0, 0.0)
+        for units in range(10):
+            fine.charge(units + 1.0, float(units))
+        assert repr(fine.now) == repr(coarse.now) == "1.0"
+        assert sum([0.1] * 10) != 1.0
+
+    def test_wait_moves_the_anchor(self):
+        clock = SimulatedClock(CostModel(seconds_per_unit=0.5))
+        clock.charge(2.0, 0.0)
+        clock.wait_until(4.0)
+        clock.charge(3.0, 2.0)
+        assert (clock.now, clock.wait_time, clock.cpu_time) == (4.5, 3.0, 1.5)
+
+    def test_a_foreign_since_charges_its_own_delta(self):
+        """Two metrics objects on one clock (a shared serving clock): a
+        charge whose ``since`` is not the last charged work adds its delta."""
+        clock = SimulatedClock(CostModel(seconds_per_unit=1.0))
+        clock.charge(5.0, 0.0)
+        clock.charge(2.0, 0.0)
+        clock.charge(3.0, 2.0)
+        assert clock.now == 8.0
 
     def test_snapshot(self):
         clock = SimulatedClock()
-        clock.charge(1)
+        clock.charge(1, 0.0)
         snap = clock.snapshot()
         assert set(snap) == {"now", "cpu_time", "wait_time"}
 

@@ -290,7 +290,7 @@ class RuleOracle:
     def sync(self):
         work = self.plan.metrics.work(self.plan.cost_model)
         if work > self.charged:
-            self.plan.clock.charge(work - self.charged)
+            self.plan.clock.charge(work, self.charged)
             self.charged = work
 
     def run_chunk(self, max_tuples, horizon):

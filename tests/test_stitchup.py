@@ -281,7 +281,7 @@ def oracle_stitchup(query, registry, num_phases, output_schema, sink, metrics):
             report["output_count"] += 1
     work = metrics.work(cost_model) - start_work
     if work > 0:
-        clock.charge(work)
+        clock.charge(metrics.work(cost_model), start_work)
     for entry in registry:
         kind = "reused_tuples" if id(entry) in touched else "discarded_tuples"
         report[kind] += entry.cardinality
