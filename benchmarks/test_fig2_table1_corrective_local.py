@@ -8,7 +8,7 @@ stitch-up time and reuse (Table 1).
 
 from __future__ import annotations
 
-from repro.experiments.common import format_table
+from repro.experiments.common import DEFAULT_BATCH_SIZE, format_table
 from repro.experiments.corrective import (
     comparison_rows,
     run_corrective_comparison,
@@ -27,7 +27,7 @@ def _group(results):
 
 def test_fig2_and_table1_corrective_local(save_result):
     results = run_corrective_comparison(
-        scale_factor=SCALE_FACTOR, forced_bad_start=True
+        scale_factor=SCALE_FACTOR, forced_bad_start=True, batch_size=DEFAULT_BATCH_SIZE
     )
     by_key = _group(results)
 

@@ -8,7 +8,7 @@ work with them.
 
 from __future__ import annotations
 
-from repro.experiments.common import format_table
+from repro.experiments.common import DEFAULT_BATCH_SIZE, format_table
 from repro.experiments.corrective import (
     comparison_rows,
     run_corrective_comparison,
@@ -26,6 +26,7 @@ def test_fig3_and_table2_corrective_wireless(save_result):
         wireless=True,
         include_plan_partitioning=False,
         forced_bad_start=True,
+        batch_size=DEFAULT_BATCH_SIZE,
     )
     save_result("fig3_corrective_wireless", format_table(comparison_rows(results)))
     save_result("table2_wireless_breakdown", format_table(stitchup_breakdown(results)))

@@ -4,7 +4,8 @@ Pins headline simulated-seconds / phase-count numbers from the seed run
 (``benchmarks/results/fig2_corrective_local.txt``, scale 0.003, seed 2004)
 behind a tolerance so that engine or cost-model regressions surface in
 tier-1, and holds the batched engine to the tuple engine's accounting on the
-same workload.  No wall-clock number is recorded or asserted here:
+same workload and on Figure 3's wireless sources.  Tuple mode is the
+reference.  No wall-clock number is recorded or asserted here:
 ``python -m bench.run`` is the instrument for those.
 
 Two layers of protection:
@@ -12,9 +13,9 @@ Two layers of protection:
 * the *simulated* numbers must stay on the golden values (deterministic
   work accounting; a 15% tolerance leaves room for deliberate cost-model
   tuning, not for accidental behaviour changes);
-* the *batched* engine must report the **same** simulated seconds, answers
-  and phase counts as tuple-at-a-time (tight tolerance — work accounting is
-  designed to be identical).
+* the *batched* engine must report the **same** simulated seconds (to the
+  last bit), answers and phase counts as tuple-at-a-time, over local and
+  wireless sources alike.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from repro.experiments.common import DEFAULT_BATCH_SIZE, build_dataset
 from repro.experiments.corrective import run_corrective_comparison
 
 SCALE_FACTOR = 0.003
+#: Figure 3's scale (``test_fig3_table2_corrective_wireless.py``)
+WIRELESS_SCALE_FACTOR = 0.002
 SEED = 2004
 QUERIES = ("Q3A", "Q10A", "Q5")
 
@@ -43,15 +46,33 @@ GOLDEN = {
 GOLDEN_RELATIVE_TOLERANCE = 0.15
 
 
-def _run(batch_size, datasets):
+def _run(batch_size, datasets, scale_factor=SCALE_FACTOR, wireless=False):
     return run_corrective_comparison(
         query_names=QUERIES,
         datasets=datasets,
-        scale_factor=SCALE_FACTOR,
+        scale_factor=scale_factor,
+        wireless=wireless,
         forced_bad_start=True,
         seed=SEED,
         batch_size=batch_size,
     )
+
+
+def _assert_batched_equals_tuple_mode(tuple_results, batched_results):
+    by_key = {(r.query_name, r.strategy, r.statistics): r for r in tuple_results}
+    batched_by_key = {
+        (r.query_name, r.strategy, r.statistics): r for r in batched_results
+    }
+    assert set(batched_by_key) == set(by_key)
+    for key, tuple_run in by_key.items():
+        batched_run = batched_by_key[key]
+        assert batched_run.answers == tuple_run.answers, key
+        assert batched_run.phases == tuple_run.phases, key
+        assert batched_run.simulated_seconds == tuple_run.simulated_seconds, (
+            f"{key}: batched simulated time diverged "
+            f"({batched_run.simulated_seconds!r} vs "
+            f"{tuple_run.simulated_seconds!r})"
+        )
 
 
 def test_golden_fig2_smoke_and_batched_speedup():
@@ -61,9 +82,6 @@ def test_golden_fig2_smoke_and_batched_speedup():
     batched_results = _run(DEFAULT_BATCH_SIZE, datasets)
 
     by_key = {(r.query_name, r.strategy, r.statistics): r for r in tuple_results}
-    batched_by_key = {
-        (r.query_name, r.strategy, r.statistics): r for r in batched_results
-    }
 
     # --- golden pins -----------------------------------------------------------
     for key, (golden_seconds, golden_phases) in GOLDEN.items():
@@ -79,15 +97,16 @@ def test_golden_fig2_smoke_and_batched_speedup():
         )
 
     # --- batched mode: identical accounting ------------------------------------
-    assert set(batched_by_key) == set(by_key)
-    for key, tuple_run in by_key.items():
-        batched_run = batched_by_key[key]
-        assert batched_run.answers == tuple_run.answers, key
-        assert batched_run.phases == tuple_run.phases, key
-        assert abs(
-            batched_run.simulated_seconds - tuple_run.simulated_seconds
-        ) <= 1e-6 * max(tuple_run.simulated_seconds, 1.0), (
-            f"{key}: batched simulated time diverged "
-            f"({batched_run.simulated_seconds!r} vs "
-            f"{tuple_run.simulated_seconds!r})"
-        )
+    _assert_batched_equals_tuple_mode(tuple_results, batched_results)
+
+
+def test_batched_wireless_runs_equal_tuple_mode():
+    """Figure 3's bursty wireless sources: batches read only what has
+    arrived, so the clock stalls exactly where tuple mode's does."""
+    datasets = {
+        "uniform": build_dataset("uniform", WIRELESS_SCALE_FACTOR, 0.0, SEED)
+    }
+    _assert_batched_equals_tuple_mode(
+        _run(None, datasets, WIRELESS_SCALE_FACTOR, wireless=True),
+        _run(DEFAULT_BATCH_SIZE, datasets, WIRELESS_SCALE_FACTOR, wireless=True),
+    )

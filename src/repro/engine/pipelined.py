@@ -56,10 +56,11 @@ class SourceCursor:
     (``arrival == 0.0`` for every row — the local-source common case).
     Chunks come from the source's ``open_stream_columns`` (one memoized
     schedule access and two slices per chunk, no per-tuple pair objects),
-    so ``peek_arrival``/``read`` are plain indexing and
-    :meth:`read_batch` is slicing — a bounded read resolves the admissible
-    prefix with one ``bisect`` over the (non-decreasing) arrival column
-    instead of a per-tuple scan.
+    so ``peek_arrival``/``read`` are plain indexing and the batch
+    scheduler's reads are slicing: :meth:`read_batch` drains what has
+    arrived by a bound and :meth:`read_run` what one source reads before a
+    runner-up, each located with a ``bisect`` over the (non-decreasing)
+    arrival column instead of a per-tuple scan.
     """
 
     DEFAULT_PREFETCH = 256
@@ -80,9 +81,6 @@ class SourceCursor:
         self.arrived_by = getattr(source, "arrived_by", None)
         if isinstance(source, Relation):
             source = LocalSource(source)
-        #: every tuple of the stream arrives at 0.0 (a local source), so a
-        #: poll chunk over it is one schedule (:meth:`PipelinedPlan.step_batch`)
-        self.local = isinstance(source, LocalSource)
         self._chunks = iter(source.open_stream_columns(self.prefetch))
         self._rows: Sequence[tuple] = ()
         self._arrivals: Sequence[float] | None = ()
@@ -170,13 +168,12 @@ class SourceCursor:
     ) -> tuple[list[tuple], float | None]:
         """Consume up to ``max_count`` tuples; return ``(rows, last_arrival)``.
 
-        The one bulk-read primitive of the batch scheduler.  With a ``bound``
-        it stops before the first tuple arriving after it — per source,
-        arrival times are non-decreasing, so the admissible prefix of a
-        buffered chunk is located with one bisect over the arrival column
-        and everything consumed is guaranteed available by ``bound``
-        (``0.0`` drains only immediately-available tuples: the local-source
-        fast path; a cooperative horizon drains what has arrived by it).
+        The batch scheduler's bulk read.  With a ``bound`` it stops before
+        the first tuple arriving after it — per source, arrival times are
+        non-decreasing, so the admissible prefix of a buffered chunk is
+        located with one bisect over the arrival column and everything
+        consumed has arrived by ``bound`` (a leader's arrival drains its
+        share of a tie, the schedule's clock reading what has arrived).
         ``None`` drains regardless of arrival time.  Returns ``([], None)``
         when nothing qualifies or the cursor is exhausted.
         """
@@ -207,27 +204,28 @@ class SourceCursor:
         return rows, last_arrival
 
     def read_run(
-        self, max_count: int, runner_up: float, tie_until: float, horizon: float | None
-    ) -> tuple[list[tuple], float]:
-        """Consume the buffered head tuple (the caller's choice: it may have won
-        a tie on leaf order alone) and the run behind it that the rule
+        self, max_count: int, runner_up: float, tie_until: float, ready: float
+    ) -> list[tuple]:
+        """Consume the buffered head tuple (the caller's choice: the rule
+        prefers it) and the run behind it that the rule
         ``(arrival, priority, consumed)`` prefers to a runner-up arriving at
-        ``runner_up``; return ``(rows, last_arrival)``.  The rule in closed form
-        over the non-decreasing arrival column: everything strictly before
+        ``runner_up``; return the rows.  The rule in closed form over the
+        non-decreasing arrival column: everything strictly before
         ``runner_up`` (``bisect_left``) and, of the plateau arriving exactly at
         it, the tuples read while :attr:`consumed` is below ``tie_until`` —
         ``inf`` for a lower priority class than the runner-up's, its consumed
         count for an equal one, 0 for a higher one.  Capped by ``max_count``,
-        ``horizon`` (``bisect_right``) and the buffer's end, where it refills.
+        what has arrived by ``ready`` (``bisect_right``) and the buffer's
+        end, where it refills.
         """
         rows: list[tuple] = []
         floor = self._pos + 1
         while True:
             pos = self._pos
             arrivals = self._arrivals or (0.0,) * len(self._rows)
-            stop = min(pos + max_count - len(rows), len(arrivals))
-            if horizon is not None:
-                stop = bisect_right(arrivals, horizon, pos, stop)
+            stop = bisect_right(
+                arrivals, ready, pos, min(pos + max_count - len(rows), len(arrivals))
+            )
             end = bisect_left(arrivals, runner_up, pos, stop)
             ties = min(stop, pos + tie_until - self.consumed - len(rows))
             if ties > end:
@@ -235,7 +233,6 @@ class SourceCursor:
             end = max(end, floor)
             if end == pos:
                 break
-            last_arrival = arrivals[end - 1]
             rows.extend(self._rows[pos:end])
             self._pos = end
             if end < len(arrivals) or len(rows) >= max_count or not self._fill():
@@ -245,7 +242,7 @@ class SourceCursor:
         if self._order_detectors:
             for row in rows:
                 self._observe_order(row)
-        return rows, last_arrival
+        return rows
 
     def failover_to(self, mirror, start_at: float | None) -> None:
         """Re-open this cursor's stream on ``mirror`` (mirror failover).
@@ -261,7 +258,6 @@ class SourceCursor:
         """
         offset = self.consumed
         self._chunks = iter(mirror.open_stream_columns(self.prefetch, offset, start_at))
-        self.local = isinstance(mirror, LocalSource)
         self._rows = ()
         self._arrivals = ()
         self._pos = 0
@@ -510,9 +506,7 @@ class PhaseStatistics:
     consumed_per_relation: dict[str, int] = field(default_factory=dict)
 
 
-def _add_rows(
-    groups: list[list], binding: LeafBinding, rows: list[tuple], last_arrival: float
-) -> None:
+def _add_rows(groups: list[tuple], binding: LeafBinding, rows: list[tuple]) -> None:
     """Merge one scheduled run into its leaf's group (first-grant order).
 
     A plan has a handful of leaves, so the group is found by scanning.
@@ -520,10 +514,8 @@ def _add_rows(
     for group in groups:
         if group[0] is binding:
             group[1].extend(rows)
-            if last_arrival > group[2]:
-                group[2] = last_arrival
             return
-    groups.append([binding, rows, last_arrival])
+    groups.append((binding, rows))
 
 
 #: tuple drive-loop entry -> its read key
@@ -536,20 +528,22 @@ class PipelinedPlan:
     ``batch_size`` selects the execution granularity.  ``None`` (the default)
     is the paper's tuple-at-a-time mode: one :meth:`step` reads one source
     tuple and fully propagates it.  An integer enables batch-at-a-time mode:
-    one step (:meth:`step_batch`) reads up to ``batch_size`` source tuples —
-    **in exactly the per-source counts the tuple-at-a-time scheduler would
-    have chosen** — and propagates them through the join network as whole
-    batches.  Because a batch is always fully propagated before the step
-    ends, the plan is in a consistent state between steps, so suspension,
-    monitoring and corrective plan switching keep working, just at batch
-    granularity.
+    one step (:meth:`step_batch`) reads the source tuples that have arrived,
+    up to its budget — **in exactly the per-source counts the tuple-at-a-time
+    scheduler would have chosen** — and propagates them through the join
+    network in batches of at most ``batch_size``.  Because a step always
+    fully propagates what it read, the plan is in a consistent state between
+    steps, so suspension, monitoring and corrective plan switching keep
+    working, just at step granularity.
 
     The batch path has one shape, whatever the engine mode::
 
-        _read_schedule  ->  [binding, rows, last_arrival] groups
-        step_batch      ->  per group: sync clock, wait_until(last_arrival)
-                            (only if last_arrival > 0.0), kernel(rows) in
-                            slices of at most batch_size rows
+        step_batch      ->  ready = the clock's last reading (capped by the
+                            horizon); if nothing has arrived by then: sync
+                            the clock, wait_until(next_arrival())
+        _read_schedule  ->  (binding, rows) groups, all arrived by ready
+        step_batch      ->  per group: kernel(rows) in slices of at most
+                            batch_size rows
 
     :meth:`_read_schedule` is the only batch scheduler and :meth:`step_batch`
     the only batch driver.  ``engine_mode`` picks nothing but the per-leaf
@@ -896,7 +890,8 @@ class PipelinedPlan:
     @staticmethod
     def _zero_quotas(counts: list[int], budget: int) -> list[int]:
         """How many tuples the least-consumed-first scheduler grants each of
-        several equally available (zero-arrival) sources out of ``budget``.
+        several equally available sources (tied on arrival and priority
+        class) out of ``budget``.
 
         Water-filling: raise every count to a common level ``L``, then hand
         the remainder one tuple each to the first eligible sources in leaf
@@ -935,142 +930,101 @@ class PipelinedPlan:
             quotas.append(quota)
         return quotas
 
-    def _read_schedule(
-        self, max_tuples: int, horizon: float | None = None
-    ) -> list[list]:
-        """Read up to ``max_tuples`` source tuples, grouped per leaf.
+    def _read_schedule(self, budget: int, ready: float) -> list[tuple]:
+        """Read up to ``budget`` source tuples that have arrived by ``ready``,
+        grouped per leaf.
 
         The only batch scheduler: every batch of either engine mode is cut
-        here.  The batch consumes **exactly as many tuples from each source**
-        as the tuple-at-a-time scheduler (:meth:`_drive_tuples`) would
-        consume in ``max_tuples`` steps.  For a symmetric-hash-join network
-        every boundary observable — result multiset, per-leaf pass counts,
-        node output counts, work counters (and hence the simulated clock on
-        immediately-available sources) — depends only on those per-source
-        counts, not on the interleaving, so monitor observations and
-        re-optimizer decisions taken at chunk boundaries are identical for
-        every batch size.  Freed from replaying the exact interleaving, the
-        schedule coalesces each source's share into one contiguous per-leaf
-        run, which is what makes whole-batch propagation worthwhile.
+        here.  It consumes **exactly the tuples the tuple-at-a-time rule**
+        (:meth:`_drive_tuples`) reads next, in the same per-source counts,
+        as far as they have arrived by ``ready``.  For a symmetric-hash-join
+        network every boundary observable — result multiset, per-leaf pass
+        counts, node output counts, work counters and hence the simulated
+        clock — depends only on those per-source counts, not on the
+        interleaving, so monitor observations and re-optimizer decisions
+        taken at chunk boundaries are identical for every batch size.  Freed
+        from replaying the exact interleaving, the schedule coalesces each
+        source's share into one contiguous per-leaf run, which is what makes
+        whole-batch propagation worthwhile.
 
-        Two regimes:
+        Each round finds the *leader*, the minimum (arrival, priority class,
+        consumed) among the sources whose next tuple has arrived, and the
+        sources tied with it on (arrival, class):
 
-        * *zero-arrival fast path* — while every live source's next tuple has
-          arrival 0.0 (local data), the scheduler's least-consumed-first
-          round-robin is computed arithmetically (:meth:`_zero_quotas`) and
-          each quota is drained with one bounded bulk read.  One round
-          grants the whole budget unless a source runs dry inside its
-          quota, so the first round's runs *are* the groups and only later
-          rounds merge.  On local sources :meth:`step_batch` passes a whole
-          poll chunk's budget, and this path is all the schedule runs;
-        * *arrival-driven loop* — otherwise the minimum (arrival, priority,
-          consumed) key picks the source exactly like :meth:`_drive_tuples`,
-          and the whole run it stays ahead of the runner-up for is cut from
-          its arrival column by :meth:`SourceCursor.read_run`, in bisects.
+        * several tied sources share that arrival's plateau
+          least-consumed-first: the rule's round-robin is computed
+          arithmetically (:meth:`_zero_quotas`) and each quota is drained
+          with one :meth:`SourceCursor.read_batch` bounded by the arrival.
+          On local sources every arrival is 0.0, so this is all a schedule
+          does, and one round grants the whole budget unless a source runs
+          dry inside its quota: the first round's runs *are* the groups and
+          only later rounds merge;
+        * a lone leader whose runner-up has not arrived by ``ready`` drains
+          what it has that has, with one ``read_batch``;
+        * a lone leader racing an arrived runner-up reads the run it stays
+          ahead for, cut from its arrival column by
+          :meth:`SourceCursor.read_run`, in bisects.
 
-        ``horizon`` (cooperative serving mode) stops the schedule at the
-        first tuple whose arrival lies beyond it, so a batch never makes the
-        caller stall the (shared) clock waiting for future data.  ``None``
-        (the default, and the solo execution path) keeps the blocking
-        behaviour and its exact tuple-at-a-time equivalence contract.
-
-        Returns ``[binding, rows, last_arrival]`` groups in first-grant order.
+        Returns ``(binding, rows)`` groups in first-grant order.
         """
-        budget = max_tuples
         pairs = self._leaf_pairs
         priorities = self.read_priorities
-        groups: list[list] = []
-
-        # -- zero-arrival fast path --------------------------------------------
+        groups: list[tuple] = []
         merging = False
         while budget > 0:
-            zero_pairs = []
-            any_pending = False
+            lead_arrival = math.inf
+            lead_class = 0
+            tied: list[tuple] = []
+            arrived = 0
             for pair in pairs:
                 arrival = pair[1].peek_arrival()
-                if arrival is None:
+                if arrival is None or arrival > ready:
                     continue
-                any_pending = True
-                if arrival <= 0.0:
-                    zero_pairs.append(pair)
-            if not zero_pairs:
+                arrived += 1
+                rank = priorities.get(pair[0].relation, 0) if priorities else 0
+                if arrival < lead_arrival or (
+                    arrival == lead_arrival and rank < lead_class
+                ):
+                    lead_arrival, lead_class = arrival, rank
+                    tied = [pair]
+                elif arrival == lead_arrival and rank == lead_class:
+                    tied.append(pair)
+            if not tied:
                 break
-            if priorities:
-                # Drain priority classes in order: the tuple-at-a-time rule
-                # (arrival, priority, consumed) never touches a demoted
-                # source while a healthier one has available data.  Rounds of
-                # the enclosing loop fall through to the next class once this
-                # one stops yielding.
-                top = min(
-                    priorities.get(binding.relation, 0) for binding, _ in zero_pairs
-                )
-                zero_pairs = [
-                    pair
-                    for pair in zero_pairs
-                    if priorities.get(pair[0].relation, 0) == top
+            if len(tied) > 1:
+                quotas = self._zero_quotas([cursor.consumed for _, cursor in tied], budget)
+                runs = [
+                    (binding, cursor.read_batch(quota, lead_arrival)[0])
+                    for (binding, cursor), quota in zip(tied, quotas)
+                    if quota > 0
                 ]
-            quotas = self._zero_quotas(
-                [cursor.consumed for _, cursor in zero_pairs], budget
-            )
-            delivered = 0
-            for (binding, cursor), quota in zip(zero_pairs, quotas):
-                if quota <= 0:
-                    continue
-                rows, _ = cursor.read_batch(quota, 0.0)
-                if rows:
-                    delivered += len(rows)
-                    if merging:
-                        _add_rows(groups, binding, rows, 0.0)
-                    else:
-                        groups.append([binding, rows, 0.0])
-            budget -= delivered
-            if delivered == 0:
-                break
-            merging = True
-        if budget <= 0 or not any_pending:
-            return groups
-
-        # -- arrival-driven loop -----------------------------------------------
-        # Rank = (priority class, consumed): the lexicographic (arrival, rank)
-        # order below then matches the tuple-at-a-time rule
-        # (arrival, priority, consumed) exactly — with no overrides every
-        # class is 0 and the order is plain (arrival, consumed).
-        def rank(name: str, cursor: SourceCursor):
-            return (priorities.get(name, 0), cursor.consumed)
-        entries = []
-        for binding, cursor in pairs:
-            arrival = cursor.peek_arrival()
-            if arrival is not None:
-                entries.append(
-                    [arrival, rank(binding.relation, cursor), binding, cursor]
-                )
-        while budget > 0 and entries:
-            best = entries[0]
-            # the runner-up's key: with one live source left, one never reached
-            second_key = (math.inf, (math.inf, math.inf))
-            for entry in entries[1:]:
-                if entry[0] < best[0] or (entry[0] == best[0] and entry[1] < best[1]):
-                    second_key = (best[0], best[1])
-                    best = entry
-                elif (entry[0], entry[1]) < second_key:
-                    second_key = (entry[0], entry[1])
-            if horizon is not None and best[0] > horizon:
-                break
-            binding, cursor = best[2], best[3]
-            # The run this cursor stays ahead for (under a horizon: has arrived
-            # for); an arrival tie goes by priority class, then consumed count.
-            runner_up, (second_class, tie_until) = second_key
-            if best[1][0] != second_class:
-                tie_until = math.inf if best[1][0] < second_class else 0
-            rows, arrival = cursor.read_run(budget, runner_up, tie_until, horizon)
-            budget -= len(rows)
-            _add_rows(groups, binding, rows, arrival)
-            next_arrival = cursor.peek_arrival()
-            if next_arrival is None:
-                entries.remove(best)
             else:
-                best[0] = next_arrival
-                best[1] = rank(binding.relation, cursor)
+                binding, cursor = tied[0]
+                if arrived == 1:
+                    rows = cursor.read_batch(budget, ready)[0]
+                else:
+                    runner = (math.inf, 0, 0)
+                    for other_binding, other in pairs:
+                        if other is cursor:
+                            continue
+                        arrival = other.peek_arrival()
+                        if arrival is not None and arrival <= ready:
+                            rank = priorities.get(other_binding.relation, 0)
+                            runner = min(runner, (arrival, rank, other.consumed))
+                    # An arrival tie goes by priority class, then consumed count.
+                    runner_up, runner_class, tie_until = runner
+                    if runner_class != lead_class:
+                        tie_until = math.inf if lead_class < runner_class else 0
+                    rows = cursor.read_run(budget, runner_up, tie_until, ready)
+                runs = [(binding, rows)]
+            for binding, rows in runs:
+                if rows:
+                    budget -= len(rows)
+                    if merging:
+                        _add_rows(groups, binding, rows)
+                    else:
+                        groups.append((binding, rows))
+            merging = True
         return groups
 
     def _build_kernels(self) -> dict[str, Callable[[list], None]]:
@@ -1098,48 +1052,46 @@ class PipelinedPlan:
     def step_batch(
         self, max_tuples: int | None = None, horizon: float | None = None
     ) -> int:
-        """Read one batch of source tuples and fully propagate it.
+        """Read one batch of source tuples that have arrived and fully
+        propagate it.
 
         The only batch driver: :meth:`_read_schedule` cuts the batch into
         per-leaf groups, and each group is handed to its leaf's kernel
-        (:meth:`_build_kernels`).  Returns the number of source tuples
-        consumed (0 when exhausted, or — under a ``horizon`` — when every
-        pending tuple arrives after it).
+        (:meth:`_build_kernels`) in calls of at most ``batch_size`` rows.
+        Returns the number of source tuples consumed (0 when exhausted, or —
+        under a ``horizon`` — when every pending tuple arrives after it).
 
-        The schedule's budget is ``batch_size``, clipped to ``max_tuples``
-        (which :meth:`run_chunk` passes to land on exact tuple boundaries) —
-        except when ``max_tuples`` is larger and every cursor reads a local
-        source: then nothing can stall, and one schedule water-fills
-        all ``max_tuples``.  Groups run in order, each in kernel calls of at
-        most ``batch_size`` rows; a group whose last arrival lies after 0.0
-        first syncs the clock and waits for it.  The clock is exact, so a
-        zero-arrival group needs no sync: the next one charges the same time.
+        The schedule's budget is ``max_tuples`` (what is left of a
+        :meth:`run_chunk`), else ``batch_size``, and it reads only tuples
+        that have arrived by the clock's last reading (never past
+        ``horizon``), so no group waits.  Only when nothing has arrived by
+        then is the clock synced, and if still nothing has, it stalls once
+        until the next arrival — the tuple rule's stall, after the same work
+        — and the schedule reads up to the new reading.  The clock is exact,
+        so simulated seconds equal the tuple rule's on every source.
         """
         limit = self.batch_size if self.batch_size is not None else 1
-        if max_tuples is not None and max_tuples < limit:
-            limit = max_tuples
+        budget = limit if max_tuples is None else max_tuples
+        if budget < limit:
+            limit = budget
         if limit < 1:
             return 0
         kernels = self._kernels
         if kernels is None:
             kernels = self._kernels = self._build_kernels()
-        local = (
-            max_tuples is not None
-            and max_tuples > limit
-            and all(cursor.local for _, cursor in self._leaf_pairs)
-        )
-        groups = self._read_schedule(max_tuples if local else limit, horizon)
+        clock = self.clock
+        ceiling = math.inf if horizon is None else horizon
+        groups = self._read_schedule(budget, min(clock.now, ceiling))
         if not groups:
-            return 0
+            self._sync_clock()
+            arrival = self.next_arrival()
+            if arrival is None or arrival > ceiling:
+                return 0
+            clock.wait_until(arrival)
+            groups = self._read_schedule(budget, min(clock.now, ceiling))
         self.metrics.batches_read += 1
         total = 0
-        for binding, rows, last_arrival in groups:
-            if last_arrival > 0.0:
-                # Charge the work accrued so far (including earlier groups of
-                # this batch) before stalling on arrivals, narrowing the
-                # simulated-clock gap to tuple-at-a-time on delayed sources.
-                self._sync_clock()
-                self.clock.wait_until(last_arrival)
+        for binding, rows in groups:
             kernel = kernels[binding.relation]
             total += len(rows)
             if len(rows) <= limit:
@@ -1184,9 +1136,10 @@ class PipelinedPlan:
         tuple positions regardless of batch size — which is what makes phase
         counts comparable (and differential-testable) across batch sizes.
 
-        In batched mode the remaining chunk goes to :meth:`step_batch` as
-        its cap: on local sources the whole chunk is one schedule (one
-        ``batches_read``), elsewhere it is cut into ``batch_size`` batches.
+        In batched mode what is left of the chunk is :meth:`step_batch`'s
+        budget: one schedule reads all of it that has arrived (on local
+        sources the whole chunk, one ``batches_read``), and ``batch_size``
+        bounds only each kernel call.
 
         With a ``horizon`` (cooperative serving mode) the chunk stops before
         the first tuple that arrives after it, instead of stalling the clock:

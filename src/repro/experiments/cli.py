@@ -159,11 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "fig2, fig3: execute the engines batch-at-a-time with this batch "
-            "size (default: tuple-at-a-time, as in the paper).  Results are "
-            "identical and regeneration is much faster; simulated timings "
-            "are bit-identical for local experiments (fig2) and may drift "
-            "~1%% for wireless ones (fig3).  A usage error with any other "
-            "experiment."
+            "size (default: tuple-at-a-time, as in the paper).  Results, "
+            "phases and simulated timings are bit-identical and regeneration "
+            "is much faster.  A usage error with any other experiment."
         ),
     )
     parser.add_argument(

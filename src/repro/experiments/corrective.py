@@ -109,11 +109,10 @@ def run_corrective_comparison(
     """Run the Figure 2 (or Figure 3, with ``wireless=True``) comparison.
 
     ``batch_size`` selects the engines' execution granularity (``None`` =
-    tuple-at-a-time).  Results are identical either way; simulated seconds
-    are bit-identical for the local experiments (Figure 2) and may drift by
-    ~1% for the wireless ones (Figure 3), where arrival waits and work
-    charges interleave differently within a batch.  Only the wall-clock cost
-    of regenerating the experiment changes materially.
+    tuple-at-a-time).  Results, phase counts and simulated seconds are
+    bit-identical either way, for the local experiments (Figure 2) and the
+    wireless ones (Figure 3) alike.  Only the wall-clock cost of
+    regenerating the experiment changes.
 
     A batched run goes through the fused compiled batch pipelines unless
     ``engine_mode="interpreted"`` asks for the reference kernel — results,

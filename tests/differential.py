@@ -13,17 +13,14 @@ one through every engine configuration:
   therefore stitch-up and phase accounting) get exercised.
 
 Every configuration must produce the **identical multiset** of result rows,
-and — on local (immediately-available) sources — every corrective
-configuration must report the **identical number of corrective phases** and
-the **identical simulated seconds** (``repr``-equal).  Both hold by
-construction there: batches consume the same per-source tuple counts at
-every poll boundary as tuple-at-a-time execution (see
-``PipelinedPlan._read_schedule``), and on local sources the simulated clock
-that drives polling is a pure function of the work done, rounded once.  On
-remote sources the clock can drift slightly within a batch (arrival waits
-and work charges interleave differently; ROADMAP item 14), so phase counts
-and clocks are recorded but not asserted equal; the result multisets still
-must match exactly.
+and every corrective configuration must report the **identical number of
+corrective phases** and the **identical simulated seconds** (``repr``-equal),
+on local and remote sources alike.  Both hold by construction: batches
+consume the same per-source tuple counts at every poll boundary as
+tuple-at-a-time execution, read only tuples that have arrived by the clock's
+reading and stall only where the tuple rule stalls (see
+``PipelinedPlan._read_schedule`` and ``step_batch``), and the simulated
+clock that drives polling is a function of the work done and those stalls.
 
 All aggregate input values are integers, so grouped sums compare exactly
 regardless of the order in which each engine folds them.
@@ -832,22 +829,17 @@ def assert_differential_case(result: DifferentialResult) -> None:
             f"query:\n{result.workload.query.describe()}"
         )
     assert all(count >= 1 for count in result.phase_counts.values())
-    if not result.workload.remote:
-        # Guaranteed by construction only on local sources, where the
-        # clock driving the corrective poll loop is a pure function of the
-        # (batch-size-invariant) per-source consumption counts.  Remote
-        # sources stall at batch granularity (ROADMAP item 14).
-        phase_counts = set(result.phase_counts.values())
-        assert len(phase_counts) <= 1, (
-            f"seed {result.seed}: corrective phase counts diverge across "
-            f"batch sizes: {result.phase_counts} for query "
-            f"{result.workload.query.name}"
-        )
-        assert len(set(result.clocks.values())) == 1, (
-            f"seed {result.seed}: corrective simulated seconds diverge "
-            f"across engine modes: {result.clocks} for query "
-            f"{result.workload.query.name}"
-        )
+    phase_counts = set(result.phase_counts.values())
+    assert len(phase_counts) <= 1, (
+        f"seed {result.seed}: corrective phase counts diverge across "
+        f"batch sizes: {result.phase_counts} for query "
+        f"{result.workload.query.name}"
+    )
+    assert len(set(result.clocks.values())) == 1, (
+        f"seed {result.seed}: corrective simulated seconds diverge "
+        f"across engine modes: {result.clocks} for query "
+        f"{result.workload.query.name}"
+    )
 
 
 def run_sharded_workloads(

@@ -426,11 +426,11 @@ class TestEngineModeSurface:
         self, r_rows, priorities
     ):
         """Local ``r`` runs dry inside its water-filled quota while delayed
-        ``s`` still has future arrivals, so one batch spans the zero phase
-        *and* the arrival loop: with 5 rows the residue merges into the group
-        ``s`` already got for its one immediate tuple (batch 1), with 24 it
-        becomes a fresh group (batch 4).  After every batch the three modes
-        must agree; compiled and interpreted-batched to the last bit."""
+        ``s`` still has future arrivals (5 rows: in the first batch; 24: a
+        few batches in).  A batch reads only what has arrived by the clock
+        reading it is scheduled at, so none spans ready and future tuples,
+        and after every batch the three modes agree to the last bit —
+        clocks included, once each has charged its work."""
         query, sources = _tiny_workload()
         sources["r"] = Relation("r", sources["r"].schema, sources["r"].rows[:r_rows])
         sources["s"] = RemoteSource(sources["s"], ConstantRateNetworkModel(1000.0))
@@ -466,9 +466,16 @@ class TestEngineModeSurface:
         (tuple_plan, tuple_out), (batched, batched_out), (compiled, compiled_out) = (
             build(None), build(8), build(8, "compiled")
         )
-        mixed_batches = 0
+        # the clock reading at each schedule the batched plan cuts
+        scheduled_at = []
+        schedule, clock = batched._read_schedule, batched.clock
+
+        def recorded_schedule(*args):
+            scheduled_at.append(clock.now)
+            return schedule(*args)
+
+        batched._read_schedule = recorded_schedule
         while True:
-            before = batched.consumed_counts()
             read = batched.step_batch()
             assert compiled.step_batch() == read
             if read == 0:
@@ -479,22 +486,16 @@ class TestEngineModeSurface:
             assert observables(batched, batched_out) == observables(tuple_plan, tuple_out)
             assert compiled.metrics.batches_read == batched.metrics.batches_read
             assert compiled.clock.now == batched.clock.now
-            # Only s's first tuple is immediate; the rest of s arrives later.
-            after = batched.consumed_counts()
-            first_s = 1 if before["s"] == 0 < after["s"] else 0
-            immediate = after["r"] - before["r"] + first_s
-            delayed = after["s"] - before["s"] - first_s
-            mixed_batches += immediate > 0 and delayed > 0
-            # A merged group waits for its *latest* run: nothing is consumed
-            # before it has arrived.
-            if after["s"]:
-                assert batched.clock.now >= sources["s"].arrival_schedule[after["s"] - 1]
+            # Nothing consumed arrives after the reading it was scheduled at.
+            consumed_s = batched.consumed_counts()["s"]
+            if consumed_s:
+                assert sources["s"].arrival_schedule[consumed_s - 1] <= scheduled_at[-1]
+            for plan in (tuple_plan, batched, compiled):
+                plan.finish_phase()
+            assert repr(batched.clock.now) == repr(tuple_plan.clock.now)
+            assert repr(compiled.clock.now) == repr(tuple_plan.clock.now)
         assert not tuple_plan.step()
-        assert mixed_batches, "no batch spanned the zero phase and the arrival loop"
         assert sorted(batched_out)
-        # Waits dominate this run, so even tuple mode's clock (whose waits and
-        # charges interleave differently) lands on the last arrival.
-        assert batched.clock.now == pytest.approx(tuple_plan.clock.now, rel=1e-3)
 
 
 class TestRecompilation:

@@ -5,9 +5,8 @@ queries over randomized workloads, each executed by the brute-force
 reference, the static executor, the tuple-at-a-time pipelined engine, the
 batched engine (batch sizes 1, 7, 64, 1024) and the corrective processor in
 both modes.  All must produce identical multisets of result rows, and all
-corrective configurations must report identical final phase counts (asserted
-on local workloads, where the invariant holds by construction; remote
-workloads still assert result equality).
+corrective configurations must report identical final phase counts and
+``repr``-equal simulated seconds, on local and remote workloads alike.
 
 A meta-test then checks the generated population actually covers the
 interesting regimes (aggregation, multi-phase corrective runs, empty inputs,

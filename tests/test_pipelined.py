@@ -222,7 +222,6 @@ class CountingCursor(SourceCursor):
         self.log = log
         self.peeks = 0
         self.fills_when_exhausted = 0
-        self.saw_a_delay = False
 
     def peek_arrival(self):
         self.peeks += 1
@@ -231,9 +230,7 @@ class CountingCursor(SourceCursor):
     def _fill(self):
         if self.exhausted:
             self.fills_when_exhausted += 1
-        filled = super()._fill()
-        self.saw_a_delay |= filled and bool(self._arrivals)
-        return filled
+        return super()._fill()
 
     def _take(self):
         self.log.append(self.name)
@@ -601,8 +598,7 @@ class TestBisectedRun:
                 fail_over(case, (plan, rule_plan))
             plan.read_priorities = dict(priorities)
             rule_plan.read_priorities = dict(priorities)
-            # One horizon for both: off immediately-available data the batch
-            # clock may differ from the tuple clock, the reads may not.
+            # The clocks agree to the last bit, so one horizon serves both.
             horizon = None if ahead is None else rule_plan.clock.now + ahead
             ran = plan.run_chunk(size, horizon=horizon)
             assert ran == oracle.run_chunk(size, horizon)
@@ -611,11 +607,9 @@ class TestBisectedRun:
             expected["batches_read"] = plan.metrics.batches_read
             assert plan.metrics.as_dict() == expected
             assert sorted(outputs) == sorted(rule_outputs)
-            if not any(c.saw_a_delay for c in plan.cursors.values()):
-                # immediately-available data: the same work, hence the same
-                # clock — to rounding, a batch charges a group's work in one
-                # addition where the rule charges every step's
-                assert plan.clock.now == pytest.approx(rule_plan.clock.now, rel=1e-12)
+            # A batch reads only what has arrived and stalls where the rule
+            # does, after the same work: the same clock, on every source.
+            assert repr(plan.clock.now) == repr(rule_plan.clock.now)
         assert plan.sources_exhausted and rule_plan.sources_exhausted
 
     def test_a_run_stops_inside_a_plateau_at_the_runner_ups_count(self):
