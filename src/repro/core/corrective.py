@@ -52,13 +52,15 @@ from repro.relational.tuples import TupleAdapter
 
 @dataclass
 class CorrectiveTick:
-    """One cooperative-scheduling step of an incremental corrective run.
+    """One scheduling step of an incremental corrective run.
 
     Yielded by :meth:`CorrectiveQueryProcessor.execute_incremental` after the
     plan for a phase is built (``tuples_processed == 0``) and after every
-    chunk of source tuples.  A multi-query scheduler uses ``next_arrival`` to
-    decide whether granting this query another quantum would stall the shared
-    clock, and ``consumed`` to estimate how much work remains.
+    quantum that read source tuples: one chunk in cooperative mode, one poll
+    window (every chunk up to the next monitor poll) in blocking mode.  A
+    multi-query scheduler uses ``next_arrival`` to decide whether granting
+    this query another quantum would stall the shared clock, and
+    ``consumed`` to estimate how much work remains.
     """
 
     phase_id: int
@@ -214,9 +216,9 @@ class CorrectiveQueryProcessor:
         """Generator form of :meth:`execute` for cooperative multi-query serving.
 
         Yields a :class:`CorrectiveTick` after the plan for each phase is
-        built and after every chunk of up to ``poll_step_limit`` source
-        tuples, so a scheduler can interleave several queries' executions on
-        one shared ``clock`` (pass the shared :class:`SimulatedClock`; by
+        built and after every quantum that read source tuples, so a
+        scheduler can interleave several queries' executions on one shared
+        ``clock`` (pass the shared :class:`SimulatedClock`; by
         default a private clock is created and the run is identical to
         :meth:`execute`).  The final report is the generator's return value
         (``StopIteration.value``).
@@ -233,8 +235,12 @@ class CorrectiveQueryProcessor:
         scheduler can overlap this query's I/O waits with other queries'
         work; the driver must then only resume the generator once progress
         is possible (the tick's ``next_arrival`` has been reached), as
-        :class:`~repro.serving.server.QueryServer` does.  The default
-        (blocking) mode stalls the private clock exactly like :meth:`execute`.
+        :class:`~repro.serving.server.QueryServer` does; a quantum is one
+        chunk of up to ``poll_step_limit`` tuples.  The default (blocking)
+        mode stalls the clock instead, and its quantum is one *poll window*:
+        a single ``run_chunk(poll_step_limit, until=next_poll)`` runs every
+        chunk up to the next monitor poll, at the chunk boundaries a loop of
+        single chunks would take, so the run equals :meth:`execute`.
         """
         wall_start = wall_now()
         metrics = ExecutionMetrics()
@@ -361,8 +367,10 @@ class CorrectiveQueryProcessor:
                 next_poll = clock.now + options.polling_interval_seconds
                 progressed = False
                 while clock.now < next_poll:
-                    horizon = clock.now if cooperative else None
-                    ran = plan.run_chunk(poll_step_limit, horizon=horizon)
+                    if cooperative:
+                        ran = plan.run_chunk(poll_step_limit, horizon=clock.now)
+                    else:
+                        ran = plan.run_chunk(poll_step_limit, until=next_poll)
                     progressed = progressed or ran > 0
                     if ran > 0:
                         own_wait_seconds += clock.wait_time - wait_mark

@@ -234,11 +234,15 @@ class GroupAccumulator:
         return fold
 
     def results(self) -> list[tuple]:
-        """Finalize and return one output tuple per group."""
-        output = []
-        for key, states in self._groups.items():
-            finals = tuple(
-                agg.finalize(state) for agg, state in zip(self.aggregates, states)
-            )
-            output.append(key + finals)
-        return output
+        """Finalize and return one output tuple per group.
+
+        Only ``avg`` finalizes its state; without one, a group's states are
+        its output values as they stand.
+        """
+        aggregates = self.aggregates
+        if all(agg.function != "avg" for agg in aggregates):
+            return [key + tuple(states) for key, states in self._groups.items()]
+        return [
+            key + tuple(agg.finalize(state) for agg, state in zip(aggregates, states))
+            for key, states in self._groups.items()
+        ]

@@ -1126,12 +1126,18 @@ class PipelinedPlan:
         self._finalize_statistics()
         return steps
 
-    def run_chunk(self, max_tuples: int, horizon: float | None = None) -> int:
-        """Process up to ``max_tuples`` source tuples; return how many ran.
+    def run_chunk(
+        self,
+        max_tuples: int,
+        horizon: float | None = None,
+        until: float | None = None,
+    ) -> int:
+        """Process chunks of up to ``max_tuples`` source tuples; return how
+        many tuples ran.
 
         Unlike :meth:`run`, the cap is expressed in *tuples* in both modes,
         and the final batch is clipped so the chunk ends on exactly the
-        requested tuple boundary.  The corrective processor polls its monitor
+        requested tuple boundary.  The corrective processor checks its clock
         at chunk boundaries, so plan-switch decisions are taken at identical
         tuple positions regardless of batch size — which is what makes phase
         counts comparable (and differential-testable) across batch sizes.
@@ -1141,21 +1147,35 @@ class PipelinedPlan:
         sources the whole chunk, one ``batches_read``), and ``batch_size``
         bounds only each kernel call.
 
+        Without ``until`` this is one chunk.  With ``until`` (a blocking
+        run's next poll) it is one *poll window*: chunk after chunk, the
+        clock synced after each, until the clock reaches ``until`` or a chunk
+        comes up short — the same chunks, and so the same poll positions, as
+        a loop of single-chunk calls checking the clock between them.
+
         With a ``horizon`` (cooperative serving mode) the chunk stops before
         the first tuple that arrives after it, instead of stalling the clock:
         a multi-query scheduler can then overlap this plan's wait with other
         queries' work.  A return of 0 with :attr:`sources_exhausted` still
         false means "blocked until :meth:`next_arrival`".
         """
-        if self.batch_size is None:
-            processed = self._drive_tuples(max_tuples, horizon)
-        else:
-            processed = 0
-            while processed < max_tuples:
-                read = self.step_batch(max_tuples - processed, horizon=horizon)
-                if read == 0:
-                    break
-                processed += read
+        processed = 0
+        while True:
+            if self.batch_size is None:
+                ran = self._drive_tuples(max_tuples, horizon)
+            else:
+                ran = 0
+                while ran < max_tuples:
+                    read = self.step_batch(max_tuples - ran, horizon=horizon)
+                    if read == 0:
+                        break
+                    ran += read
+            processed += ran
+            if until is None or ran < max_tuples:
+                break
+            self._sync_clock()
+            if self.clock.now >= until:
+                break
         self._flush_stages()
         self._sync_clock()
         self._finalize_statistics()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from repro.engine.state.base import StateStructure
@@ -72,8 +73,7 @@ class HashTableState(StateStructure):
         return self._buckets
 
     def scan(self) -> Iterator[tuple]:
-        for bucket in self._buckets.values():
-            yield from bucket
+        return chain.from_iterable(self._buckets.values())
 
     def __len__(self) -> int:
         return self._count

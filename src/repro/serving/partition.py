@@ -33,7 +33,9 @@ expose local rows can be partitioned; remote sources stay broadcast.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from operator import add
 from zlib import crc32
 
 from repro.relational.algebra import AggregateSpec, SPJAQuery
@@ -228,52 +230,57 @@ def merge_partition_results(
         return merged, canonical
 
     # Aggregation: fold fragment partials per group key, then finalize.
-    group_names = list(aggregation.group_attributes)
-    fragment_names = list(plan.fragment.aggregation.output_attributes)  # type: ignore[union-attr]
+    width = len(aggregation.group_attributes)
+    partial_aggregation = plan.fragment.aggregation
+    assert partial_aggregation is not None
+    partial_layout = Schema.from_names(partial_aggregation.output_attributes)
+    merges = [
+        _PARTIAL_MERGES[aggregate.function]
+        for aggregate in partial_aggregation.aggregates
+    ]
     states: dict[tuple, list[object]] = {}
-    order: list[tuple] = []
     for fragment in ordered:
-        rows = _permuted_rows(
-            fragment.report.rows,
-            fragment.report.schema,
-            Schema.from_names(fragment_names),
-        )
-        for row in rows:
-            key = tuple(row[: len(group_names)])
-            partials = list(row[len(group_names) :])
-            if key not in states:
-                states[key] = partials
-                order.append(key)
+        for row in _permuted_rows(
+            fragment.report.rows, fragment.report.schema, partial_layout
+        ):
+            key = row[:width]
+            state = states.get(key)
+            if state is None:
+                states[key] = list(row[width:])
                 continue
-            state = states[key]
-            for position, value in enumerate(partials):
-                state[position] = _merge_partial_column(
-                    plan.fragment, position, state[position], value
-                )
-    merged_rows: list[tuple] = []
-    for key in order:
-        merged_rows.append(key + _finalize_group(plan, states[key]))
+            partials = row[width:]
+            for position, merge in enumerate(merges):
+                state[position] = merge(state[position], partials[position])
+    if all(aggregate.function != "avg" for aggregate in aggregation.aggregates):
+        # No ``avg`` was rewritten: every merged partial is its final value.
+        merged_rows = [key + tuple(state) for key, state in states.items()]
+    else:
+        merged_rows = [
+            key + _finalize_group(plan, state) for key, state in states.items()
+        ]
     return merged_rows, Schema.from_names(aggregation.output_attributes)
 
 
-def _merge_partial_column(
-    fragment: SPJAQuery, position: int, state: object, value: object
-) -> object:
-    aggregation = fragment.aggregation
-    assert aggregation is not None
-    aggregate = aggregation.aggregates[position]
-    function = aggregate.function
-    if function in ("sum", "count"):
-        return state + value  # type: ignore[operator]
-    if function == "min":
-        if value is None:
-            return state
-        return value if state is None or value < state else state  # type: ignore[operator]
-    if function == "max":
-        if value is None:
-            return state
-        return value if state is None or value > state else state  # type: ignore[operator]
-    raise AssertionError(f"unexpected partial aggregate {function!r}")
+def _merge_min(state: object, value: object) -> object:
+    if value is None:
+        return state
+    return value if state is None or value < state else state  # type: ignore[operator]
+
+
+def _merge_max(state: object, value: object) -> object:
+    if value is None:
+        return state
+    return value if state is None or value > state else state  # type: ignore[operator]
+
+
+#: how two partials of one column fold, by the fragment aggregate's function
+#: (:func:`fragment_query` leaves no other function in a fragment)
+_PARTIAL_MERGES: dict[str, Callable[[object, object], object]] = {
+    "sum": add,
+    "count": add,
+    "min": _merge_min,
+    "max": _merge_max,
+}
 
 
 def _finalize_group(plan: PartitionPlan, partials: list[object]) -> tuple:

@@ -59,6 +59,7 @@ class QuerySession:
         self.state = self.PENDING
         self.started_at: float | None = None
         self.finished_at: float | None = None
+        #: quanta granted: chunks when cooperative, poll windows otherwise
         self.quanta = 0
         #: scheduler bookkeeping: the turn number of the last granted quantum
         #: (least-recently-served fairness); -1 = never granted.
@@ -101,9 +102,10 @@ class QuerySession:
         self._advance()
 
     def grant(self) -> bool:
-        """Run one quantum (one chunk of up to ``quantum_tuples`` source
-        tuples, or a phase transition / the final stitch-up); return ``True``
-        when the query finished."""
+        """Run one quantum — a chunk of up to ``quantum_tuples`` source
+        tuples when cooperative, a whole poll window of such chunks when
+        blocking, or a phase transition / the final stitch-up; return
+        ``True`` when the query finished."""
         if self.state is not self.ACTIVE:
             raise RuntimeError(f"session {self.label!r} granted while {self.state}")
         self.quanta += 1

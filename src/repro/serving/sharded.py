@@ -94,6 +94,8 @@ class WorkerSummary:
 
     worker_id: int
     sessions: int
+    #: quanta the shard's sessions took: poll windows and phase transitions
+    #: (sessions run blocking), not chunks
     quanta: int
     #: simulated seconds the shard's sessions charged in total
     shard_seconds: float
@@ -179,9 +181,11 @@ class ShardedQueryServer:
         ``fork`` on Linux) or the special value ``"inline"`` which drives
         every shard in the calling process — same scheduling, same results,
         no concurrency — for debugging and deterministic unit tests.
-        ``options`` and the keyword ``knobs`` are every session's
-        :class:`~repro.core.options.ProcessorOptions`; each worker builds
-        its processors from this one record."""
+        ``quantum_tuples`` is each session's chunk size (its
+        ``poll_step_limit``): sessions run blocking, so a quantum is one poll
+        window of such chunks.  ``options`` and the keyword ``knobs`` are
+        every session's :class:`~repro.core.options.ProcessorOptions`; each
+        worker builds its processors from this one record."""
         if workers < 1:
             raise ValueError("workers must be positive")
         if quantum_tuples < 1:

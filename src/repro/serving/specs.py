@@ -50,6 +50,7 @@ class SessionSpec:
     label: str
     query: SPJAQuery
     admit_at: float = 0.0
+    #: the session's chunk size (``poll_step_limit``)
     quantum_tuples: int = 200
     initial_tree: JoinTree | None = None
     #: label of the partitioned submission this spec is one fragment of
@@ -107,6 +108,7 @@ class ShardResult:
     #: the worker-local cache's post-run state; ``None`` when the shard ran
     #: with statistics learning disabled
     snapshot: StatisticsSnapshot | None = None
+    #: quanta (poll windows and phase transitions) the shard's sessions took
     quanta: int = 0
     #: simulated seconds this shard serialized (max of its sessions' finish
     #: times — each session ran on its own private clock)

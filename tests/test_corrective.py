@@ -5,6 +5,8 @@ import pytest
 from helpers import assert_same_aggregates, assert_same_bag, reference_spja
 from repro.baselines.static_executor import StaticExecutor
 from repro.core.corrective import CorrectiveQueryProcessor
+from repro.core.monitor import ExecutionMonitor
+from repro.engine.pipelined import PipelinedPlan
 from repro.optimizer.plans import JoinTree
 from repro.relational.algebra import SPJAQuery
 from repro.relational.expressions import JoinPredicate
@@ -150,6 +152,99 @@ class TestAblationWeights:
             report = self._run(small_tpch, batch_size=batch_size, engine_mode=engine_mode)
             assert repr(report.simulated_seconds) == self.PINNED
             assert report.num_phases == 2
+
+
+class TestPollWindows:
+    """A blocking run hands the engine one poll window per call: the monitor
+    sees, at every poll, the plan state it saw when the run went chunk by
+    chunk, in every engine configuration."""
+
+    CHUNK = 37
+
+    @staticmethod
+    def sources(dataset, remote):
+        local = dataset.as_sources()
+        if not remote:
+            return local
+        return {
+            name: RemoteSource(
+                relation,
+                BurstyNetworkModel(
+                    burst_rate=50_000, mean_burst_tuples=100, mean_gap_seconds=0.02, seed=i
+                ),
+            )
+            for i, (name, relation) in enumerate(local.items())
+        }
+
+    def observe_run(self, monkeypatch, dataset, remote, chunk_by_chunk=False, **engine):
+        """``(phase, consumed counts, repr(clock))`` at every monitor
+        observation, and the finished report."""
+        records = []
+        observe = ExecutionMonitor.observe
+
+        def recording(monitor, plan, cursors):
+            records.append((plan.phase_id, plan.consumed_counts(), repr(plan.clock.now)))
+            return observe(monitor, plan, cursors)
+
+        monkeypatch.setattr(ExecutionMonitor, "observe", recording)
+        if chunk_by_chunk:
+            run_chunk = PipelinedPlan.run_chunk
+
+            def chunk_loop(plan, max_tuples, horizon=None, until=None):
+                """The loop of single chunks a window replaced."""
+                total = run_chunk(plan, max_tuples, horizon)
+                if until is None:
+                    return total
+                while plan.clock.now < until and not plan.sources_exhausted:
+                    ran = run_chunk(plan, max_tuples, horizon)
+                    if ran == 0:
+                        break
+                    total += ran
+                return total
+
+            monkeypatch.setattr(PipelinedPlan, "run_chunk", chunk_loop)
+        query = query_10a()
+        try:
+            report = CorrectiveQueryProcessor(
+                dataset.catalog(),
+                self.sources(dataset, remote),
+                polling_interval_seconds=0.1,
+                **engine,
+            ).execute(query, initial_tree=bad_tree(query), poll_step_limit=self.CHUNK)
+        finally:
+            monkeypatch.undo()
+        return records, report
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["local", "bursty"])
+    def test_every_batch_size_polls_where_tuple_mode_polls(
+        self, small_tpch, monkeypatch, remote
+    ):
+        expected, report = self.observe_run(monkeypatch, small_tpch, remote)
+        assert report.num_phases >= 2
+        assert len(expected) > 2 * report.num_phases
+        for batch_size in (1, 7, 64):
+            records, batched = self.observe_run(
+                monkeypatch, small_tpch, remote, batch_size=batch_size
+            )
+            assert records == expected
+            assert repr(batched.simulated_seconds) == repr(report.simulated_seconds)
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["local", "bursty"])
+    @pytest.mark.parametrize("engine", [{}, {"batch_size": 7}], ids=["tuple", "batch7"])
+    def test_a_window_is_the_chunk_loop_it_replaced(
+        self, small_tpch, monkeypatch, remote, engine
+    ):
+        records, report = self.observe_run(monkeypatch, small_tpch, remote, **engine)
+        chunked_records, chunked = self.observe_run(
+            monkeypatch, small_tpch, remote, chunk_by_chunk=True, **engine
+        )
+        assert records == chunked_records
+        assert report.rows == chunked.rows
+        assert report.metrics.as_dict() == chunked.metrics.as_dict()
+        assert report.num_phases == chunked.num_phases >= 2
+        assert report.reoptimizer_polls == chunked.reoptimizer_polls
+        assert report.details["monitor_polls"] == chunked.details["monitor_polls"]
+        assert repr(report.simulated_seconds) == repr(chunked.simulated_seconds)
 
 
 class TestAdaptationBehaviour:

@@ -1,7 +1,7 @@
 """Tests for aggregation: the hash GROUP BY, pseudogroups, pre-aggregates."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import preaggregate
@@ -173,3 +173,53 @@ def test_property_preaggregation_is_exact(rows):
     final.accumulate_batch(partials)
 
     assert sorted(final.results()) == sorted(direct)
+
+
+# ---------------------------------------------------------------------------
+# Property: results() equals finalizing every aggregate state one by one,
+# for every aggregate function — an avg that saw no tuple finalizes to None.
+# ---------------------------------------------------------------------------
+
+
+def partial_values(function):
+    if function == "avg":
+        # (total, count); a zero count is an average over no tuples
+        return st.one_of(
+            st.just((0.0, 0)),
+            st.tuples(st.integers(-50, 50).map(float), st.integers(1, 5)),
+        )
+    if function in ("min", "max"):
+        return st.one_of(st.none(), st.integers(-50, 50))
+    return st.integers(0, 50)
+
+
+@st.composite
+def partial_inputs(draw):
+    functions = draw(
+        st.lists(
+            st.sampled_from(["sum", "count", "min", "max", "avg"]), min_size=1, max_size=5
+        )
+    )
+    row = st.tuples(st.sampled_from("abc"), *map(partial_values, functions))
+    return functions, draw(st.lists(row, max_size=40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=partial_inputs())
+@example(case=(["sum", "avg"], [("a", 3, (0.0, 0)), ("b", 1, (2.0, 1))]))
+@example(case=(["count", "min", "max"], [("a", 2, None, 4), ("a", 1, -3, None)]))
+def test_property_results_equal_finalizing_each_aggregate(case):
+    functions, rows = case
+    names = [f"p{index}" for index in range(len(functions))]
+    aggregates = [
+        Aggregate(function, name, name) for function, name in zip(functions, names)
+    ]
+    accumulator = GroupAccumulator(
+        Schema.from_names(["g", *names]), ["g"], aggregates, input_is_partial=True
+    )
+    accumulator.accumulate_batch(rows)
+    expected = [
+        key + tuple(agg.finalize(state) for agg, state in zip(aggregates, states))
+        for key, states in accumulator._groups.items()
+    ]
+    assert accumulator.results() == expected

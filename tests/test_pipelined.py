@@ -19,7 +19,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.sources.network import ConstantRateNetworkModel
+from repro.sources.network import BurstyNetworkModel, ConstantRateNetworkModel
 from repro.sources.remote import RemoteSource
 from repro.sources.source import DataSource, column_chunks
 from repro.workloads.queries import query_3a
@@ -652,3 +652,90 @@ class TestBisectedRun:
         assert plan.run_chunk(64) == 64
         assert plan.consumed_counts() == {"r0": 64, "r1": 0}
         assert sum(cursor.peeks for cursor in plan.cursors.values()) <= 8
+
+
+# -- a blocking run's poll window against the chunk loop it replaces --------------
+
+
+class TestPollWindow:
+    """``run_chunk(n, until=t)`` runs the chunks a loop of ``run_chunk(n)``
+    calls, checking the clock between them, runs: the same chunk boundaries,
+    so every window ends in the same state."""
+
+    CHUNK = 37
+    WINDOW = 0.04
+
+    @staticmethod
+    def chunk_loop(plan, size, until):
+        """The blocking loop a corrective run took per window; returns
+        (tuples, chunks)."""
+        total = chunks = 0
+        while True:
+            ran = plan.run_chunk(size)
+            total += ran
+            chunks += 1
+            if plan.clock.now >= until or plan.sources_exhausted or ran == 0:
+                return total, chunks
+
+    @pytest.mark.parametrize("priorities", [{}, {"lineitem": 1}], ids=["fair", "demoted"])
+    @pytest.mark.parametrize("remote", [False, True], ids=["local", "bursty"])
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            {},
+            {"batch_size": 1},
+            {"batch_size": 7},
+            {"batch_size": 64},
+            {"batch_size": 64, "engine_mode": "compiled"},
+        ],
+        ids=["tuple", "batch1", "batch7", "batch64", "compiled64"],
+    )
+    def test_a_window_ends_where_the_chunk_loop_ends(
+        self, tiny_tpch, engine, remote, priorities
+    ):
+        query = query_3a()
+        tree = JoinTree.left_deep(["lineitem", "orders", "customer"])
+
+        def build():
+            cursors = {}
+            for seed, name in enumerate(query.relations):
+                source = tiny_tpch.relations[name]
+                if remote:
+                    source = RemoteSource(
+                        source,
+                        BurstyNetworkModel(
+                            burst_rate=20_000.0,
+                            mean_burst_tuples=25,
+                            mean_gap_seconds=0.01,
+                            latency=0.0,
+                            seed=seed,
+                        ),
+                    )
+                cursors[name] = SourceCursor(name, source)
+            outputs = []
+            plan = PipelinedPlan(query, tree, cursors, outputs.append, **engine)
+            plan.read_priorities = dict(priorities)
+            return plan, outputs
+
+        (plan, outputs), (loop_plan, loop_outputs) = build(), build()
+        windows = chunks = 0
+        while not plan.sources_exhausted:
+            until = plan.clock.now + self.WINDOW
+            ran = plan.run_chunk(self.CHUNK, until=until)
+            loop_ran, loop_chunks = self.chunk_loop(loop_plan, self.CHUNK, until)
+            assert ran == loop_ran
+            windows += 1
+            chunks += loop_chunks
+            assert plan.consumed_counts() == loop_plan.consumed_counts()
+            assert plan.node_output_counts() == loop_plan.node_output_counts()
+            assert plan.metrics.as_dict() == loop_plan.metrics.as_dict()
+            # steps, tuples read, outputs, work units, seconds, consumed
+            assert plan.statistics == loop_plan.statistics
+            assert repr(plan.clock.now) == repr(loop_plan.clock.now)
+            assert repr(plan.clock.wait_time) == repr(loop_plan.clock.wait_time)
+            assert outputs == loop_outputs
+        assert loop_plan.sources_exhausted
+        # The windows really spanned several chunks each.
+        assert 2 < windows < chunks / 4
+        if remote:
+            assert plan.clock.wait_time > 0

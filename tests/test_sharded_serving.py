@@ -16,6 +16,7 @@ import os
 import pickle
 import threading
 from multiprocessing.process import BaseProcess
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +274,92 @@ class TestPartitionHelpers:
             ("count", "avg_b__pcnt"),
             ("max", "max_b"),
         ]
+
+    @staticmethod
+    def _per_value_merge(fragments, functions):
+        """The root merge stated per value: fold in partition order, the
+        first partial of a group as it stands, ``None`` skipped by min/max."""
+        states = {}
+        for rows in fragments:
+            for key, *partials in rows:
+                state = states.get((key,))
+                if state is None:
+                    states[(key,)] = list(partials)
+                    continue
+                for position, (function, value) in enumerate(zip(functions, partials)):
+                    old = state[position]
+                    if function in ("sum", "count"):
+                        state[position] = old + value
+                    elif value is not None and (
+                        old is None or (value < old if function == "min" else value > old)
+                    ):
+                        state[position] = value
+        return states
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_merge_folds_like_the_per_value_rule(self, data):
+        """Floats make the sums depend on their order: the merged rows must
+        be the per-value fold's, bit for bit, with and without an ``avg``."""
+        functions = data.draw(
+            st.lists(
+                st.sampled_from(["sum", "count", "min", "max", "avg"]), min_size=1, max_size=4
+            ),
+            label="aggregates",
+        )
+        aggregates = tuple(
+            Aggregate(function, "x", f"a{index}")
+            for index, function in enumerate(functions)
+        )
+        query = SPJAQuery(
+            name="q",
+            relations=("r", "s"),
+            join_predicates=(JoinPredicate("r", "k", "s", "k2"),),
+            aggregation=AggregateSpec(("k",), aggregates),
+        )
+        relations = {"r": _rel("r", ["k", "x"], [(1, 1)]), "s": _rel("s", ["k2"], [(1,)])}
+        plan = build_partition_plan("q", query, relations, 3)
+        fragment = plan.fragment.aggregation
+        partial_functions = [aggregate.function for aggregate in fragment.aggregates]
+        value = st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, 3.0])
+
+        def partial(function):
+            if function == "count":
+                return st.integers(0, 3)
+            if function in ("min", "max"):
+                return st.one_of(st.none(), value)
+            return value
+
+        row = st.tuples(st.sampled_from("abc"), *map(partial, partial_functions))
+        fragments = [
+            data.draw(st.lists(row, max_size=12, unique_by=lambda r: r[0]))
+            for _ in range(3)
+        ]
+        names = list(fragment.output_attributes)
+        results = [
+            SessionResult(
+                index=index, label="q", query_name="q", worker_id=0, admitted_at=0.0,
+                started_at=0.0, finished_at=0.0, quanta=1,
+                report=SimpleNamespace(rows=rows, schema=Schema.from_names(names)),
+                partition_of="q", partition_index=index,
+            )
+            for index, rows in enumerate(fragments)
+        ]
+        merged, schema = merge_partition_results(plan, results[::-1])
+        assert schema.names == tuple(query.aggregation.output_attributes)
+        expected = []
+        for key, partials in self._per_value_merge(fragments, partial_functions).items():
+            finals, position = [], 0
+            for aggregate in aggregates:
+                if aggregate.function == "avg":
+                    total, count = partials[position : position + 2]
+                    finals.append(total / count if count else None)
+                    position += 2
+                else:
+                    finals.append(partials[position])
+                    position += 1
+            expected.append(key + tuple(finals))
+        assert repr(merged) == repr(expected)
 
     def test_merge_rejects_incomplete_fragment_sets(self):
         query = SPJAQuery(
