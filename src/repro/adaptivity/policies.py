@@ -160,13 +160,13 @@ class PlanSwitchPolicy(AdaptationPolicy):
     def decide(
         self, run: AdaptationRun, context: AdaptationContext
     ) -> AdaptationAction | None:
-        decision = self.reoptimizer.evaluate(
+        decision = self.reoptimizer.poll(
             context.query,
             context.current_tree,
             context.observed,
             current_strategies=context.current_strategies,
         )
-        if not decision.switch:
+        if decision is None or not decision.switch:
             return None
         if decision.same_tree and decision.strategies_changed:
             reason = (

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.cost import CostModel
+from repro.optimizer.ordering import JoinStrategy
 from repro.optimizer.plans import JoinTree
 from repro.optimizer.statistics import SelectivityEstimator
 from repro.relational.algebra import SPJAQuery

@@ -131,6 +131,29 @@ class JoinEnumerator:
             self.query, tree, self.estimator, join_strategies
         )
 
+    def cost_floor(self) -> float | None:
+        """A lower bound on ``best_entry().cost`` that enumerates nothing: any
+        tree over n ≥ 2 relations reads every leaf, feeds it into one join (a
+        hash insert + probe per tuple, or ≥ two comparisons on a merge side)
+        and copies the result once; its other terms are ≥ 0.  Shrunk by 1e-9
+        against rounding; ``None`` for one relation or a negative join weight."""
+        costs, estimator = self.plan_cost_model, self.estimator
+        model = costs.cost_model
+        per_side = model.hash_insert + model.hash_probe
+        if len(self.query.relations) < 2 or min(
+            per_side, model.comparison, model.tuple_copy
+        ) < 0:
+            return None
+        if self.ordering is not None:
+            per_side = min(per_side, 2 * model.comparison)
+        cardinality = estimator.estimate_cardinality(frozenset(self.query.relations))
+        raw = cardinality * model.tuple_copy + sum(
+            costs.leaf_cost(estimator, relation)
+            + estimator.selected_cardinality(relation) * per_side
+            for relation in self.query.relations
+        )
+        return costs.with_aggregation(self.query, raw, cardinality) * (1 - 1e-9)
+
     # -- enumeration ------------------------------------------------------------
 
     def _best(self, relations: frozenset[str]) -> _MemoEntry:

@@ -17,6 +17,7 @@ from repro.engine.cost import CostModel
 from repro.optimizer.cost_model import PlanCostModel
 from repro.optimizer.enumerator import JoinEnumerator
 from repro.optimizer.ordering import (
+    JoinStrategy,
     OrderingKnowledge,
     algorithms_of,
     refresh_strategies,
@@ -136,25 +137,14 @@ class ReOptimizer:
             return 1.0
         return remaining_tuples / total_tuples
 
-    # -- main entry point --------------------------------------------------------
-
-    def evaluate(
+    def _price_running(
         self,
         query: SPJAQuery,
         current_tree: JoinTree,
         observed: ObservedStatistics,
-        current_strategies: dict[frozenset[str], JoinStrategy] | None = None,
-    ) -> ReOptimizationDecision:
-        """Compare the running configuration against the best alternative.
-
-        ``current_strategies`` describes the physical strategies the running
-        plan actually uses; its merge nodes are re-costed with *current*
-        in-order fractions (a promise-based merge choice over a source that
-        turned out unordered is charged what it is really paying), while the
-        recommendation gets a fresh strategy assignment from the latest
-        ordering knowledge.
-        """
-        self.invocations += 1
+        current_strategies: dict[frozenset[str], JoinStrategy] | None,
+    ) -> tuple[JoinEnumerator, dict[frozenset[str], JoinStrategy], float, float]:
+        """Enumerator, running strategies, cost to finish, remaining fraction."""
         estimator = self._estimator(query, observed)
         ordering = (
             OrderingKnowledge.gather(self.catalog, query, observed)
@@ -176,9 +166,62 @@ class ReOptimizer:
             current_estimate = enumerator.cost_of(
                 current_tree, join_strategies=running_strategies or None
             )
+        remaining = self._remaining_fraction(query, observed, estimator)
+        current_remaining_cost = current_estimate.total_cost * remaining
+        return enumerator, running_strategies, current_remaining_cost, remaining
+
+    # -- main entry point --------------------------------------------------------
+
+    def poll(
+        self,
+        query: SPJAQuery,
+        current_tree: JoinTree,
+        observed: ObservedStatistics,
+        current_strategies: dict[frozenset[str], JoinStrategy] | None = None,
+    ) -> ReOptimizationDecision | None:
+        """One monitor poll: :meth:`evaluate`, or ``None`` (still counted as an
+        invocation) where :meth:`JoinEnumerator.cost_floor` proves that no
+        switch is possible — the floor stands in for ``best.cost`` in
+        ``evaluate``'s own monotone arithmetic, with the stitch-up weight
+        halved wherever a same-tree strategy switch is possible."""
+        enumerator, running_strategies, current_remaining_cost, remaining = (
+            self._price_running(query, current_tree, observed, current_strategies)
+        )
+        floor = enumerator.cost_floor()
+        weight = self.stitchup_cost_weight
+        if self.order_adaptive or running_strategies:
+            weight *= 0.5
+        if floor is None or weight < 0 or (
+            remaining > 0.02
+            and floor * (remaining + weight * (1.0 - remaining))
+            < self.switch_threshold * current_remaining_cost
+        ):
+            return self.evaluate(query, current_tree, observed, current_strategies)
+        self.invocations += 1
+        return None
+
+    def evaluate(
+        self,
+        query: SPJAQuery,
+        current_tree: JoinTree,
+        observed: ObservedStatistics,
+        current_strategies: dict[frozenset[str], JoinStrategy] | None = None,
+    ) -> ReOptimizationDecision:
+        """Compare the running configuration against the best alternative.
+
+        ``current_strategies`` describes the physical strategies the running
+        plan actually uses; its merge nodes are re-costed with *current*
+        in-order fractions (a promise-based merge choice over a source that
+        turned out unordered is charged what it is really paying), while the
+        recommendation gets a fresh strategy assignment from the latest
+        ordering knowledge.
+        """
+        self.invocations += 1
+        enumerator, running_strategies, current_remaining_cost, remaining = (
+            self._price_running(query, current_tree, observed, current_strategies)
+        )
         best = enumerator.best_entry()
         best_tree, best_strategies = best.tree, best.strategies
-        remaining = self._remaining_fraction(query, observed, estimator)
 
         # Cost to finish with the current plan: the unread fraction of the
         # inputs at the current plan's (re-estimated) cost.  Work already done
@@ -201,7 +244,6 @@ class ReOptimizer:
             # identically, so the stitch-up reuses state without re-keying —
             # materially cheaper than stitching across different join orders.
             stitchup_weight *= 0.5
-        current_remaining_cost = current_estimate.total_cost * remaining
         best_remaining_cost = best.cost * (
             remaining + stitchup_weight * completed
         )

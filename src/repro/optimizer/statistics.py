@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from repro.relational.algebra import SPJAQuery
 from repro.relational.catalog import Catalog, DEFAULT_ASSUMED_CARDINALITY
-from repro.relational.expressions import JoinPredicate
+from repro.relational.expressions import JoinPredicate, Predicate
 
 
 def selectivity_key(relations: Iterable[str]) -> frozenset[str]:

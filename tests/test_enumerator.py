@@ -1,12 +1,15 @@
 """Tests for join enumeration, the cost model and the optimizer front-end."""
 
+import copy
+import functools
 import math
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from differential import generate_workload
 from helpers import count_calls
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.engine.cost import CostModel
@@ -14,7 +17,7 @@ from repro.experiments.common import build_dataset
 from repro.experiments.corrective import worst_left_deep_tree
 from repro.optimizer.cost_model import PlanCostModel
 from repro.optimizer.enumerator import JoinEnumerator, Optimizer
-from repro.optimizer.ordering import OrderingKnowledge, plan_join_strategies
+from repro.optimizer.ordering import JoinStrategy, OrderingKnowledge, plan_join_strategies
 from repro.optimizer.plans import JoinTree
 from repro.optimizer.reoptimizer import ReOptimizer
 from repro.optimizer.statistics import (
@@ -138,7 +141,8 @@ def observed_statistics(draw, query):
         for size in range(2, len(query.relations) + 1)
         for left, right, *_ in query.join_graph.splits(frozenset(query.relations[:size]))
     ]
-    for relations in draw(st.lists(st.sampled_from(subsets), max_size=4, unique=True)):
+    drawn = draw(st.lists(st.sampled_from(subsets), max_size=4, unique=True)) if subsets else ()
+    for relations in drawn:
         observed.selectivities[relations] = draw(st.floats(1e-9, 1.0))
     for predicate in query.join_predicates:
         if draw(st.booleans()):
@@ -311,6 +315,160 @@ class TestComposedCosts:
                 ), f"{query.join_predicates[-1]}: cross product at {node}"
 
 
+@st.composite
+def join_trees(draw, query, relations=None):
+    """Any valid (possibly bushy) join tree over ``relations``."""
+    relations = frozenset(query.relations) if relations is None else relations
+    if len(relations) == 1:
+        (relation,) = relations
+        return JoinTree.leaf(relation)
+    left, right, *_ = draw(st.sampled_from(list(query.join_graph.splits(relations))))
+    return JoinTree.join(draw(join_trees(query, left)), draw(join_trees(query, right)))
+
+
+@functools.lru_cache(maxsize=None)
+def differential_query_and_catalog(seed):
+    workload = generate_workload(seed)
+    return workload.query, workload.catalog()
+
+
+WEIGHTS = st.floats(0.0, 4.0)
+
+
+class TestCostFloor:
+    """``JoinEnumerator.cost_floor`` lets ``ReOptimizer.poll`` skip the
+    enumeration; it must never exceed the optimum, and a poll it screens
+    out must be one that ``evaluate`` would not have switched at."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def catalogs(self, request, tiny_tpch):
+        request.cls.catalogs = {
+            flag: tiny_tpch.catalog(with_cardinalities=flag) for flag in (False, True)
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_floor_bounds_the_optimum_and_screens_only_non_switches(self, data):
+        source = data.draw(st.sampled_from((query_3a, query_10a, query_5, None)))
+        if source is None:
+            query, catalog = differential_query_and_catalog(data.draw(st.integers(0, 31)))
+        else:
+            query, catalog = source(), self.catalogs[data.draw(st.booleans())]
+        observed = data.draw(observed_statistics(query))
+        current = data.draw(join_trees(query))
+        order_adaptive = data.draw(st.booleans())
+        cost_model = CostModel(
+            **{
+                name: data.draw(WEIGHTS)
+                for name in (
+                    "tuple_read", "hash_insert", "hash_probe", "comparison",
+                    "predicate_eval", "tuple_copy", "aggregate_update",
+                )
+            }
+        )
+        knowledge = OrderingKnowledge.gather(catalog, query, observed)
+        enumerator = JoinEnumerator(
+            query,
+            SelectivityEstimator(catalog, query, observed),
+            cost_model,
+            ordering=knowledge if order_adaptive else None,
+        )
+        floor = enumerator.cost_floor()
+        if len(query.relations) == 1:
+            assert floor is None
+        else:
+            assert floor <= enumerator.best_entry().cost
+
+        reoptimizer = ReOptimizer(
+            catalog,
+            cost_model,
+            switch_threshold=data.draw(st.floats(0.05, 1.5)),
+            stitchup_cost_weight=data.draw(st.floats(0.0, 3.0)),
+            order_adaptive=order_adaptive,
+        )
+        # A running merge assignment may exist without order adaptivity too,
+        # and may be paying for disorder it did not expect.
+        in_order = data.draw(st.sampled_from((0.0, 0.5, 1.0)))
+        forced = {
+            node.relations(): JoinStrategy("merge", 1, None, None, in_order, in_order)
+            for node in current.internal_nodes()
+        }
+        strategies = data.draw(
+            st.sampled_from((None, plan_join_strategies(query, current, knowledge), forced))
+        )
+        polled = reoptimizer.poll(query, current, observed, strategies)
+        evaluated = reoptimizer.evaluate(query, current, observed, strategies)
+        assert reoptimizer.invocations == 2
+        event(f"screened: {polled is None}, switch: {evaluated.switch}")
+        if polled is None:
+            assert evaluated.switch is False
+        else:
+            assert polled == evaluated
+
+    def test_merge_sides_are_floored_at_two_comparisons(self):
+        """Two sorted inputs merge at two comparisons a tuple, well under a
+        hash insert + probe; a floor charging hash rates would exceed the
+        optimum."""
+        query = SPJAQuery(
+            name="pair",
+            relations=("customer", "orders"),
+            join_predicates=(JoinPredicate("customer", "c_custkey", "orders", "o_custkey"),),
+        )
+        observed = ObservedStatistics()
+        for relation, attribute in (("customer", "c_custkey"), ("orders", "o_custkey")):
+            observed.orderings[relation, attribute] = OrderingObservation(
+                relation, attribute, observed=400, direction=1, min_value=0, max_value=60
+            )
+        catalog = self.catalogs[True]
+        enumerator = JoinEnumerator(
+            query,
+            SelectivityEstimator(catalog, query, observed),
+            ordering=OrderingKnowledge.gather(catalog, query, observed),
+        )
+        best = enumerator.best_entry()
+        assert best.strategies
+        assert enumerator.cost_floor() <= best.cost
+
+    def test_a_running_merge_assignment_halves_the_screened_weight(self, tiny_tpch):
+        """Without order adaptivity the recommendation is all hash joins, so a
+        running merge assignment can be switched away from on the same tree,
+        at half the stitch-up weight; the screen must allow for that."""
+        catalog = self.catalogs[True]
+        query = query_3a()
+        cost_model = CostModel(comparison=2.0)
+        tree = Optimizer(catalog, cost_model).optimize_tree(query)
+        merges = {
+            node.relations(): JoinStrategy("merge", 1, None, None, 0.0, 0.0)
+            for node in tree.internal_nodes()
+        }
+        observed = ObservedStatistics()
+        for relation in query.relations:
+            read = int(len(tiny_tpch[relation]) * 0.32)
+            observed.record_source(relation, read, read, False)
+        reoptimizer = ReOptimizer(catalog, cost_model, stitchup_cost_weight=2.0)
+        evaluated = reoptimizer.evaluate(query, tree, observed, merges)
+        assert evaluated.switch and evaluated.same_tree
+        assert reoptimizer.poll(query, tree, observed, merges) == evaluated
+
+    def test_negative_weights_and_single_relations_are_not_screened(self):
+        query, catalog = next(
+            differential_query_and_catalog(seed)
+            for seed in range(100)
+            if len(differential_query_and_catalog(seed)[0].relations) == 1
+        )
+        enumerator = JoinEnumerator(query, SelectivityEstimator(catalog, query))
+        assert enumerator.cost_floor() is None
+        query = query_3a()
+        catalog = self.catalogs[True]
+        negative = CostModel(tuple_copy=-0.5)
+        enumerator = JoinEnumerator(query, SelectivityEstimator(catalog, query), negative)
+        assert enumerator.cost_floor() is None
+        # Nothing screened: every poll of a negative stitch-up weight enumerates.
+        reoptimizer = ReOptimizer(catalog, stitchup_cost_weight=-1.0)
+        best = Optimizer(catalog).optimize_tree(query)
+        assert reoptimizer.poll(query, best, ObservedStatistics()) is not None
+
+
 #: ``ReOptimizer.evaluate`` over the golden fig2 workload (uniform data, scale
 #: 0.003, seed 2004, each query from its worst left-deep tree, polls every
 #: 0.25 simulated seconds), recorded at the commit before costs were composed:
@@ -334,32 +492,49 @@ GOLDEN_DECISIONS = (
 
 
 def test_decision_sequence_of_the_golden_workload_is_unchanged(monkeypatch):
+    """Every poll is recorded with the full ``evaluate`` of its inputs (on a
+    twin re-optimizer, so the run's own counters are untouched); the run
+    itself goes through ``poll``, which enumerates only where the cost
+    floor leaves a switch possible, and must switch exactly where
+    ``evaluate`` says so."""
     dataset = build_dataset("uniform", 0.003, 0.0, 2004)
-    recorded = []
+    recorded = []  # (query, full evaluation, screened decision switched)
+    enumerated = []
     for query in (query_3a(), query_10a(), query_5()):
         processor = CorrectiveQueryProcessor(
             dataset.catalog_no_statistics.copy(),
             dataset.sources,
             polling_interval_seconds=0.25,
         )
-        evaluate = processor.reoptimizer.evaluate
+        reoptimizer = processor.reoptimizer
+        twin = copy.copy(reoptimizer)
+        poll, evaluate = reoptimizer.poll, reoptimizer.evaluate
 
         def recording(*args, **kwargs):
-            decision = evaluate(*args, **kwargs)
-            recorded.append((query.name, decision))
+            decision = poll(*args, **kwargs)
+            recorded.append(
+                (query.name, twin.evaluate(*args, **kwargs), bool(decision and decision.switch))
+            )
             return decision
 
-        monkeypatch.setattr(processor.reoptimizer, "evaluate", recording)
-        processor.execute(query, initial_tree=worst_left_deep_tree(query, dataset))
+        def enumerating(*args, **kwargs):
+            enumerated.append(query.name)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(reoptimizer, "poll", recording)
+        monkeypatch.setattr(reoptimizer, "evaluate", enumerating)
+        report = processor.execute(query, initial_tree=worst_left_deep_tree(query, dataset))
+        assert report.reoptimizer_polls == twin.invocations
 
     assert len(recorded) == len(GOLDEN_DECISIONS)
-    for (name, decision), golden in zip(recorded, GOLDEN_DECISIONS):
+    for (name, decision, screened_switch), golden in zip(recorded, GOLDEN_DECISIONS):
         query_name, switch, tree, current_cost, recommended_cost, remaining = golden
         assert (name, decision.switch, str(decision.recommended_tree)) == (
             query_name,
             switch,
             tree,
         )
+        assert screened_switch == decision.switch
         assert decision.remaining_fraction == remaining
         # Not ``==``: the estimator multiplies cardinalities in frozenset
         # iteration order, so the last bit of a cost already varied with
@@ -367,6 +542,8 @@ def test_decision_sequence_of_the_golden_workload_is_unchanged(monkeypatch):
         # from-scratch costs within one process is the property test above.
         assert math.isclose(decision.current_cost, current_cost, rel_tol=1e-12)
         assert math.isclose(decision.recommended_cost, recommended_cost, rel_tol=1e-12)
+    # The screen skips the enumeration at every poll here but the switches.
+    assert len(enumerated) == sum(golden[1] for golden in GOLDEN_DECISIONS)
 
 
 class TestOptimizer:

@@ -2,10 +2,23 @@
 
 import pytest
 
+from differential import (
+    generate_workload,
+    order_catalog,
+    order_workload_variant,
+    rate_collapse_setup,
+    run_sharded_workloads,
+    run_solo_corrective,
+)
+
+from repro.core.corrective import CorrectiveQueryProcessor
+from repro.experiments.common import build_dataset
+from repro.experiments.corrective import worst_left_deep_tree
+from repro.optimizer.enumerator import JoinEnumerator
 from repro.optimizer.reoptimizer import ReOptimizer
 from repro.optimizer.statistics import ObservedStatistics
 from repro.optimizer.plans import JoinTree
-from repro.workloads.queries import query_3a, query_10a
+from repro.workloads.queries import query_3a, query_5, query_10a
 
 
 def bad_tree_for_q3a():
@@ -113,3 +126,148 @@ class TestReOptimizer:
         observed.record_source("orders", 500, 500, False)
         decision = reoptimizer.evaluate(query, current, observed)
         assert decision.recommended_cost <= decision.current_cost
+
+
+# -- the poll screen --------------------------------------------------------
+# Differential: the re-optimizer's poll screen changes nothing a run does.
+#
+# ``ReOptimizer.poll`` skips the join enumeration where
+# ``JoinEnumerator.cost_floor`` proves no switch is possible.  Each case runs
+# twice — screened, and with the screen forced open (no floor, so every poll
+# enumerates) — and the two runs must switch at the same polls to the same
+# trees and agree on answers in row order, work counters, phases,
+# ``repr(simulated_seconds)`` and the poll count.
+
+SCREEN_SEEDS = (3, 11, 35, 41, 48)
+
+
+def observe_polls(monkeypatch, run, forced_open):
+    """Run ``run()`` recording every poll's outcome; returns (polls, reports)."""
+    polls = []
+    poll = ReOptimizer.poll
+
+    def recording(self, *args, **kwargs):
+        decision = poll(self, *args, **kwargs)
+        switched = decision is not None and decision.switch
+        polls.append(str(decision.recommended_tree) if switched else None)
+        return decision
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ReOptimizer, "poll", recording)
+        if forced_open:
+            patch.setattr(JoinEnumerator, "cost_floor", lambda self: None)
+        reports = run()
+    return polls, [
+        (
+            report.rows,
+            report.metrics.as_dict(),
+            report.phases,
+            repr(report.simulated_seconds),
+            report.reoptimizer_polls,
+        )
+        for report in reports
+    ]
+
+
+def assert_screen_is_invisible(monkeypatch, run):
+    screened = observe_polls(monkeypatch, run, forced_open=False)
+    opened = observe_polls(monkeypatch, run, forced_open=True)
+    assert screened == opened
+    return screened[0]
+
+
+def solo(workload, **options):
+    return lambda: [run_solo_corrective(workload, **options)[0]]
+
+
+@pytest.mark.parametrize("seed", SCREEN_SEEDS)
+@pytest.mark.parametrize(
+    "engine",
+    [
+        {},
+        {"batch_size": 64, "engine_mode": "compiled"},
+        {"batch_size": 64, "engine_mode": "interpreted"},
+    ],
+    ids=["tuple", "compiled64", "interpreted64"],
+)
+def test_screen_is_invisible_on_solo_runs(monkeypatch, seed, engine):
+    assert_screen_is_invisible(monkeypatch, solo(generate_workload(seed), **engine))
+
+
+@pytest.mark.parametrize("seed", SCREEN_SEEDS)
+def test_screen_is_invisible_on_order_adaptive_runs(monkeypatch, seed):
+    workload, sort_attrs = order_workload_variant(generate_workload(seed), "perturbed")
+    run = solo(
+        workload,
+        batch_size=64,
+        catalog=order_catalog(workload, sort_attrs, True),
+        order_adaptive=True,
+    )
+    assert_screen_is_invisible(monkeypatch, run)
+
+
+@pytest.mark.parametrize("seed", SCREEN_SEEDS)
+def test_screen_is_invisible_on_rate_adaptive_runs(monkeypatch, seed):
+    workload = generate_workload(seed)
+
+    def run():
+        catalog, sources = rate_collapse_setup(workload)
+        return solo(
+            workload, batch_size=64, catalog=catalog, sources=sources, rate_adaptive=True
+        )()
+
+    assert_screen_is_invisible(monkeypatch, run)
+
+
+@pytest.mark.parametrize("order_adaptive", [False, True])
+def test_screen_is_invisible_on_paper_queries(monkeypatch, order_adaptive):
+    dataset = build_dataset("uniform", 0.003, 0.0, 2004)
+
+    def run():
+        return [
+            CorrectiveQueryProcessor(
+                dataset.catalog_no_statistics.copy(),
+                dataset.sources,
+                polling_interval_seconds=0.1,
+                batch_size=64,
+                order_adaptive=order_adaptive,
+            ).execute(query, initial_tree=worst_left_deep_tree(query, dataset))
+            for query in (query_3a(), query_10a(), query_5())
+        ]
+
+    assert_screen_is_invisible(monkeypatch, run)
+
+
+def test_screen_is_invisible_on_a_sharded_inline_run(monkeypatch):
+    workloads = [
+        generate_workload(seed, name_prefix=f"w{index}_")
+        for index, seed in enumerate(SCREEN_SEEDS)
+    ]
+
+    def run():
+        report, _ = run_sharded_workloads(
+            workloads, "round_robin", workers=1, batch_size=64, start_method="inline"
+        )
+        return [served.report for served in report.served]
+
+    assert_screen_is_invisible(monkeypatch, run)
+
+
+def test_screen_cases_both_switch_and_skip(monkeypatch):
+    """The differential means something only if the cases above both switch
+    plans and skip enumerations."""
+    enumerations = []
+    evaluate = ReOptimizer.evaluate
+
+    def counting(self, *args, **kwargs):
+        enumerations.append(args)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReOptimizer, "evaluate", counting)
+    polls = []
+    for seed in SCREEN_SEEDS:
+        polls += assert_screen_is_invisible(monkeypatch, solo(generate_workload(seed)))
+    switches = sum(tree is not None for tree in polls)
+    assert 0 < switches
+    # The forced-open runs enumerate at every one of their len(polls) polls.
+    assert len(polls) <= len(enumerations) < 2 * len(polls)

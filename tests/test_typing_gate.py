@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.util
 import subprocess
+import typing
 import sys
 from pathlib import Path
 
@@ -60,3 +61,24 @@ def test_pyproject_strict_targets_are_real() -> None:
     """Catch the config rotting when modules move."""
     for target in STRICT_TARGETS:
         assert (REPO_ROOT / target).exists(), target
+
+
+def test_optimizer_annotations_resolve() -> None:
+    """Every name an optimizer annotation uses is importable from its module,
+    so ``typing.get_type_hints`` (dataclass tooling, documentation, runtime
+    checkers) can resolve it."""
+    from repro.optimizer.cost_model import PlanCostModel
+    from repro.optimizer.enumerator import JoinEnumerator
+    from repro.optimizer.reoptimizer import ReOptimizationDecision, ReOptimizer
+    from repro.optimizer.statistics import SelectivityEstimator
+
+    for annotated in (
+        ReOptimizer.evaluate,
+        ReOptimizer.poll,
+        ReOptimizationDecision,
+        PlanCostModel.join_cost,
+        PlanCostModel.estimate_tree,
+        JoinEnumerator.cost_of,
+        SelectivityEstimator._selection_selectivity,
+    ):
+        assert typing.get_type_hints(annotated), annotated
