@@ -313,7 +313,7 @@ class SourceRatePolicy(AdaptationPolicy):
         # the plan-switch policy's job, and mixing the two objectives invites
         # oscillation (gate, then "cheap" un-gate, then gate again, each
         # paying a stitch-up).
-        gating = self._gating_tree(query, enumerator, slow)
+        gating = gating_tree(query, enumerator, slow)
         if gating is None:
             return None
         current_key = str(context.current_tree)
@@ -324,8 +324,8 @@ class SourceRatePolicy(AdaptationPolicy):
         spu = self.cost_model.seconds_per_unit
 
         def exposed_seconds(tree: JoinTree, switching: bool) -> float:
-            gated, ungated = self._split_cost(
-                query, tree, estimator, slow, context.observed
+            gated, ungated = split_remaining_cost(
+                query, tree, estimator, slow, context.observed, self.cost_model
             )
             exposed = max(ungated * spu - window, 0.0) + gated * spu
             if switching:
@@ -337,9 +337,7 @@ class SourceRatePolicy(AdaptationPolicy):
                 # policy *decline* to switch once too much is sunk.
                 fraction = 1.0
                 for name in query.relations:
-                    fraction *= self._remaining_fraction(
-                        estimator, context.observed, name
-                    )
+                    fraction *= remaining_fraction(estimator, context.observed, name)
                 cross_outputs = estimator.estimate_cardinality(
                     frozenset(query.relations)
                 ) * (1.0 - fraction)
@@ -370,41 +368,6 @@ class SourceRatePolicy(AdaptationPolicy):
                 0.0, 1.0 - scored[gating_key] / max(scored[current_key], 1e-12)
             ),
             policy=self.name,
-        )
-
-    # -- completion-time model ---------------------------------------------------------
-    #
-    # The model itself (gated/ungated split, gating-tree construction) lives
-    # in :mod:`repro.optimizer.exposure` so the optimizer's rate-aware
-    # *initial* plan choice and this policy's mid-flight re-scoring share one
-    # implementation; these thin wrappers keep the policy's historical
-    # surface (unit tests pin the split's accounting through them).
-
-    @staticmethod
-    def _remaining_fraction(
-        estimator: SelectivityEstimator, observed, name: str
-    ) -> float:
-        """Unconsumed fraction of one source (1.0 when nothing was read)."""
-        return remaining_fraction(estimator, observed, name)
-
-    @staticmethod
-    def _gating_tree(
-        query, enumerator: JoinEnumerator, relation: str
-    ) -> JoinTree | None:
-        """Best tree that joins ``relation`` last (see exposure.gating_tree)."""
-        return gating_tree(query, enumerator, relation)
-
-    def _split_cost(
-        self,
-        query,
-        tree: JoinTree,
-        estimator: SelectivityEstimator,
-        relation: str,
-        observed,
-    ) -> tuple[float, float]:
-        """Split a tree's estimated *remaining* cost into (gated, ungated)."""
-        return split_remaining_cost(
-            query, tree, estimator, relation, observed, self.cost_model
         )
 
     def describe(self) -> dict[str, object]:

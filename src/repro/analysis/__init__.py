@@ -15,7 +15,10 @@ AST-level lint rules (see :mod:`repro.analysis.rules` for the framework):
   layer's sharing contract (:mod:`repro.serving.channels`) is explicit and
   honored (:mod:`repro.analysis.sharding`);
 * ``effects.global-mutable`` — no module-level mutable globals outside
-  reviewed idempotent caches (:mod:`repro.analysis.effects`).
+  reviewed idempotent caches (:mod:`repro.analysis.effects`);
+* ``reachability.unread`` — every public callable has a reader in the
+  package itself; what only tests read is deleted, what only the benchmark
+  or an example reads carries a pragma (:mod:`repro.analysis.reachability`).
 
 :func:`repro.analysis.runner.run_lint` drives a full scan;
 :mod:`repro.analysis.codegen_audit` runs the same rules over *generated*

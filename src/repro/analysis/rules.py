@@ -107,6 +107,7 @@ def registered_rules() -> dict[str, type[LintRule]]:
         determinism,
         effects,
         exhaustiveness,
+        reachability,
         sharding,
     )
 

@@ -25,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.router import PriorityQueueReorderer
-from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock, WorkProfile
+from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.pipelined import SourceCursor
 from repro.engine.state.hash_table import HashTableState
 from repro.io.wallclock import wall_now
-from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
 
@@ -364,10 +363,3 @@ class ComplementaryJoinPair:
             wall_seconds=wall_now() - wall_start,
             details=details,
         )
-
-    def work_profile(self) -> WorkProfile:
-        """Tuple-processing distribution across components (Table 3)."""
-        profile = WorkProfile()
-        for component, count in self.outputs_by_component.items():
-            profile.add(component, count)
-        return profile

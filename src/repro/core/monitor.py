@@ -232,8 +232,5 @@ class ExecutionMonitor:
 
     # -- reporting ----------------------------------------------------------------
 
-    def latest_snapshot(self) -> MonitorSnapshot | None:
-        return self.snapshots[-1] if self.snapshots else None
-
     def poll_count(self) -> int:
         return len(self.snapshots)

@@ -103,12 +103,6 @@ class PhaseManager:
     def phase_count(self) -> int:
         return len(self.records)
 
-    def total_outputs(self) -> int:
-        return sum(record.outputs for record in self.records)
-
-    def total_tuples_read(self) -> int:
-        return sum(record.tuples_read for record in self.records)
-
     def trees(self) -> list[JoinTree]:
         return [record.join_tree for record in self.records]
 

@@ -21,14 +21,13 @@ paper:
   clock so that network delay experiments are reproducible.
 """
 
-from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock, WorkProfile
+from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.pipelined import PipelinedPlan, PipelinedExecutor
 
 __all__ = [
     "CostModel",
     "ExecutionMetrics",
     "SimulatedClock",
-    "WorkProfile",
     "PipelinedPlan",
     "PipelinedExecutor",
 ]

@@ -52,10 +52,10 @@ simulated seconds to the last bit, under any :class:`CostModel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostModel:
     """Weights translating low-level actions into work units.
 
@@ -63,6 +63,10 @@ class CostModel:
     engine: probes and inserts dominate, comparisons are cheaper, and output
     materialization costs roughly one copy.  All weights can be overridden to
     study sensitivity (see the ablation benchmarks).
+
+    Slotted: a model that arrives by pickle (every sharded worker's
+    ``ShardTask.cost_model``) has no instance dict, so reading its weights
+    stays on CPython's fast attribute path.
     """
 
     tuple_read: float = 1.0
@@ -153,15 +157,6 @@ class ExecutionMetrics:
         """Return an independent copy of the current counter values."""
         return ExecutionMetrics(**{f.name: getattr(self, f.name) for f in fields(self)})
 
-    def delta_since(self, earlier: "ExecutionMetrics") -> "ExecutionMetrics":
-        """Counter-wise difference ``self - earlier`` (for per-phase reporting)."""
-        return ExecutionMetrics(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
-
     def merge(self, other: "ExecutionMetrics") -> None:
         """Add another metrics object's counters into this one."""
         for f in fields(self):
@@ -173,31 +168,6 @@ class ExecutionMetrics:
     def __str__(self) -> str:  # pragma: no cover - debug convenience
         parts = ", ".join(f"{k}={v}" for k, v in self.as_dict().items() if v)
         return f"ExecutionMetrics({parts})"
-
-
-@dataclass
-class WorkProfile:
-    """Per-component attribution of work (e.g. hash vs merge vs stitch-up).
-
-    Used by the complementary-join and stitch-up reports (Tables 1–3) which
-    break total work down by which component processed each tuple.
-    """
-
-    tuples_by_component: dict[str, int] = field(default_factory=dict)
-
-    def add(self, component: str, tuples: int = 1) -> None:
-        self.tuples_by_component[component] = (
-            self.tuples_by_component.get(component, 0) + tuples
-        )
-
-    def get(self, component: str) -> int:
-        return self.tuples_by_component.get(component, 0)
-
-    def total(self) -> int:
-        return sum(self.tuples_by_component.values())
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.tuples_by_component)
 
 
 class SimulatedClock:

@@ -84,12 +84,6 @@ class StateRegistry:
     def get(self, signature: Signature) -> RegistryEntry | None:
         return self._entries.get(signature)
 
-    def lookup(self, signature: Signature) -> RegistryEntry:
-        entry = self._entries.get(signature)
-        if entry is None:
-            raise KeyError(f"no state structure registered for {set(signature)}")
-        return entry
-
     def base_partitions(self, relation: str) -> dict[int, RegistryEntry]:
         """All single-relation partitions of ``relation``, keyed by phase."""
         result: dict[int, RegistryEntry] = {}

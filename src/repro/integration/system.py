@@ -61,12 +61,6 @@ class QueryAnswer:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def to_dicts(self) -> list[dict]:
-        if self.schema is None:
-            raise ValueError("this answer carries no schema (aggregate-only output)")
-        names = self.schema.names
-        return [dict(zip(names, row)) for row in self.rows]
-
 
 class AdaptiveIntegrationSystem:
     """Register sources, pose SPJA queries, pick an execution strategy."""
@@ -111,11 +105,10 @@ class AdaptiveIntegrationSystem:
         )
         return source_name
 
-    def register_sources(self, sources: Iterable[Relation | DataSource]) -> list[str]:
+    def register_sources(  # lint: ignore[reachability.unread] quickstart example, package doctest
+        self, sources: Iterable[Relation | DataSource]
+    ) -> list[str]:
         return [self.register_source(source) for source in sources]
-
-    def source_names(self) -> tuple[str, ...]:
-        return tuple(self._sources)
 
     # -- querying --------------------------------------------------------------------
 
@@ -172,7 +165,7 @@ class AdaptiveIntegrationSystem:
 
     # -- serving -----------------------------------------------------------------------
 
-    def serve(
+    def serve(  # lint: ignore[reachability.unread] README's multi-query front door
         self,
         queries: Iterable[SPJAQuery],
         policy: str = "round_robin",
@@ -223,7 +216,9 @@ class AdaptiveIntegrationSystem:
 
     # -- introspection -----------------------------------------------------------------
 
-    def describe_sources(self) -> list[dict[str, object]]:
+    def describe_sources(  # lint: ignore[reachability.unread] federation_demo example
+        self,
+    ) -> list[dict[str, object]]:
         """Summaries of all registered sources (for examples / debugging)."""
         summaries = []
         for name in self._sources:

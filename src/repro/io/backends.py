@@ -281,7 +281,7 @@ class _FileTransport(Transport, Generic[_Raw]):
         return _RecordReader(handle, records, self._decode)
 
 
-class CSVFileTransport(_FileTransport[list[str]]):
+class CSVFileTransport(_FileTransport[list[str]]):  # lint: ignore[reachability.unread] bench's io workloads
     """Rows from a header-first CSV file (pygrametl ``CSVSource`` shape)."""
 
     def __init__(
@@ -305,7 +305,7 @@ class CSVFileTransport(_FileTransport[list[str]]):
         return f"csv:{self.path}"
 
 
-class JSONLinesTransport(_FileTransport[str]):
+class JSONLinesTransport(_FileTransport[str]):  # lint: ignore[reachability.unread] bench's io workloads
     """Rows from a JSON-lines file (one JSON array per line; blank lines
     are not records and do not count toward an offset)."""
 
@@ -357,7 +357,7 @@ class _DBAPIReader:
             self._connection = None
 
 
-class DBAPITransport(Transport):
+class DBAPITransport(Transport):  # lint: ignore[reachability.unread] bench's io workloads
     """Rows from a DB-API query (pygrametl ``SQLSource`` shape).
 
     ``connect`` returns a fresh PEP 249 connection per open; the query's
@@ -510,7 +510,7 @@ class _HTTPReader:
             self._connection = None
 
 
-class HTTPTransport(Transport):
+class HTTPTransport(Transport):  # lint: ignore[reachability.unread] bench's io workloads
     """Rows from an HTTP endpoint speaking the JSON-lines wire protocol.
 
     ``GET <url>?offset=N`` must stream the rows from global offset ``N``
@@ -569,7 +569,9 @@ class HTTPTransport(Transport):
 # ---------------------------------------------------------------------------
 
 
-def write_csv(path: str, relation: Relation, delimiter: str = ",") -> None:
+def write_csv(  # lint: ignore[reachability.unread] bench writes its source files
+    path: str, relation: Relation, delimiter: str = ","
+) -> None:
     """Write ``relation`` as a header-first CSV file."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
@@ -578,14 +580,18 @@ def write_csv(path: str, relation: Relation, delimiter: str = ",") -> None:
             writer.writerow(list(row))
 
 
-def write_jsonl(path: str, relation: Relation) -> None:
+def write_jsonl(  # lint: ignore[reachability.unread] bench writes its source files
+    path: str, relation: Relation
+) -> None:
     """Write ``relation`` as JSON lines (one array per row)."""
     with open(path, "w", encoding="utf-8") as handle:
         for row in relation.rows:
             handle.write(json.dumps(list(row)) + "\n")
 
 
-def write_sqlite(path: str, relation: Relation) -> str:
+def write_sqlite(  # lint: ignore[reachability.unread] bench writes its source files
+    path: str, relation: Relation
+) -> str:
     """Materialize ``relation`` into a SQLite file; returns the read query.
 
     Rows are stored with an explicit ``rowpos`` key so the read-back query's

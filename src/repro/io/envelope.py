@@ -79,7 +79,7 @@ class SimulatedTimeline(Timeline):
         return SimulatedTimeline(start_at)
 
 
-class WallTimeline(Timeline):
+class WallTimeline(Timeline):  # lint: ignore[reachability.unread] real-time deployments
     """The timeline for a deployment on real time: readings elapse, sleeps sleep."""
 
     def __init__(self, start_at: float = 0.0) -> None:

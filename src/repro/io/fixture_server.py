@@ -166,7 +166,7 @@ class FixtureServer:
 
     # -- registration -----------------------------------------------------
 
-    def add_relation(
+    def add_relation(  # lint: ignore[reachability.unread] bench's fixture process
         self, name: str, relation: Relation, plan: FaultPlan | None = None
     ) -> str:
         """Serve ``relation`` under ``name`` with an optional fault plan;

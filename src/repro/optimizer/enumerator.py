@@ -296,16 +296,6 @@ class Optimizer:
             query, observed, ordering=ordering, rate_outlook=rate_outlook
         ).join_tree
 
-    def cost_of_tree(
-        self,
-        query: SPJAQuery,
-        tree: JoinTree,
-        observed: ObservedStatistics | None = None,
-    ) -> CostEstimate:
-        estimator = self.make_estimator(query, observed)
-        enumerator = JoinEnumerator(query, estimator, self.cost_model, self.bushy)
-        return enumerator.cost_of(tree)
-
     def _preagg_beneficial(
         self, query: SPJAQuery, point: PreAggPoint, estimator: SelectivityEstimator
     ) -> bool:

@@ -87,12 +87,6 @@ class JoinTree:
             return 1
         return 1 + max(self.left.depth(), self.right.depth())
 
-    def is_left_deep(self) -> bool:
-        """True when every right child is a leaf (classic left-deep shape)."""
-        if self.is_leaf:
-            return True
-        return self.right.is_leaf and self.left.is_left_deep()
-
     def __str__(self) -> str:
         if self.is_leaf:
             return self.relation
@@ -146,9 +140,6 @@ class PhysicalPlan:
                 f"{self.query.name!r} spans {sorted(query_relations)}"
             )
         self.preagg_points = tuple(self.preagg_points)
-
-    def estimated_cardinality(self, relations: frozenset[str]) -> float | None:
-        return self.estimated_cardinalities.get(frozenset(relations))
 
     def describe(self) -> str:
         lines = [

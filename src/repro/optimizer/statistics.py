@@ -18,7 +18,7 @@ The paper's re-estimation scheme (Section 4.2) drives everything here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.relational.algebra import SPJAQuery
 from repro.relational.catalog import Catalog, DEFAULT_ASSUMED_CARDINALITY
@@ -218,7 +218,8 @@ class SelectivityEstimator:
         self.observed = observed or ObservedStatistics()
         self.default_cardinality = default_cardinality
         # Memos for one estimator lifetime (one optimizer invocation): the
-        # observations are read-only while it lives, see ``invalidate_cache``.
+        # observations are read-only while it lives; new observations need a
+        # new estimator.
         self._cache: dict[frozenset, float] = {}
         self._base_cache: dict[str, float] = {}
         self._selected_cache: dict[str, float] = {}
@@ -420,29 +421,3 @@ class SelectivityEstimator:
         if product <= 0:
             return 1.0
         return self.estimate_cardinality(relations) / product
-
-    def invalidate_cache(self) -> None:
-        self._cache.clear()
-        self._base_cache.clear()
-        self._selected_cache.clear()
-
-
-def fraction_consumed(
-    observed: ObservedStatistics, catalog: Catalog, relations: Iterable[str]
-) -> Mapping[str, float]:
-    """Fraction of each source already consumed (0 when nothing is known)."""
-    result: dict[str, float] = {}
-    for relation in relations:
-        obs = observed.source(relation)
-        if obs is None:
-            result[relation] = 0.0
-            continue
-        if obs.exhausted:
-            result[relation] = 1.0
-            continue
-        if relation in catalog and catalog.statistics(relation).cardinality:
-            total = catalog.statistics(relation).cardinality
-            result[relation] = min(obs.tuples_read / max(total, 1), 1.0)
-        else:
-            result[relation] = 0.0
-    return result

@@ -1,4 +1,4 @@
-"""Relational substrate: schemas, tuples, expressions, relations, logical algebra.
+"""Relational substrate: schemas, tuples, expressions, relations, SPJA queries.
 
 This package provides the foundation the execution engine, the optimizer and
 the adaptive-data-partitioning core are built on.  It intentionally mirrors
@@ -9,7 +9,7 @@ plan with a different physical attribute ordering (Section 3.2 of the paper).
 """
 
 from repro.relational.schema import Attribute, Schema
-from repro.relational.tuples import TupleAdapter, concat_tuples
+from repro.relational.tuples import TupleAdapter
 from repro.relational.relation import Relation
 from repro.relational.expressions import (
     Aggregate,
@@ -24,23 +24,13 @@ from repro.relational.expressions import (
     Predicate,
     TruePredicate,
 )
-from repro.relational.algebra import (
-    AggregateSpec,
-    BaseRelation,
-    GroupBy,
-    Join,
-    LogicalPlan,
-    Project,
-    Select,
-    SPJAQuery,
-)
+from repro.relational.algebra import AggregateSpec, SPJAQuery
 from repro.relational.catalog import Catalog, TableStatistics
 
 __all__ = [
     "Attribute",
     "Schema",
     "TupleAdapter",
-    "concat_tuples",
     "Relation",
     "Aggregate",
     "AttributeRef",
@@ -54,12 +44,6 @@ __all__ = [
     "Predicate",
     "TruePredicate",
     "AggregateSpec",
-    "BaseRelation",
-    "GroupBy",
-    "Join",
-    "LogicalPlan",
-    "Project",
-    "Select",
     "SPJAQuery",
     "Catalog",
     "TableStatistics",

@@ -1,21 +1,19 @@
-"""Logical query algebra and the SPJA query description.
+"""The SPJA query description and its join graph.
 
-The paper's workload is select-project-join-aggregate (SPJA) queries.  Two
-representations are provided:
-
-* :class:`SPJAQuery` — a declarative description (relations, join predicates,
-  selections, grouping, aggregates).  This is what users of the library and
-  the benchmark harness construct, and what the optimizer consumes.
-* :class:`LogicalPlan` trees (:class:`BaseRelation`, :class:`Select`,
-  :class:`Project`, :class:`Join`, :class:`GroupBy`) — an explicit operator
-  tree, produced by the optimizer and consumed by the physical planner.
+The paper's workload is select-project-join-aggregate (SPJA) queries, and
+:class:`SPJAQuery` is their one representation: relations, join predicates,
+pushed-down selections and an optional :class:`AggregateSpec`.  Users of the
+library and the benchmark construct it; the optimizer reads it directly and
+produces join trees (:class:`~repro.optimizer.plans.JoinTree`) for the engine.
+There is no separate logical operator tree.  :class:`JoinGraph` is the
+statistics-free structure the optimizer enumerates over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.relational.expressions import (
     Aggregate,
@@ -28,109 +26,6 @@ from repro.relational.expressions import (
 
 class QueryError(ValueError):
     """Raised when an SPJA query description is malformed."""
-
-
-# ---------------------------------------------------------------------------
-# Logical plan nodes
-# ---------------------------------------------------------------------------
-
-
-class LogicalPlan:
-    """Base class for logical plan nodes."""
-
-    def children(self) -> tuple["LogicalPlan", ...]:
-        raise NotImplementedError
-
-    def relations(self) -> frozenset[str]:
-        """Set of base relation names contributing to this subtree."""
-        result: frozenset[str] = frozenset()
-        for child in self.children():
-            result |= child.relations()
-        return result
-
-    def walk(self) -> Iterator["LogicalPlan"]:
-        """Pre-order traversal of the plan tree."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
-
-
-@dataclass(frozen=True)
-class BaseRelation(LogicalPlan):
-    """Leaf node: a scan of a named base relation / data source."""
-
-    name: str
-
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return ()
-
-    def relations(self) -> frozenset[str]:
-        return frozenset((self.name,))
-
-    def __str__(self) -> str:  # pragma: no cover
-        return self.name
-
-
-@dataclass(frozen=True)
-class Select(LogicalPlan):
-    """Filter node applying a predicate to its child."""
-
-    child: LogicalPlan
-    predicate: Predicate
-
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return (self.child,)
-
-    def __str__(self) -> str:  # pragma: no cover
-        return f"σ[{self.predicate}]({self.child})"
-
-
-@dataclass(frozen=True)
-class Project(LogicalPlan):
-    """Projection node restricting the output to named attributes."""
-
-    child: LogicalPlan
-    attributes: tuple[str, ...]
-
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return (self.child,)
-
-    def __str__(self) -> str:  # pragma: no cover
-        return f"π[{', '.join(self.attributes)}]({self.child})"
-
-
-@dataclass(frozen=True)
-class Join(LogicalPlan):
-    """Equi-join of two subtrees on one or more join predicates."""
-
-    left: LogicalPlan
-    right: LogicalPlan
-    predicates: tuple[JoinPredicate, ...]
-
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return (self.left, self.right)
-
-    def __str__(self) -> str:  # pragma: no cover
-        preds = " AND ".join(str(p) for p in self.predicates) or "TRUE"
-        return f"({self.left} ⋈[{preds}] {self.right})"
-
-
-@dataclass(frozen=True)
-class GroupBy(LogicalPlan):
-    """Grouping / aggregation node (the query's final GROUP BY or a pre-aggregation)."""
-
-    child: LogicalPlan
-    group_attributes: tuple[str, ...]
-    aggregates: tuple[Aggregate, ...]
-    partial: bool = False
-
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return (self.child,)
-
-    def __str__(self) -> str:  # pragma: no cover
-        kind = "γ_partial" if self.partial else "γ"
-        aggs = ", ".join(str(a) for a in self.aggregates)
-        return f"{kind}[{', '.join(self.group_attributes)}; {aggs}]({self.child})"
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +49,6 @@ class AggregateSpec:
     def output_attributes(self) -> tuple[str, ...]:
         """Names of the attributes an aggregation produces."""
         return self.group_attributes + tuple(a.alias for a in self.aggregates)
-
-    def referenced_attributes(self) -> set[str]:
-        result = set(self.group_attributes)
-        for agg in self.aggregates:
-            result |= agg.attributes()
-        return result
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +222,6 @@ class SPJAQuery:
         """Join predicates connecting two disjoint relation sets."""
         return tuple(p for p in self.join_predicates if p.connects(left, right))
 
-    def join_attributes(self, relation: str) -> tuple[str, ...]:
-        """Attributes of ``relation`` that participate in any join predicate."""
-        attrs: list[str] = []
-        for pred in self.join_predicates:
-            if pred.involves(relation):
-                attr = pred.attr_for(relation)
-                if attr not in attrs:
-                    attrs.append(attr)
-        return tuple(attrs)
-
-    @property
-    def num_joins(self) -> int:
-        return max(0, len(self.relations) - 1)
-
     def describe(self) -> str:
         """Human-readable multi-line description (used by examples)."""
         lines = [f"Query {self.name}: {' ⋈ '.join(self.relations)}"]
@@ -361,18 +236,3 @@ class SPJAQuery:
             )
         return "\n".join(lines)
 
-
-def spj_query(
-    name: str,
-    relations: Sequence[str],
-    join_predicates: Sequence[JoinPredicate],
-    selections: dict[str, Predicate] | None = None,
-) -> SPJAQuery:
-    """Convenience constructor for a pure select-project-join query."""
-    return SPJAQuery(
-        name=name,
-        relations=tuple(relations),
-        join_predicates=tuple(join_predicates),
-        selections=dict(selections or {}),
-        aggregation=None,
-    )

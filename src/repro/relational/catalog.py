@@ -11,7 +11,6 @@ of knowledge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -55,9 +54,6 @@ class TableStatistics:
     def attribute_range(self, attribute: str) -> tuple[float, float] | None:
         return self.attribute_ranges.get(attribute)
 
-    def is_sorted_on(self, attribute: str) -> bool:
-        return attribute in self.sorted_on
-
     def is_key(self, attribute: str) -> bool:
         return attribute in self.key_attributes
 
@@ -91,16 +87,6 @@ class Catalog:
         entry = CatalogEntry(name, schema, statistics or TableStatistics(), relation)
         self._entries[name] = entry
         return entry
-
-    def register_relation(
-        self, relation: Relation, statistics: TableStatistics | None = None
-    ) -> CatalogEntry:
-        """Register a fully materialized relation under its own name."""
-        return self.register(relation.name, relation.schema, statistics, relation)
-
-    def register_relations(self, relations: Iterable[Relation]) -> None:
-        for rel in relations:
-            self.register_relation(rel)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -165,11 +151,4 @@ class Catalog:
             if entry.relation is not None:
                 stats = stats.with_cardinality(len(entry.relation))
             clone.register(entry.name, entry.schema, stats, entry.relation)
-        return clone
-
-    def without_statistics(self) -> "Catalog":
-        """Return a copy with all statistics erased ("no statistics" mode)."""
-        clone = Catalog()
-        for entry in self._entries.values():
-            clone.register(entry.name, entry.schema, TableStatistics(), entry.relation)
         return clone

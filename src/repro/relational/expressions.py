@@ -283,28 +283,11 @@ class JoinPredicate:
     def relations(self) -> frozenset[str]:
         return frozenset((self.left_relation, self.right_relation))
 
-    def attr_for(self, relation: str) -> str:
-        """Return the join attribute contributed by ``relation``."""
-        if relation == self.left_relation:
-            return self.left_attr
-        if relation == self.right_relation:
-            return self.right_attr
-        raise ExpressionError(
-            f"relation {relation!r} does not participate in join predicate {self}"
-        )
-
-    def involves(self, relation: str) -> bool:
-        return relation in (self.left_relation, self.right_relation)
-
     def connects(self, left_set: frozenset[str], right_set: frozenset[str]) -> bool:
         """True when the predicate joins a relation in each of the two sets."""
         return (
             self.left_relation in left_set and self.right_relation in right_set
         ) or (self.left_relation in right_set and self.right_relation in left_set)
-
-    def to_comparison(self) -> Comparison:
-        """Lower to a generic :class:`Comparison` on a joined schema."""
-        return Comparison(AttributeRef(self.left_attr), "=", AttributeRef(self.right_attr))
 
     def __str__(self) -> str:  # pragma: no cover
         return (

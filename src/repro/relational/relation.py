@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator
 
-from repro.relational.schema import Schema, SchemaError
-from repro.relational.tuples import validate_tuple
+from repro.relational.schema import Schema
 
 
 @dataclass
@@ -24,30 +23,6 @@ class Relation:
     name: str
     schema: Schema
     rows: list[tuple] = field(default_factory=list)
-
-    # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def from_rows(
-        cls,
-        name: str,
-        schema: Schema,
-        rows: Iterable[Sequence],
-        validate: bool = False,
-    ) -> "Relation":
-        """Build a relation from an iterable of row sequences."""
-        materialized = [tuple(row) for row in rows]
-        if validate:
-            for row in materialized:
-                validate_tuple(schema, row)
-        return cls(name, schema, materialized)
-
-    @classmethod
-    def from_dicts(cls, name: str, schema: Schema, dicts: Iterable[dict]) -> "Relation":
-        """Build a relation from dictionaries keyed by attribute name."""
-        names = schema.names
-        rows = [tuple(d[n] for n in names) for d in dicts]
-        return cls(name, schema, rows)
 
     # -- basic protocol --------------------------------------------------------
 
@@ -76,60 +51,6 @@ class Relation:
         """Number of distinct values in ``attribute``."""
         pos = self.schema.position(attribute)
         return len({row[pos] for row in self.rows})
-
-    def to_dicts(self) -> list[dict]:
-        """Return rows as dictionaries (test / example convenience)."""
-        names = self.schema.names
-        return [dict(zip(names, row)) for row in self.rows]
-
-    # -- derivation ------------------------------------------------------------
-
-    def select(self, predicate: Callable[[tuple], bool], name: str | None = None) -> "Relation":
-        """Return a new relation with only the rows satisfying ``predicate``."""
-        return Relation(
-            name or f"{self.name}_selected",
-            self.schema,
-            [row for row in self.rows if predicate(row)],
-        )
-
-    def project(self, attributes: Sequence[str], name: str | None = None) -> "Relation":
-        """Return a new relation restricted to ``attributes``."""
-        positions = self.schema.positions(attributes)
-        schema = self.schema.project(attributes)
-        rows = [tuple(row[p] for p in positions) for row in self.rows]
-        return Relation(name or f"{self.name}_projected", schema, rows)
-
-    def sorted_by(self, attribute: str, descending: bool = False, name: str | None = None) -> "Relation":
-        """Return a copy sorted on ``attribute``."""
-        pos = self.schema.position(attribute)
-        rows = sorted(self.rows, key=lambda r: r[pos], reverse=descending)
-        return Relation(name or f"{self.name}_sorted", self.schema, rows)
-
-    def sample(self, fraction: float, rng, name: str | None = None) -> "Relation":
-        """Return a Bernoulli sample of the relation using ``rng``."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be within [0, 1]")
-        rows = [row for row in self.rows if rng.random() < fraction]
-        return Relation(name or f"{self.name}_sample", self.schema, rows)
-
-    def slice(self, start: int, stop: int | None = None, name: str | None = None) -> "Relation":
-        """Return a contiguous slice of the relation (used to build partitions)."""
-        return Relation(name or f"{self.name}_slice", self.schema, self.rows[start:stop])
-
-    def union(self, other: "Relation", name: str | None = None) -> "Relation":
-        """Bag union with another relation over the same schema."""
-        if self.schema.names != other.schema.names:
-            raise SchemaError(
-                f"cannot union relations with different schemas: "
-                f"{self.schema.names} vs {other.schema.names}"
-            )
-        return Relation(name or f"{self.name}_union", self.schema, self.rows + other.rows)
-
-    def is_sorted_on(self, attribute: str) -> bool:
-        """True when rows are non-decreasing on ``attribute``."""
-        pos = self.schema.position(attribute)
-        rows = self.rows
-        return all(rows[i - 1][pos] <= rows[i][pos] for i in range(1, len(rows)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"Relation({self.name!r}, {len(self.rows)} rows, schema={self.schema.names})"

@@ -47,10 +47,6 @@ class Attribute:
             return f"{self.relation}.{self.name}"
         return self.name
 
-    def renamed(self, new_name: str) -> "Attribute":
-        """Return a copy of this attribute with a different name."""
-        return Attribute(new_name, self.type_name, self.relation)
-
     def without_relation(self) -> "Attribute":
         """Return a copy with the relation qualifier dropped."""
         return Attribute(self.name, self.type_name, None)
@@ -126,28 +122,6 @@ class Schema:
 
     # -- derivation ------------------------------------------------------------
 
-    def project(self, names: Sequence[str]) -> "Schema":
-        """Return a schema restricted to ``names`` (in the given order)."""
-        return Schema(tuple(self.attribute(n) for n in names))
-
     def concat(self, other: "Schema") -> "Schema":
         """Concatenate two schemas (used when joining relations)."""
         return Schema(self.attributes + other.attributes)
-
-    def rename_relation(self, relation: str) -> "Schema":
-        """Return a schema with every attribute re-qualified to ``relation``."""
-        return Schema(
-            tuple(Attribute(a.name, a.type_name, relation) for a in self.attributes)
-        )
-
-    def extended(self, extra: Sequence[Attribute]) -> "Schema":
-        """Return a schema with ``extra`` attributes appended."""
-        return Schema(self.attributes + tuple(extra))
-
-    def compatible_with(self, other: "Schema") -> bool:
-        """True when both schemas have the same attribute names in order.
-
-        Used to check whether a state structure built by one plan can be fed
-        directly into another plan without a tuple adapter (Section 3.2).
-        """
-        return self.names == other.names

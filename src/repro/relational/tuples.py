@@ -15,12 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.relational.schema import Schema, SchemaError
-
-
-def concat_tuples(left: tuple, right: tuple) -> tuple:
-    """Concatenate two value tuples (the physical form of a join output)."""
-    return left + right
+from repro.relational.schema import Schema
 
 
 @dataclass(frozen=True)
@@ -105,16 +100,3 @@ class TupleAdapter:
         if getter is not None:
             return list(map(getter, rows))
         return [self.adapt(row) for row in rows]
-
-
-def validate_tuple(schema: Schema, values: tuple) -> None:
-    """Raise :class:`SchemaError` when ``values`` does not match ``schema``.
-
-    Only used on cold paths (loading relations, test assertions); the hot
-    execution path trusts operator contracts.
-    """
-    if len(values) != len(schema):
-        raise SchemaError(
-            f"tuple arity {len(values)} does not match schema arity {len(schema)} "
-            f"({schema.names})"
-        )

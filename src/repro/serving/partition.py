@@ -85,17 +85,11 @@ def choose_partition_edge(
     )
 
 
-def partition_relation(
-    relation: Relation, attribute: str, partitions: int
-) -> list[Relation]:
-    """Split one relation into ``partitions`` fragments by key hash."""
-    return _split(relation, attribute, partitions, {})
-
-
 def _split(
     relation: Relation, attribute: str, partitions: int, memo: dict[object, int]
 ) -> list[Relation]:
-    """:func:`partition_relation`, hashing each distinct key once: ``memo``
+    """Split ``relation`` into ``partitions`` fragments by key hash, hashing
+    each distinct key once: ``memo``
     (key → bucket) may serve every relation over one key domain, because
     keys that compare equal have equal ``repr`` (see above)."""
     position = relation.schema.position(attribute)

@@ -29,7 +29,6 @@ query's result multiset is identical to a solo run of the same query
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sized
 from dataclasses import dataclass, field
 from typing import Any
@@ -114,37 +113,6 @@ class ServingReport:
 
     def __len__(self) -> int:
         return len(self.served)
-
-    def latencies(self) -> list[float]:
-        return sorted(query.latency for query in self.served)
-
-    def throughput(self) -> float:
-        """Completed queries per simulated second."""
-        if self.makespan <= 0:
-            return 0.0
-        return len(self.served) / self.makespan
-
-    def latency_percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile (``fraction`` in [0, 1]) of query latency."""
-        latencies = self.latencies()
-        if not latencies:
-            return 0.0
-        rank = math.ceil(fraction * len(latencies))
-        return latencies[min(max(rank - 1, 0), len(latencies) - 1)]
-
-    def summary_rows(self) -> list[dict[str, object]]:
-        return [query.summary() for query in self.served]
-
-    def aggregate_summary(self) -> dict[str, object]:
-        return {
-            "policy": self.policy,
-            "queries": len(self.served),
-            "makespan_seconds": round(self.makespan, 3),
-            "throughput_qps": round(self.throughput(), 4),
-            "p50_latency_seconds": round(self.latency_percentile(0.50), 3),
-            "p95_latency_seconds": round(self.latency_percentile(0.95), 3),
-            "total_quanta": self.total_quanta,
-        }
 
 
 #: The :class:`ProcessorOptions` constructor under its former name, kept for

@@ -148,18 +148,8 @@ class ShardedServingReport(ServingReport):
     worker_summaries: list[WorkerSummary] = field(default_factory=list)
     partitioned: list[PartitionedServedQuery] = field(default_factory=list)
 
-    def utilization(self) -> dict[int, float]:
-        """Per-worker share of the front-end wall time spent driving its
-        shard — the load-balance view of the run."""
-        if self.wall_seconds <= 0:
-            return {summary.worker_id: 0.0 for summary in self.worker_summaries}
-        return {
-            summary.worker_id: min(summary.wall_seconds / self.wall_seconds, 1.0)
-            for summary in self.worker_summaries
-        }
 
-
-class ShardedQueryServer:
+class ShardedQueryServer:  # lint: ignore[reachability.unread] bench's serve_sharded workload
     """Admit queries in-process; execute them on N worker processes."""
 
     def __init__(
@@ -258,7 +248,7 @@ class ShardedQueryServer:
                 relations[name] = source.relation
         return relations
 
-    def submit_partitioned(
+    def submit_partitioned(  # lint: ignore[reachability.unread] bench's serve_sharded workload
         self,
         query: SPJAQuery,
         partitions: int,

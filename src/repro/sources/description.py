@@ -73,13 +73,6 @@ class SourceDescription:
             values.append(row[source_schema.position(attr.name)])
         return tuple(values)
 
-    def covers(self, global_attributes) -> bool:
-        """True when this source provides all of ``global_attributes``."""
-        provided = set(self.attribute_mapping.values()) if self.attribute_mapping else None
-        if provided is None:
-            return True
-        return set(global_attributes) <= provided
-
 
 class MappedSource(DataSource):
     """A source viewed through its description: rows arrive in the global schema.

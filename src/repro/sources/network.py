@@ -21,21 +21,6 @@ class NetworkModel:
         """Yield ``tuple_count`` non-decreasing arrival times (seconds)."""
         raise NotImplementedError
 
-    def expected_transfer_seconds(self, tuple_count: int) -> float:
-        """Time at which the last of ``tuple_count`` tuples arrives.
-
-        The base implementation is exact for every model: it walks
-        :meth:`arrival_times` and returns the final arrival (``0.0`` for an
-        empty transfer).  Subclasses override it only when a closed form is
-        cheaper (:class:`ConstantRateNetworkModel`) or when the exact walk
-        would be misleading (:class:`BurstyNetworkModel` documents a rough
-        analytic expectation instead, for sizing rather than simulation).
-        """
-        last = 0.0
-        for last in self.arrival_times(tuple_count):
-            pass
-        return last
-
 
 class InstantNetworkModel(NetworkModel):
     """Everything is available immediately (equivalent to a local source)."""
@@ -43,9 +28,6 @@ class InstantNetworkModel(NetworkModel):
     def arrival_times(self, tuple_count: int) -> Iterator[float]:
         for _ in range(tuple_count):
             yield 0.0
-
-    def expected_transfer_seconds(self, tuple_count: int) -> float:
-        return 0.0
 
 
 class ConstantRateNetworkModel(NetworkModel):
@@ -61,11 +43,6 @@ class ConstantRateNetworkModel(NetworkModel):
         interval = 1.0 / self.tuples_per_second
         for index in range(tuple_count):
             yield self.latency + index * interval
-
-    def expected_transfer_seconds(self, tuple_count: int) -> float:
-        if tuple_count <= 0:
-            return 0.0
-        return self.latency + (tuple_count - 1) / self.tuples_per_second
 
 
 class PhasedRateNetworkModel(NetworkModel):
@@ -157,12 +134,3 @@ class BurstyNetworkModel(NetworkModel):
                 produced += 1
             if produced < tuple_count and self.mean_gap_seconds > 0:
                 now += rng.expovariate(1.0 / self.mean_gap_seconds)
-
-    def expected_transfer_seconds(self, tuple_count: int) -> float:
-        """Rough expected time to deliver ``tuple_count`` tuples (for sizing tests)."""
-        bursts = max(tuple_count / self.mean_burst_tuples, 1.0)
-        return (
-            self.latency
-            + tuple_count / self.burst_rate
-            + bursts * self.mean_gap_seconds
-        )

@@ -73,7 +73,9 @@ class DataSource:
     ) -> Iterator[Columns]:
         raise NotImplementedError
 
-    def open_stream(self) -> Iterator[tuple[tuple[object, ...], float]]:
+    def open_stream(  # lint: ignore[reachability.unread] bench drains sources with it
+        self,
+    ) -> Iterator[tuple[tuple[object, ...], float]]:
         """The stream as ``(row, arrival)`` pairs, read 256 rows ahead."""
         return chain.from_iterable(
             zip(rows, repeat(0.0) if arrivals is None else arrivals)

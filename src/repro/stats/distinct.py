@@ -36,10 +36,6 @@ class DistinctCounter:
         else:
             self._bitmap.add(hash(value) % self.bitmap_bits)
 
-    def add_many(self, values) -> None:
-        for value in values:
-            self.add(value)
-
     def estimate(self) -> int:
         """Estimated number of distinct values observed."""
         if self.exact:
@@ -79,10 +75,6 @@ class UniquenessDetector:
             self._last_value = value
         else:
             self._counter.add(value)
-
-    def add_many(self, values) -> None:
-        for value in values:
-            self.add(value)
 
     def is_unique(self) -> bool:
         """True when no duplicate has been detected so far."""

@@ -13,7 +13,7 @@ can be reproduced as a measurable quantity.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _scale_counts(counts: dict[float, int], factor: float) -> dict[float, int]:
@@ -127,10 +127,6 @@ class DynamicCompressedHistogram:
         self._since_restructure += 1
         if self._since_restructure >= self.restructure_interval:
             self._restructure()
-
-    def add_many(self, values) -> None:
-        for value in values:
-            self.add(value)
 
     def _find_bucket(self, value: float) -> HistogramBucket | None:
         """Locate the range bucket containing ``value`` by binary search.

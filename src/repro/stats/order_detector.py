@@ -70,24 +70,7 @@ class OrderDetector:
         self.last_value = value
         self.observed += 1
 
-    def add_many(self, values) -> None:
-        for value in values:
-            self.add(value)
-
     # -- classification ------------------------------------------------------------
-
-    @property
-    def ascending_fraction(self) -> float:
-        """Fraction of arrivals that did not violate ascending order."""
-        if self.observed <= 1:
-            return 1.0
-        return 1.0 - self.ascending_violations / (self.observed - 1)
-
-    @property
-    def descending_fraction(self) -> float:
-        if self.observed <= 1:
-            return 1.0
-        return 1.0 - self.descending_violations / (self.observed - 1)
 
     def state(self) -> OrderState:
         if self.observed <= 1:
@@ -116,10 +99,10 @@ class OrderDetector:
 
         For an ascending stream that is the fraction of arrivals at or above
         the running maximum; descending mirrors it via the running minimum.
-        This is deliberately stricter than :attr:`ascending_fraction`
-        (adjacent-pair violations): a single early high value makes every
-        subsequent smaller arrival "late" for a merge join, even though only
-        one adjacent pair was inverted.
+        This is deliberately stricter than counting adjacent-pair
+        violations (:attr:`ascending_violations`): a single early high value
+        makes every subsequent smaller arrival "late" for a merge join, even
+        though only one adjacent pair was inverted.
         """
         if self.observed <= 1:
             return 1.0

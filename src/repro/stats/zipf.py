@@ -72,13 +72,3 @@ class ZipfSampler:
         if index >= len(self.values):
             index = len(self.values) - 1
         return self.values[index]
-
-    def sample_many(self, count: int) -> list[object]:
-        return [self.sample() for _ in range(count)]
-
-    def expected_frequency(self, rank: int, sample_size: int) -> float:
-        """Expected number of occurrences of the value at ``rank`` (1-based)."""
-        if not 1 <= rank <= len(self.values):
-            raise ValueError("rank out of range")
-        weight = 1.0 / (rank**self.z)
-        return sample_size * weight / self._total_weight

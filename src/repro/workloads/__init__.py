@@ -18,10 +18,9 @@ from repro.workloads.tpch_schema import (
     TPCH_SCHEMAS,
 )
 from repro.workloads.generator import TPCHData, TPCHGenerator
-from repro.workloads.perturb import interleave_relations, reorder_fraction
+from repro.workloads.perturb import reorder_fraction
 from repro.workloads.queries import (
     flights_example_query,
-    query_3,
     query_3a,
     query_5,
     query_10,
@@ -40,9 +39,7 @@ __all__ = [
     "TPCHData",
     "TPCHGenerator",
     "reorder_fraction",
-    "interleave_relations",
     "flights_example_query",
-    "query_3",
     "query_3a",
     "query_5",
     "query_10",

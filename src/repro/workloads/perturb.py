@@ -3,14 +3,12 @@
 Figure 5 evaluates the complementary join over data that is fully ordered and
 over "versions of the data in which we randomly swapped 1%, 10%, or 50% of
 the data".  :func:`reorder_fraction` reproduces that perturbation
-deterministically.  :func:`interleave_relations` builds the "mostly sorted"
-scenario of Example 2.2 where two sorted bulk loads were appended.
+deterministically.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from repro.relational.relation import Relation
 
@@ -40,46 +38,3 @@ def reorder_fraction(
         for position, row in zip(positions, shuffled):
             rows[position] = row
     return Relation(name or f"{relation.name}_reordered", relation.schema, rows)
-
-
-def displaced_fraction(original: Relation, perturbed: Relation) -> float:
-    """Fraction of rows whose position changed between two same-size relations."""
-    if len(original) != len(perturbed):
-        raise ValueError("relations must have the same cardinality")
-    if not len(original):
-        return 0.0
-    moved = sum(
-        1 for a, b in zip(original.rows, perturbed.rows) if a != b
-    )
-    return moved / len(original)
-
-
-def interleave_relations(
-    parts: Sequence[Relation],
-    seed: int = 0,
-    name: str | None = None,
-) -> Relation:
-    """Randomly interleave several (individually sorted) relation segments.
-
-    Models the "bulk loaded with some order that was not maintained by future
-    updates" scenario: each part remains internally ordered, but their
-    interleaving makes the whole only *mostly* sorted.
-    """
-    if not parts:
-        raise ValueError("at least one part is required")
-    schema = parts[0].schema
-    for part in parts[1:]:
-        if part.schema.names != schema.names:
-            raise ValueError("all parts must share the same schema")
-    rng = random.Random(seed)
-    iterators = [list(part.rows) for part in parts]
-    positions = [0] * len(iterators)
-    rows: list[tuple] = []
-    remaining = sum(len(chunk) for chunk in iterators)
-    while remaining:
-        weights = [len(chunk) - pos for chunk, pos in zip(iterators, positions)]
-        choice = rng.choices(range(len(iterators)), weights=weights, k=1)[0]
-        rows.append(iterators[choice][positions[choice]])
-        positions[choice] += 1
-        remaining -= 1
-    return Relation(name or f"{parts[0].name}_interleaved", schema, rows)

@@ -70,7 +70,9 @@ def _order_rows(n: int, rng: random.Random, key_sorted: bool, perturb: float, fk
     return rows
 
 
-def order_scenario(name: str, n: int, seed: int):
+def order_scenario(  # lint: ignore[reachability.unread] ROADMAP 3(d)'s opt-in trial
+    name: str, n: int, seed: int
+):
     """``(query, catalog, sources)``: ``r ⋈ s`` on ``n`` tuples per source.
 
     Fully sorted with and without a catalog promise, near-sorted (2% adjacent
@@ -187,7 +189,9 @@ def _three_way_join(n: int, rng: random.Random, query_name: str, cost_model: Cos
     return query, catalog, sources, work_floor, promised
 
 
-def rate_scenario(name: str, n: int, seed: int, cost_model: CostModel):
+def rate_scenario(  # lint: ignore[reachability.unread] ROADMAP 3(d)'s opt-in trial
+    name: str, n: int, seed: int, cost_model: CostModel
+):
     """``(query, catalog, sources, initial_tree, work_floor)`` for one pathology.
 
     A remote source ``f`` behind a rate-promising but misbehaving link, and
@@ -238,7 +242,9 @@ def rate_scenario(name: str, n: int, seed: int, cost_model: CostModel):
     return query, catalog, sources, initial_tree, work_floor
 
 
-def failover_scenario(n: int, seed: int, cost_model: CostModel):
+def failover_scenario(  # lint: ignore[reachability.unread] ROADMAP 3(d)'s opt-in trial
+    n: int, seed: int, cost_model: CostModel
+):
     """``(query, catalog, sources, work_floor)``: ``f`` dies, its mirror does not.
 
     The three-way join of :func:`rate_scenario`, whose remote source ``f``

@@ -52,6 +52,7 @@ from repro.relational.schema import Schema
 from repro.serving.server import QueryServer
 from repro.sources.network import BurstyNetworkModel, PhasedRateNetworkModel
 from repro.sources.remote import RemoteSource
+from repro.workloads.differential import DifferentialWorkload, generate_workload
 
 #: Batch sizes every differential case is executed with (issue-mandated).
 BATCH_SIZES = (1, 7, 64, 1024)
@@ -69,14 +70,6 @@ POLLING_INTERVAL = 0.002
 #: Tuples between clock checks (shared by every corrective configuration).
 POLL_STEP_LIMIT = 40
 
-
-# The workload generator lives in the package now (the compiled-codegen
-# audit draws from the same seeded population); re-exported here so every
-# differential suite keeps importing it from this harness.
-from repro.workloads.differential import (  # noqa: F401  (re-export)
-    DifferentialWorkload,
-    generate_workload,
-)
 
 
 def order_workload_variant(

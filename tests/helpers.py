@@ -7,12 +7,40 @@ aggregation — which are easy to convince yourself are correct.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Sequence
 
 from repro.relational.algebra import SPJAQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+
+
+def feed(statistic, values) -> None:
+    """Observe ``values`` one ``add`` at a time, as the engine does."""
+    for value in values:
+        statistic.add(value)
+
+
+def displaced_fraction(original: Relation, perturbed: Relation) -> float:
+    """Fraction of rows whose position differs between two same-size relations."""
+    assert len(original) == len(perturbed)
+    moved = sum(1 for a, b in zip(original.rows, perturbed.rows) if a != b)
+    return moved / len(original)
+
+
+def is_sorted_on(relation: Relation, attribute: str) -> bool:
+    """True when ``relation``'s rows are non-decreasing on ``attribute``."""
+    values = relation.column(attribute)
+    return values == sorted(values)
+
+
+def latency_percentile(report, fraction: float) -> float:
+    """Nearest-rank percentile (``fraction`` in [0, 1]) of a serving report's
+    query latencies."""
+    latencies = sorted(query.latency for query in report.served)
+    rank = math.ceil(fraction * len(latencies))
+    return latencies[min(max(rank - 1, 0), len(latencies) - 1)]
 
 
 def reference_join(
@@ -50,7 +78,7 @@ def reference_spja(query: SPJAQuery, sources: dict[str, Relation]) -> list[tuple
             predicates = [
                 p
                 for p in query.join_predicates
-                if p.involves(name)
+                if name in p.relations()
                 and (p.left_relation in joined_names or p.right_relation in joined_names)
             ]
             if not predicates:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from differential import (
-    generate_workload,
     rate_collapse_setup,
     _bad_initial_tree,
     _canonical_multiset,
@@ -42,10 +41,12 @@ from repro.core.corrective import CorrectiveQueryProcessor
 from repro.core.monitor import ExecutionMonitor
 from repro.engine.pipelined import PipelinedPlan, SourceCursor
 from repro.optimizer.enumerator import JoinEnumerator, Optimizer
+from repro.optimizer.exposure import gating_tree, split_remaining_cost
 from repro.optimizer.plans import JoinTree
 from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
 from repro.relational.catalog import Catalog, TableStatistics
 from repro.serving.server import QueryServer
+from repro.workloads.differential import generate_workload
 
 
 class RecordingPolicy(AdaptationPolicy):
@@ -584,7 +585,7 @@ class TestSourceRatePolicyUnits:
         estimator = SelectivityEstimator(catalog, query, ObservedStatistics())
         enumerator = JoinEnumerator(query, estimator)
         slow = query.relations[0]
-        tree = SourceRatePolicy._gating_tree(query, enumerator, slow)
+        tree = gating_tree(query, enumerator, slow)
         if tree is not None:
             assert tree.right.is_leaf and tree.right.relation == slow
             assert tree.relations() == frozenset(query.relations)
@@ -594,18 +595,18 @@ class TestSourceRatePolicyUnits:
         workload = _workload_with_joins(4700)
         query = workload.query
         catalog = workload.catalog()
-        policy = SourceRatePolicy(catalog)
+        cost_model = SourceRatePolicy(catalog).cost_model
         estimator = SelectivityEstimator(catalog, query, ObservedStatistics())
         tree = Optimizer(catalog).optimize_tree(query)
         slow = query.relations[0]
-        gated, ungated = policy._split_cost(
-            query, tree, estimator, slow, ObservedStatistics()
+        gated, ungated = split_remaining_cost(
+            query, tree, estimator, slow, ObservedStatistics(), cost_model
         )
         assert gated > 0
         assert gated + ungated > 0
         other = query.relations[-1]
-        gated2, ungated2 = policy._split_cost(
-            query, tree, estimator, other, ObservedStatistics()
+        gated2, ungated2 = split_remaining_cost(
+            query, tree, estimator, other, ObservedStatistics(), cost_model
         )
         # Same tree, same totals — only the split moves.
         assert gated + ungated == pytest.approx(gated2 + ungated2)

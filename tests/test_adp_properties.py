@@ -167,8 +167,8 @@ def test_property_corrective_execution_matches_reference(r_rows, s_rows, switch_
         join_predicates=(JoinPredicate("r", "rk", "s", "s_rk"),),
     )
     catalog = Catalog()
-    catalog.register_relation(r)
-    catalog.register_relation(s)
+    catalog.register(r.name, r.schema, relation=r)
+    catalog.register(s.name, s.schema, relation=s)
     sources = {"r": r, "s": s}
     # An extremely eager configuration: poll constantly with a permissive
     # threshold so switches (and hence stitch-up) happen whenever possible.

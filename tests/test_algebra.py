@@ -1,4 +1,4 @@
-"""Tests for the logical algebra and SPJA query description."""
+"""Tests for the SPJA query description and its join graph."""
 
 import dataclasses
 import itertools
@@ -9,15 +9,9 @@ import pytest
 from helpers import count_calls
 from repro.relational.algebra import (
     AggregateSpec,
-    BaseRelation,
-    GroupBy,
-    Join,
     JoinGraph,
-    Project,
     QueryError,
-    Select,
     SPJAQuery,
-    spj_query,
 )
 from repro.relational.expressions import (
     Aggregate,
@@ -38,42 +32,16 @@ def two_table_query():
     )
 
 
-class TestLogicalPlanNodes:
-    def test_relations_of_tree(self):
-        plan = Join(
-            Select(BaseRelation("a"), TruePredicate()),
-            Project(BaseRelation("b"), ("y",)),
-            (JoinPredicate("a", "x", "b", "y"),),
-        )
-        assert plan.relations() == frozenset({"a", "b"})
-
-    def test_walk_visits_all_nodes(self):
-        plan = GroupBy(
-            Join(BaseRelation("a"), BaseRelation("b"), ()),
-            ("x",),
-            (Aggregate("count", None, "n"),),
-        )
-        kinds = [type(node).__name__ for node in plan.walk()]
-        assert kinds == ["GroupBy", "Join", "BaseRelation", "BaseRelation"]
-
-    def test_base_relation_children_empty(self):
-        assert BaseRelation("a").children() == ()
-
-
 class TestAggregateSpec:
     def test_output_attributes(self):
         spec = AggregateSpec(("g",), (Aggregate("sum", "v", "total"),))
         assert spec.output_attributes == ("g", "total")
 
-    def test_referenced_attributes(self):
-        spec = AggregateSpec(("g",), (Aggregate("sum", "v", "total"),))
-        assert spec.referenced_attributes() == {"g", "v"}
-
 
 class TestSPJAQueryValidation:
     def test_valid_query(self):
         query = two_table_query()
-        assert query.num_joins == 1
+        assert query.relations == ("a", "b")
 
     def test_duplicate_relations_rejected(self):
         with pytest.raises(QueryError):
@@ -98,7 +66,7 @@ class TestSPJAQueryValidation:
 
     def test_single_relation_query_allowed(self):
         query = SPJAQuery("q", ("a",), ())
-        assert query.num_joins == 0
+        assert query.join_graph.splits(frozenset(query.relations)) == ()
 
 
 class TestSPJAQueryHelpers:
@@ -113,11 +81,6 @@ class TestSPJAQueryHelpers:
         assert len(preds) == 1
         assert query.predicates_between(frozenset(["a"]), frozenset(["a"])) == ()
 
-    def test_join_attributes(self):
-        query = two_table_query()
-        assert query.join_attributes("a") == ("x",)
-        assert query.join_attributes("b") == ("y",)
-
     def test_describe_mentions_pieces(self):
         query = SPJAQuery(
             name="q",
@@ -127,11 +90,6 @@ class TestSPJAQueryHelpers:
         )
         text = query.describe()
         assert "a" in text and "group by" in text and "sum" in text
-
-    def test_spj_query_helper(self):
-        query = spj_query("q", ["a", "b"], [JoinPredicate("a", "x", "b", "y")])
-        assert query.aggregation is None
-        assert query.relations == ("a", "b")
 
 
 def snowflake_query(name="q"):

@@ -12,6 +12,7 @@ Two layers:
   must cover the required corpus breadth and come back clean.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -36,6 +37,8 @@ from repro.analysis.codegen_audit import (
     audit_generated_pipelines,
     audit_route_source,
 )
+from repro.analysis.reachability import UnreadCallableRule
+from repro.analysis.rules import RuleContext
 from repro.analysis.runner import (
     STALE_ENTRY_RULE,
     STALE_PRAGMA_RULE,
@@ -101,6 +104,7 @@ class TestWallClockRule:
         module.parent.mkdir()
         module.write_text(
             "import time\n\n\ndef timed_table():\n    return time.perf_counter()\n"
+            "\n\nTABLE = timed_table()\n"
         )
         report = run_lint(tmp_path, whitelist=Whitelist())
         assert [(f.rule, f.path, f.line, f.symbol) for f in report.findings] == [
@@ -220,6 +224,183 @@ class TestEventExhaustivenessRule:
 
         # The compliant policy (and the skipped base class) stay silent.
         assert by_symbol == {}
+
+
+class TestUnreadCallableRule:
+    RULE = "reachability.unread"
+    PATH = "relational/unread.py"
+
+    def test_fires_at_each_marked_definition(self, fixture_findings):
+        hits = findings_for(fixture_findings, self.RULE, self.PATH)
+        assert {(f.line, f.symbol) for f in hits} == {
+            (line_of(self.PATH, "unread-function"), "orphan_function"),
+            (line_of(self.PATH, "unread-exported"), "exported_only"),
+            (line_of(self.PATH, "unread-recursive"), "selfish"),
+            (line_of(self.PATH, "unread-class"), "Orphan"),
+            (line_of(self.PATH, "unread-method"), "Orphan.tally"),
+        }
+
+    def test_a_reader_anywhere_in_the_tree_counts(self, tmp_path):
+        """A read in another module keeps a callable; deleting the reader
+        makes the same definition a finding."""
+        (tmp_path / "lib.py").write_text("def helper():\n    return 1\n")
+        user = tmp_path / "user.py"
+        user.write_text("from lib import helper\n\nVALUE = helper()\n")
+        assert not run_lint(tmp_path, whitelist=Whitelist()).findings
+        user.write_text("from lib import helper\n")
+        report = run_lint(tmp_path, whitelist=Whitelist())
+        assert [(f.rule, f.path, f.line, f.symbol) for f in report.findings] == [
+            (self.RULE, "lib.py", 1, "helper")
+        ]
+
+    # (modules of a scanned tree, the symbols the rule flags)
+    CASES = {
+        "name-read": ({"lib.py": "def helper(): ...", "use.py": "helper()"}, set()),
+        "attribute-read": (
+            {"lib.py": "class Box:\n    def peek(self): ...", "use.py": "Box().peek()"},
+            set(),
+        ),
+        "string-read": (
+            {"lib.py": "def hook(): ...", "use.py": "getattr(lib, 'hook')"},
+            set(),
+        ),
+        "import-only": (
+            {"lib.py": "def helper(): ...", "use.py": "from lib import helper"},
+            {"helper"},
+        ),
+        "module-all-only": ({"lib.py": "__all__ = ['helper']\ndef helper(): ..."}, {"helper"}),
+        "root-all-entry": (
+            {"__init__.py": "__all__ = ['helper']", "lib.py": "def helper(): ..."},
+            set(),
+        ),
+        "root-all-does-not-cover-methods": (
+            {
+                "__init__.py": "__all__ = ['Box', 'peek']",
+                "lib.py": "class Box:\n    def peek(self): ...",
+            },
+            {"Box.peek"},
+        ),
+        "store-is-no-read": (
+            {"lib.py": "def helper(): ...", "use.py": "helper = None"},
+            {"helper"},
+        ),
+        "self-recursion": ({"lib.py": "def loop(n):\n    return loop(n - 1)"}, {"loop"}),
+        "read-inside-own-class": (
+            {"lib.py": "class Box:\n    def a(self):\n        return Box, self.b()\n"
+             "    def b(self): ..."},
+            {"Box", "Box.a"},
+        ),
+        "same-name-on-another-class": (
+            {
+                "lib.py": "class A:\n    def run(self): ...\nclass B:\n    def run(self): ...",
+                "use.py": "A, B, thing.run()",
+            },
+            set(),
+        ),
+        "cli-main": ({"experiments/cli.py": "def main(argv=None): ..."}, set()),
+        "main-elsewhere": ({"tools.py": "def main(argv=None): ..."}, {"main"}),
+        "private-and-dunder": (
+            {
+                "lib.py": "def _helper(): ...\nclass _Hidden: ...\n"
+                "class Box:\n    def __len__(self): ...\n    def _peek(self): ...",
+                "use.py": "Box",
+            },
+            set(),
+        ),
+        "visit-methods": (
+            {"lib.py": "class Walker:\n    def visit_Name(self, node): ...", "use.py": "Walker"},
+            set(),
+        ),
+        "registered-rule-methods-still-need-readers": (
+            {"lib.py": "@register_rule\nclass Rule:\n    def check_module(self): ...\n"
+             "def register_rule(cls):\n    return cls"},
+            {"Rule.check_module"},
+        ),
+        "nested-definitions-are-not-checked": (
+            {
+                "lib.py": "def outer():\n    def inner(): ...\n    return inner\n"
+                "class Box:\n    class Inner: ...",
+                "use.py": "outer, Box",
+            },
+            set(),
+        ),
+        "async-function": ({"lib.py": "async def fetch(): ..."}, {"fetch"}),
+        "decorator-is-a-read": (
+            {"lib.py": "def deco(f):\n    return f\n@deco\ndef wrapped(): ..."},
+            {"wrapped"},
+        ),
+        "annotation-is-a-read": (
+            {"lib.py": "class Box: ...", "use.py": "def use(box: Box) -> 'Box': ...\nuse"},
+            set(),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reads_and_entry_points(self, case):
+        modules, flagged = self.CASES[case]
+        contexts = [RuleContext.from_source(p, s) for p, s in sorted(modules.items())]
+        assert {f.symbol for f in UnreadCallableRule().check_project(contexts)} == flagged
+
+    def test_pragma_suppresses_and_goes_stale_with_a_reader(self, tmp_path):
+        pragma = "  # lint: ignore[reachability.unread] only the benchmark calls it"
+        (tmp_path / "lib.py").write_text(f"def helper():{pragma}\n    return 1\n")
+        report = run_lint(tmp_path, whitelist=Whitelist())
+        assert report.clean and [(f.symbol, f.line) for f, _ in report.suppressed] == [
+            ("helper", 1)
+        ]
+        (tmp_path / "use.py").write_text("from lib import helper\n\nVALUE = helper()\n")
+        report = run_lint(tmp_path, whitelist=Whitelist())
+        assert [(f.rule, f.path, f.line) for f in report.findings] == [
+            (STALE_PRAGMA_RULE, "lib.py", 1)
+        ]
+
+
+@pytest.fixture(scope="module")
+def package_contexts():
+    """The real package's modules and the symbols the rule flags there."""
+    contexts = load_contexts(PACKAGE_ROOT)
+    return contexts, {f.symbol for f in UnreadCallableRule().check_project(contexts)}
+
+
+class TestUnreadCallableRuleOnThePackage:
+    """Re-adding a deleted test-only callable to the real package makes
+    ``reachability.unread`` fire at its path and symbol."""
+
+    READDED = {
+        "Relation.sorted_by": ("relational/relation.py", "Relation"),
+        "Schema.rename_relation": ("relational/schema.py", "Schema"),
+        "concat_tuples": ("relational/tuples.py", None),
+        "WorkProfile": ("engine/cost.py", None),
+        "StateRegistry.lookup": ("engine/state/registry.py", "StateRegistry"),
+        "fraction_consumed": ("optimizer/statistics.py", None),
+        "SourceDescription.covers": ("sources/description.py", "SourceDescription"),
+        "ZipfSampler.expected_frequency": ("stats/zipf.py", "ZipfSampler"),
+        "PhaseManager.total_outputs": ("core/phases.py", "PhaseManager"),
+    }
+
+    @pytest.mark.parametrize("symbol", sorted(READDED))
+    def test_readding_a_deleted_callable_fires(self, package_contexts, symbol):
+        path, owner = self.READDED[symbol]
+        name = symbol.rpartition(".")[2]
+        baseline, flagged = package_contexts
+        contexts = list(baseline)
+        index = next(i for i, c in enumerate(contexts) if c.relpath == path)
+        lines = contexts[index].source.splitlines()
+        if owner is None:
+            at, text = len(lines), f"def {name}():\n    return None"
+            if name[0].isupper():
+                text = f"class {name}:\n    pass"
+        else:
+            (cls,) = (
+                n for n in contexts[index].tree.body
+                if isinstance(n, ast.ClassDef) and n.name == owner
+            )
+            at, text = cls.end_lineno, f"    def {name}(self):\n        return self"
+        lines[at:at] = text.splitlines()
+        contexts[index] = RuleContext.from_source(path, "\n".join(lines) + "\n")
+        after = UnreadCallableRule().check_project(contexts)
+        assert symbol not in flagged
+        assert [(f.path, f.line) for f in after if f.symbol == symbol] == [(path, at + 1)]
 
 
 class TestWhitelist:
@@ -555,10 +736,22 @@ class TestRulePopulation:
         } <= set(registered_rules())
 
 
+@pytest.fixture(scope="class")
+def package_report():
+    """One analyzer run over the real package, shared by the gate's tests."""
+    return run_lint()
+
+
+@pytest.fixture
+def cached_lint(package_report, monkeypatch):
+    """Point the CLI's ``run_lint`` at the shared run instead of a rescan."""
+    monkeypatch.setattr("repro.analysis.run_lint", lambda: package_report)
+
+
 class TestPackageGate:
-    def test_package_lints_clean(self):
+    def test_package_lints_clean(self, package_report):
         """The real package: zero unwhitelisted findings, no stale entries."""
-        report = run_lint()
+        report = package_report
         assert report.clean, "\n" + report.render()
         assert report.files_scanned > 80
         # The whitelist is empty — the io/ package-scope exemption replaced
@@ -569,14 +762,14 @@ class TestPackageGate:
             isinstance(by, PragmaIgnore) for _, by in report.suppressed
         ), "the whitelist is empty; only pragma suppressions should remain"
 
-    def test_cli_gate_exits_zero(self, capsys):
+    def test_cli_gate_exits_zero(self, capsys, cached_lint):
         from repro.experiments.cli import main
 
         assert main(["repro-lint", "--no-codegen"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
 
-    def test_cli_shard_audit_json_report(self, capsys, tmp_path):
+    def test_cli_shard_audit_json_report(self, capsys, tmp_path, cached_lint):
         from repro.experiments.cli import main
 
         out_path = tmp_path / "lint.json"

@@ -24,7 +24,7 @@ class TestTableStatistics:
         stats = TableStatistics()
         assert stats.cardinality is None
         assert stats.distinct("k") is None
-        assert not stats.is_sorted_on("k")
+        assert stats.sorted_on == ()
         assert not stats.is_key("k")
 
     def test_with_cardinality(self):
@@ -33,7 +33,7 @@ class TestTableStatistics:
 
     def test_key_and_sort_flags(self):
         stats = TableStatistics(sorted_on=("k",), key_attributes=("k",))
-        assert stats.is_sorted_on("k") and stats.is_key("k")
+        assert stats.sorted_on == ("k",) and stats.is_key("k")
 
 
 class TestCatalog:
@@ -53,16 +53,10 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog.relation("t")
 
-    def test_register_relation_attaches_data(self):
+    def test_register_attaches_data(self):
         catalog = Catalog()
-        catalog.register_relation(make_relation())
+        catalog.register("t", SCHEMA, relation=make_relation())
         assert catalog.relation("t").cardinality == 5
-
-    def test_register_relations_bulk(self):
-        catalog = Catalog()
-        other = Relation("u", Schema.from_names(["a"], relation="u"), [(1,)])
-        catalog.register_relations([make_relation(), other])
-        assert set(catalog.names()) == {"t", "u"}
 
     def test_assumed_cardinality_default(self):
         catalog = Catalog()
@@ -77,18 +71,11 @@ class TestCatalog:
 
     def test_with_cardinalities_copy(self):
         catalog = Catalog()
-        catalog.register_relation(make_relation(8))
+        catalog.register("t", SCHEMA, relation=make_relation(8))
         enriched = catalog.with_cardinalities()
         assert enriched.statistics("t").cardinality == 8
         # original untouched
         assert catalog.statistics("t").cardinality is None
-
-    def test_without_statistics_copy(self):
-        catalog = Catalog()
-        catalog.register_relation(make_relation(8), TableStatistics(cardinality=8))
-        stripped = catalog.without_statistics()
-        assert stripped.statistics("t").cardinality is None
-        assert catalog.statistics("t").cardinality == 8
 
     def test_set_statistics(self):
         catalog = Catalog()

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.engine.compiled import ENGINE_MODES, _Env, predicate_source
+from repro.engine.compiled import ENGINE_MODES, _Env, predicate_source, validate_engine_mode
 from repro.engine.cost import CostModel, ExecutionMetrics
 from repro.engine.operators.aggregate import GroupAccumulator
 from repro.engine.pipelined import PipelinedExecutor, PipelinedPlan, SourceCursor
@@ -352,6 +352,33 @@ def _tiny_workload():
 
 
 class TestEngineModeSurface:
+    @pytest.mark.parametrize(
+        "mode, batch_size, staged, resolved",
+        [
+            (None, None, False, "interpreted"),
+            (None, 64, False, "compiled"),
+            (None, 64, True, "interpreted"),
+            ("interpreted", None, False, "interpreted"),
+            ("interpreted", 1, True, "interpreted"),
+            ("compiled", 8, False, "compiled"),
+        ],
+    )
+    def test_the_mode_a_plan_runs(self, mode, batch_size, staged, resolved):
+        assert validate_engine_mode(mode, batch_size, staged) == resolved
+
+    @pytest.mark.parametrize(
+        "mode, batch_size, message",
+        [
+            (None, 0, "batch_size must be positive"),
+            ("compiled", -1, "batch_size must be positive"),
+            ("jit", 8, "unknown engine_mode 'jit'"),
+            ("compiled", None, "requires a batch_size"),
+        ],
+    )
+    def test_invalid_pairs_are_plan_errors(self, mode, batch_size, message):
+        with pytest.raises(PlanError, match=message):
+            validate_engine_mode(mode, batch_size)
+
     def test_unknown_mode_rejected(self):
         query, sources = _tiny_workload()
         with pytest.raises(PlanError, match="engine_mode"):

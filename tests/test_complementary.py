@@ -95,14 +95,6 @@ class TestRoutingBehaviour:
         high_water = pair._reorderers["left"].buffered_high_water
         assert high_water <= 33  # capacity + the tuple being pushed
 
-    def test_work_profile_matches_component_outputs(self):
-        left, right = sorted_inputs(n=50)
-        pair = ComplementaryJoinPair(left, right, "lk", "rk")
-        report = pair.execute()
-        profile = pair.work_profile()
-        assert profile.get("merge") == report.outputs_by_component["merge"]
-        assert profile.total() == report.output_count
-
 
 class TestPerformanceShape:
     """The qualitative results of Figure 5, expressed as work-unit orderings."""

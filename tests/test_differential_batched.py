@@ -20,9 +20,10 @@ import pytest
 
 from differential import (
     assert_differential_case,
-    generate_workload,
     run_differential_case,
 )
+
+from repro.workloads.differential import generate_workload
 
 SEEDS = tuple(range(50))
 

@@ -25,7 +25,6 @@ from differential import (
     _canonical_multiset,
     _canonical_names,
     assert_mirror_differential_case,
-    generate_workload,
     mirror_outage_setup,
     run_mirror_differential_case,
 )
@@ -33,6 +32,7 @@ from helpers import reference_spja
 
 from repro.relational.catalog import Catalog
 from repro.serving.server import QueryServer
+from repro.workloads.differential import generate_workload
 
 MIRROR_SEEDS = tuple(range(1000, 1025))
 

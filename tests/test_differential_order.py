@@ -27,7 +27,6 @@ from differential import (
     POLLING_INTERVAL,
     _canonical_multiset,
     _canonical_names,
-    generate_workload,
     order_catalog,
     order_workload_variant,
 )
@@ -39,6 +38,7 @@ from repro.optimizer.ordering import JoinStrategy
 from repro.optimizer.plans import JoinTree
 from repro.relational.catalog import Catalog
 from repro.serving.server import QueryServer
+from repro.workloads.differential import generate_workload
 
 FORCED_MERGE_SEEDS = range(40)
 ADAPTIVE_SEEDS = range(20)

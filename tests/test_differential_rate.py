@@ -18,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from differential import (
-    generate_workload,
     assert_rate_differential_case,
     rate_collapse_setup,
     run_rate_differential_case,
@@ -27,6 +26,8 @@ from differential import (
 )
 from helpers import reference_spja
 from collections import Counter
+
+from repro.workloads.differential import generate_workload
 
 RATE_SEEDS = tuple(range(900, 925))
 NO_PROMISE_SEEDS = tuple(range(930, 942))

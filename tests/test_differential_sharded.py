@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 import pytest
 
 from differential import (
-    generate_workload,
     run_partition_differential_case,
     run_sharded_differential_case,
 )
@@ -41,6 +40,7 @@ from repro.relational.algebra import SPJAQuery
 from repro.relational.expressions import Aggregate
 from repro.serving.sharded import ShardedQueryServer
 from repro.workloads.queries import query_3a, query_5, query_10a
+from repro.workloads.differential import generate_workload
 
 POLICIES = ("round_robin", "shortest_remaining_cost")
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from differential import generate_workload
 from helpers import count_calls
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.engine.cost import CostModel
@@ -35,6 +34,7 @@ from repro.workloads.queries import (
     query_10,
     query_10a,
 )
+from repro.workloads.differential import generate_workload
 
 
 class TestCostModel:
@@ -110,7 +110,7 @@ class TestJoinEnumerator:
         query = query_5()
         estimator = SelectivityEstimator(catalog, query)
         tree = JoinEnumerator(query, estimator, bushy=False).best_tree()
-        assert tree.is_left_deep()
+        assert all(node.right.is_leaf for node in tree.internal_nodes())
 
     def test_unconnected_relations_raise(self, tiny_tpch):
         query = SPJAQuery(
@@ -597,11 +597,3 @@ class TestOptimizer:
         observed.record_selectivity(first_join, 0.9)
         revised = optimizer.optimize_tree(query, observed)
         assert revised.leaf_order() != baseline.leaf_order() or str(revised) != str(baseline)
-
-    def test_cost_of_tree_helper(self, tiny_tpch):
-        catalog = tiny_tpch.catalog(with_cardinalities=True)
-        optimizer = Optimizer(catalog)
-        query = query_3a()
-        tree = JoinTree.left_deep(["customer", "orders", "lineitem"])
-        estimate = optimizer.cost_of_tree(query, tree)
-        assert estimate.total_cost > 0

@@ -109,32 +109,15 @@ class TestBooleanCombinators:
 
 
 class TestJoinPredicate:
-    def test_attr_for(self):
-        pred = JoinPredicate("orders", "o_custkey", "customer", "c_custkey")
-        assert pred.attr_for("orders") == "o_custkey"
-        assert pred.attr_for("customer") == "c_custkey"
-
-    def test_attr_for_unknown_relation(self):
-        pred = JoinPredicate("a", "x", "b", "y")
-        with pytest.raises(ExpressionError):
-            pred.attr_for("c")
-
     def test_connects(self):
         pred = JoinPredicate("a", "x", "b", "y")
         assert pred.connects(frozenset(["a"]), frozenset(["b"]))
         assert pred.connects(frozenset(["b"]), frozenset(["a"]))
         assert not pred.connects(frozenset(["a"]), frozenset(["c"]))
 
-    def test_involves_and_relations(self):
+    def test_relations(self):
         pred = JoinPredicate("a", "x", "b", "y")
-        assert pred.involves("a") and pred.involves("b") and not pred.involves("c")
         assert pred.relations() == frozenset({"a", "b"})
-
-    def test_to_comparison(self):
-        pred = JoinPredicate("a", "x", "b", "y").to_comparison()
-        schema = Schema.from_names(["x", "y"])
-        assert pred.compile(schema)((1, 1))
-        assert not pred.compile(schema)((1, 2))
 
 
 class TestAggregate:

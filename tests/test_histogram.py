@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import feed
 from repro.stats.histogram import DynamicCompressedHistogram
 from repro.stats.zipf import ZipfSampler
 
@@ -11,14 +12,14 @@ from repro.stats.zipf import ZipfSampler
 class TestMaintenance:
     def test_counts_and_flush(self):
         histogram = DynamicCompressedHistogram(bucket_target=10, restructure_interval=50)
-        histogram.add_many([1] * 30 + [2] * 10 + list(range(3, 50)))
+        feed(histogram, [1] * 30 + [2] * 10 + list(range(3, 50)))
         histogram.flush()
         assert histogram.total_count == 30 + 10 + 47
         assert histogram.maintenance_operations > 0
 
     def test_heavy_hitters_promoted_to_singletons(self):
         histogram = DynamicCompressedHistogram(bucket_target=10, restructure_interval=100)
-        histogram.add_many([7] * 500 + list(range(100)))
+        feed(histogram, [7] * 500 + list(range(100)))
         histogram.flush()
         assert 7 in histogram.singletons
         assert histogram.frequency(7) == pytest.approx(500, rel=0.05)
@@ -32,20 +33,20 @@ class TestEstimation:
     def test_selectivity_of_heavy_value(self):
         histogram = DynamicCompressedHistogram(bucket_target=20, restructure_interval=100)
         values = [1] * 900 + list(range(2, 102))
-        histogram.add_many(values)
+        feed(histogram, values)
         histogram.flush()
         assert histogram.selectivity(1) == pytest.approx(0.9, rel=0.05)
 
     def test_frequency_of_unseen_value(self):
         histogram = DynamicCompressedHistogram()
-        histogram.add_many(range(100))
+        feed(histogram, range(100))
         histogram.flush()
         # An unseen value outside all buckets has frequency ~0 or the bucket average.
         assert histogram.frequency(10_000) <= 2
 
     def test_distinct_estimate_reasonable(self):
         histogram = DynamicCompressedHistogram(bucket_target=50, restructure_interval=200)
-        histogram.add_many(range(500))
+        feed(histogram, range(500))
         histogram.flush()
         assert histogram.distinct_estimate() >= 50
 
@@ -57,8 +58,8 @@ class TestEstimation:
         right = [rng.randrange(domain) for _ in range(1000)]
         h_left = DynamicCompressedHistogram(bucket_target=50, restructure_interval=200)
         h_right = DynamicCompressedHistogram(bucket_target=50, restructure_interval=200)
-        h_left.add_many(left)
-        h_right.add_many(right)
+        feed(h_left, left)
+        feed(h_right, right)
         h_left.flush(), h_right.flush()
         exact = 0
         right_counts = {}
@@ -72,12 +73,12 @@ class TestEstimation:
     def test_skewed_join_size_estimate_direction(self):
         """With Zipf skew the estimate must reflect the heavy-hitter inflation."""
         sampler = ZipfSampler(200, z=1.0, seed=3)
-        left = sampler.sample_many(2000)
-        right = sampler.sample_many(1000)
+        left = [sampler.sample() for _ in range(2000)]
+        right = [sampler.sample() for _ in range(1000)]
         h_left = DynamicCompressedHistogram(bucket_target=50, restructure_interval=200)
         h_right = DynamicCompressedHistogram(bucket_target=50, restructure_interval=200)
-        h_left.add_many(left)
-        h_right.add_many(right)
+        feed(h_left, left)
+        feed(h_right, right)
         h_left.flush(), h_right.flush()
         uniform_guess = len(left) * len(right) / 200
         estimate = h_left.join_size_estimate(h_right)
@@ -100,7 +101,7 @@ class TestEstimation:
 
     def test_scaled_extrapolation(self):
         histogram = DynamicCompressedHistogram(bucket_target=20, restructure_interval=100)
-        histogram.add_many([1] * 100 + list(range(2, 52)))
+        feed(histogram, [1] * 100 + list(range(2, 52)))
         histogram.flush()
         doubled = histogram.scaled(2.0)
         assert doubled.total_count == 2 * histogram.total_count
@@ -114,7 +115,7 @@ class TestEstimation:
         histogram = DynamicCompressedHistogram(
             bucket_target=50, restructure_interval=200
         )
-        histogram.add_many(range(1000))  # 1000 distinct values, one each
+        feed(histogram, range(1000))  # 1000 distinct values, one each
         histogram.flush()
         clone = histogram.scaled(0.01)
         assert clone.total_count == 10
@@ -128,7 +129,7 @@ class TestEstimation:
 
     def test_scaled_up_remains_exact_for_integer_factors(self):
         histogram = DynamicCompressedHistogram(bucket_target=20, restructure_interval=50)
-        histogram.add_many([1] * 30 + list(range(2, 40)))
+        feed(histogram, [1] * 30 + list(range(2, 40)))
         histogram.flush()
         tripled = histogram.scaled(3.0)
         assert tripled.total_count == 3 * histogram.total_count
@@ -136,7 +137,7 @@ class TestEstimation:
 
     def test_find_bucket_binary_search_matches_linear_semantics(self):
         histogram = DynamicCompressedHistogram(bucket_target=10, restructure_interval=50)
-        histogram.add_many(range(0, 500, 2))  # even values only
+        feed(histogram, range(0, 500, 2))  # even values only
         histogram.flush()
         for value in (-1, 0, 3, 250, 498, 499, 10_000):
             found = histogram._find_bucket(value)
@@ -157,7 +158,7 @@ class TestEstimation:
         assert histogram.singleton_budget == 29
         # The buggy round-trip: int(50 * (29 / 50)) == 28 under IEEE floats.
         assert int(histogram.bucket_target * (29 / 50)) == 28
-        histogram.add_many(range(150))
+        feed(histogram, range(150))
         clone = histogram.scaled(1.5)
         assert clone.singleton_budget == histogram.singleton_budget == 29
         assert clone.maintenance_operations == histogram.maintenance_operations

@@ -23,7 +23,6 @@ def system(tiny_tpch):
 
 class TestRegistration:
     def test_register_sources(self, system, tiny_tpch):
-        assert set(system.source_names()) == set(tiny_tpch.relations)
         descriptions = system.describe_sources()
         assert len(descriptions) == 6
         assert all(not d["remote"] for d in descriptions)
@@ -122,23 +121,3 @@ class TestExecution:
             max_phases=3,
         )
         assert answer.report.num_phases <= 3
-
-    def test_answer_to_dicts_for_spj(self, system, tiny_tpch):
-        from repro.relational.algebra import SPJAQuery
-        from repro.relational.expressions import JoinPredicate
-
-        query = SPJAQuery(
-            name="spj",
-            relations=("customer", "orders"),
-            join_predicates=(JoinPredicate("customer", "c_custkey", "orders", "o_custkey"),),
-        )
-        answer = system.execute(query, strategy="static")
-        dicts = answer.to_dicts()
-        assert len(dicts) == len(answer.rows)
-        assert "o_orderkey" in dicts[0]
-
-    def test_aggregate_answer_to_dicts_raises_without_schema(self, system):
-        answer = system.execute(query_3a(), strategy="static")
-        if answer.schema is None:
-            with pytest.raises(ValueError):
-                answer.to_dicts()

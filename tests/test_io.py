@@ -55,7 +55,7 @@ from repro.io import (
     write_jsonl,
     write_sqlite,
 )
-from repro.io.backends import Transport, _HTTPReader, compile_csv_decoder
+from repro.io.backends import Transport, _HTTPReader, compile_csv_decoder, scan_json_rows
 from repro.io.envelope import (
     BackoffSchedule,
     CircuitBreaker,
@@ -67,7 +67,7 @@ from repro.io.wallclock import wall_now
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.workloads.generator import TPCHGenerator
-from repro.workloads.queries import query_3
+from repro.workloads.queries import query_10
 from repro.workloads.tpch_schema import LINEITEM_SCHEMA
 
 TEST_DEADLINE_SECONDS = 60
@@ -94,7 +94,7 @@ def hard_deadline():
 def make_relation(name="r", count=40):
     schema = Schema.from_names(["a", "b", "c"], relation=name)
     rows = [(i, i * 2, i * i) for i in range(count)]
-    return Relation.from_rows(name, schema, rows)
+    return Relation(name, schema, rows)
 
 
 def make_transport(kind, tmp_path, relation, server=None):
@@ -453,7 +453,7 @@ class TestBackends:
         assert reader.read_rows(100_000) == relation.rows
         reader.close()
 
-    def test_query_3_over_csv_sources_matches_the_local_oracle(self, tmp_path):
+    def test_query_10_over_csv_sources_matches_the_local_oracle(self, tmp_path):
         dataset = build_dataset("uniform", 0.001, 0.0, 5)
         sources = dict(dataset.sources)
         for name in ("orders", "lineitem"):
@@ -468,7 +468,7 @@ class TestBackends:
             processor = CorrectiveQueryProcessor(
                 dataset.catalog_no_statistics.copy(), query_sources, batch_size=64
             )
-            return Counter(processor.execute(query_3()).rows)
+            return Counter(processor.execute(query_10()).rows)
 
         oracle = answer(dataset.sources)
         assert oracle  # the date predicates select something
@@ -671,7 +671,6 @@ class TestResilientEnvelope:
         source.register_mirror(other)
         assert source.mirrors == [other]
         bad_schema = Schema.from_names(["x", "y"])
-        bad_relation = Relation.from_rows("bad", bad_schema, [(1, 2)])
         mismatched = ResilientSource(
             CSVFileTransport("bad", str(tmp_path / "none.csv"), bad_schema)
         )
@@ -1009,7 +1008,7 @@ class TestFixtureServerWire:
             server.add_relation("r", relation, FaultPlan.quiet())
             assert raw_body(url, 0) == reference_body(served, 0, {})
             # another object under the served name: its rows are served
-            other = Relation.from_rows("r", relation.schema, relation.rows[:7])
+            other = Relation("r", relation.schema, relation.rows[:7])
             assert server.add_relation("r", other) == url
             assert raw_body(url, 0) == reference_body(other.rows, 0, {})
             reader = HTTPTransport("r", url, relation.schema).open(0)
@@ -1070,6 +1069,38 @@ def drain(reader, sizes):
     finally:
         reader.close()
     raise AssertionError("the drawn read sizes ran out")
+
+
+def undecodable_after(line):
+    yield line
+    raise UnicodeDecodeError("utf-8", b"\xe2", 0, 1, "unexpected end of data")
+
+
+class TestScanJsonRows:
+    """The one JSON-lines validator, branch by branch: ``(rows kept, what
+    it returns or the message it raises)`` for a limit of two rows."""
+
+    CASES = {
+        "stops-at-the-limit": (["[1, 2]\n", "[3, 4]\n", "[5, 6]\n"], [(1, 2), (3, 4)], None),
+        "blank-lines-are-no-rows": (["\n", "[1, 2]\n", "  \n"], [(1, 2)], None),
+        "marker-is-returned": (["[1, 2]\n", '{"__end__": 1}\n', "[3, 4]"], [(1, 2)], {"__end__": 1}),
+        "cut-record": (["[1, 2]\n", "[3,"], [(1, 2)], "cut mid-record"),
+        "two-documents": (["[1, 2][3, 4]\n"], [], "cut mid-record"),
+        "wrong-width": (["[1, 2]\n", "[1, 2, 3]\n"], [(1, 2)], "malformed row"),
+        "scalar": (["7\n"], [], "malformed row"),
+        "cut-character": (lambda: undecodable_after("[1, 2]\n"), [(1, 2)], "cut inside a character"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_branches(self, case):
+        lines, kept, outcome = self.CASES[case]
+        lines, rows = lines() if callable(lines) else iter(lines), []
+        if isinstance(outcome, str):
+            with pytest.raises(TruncatedPayloadError, match=f"blk: {outcome}"):
+                scan_json_rows(lines, 2, rows, 2, "blk")
+        else:
+            assert scan_json_rows(lines, 2, rows, 2, "blk") == outcome
+        assert rows == kept
 
 
 class TestJSONLinesBlocks:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.optimizer.plans import JoinTree, PhysicalPlan, PlanError, PreAggPoint
-from repro.workloads.queries import query_3a, query_5
+from repro.workloads.queries import query_3a
 
 
 class TestJoinTree:
@@ -24,14 +24,13 @@ class TestJoinTree:
     def test_left_deep_builder(self):
         tree = JoinTree.left_deep(["a", "b", "c"])
         assert tree.leaf_order() == ("a", "b", "c")
-        assert tree.is_left_deep()
+        assert all(node.right.is_leaf for node in tree.internal_nodes())
 
-    def test_bushy_tree_not_left_deep(self):
+    def test_bushy_tree_walks(self):
         tree = JoinTree.join(
             JoinTree.join(JoinTree.leaf("a"), JoinTree.leaf("b")),
             JoinTree.join(JoinTree.leaf("c"), JoinTree.leaf("d")),
         )
-        assert not tree.is_left_deep()
         assert len(list(tree.internal_nodes())) == 3
         assert len(list(tree.subtrees())) == 7
 
@@ -71,16 +70,3 @@ class TestPhysicalPlan:
         assert plan.preagg_points == (point,)
         text = plan.describe()
         assert "42.0" in text and "lineitem" in text
-
-    def test_estimated_cardinality_lookup(self):
-        query = query_5()
-        tree = JoinTree.left_deep(
-            ["customer", "orders", "lineitem", "supplier", "nation", "region"]
-        )
-        plan = PhysicalPlan(
-            query,
-            tree,
-            estimated_cardinalities={frozenset({"customer", "orders"}): 123.0},
-        )
-        assert plan.estimated_cardinality(frozenset({"orders", "customer"})) == 123.0
-        assert plan.estimated_cardinality(frozenset({"customer"})) is None

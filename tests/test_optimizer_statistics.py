@@ -5,7 +5,6 @@ import pytest
 from repro.optimizer.statistics import (
     ObservedStatistics,
     SelectivityEstimator,
-    fraction_consumed,
     predicate_key,
     selectivity_key,
 )
@@ -155,26 +154,11 @@ class TestSelectivityEstimator:
         expected = estimator.estimate_cardinality(relations) / (1000 * 10_000)
         assert estimator.selectivity(relations) == pytest.approx(expected)
 
-    def test_cache_invalidation(self):
+    def test_estimates_are_cached_per_estimator(self):
         estimator = SelectivityEstimator(make_catalog(), make_query())
         first = estimator.estimate_cardinality(frozenset({"r", "s"}))
         estimator.observed.record_selectivity(["r", "s"], 1.0)
-        # cached value still returned until invalidated
+        # cached value still returned; a new estimator sees the observation
         assert estimator.estimate_cardinality(frozenset({"r", "s"})) == first
-        estimator.invalidate_cache()
-        assert estimator.estimate_cardinality(frozenset({"r", "s"})) != first
-
-
-class TestFractionConsumed:
-    def test_fractions(self):
-        catalog = make_catalog()
-        observed = ObservedStatistics()
-        observed.record_source("r", 500, 500, False)
-        observed.record_source("s", 10_000, 10_000, True)
-        fractions = fraction_consumed(observed, catalog, ["r", "s"])
-        assert fractions["r"] == pytest.approx(0.5)
-        assert fractions["s"] == 1.0
-
-    def test_unknown_source_is_zero(self):
-        fractions = fraction_consumed(ObservedStatistics(), make_catalog(), ["r"])
-        assert fractions["r"] == 0.0
+        fresh = SelectivityEstimator(make_catalog(), make_query(), estimator.observed)
+        assert fresh.estimate_cardinality(frozenset({"r", "s"})) != first

@@ -15,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+from helpers import feed
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.core.monitor import ExecutionMonitor
 from repro.engine.cost import ExecutionMetrics
@@ -24,6 +25,9 @@ from repro.engine.state.sorted_run import SortedRunState
 from repro.optimizer.ordering import (
     JoinStrategy,
     OrderingKnowledge,
+    SideOrdering,
+    algorithms_of,
+    merge_step,
     plan_join_strategies,
     refresh_strategies,
 )
@@ -98,21 +102,46 @@ class TestOrderDetectorLateness:
         detector = OrderDetector()
         # One early high value: a single adjacent inversion, but every later
         # arrival is below the high-water mark.
-        detector.add_many([100, 1, 2, 3, 4, 5])
+        feed(detector, [100, 1, 2, 3, 4, 5])
         assert detector.ascending_violations == 1
         assert detector.below_highwater == 5
         assert detector.in_order_fraction(1) == 0.0
 
     def test_descending_in_order_fraction(self):
         detector = OrderDetector()
-        detector.add_many([9, 7, 5, 3])
+        feed(detector, [9, 7, 5, 3])
         assert detector.in_order_fraction(-1) == 1.0
         assert detector.above_lowwater == 0
 
     def test_descending_progress_fraction(self):
         detector = OrderDetector()
-        detector.add_many([100, 90, 80, 70, 60])
+        feed(detector, [100, 90, 80, 70, 60])
         assert detector.progress_fraction(0, 100) == pytest.approx(0.4)
+
+
+ASC, DESC, OFF = SideOrdering(1, 0.9), SideOrdering(-1, 0.95), SideOrdering(None)
+
+
+class TestMergeStep:
+    @pytest.mark.parametrize(
+        "left, right",
+        [(None, ASC), (ASC, None), (OFF, OFF), (ASC, DESC), (ASC, SideOrdering(1, 0.7))],
+    )
+    def test_a_hash_join_unless_both_sides_agree_in_order(self, left, right):
+        sides = [{"a": o} if o else {} for o in (left, right)]
+        assert merge_step(*sides, ("a", "b"), True, True) == (None, {})
+
+    @pytest.mark.parametrize("leaves", [(True, True), (True, False), (False, False)])
+    def test_merge_charges_disorder_at_leaf_sides_only(self, leaves):
+        left, right = SideOrdering(-1, 0.85), DESC
+        strategy, derived = merge_step({"a": left}, {"b": right}, ("a", "b"), *leaves)
+        assert strategy == JoinStrategy(
+            "merge", -1, "a", "b",
+            0.85 if leaves[0] else 1.0, 0.95 if leaves[1] else 1.0,
+        )
+        assert derived == dict.fromkeys("ab", SideOrdering(-1, 0.85, "derived"))
+        assert algorithms_of({frozenset("rs"): strategy}) == {frozenset("rs"): "merge"}
+        assert algorithms_of(None) == {}
 
 
 class TestOrderingKnowledge:
@@ -141,7 +170,7 @@ class TestOrderingKnowledge:
     def test_observation_overrides_lying_promise(self):
         observed = ObservedStatistics()
         detector = OrderDetector(tolerance=0.05)
-        detector.add_many(random.Random(3).sample(range(100), 100))
+        feed(detector, random.Random(3).sample(range(100), 100))
         observed.record_ordering("r", "r_pk", detector)
         knowledge = OrderingKnowledge.gather(self._catalog(), self._query(), observed)
         assert knowledge.side("r", "r_pk").direction is None
@@ -150,7 +179,7 @@ class TestOrderingKnowledge:
     def test_small_observation_keeps_promise(self):
         observed = ObservedStatistics()
         detector = OrderDetector()
-        detector.add_many([5, 3, 1])  # too few arrivals to trust
+        feed(detector, [5, 3, 1])  # too few arrivals to trust
         observed.record_ordering("r", "r_pk", detector)
         knowledge = OrderingKnowledge.gather(self._catalog(), self._query(), observed)
         assert knowledge.side("r", "r_pk").direction == 1
@@ -171,7 +200,7 @@ class TestOrderingKnowledge:
         # while a fresh selection no longer picks merge at all.
         observed = ObservedStatistics()
         detector = OrderDetector(tolerance=0.05)
-        detector.add_many(random.Random(5).sample(range(200), 200))
+        feed(detector, random.Random(5).sample(range(200), 200))
         observed.record_ordering("s", "s_fk", detector)
         newer = OrderingKnowledge.gather(self._catalog(), query, observed)
         assert plan_join_strategies(query, tree, newer) == {}
@@ -187,8 +216,8 @@ class TestOrderingKnowledge:
         query = self._query()
         observed = ObservedStatistics()
         asc, desc = OrderDetector(), OrderDetector()
-        asc.add_many(range(50))
-        desc.add_many(range(50, 0, -1))
+        feed(asc, range(50))
+        feed(desc, range(50, 0, -1))
         observed.record_ordering("r", "r_pk", asc)
         observed.record_ordering("s", "s_fk", desc)
         knowledge = OrderingKnowledge.gather(self._catalog(False), query, observed)
@@ -199,7 +228,7 @@ class TestOrderingKnowledge:
         observed = ObservedStatistics()
         for relation, attr in (("r", "r_pk"), ("s", "s_fk")):
             detector = OrderDetector()
-            detector.add_many(range(50, 0, -1))
+            feed(detector, range(50, 0, -1))
             observed.record_ordering(relation, attr, detector)
         knowledge = OrderingKnowledge.gather(self._catalog(False), query, observed)
         strategies = plan_join_strategies(query, JoinTree.left_deep(("r", "s")), knowledge)
@@ -388,7 +417,7 @@ class TestSortedInputExtrapolation:
         query = SPJAQuery("q", ("t",), ())
         observed = ObservedStatistics()
         detector = OrderDetector()
-        detector.add_many(range(0, 250))  # advanced to 249 of [0, 1000]
+        feed(detector, range(0, 250))  # advanced to 249 of [0, 1000]
         observed.record_ordering("t", "k", detector)
         observed.record_source("t", tuples_read=250, tuples_passed=250, exhausted=False)
         estimator = SelectivityEstimator(catalog, query, observed)
@@ -413,13 +442,13 @@ class TestSortedInputExtrapolation:
         query = SPJAQuery("q", ("t",), ())
         # Donor query fully read the stream; its observation is seeded.
         donor = OrderDetector()
-        donor.add_many(range(10_000))
+        feed(donor, range(10_000))
         observed = ObservedStatistics()
         observed.record_ordering("t", "k", donor)
         # This query has only read 30 tuples so far; its own detector
         # snapshot is staler than the seed and must not shrink the estimate.
         local = OrderDetector()
-        local.add_many(range(30))
+        feed(local, range(30))
         observed.record_ordering("t", "k", local)
         observed.record_source("t", tuples_read=30, tuples_passed=30, exhausted=False)
         estimator = SelectivityEstimator(catalog, query, observed)
@@ -432,7 +461,7 @@ class TestSortedInputExtrapolation:
         query = SPJAQuery("q", ("t",), ())
         observed = ObservedStatistics()
         detector = OrderDetector()
-        detector.add_many(range(0, 250))
+        feed(detector, range(0, 250))
         observed.record_ordering("t", "k", detector)
         estimator = SelectivityEstimator(catalog, query, observed)
         assert estimator.base_cardinality("t") == 20_000
@@ -447,7 +476,7 @@ class TestReOptimizerStrategySwitch:
         observed = ObservedStatistics()
         for relation, attr in (("r", "r_pk"), ("s", "s_fk")):
             detector = OrderDetector()
-            detector.add_many(range(40))
+            feed(detector, range(40))
             observed.record_ordering(relation, attr, detector)
             observed.record_source(relation, 40, 40, exhausted=False)
         catalog.set_statistics("r", TableStatistics(cardinality=400))
@@ -475,7 +504,7 @@ class TestServingOrderSharing:
         cache = SharedStatisticsCache()
         observed = ObservedStatistics()
         detector = OrderDetector()
-        detector.add_many(range(64))
+        feed(detector, range(64))
         observed.record_ordering("r", "r_pk", detector)
         cache.absorb(observed)
         assert cache.summary()["orderings"] == 1

@@ -169,8 +169,8 @@ class TestPipelinedPlan:
         )
         registry = StateRegistry()
         plan.register_state(registry)
-        people_partition = registry.lookup(expression_signature([("people", 0)]))
-        orders_partition = registry.lookup(expression_signature([("simple_orders", 0)]))
+        people_partition = registry.get(expression_signature([("people", 0)]))
+        orders_partition = registry.get(expression_signature([("simple_orders", 0)]))
         assert people_partition.cardinality == len(people)
         assert orders_partition.cardinality == len(simple_orders)
 

@@ -13,8 +13,6 @@ import pickle
 
 import pytest
 
-from differential import generate_workload
-
 from repro import ProcessorOptions as ExportedOptions
 from repro.core import ProcessorOptions as CoreExportedOptions
 from repro.core.corrective import CorrectiveQueryProcessor
@@ -23,6 +21,7 @@ from repro.experiments import cli
 from repro.serving.server import QueryServer
 from repro.serving.sharded import ShardedQueryServer
 from repro.serving.specs import ShardTask
+from repro.workloads.differential import generate_workload
 
 
 def _processor(catalog, sources, **knobs):

@@ -26,26 +26,21 @@ class TestRegistry:
         sig = expression_signature([("r", 0)])
         registry.register(sig, table_with(3), plan_id=0)
         assert sig in registry
-        assert registry.lookup(sig).cardinality == 3
+        assert registry.get(sig).cardinality == 3
         assert len(registry) == 1
 
-    def test_lookup_missing_raises(self):
+    def test_get_missing_is_none(self):
         registry = StateRegistry()
-        try:
-            registry.lookup(expression_signature([("r", 0)]))
-        except KeyError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("expected KeyError")
+        assert registry.get(expression_signature([("r", 0)])) is None
 
     def test_reregistration_keeps_larger_structure(self):
         registry = StateRegistry()
         sig = expression_signature([("r", 0)])
         registry.register(sig, table_with(5), plan_id=0)
         registry.register(sig, table_with(2), plan_id=1)  # smaller: ignored
-        assert registry.lookup(sig).cardinality == 5
+        assert registry.get(sig).cardinality == 5
         registry.register(sig, table_with(9), plan_id=1)
-        assert registry.lookup(sig).cardinality == 9
+        assert registry.get(sig).cardinality == 9
 
     def test_base_partitions(self):
         registry = StateRegistry()

@@ -1,33 +1,6 @@
 """Tests for the Relation container."""
 
-import random
-
-import pytest
-
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema, SchemaError
-
-
-class TestConstruction:
-    def test_from_rows(self, people_schema):
-        relation = Relation.from_rows("p", people_schema, [[1, "a", 2, "c"]])
-        assert relation.cardinality == 1
-        assert relation.rows[0] == (1, "a", 2, "c")
-
-    def test_from_rows_validation(self, people_schema):
-        with pytest.raises(SchemaError):
-            Relation.from_rows("p", people_schema, [(1, 2)], validate=True)
-
-    def test_from_dicts(self, people_schema):
-        relation = Relation.from_dicts(
-            "p", people_schema, [{"pid": 1, "name": "x", "age": 3, "city": "y"}]
-        )
-        assert relation.rows == [(1, "x", 3, "y")]
-
-    def test_to_dicts_roundtrip(self, people):
-        dicts = people.to_dicts()
-        again = Relation.from_dicts("p2", people.schema, dicts)
-        assert again.rows == people.rows
 
 
 class TestAccessors:
@@ -42,43 +15,3 @@ class TestAccessors:
 
     def test_distinct_count(self, people):
         assert people.distinct_count("city") == 4
-
-
-class TestDerivation:
-    def test_select(self, people):
-        pos = people.schema.position("city")
-        londoners = people.select(lambda row: row[pos] == "london")
-        assert len(londoners) == 2
-
-    def test_project(self, people):
-        projected = people.project(["name", "pid"])
-        assert projected.schema.names == ("name", "pid")
-        assert projected.rows[0] == ("ada", 1)
-
-    def test_sorted_by(self, people):
-        by_age = people.sorted_by("age")
-        assert by_age.column("age") == sorted(people.column("age"))
-        descending = people.sorted_by("age", descending=True)
-        assert descending.column("age") == sorted(people.column("age"), reverse=True)
-
-    def test_is_sorted_on(self, people):
-        assert people.sorted_by("age").is_sorted_on("age")
-        assert not people.is_sorted_on("age")
-
-    def test_slice(self, people):
-        assert people.slice(1, 3).rows == people.rows[1:3]
-
-    def test_union(self, people):
-        doubled = people.union(people)
-        assert len(doubled) == 10
-
-    def test_union_schema_mismatch(self, people, simple_orders):
-        with pytest.raises(SchemaError):
-            people.union(simple_orders)
-
-    def test_sample_bounds(self, people):
-        rng = random.Random(0)
-        assert len(people.sample(0.0, rng)) == 0
-        assert len(people.sample(1.0, rng)) == 5
-        with pytest.raises(ValueError):
-            people.sample(1.5, rng)

@@ -3,7 +3,6 @@
 import pytest
 
 from differential import (
-    generate_workload,
     order_catalog,
     order_workload_variant,
     rate_collapse_setup,
@@ -19,6 +18,7 @@ from repro.optimizer.reoptimizer import ReOptimizer
 from repro.optimizer.statistics import ObservedStatistics
 from repro.optimizer.plans import JoinTree
 from repro.workloads.queries import query_3a, query_5, query_10a
+from repro.workloads.differential import generate_workload
 
 
 def bad_tree_for_q3a():
@@ -69,7 +69,7 @@ class TestReOptimizer:
         from repro.optimizer.enumerator import Optimizer
 
         slightly_suboptimal = Optimizer(
-            catalog.without_statistics()
+            tiny_tpch.catalog(with_cardinalities=False)
         ).optimize_tree(query)
         strict = ReOptimizer(catalog, switch_threshold=0.01)
         decision = strict.evaluate(query, slightly_suboptimal, ObservedStatistics())

@@ -13,12 +13,6 @@ class TestAttribute:
     def test_qualified_name_without_relation(self):
         assert Attribute("revenue").qualified_name == "revenue"
 
-    def test_renamed_preserves_type_and_relation(self):
-        attr = Attribute("a", "int", "r").renamed("b")
-        assert attr.name == "b"
-        assert attr.type_name == "int"
-        assert attr.relation == "r"
-
     def test_without_relation(self):
         attr = Attribute("a", "int", "r").without_relation()
         assert attr.relation is None
@@ -73,11 +67,6 @@ class TestSchemaLookups:
 
 
 class TestSchemaDerivation:
-    def test_project_order_follows_argument(self):
-        schema = Schema.from_names(["a", "b", "c"])
-        projected = schema.project(["c", "a"])
-        assert projected.names == ("c", "a")
-
     def test_concat(self):
         left = Schema.from_names(["a", "b"])
         right = Schema.from_names(["c"])
@@ -88,18 +77,3 @@ class TestSchemaDerivation:
         right = Schema.from_names(["a"])
         with pytest.raises(SchemaError):
             left.concat(right)
-
-    def test_rename_relation(self):
-        schema = Schema.from_names(["a"], relation="old").rename_relation("new")
-        assert schema.attribute("a").relation == "new"
-
-    def test_extended(self):
-        schema = Schema.from_names(["a"]).extended([Attribute("b")])
-        assert schema.names == ("a", "b")
-
-    def test_compatible_with(self):
-        one = Schema.from_names(["a", "b"])
-        two = Schema.from_names(["a", "b"], relation="r")
-        three = Schema.from_names(["b", "a"])
-        assert one.compatible_with(two)
-        assert not one.compatible_with(three)

@@ -21,7 +21,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import assert_same_bag, reference_spja
+from helpers import assert_same_bag, latency_percentile, reference_spja
 
 from repro.relational.algebra import SPJAQuery
 from repro.relational.catalog import Catalog, TableStatistics
@@ -250,8 +250,8 @@ class TestBackpressureP95:
             assert base_answers[query.name] == reference, query.name
 
         # Keeping quanta with the healthy pool improves its tail latency.
-        p95_off = baseline.latency_percentile(0.95)
-        p95_on = deferred.latency_percentile(0.95)
+        p95_off = latency_percentile(baseline, 0.95)
+        p95_on = latency_percentile(deferred, 0.95)
         assert p95_on < p95_off, (
             f"backpressure did not improve p95: {p95_on:.4f}s (on) vs "
             f"{p95_off:.4f}s (off)"

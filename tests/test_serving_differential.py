@@ -95,6 +95,6 @@ def test_scheduling_policies_change_timing_but_not_answers():
     seeds = (6, 7, 8, 9, 10, 11, 12, 13)
     round_robin = _case(seeds, "round_robin")
     shortest = _case(seeds, "shortest_remaining_cost")
-    rr_latencies = round_robin.serving_report.latencies()
-    src_latencies = shortest.serving_report.latencies()
+    rr_latencies = [query.latency for query in round_robin.serving_report.served]
+    src_latencies = [query.latency for query in shortest.serving_report.served]
     assert rr_latencies != src_latencies

@@ -26,7 +26,6 @@ from differential import (
     POLL_STEP_LIMIT,
     POLLING_INTERVAL,
     _bad_initial_tree,
-    generate_workload,
     run_solo_corrective,
 )
 
@@ -36,6 +35,7 @@ from repro.engine.pipelined import PipelinedExecutor
 from repro.optimizer.plans import JoinTree
 from repro.serving.specs import SessionSpec, ShardTask
 from repro.serving.worker import drive_shard
+from repro.workloads.differential import generate_workload
 
 BATCH_SIZE = 64
 

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from differential import (
     POLL_STEP_LIMIT,
     POLLING_INTERVAL,
-    generate_workload,
     run_sharded_workloads,
 )
 
@@ -49,13 +48,13 @@ from repro.serving.partition import (
     choose_partition_edge,
     fragment_query,
     merge_partition_results,
-    partition_relation,
     stable_partition_index,
 )
 from repro.serving.session import QuerySession
 from repro.serving.specs import SessionResult
 from repro.serving.worker import worker_main
 from repro.sources.source import LocalSource
+from repro.workloads.differential import generate_workload
 
 
 def _rel(name: str, attrs: list[str], rows: list[tuple]) -> Relation:
@@ -192,20 +191,6 @@ class TestPartitionHelpers:
         with pytest.raises(ValueError, match="materialized"):
             choose_partition_edge(query, {"r": _rel("r", ["a"], [])})
 
-    def test_partition_relation_partitions_the_multiset(self):
-        relation = _rel("r", ["a", "b"], [(i, i * 2) for i in range(37)])
-        fragments = partition_relation(relation, "a", 4)
-        assert len(fragments) == 4
-        rows = [row for fragment in fragments for row in fragment.rows]
-        assert sorted(rows) == sorted(relation.rows)
-        assert all(fragment.name == "r" for fragment in fragments)
-        # Assignment is by key hash: the same key never lands in two places.
-        for index, fragment in enumerate(fragments):
-            assert all(
-                stable_partition_index(row[0], 4) == index
-                for row in fragment.rows
-            )
-
     @staticmethod
     def _per_row_reference(rows, position, partitions):
         fragments = [[] for _ in range(partitions)]
@@ -244,9 +229,7 @@ class TestPartitionHelpers:
         expected_right = self._per_row_reference(right_rows, 1, partitions)
         assert [override["r"].rows for override in plan.overrides] == expected_left
         assert [override["s"].rows for override in plan.overrides] == expected_right
-        assert [
-            fragment.rows for fragment in partition_relation(left, "a", partitions)
-        ] == expected_left
+        assert all(override["r"].name == "r" for override in plan.overrides)
 
     def test_fragment_query_identity_without_avg(self):
         workload = generate_workload(23)
@@ -622,9 +605,6 @@ class TestShardedServerValidation:
         assert report.workers == 2
         assert report.start_method == "inline"
         assert len(report.worker_summaries) == 2
-        utilization = report.utilization()
-        assert set(utilization) == {0, 1}
-        assert all(0.0 <= value <= 1.0 for value in utilization.values())
         summaries = [summary.summary() for summary in report.worker_summaries]
         assert all(entry["sessions"] == 1 for entry in summaries)
 

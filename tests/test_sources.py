@@ -19,7 +19,6 @@ from repro.sources.network import (
     BurstyNetworkModel,
     ConstantRateNetworkModel,
     InstantNetworkModel,
-    PhasedRateNetworkModel,
 )
 from repro.sources.remote import RemoteSource
 from repro.sources.source import LocalSource
@@ -71,61 +70,6 @@ class TestNetworkModels:
         with pytest.raises(ValueError):
             BurstyNetworkModel(mean_gap_seconds=-1)
 
-    def test_bursty_expected_transfer_estimate(self):
-        model = BurstyNetworkModel(seed=0)
-        assert model.expected_transfer_seconds(1000) > 0
-
-
-class TestExpectedTransferSeconds:
-    """``expected_transfer_seconds`` is pinned for all four network models."""
-
-    def test_instant_is_zero(self):
-        model = InstantNetworkModel()
-        assert model.expected_transfer_seconds(0) == 0.0
-        assert model.expected_transfer_seconds(1000) == 0.0
-
-    def test_constant_rate_closed_form_matches_walk(self):
-        model = ConstantRateNetworkModel(10.0, latency=1.0)
-        assert model.expected_transfer_seconds(0) == 0.0
-        assert model.expected_transfer_seconds(1) == pytest.approx(1.0)
-        # latency + (n - 1) / rate, and exactly the last arrival time.
-        for count in (2, 7, 100):
-            last = list(model.arrival_times(count))[-1]
-            expected = 1.0 + (count - 1) / 10.0
-            assert model.expected_transfer_seconds(count) == pytest.approx(expected)
-            assert model.expected_transfer_seconds(count) == pytest.approx(last)
-
-    def test_phased_uses_exact_base_walk(self):
-        model = PhasedRateNetworkModel(
-            phases=[(1.0, 5.0), (2.0, 0.0), (1.0, 20.0)],
-            tail_rate=50.0,
-            latency=0.5,
-        )
-        assert model.expected_transfer_seconds(0) == 0.0
-        for count in (1, 4, 6, 40, 200):
-            last = list(model.arrival_times(count))[-1]
-            assert model.expected_transfer_seconds(count) == pytest.approx(last)
-
-    def test_bursty_estimate_is_analytic_not_a_walk(self):
-        # Bursty keeps its rough analytic sizing estimate: positive,
-        # monotone in tuple count, and stable across calls (no RNG state).
-        model = BurstyNetworkModel(seed=3)
-        small = model.expected_transfer_seconds(100)
-        large = model.expected_transfer_seconds(10_000)
-        assert 0 < small < large
-        assert model.expected_transfer_seconds(100) == small
-        expected = (
-            model.latency
-            + 100 / model.burst_rate
-            + max(100 / model.mean_burst_tuples, 1.0) * model.mean_gap_seconds
-        )
-        assert small == pytest.approx(expected)
-
-    def test_base_walk_handles_zero_and_negative_counts(self):
-        model = PhasedRateNetworkModel(phases=[(1.0, 1.0)], tail_rate=1.0)
-        assert model.expected_transfer_seconds(0) == 0.0
-        assert model.expected_transfer_seconds(-3) == 0.0
-
 
 class TestRemoteSource:
     def test_stream_matches_relation_with_arrivals(self, people):
@@ -156,14 +100,6 @@ class TestSourceDescription:
         source_schema = Schema.from_names(["a", "b"], relation="src")
         description = SourceDescription("src", "global")
         assert description.translate_schema(source_schema).names == ("a", "b")
-        assert description.covers(["anything"])
-
-    def test_covers(self):
-        description = SourceDescription(
-            "src", "global", attribute_mapping={"x": "a", "y": "b"}
-        )
-        assert description.covers(["a"])
-        assert not description.covers(["a", "z"])
 
     def test_empty_mapping_result_raises(self):
         source_schema = Schema.from_names(["a"], relation="src")
@@ -278,3 +214,14 @@ class TestOneStreamProtocol:
             for now in {*arrivals, -1.0, 0.0, 1e9}:
                 delivered = offset + sum(1 for t in arrivals if t <= now)
                 assert source.arrived_by(now, offset, start_at) == delivered
+
+    @pytest.mark.parametrize("batch_size, offset", [(0, 0), (1, -1)])
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_bad_arguments_fail_at_the_call(self, protocol_csv, kind, batch_size, offset):
+        """A chunk size below 1 or a negative offset is rejected when the
+        stream is asked for, before any connection opens."""
+        source = protocol_source(kind, protocol_csv, 0)
+        remote = source.wrapped if kind == "mapped" else source
+        with pytest.raises(ValueError, match="batch_size|offset"):
+            source.open_stream_columns(batch_size, offset)
+        assert getattr(remote, "open_count", 0) == 0

@@ -1,17 +1,7 @@
 """Tests for tuple adapters (state-structure compatibility machinery)."""
 
-import pytest
-
-from repro.relational.schema import Schema, SchemaError
-from repro.relational.tuples import TupleAdapter, concat_tuples, validate_tuple
-
-
-class TestConcat:
-    def test_concat_tuples(self):
-        assert concat_tuples((1, 2), (3,)) == (1, 2, 3)
-
-    def test_concat_empty(self):
-        assert concat_tuples((), (1,)) == (1,)
+from repro.relational.schema import Schema
+from repro.relational.tuples import TupleAdapter
 
 
 class TestTupleAdapter:
@@ -54,12 +44,3 @@ class TestTupleAdapter:
         result = adapter.adapt_many(rows)
         assert result == rows
         assert result is not rows
-
-
-class TestValidateTuple:
-    def test_valid(self):
-        validate_tuple(Schema.from_names(["a", "b"]), (1, 2))
-
-    def test_arity_mismatch(self):
-        with pytest.raises(SchemaError):
-            validate_tuple(Schema.from_names(["a", "b"]), (1,))

@@ -15,26 +15,18 @@ from __future__ import annotations
 
 import random
 
+from helpers import displaced_fraction
 from repro.sources.network import BurstyNetworkModel
 from repro.workloads.generator import TPCHGenerator
-from repro.workloads.perturb import (
-    displaced_fraction,
-    interleave_relations,
-    reorder_fraction,
-)
+from repro.workloads.perturb import reorder_fraction
 
 
 def _generate_everything(seed: int):
     """Exercise every randomized code path of the workload machinery."""
     data = TPCHGenerator(scale_factor=0.0004, zipf_z=0.5, seed=seed).generate()
     reordered = reorder_fraction(data.orders, 0.25, seed=seed + 1)
-    halves = [
-        type(data.orders)("a", data.orders.schema, data.orders.rows[::2]),
-        type(data.orders)("b", data.orders.schema, data.orders.rows[1::2]),
-    ]
-    interleaved = interleave_relations(halves, seed=seed + 2)
     arrivals = list(BurstyNetworkModel(seed=seed + 3).arrival_times(50))
-    return data, reordered, interleaved, arrivals
+    return data, reordered, arrivals
 
 
 class TestSeededReproducibility:
@@ -44,8 +36,7 @@ class TestSeededReproducibility:
         for name in first[0].relations:
             assert first[0].relations[name].rows == second[0].relations[name].rows
         assert first[1].rows == second[1].rows
-        assert first[2].rows == second[2].rows
-        assert first[3] == second[3]
+        assert first[2] == second[2]
 
     def test_different_seed_changes_output(self):
         assert (
@@ -71,8 +62,7 @@ class TestSeededReproducibility:
         scrambled = _generate_everything(7)
         assert baseline[0].lineitem.rows == scrambled[0].lineitem.rows
         assert baseline[1].rows == scrambled[1].rows
-        assert baseline[2].rows == scrambled[2].rows
-        assert baseline[3] == scrambled[3]
+        assert baseline[2] == scrambled[2]
 
     def test_perturbations_are_deterministic_and_effective(self, tiny_tpch):
         orders = tiny_tpch.orders

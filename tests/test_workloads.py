@@ -2,12 +2,12 @@
 
 import pytest
 
+from helpers import displaced_fraction, is_sorted_on
 from repro.workloads.generator import TPCHData, TPCHGenerator
-from repro.workloads.perturb import displaced_fraction, interleave_relations, reorder_fraction
+from repro.workloads.perturb import reorder_fraction
 from repro.workloads.queries import (
     flights_example_query,
     paper_query_workload,
-    query_3,
     query_3a,
     query_5,
     query_10,
@@ -41,8 +41,8 @@ class TestGenerator:
             assert relation.schema.names == TPCH_SCHEMAS[name].names
 
     def test_orders_and_lineitem_sorted_on_keys(self, tiny_tpch):
-        assert tiny_tpch.orders.is_sorted_on("o_orderkey")
-        assert tiny_tpch.lineitem.is_sorted_on("l_orderkey")
+        assert is_sorted_on(tiny_tpch.orders, "o_orderkey")
+        assert is_sorted_on(tiny_tpch.lineitem, "l_orderkey")
 
     def test_foreign_keys_reference_existing_rows(self, tiny_tpch):
         customers = set(tiny_tpch.customer.column("c_custkey"))
@@ -77,7 +77,7 @@ class TestGenerator:
         assert with_stats.statistics("orders").distinct("o_custkey") > 0
         assert with_stats.statistics("customer").is_key("c_custkey")
         assert not with_stats.statistics("lineitem").key_attributes
-        assert with_stats.statistics("lineitem").is_sorted_on("l_orderkey")
+        assert "l_orderkey" in with_stats.statistics("lineitem").sorted_on
 
     def test_as_sources(self, tiny_tpch):
         sources = tiny_tpch.as_sources()
@@ -103,28 +103,11 @@ class TestPerturbations:
 
     def test_reorder_breaks_sortedness(self, tiny_tpch):
         perturbed = reorder_fraction(tiny_tpch.lineitem, 0.1, seed=1)
-        assert not perturbed.is_sorted_on("l_orderkey")
+        assert not is_sorted_on(perturbed, "l_orderkey")
 
     def test_reorder_validation(self, tiny_tpch):
         with pytest.raises(ValueError):
             reorder_fraction(tiny_tpch.orders, 1.5)
-
-    def test_displaced_fraction_requires_same_size(self, tiny_tpch):
-        with pytest.raises(ValueError):
-            displaced_fraction(tiny_tpch.orders, tiny_tpch.customer)
-
-    def test_interleave_preserves_content(self, tiny_tpch):
-        first = tiny_tpch.orders.slice(0, 100)
-        second = tiny_tpch.orders.slice(100, 200)
-        merged = interleave_relations([first, second], seed=2)
-        assert sorted(merged.rows) == sorted(tiny_tpch.orders.rows[:200])
-        assert len(merged) == 200
-
-    def test_interleave_validation(self, tiny_tpch):
-        with pytest.raises(ValueError):
-            interleave_relations([])
-        with pytest.raises(ValueError):
-            interleave_relations([tiny_tpch.orders, tiny_tpch.customer])
 
 
 class TestQueries:
@@ -133,14 +116,12 @@ class TestQueries:
         assert set(workload) == {"Q3A", "Q10", "Q10A", "Q5"}
 
     def test_query_relation_counts(self):
-        assert len(query_3().relations) == 3
         assert len(query_3a().relations) == 3
         assert len(query_10().relations) == 4
         assert len(query_10a().relations) == 4
         assert len(query_5().relations) == 6
 
     def test_variants_drop_date_predicates(self):
-        assert "orders" in query_3().selections
         assert "orders" not in query_3a().selections
         assert "orders" in query_10().selections
         assert "orders" not in query_10a().selections
