@@ -4,11 +4,11 @@ Every adaptive behaviour of the system — corrective plan switching,
 order-adaptive join-strategy selection, cross-query statistics sharing, and
 source-rate adaptivity — flows through one mechanism:
 
-* the :class:`~repro.core.monitor.ExecutionMonitor` turns raw operator
-  counters and cursor telemetry into a typed stream of
-  :class:`~repro.adaptivity.events.AdaptationEvent` objects;
-* an :class:`~repro.adaptivity.controller.AdaptationController` fans the
-  events out to registered :class:`~repro.adaptivity.policies.AdaptationPolicy`
+* the :class:`~repro.core.monitor.ExecutionMonitor` folds raw operator
+  counters into observed statistics and takes one
+  :class:`~repro.adaptivity.events.SourceRateEvent` per source per poll;
+* an :class:`~repro.adaptivity.controller.AdaptationController` hands the
+  samples to registered :class:`~repro.adaptivity.policies.AdaptationPolicy`
   instances and arbitrates the actions they propose;
 * the executors (corrective processor, query server, baselines) apply the
   winning :class:`~repro.adaptivity.controller.AdaptationAction` — switching
@@ -28,13 +28,7 @@ from repro.adaptivity.controller import (
     ReprioritizeReadsAction,
     SwitchPlanAction,
 )
-from repro.adaptivity.events import (
-    AdaptationEvent,
-    OrderingObservedEvent,
-    SelectivityDriftEvent,
-    SourceExhaustedEvent,
-    SourceRateEvent,
-)
+from repro.adaptivity.events import SourceRateEvent
 from repro.adaptivity.policies import (
     AdaptationPolicy,
     JoinStrategyPolicy,
@@ -48,19 +42,15 @@ __all__ = [
     "AdaptationAction",
     "AdaptationContext",
     "AdaptationController",
-    "AdaptationEvent",
     "AdaptationPolicy",
     "AdaptationRun",
     "FailoverSourceAction",
     "JoinStrategyPolicy",
     "MirrorFailoverPolicy",
-    "OrderingObservedEvent",
     "PlanSwitchPolicy",
     "RateOutlookPolicy",
     "ReprioritizeReadsAction",
-    "SelectivityDriftEvent",
     "SharedLearningPolicy",
-    "SourceExhaustedEvent",
     "SourceRateEvent",
     "SourceRatePolicy",
     "SwitchPlanAction",

@@ -8,8 +8,8 @@ monitor → re-optimizer → switch loop.  Now an executor drives a single
   query execution — policies get their ``begin_run`` hook (e.g. the
   join-strategy policy attaches order detectors and seeds promises);
 * at every monitor poll the executor calls :meth:`AdaptationRun.poll`, which
-  drains the monitor's typed event queue, fans the events out to the
-  policies, collects the actions they propose, applies side-effecting
+  drains the monitor's rate samples into every policy's ``observe``,
+  collects the actions the policies propose, applies side-effecting
   actions (read re-prioritization) and arbitrates plan switches;
 * the executor applies the winning :class:`SwitchPlanAction` exactly as it
   used to apply the re-optimizer's verdict — it never needs to know *which*
@@ -23,7 +23,6 @@ default policy stack reproduces the pre-kernel behaviour bit for bit.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -170,7 +169,6 @@ class AdaptationRun:
         #: live read-priority overrides (relation -> priority class); the
         #: executor mirrors this into every phase's plan
         self.read_priorities: dict[str, int] = {}
-        self.event_counts: Counter[str] = Counter()
         self.switches: list[SwitchPlanAction] = []
         self.failovers: list[FailoverSourceAction] = []
         self.reprioritizations: int = 0
@@ -225,16 +223,15 @@ class AdaptationRun:
         now: float,
         can_switch: bool,
     ) -> SwitchPlanAction | None:
-        """One adaptation round: dispatch events, collect and apply actions.
+        """One adaptation round: hand out rate samples, collect and apply actions.
 
         Returns the winning plan switch (or ``None`` to keep going).  The
         executor must have refreshed its monitor immediately before calling,
-        so the event queue and ``monitor.observed`` describe the present.
+        so the queued samples and ``monitor.observed`` describe the present.
         """
         policies = self.controller.policies
         if self.monitor is not None:
             for event in self.monitor.drain_events():
-                self.event_counts[type(event).__name__] += 1
                 for policy in policies:
                     policy.observe(self, event)
         context = AdaptationContext(
@@ -301,7 +298,6 @@ class AdaptationRun:
     def describe(self) -> dict[str, object]:
         return {
             "policies": [policy.name for policy in self.controller.policies],
-            "events": dict(self.event_counts),
             "switches": [
                 {"policy": action.policy, "reason": action.reason}
                 for action in self.switches
@@ -378,9 +374,6 @@ class AdaptationController:
         """A serving session completed: let policies absorb what it learned."""
         for policy in self._policies:
             policy.session_finished(report, catalog)
-
-    def describe(self) -> dict[str, object]:
-        return {"policies": [policy.name for policy in self._policies]}
 
     def __repr__(self) -> str:
         names = ", ".join(policy.name for policy in self._policies)

@@ -1,16 +1,13 @@
-"""Typed adaptation events: what the execution monitor tells the policies.
+"""Source-rate telemetry: the one observation the monitor hands the policies.
 
-Events are *observations*, not decisions: each one states a fact about the
-running execution (a subexpression's selectivity moved, an arrival order was
-confirmed, a source's delivery rate changed) in a form every policy can
-consume without reaching into engine internals.  The
-:class:`~repro.core.monitor.ExecutionMonitor` appends events to its queue
-during each poll; the :class:`~repro.adaptivity.controller.AdaptationController`
-drains the queue and fans the events out to its policies.
-
-All events carry the phase and the simulated clock reading at which they
-were observed, so a policy can reason about history (the source-rate policy
-keeps per-source rate windows this way).
+Everything else the monitor learns (selectivities, orderings, exhaustion)
+lands in :class:`~repro.optimizer.statistics.ObservedStatistics`, which
+policies read from their decision context.  Arrival rates are different:
+policies window them over their own history, so at each poll the
+:class:`~repro.core.monitor.ExecutionMonitor` queues one raw
+:class:`SourceRateEvent` per source, and the
+:class:`~repro.adaptivity.controller.AdaptationController` hands the queue
+to every policy's ``observe`` before any ``decide`` runs.
 """
 
 from __future__ import annotations
@@ -18,68 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
-class AdaptationEvent:
-    """Base class: one observation made at a monitor poll."""
-
-    phase_id: int
-    simulated_seconds: float
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(phase={self.phase_id}, "
-            f"t={self.simulated_seconds:.3f}s)"
-        )
-
-
 @dataclass(repr=False)
-class SelectivityDriftEvent(AdaptationEvent):
-    """A subexpression's observed selectivity was recorded or changed.
-
-    ``previous`` is ``None`` the first time the subexpression is observed.
-    """
-
-    relations: frozenset[str]
-    selectivity: float
-    previous: float | None = None
-
-    def __repr__(self) -> str:
-        drift = (
-            "first observation"
-            if self.previous is None
-            else f"{self.previous:.6f} -> {self.selectivity:.6f}"
-        )
-        return (
-            f"SelectivityDriftEvent(phase={self.phase_id}, "
-            f"t={self.simulated_seconds:.3f}s, "
-            f"{' ⋈ '.join(sorted(self.relations))}: {drift})"
-        )
-
-
-@dataclass(repr=False)
-class OrderingObservedEvent(AdaptationEvent):
-    """An order detector's verdict about one source attribute was folded in."""
-
-    relation: str
-    attribute: str
-    direction: int | None
-    in_order_fraction: float
-    observed: int
-
-    def __repr__(self) -> str:
-        direction = {1: "asc", -1: "desc", None: "unordered"}[self.direction]
-        return (
-            f"OrderingObservedEvent(phase={self.phase_id}, "
-            f"t={self.simulated_seconds:.3f}s, {self.relation}.{self.attribute} "
-            f"{direction} in_order={self.in_order_fraction:.2%} "
-            f"over {self.observed} arrivals)"
-        )
-
-
-@dataclass(repr=False)
-class SourceRateEvent(AdaptationEvent):
+class SourceRateEvent:
     """Per-source arrival-rate / stall telemetry from one cursor.
 
+    ``phase_id`` and ``simulated_seconds`` say when the poll observed it;
     ``consumed`` is the cursor's cumulative consumption; ``next_arrival`` is
     the arrival time of the next pending tuple (``None`` when the stream is
     exhausted); ``promised_rate`` is the catalog's / source's claimed
@@ -89,6 +29,8 @@ class SourceRateEvent(AdaptationEvent):
     differently.
     """
 
+    phase_id: int
+    simulated_seconds: float
     relation: str
     consumed: int
     next_arrival: float | None
@@ -134,19 +76,4 @@ class SourceRateEvent(AdaptationEvent):
             f"SourceRateEvent(phase={self.phase_id}, "
             f"t={self.simulated_seconds:.3f}s, {self.relation}: "
             f"consumed={self.consumed}, {pending}{promise})"
-        )
-
-
-@dataclass(repr=False)
-class SourceExhaustedEvent(AdaptationEvent):
-    """A source delivered its last tuple (its cardinality is now exact)."""
-
-    relation: str
-    tuples_read: int
-
-    def __repr__(self) -> str:
-        return (
-            f"SourceExhaustedEvent(phase={self.phase_id}, "
-            f"t={self.simulated_seconds:.3f}s, {self.relation}: "
-            f"{self.tuples_read} tuples)"
         )

@@ -44,16 +44,6 @@ class MirrorFailoverPolicy(AdaptationPolicy):
     """Re-point cursors of sources in sustained outage at registered mirrors."""
 
     name = "mirror_failover"
-    handles_events = frozenset({"SourceRateEvent"})
-    # Exhausted sources cannot be "down" (observe treats exhausted rate
-    # telemetry as healthy); drift and ordering are other policies' domain.
-    ignores_events = frozenset(
-        {
-            "SelectivityDriftEvent",
-            "OrderingObservedEvent",
-            "SourceExhaustedEvent",
-        }
-    )
 
     def __init__(
         self,
@@ -112,9 +102,7 @@ class MirrorFailoverPolicy(AdaptationPolicy):
 
     # -- hooks ------------------------------------------------------------------------
 
-    def observe(self, run: AdaptationRun, event) -> None:
-        if not isinstance(event, SourceRateEvent):
-            return
+    def observe(self, run: AdaptationRun, event: SourceRateEvent) -> None:
         streaks = run.scratch(self).setdefault("streaks", {})
         if self._outage(event):
             streaks[event.relation] = streaks.get(event.relation, 0) + 1
@@ -159,11 +147,3 @@ class MirrorFailoverPolicy(AdaptationPolicy):
                 )
             )
         return actions or None
-
-    def describe(self) -> dict[str, object]:
-        return {
-            "policy": self.name,
-            "stall_threshold_seconds": self.stall_threshold_seconds,
-            "outage_polls": self.outage_polls,
-            "collapse_fraction": self.collapse_fraction,
-        }

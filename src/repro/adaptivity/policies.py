@@ -7,8 +7,8 @@ the full hook surface; a policy implements only what it needs:
     One query execution is starting — attach instrumentation (detectors),
     seed the monitor with prior knowledge.
 ``observe``
-    One typed :class:`~repro.adaptivity.events.AdaptationEvent` arrived.
-    Called for every event, before any ``decide`` of the same poll.
+    One :class:`~repro.adaptivity.events.SourceRateEvent` sample arrived.
+    Called for every sample, before any ``decide`` of the same poll.
 ``decide``
     The executor reached a consistent point (a monitor poll): return an
     :class:`~repro.adaptivity.controller.AdaptationAction` or ``None``.
@@ -22,8 +22,8 @@ the full hook surface; a policy implements only what it needs:
 admission/plan-seeding hooks, in ``src/repro/adaptivity/README.md``): pick a
 unique ``name``;
 keep per-run state in ``run.scratch(self)`` (policy instances outlive runs);
-derive everything from events / ``AdaptationContext`` (never from engine
-internals); make ``decide`` deterministic — ties in the controller are
+derive everything from rate samples / ``AdaptationContext`` (never from
+engine internals); make ``decide`` deterministic — ties in the controller are
 broken by registration order; actions must never change answers, only cost
 (plan switches are stitched up, re-prioritizations only reorder reads).
 
@@ -49,29 +49,19 @@ from repro.adaptivity.controller import (
     AdaptationRun,
     SwitchPlanAction,
 )
+from repro.adaptivity.events import SourceRateEvent
 
 
 class AdaptationPolicy:
-    """Base class / protocol: every hook is an overridable no-op.
-
-    Every concrete policy must declare, as literal ``frozenset``s of event
-    class names, which :class:`~repro.adaptivity.events.AdaptationEvent`
-    subclasses it ``handles_events`` and which it deliberately
-    ``ignores_events``; together they must cover every event class.  The
-    ``exhaustiveness.event-policy`` lint rule enforces this, so adding a new
-    event class forces every existing policy to take an explicit position
-    instead of silently dropping it.
-    """
+    """Base class / protocol: every hook is an overridable no-op."""
 
     name = "policy"
-    handles_events: frozenset[str] = frozenset()
-    ignores_events: frozenset[str] = frozenset()
 
     def begin_run(self, run: AdaptationRun) -> None:
         """A query execution is starting (cursors exist, nothing has run)."""
 
-    def observe(self, run: AdaptationRun, event) -> None:
-        """One adaptation event was emitted by the monitor."""
+    def observe(self, run: AdaptationRun, event: SourceRateEvent) -> None:
+        """The monitor took one rate sample of one source."""
 
     def decide(
         self, run: AdaptationRun, context: AdaptationContext
@@ -105,9 +95,6 @@ class AdaptationPolicy:
     def session_finished(self, report, catalog) -> None:
         """Serving: a session finished with ``report``."""
 
-    def describe(self) -> dict[str, object]:
-        return {"policy": self.name}
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -122,17 +109,6 @@ class PlanSwitchPolicy(AdaptationPolicy):
     """
 
     name = "plan_switch"
-    # Decides from AdaptationContext.observed (the monitor's fused
-    # statistics), not from the event stream itself.
-    handles_events = frozenset()
-    ignores_events = frozenset(
-        {
-            "SelectivityDriftEvent",
-            "OrderingObservedEvent",
-            "SourceRateEvent",
-            "SourceExhaustedEvent",
-        }
-    )
 
     def __init__(
         self,
@@ -188,14 +164,6 @@ class PlanSwitchPolicy(AdaptationPolicy):
             policy=self.name,
         )
 
-    def describe(self) -> dict[str, object]:
-        return {
-            "policy": self.name,
-            "switch_threshold": self.reoptimizer.switch_threshold,
-            "order_adaptive": self.reoptimizer.order_adaptive,
-            "invocations": self.reoptimizer.invocations,
-        }
-
 
 class JoinStrategyPolicy(AdaptationPolicy):
     """Order-adaptive physical-strategy selection (wraps ordering knowledge).
@@ -210,17 +178,6 @@ class JoinStrategyPolicy(AdaptationPolicy):
     """
 
     name = "join_strategy"
-    # Ordering knowledge arrives through the cursors' order detectors and
-    # the monitor's observed statistics, not through the event stream.
-    handles_events = frozenset()
-    ignores_events = frozenset(
-        {
-            "SelectivityDriftEvent",
-            "OrderingObservedEvent",
-            "SourceRateEvent",
-            "SourceExhaustedEvent",
-        }
-    )
 
     def __init__(self, catalog, order_tolerance: float = 0.05) -> None:
         self.catalog = catalog
@@ -255,9 +212,6 @@ class JoinStrategyPolicy(AdaptationPolicy):
     def phase_strategies(self, run: AdaptationRun, tree) -> dict | None:
         return plan_join_strategies(run.query, tree, self.current_ordering(run))
 
-    def describe(self) -> dict[str, object]:
-        return {"policy": self.name, "order_tolerance": self.order_tolerance}
-
 
 class SharedLearningPolicy(AdaptationPolicy):
     """Cross-query statistics sharing (wraps :class:`SharedStatisticsCache`).
@@ -270,17 +224,6 @@ class SharedLearningPolicy(AdaptationPolicy):
     """
 
     name = "shared_learning"
-    # Purely a session-lifecycle policy: learns from finished-session
-    # reports, never from in-flight events.
-    handles_events = frozenset()
-    ignores_events = frozenset(
-        {
-            "SelectivityDriftEvent",
-            "OrderingObservedEvent",
-            "SourceRateEvent",
-            "SourceExhaustedEvent",
-        }
-    )
 
     def __init__(self, cache, share_statistics: bool = True) -> None:
         self.cache = cache
@@ -299,10 +242,3 @@ class SharedLearningPolicy(AdaptationPolicy):
         self.cache.absorb(observed)
         if self.share_statistics:
             self.cache.apply_cardinalities(catalog)
-
-    def describe(self) -> dict[str, object]:
-        return {
-            "policy": self.name,
-            "share_statistics": self.share_statistics,
-            **self.cache.summary(),
-        }

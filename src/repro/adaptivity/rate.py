@@ -80,16 +80,6 @@ class SourceRatePolicy(AdaptationPolicy):
     """Adapt the read schedule and the plan to collapsed source rates."""
 
     name = "source_rate"
-    handles_events = frozenset({"SourceRateEvent"})
-    # Exhaustion already arrives inside SourceRateEvent.exhausted; drift and
-    # ordering belong to the plan-switch / join-strategy policies.
-    ignores_events = frozenset(
-        {
-            "SelectivityDriftEvent",
-            "OrderingObservedEvent",
-            "SourceExhaustedEvent",
-        }
-    )
 
     def __init__(
         self,
@@ -123,20 +113,17 @@ class SourceRatePolicy(AdaptationPolicy):
     #: how many recent polls the windowed delivery-rate estimate spans
     RATE_WINDOW_POLLS = 4
 
-    def observe(self, run: AdaptationRun, event) -> None:
-        if isinstance(event, SourceRateEvent):
-            state = run.scratch(self)
-            state.setdefault("telemetry", {})[event.relation] = event
-            history = state.setdefault("history", {}).setdefault(
-                event.relation, []
-            )
-            if not history:
-                seeded = self._seed_history_sample(run, event)
-                if seeded is not None:
-                    history.append(seeded)
-            history.append((event.simulated_seconds, self._delivered(event)))
-            if len(history) > self.RATE_WINDOW_POLLS:
-                del history[0]
+    def observe(self, run: AdaptationRun, event: SourceRateEvent) -> None:
+        state = run.scratch(self)
+        state.setdefault("telemetry", {})[event.relation] = event
+        history = state.setdefault("history", {}).setdefault(event.relation, [])
+        if not history:
+            seeded = self._seed_history_sample(run, event)
+            if seeded is not None:
+                history.append(seeded)
+        history.append((event.simulated_seconds, self._delivered(event)))
+        if len(history) > self.RATE_WINDOW_POLLS:
+            del history[0]
 
     def _seed_history_sample(
         self, run: AdaptationRun, event: SourceRateEvent
@@ -370,13 +357,6 @@ class SourceRatePolicy(AdaptationPolicy):
             policy=self.name,
         )
 
-    def describe(self) -> dict[str, object]:
-        return {
-            "policy": self.name,
-            "collapse_fraction": self.collapse_fraction,
-            "switch_threshold": self.switch_threshold,
-        }
-
 
 class RateOutlookPolicy(AdaptationPolicy):
     """Feed cached cross-query rate telemetry into initial plan choice.
@@ -392,16 +372,6 @@ class RateOutlookPolicy(AdaptationPolicy):
     """
 
     name = "rate_outlook"
-    # Stateless per run: reads the cross-query cache, consumes no events.
-    handles_events = frozenset()
-    ignores_events = frozenset(
-        {
-            "SelectivityDriftEvent",
-            "OrderingObservedEvent",
-            "SourceRateEvent",
-            "SourceExhaustedEvent",
-        }
-    )
 
     def __init__(self, cache, collapse_fraction: float = 0.5) -> None:
         """``cache`` is the server's ``SharedStatisticsCache``;
@@ -415,9 +385,3 @@ class RateOutlookPolicy(AdaptationPolicy):
             run.query.relations, collapse_fraction=self.collapse_fraction
         )
         return outlook or None
-
-    def describe(self) -> dict[str, object]:
-        return {
-            "policy": self.name,
-            "collapse_fraction": self.collapse_fraction,
-        }

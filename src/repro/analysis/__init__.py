@@ -8,8 +8,6 @@ AST-level lint rules (see :mod:`repro.analysis.rules` for the framework):
   engine answer paths (:mod:`repro.analysis.determinism`);
 * ``accounting.uncharged-mutation`` — every operator mutation path reaches
   an ``ExecutionMetrics`` charge (:mod:`repro.analysis.accounting`);
-* ``exhaustiveness.event-policy`` — every adaptation event is handled or
-  explicitly ignored by every policy (:mod:`repro.analysis.exhaustiveness`);
 * ``sharding.shared-channel`` / ``sharding.session-isolation`` /
   ``sharding.clock-discipline`` / ``sharding.picklability`` — the serving
   layer's sharing contract (:mod:`repro.serving.channels`) is explicit and

@@ -8,7 +8,7 @@ returns :class:`~repro.analysis.findings.Finding`s.  Two kinds exist:
 * **project-wide** rules (``project_wide = True``) implement
   :meth:`LintRule.check_project` and receive every scanned module at once —
   the work-accounting audit needs the engine's whole call graph, and the
-  event-exhaustiveness rule needs the event and policy class populations.
+  picklability audit the class population.
 
 Rules self-register via the :func:`register_rule` decorator into a global
 registry keyed by rule name; :func:`default_rules` instantiates the full
@@ -106,7 +106,6 @@ def registered_rules() -> dict[str, type[LintRule]]:
         accounting,
         determinism,
         effects,
-        exhaustiveness,
         reachability,
         sharding,
     )

@@ -46,14 +46,9 @@ import ast
 import re
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING
-
 from repro.analysis.accounting import FunctionInfo, index_functions
 from repro.analysis.findings import Finding
 from repro.analysis.rules import LintRule, RuleContext, ScopeTracker, register_rule
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (runtime import is local)
-    from repro.analysis.exhaustiveness import ClassRecord
 
 #: where the channel registry lives, relative to the scan root
 CHANNELS_RELPATH = "serving/channels.py"
@@ -871,6 +866,56 @@ class ClockDisciplineRule(LintRule):
         return findings
 
 
+@dataclass
+class ClassRecord:
+    """One class definition found during the scan."""
+
+    relpath: str
+    node: ast.ClassDef
+    base_names: tuple[str, ...]
+
+
+def _base_name(expr: ast.expr) -> str | None:
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return None
+
+
+def collect_classes(contexts: list[RuleContext]) -> dict[str, ClassRecord]:
+    classes: dict[str, ClassRecord] = {}
+    for context in contexts:
+        for node in ast.walk(context.tree):
+            if isinstance(node, ast.ClassDef):
+                bases = tuple(
+                    name
+                    for name in (_base_name(base) for base in node.bases)
+                    if name is not None
+                )
+                classes[node.name] = ClassRecord(context.relpath, node, bases)
+    return classes
+
+
+def transitive_subclasses(
+    classes: dict[str, ClassRecord], root: str
+) -> dict[str, ClassRecord]:
+    """Classes whose base chain reaches ``root`` (``root`` itself excluded)."""
+    members: set[str] = {root}
+    changed = True
+    while changed:
+        changed = False
+        for name, record in classes.items():
+            if name in members:
+                continue
+            if any(base in members for base in record.base_names):
+                members.add(name)
+                changed = True
+    return {
+        name: classes[name] for name in members if name != root and name in classes
+    }
+
+
 @register_rule
 class PicklabilityRule(LintRule):
     """Everything declared cross_process_safe must survive pickling, and
@@ -890,14 +935,6 @@ class PicklabilityRule(LintRule):
         registry = parse_channel_registry(contexts)
         if registry is None:
             return []
-        # Local import: exhaustiveness registers its rule on import, and
-        # rules.registered_rules imports this module — the class collector
-        # is shared machinery, the registries stay independent.
-        from repro.analysis.exhaustiveness import (
-            collect_classes,
-            transitive_subclasses,
-        )
-
         roots: set[str] = set()
         for channel in registry.channels:
             if channel.malformed or channel.discipline != "cross_process_safe":

@@ -6,52 +6,21 @@ selectivities.  The monitor also flags "multiplicative" join predicates —
 joins whose output exceeds both inputs — so future estimates involving them
 are scaled up conservatively (Section 4.2).
 
-Beyond the accumulated :class:`ObservedStatistics`, every poll appends typed
-:class:`~repro.adaptivity.events.AdaptationEvent` records to an event queue:
-selectivity drift, ordering verdicts, per-source arrival-rate/stall
-telemetry and exhaustion.  The adaptivity kernel's controller drains the
-queue (:meth:`ExecutionMonitor.drain_events`) and fans the events out to its
-policies — the monitor itself never decides anything.
+Selectivities, orderings and source exhaustion accumulate in
+:class:`ObservedStatistics`.  Arrival rates are the one observation policies
+window themselves: every poll also queues one
+:class:`~repro.adaptivity.events.SourceRateEvent` per source, which the
+adaptivity kernel's controller drains (:meth:`ExecutionMonitor.drain_events`)
+and hands to its policies — the monitor itself never decides anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.adaptivity.events import (
-    AdaptationEvent,
-    OrderingObservedEvent,
-    SelectivityDriftEvent,
-    SourceExhaustedEvent,
-    SourceRateEvent,
-)
+from repro.adaptivity.events import SourceRateEvent
 from repro.engine.pipelined import PipelinedPlan, SourceCursor
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import SPJAQuery
 from repro.relational.expressions import JoinPredicate
-
-
-@dataclass
-class MonitorSnapshot:
-    """One polling observation, kept for reporting / debugging."""
-
-    phase_id: int
-    simulated_seconds: float
-    tuples_read: int
-    node_outputs: dict[frozenset, int] = field(default_factory=dict)
-
-    def __repr__(self) -> str:
-        outputs = ", ".join(
-            f"{'⋈'.join(sorted(relations))}={count}"
-            for relations, count in sorted(
-                self.node_outputs.items(), key=lambda item: sorted(item[0])
-            )
-        )
-        return (
-            f"MonitorSnapshot(phase={self.phase_id}, "
-            f"t={self.simulated_seconds:.3f}s, read={self.tuples_read}, "
-            f"outputs[{outputs}])"
-        )
 
 
 class ExecutionMonitor:
@@ -60,12 +29,9 @@ class ExecutionMonitor:
     def __init__(self, query: SPJAQuery) -> None:
         self.query = query
         self.observed = ObservedStatistics()
-        self.snapshots: list[MonitorSnapshot] = []
-        #: typed adaptation events accumulated since the last drain
-        self.events: list[AdaptationEvent] = []
-        self._last_node_outputs: dict[frozenset, int] | None = None
-        self._exhausted_emitted: set[str] = set()
-        self._ordering_emitted: dict[tuple[str, str], int] = {}
+        #: rate samples queued since the last drain
+        self.events: list[SourceRateEvent] = []
+        self._polls = 0
 
     # -- observation -------------------------------------------------------------
 
@@ -107,33 +73,8 @@ class ExecutionMonitor:
                     ),
                 )
             )
-            if exhausted and relation not in self._exhausted_emitted:
-                self._exhausted_emitted.add(relation)
-                self.events.append(
-                    SourceExhaustedEvent(
-                        phase_id=phase_id,
-                        simulated_seconds=now,
-                        relation=relation,
-                        tuples_read=cursor.consumed,
-                    )
-                )
             for attribute, detector in cursor.order_detectors.items():
                 self.observed.record_ordering(relation, attribute, detector)
-                key = (relation, attribute)
-                if self._ordering_emitted.get(key) != detector.observed:
-                    self._ordering_emitted[key] = detector.observed
-                    ordering = self.observed.ordering_of(relation, attribute)
-                    self.events.append(
-                        OrderingObservedEvent(
-                            phase_id=phase_id,
-                            simulated_seconds=now,
-                            relation=relation,
-                            attribute=attribute,
-                            direction=ordering.direction,
-                            in_order_fraction=ordering.in_order_fraction,
-                            observed=ordering.observed,
-                        )
-                    )
         for relations, selectivity in plan.observed_selectivities().items():
             # Only trust selectivities once a meaningful amount of data has
             # flowed through the subexpression — or once every participating
@@ -148,51 +89,15 @@ class ExecutionMonitor:
                 exhausted_sources.get(rel, False) for rel in relations
             )
             if inputs_seen >= 10 or (inputs_seen >= 1 and all_exhausted):
-                previous = self.observed.selectivities.get(relations)
-                if previous != selectivity:
-                    self.events.append(
-                        SelectivityDriftEvent(
-                            phase_id=phase_id,
-                            simulated_seconds=now,
-                            relations=relations,
-                            selectivity=selectivity,
-                            previous=previous,
-                        )
-                    )
                 self.observed.record_selectivity(relations, selectivity)
         self._flag_multiplicative_joins(plan, leaf_counts)
-        self.snapshot(plan)
+        self._polls += 1
         return self.observed
 
-    def snapshot(self, plan: PipelinedPlan) -> MonitorSnapshot:
-        """Append one :class:`MonitorSnapshot` for the plan's current state.
+    # -- rate samples ---------------------------------------------------------------
 
-        Node-output dictionaries are copied *incrementally*: when nothing
-        changed since the previous snapshot the previous dictionary object is
-        shared (snapshots are never mutated), and when something did change
-        the freshly built counter dict is adopted as-is — either way the
-        per-poll deep copy of every observation is gone, while the recorded
-        snapshot contents stay exactly what the old full-copy behaviour
-        produced (pinned by a micro-test).
-        """
-        outputs = plan.node_output_counts()
-        previous = self._last_node_outputs
-        if previous is not None and previous == outputs:
-            outputs = previous
-        self._last_node_outputs = outputs
-        snapshot = MonitorSnapshot(
-            phase_id=plan.phase_id,
-            simulated_seconds=plan.clock.now,
-            tuples_read=plan.statistics.tuples_read,
-            node_outputs=outputs,
-        )
-        self.snapshots.append(snapshot)
-        return snapshot
-
-    # -- adaptation events --------------------------------------------------------
-
-    def drain_events(self) -> list[AdaptationEvent]:
-        """Return and clear the events accumulated since the last drain."""
+    def drain_events(self) -> list[SourceRateEvent]:
+        """Return and clear the rate samples queued since the last drain."""
         events = self.events
         self.events = []
         return events
@@ -233,4 +138,5 @@ class ExecutionMonitor:
     # -- reporting ----------------------------------------------------------------
 
     def poll_count(self) -> int:
-        return len(self.snapshots)
+        """How many times :meth:`observe` has run."""
+        return self._polls

@@ -1249,9 +1249,6 @@ class PipelinedPlan:
             result[relations] = node.output_count / denom
         return result
 
-    def node_output_counts(self) -> dict[frozenset, int]:
-        return {node.relations: node.output_count for node in self.nodes}
-
     def join_algorithms(self) -> dict[frozenset, str]:
         """Physical algorithm each join node of this phase runs."""
         return {node.relations: node.algorithm for node in self.nodes}

@@ -143,9 +143,6 @@ class ObservedStatistics:
         obs.direction = detector.direction()
         obs.in_order_fraction = detector.in_order_fraction(obs.direction)
 
-    def ordering_of(self, relation: str, attribute: str) -> OrderingObservation | None:
-        return self.orderings.get((relation, attribute))
-
     def record_source(
         self, relation: str, tuples_read: int, tuples_passed: int, exhausted: bool
     ) -> None:

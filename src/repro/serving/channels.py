@@ -266,7 +266,6 @@ CHANNELS: tuple[SharedChannel, ...] = (
             "ShardResult",
             "SessionResult",
             "CorrectiveExecutionReport",
-            "AdaptationEvent",
             "ExecutionMetrics",
             "CorrectiveTick",
             "TableStatistics",

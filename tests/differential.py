@@ -38,19 +38,10 @@ from repro.baselines.static_executor import StaticExecutor
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.engine.pipelined import PipelinedExecutor
 from repro.optimizer.plans import JoinTree
-from repro.relational.algebra import AggregateSpec, SPJAQuery
 from repro.relational.catalog import Catalog, TableStatistics
-from repro.relational.expressions import (
-    Aggregate,
-    AttributeRef,
-    Comparison,
-    Constant,
-    JoinPredicate,
-)
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.serving.server import QueryServer
-from repro.sources.network import BurstyNetworkModel, PhasedRateNetworkModel
+from repro.sources.network import PhasedRateNetworkModel
 from repro.sources.remote import RemoteSource
 from repro.workloads.differential import DifferentialWorkload, generate_workload
 

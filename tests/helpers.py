@@ -35,6 +35,11 @@ def is_sorted_on(relation: Relation, attribute: str) -> bool:
     return values == sorted(values)
 
 
+def node_outputs(plan) -> dict[frozenset, int]:
+    """Output count of every join node of a plan, keyed by its relations."""
+    return {node.relations: node.output_count for node in plan.nodes}
+
+
 def latency_percentile(report, fraction: float) -> float:
     """Nearest-rank percentile (``fraction`` in [0, 1]) of a serving report's
     query latencies."""

@@ -146,6 +146,57 @@ def test_mirror_failover_beats_the_dead_primary(reports, config):
     assert Counter(adaptive.rows) == Counter(static.rows)
 
 
+def _gate(rate):
+    return (
+        "source_rate",
+        f"source-rate policy: f delivered {rate} tuples/s against a promise of "
+        "6649; switching cuts exposed work from 0.36s to 0.16s by gating joins "
+        "behind its arrivals",
+    )
+
+
+#: scenario → the knob-on run's (policy, reason) actions (plan switches,
+#: then failovers), its read re-prioritizations and ``repr`` of its
+#: simulated seconds.  No golden turns these policies on, so this is what
+#: fails when a telemetry sample they read moves or goes missing.
+DECISION_PINS = {
+    "slow": ([_gate(100)], 2, "2.2043449999999964"),
+    "bursty": ([_gate(0)], 2, "2.0443350000000002"),
+    "flaky": ([], 2, "2.699895"),
+    "failover": (
+        [
+            (
+                "mirror_failover",
+                "f in sustained outage (2 polls, 0 tuples consumed); resuming "
+                "remainder from mirror 'f_mirror'",
+            )
+        ],
+        0,
+        "2.690405",
+    ),
+}
+
+
+@per_engine
+@pytest.mark.parametrize(
+    "run, name",
+    [(_rate, name) for name in RATE_SCENARIOS] + [(_failover, "failover")],
+    ids=lambda value: value if isinstance(value, str) else value.__name__.strip("_"),
+)
+def test_rate_and_failover_decisions_are_pinned(reports, run, name, config):
+    _, adaptive = reports(run, name, config)
+    adaptation = adaptive.details["adaptation"]
+    actions = [
+        (action["policy"], action["reason"])
+        for action in adaptation["switches"] + adaptation["failovers"]
+    ]
+    assert (
+        actions,
+        adaptation["reprioritizations"],
+        repr(adaptive.simulated_seconds),
+    ) == DECISION_PINS[name]
+
+
 #: scenario → (merge strategy ran, speed-up above, peak-state reduction above)
 ORDER_BOUNDS = {
     "sorted_promised": (True, 1.0, 2.0),

@@ -2,7 +2,7 @@
 
 The headline guarantee tested here is the extension contract: a brand-new
 adaptation policy can be registered on a processor's (or server's)
-controller and participate fully — receive typed events, propose plan
+controller and participate fully — receive rate samples, propose plan
 switches and read re-prioritizations, have them applied — **without any
 change to** ``core/corrective.py`` **or** ``serving/server.py``.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from differential import (
-    rate_collapse_setup,
     _bad_initial_tree,
     _canonical_multiset,
     _canonical_names,
@@ -25,18 +24,12 @@ from collections import Counter
 from repro.adaptivity import (
     AdaptationController,
     AdaptationPolicy,
-    JoinStrategyPolicy,
     PlanSwitchPolicy,
     ReprioritizeReadsAction,
     SourceRatePolicy,
     SwitchPlanAction,
 )
-from repro.adaptivity.events import (
-    OrderingObservedEvent,
-    SelectivityDriftEvent,
-    SourceExhaustedEvent,
-    SourceRateEvent,
-)
+from repro.adaptivity.events import SourceRateEvent
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.core.monitor import ExecutionMonitor
 from repro.engine.pipelined import PipelinedPlan, SourceCursor
@@ -171,6 +164,43 @@ class TestStubPolicyExtension:
                 switched += 1
                 assert report.num_phases >= 2
         assert switched >= 1
+
+    def test_phase_end_samples_reach_the_next_phase_first_poll(self):
+        """The executor observes once more when a phase ends; those samples
+        reach the policies together with the next phase's first poll."""
+        workload = _workload_with_joins(4200)
+
+        class SwitchOnce(AdaptationPolicy):
+            name = "switch_once"
+
+            def __init__(self):
+                self.pending = []
+                self.polls = []
+
+            def observe(self, run, event):
+                self.pending.append(event)
+
+            def decide(self, run, context):
+                self.polls.append((context.phase_id, self.pending))
+                self.pending = []
+                if len(self.polls) == 1:
+                    return SwitchPlanAction(context.current_tree, reason="once")
+                return None
+
+        stub = SwitchOnce()
+        processor = CorrectiveQueryProcessor(
+            workload.catalog(),
+            workload.sources(),
+            polling_interval_seconds=POLLING_INTERVAL,
+            batch_size=64,
+        )
+        processor.adaptation.register(stub)
+        processor.execute(workload.query, poll_step_limit=POLL_STEP_LIMIT)
+        events = next(events for phase, events in stub.polls if phase == 1)
+        per_relation = {}
+        for event in events:
+            per_relation.setdefault(event.relation, []).append(event.phase_id)
+        assert per_relation == {name: [0, 1] for name in workload.query.relations}
 
     def test_stub_demotion_reaches_live_plan_priorities(self):
         workload = _workload_with_joins(4300)
@@ -308,7 +338,7 @@ class TestControllerArbitration:
         run.poll(plan, tree, None, 0, 0.2, can_switch=True)
         assert run.reprioritizations == 2
 
-    def test_policy_lookup_and_describe(self):
+    def test_policy_lookup_and_registration(self):
         catalog = Catalog()
         plan_switch = PlanSwitchPolicy(catalog)
         controller = AdaptationController([plan_switch])
@@ -316,7 +346,7 @@ class TestControllerArbitration:
         assert controller.policy("missing") is None
         stub = RecordingPolicy()
         assert controller.register(stub) is stub
-        assert controller.describe()["policies"] == ["plan_switch", "recording_stub"]
+        assert controller.policies == (plan_switch, stub)
 
 
 class TestEventReprs:
@@ -335,40 +365,10 @@ class TestEventReprs:
         assert "promised=4000tps" in repr(rate)
         assert rate.stall_seconds == pytest.approx(0.75)
 
-        drift = SelectivityDriftEvent(
-            phase_id=0,
-            simulated_seconds=0.1,
-            relations=frozenset({"a", "b"}),
-            selectivity=0.25,
-            previous=0.5,
-        )
-        assert "0.500000 -> 0.250000" in repr(drift)
-        fresh = SelectivityDriftEvent(
-            phase_id=0,
-            simulated_seconds=0.1,
-            relations=frozenset({"a"}),
-            selectivity=0.25,
-        )
-        assert "first observation" in repr(fresh)
-
-        ordering = OrderingObservedEvent(
-            phase_id=0,
-            simulated_seconds=0.2,
-            relation="r",
-            attribute="k",
-            direction=1,
-            in_order_fraction=0.97,
-            observed=64,
-        )
-        assert "r.k asc" in repr(ordering)
-        done = SourceExhaustedEvent(
-            phase_id=2, simulated_seconds=1.0, relation="r", tuples_read=90
-        )
-        assert "90 tuples" in repr(done)
-
 
 class TestMonitorEvents:
-    def _run_plan(self, workload):
+    def test_drain_events_returns_and_clears(self):
+        workload = _workload_with_joins(4500)
         query = workload.query
         cursors = {
             name: SourceCursor(name, source)
@@ -377,127 +377,13 @@ class TestMonitorEvents:
         tree = JoinTree.left_deep(query.relations)
         plan = PipelinedPlan(query, tree, cursors, lambda row: None)
         monitor = ExecutionMonitor(query)
-        return plan, cursors, monitor
-
-    def test_drain_events_returns_and_clears(self):
-        workload = _workload_with_joins(4500)
-        plan, cursors, monitor = self._run_plan(workload)
         plan.run_chunk(50)
         monitor.observe(plan, cursors)
         events = monitor.drain_events()
         assert events, "a poll must emit telemetry events"
         assert monitor.drain_events() == []
-        assert all(
-            isinstance(
-                event,
-                (
-                    SourceRateEvent,
-                    SelectivityDriftEvent,
-                    OrderingObservedEvent,
-                    SourceExhaustedEvent,
-                ),
-            )
-            for event in events
-        )
-        rate_events = [e for e in events if isinstance(e, SourceRateEvent)]
-        assert {e.relation for e in rate_events} == set(workload.query.relations)
-
-    def test_exhausted_event_emitted_once(self):
-        workload = _workload_with_joins(4500)
-        plan, cursors, monitor = self._run_plan(workload)
-        plan.run()
-        monitor.observe(plan, cursors)
-        monitor.observe(plan, cursors)
-        events = monitor.drain_events()
-        exhausted = [e for e in events if isinstance(e, SourceExhaustedEvent)]
-        assert len(exhausted) == len(workload.query.relations)
-
-    def test_selectivity_drift_only_on_change(self):
-        workload = _workload_with_joins(4500)
-        plan, cursors, monitor = self._run_plan(workload)
-        plan.run()
-        monitor.observe(plan, cursors)
-        first = [
-            e
-            for e in monitor.drain_events()
-            if isinstance(e, SelectivityDriftEvent)
-        ]
-        monitor.observe(plan, cursors)
-        second = [
-            e
-            for e in monitor.drain_events()
-            if isinstance(e, SelectivityDriftEvent)
-        ]
-        # Re-observing identical state records no new drift.
-        assert not second or len(second) < max(len(first), 1)
-
-
-class TestIncrementalSnapshots:
-    def test_snapshots_equal_full_copy_oracle(self):
-        """The incremental snapshot path records exactly what a naive
-        full-copy per poll (the old behaviour) would have recorded."""
-        workload = _workload_with_joins(4600)
-        query = workload.query
-        cursors = {
-            name: SourceCursor(name, source)
-            for name, source in workload.sources().items()
-        }
-        tree = JoinTree.left_deep(query.relations)
-        plan = PipelinedPlan(query, tree, cursors, lambda row: None)
-        monitor = ExecutionMonitor(query)
-        oracle = []
-        for _ in range(12):
-            plan.run_chunk(7)
-            oracle.append(
-                {
-                    "phase_id": plan.phase_id,
-                    "simulated_seconds": plan.clock.now,
-                    "tuples_read": plan.statistics.tuples_read,
-                    "node_outputs": dict(plan.node_output_counts()),
-                }
-            )
-            monitor.observe(plan, cursors)
-        assert len(monitor.snapshots) == len(oracle)
-        for snapshot, expected in zip(monitor.snapshots, oracle):
-            assert snapshot.phase_id == expected["phase_id"]
-            assert snapshot.simulated_seconds == expected["simulated_seconds"]
-            assert snapshot.tuples_read == expected["tuples_read"]
-            assert snapshot.node_outputs == expected["node_outputs"]
-
-    def test_unchanged_snapshots_share_storage(self):
-        workload = _workload_with_joins(4600)
-        query = workload.query
-        cursors = {
-            name: SourceCursor(name, source)
-            for name, source in workload.sources().items()
-        }
-        tree = JoinTree.left_deep(query.relations)
-        plan = PipelinedPlan(query, tree, cursors, lambda row: None)
-        monitor = ExecutionMonitor(query)
-        plan.run()  # exhaust: counters frozen from here on
-        monitor.observe(plan, cursors)
-        monitor.observe(plan, cursors)
-        a, b = monitor.snapshots[-2:]
-        assert a.node_outputs == b.node_outputs
-        assert a.node_outputs is b.node_outputs, (
-            "identical consecutive observations must share one dict instead "
-            "of deep-copying per poll"
-        )
-
-    def test_snapshot_repr(self):
-        workload = _workload_with_joins(4600)
-        query = workload.query
-        cursors = {
-            name: SourceCursor(name, source)
-            for name, source in workload.sources().items()
-        }
-        plan = PipelinedPlan(
-            query, JoinTree.left_deep(query.relations), cursors, lambda row: None
-        )
-        monitor = ExecutionMonitor(query)
-        plan.run_chunk(5)
-        snapshot = monitor.snapshot(plan)
-        assert "MonitorSnapshot(phase=0" in repr(snapshot)
+        assert all(isinstance(event, SourceRateEvent) for event in events)
+        assert [e.relation for e in events] == list(plan.leaves)
 
 
 class TestSourceRatePolicyUnits:

@@ -189,43 +189,6 @@ class TestWorkAccountingRule:
         assert all("BatchChargedOperator" not in f.symbol for f in hits)
 
 
-class TestEventExhaustivenessRule:
-    PATH = "adaptivity/policies.py"
-
-    def test_each_violation_kind_fires_at_its_class(self, fixture_findings):
-        hits = findings_for(
-            fixture_findings, "exhaustiveness.event-policy", self.PATH
-        )
-        by_symbol = {}
-        for finding in hits:
-            by_symbol.setdefault(finding.symbol, []).append(finding)
-
-        missing = by_symbol.pop("MissingDeclarationPolicy")
-        assert len(missing) == 2  # handles_events and ignores_events both absent
-        assert {f.line for f in missing} == {
-            line_of(self.PATH, "missing-declaration")
-        }
-
-        (incomplete,) = by_symbol.pop("IncompletePolicy")
-        assert incomplete.line == line_of(self.PATH, "incomplete-coverage")
-        assert "'GammaEvent'" in incomplete.message
-
-        (overlap,) = by_symbol.pop("OverlapPolicy")
-        assert overlap.line == line_of(self.PATH, "overlap")
-        assert "'AlphaEvent'" in overlap.message
-
-        (unknown,) = by_symbol.pop("UnknownEventPolicy")
-        assert unknown.line == line_of(self.PATH, "unknown-event")
-        assert "'DeltaEvent'" in unknown.message
-
-        (silent,) = by_symbol.pop("SilentConsumerPolicy")
-        assert silent.line == line_of(self.PATH, "undeclared-reference")
-        assert "'BetaEvent'" in silent.message
-
-        # The compliant policy (and the skipped base class) stay silent.
-        assert by_symbol == {}
-
-
 class TestUnreadCallableRule:
     RULE = "reachability.unread"
     PATH = "relational/unread.py"

@@ -13,6 +13,8 @@ import random
 
 import pytest
 
+from helpers import node_outputs
+
 from repro.engine.cost import ExecutionMetrics
 from repro.engine.operators.aggregate import GroupAccumulator
 from repro.engine.pipelined import PipelinedJoinNode, PipelinedPlan, SourceCursor
@@ -230,7 +232,7 @@ class TestChunkSchedule:
             tuple_counters = tuple_plan.metrics.as_dict()
             del counters["batches_read"], tuple_counters["batches_read"]
             assert counters == tuple_counters
-            assert plan.node_output_counts() == tuple_plan.node_output_counts()
+            assert node_outputs(plan) == node_outputs(tuple_plan)
             assert repr(plan.clock.now) == repr(tuple_plan.clock.now)
         assert chunks > 1
         # groups larger than a batch were sliced, and no slice exceeds it

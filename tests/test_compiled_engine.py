@@ -14,6 +14,8 @@ import random
 
 import pytest
 
+from helpers import node_outputs
+
 from repro.engine.compiled import ENGINE_MODES, _Env, predicate_source, validate_engine_mode
 from repro.engine.cost import CostModel, ExecutionMetrics
 from repro.engine.operators.aggregate import GroupAccumulator
@@ -22,7 +24,7 @@ from repro.core.corrective import CorrectiveQueryProcessor
 from repro.experiments.common import build_dataset, paper_queries
 from repro.optimizer.enumerator import Optimizer
 from repro.optimizer.plans import JoinTree, PlanError
-from repro.relational.algebra import AggregateSpec, SPJAQuery
+from repro.relational.algebra import SPJAQuery
 from repro.relational.expressions import (
     Aggregate,
     AttributeRef,
@@ -487,7 +489,7 @@ class TestEngineModeSurface:
                     name: (leaf.tuples_read, leaf.tuples_passed)
                     for name, leaf in plan.leaves.items()
                 },
-                plan.node_output_counts(),
+                node_outputs(plan),
             )
 
         (tuple_plan, tuple_out), (batched, batched_out), (compiled, compiled_out) = (

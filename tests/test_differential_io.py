@@ -25,11 +25,7 @@ from collections import Counter
 
 import pytest
 
-from differential import (
-    _canonical_multiset,
-    _canonical_names,
-    run_solo_corrective,
-)
+from differential import run_solo_corrective
 from helpers import reference_spja
 
 from repro.io import (

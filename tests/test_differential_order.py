@@ -22,7 +22,6 @@ from collections import Counter
 import pytest
 
 from differential import (
-    BATCH_SIZES,
     POLL_STEP_LIMIT,
     POLLING_INTERVAL,
     _canonical_multiset,

@@ -21,7 +21,6 @@ from differential import (
     assert_rate_differential_case,
     rate_collapse_setup,
     run_rate_differential_case,
-    run_served_workloads,
     run_solo_corrective,
 )
 from helpers import reference_spja

@@ -45,7 +45,7 @@ class TestExecutionMonitor:
         key = frozenset({"r", "s"})
         assert observed.selectivity_of(key) == pytest.approx(100 / (100 * 100))
         assert monitor.poll_count() == 1
-        assert monitor.snapshots[-1].tuples_read == 200
+        assert observed.source("s").tuples_read == 100
 
     def test_selectivities_not_trusted_too_early(self):
         query = join_query()

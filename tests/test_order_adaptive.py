@@ -401,8 +401,7 @@ class TestOrderAdaptiveExecution:
         plan.run()
         monitor = ExecutionMonitor(query)
         observed = monitor.observe(plan, cursors)
-        ordering = observed.ordering_of("s", "s_fk")
-        assert ordering is not None
+        ordering = observed.orderings[("s", "s_fk")]
         assert ordering.direction == 1
         assert ordering.observed == 60
 
@@ -511,6 +510,6 @@ class TestServingOrderSharing:
         query = SPJAQuery("q", ("r", "s"), (JoinPredicate("s", "s_fk", "r", "r_pk"),))
         seed = cache.seed_for(query)
         assert seed is not None
-        assert seed.ordering_of("r", "r_pk").observed == 64
+        assert seed.orderings[("r", "r_pk")].observed == 64
         unrelated = SPJAQuery("u", ("x",), ())
         assert cache.seed_for(unrelated) is None

@@ -4,20 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same_aggregates, assert_same_bag, reference_spja
+from helpers import (
+    assert_same_aggregates,
+    assert_same_bag,
+    node_outputs,
+    reference_spja,
+)
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.pipelined import PipelinedExecutor, PipelinedPlan, SourceCursor
 from repro.engine.state.registry import StateRegistry, expression_signature
 from repro.optimizer.plans import JoinTree, PlanError
-from repro.relational.algebra import AggregateSpec, SPJAQuery
+from repro.relational.algebra import SPJAQuery
 from repro.relational.expressions import (
-    Aggregate,
     AttributeRef,
     Comparison,
     Constant,
     JoinPredicate,
 )
-from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.sources.network import BurstyNetworkModel, ConstantRateNetworkModel
 from repro.sources.remote import RemoteSource
@@ -159,7 +162,7 @@ class TestPipelinedPlan:
         key = frozenset({"people", "simple_orders"})
         expected = 6 / (len(people) * len(simple_orders))
         assert selectivities[key] == pytest.approx(expected)
-        assert plan.node_output_counts()[key] == 6
+        assert node_outputs(plan)[key] == 6
 
     def test_register_state(self, people, simple_orders):
         query = simple_join_query()
@@ -727,7 +730,7 @@ class TestPollWindow:
             windows += 1
             chunks += loop_chunks
             assert plan.consumed_counts() == loop_plan.consumed_counts()
-            assert plan.node_output_counts() == loop_plan.node_output_counts()
+            assert node_outputs(plan) == node_outputs(loop_plan)
             assert plan.metrics.as_dict() == loop_plan.metrics.as_dict()
             # steps, tuples read, outputs, work units, seconds, consumed
             assert plan.statistics == loop_plan.statistics

@@ -31,7 +31,7 @@ from differential import (
 from repro.io.wallclock import wall_now
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import AggregateSpec, SPJAQuery
-from repro.relational.catalog import Catalog, TableStatistics
+from repro.relational.catalog import Catalog
 from repro.relational.expressions import Aggregate, JoinPredicate
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
