@@ -14,6 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.relational.catalog import Catalog
+
+#: a promise is only judged once this many tuples *should* have arrived
+MIN_EXPECTED_TUPLES = 16
+
 
 @dataclass(repr=False)
 class SourceRateEvent:
@@ -60,6 +65,12 @@ class SourceRateEvent:
             return 0.0 if self.exhausted else float("inf")
         return max(self.next_arrival - self.simulated_seconds, 0.0)
 
+    @property
+    def delivered(self) -> int:
+        """Tuples the source has delivered (consumption is a lower bound)."""
+        arrived = self.arrived
+        return self.consumed if arrived is None else max(arrived, self.consumed)
+
     def __repr__(self) -> str:
         if self.exhausted:
             pending = "exhausted"
@@ -77,3 +88,34 @@ class SourceRateEvent:
             f"t={self.simulated_seconds:.3f}s, {self.relation}: "
             f"consumed={self.consumed}, {pending}{promise})"
         )
+
+
+def promised_rate_of(event: SourceRateEvent, catalog: Catalog) -> float | None:
+    """The event's promised rate, else the catalog's for its relation."""
+    if event.promised_rate is None and event.relation in catalog:
+        return catalog.statistics(event.relation).promised_rate
+    return event.promised_rate
+
+
+def delivery_collapsed(
+    event: SourceRateEvent,
+    catalog: Catalog,
+    collapse_fraction: float,
+    min_expected_tuples: int,
+) -> bool:
+    """Has the source delivered under ``collapse_fraction`` of what its promise
+    predicts by now?  Rate and failover policies each check exhaustion first."""
+    promised = promised_rate_of(event, catalog)
+    if promised is None or promised <= 0:
+        return False
+    expected = promised * event.simulated_seconds
+    # A promise covers only the data that exists: uncapped, a source that
+    # delivered *everything* early would read as collapsed as time passes.
+    if event.relation in catalog:
+        cardinality = catalog.statistics(event.relation).cardinality
+        if cardinality is not None:
+            expected = min(expected, float(cardinality))
+    return (
+        expected >= min_expected_tuples
+        and event.delivered < collapse_fraction * expected
+    )

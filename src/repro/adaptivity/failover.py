@@ -35,9 +35,12 @@ from repro.adaptivity.controller import (
     AdaptationRun,
     FailoverSourceAction,
 )
-from repro.adaptivity.events import SourceRateEvent
+from repro.adaptivity.events import (
+    MIN_EXPECTED_TUPLES,
+    SourceRateEvent,
+    delivery_collapsed,
+)
 from repro.adaptivity.policies import AdaptationPolicy
-from repro.adaptivity.rate import MIN_EXPECTED_TUPLES
 
 
 class MirrorFailoverPolicy(AdaptationPolicy):
@@ -69,36 +72,14 @@ class MirrorFailoverPolicy(AdaptationPolicy):
 
     # -- outage detection -------------------------------------------------------------
 
-    def _promised_rate(self, event: SourceRateEvent) -> float | None:
-        if event.promised_rate is not None:
-            return event.promised_rate
-        if event.relation in self.catalog:
-            return self.catalog.statistics(event.relation).promised_rate
-        return None
-
-    def _delivery_collapsed(self, event: SourceRateEvent) -> bool:
-        """Delivered decisively less than the promise predicts by now?"""
-        promised = self._promised_rate(event)
-        if promised is None or promised <= 0:
-            return False
-        expected = promised * event.simulated_seconds
-        if event.relation in self.catalog:
-            cardinality = self.catalog.statistics(event.relation).cardinality
-            if cardinality is not None:
-                expected = min(expected, float(cardinality))
-        if expected < self.min_expected_tuples:
-            return False
-        delivered = event.consumed
-        if event.arrived is not None:
-            delivered = max(event.arrived, event.consumed)
-        return delivered < self.collapse_fraction * expected
-
     def _outage(self, event: SourceRateEvent) -> bool:
         """Does this poll look like the source is down (not merely busy)?"""
         if event.exhausted:
             return False
         stalled = event.stall_seconds >= self.stall_threshold_seconds
-        return stalled or self._delivery_collapsed(event)
+        return stalled or delivery_collapsed(
+            event, self.catalog, self.collapse_fraction, self.min_expected_tuples
+        )
 
     # -- hooks ------------------------------------------------------------------------
 

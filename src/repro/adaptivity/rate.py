@@ -63,11 +63,13 @@ from repro.adaptivity.controller import (
     ReprioritizeReadsAction,
     SwitchPlanAction,
 )
-from repro.adaptivity.events import SourceRateEvent
+from repro.adaptivity.events import (
+    MIN_EXPECTED_TUPLES,
+    SourceRateEvent,
+    delivery_collapsed,
+    promised_rate_of,
+)
 from repro.adaptivity.policies import AdaptationPolicy
-
-#: a promise is only judged once this many tuples *should* have arrived
-MIN_EXPECTED_TUPLES = 16
 
 #: estimated work units to assemble one cross-phase result row during
 #: stitch-up (probes into registered partitions plus materialization) —
@@ -121,7 +123,7 @@ class SourceRatePolicy(AdaptationPolicy):
             seeded = self._seed_history_sample(run, event)
             if seeded is not None:
                 history.append(seeded)
-        history.append((event.simulated_seconds, self._delivered(event)))
+        history.append((event.simulated_seconds, event.delivered))
         if len(history) > self.RATE_WINDOW_POLLS:
             del history[0]
 
@@ -152,7 +154,7 @@ class SourceRatePolicy(AdaptationPolicy):
             return None
         # Clamp at the current delivered count so history stays non-decreasing
         # even when consumption (a lower bound the oracle cannot see) leads.
-        return (t_prev, min(oracle(t_prev), self._delivered(event)))
+        return (t_prev, min(oracle(t_prev), event.delivered))
 
     def _recent_rate(self, run: AdaptationRun, relation: str) -> float | None:
         """Delivery rate over the last few polls (None when unmeasurable).
@@ -169,39 +171,11 @@ class SourceRatePolicy(AdaptationPolicy):
             return None
         return max(d1 - d0, 0) / (t1 - t0)
 
-    def _promised_rate(self, relation: str) -> float | None:
-        if relation not in self.catalog:
-            return None
-        return self.catalog.statistics(relation).promised_rate
-
-    @staticmethod
-    def _delivered(event: SourceRateEvent) -> int:
-        """Tuples the source has delivered (consumption is a lower bound)."""
-        if event.arrived is not None:
-            return max(event.arrived, event.consumed)
-        return event.consumed
-
     def _collapsed(self, event: SourceRateEvent) -> bool:
         """Has this source fallen decisively behind its promised rate?"""
-        if event.exhausted:
-            return False
-        promised = event.promised_rate
-        if promised is None:
-            promised = self._promised_rate(event.relation)
-        if promised is None or promised <= 0:
-            return False
-        expected = promised * event.simulated_seconds
-        # A promise can only cover the data that exists: without the cap, a
-        # small source that delivered *everything* early would read as
-        # collapsed once enough simulated time passed (promised * elapsed
-        # grows without bound while delivery is complete).
-        if event.relation in self.catalog:
-            cardinality = self.catalog.statistics(event.relation).cardinality
-            if cardinality is not None:
-                expected = min(expected, float(cardinality))
-        if expected < self.min_expected_tuples:
-            return False
-        return self._delivered(event) < self.collapse_fraction * expected
+        return not event.exhausted and delivery_collapsed(
+            event, self.catalog, self.collapse_fraction, self.min_expected_tuples
+        )
 
     # -- the decision ----------------------------------------------------------------
 
@@ -267,7 +241,7 @@ class SourceRatePolicy(AdaptationPolicy):
         def remaining_seconds(relation: str) -> float:
             event = collapsed[relation]
             now = max(event.simulated_seconds, 1.0e-9)
-            delivered = self._delivered(event)
+            delivered = event.delivered
             remaining = max(
                 estimator.base_cardinality(relation) - delivered, 0.0
             )
@@ -341,8 +315,8 @@ class SourceRatePolicy(AdaptationPolicy):
             return None
         acted.add(slow)
         event = collapsed[slow]
-        rate = self._delivered(event) / max(event.simulated_seconds, 1.0e-9)
-        promised = event.promised_rate or self._promised_rate(slow) or 0.0
+        rate = event.delivered / max(event.simulated_seconds, 1.0e-9)
+        promised = promised_rate_of(event, self.catalog)
         return SwitchPlanAction(
             tree=gating,
             reason=(

@@ -242,6 +242,8 @@ class CorrectiveQueryProcessor:
         chunk up to the next monitor poll, at the chunk boundaries a loop of
         single chunks would take, so the run equals :meth:`execute`.
         """
+        if poll_step_limit < 1:
+            raise ValueError(f"poll_step_limit must be positive, got {poll_step_limit}")
         wall_start = wall_now()
         metrics = ExecutionMetrics()
         clock = clock if clock is not None else SimulatedClock(self.cost_model)

@@ -529,12 +529,13 @@ class PipelinedPlan:
     is the paper's tuple-at-a-time mode: one :meth:`step` reads one source
     tuple and fully propagates it.  An integer enables batch-at-a-time mode:
     one step (:meth:`step_batch`) reads the source tuples that have arrived,
-    up to its budget — **in exactly the per-source counts the tuple-at-a-time
-    scheduler would have chosen** — and propagates them through the join
-    network in batches of at most ``batch_size``.  Because a step always
-    fully propagates what it read, the plan is in a consistent state between
-    steps, so suspension, monitoring and corrective plan switching keep
-    working, just at step granularity.
+    up to its budget (``batch_size`` in a static :meth:`run`, what is left of
+    the chunk in :meth:`run_chunk`) — **in exactly the per-source counts the
+    tuple-at-a-time scheduler would have chosen** — and propagates them, one
+    kernel call per per-leaf group.  Because a step always fully propagates
+    what it read, the plan is in a consistent state between steps, so
+    suspension, monitoring and corrective plan switching keep working, just
+    at step granularity.
 
     The batch path has one shape, whatever the engine mode::
 
@@ -542,8 +543,7 @@ class PipelinedPlan:
                             horizon); if nothing has arrived by then: sync
                             the clock, wait_until(next_arrival())
         _read_schedule  ->  (binding, rows) groups, all arrived by ready
-        step_batch      ->  per group: kernel(rows) in slices of at most
-                            batch_size rows
+        step_batch      ->  per group: one kernel(rows) call
 
     :meth:`_read_schedule` is the only batch scheduler and :meth:`step_batch`
     the only batch driver.  ``engine_mode`` picks nothing but the per-leaf
@@ -1057,7 +1057,9 @@ class PipelinedPlan:
 
         The only batch driver: :meth:`_read_schedule` cuts the batch into
         per-leaf groups, and each group is handed to its leaf's kernel
-        (:meth:`_build_kernels`) in calls of at most ``batch_size`` rows.
+        (:meth:`_build_kernels`) in one call.  A group's chain writes only its
+        own side of each join and probes the other, so one call gives the
+        same outputs, counters and clock as any slicing of it.
         Returns the number of source tuples consumed (0 when exhausted, or —
         under a ``horizon`` — when every pending tuple arrives after it).
 
@@ -1070,11 +1072,8 @@ class PipelinedPlan:
         — and the schedule reads up to the new reading.  The clock is exact,
         so simulated seconds equal the tuple rule's on every source.
         """
-        limit = self.batch_size if self.batch_size is not None else 1
-        budget = limit if max_tuples is None else max_tuples
-        if budget < limit:
-            limit = budget
-        if limit < 1:
+        budget = (self.batch_size or 1) if max_tuples is None else max_tuples
+        if budget < 1:
             return 0
         kernels = self._kernels
         if kernels is None:
@@ -1092,13 +1091,8 @@ class PipelinedPlan:
         self.metrics.batches_read += 1
         total = 0
         for binding, rows in groups:
-            kernel = kernels[binding.relation]
             total += len(rows)
-            if len(rows) <= limit:
-                kernel(rows)
-            else:
-                for start in range(0, len(rows), limit):
-                    kernel(rows[start : start + limit])
+            kernels[binding.relation](rows)
         self.statistics.steps += 1
         self.statistics.tuples_read += total
         return total
@@ -1144,8 +1138,8 @@ class PipelinedPlan:
 
         In batched mode what is left of the chunk is :meth:`step_batch`'s
         budget: one schedule reads all of it that has arrived (on local
-        sources the whole chunk, one ``batches_read``), and ``batch_size``
-        bounds only each kernel call.
+        sources the whole chunk, one ``batches_read``), and each of its
+        per-leaf groups is one kernel call, whatever the ``batch_size``.
 
         Without ``until`` this is one chunk.  With ``until`` (a blocking
         run's next poll) it is one *poll window*: chunk after chunk, the

@@ -27,6 +27,8 @@ from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
 from repro.relational.algebra import SPJAQuery
 from repro.relational.catalog import Catalog, DEFAULT_ASSUMED_CARDINALITY
 
+RunningPrice = tuple[JoinEnumerator, dict[frozenset[str], JoinStrategy], float, float]
+
 
 @dataclass
 class ReOptimizationDecision:
@@ -143,7 +145,7 @@ class ReOptimizer:
         current_tree: JoinTree,
         observed: ObservedStatistics,
         current_strategies: dict[frozenset[str], JoinStrategy] | None,
-    ) -> tuple[JoinEnumerator, dict[frozenset[str], JoinStrategy], float, float]:
+    ) -> RunningPrice:
         """Enumerator, running strategies, cost to finish, remaining fraction."""
         estimator = self._estimator(query, observed)
         ordering = (
@@ -184,9 +186,8 @@ class ReOptimizer:
         switch is possible — the floor stands in for ``best.cost`` in
         ``evaluate``'s own monotone arithmetic, with the stitch-up weight
         halved wherever a same-tree strategy switch is possible."""
-        enumerator, running_strategies, current_remaining_cost, remaining = (
-            self._price_running(query, current_tree, observed, current_strategies)
-        )
+        priced = self._price_running(query, current_tree, observed, current_strategies)
+        enumerator, running_strategies, current_remaining_cost, remaining = priced
         floor = enumerator.cost_floor()
         weight = self.stitchup_cost_weight
         if self.order_adaptive or running_strategies:
@@ -196,7 +197,9 @@ class ReOptimizer:
             and floor * (remaining + weight * (1.0 - remaining))
             < self.switch_threshold * current_remaining_cost
         ):
-            return self.evaluate(query, current_tree, observed, current_strategies)
+            return self.evaluate(
+                query, current_tree, observed, current_strategies, priced=priced
+            )
         self.invocations += 1
         return None
 
@@ -206,6 +209,8 @@ class ReOptimizer:
         current_tree: JoinTree,
         observed: ObservedStatistics,
         current_strategies: dict[frozenset[str], JoinStrategy] | None = None,
+        *,
+        priced: RunningPrice | None = None,
     ) -> ReOptimizationDecision:
         """Compare the running configuration against the best alternative.
 
@@ -214,12 +219,14 @@ class ReOptimizer:
         in-order fractions (a promise-based merge choice over a source that
         turned out unordered is charged what it is really paying), while the
         recommendation gets a fresh strategy assignment from the latest
-        ordering knowledge.
+        ordering knowledge.  An open :meth:`poll` hands on its ``priced``.
         """
         self.invocations += 1
-        enumerator, running_strategies, current_remaining_cost, remaining = (
-            self._price_running(query, current_tree, observed, current_strategies)
-        )
+        if priced is None:
+            priced = self._price_running(
+                query, current_tree, observed, current_strategies
+            )
+        enumerator, running_strategies, current_remaining_cost, remaining = priced
         best = enumerator.best_entry()
         best_tree, best_strategies = best.tree, best.strategies
 

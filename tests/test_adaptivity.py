@@ -24,12 +24,13 @@ from collections import Counter
 from repro.adaptivity import (
     AdaptationController,
     AdaptationPolicy,
+    MirrorFailoverPolicy,
     PlanSwitchPolicy,
     ReprioritizeReadsAction,
     SourceRatePolicy,
     SwitchPlanAction,
 )
-from repro.adaptivity.events import SourceRateEvent
+from repro.adaptivity.events import SourceRateEvent, promised_rate_of
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.core.monitor import ExecutionMonitor
 from repro.engine.pipelined import PipelinedPlan, SourceCursor
@@ -442,7 +443,7 @@ class TestSourceRatePolicyUnits:
         """Tuples sitting unread in the buffer are not a collapse."""
         policy = SourceRatePolicy(Catalog())
         event = self._event(consumed=0, arrived=900)
-        assert policy._delivered(event) == 900
+        assert event.delivered == 900
         assert not policy._collapsed(event)
 
     def test_promise_from_catalog_when_event_lacks_it(self):
@@ -456,13 +457,48 @@ class TestSourceRatePolicyUnits:
         )
         policy = SourceRatePolicy(catalog)
         # The event carries no promise, but the catalog's stands in.
-        assert policy._promised_rate("f") == 1000.0
+        assert promised_rate_of(self._event(promised_rate=None), catalog) == 1000.0
         assert policy._collapsed(self._event(promised_rate=None, relation="f"))
         # A relation with no catalog entry (and no event promise) never
         # counts as collapsed.
         assert not policy._collapsed(
             self._event(promised_rate=None, relation="unknown")
         )
+
+    @pytest.mark.parametrize(
+        "overrides, collapsed",
+        [
+            ({}, True),
+            ({"promised_rate": None, "relation": "unknown"}, False),  # no promise
+            ({"promised_rate": None}, True),  # the catalog's promise stands in
+            ({"promised_rate": 0.0}, False),
+            ({"simulated_seconds": 0.008, "arrived": 0, "consumed": 0}, False),
+            # capped by the catalog's 100 tuples: 60 of them is healthy...
+            ({"simulated_seconds": 5.0, "arrived": 60}, False),
+            # ...40 is not
+            ({"simulated_seconds": 5.0, "arrived": 40}, True),
+            ({"arrived": None}, True),
+            ({"arrived": None, "consumed": 600}, False),
+            ({"arrived": 900, "consumed": 0}, False),  # arrived ahead of consumed
+        ],
+    )
+    def test_rate_and_failover_share_one_delivery_deficit_test(
+        self, overrides, collapsed
+    ):
+        """Both policies judge a delivery deficit alike; the failover
+        policy's stall arm stays quiet (the next tuple is due now)."""
+        from repro.relational.schema import Schema
+
+        catalog = Catalog()
+        catalog.register(
+            "f",
+            Schema.from_names(["f_k"], relation="f"),
+            TableStatistics(cardinality=100, promised_rate=1000.0),
+        )
+        now = overrides.get("simulated_seconds", 1.0)
+        event = self._event(**{"next_arrival": now, **overrides})
+        assert SourceRatePolicy(catalog)._collapsed(event) is collapsed
+        assert MirrorFailoverPolicy(catalog)._outage(event) is collapsed
 
     def test_gating_tree_puts_slow_relation_on_top(self):
         workload = _workload_with_joins(4700)

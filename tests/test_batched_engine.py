@@ -175,8 +175,8 @@ class TestZeroQuotas:
 
 
 class TestChunkSchedule:
-    """On local sources a poll chunk is one schedule, whose groups reach
-    their kernels in slices of at most ``batch_size`` rows."""
+    """On local sources a poll chunk is one schedule, and each of its
+    per-leaf groups is one kernel call, whatever the ``batch_size``."""
 
     @pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
     @pytest.mark.parametrize("priorities", [{}, {"lineitem": 1}])
@@ -206,7 +206,15 @@ class TestChunkSchedule:
             return plan
 
         tuple_plan, plan = build(None), build(64, engine_mode)
-        calls = []
+        calls, groups = [], []
+        read_schedule = plan._read_schedule
+
+        def scheduling(budget, ready):
+            scheduled = read_schedule(budget, ready)
+            groups.extend(len(rows) for _, rows in scheduled)
+            return scheduled
+
+        plan._read_schedule = scheduling
 
         def recording(kernel):
             def run(rows):
@@ -235,8 +243,9 @@ class TestChunkSchedule:
             assert node_outputs(plan) == node_outputs(tuple_plan)
             assert repr(plan.clock.now) == repr(tuple_plan.clock.now)
         assert chunks > 1
-        # groups larger than a batch were sliced, and no slice exceeds it
-        assert max(calls) == plan.batch_size
+        # every scheduled group was one kernel call, some longer than a batch
+        assert calls == groups
+        assert max(calls) > plan.batch_size
 
 
 class TestGroupAccumulatorBatch:

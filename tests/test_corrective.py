@@ -104,6 +104,16 @@ class TestCorrectness:
         assert_same_aggregates(report.rows, reference.rows)
         assert report.wait_seconds > 0
 
+    @pytest.mark.parametrize("limit", [0, -5])
+    @pytest.mark.parametrize("engine", [{}, {"batch_size": 64}], ids=["tuple", "batch64"])
+    def test_a_poll_step_limit_below_one_is_rejected(self, tiny_tpch, limit, engine):
+        """A chunk of no tuples never reaches the next poll: rejected, not spun."""
+        processor = CorrectiveQueryProcessor(
+            tiny_tpch.catalog(), tiny_tpch.as_sources(), **engine
+        )
+        with pytest.raises(ValueError, match="poll_step_limit"):
+            processor.execute(query_3a(), poll_step_limit=limit)
+
 
 class TestAblationWeights:
     WEIGHTS = dict(hash_probe=1.3, predicate_eval=0.1, tuple_copy=0.7, tuple_output=0.3)
@@ -245,6 +255,79 @@ class TestPollWindows:
         assert report.reoptimizer_polls == chunked.reoptimizer_polls
         assert report.details["monitor_polls"] == chunked.details["monitor_polls"]
         assert repr(report.simulated_seconds) == repr(chunked.simulated_seconds)
+
+
+class TestKernelCalls:
+    """``batch_size`` does not shape a corrective run's kernel calls: every
+    scheduled per-leaf group is one call, so each batch size hands its
+    kernels the same row counts, and all of them match tuple mode."""
+
+    @staticmethod
+    def run(monkeypatch, dataset, query, remote, **engine):
+        """The finished report and ``(phase, relation, rows)`` per kernel call."""
+        calls = []
+        build = PipelinedPlan._build_kernels
+
+        def recording(plan):
+            def wrap(relation, kernel):
+                def run(rows):
+                    calls.append((plan.phase_id, relation, len(rows)))
+                    kernel(rows)
+
+                return run
+
+            return {relation: wrap(relation, k) for relation, k in build(plan).items()}
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PipelinedPlan, "_build_kernels", recording)
+            report = CorrectiveQueryProcessor(
+                dataset.catalog(),
+                TestPollWindows.sources(dataset, remote),
+                polling_interval_seconds=0.1,
+                **engine,
+            ).execute(query, initial_tree=bad_tree(query))
+        return report, calls
+
+    @staticmethod
+    def phase_view(phase):
+        """A phase record but its step count (a tuple or a batch)."""
+        return (
+            str(phase.join_tree),
+            phase.switch_reason,
+            repr(phase.ended_at),
+            phase.tuples_read,
+            phase.outputs,
+            phase.consumed_per_relation,
+        )
+
+    @pytest.mark.parametrize(
+        "query, remote",
+        [(query_3a(), False), (query_10a(), False), (query_5(), False), (query_10a(), True)],
+        ids=["Q3A-local", "Q10A-local", "Q5-local", "Q10A-bursty"],
+    )
+    def test_every_batch_size_makes_the_same_kernel_calls(
+        self, small_tpch, monkeypatch, query, remote
+    ):
+        expected, _ = self.run(monkeypatch, small_tpch, query, remote)
+        counters = expected.metrics.as_dict()
+        del counters["batches_read"]
+        sequences = []
+        for batch_size in (1, 7, 64):
+            report, calls = self.run(
+                monkeypatch, small_tpch, query, remote, batch_size=batch_size
+            )
+            sequences.append(calls)
+            assert sorted(report.rows) == sorted(expected.rows)
+            batched = report.metrics.as_dict()
+            del batched["batches_read"]
+            assert batched == counters
+            assert [self.phase_view(p) for p in report.phases] == [
+                self.phase_view(p) for p in expected.phases
+            ]
+            assert repr(report.simulated_seconds) == repr(expected.simulated_seconds)
+        assert sequences[0] == sequences[1] == sequences[2]
+        assert expected.num_phases >= 2
+        assert max(rows for _, _, rows in sequences[0]) > 64
 
 
 class TestAdaptationBehaviour:
