@@ -26,29 +26,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.optimizer.ordering import OrderingKnowledge
+from repro.optimizer.statistics import SelectivityEstimator
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adaptivity.policies import AdaptationPolicy
 
 
 @dataclass
 class AdaptationContext:
-    """Everything a policy may consult when asked for a decision."""
+    """What every policy consults at one poll: the query, the monitor's
+    observations, the simulated time, the running plan, and the one
+    estimator and ordering view all policies share.
+
+    ``estimator`` is the poll's :class:`SelectivityEstimator` over the
+    observations (its memos are valid for this poll only); ``ordering`` is
+    the run's :class:`OrderingKnowledge` (``None`` unless a policy supplies
+    one, i.e. unless order adaptivity is on).
+    """
 
     query: Any
-    catalog: Any
     observed: Any
-    phase_id: int
     now: float
     current_tree: Any
     current_strategies: dict[frozenset[str], Any] | None
-    can_switch: bool
-    plan: Any | None = None
+    estimator: SelectivityEstimator
+    ordering: OrderingKnowledge | None
 
     def __repr__(self) -> str:
         return (
             f"AdaptationContext(query={getattr(self.query, 'name', '?')!r}, "
-            f"phase={self.phase_id}, t={self.now:.3f}s, "
-            f"can_switch={self.can_switch})"
+            f"t={self.now:.3f}s)"
         )
 
 
@@ -219,7 +227,6 @@ class AdaptationRun:
         plan: Any,
         current_tree: Any,
         current_strategies: dict[frozenset[str], Any] | None,
-        phase_id: int,
         now: float,
         can_switch: bool,
     ) -> SwitchPlanAction | None:
@@ -228,22 +235,23 @@ class AdaptationRun:
         Returns the winning plan switch (or ``None`` to keep going).  The
         executor must have refreshed its monitor immediately before calling,
         so the queued samples and ``monitor.observed`` describe the present.
+        The poll's estimator and ordering view are built once, after every
+        ``observe``, and shared by every ``decide``.
         """
         policies = self.controller.policies
         if self.monitor is not None:
             for event in self.monitor.drain_events():
                 for policy in policies:
                     policy.observe(self, event)
+        observed = self.monitor.observed if self.monitor is not None else None
         context = AdaptationContext(
             query=self.query,
-            catalog=self.catalog,
-            observed=self.monitor.observed if self.monitor is not None else None,
-            phase_id=phase_id,
+            observed=observed,
             now=now,
             current_tree=current_tree,
             current_strategies=current_strategies,
-            can_switch=can_switch,
-            plan=plan,
+            estimator=SelectivityEstimator(self.catalog, self.query, observed),
+            ordering=self.current_ordering(),
         )
         winner: SwitchPlanAction | None = None
         for policy in policies:

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 from repro.relational.catalog import Catalog
 
+#: a source has *collapsed* when it delivered less than this fraction of what
+#: its promised rate predicts by now
+COLLAPSE_FRACTION = 0.5
 #: a promise is only judged once this many tuples *should* have arrived
 MIN_EXPECTED_TUPLES = 16
 
@@ -98,24 +101,36 @@ def promised_rate_of(event: SourceRateEvent, catalog: Catalog) -> float | None:
 
 
 def delivery_collapsed(
-    event: SourceRateEvent,
-    catalog: Catalog,
-    collapse_fraction: float,
-    min_expected_tuples: int,
+    delivered: int, promised_rate: float | None, now: float, total: float | None
 ) -> bool:
-    """Has the source delivered under ``collapse_fraction`` of what its promise
-    predicts by now?  Rate and failover policies each check exhaustion first."""
-    promised = promised_rate_of(event, catalog)
-    if promised is None or promised <= 0:
+    """Has a source delivered under ``COLLAPSE_FRACTION`` of what its promise
+    predicts by ``now``?  Judged only once ``MIN_EXPECTED_TUPLES`` should have
+    arrived.  A promise covers only the data that exists: ``total`` (the
+    relation's cardinality, when known) caps the expectation, or a source that
+    delivered *everything* early would read as collapsed as time passes."""
+    if promised_rate is None or promised_rate <= 0:
         return False
-    expected = promised * event.simulated_seconds
-    # A promise covers only the data that exists: uncapped, a source that
-    # delivered *everything* early would read as collapsed as time passes.
-    if event.relation in catalog:
-        cardinality = catalog.statistics(event.relation).cardinality
-        if cardinality is not None:
-            expected = min(expected, float(cardinality))
+    expected = promised_rate * now
+    if total is not None:
+        expected = min(expected, float(total))
     return (
-        expected >= min_expected_tuples
-        and event.delivered < collapse_fraction * expected
+        expected >= MIN_EXPECTED_TUPLES
+        and delivered < COLLAPSE_FRACTION * expected
+    )
+
+
+def event_collapsed(event: SourceRateEvent, catalog: Catalog) -> bool:
+    """:func:`delivery_collapsed` of one sample, promise and cardinality
+    completed from the catalog.  Rate and failover policies each check
+    exhaustion first."""
+    total = (
+        catalog.statistics(event.relation).cardinality
+        if event.relation in catalog
+        else None
+    )
+    return delivery_collapsed(
+        event.delivered,
+        promised_rate_of(event, catalog),
+        event.simulated_seconds,
+        total,
     )

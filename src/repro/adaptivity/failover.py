@@ -10,7 +10,7 @@ serves the same rows — the right move is to abandon the primary and fetch
 the **remainder** of the relation from the mirror.
 
 :class:`MirrorFailoverPolicy` watches :class:`SourceRateEvent` telemetry for
-a *sustained* outage — ``outage_polls`` consecutive polls in which the
+a *sustained* outage — ``OUTAGE_POLLS`` consecutive polls in which the
 source is either stalled past ``stall_threshold_seconds`` or decisively
 behind its promised delivery — and then proposes a
 :class:`~repro.adaptivity.controller.FailoverSourceAction` carrying the
@@ -35,11 +35,7 @@ from repro.adaptivity.controller import (
     AdaptationRun,
     FailoverSourceAction,
 )
-from repro.adaptivity.events import (
-    MIN_EXPECTED_TUPLES,
-    SourceRateEvent,
-    delivery_collapsed,
-)
+from repro.adaptivity.events import SourceRateEvent, event_collapsed
 from repro.adaptivity.policies import AdaptationPolicy
 
 
@@ -48,27 +44,17 @@ class MirrorFailoverPolicy(AdaptationPolicy):
 
     name = "mirror_failover"
 
-    def __init__(
-        self,
-        catalog,
-        stall_threshold_seconds: float = 0.05,
-        outage_polls: int = 2,
-        collapse_fraction: float = 0.5,
-        min_expected_tuples: int = MIN_EXPECTED_TUPLES,
-    ) -> None:
+    #: consecutive outage polls required before failing over — one bad poll
+    #: is noise, a streak is an outage
+    OUTAGE_POLLS = 2
+
+    def __init__(self, catalog, stall_threshold_seconds: float = 0.05) -> None:
         """``stall_threshold_seconds``: a poll counts toward the outage
         streak when the source's next arrival is at least this far away (or
-        unscheduled).  ``outage_polls``: consecutive outage polls required
-        before failing over — one bad poll is noise, a streak is an outage.
-        ``collapse_fraction`` / ``min_expected_tuples``: the delivery-deficit
-        arm of outage detection, mirroring the rate policy's collapse bar."""
-        if outage_polls < 1:
-            raise ValueError("outage_polls must be >= 1")
+        unscheduled); the delivery-deficit arm of outage detection is the
+        rate policy's collapse rule."""
         self.catalog = catalog
         self.stall_threshold_seconds = stall_threshold_seconds
-        self.outage_polls = outage_polls
-        self.collapse_fraction = collapse_fraction
-        self.min_expected_tuples = min_expected_tuples
 
     # -- outage detection -------------------------------------------------------------
 
@@ -77,9 +63,7 @@ class MirrorFailoverPolicy(AdaptationPolicy):
         if event.exhausted:
             return False
         stalled = event.stall_seconds >= self.stall_threshold_seconds
-        return stalled or delivery_collapsed(
-            event, self.catalog, self.collapse_fraction, self.min_expected_tuples
-        )
+        return stalled or event_collapsed(event, self.catalog)
 
     # -- hooks ------------------------------------------------------------------------
 
@@ -100,7 +84,7 @@ class MirrorFailoverPolicy(AdaptationPolicy):
         for relation in sorted(streaks):
             if relation not in context.query.relations:
                 continue
-            if streaks[relation] < self.outage_polls:
+            if streaks[relation] < self.OUTAGE_POLLS:
                 continue
             source = run.sources.get(relation)
             mirrors = getattr(source, "mirrors", ()) or ()
@@ -120,7 +104,7 @@ class MirrorFailoverPolicy(AdaptationPolicy):
                     start_at=context.now,
                     reason=(
                         f"{relation} in sustained outage "
-                        f"({self.outage_polls} polls, "
+                        f"({self.OUTAGE_POLLS} polls, "
                         f"{cursor.consumed} tuples consumed); resuming "
                         f"remainder from mirror {mirror.name!r}"
                     ),

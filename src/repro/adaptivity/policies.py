@@ -22,10 +22,13 @@ the full hook surface; a policy implements only what it needs:
 admission/plan-seeding hooks, in ``src/repro/adaptivity/README.md``): pick a
 unique ``name``;
 keep per-run state in ``run.scratch(self)`` (policy instances outlive runs);
-derive everything from rate samples / ``AdaptationContext`` (never from
-engine internals); make ``decide`` deterministic — ties in the controller are
-broken by registration order; actions must never change answers, only cost
-(plan switches are stitched up, re-prioritizations only reorder reads).
+derive everything from rate samples / ``AdaptationContext`` — ``query``,
+``observed``, ``now``, ``current_tree``, ``current_strategies`` and the
+poll's shared ``estimator`` and ``ordering`` (build no estimator of your
+own; never read engine internals); make ``decide`` deterministic — ties in
+the controller are broken by registration order; actions must never change
+answers, only cost (plan switches are stitched up, re-prioritizations only
+reorder reads).
 
 The three policies here re-home behaviour that used to be hard-wired into
 ``core/corrective.py`` and ``serving/server.py``; the differential suites
@@ -41,7 +44,6 @@ from repro.optimizer.ordering import (
     plan_join_strategies,
 )
 from repro.optimizer.reoptimizer import ReOptimizer
-from repro.relational.catalog import DEFAULT_ASSUMED_CARDINALITY
 
 from repro.adaptivity.controller import (
     AdaptationAction,
@@ -111,22 +113,9 @@ class PlanSwitchPolicy(AdaptationPolicy):
     name = "plan_switch"
 
     def __init__(
-        self,
-        catalog,
-        cost_model: CostModel | None = None,
-        switch_threshold: float = 0.8,
-        bushy: bool = True,
-        default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
-        order_adaptive: bool = False,
+        self, cost_model: CostModel | None = None, switch_threshold: float = 0.8
     ) -> None:
-        self.reoptimizer = ReOptimizer(
-            catalog,
-            cost_model,
-            switch_threshold=switch_threshold,
-            bushy=bushy,
-            default_cardinality=default_cardinality,
-            order_adaptive=order_adaptive,
-        )
+        self.reoptimizer = ReOptimizer(cost_model, switch_threshold)
 
     @property
     def invocations(self) -> int:
@@ -137,10 +126,10 @@ class PlanSwitchPolicy(AdaptationPolicy):
         self, run: AdaptationRun, context: AdaptationContext
     ) -> AdaptationAction | None:
         decision = self.reoptimizer.poll(
-            context.query,
             context.current_tree,
-            context.observed,
-            current_strategies=context.current_strategies,
+            context.estimator,
+            context.ordering,
+            context.current_strategies,
         )
         if decision is None or not decision.switch:
             return None
@@ -179,9 +168,12 @@ class JoinStrategyPolicy(AdaptationPolicy):
 
     name = "join_strategy"
 
-    def __init__(self, catalog, order_tolerance: float = 0.05) -> None:
+    #: fraction of out-of-order arrivals a stream may carry and still count
+    #: as (near-)sorted
+    ORDER_TOLERANCE = 0.05
+
+    def __init__(self, catalog) -> None:
         self.catalog = catalog
-        self.order_tolerance = order_tolerance
 
     def begin_run(self, run: AdaptationRun) -> None:
         # Track arrival order of every join attribute at its cursor, and
@@ -196,7 +188,7 @@ class JoinStrategyPolicy(AdaptationPolicy):
                 cursor = run.cursors.get(relation)
                 if cursor is not None:
                     cursor.ensure_order_detector(
-                        attribute, tolerance=self.order_tolerance
+                        attribute, tolerance=self.ORDER_TOLERANCE
                     )
         if run.monitor is None:
             return

@@ -36,7 +36,7 @@ Two actions:
   gated work (the only part that serializes after the last arrival); when
   the window is negligible it degenerates to the plain total-work
   comparison.  A switch is proposed when the best candidate's exposed work
-  beats the running tree's by the configured threshold.
+  beats the running tree's by ``SourceRatePolicy.SWITCH_THRESHOLD``.
 
 Answers are never affected: plan switches are stitched up across phases and
 re-prioritization only reorders reads (the rate differential suite pins
@@ -54,8 +54,6 @@ from repro.optimizer.exposure import (
     split_remaining_cost,
 )
 from repro.optimizer.plans import JoinTree
-from repro.optimizer.statistics import SelectivityEstimator
-from repro.relational.catalog import DEFAULT_ASSUMED_CARDINALITY
 
 from repro.adaptivity.controller import (
     AdaptationContext,
@@ -64,9 +62,8 @@ from repro.adaptivity.controller import (
     SwitchPlanAction,
 )
 from repro.adaptivity.events import (
-    MIN_EXPECTED_TUPLES,
     SourceRateEvent,
-    delivery_collapsed,
+    event_collapsed,
     promised_rate_of,
 )
 from repro.adaptivity.policies import AdaptationPolicy
@@ -83,32 +80,15 @@ class SourceRatePolicy(AdaptationPolicy):
 
     name = "source_rate"
 
-    def __init__(
-        self,
-        catalog,
-        cost_model: CostModel | None = None,
-        collapse_fraction: float = 0.5,
-        switch_threshold: float = 0.8,
-        min_expected_tuples: int = MIN_EXPECTED_TUPLES,
-        bushy: bool = True,
-        default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
-    ) -> None:
-        """``collapse_fraction``: a source has *collapsed* when it delivered
-        less than this fraction of what its promised rate predicts for the
-        elapsed simulated time.  ``switch_threshold``: propose a plan switch
-        only when the best candidate's estimated *exposed work* (the module
-        docstring's completion-time residue) is below ``threshold *`` the
-        running tree's (mirrors the re-optimizer's knob, but over exposed
-        seconds instead of total work)."""
-        if not 0.0 < collapse_fraction <= 1.0:
-            raise ValueError("collapse_fraction must be in (0, 1]")
+    #: propose a plan switch only when the best candidate's estimated
+    #: *exposed work* (the module docstring's completion-time residue) is
+    #: below this fraction of the running tree's — the re-optimizer's
+    #: default threshold, over exposed seconds instead of total work
+    SWITCH_THRESHOLD = 0.8
+
+    def __init__(self, catalog, cost_model: CostModel | None = None) -> None:
         self.catalog = catalog
         self.cost_model = cost_model or CostModel()
-        self.collapse_fraction = collapse_fraction
-        self.switch_threshold = switch_threshold
-        self.min_expected_tuples = min_expected_tuples
-        self.bushy = bushy
-        self.default_cardinality = default_cardinality
 
     # -- telemetry ------------------------------------------------------------------
 
@@ -173,9 +153,7 @@ class SourceRatePolicy(AdaptationPolicy):
 
     def _collapsed(self, event: SourceRateEvent) -> bool:
         """Has this source fallen decisively behind its promised rate?"""
-        return not event.exhausted and delivery_collapsed(
-            event, self.catalog, self.collapse_fraction, self.min_expected_tuples
-        )
+        return not event.exhausted and event_collapsed(event, self.catalog)
 
     # -- the decision ----------------------------------------------------------------
 
@@ -231,10 +209,8 @@ class SourceRatePolicy(AdaptationPolicy):
         query = context.query
         if len(query.relations) < 2:
             return None
-        estimator = SelectivityEstimator(
-            self.catalog, query, context.observed, self.default_cardinality
-        )
-        enumerator = JoinEnumerator(query, estimator, self.cost_model, self.bushy)
+        estimator = context.estimator
+        enumerator = JoinEnumerator(query, estimator, self.cost_model)
 
         # The binding constraint is the source whose remaining data takes
         # longest to arrive; gate the plan behind that one.
@@ -311,7 +287,7 @@ class SourceRatePolicy(AdaptationPolicy):
         }
         if scored[current_key] <= 0.0:
             return None
-        if scored[gating_key] >= self.switch_threshold * scored[current_key]:
+        if scored[gating_key] >= self.SWITCH_THRESHOLD * scored[current_key]:
             return None
         acted.add(slow)
         event = collapsed[slow]
@@ -347,15 +323,9 @@ class RateOutlookPolicy(AdaptationPolicy):
 
     name = "rate_outlook"
 
-    def __init__(self, cache, collapse_fraction: float = 0.5) -> None:
-        """``cache`` is the server's ``SharedStatisticsCache``;
-        ``collapse_fraction`` mirrors the rate policy's collapse bar — only
-        sources below it are worth perturbing the initial plan for."""
+    def __init__(self, cache) -> None:
+        """``cache`` is the server's ``SharedStatisticsCache``."""
         self.cache = cache
-        self.collapse_fraction = collapse_fraction
 
     def rate_outlook(self, run: AdaptationRun) -> dict[str, float] | None:
-        outlook = self.cache.rate_outlook(
-            run.query.relations, collapse_fraction=self.collapse_fraction
-        )
-        return outlook or None
+        return self.cache.rate_outlook(run.query.relations) or None

@@ -55,16 +55,6 @@ class PlanPartitioningReport:
     def materialized(self) -> bool:
         return self.stage2_tree is not None
 
-    def summary(self) -> dict[str, object]:
-        return {
-            "query": self.query_name,
-            "strategy": "plan_partitioning",
-            "materialized": self.materialized,
-            "stage1_cardinality": self.stage1_cardinality,
-            "total_seconds": round(self.simulated_seconds, 2),
-            "answers": len(self.rows),
-        }
-
 
 class PlanPartitioningExecutor:
     """Two-stage execution with re-optimization at a materialization point."""

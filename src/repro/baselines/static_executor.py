@@ -32,15 +32,6 @@ class StaticExecutionReport:
     def work(self, cost_model: CostModel | None = None) -> float:
         return self.metrics.work(cost_model)
 
-    def summary(self) -> dict[str, object]:
-        return {
-            "query": self.query_name,
-            "strategy": "static",
-            "join_tree": str(self.join_tree),
-            "total_seconds": round(self.simulated_seconds, 2),
-            "answers": len(self.rows),
-        }
-
 
 class StaticExecutor:
     """Optimize once using the catalog's statistics, then run to completion.

@@ -48,16 +48,6 @@ class ComplementaryJoinReport:
     def work(self, cost_model: CostModel | None = None) -> float:
         return self.metrics.work(cost_model)
 
-    def summary(self) -> dict[str, object]:
-        return {
-            "strategy": self.strategy,
-            "outputs": self.output_count,
-            "hash_outputs": self.outputs_by_component.get("hash", 0),
-            "merge_outputs": self.outputs_by_component.get("merge", 0),
-            "stitch_outputs": self.outputs_by_component.get("stitch", 0),
-            "simulated_seconds": round(self.simulated_seconds, 2),
-        }
-
 
 class _JoinDriver:
     """Shared source-interleaving loop for the join strategies below."""

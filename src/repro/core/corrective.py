@@ -117,18 +117,6 @@ class CorrectiveExecutionReport:
     def work(self, cost_model: CostModel | None = None) -> float:
         return self.metrics.work(cost_model)
 
-    def summary(self) -> dict[str, object]:
-        """Row of the Table 1 / Table 2 style breakdown."""
-        return {
-            "query": self.query_name,
-            "phases": self.num_phases,
-            "stitchup_seconds": round(self.stitchup_seconds, 2),
-            "reused_tuples": self.reused_tuples,
-            "discarded_tuples": self.discarded_tuples,
-            "total_seconds": round(self.simulated_seconds, 2),
-            "answers": len(self.rows),
-        }
-
 
 class CorrectiveQueryProcessor:
     """Adaptive-data-partitioning executor using sequential corrective phases."""
@@ -160,14 +148,7 @@ class CorrectiveQueryProcessor:
             )
         if options.rate_adaptive:
             policies.append(SourceRatePolicy(catalog, self.cost_model))
-        policies.append(
-            PlanSwitchPolicy(
-                catalog,
-                self.cost_model,
-                switch_threshold=options.switch_threshold,
-                order_adaptive=options.order_adaptive,
-            )
-        )
+        policies.append(PlanSwitchPolicy(self.cost_model, options.switch_threshold))
         self.adaptation = AdaptationController(policies)
 
     @property
@@ -404,7 +385,6 @@ class CorrectiveQueryProcessor:
                     plan=plan,
                     current_tree=current_tree,
                     current_strategies=current_strategies,
-                    phase_id=phase_id,
                     now=clock.now,
                     can_switch=phase_id + 1 < options.max_phases,
                 )

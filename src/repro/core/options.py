@@ -28,11 +28,12 @@ class ProcessorOptions:
     """The paper's experimental knobs for corrective query processing."""
 
     #: ``None`` runs tuple-at-a-time, as in the paper; an integer ``>= 1``
-    #: runs batch-at-a-time.  Monitor polls land on the same tuple positions
-    #: for every batch size, so on local sources adaptation decisions and
-    #: phase counts are identical in both modes; on delayed sources waits and
-    #: work charges interleave differently within a batch, so poll timing may
-    #: drift slightly.  Answers are identical either way.
+    #: runs batch-at-a-time.  Answers, adaptation decisions, phase counts and
+    #: ``repr(simulated_seconds)`` are the same in both modes on every
+    #: source, local or delayed.  Past turning the batch engine on, the
+    #: integer sets only the step of a static ``run()`` and the cursor
+    #: prefetch floor (``max(batch_size, DEFAULT_PREFETCH)``); a corrective
+    #: run hands each per-leaf group of a poll chunk to its kernel whole.
     batch_size: int | None = None
     #: the batch kernel.  By default (``None``) a batched run goes through the
     #: fused plan-specialized pipelines of :mod:`repro.engine.compiled`.

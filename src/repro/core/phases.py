@@ -105,6 +105,3 @@ class PhaseManager:
 
     def trees(self) -> list[JoinTree]:
         return [record.join_tree for record in self.records]
-
-    def describe(self) -> str:
-        return "\n".join(record.describe() for record in self.records)

@@ -181,10 +181,6 @@ class Transport:
         """A fresh connection positioned at global row ``offset``."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """One-line backend description for telemetry and bench reports."""
-        return type(self).__name__
-
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"{type(self).__name__}({self.name!r})"
 
@@ -301,9 +297,6 @@ class CSVFileTransport(_FileTransport[list[str]]):  # lint: ignore[reachability.
     def _decode(self, records: Iterator[list[str]], rows: _Rows, limit: int) -> None:
         self._decode_chunk(islice(records, limit), rows)
 
-    def describe(self) -> str:
-        return f"csv:{self.path}"
-
 
 class JSONLinesTransport(_FileTransport[str]):  # lint: ignore[reachability.unread] bench's io workloads
     """Rows from a JSON-lines file (one JSON array per line; blank lines
@@ -315,9 +308,6 @@ class JSONLinesTransport(_FileTransport[str]):  # lint: ignore[reachability.unre
     def _decode(self, records: Iterator[str], rows: _Rows, limit: int) -> None:
         if scan_json_rows(records, self._width, rows, limit, self.path) is not None:
             raise TruncatedPayloadError(f"{self.path}: malformed row")
-
-    def describe(self) -> str:
-        return f"jsonl:{self.path}"
 
 
 class _DBAPICursor(Protocol):
@@ -404,9 +394,6 @@ class DBAPITransport(Transport):  # lint: ignore[reachability.unread] bench's io
                 "the query now returns"
             )
         return reader
-
-    def describe(self) -> str:
-        return f"dbapi:{self.query!r}"
 
 
 class _HTTPReader:
@@ -558,9 +545,6 @@ class HTTPTransport(Transport):  # lint: ignore[reachability.unread] bench's io 
         if connection.sock is not None:
             connection.sock.settimeout(self.read_timeout)
         return _HTTPReader(connection, response, len(self.schema.attributes))
-
-    def describe(self) -> str:
-        return f"http:{self.url}"
 
 
 # ---------------------------------------------------------------------------

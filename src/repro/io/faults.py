@@ -118,13 +118,6 @@ class FaultPlan:
         """A fresh stateful interpreter of this plan."""
         return FaultScript(self)
 
-    def describe(self) -> str:
-        kinds = sorted(fault.kind for fault in self.read_faults.values())
-        return (
-            f"flaps={self.connect_flaps} delay={self.connect_delay:.4f} "
-            f"reads={kinds}"
-        )
-
 
 class FaultScript:
     """Stateful interpreter of one plan for one source lifetime.
@@ -265,6 +258,3 @@ class InjectedTransport(Transport):
         return _InjectedReader(
             self.inner.open(offset), self.script, offset, self._stall
         )
-
-    def describe(self) -> str:
-        return f"injected({self.inner.describe()})"

@@ -27,7 +27,7 @@ from repro.optimizer.plans import JoinTree, PhysicalPlan, PreAggPoint
 from repro.optimizer.rewrite import find_preaggregation_points
 from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
 from repro.relational.algebra import SPJAQuery
-from repro.relational.catalog import Catalog, DEFAULT_ASSUMED_CARDINALITY
+from repro.relational.catalog import Catalog
 
 
 @dataclass
@@ -218,19 +218,10 @@ class Optimizer:
         catalog: Catalog,
         cost_model: CostModel | None = None,
         bushy: bool = True,
-        default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
     ) -> None:
         self.catalog = catalog
         self.cost_model = cost_model or CostModel()
         self.bushy = bushy
-        self.default_cardinality = default_cardinality
-
-    def make_estimator(
-        self, query: SPJAQuery, observed: ObservedStatistics | None = None
-    ) -> SelectivityEstimator:
-        return SelectivityEstimator(
-            self.catalog, query, observed, self.default_cardinality
-        )
 
     def optimize(
         self,
@@ -255,7 +246,7 @@ class Optimizer:
         named source is chosen instead (see
         :func:`repro.optimizer.exposure.choose_rate_aware_tree`).
         """
-        estimator = self.make_estimator(query, observed)
+        estimator = SelectivityEstimator(self.catalog, query, observed)
         enumerator = JoinEnumerator(
             query, estimator, self.cost_model, self.bushy, ordering=ordering
         )

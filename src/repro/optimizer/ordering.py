@@ -126,16 +126,6 @@ class OrderingKnowledge:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def describe(self) -> dict[str, dict[str, object]]:
-        return {
-            f"{relation}.{attr}": {
-                "direction": ordering.direction,
-                "in_order_fraction": round(ordering.in_order_fraction, 4),
-                "source": ordering.source,
-            }
-            for (relation, attr), ordering in sorted(self._entries.items())
-        }
-
 
 def merge_step(
     left_ordered: dict[str, SideOrdering],

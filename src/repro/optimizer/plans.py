@@ -140,15 +140,3 @@ class PhysicalPlan:
                 f"{self.query.name!r} spans {sorted(query_relations)}"
             )
         self.preagg_points = tuple(self.preagg_points)
-
-    def describe(self) -> str:
-        lines = [
-            f"plan for {self.query.name}: {self.join_tree}",
-            f"  estimated cost: {self.estimated_cost:.1f}",
-        ]
-        for point in self.preagg_points:
-            lines.append(
-                f"  pre-aggregate[{point.mode}] above {sorted(point.below)} "
-                f"on {point.group_attributes}"
-            )
-        return "\n".join(lines)

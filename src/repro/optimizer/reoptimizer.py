@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.cost import CostModel
-from repro.optimizer.cost_model import PlanCostModel
 from repro.optimizer.enumerator import JoinEnumerator
 from repro.optimizer.ordering import (
     JoinStrategy,
@@ -23,9 +22,7 @@ from repro.optimizer.ordering import (
     refresh_strategies,
 )
 from repro.optimizer.plans import JoinTree
-from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
-from repro.relational.algebra import SPJAQuery
-from repro.relational.catalog import Catalog, DEFAULT_ASSUMED_CARDINALITY
+from repro.optimizer.statistics import SelectivityEstimator
 
 RunningPrice = tuple[JoinEnumerator, dict[frozenset[str], JoinStrategy], float, float]
 
@@ -65,58 +62,41 @@ class ReOptimizationDecision:
 
 
 class ReOptimizer:
-    """Cost-based plan re-evaluation fed by runtime observations."""
+    """Cost-based plan re-evaluation fed by runtime observations.
+
+    Each poll hands in the poll's :class:`SelectivityEstimator` (the catalog,
+    the query and the observed statistics) and, when order adaptivity is on,
+    its :class:`OrderingKnowledge`.  With ordering knowledge every evaluation
+    folds in runtime order observations: alternatives are costed with merge
+    joins on their order-eligible nodes, and a switch can be recommended even
+    for the *same* join tree when only the physical strategies should change
+    (the mid-flight hash→merge switch — or merge→hash once a promised
+    ordering is exposed as a lie).
+
+    Switching after a fraction of the inputs has been processed means the
+    new plan's output must be stitched up against the partitions the current
+    plan has built (Section 4.2), so the alternative is charged
+    ``STITCHUP_COST_WEIGHT * completed_fraction`` of its full cost on top of
+    its remaining cost.
+    """
+
+    #: the sunk-work credit of Section 4.2 (``0.0`` would be the memoryless
+    #: comparison in which remaining progress cancels out of the decision)
+    STITCHUP_COST_WEIGHT = 1.0
 
     def __init__(
-        self,
-        catalog: Catalog,
-        cost_model: CostModel | None = None,
-        switch_threshold: float = 0.8,
-        bushy: bool = True,
-        default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
-        stitchup_cost_weight: float = 1.0,
-        order_adaptive: bool = False,
+        self, cost_model: CostModel | None = None, switch_threshold: float = 0.8
     ) -> None:
         """``switch_threshold``: recommend a switch only when the alternative's
-        estimated remaining cost is below ``threshold * current remaining cost``.
-
-        ``stitchup_cost_weight`` scales the sunk-work credit of Section 4.2:
-        switching after a fraction of the inputs has already been processed
-        means the new plan's output must be stitched up against the partitions
-        the current plan has built, so the alternative is charged
-        ``weight * completed_fraction`` of its full cost on top of its
-        remaining cost.  ``0.0`` reproduces the (buggy) memoryless comparison
-        in which remaining progress cancels out of the switch decision.
-
-        ``order_adaptive=True`` folds runtime order observations into every
-        evaluation: alternatives are costed with merge joins on their
-        order-eligible nodes, and a switch can be recommended even for the
-        *same* join tree when only the physical strategies should change
-        (the mid-flight hash→merge switch — or merge→hash once a promised
-        ordering is exposed as a lie).
-        """
-        self.catalog = catalog
+        estimated remaining cost is below ``threshold * current remaining cost``."""
         self.cost_model = cost_model or CostModel()
         self.switch_threshold = switch_threshold
-        self.bushy = bushy
-        self.default_cardinality = default_cardinality
-        self.stitchup_cost_weight = stitchup_cost_weight
-        self.order_adaptive = order_adaptive
-        self.plan_cost_model = PlanCostModel(self.cost_model)
         self.invocations = 0
 
     # -- helpers ----------------------------------------------------------------
 
-    def _estimator(
-        self, query: SPJAQuery, observed: ObservedStatistics
-    ) -> SelectivityEstimator:
-        return SelectivityEstimator(
-            self.catalog, query, observed, self.default_cardinality
-        )
-
-    def _remaining_fraction(
-        self, query: SPJAQuery, observed: ObservedStatistics, estimator: SelectivityEstimator
-    ) -> float:
+    @staticmethod
+    def _remaining_fraction(estimator: SelectivityEstimator) -> float:
         """Fraction of the source data still to be read, tuple-weighted.
 
         Per the consistency heuristic of Section 4.2, the cost of the rest of
@@ -129,8 +109,8 @@ class ReOptimizer:
         """
         total_tuples = 0.0
         remaining_tuples = 0.0
-        for relation in query.relations:
-            obs = observed.source(relation)
+        for relation in estimator.query.relations:
+            obs = estimator.observed.source(relation)
             total = max(estimator.base_cardinality(relation), 1.0)
             read = obs.tuples_read if obs is not None else 0
             total_tuples += total
@@ -141,21 +121,14 @@ class ReOptimizer:
 
     def _price_running(
         self,
-        query: SPJAQuery,
         current_tree: JoinTree,
-        observed: ObservedStatistics,
+        estimator: SelectivityEstimator,
+        ordering: OrderingKnowledge | None,
         current_strategies: dict[frozenset[str], JoinStrategy] | None,
     ) -> RunningPrice:
         """Enumerator, running strategies, cost to finish, remaining fraction."""
-        estimator = self._estimator(query, observed)
-        ordering = (
-            OrderingKnowledge.gather(self.catalog, query, observed)
-            if self.order_adaptive
-            else None
-        )
-        enumerator = JoinEnumerator(
-            query, estimator, self.cost_model, self.bushy, ordering=ordering
-        )
+        query = estimator.query
+        enumerator = JoinEnumerator(query, estimator, self.cost_model, ordering=ordering)
         if ordering is not None:
             running_strategies = refresh_strategies(
                 query, current_tree, current_strategies or {}, ordering
@@ -168,7 +141,7 @@ class ReOptimizer:
             current_estimate = enumerator.cost_of(
                 current_tree, join_strategies=running_strategies or None
             )
-        remaining = self._remaining_fraction(query, observed, estimator)
+        remaining = self._remaining_fraction(estimator)
         current_remaining_cost = current_estimate.total_cost * remaining
         return enumerator, running_strategies, current_remaining_cost, remaining
 
@@ -176,9 +149,9 @@ class ReOptimizer:
 
     def poll(
         self,
-        query: SPJAQuery,
         current_tree: JoinTree,
-        observed: ObservedStatistics,
+        estimator: SelectivityEstimator,
+        ordering: OrderingKnowledge | None = None,
         current_strategies: dict[frozenset[str], JoinStrategy] | None = None,
     ) -> ReOptimizationDecision | None:
         """One monitor poll: :meth:`evaluate`, or ``None`` (still counted as an
@@ -186,28 +159,28 @@ class ReOptimizer:
         switch is possible — the floor stands in for ``best.cost`` in
         ``evaluate``'s own monotone arithmetic, with the stitch-up weight
         halved wherever a same-tree strategy switch is possible."""
-        priced = self._price_running(query, current_tree, observed, current_strategies)
+        priced = self._price_running(current_tree, estimator, ordering, current_strategies)
         enumerator, running_strategies, current_remaining_cost, remaining = priced
         floor = enumerator.cost_floor()
-        weight = self.stitchup_cost_weight
-        if self.order_adaptive or running_strategies:
+        weight = self.STITCHUP_COST_WEIGHT
+        if ordering is not None or running_strategies:
             weight *= 0.5
-        if floor is None or weight < 0 or (
+        if floor is None or (
             remaining > 0.02
             and floor * (remaining + weight * (1.0 - remaining))
             < self.switch_threshold * current_remaining_cost
         ):
             return self.evaluate(
-                query, current_tree, observed, current_strategies, priced=priced
+                current_tree, estimator, ordering, current_strategies, priced=priced
             )
         self.invocations += 1
         return None
 
     def evaluate(
         self,
-        query: SPJAQuery,
         current_tree: JoinTree,
-        observed: ObservedStatistics,
+        estimator: SelectivityEstimator,
+        ordering: OrderingKnowledge | None = None,
         current_strategies: dict[frozenset[str], JoinStrategy] | None = None,
         *,
         priced: RunningPrice | None = None,
@@ -224,7 +197,7 @@ class ReOptimizer:
         self.invocations += 1
         if priced is None:
             priced = self._price_running(
-                query, current_tree, observed, current_strategies
+                current_tree, estimator, ordering, current_strategies
             )
         enumerator, running_strategies, current_remaining_cost, remaining = priced
         best = enumerator.best_entry()
@@ -244,7 +217,7 @@ class ReOptimizer:
         same_tree = best_tree.leaf_order() == current_tree.leaf_order() and str(
             best_tree
         ) == str(current_tree)
-        stitchup_weight = self.stitchup_cost_weight
+        stitchup_weight = self.STITCHUP_COST_WEIGHT
         if same_tree:
             # Strategy-only switch (e.g. hash→merge on the same tree): every
             # partition of the old and new phase is keyed and shaped

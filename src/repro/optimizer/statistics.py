@@ -208,13 +208,12 @@ class SelectivityEstimator:
         catalog: Catalog,
         query: SPJAQuery,
         observed: ObservedStatistics | None = None,
-        default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
     ) -> None:
         self.catalog = catalog
         self.query = query
         self.observed = observed or ObservedStatistics()
-        self.default_cardinality = default_cardinality
-        # Memos for one estimator lifetime (one optimizer invocation): the
+        # Memos for one estimator lifetime (one optimizer invocation or one
+        # adaptation poll, shared by every policy of that poll): the
         # observations are read-only while it lives; new observations need a
         # new estimator.
         self._cache: dict[frozenset, float] = {}
@@ -256,7 +255,7 @@ class SelectivityEstimator:
         elif published is not None:
             estimate = float(published)
         else:
-            estimate = float(self.default_cardinality)
+            estimate = float(DEFAULT_ASSUMED_CARDINALITY)
         if obs is not None:
             estimate = max(estimate, obs.tuples_read)
         return max(estimate, 1.0)

@@ -81,18 +81,6 @@ class ServedQuery:
     def phases(self) -> int:
         return self.report.num_phases
 
-    def summary(self) -> dict[str, object]:
-        return {
-            "label": self.label,
-            "query": self.query_name,
-            "admitted": round(self.admitted_at, 3),
-            "finished": round(self.finished_at, 3),
-            "latency_seconds": round(self.latency, 3),
-            "phases": self.phases,
-            "quanta": self.quanta,
-            "answers": len(self.rows),
-        }
-
 
 @dataclass
 class ServingReport:

@@ -105,16 +105,6 @@ class WorkerSummary:
     #: and pickling overhead)
     busy_wall_seconds: float
 
-    def summary(self) -> dict[str, object]:
-        return {
-            "worker": self.worker_id,
-            "sessions": self.sessions,
-            "quanta": self.quanta,
-            "shard_seconds": round(self.shard_seconds, 3),
-            "wall_seconds": round(self.wall_seconds, 4),
-            "busy_wall_seconds": round(self.busy_wall_seconds, 4),
-        }
-
 
 @dataclass
 class PartitionedServedQuery:

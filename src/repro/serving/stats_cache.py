@@ -37,6 +37,7 @@ import copy
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from repro.adaptivity.events import delivery_collapsed
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import SPJAQuery
 from repro.relational.catalog import Catalog
@@ -292,20 +293,15 @@ class SharedStatisticsCache:
             return a1 / t1
         return None
 
-    def rate_outlook(
-        self,
-        relations: Iterable[str],
-        collapse_fraction: float = 0.5,
-        min_expected: int = 16,
-    ) -> dict[str, float]:
+    def rate_outlook(self, relations: Iterable[str]) -> dict[str, float]:
         """Estimated remaining arrival windows of currently-collapsed sources.
 
-        For each named relation whose recent telemetry shows delivery
-        decisively below its promise (the rate policy's collapse bar:
-        ``arrived < collapse_fraction * min(promised * now, total)``, judged
-        only once ``min_expected`` tuples should have arrived), the map
-        carries ``remaining_tuples / observed_rate`` in simulated seconds —
-        the ``rate_outlook`` shape the optimizer's
+        For each named relation whose latest sample shows delivery
+        decisively below its promise (the rate policy's collapse rule,
+        :func:`~repro.adaptivity.events.delivery_collapsed`, with the
+        recorded total as the cardinality), the map carries
+        ``remaining_tuples / observed_rate`` in simulated seconds — the
+        ``rate_outlook`` shape the optimizer's
         :func:`~repro.optimizer.exposure.choose_rate_aware_tree` consumes.
         Healthy, unknown, and fully-delivered sources are absent.
         """
@@ -315,22 +311,13 @@ class SharedStatisticsCache:
         for relation in relations:
             samples = self.rate_samples.get(relation, [])
             promised = self.rate_promises.get(relation)
-            if not samples or promised is None or promised <= 0:
+            if not samples or promised is None:
                 continue
             t1, a1 = samples[-1]
-            if t1 <= 0:
-                continue
-            expected = promised * t1
             total = self.rate_totals.get(relation)
-            if total is not None:
-                expected = min(expected, float(total))
-                if a1 >= total:
-                    continue
-            if expected < min_expected:
+            if not delivery_collapsed(a1, promised, t1, total):
                 continue
-            if a1 >= collapse_fraction * expected:
-                continue
-            remaining = max((total - a1) if total is not None else expected - a1, 0.0)
+            remaining = max((total if total is not None else promised * t1) - a1, 0.0)
             rate = self.observed_rate(relation)
             if rate is None or rate <= 0:
                 outlook[relation] = MAX_REMAINING_SECONDS

@@ -110,16 +110,8 @@ class SharedStatisticsStore:
         rate = self._proxy.observed_rate(relation)
         return rate if isinstance(rate, float) else None
 
-    def rate_outlook(
-        self,
-        relations: Iterable[str],
-        collapse_fraction: float = 0.5,
-        min_expected: int = 16,
-    ) -> dict[str, float]:
-        outlook = self._proxy.rate_outlook(
-            list(relations), collapse_fraction, min_expected
-        )
-        return dict(outlook)
+    def rate_outlook(self, relations: Iterable[str]) -> dict[str, float]:
+        return dict(self._proxy.rate_outlook(list(relations)))
 
     # -- cross-process transfer ---------------------------------------------------
 

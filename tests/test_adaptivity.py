@@ -30,7 +30,12 @@ from repro.adaptivity import (
     SourceRatePolicy,
     SwitchPlanAction,
 )
-from repro.adaptivity.events import SourceRateEvent, promised_rate_of
+from repro.adaptivity.events import (
+    MIN_EXPECTED_TUPLES,
+    SourceRateEvent,
+    delivery_collapsed,
+    promised_rate_of,
+)
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.core.monitor import ExecutionMonitor
 from repro.engine.pipelined import PipelinedPlan, SourceCursor
@@ -40,6 +45,7 @@ from repro.optimizer.plans import JoinTree
 from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
 from repro.relational.catalog import Catalog, TableStatistics
 from repro.serving.server import QueryServer
+from repro.serving.stats_cache import SharedStatisticsCache
 from repro.workloads.differential import generate_workload
 
 
@@ -182,7 +188,7 @@ class TestStubPolicyExtension:
                 self.pending.append(event)
 
             def decide(self, run, context):
-                self.polls.append((context.phase_id, self.pending))
+                self.polls.append(self.pending)
                 self.pending = []
                 if len(self.polls) == 1:
                     return SwitchPlanAction(context.current_tree, reason="once")
@@ -197,7 +203,8 @@ class TestStubPolicyExtension:
         )
         processor.adaptation.register(stub)
         processor.execute(workload.query, poll_step_limit=POLL_STEP_LIMIT)
-        events = next(events for phase, events in stub.polls if phase == 1)
+        # The first poll switches, so the second is phase 1's first.
+        events = stub.polls[1]
         per_relation = {}
         for event in events:
             per_relation.setdefault(event.relation, []).append(event.phase_id)
@@ -285,7 +292,6 @@ class TestControllerArbitration:
             plan=None,
             current_tree=tree_a,
             current_strategies=None,
-            phase_id=0,
             now=0.0,
             can_switch=True,
         )
@@ -294,7 +300,6 @@ class TestControllerArbitration:
             plan=None,
             current_tree=tree_a,
             current_strategies=None,
-            phase_id=7,
             now=0.0,
             can_switch=False,
         )
@@ -327,21 +332,20 @@ class TestControllerArbitration:
             read_priorities: dict = {}
 
         plan = FakePlan()
-        run.poll(plan, tree, None, 0, 0.0, can_switch=True)
+        run.poll(plan, tree, None, 0.0, can_switch=True)
         assert run.read_priorities == {relation: 1}
         assert plan.read_priorities == {relation: 1}
         policy.priority = 0  # recovered
-        run.poll(plan, tree, None, 0, 0.1, can_switch=True)
+        run.poll(plan, tree, None, 0.1, can_switch=True)
         assert run.read_priorities == {}
         assert plan.read_priorities == {}
         assert run.reprioritizations == 2
         # A redundant restore is a no-op, not another reprioritization.
-        run.poll(plan, tree, None, 0, 0.2, can_switch=True)
+        run.poll(plan, tree, None, 0.2, can_switch=True)
         assert run.reprioritizations == 2
 
     def test_policy_lookup_and_registration(self):
-        catalog = Catalog()
-        plan_switch = PlanSwitchPolicy(catalog)
+        plan_switch = PlanSwitchPolicy()
         controller = AdaptationController([plan_switch])
         assert controller.policy("plan_switch") is plan_switch
         assert controller.policy("missing") is None
@@ -403,7 +407,7 @@ class TestSourceRatePolicyUnits:
         return SourceRateEvent(**base)
 
     def test_collapse_detection(self):
-        policy = SourceRatePolicy(Catalog(), collapse_fraction=0.5)
+        policy = SourceRatePolicy(Catalog())
         assert policy._collapsed(self._event())  # 10 << 500 expected
         assert not policy._collapsed(self._event(arrived=600, consumed=0))
         assert not policy._collapsed(self._event(exhausted=True))
@@ -500,6 +504,49 @@ class TestSourceRatePolicyUnits:
         assert SourceRatePolicy(catalog)._collapsed(event) is collapsed
         assert MirrorFailoverPolicy(catalog)._outage(event) is collapsed
 
+    @pytest.mark.parametrize(
+        "delivered, promised, now, cardinality, collapsed",
+        [
+            (7, float(MIN_EXPECTED_TUPLES), 1.0, None, True),  # expected == 16
+            (0, MIN_EXPECTED_TUPLES - 0.5, 1.0, None, False),  # just too early
+            (50, 100.0, 1.0, None, False),  # delivered exactly half
+            (49, 100.0, 1.0, None, True),
+            (49, 1000.0, 5.0, 100, True),  # capped by cardinality
+            (50, 1000.0, 5.0, 100, False),
+            (0, 1000.0, 5.0, 0, False),  # total 0
+            (0, 1000.0, 0.0, None, False),  # now 0
+            (100, 1000.0, 5.0, 100, False),  # fully delivered
+            (0, None, 5.0, None, False),
+            (0, 0.0, 5.0, None, False),
+        ],
+    )
+    def test_the_cache_outlook_and_the_rate_policy_share_one_collapse_rule(
+        self, delivered, promised, now, cardinality, collapsed
+    ):
+        """``SharedStatisticsCache.rate_outlook`` flags a relation exactly
+        when the rate policy's ``_collapsed`` does."""
+        from repro.relational.schema import Schema
+
+        catalog = Catalog()
+        if cardinality is not None:
+            catalog.register(
+                "f",
+                Schema.from_names(["f_k"], relation="f"),
+                TableStatistics(cardinality=cardinality),
+            )
+        event = self._event(
+            simulated_seconds=now,
+            consumed=delivered,
+            arrived=delivered,
+            next_arrival=now,
+            promised_rate=promised,
+        )
+        cache = SharedStatisticsCache()
+        cache.record_rate_sample("f", now, delivered, promised, cardinality)
+        assert delivery_collapsed(delivered, promised, now, cardinality) is collapsed
+        assert SourceRatePolicy(catalog)._collapsed(event) is collapsed
+        assert ("f" in cache.rate_outlook(["f"])) is collapsed
+
     def test_gating_tree_puts_slow_relation_on_top(self):
         workload = _workload_with_joins(4700)
         query = workload.query
@@ -532,3 +579,120 @@ class TestSourceRatePolicyUnits:
         )
         # Same tree, same totals — only the split moves.
         assert gated + ungated == pytest.approx(gated2 + ungated2)
+
+
+#: sha256 of what the two runs of ``TestOnePollContext`` produce — answers,
+#: phases, switch and failover reasons, poll counts and
+#: ``repr(simulated_seconds)`` — recorded when each policy still built its
+#: own estimator
+ONE_POLL_CONTEXT_SHA256 = (
+    "004523287ba3632586ed4954f45099b86278c80b5d6703337d1431c1e0d06687"
+)
+
+
+class TestOnePollContext:
+    """Order, rate and failover adaptivity together over a collapsing remote
+    source: every poll builds one estimator and gathers the ordering once,
+    and a phase build gathers it once more."""
+
+    def _run(self, scenario):
+        from repro.engine.cost import CostModel
+        from repro.workloads.scenarios import (
+            FAILOVER_STALL_FRACTION,
+            POLLING_FRACTION,
+            SWITCH_THRESHOLD,
+            failover_scenario,
+            rate_scenario,
+        )
+
+        cost_model = CostModel()
+        if scenario == "failover":
+            query, catalog, sources, work_floor = failover_scenario(3000, 2004, cost_model)
+            tree = None
+        else:
+            query, catalog, sources, tree, work_floor = rate_scenario(
+                scenario, 3000, 2004, cost_model
+            )
+        return CorrectiveQueryProcessor(
+            catalog,
+            sources,
+            cost_model,
+            polling_interval_seconds=POLLING_FRACTION * work_floor,
+            switch_threshold=SWITCH_THRESHOLD,
+            order_adaptive=True,
+            rate_adaptive=True,
+            failover_adaptive=True,
+            failover_stall_seconds=FAILOVER_STALL_FRACTION * work_floor,
+        ).execute(query, initial_tree=tree)
+
+    def test_one_estimator_and_one_ordering_per_poll(self, monkeypatch):
+        import hashlib
+
+        from repro.adaptivity.controller import AdaptationRun
+        from repro.optimizer.ordering import OrderingKnowledge
+
+        counts = Counter()
+        in_poll = [False]
+        init, gather, poll = (
+            SelectivityEstimator.__init__,
+            OrderingKnowledge.gather.__func__,
+            AdaptationRun.poll,
+        )
+
+        def counting_init(self, *args):
+            counts["estimators", in_poll[0]] += 1
+            init(self, *args)
+
+        def counting_gather(cls, *args):
+            counts["gathers", in_poll[0]] += 1
+            return gather(cls, *args)
+
+        def counting_poll(self, *args, **kwargs):
+            counts["polls"] += 1
+            in_poll[0] = True
+            try:
+                return poll(self, *args, **kwargs)
+            finally:
+                in_poll[0] = False
+
+        monkeypatch.setattr(SelectivityEstimator, "__init__", counting_init)
+        monkeypatch.setattr(OrderingKnowledge, "gather", classmethod(counting_gather))
+        monkeypatch.setattr(AdaptationRun, "poll", counting_poll)
+        digest = hashlib.sha256()
+        for scenario, acted in (("failover", "failovers"), ("slow", "switches")):
+            counts.clear()
+            report = self._run(scenario)
+            adaptation = report.details["adaptation"]
+            assert adaptation[acted] and adaptation["reprioritizations"]
+            polls = counts["polls"]
+            assert polls == report.reoptimizer_polls > 0
+            assert counts["estimators", True] == counts["gathers", True] == polls
+            # Each phase build assigns strategies; the first also picks the
+            # initial tree unless the run was handed one.
+            initial = 1 if scenario == "failover" else 0
+            assert counts["gathers", False] == report.num_phases + initial
+            digest.update(
+                repr(
+                    (
+                        report.rows,
+                        [
+                            (
+                                str(phase.join_tree),
+                                phase.switch_reason,
+                                phase.tuples_read,
+                                phase.outputs,
+                                repr(phase.ended_at),
+                            )
+                            for phase in report.phases
+                        ],
+                        [
+                            (action["policy"], action["reason"])
+                            for action in adaptation["switches"] + adaptation["failovers"]
+                        ],
+                        adaptation["reprioritizations"],
+                        report.reoptimizer_polls,
+                        repr(report.simulated_seconds),
+                    )
+                ).encode()
+            )
+        assert digest.hexdigest() == ONE_POLL_CONTEXT_SHA256

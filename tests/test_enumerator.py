@@ -283,14 +283,14 @@ class TestComposedCosts:
         tree = JoinTree.left_deep(
             ["region", "nation", "customer", "orders", "lineitem", "supplier"]
         )
-        reoptimizer = ReOptimizer(catalog)
-        reoptimizer.evaluate(query, tree, ObservedStatistics())
+        reoptimizer = ReOptimizer()
+        reoptimizer.evaluate(tree, SelectivityEstimator(catalog, query))
         built = len(calls)
         assert built > 0
         for read in range(19):
             observed = ObservedStatistics()
             observed.record_source("lineitem", 10 * read, 10 * read, False)
-            reoptimizer.evaluate(query, tree, observed)
+            reoptimizer.evaluate(tree, SelectivityEstimator(catalog, query, observed))
         assert reoptimizer.invocations == 20
         assert len(calls) == built
 
@@ -367,25 +367,16 @@ class TestCostFloor:
             }
         )
         knowledge = OrderingKnowledge.gather(catalog, query, observed)
-        enumerator = JoinEnumerator(
-            query,
-            SelectivityEstimator(catalog, query, observed),
-            cost_model,
-            ordering=knowledge if order_adaptive else None,
-        )
+        ordering = knowledge if order_adaptive else None
+        estimator = SelectivityEstimator(catalog, query, observed)
+        enumerator = JoinEnumerator(query, estimator, cost_model, ordering=ordering)
         floor = enumerator.cost_floor()
         if len(query.relations) == 1:
             assert floor is None
         else:
             assert floor <= enumerator.best_entry().cost
 
-        reoptimizer = ReOptimizer(
-            catalog,
-            cost_model,
-            switch_threshold=data.draw(st.floats(0.05, 1.5)),
-            stitchup_cost_weight=data.draw(st.floats(0.0, 3.0)),
-            order_adaptive=order_adaptive,
-        )
+        reoptimizer = ReOptimizer(cost_model, data.draw(st.floats(0.05, 1.5)))
         # A running merge assignment may exist without order adaptivity too,
         # and may be paying for disorder it did not expect.
         in_order = data.draw(st.sampled_from((0.0, 0.5, 1.0)))
@@ -396,8 +387,8 @@ class TestCostFloor:
         strategies = data.draw(
             st.sampled_from((None, plan_join_strategies(query, current, knowledge), forced))
         )
-        polled = reoptimizer.poll(query, current, observed, strategies)
-        evaluated = reoptimizer.evaluate(query, current, observed, strategies)
+        polled = reoptimizer.poll(current, estimator, ordering, strategies)
+        evaluated = reoptimizer.evaluate(current, estimator, ordering, strategies)
         assert reoptimizer.invocations == 2
         event(f"screened: {polled is None}, switch: {evaluated.switch}")
         if polled is None:
@@ -443,12 +434,14 @@ class TestCostFloor:
         }
         observed = ObservedStatistics()
         for relation in query.relations:
-            read = int(len(tiny_tpch[relation]) * 0.32)
+            # halfway: a switch the screen closes at the full stitch-up weight
+            read = int(len(tiny_tpch[relation]) * 0.5)
             observed.record_source(relation, read, read, False)
-        reoptimizer = ReOptimizer(catalog, cost_model, stitchup_cost_weight=2.0)
-        evaluated = reoptimizer.evaluate(query, tree, observed, merges)
+        estimator = SelectivityEstimator(catalog, query, observed)
+        reoptimizer = ReOptimizer(cost_model)
+        evaluated = reoptimizer.evaluate(tree, estimator, None, merges)
         assert evaluated.switch and evaluated.same_tree
-        assert reoptimizer.poll(query, tree, observed, merges) == evaluated
+        assert reoptimizer.poll(tree, estimator, None, merges) == evaluated
 
     def test_negative_weights_and_single_relations_are_not_screened(self):
         query, catalog = next(
@@ -463,10 +456,6 @@ class TestCostFloor:
         negative = CostModel(tuple_copy=-0.5)
         enumerator = JoinEnumerator(query, SelectivityEstimator(catalog, query), negative)
         assert enumerator.cost_floor() is None
-        # Nothing screened: every poll of a negative stitch-up weight enumerates.
-        reoptimizer = ReOptimizer(catalog, stitchup_cost_weight=-1.0)
-        best = Optimizer(catalog).optimize_tree(query)
-        assert reoptimizer.poll(query, best, ObservedStatistics()) is not None
 
 
 #: ``ReOptimizer.evaluate`` over the golden fig2 workload (uniform data, scale

@@ -166,7 +166,7 @@ class TestMirrorFailoverPolicy:
             relation, InstantNetworkModel(), name=f"{relation_name}_mirror"
         )
         primary.register_mirror(mirror)
-        policy = MirrorFailoverPolicy(Catalog(), outage_polls=2)
+        policy = MirrorFailoverPolicy(Catalog())
         controller = AdaptationController([policy])
         cursor = SourceCursor(relation_name, primary, prefetch=8)
         run = controller.begin(
@@ -182,7 +182,6 @@ class TestMirrorFailoverPolicy:
             plan=None,
             current_tree=None,
             current_strategies=None,
-            phase_id=0,
             now=1.0,
             can_switch=False,
         )
@@ -207,7 +206,7 @@ class TestMirrorFailoverPolicy:
         workload = self._query()
         query = workload.query
         name = query.relations[0]
-        policy = MirrorFailoverPolicy(Catalog(), outage_polls=2)
+        policy = MirrorFailoverPolicy(Catalog())
         controller = AdaptationController([policy])
         run = controller.begin(query, Catalog())
         policy.observe(run, _rate_event(name, next_arrival=9.0))
@@ -239,21 +238,17 @@ class TestMirrorFailoverPolicy:
             assert entry["mirror"].endswith("_mirror")
             assert entry["relation"] in workload.query.relations
 
-    def test_outage_polls_validation(self):
-        with pytest.raises(ValueError):
-            MirrorFailoverPolicy(Catalog(), outage_polls=0)
-
 
 def _context(run, query, now: float):
     from repro.adaptivity import AdaptationContext
+    from repro.optimizer.statistics import SelectivityEstimator
 
     return AdaptationContext(
         query=query,
-        catalog=run.catalog,
         observed=None,
-        phase_id=0,
         now=now,
         current_tree=None,
         current_strategies=None,
-        can_switch=False,
+        estimator=SelectivityEstimator(run.catalog, query),
+        ordering=None,
     )

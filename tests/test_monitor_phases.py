@@ -137,7 +137,7 @@ class TestPhaseManager:
         assert record.duration == pytest.approx(1.5)
         assert manager.phase_count == 1
         assert manager.trees() == [tree]
-        assert "phase 0" in manager.describe()
+        assert "phase 0" in record.describe()
 
     def test_current_requires_started_phase(self):
         with pytest.raises(RuntimeError):

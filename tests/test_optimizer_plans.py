@@ -62,11 +62,10 @@ class TestPhysicalPlan:
         with pytest.raises(PlanError):
             PhysicalPlan(query, JoinTree.left_deep(["customer", "orders"]))
 
-    def test_preagg_describe(self):
+    def test_preagg_points(self):
         query = query_3a()
         tree = JoinTree.left_deep(["customer", "orders", "lineitem"])
         point = PreAggPoint(frozenset({"lineitem"}), "window", ("l_orderkey",))
         plan = PhysicalPlan(query, tree, preagg_points=(point,), estimated_cost=42.0)
         assert plan.preagg_points == (point,)
-        text = plan.describe()
-        assert "42.0" in text and "lineitem" in text
+        assert plan.estimated_cost == 42.0

@@ -480,8 +480,11 @@ class TestReOptimizerStrategySwitch:
             observed.record_source(relation, 40, 40, exhausted=False)
         catalog.set_statistics("r", TableStatistics(cardinality=400))
         catalog.set_statistics("s", TableStatistics(cardinality=400))
-        reopt = ReOptimizer(catalog, order_adaptive=True)
-        decision = reopt.evaluate(query, JoinTree.left_deep(("r", "s")), observed)
+        decision = ReOptimizer().evaluate(
+            JoinTree.left_deep(("r", "s")),
+            SelectivityEstimator(catalog, query, observed),
+            OrderingKnowledge.gather(catalog, query, observed),
+        )
         assert decision.strategies_changed
         assert decision.switch
         recommended = decision.recommended_strategies[frozenset(("r", "s"))]
@@ -492,8 +495,9 @@ class TestReOptimizerStrategySwitch:
         catalog = Catalog()
         for name, rel in relations.items():
             catalog.register(name, rel.schema)
-        reopt = ReOptimizer(catalog)
-        decision = reopt.evaluate(query, JoinTree.left_deep(("r", "s")), ObservedStatistics())
+        decision = ReOptimizer().evaluate(
+            JoinTree.left_deep(("r", "s")), SelectivityEstimator(catalog, query)
+        )
         assert not decision.strategies_changed
         assert decision.recommended_strategies == {}
 

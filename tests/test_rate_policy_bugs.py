@@ -31,6 +31,7 @@ from repro.adaptivity import (
     SourceRatePolicy,
 )
 from repro.adaptivity.events import SourceRateEvent
+from repro.optimizer.statistics import SelectivityEstimator
 from repro.workloads.differential import generate_workload
 
 
@@ -97,13 +98,12 @@ class TestForeignRelationPriorityLeak:
 
         context = AdaptationContext(
             query=query,
-            catalog=catalog,
             observed=None,
-            phase_id=0,
             now=1.0,
             current_tree=None,
             current_strategies=None,
-            can_switch=False,
+            estimator=SelectivityEstimator(catalog, query),
+            ordering=None,
         )
         actions = policy.decide(run, context)
         assert actions is not None, "a collapsed own-relation must trigger actions"

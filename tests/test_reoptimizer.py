@@ -15,7 +15,7 @@ from repro.experiments.common import build_dataset
 from repro.experiments.corrective import worst_left_deep_tree
 from repro.optimizer.enumerator import JoinEnumerator
 from repro.optimizer.reoptimizer import ReOptimizer
-from repro.optimizer.statistics import ObservedStatistics
+from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
 from repro.optimizer.plans import JoinTree
 from repro.workloads.queries import query_3a, query_5, query_10a
 from repro.workloads.differential import generate_workload
@@ -31,21 +31,22 @@ def bad_tree_for_q3a():
 class TestReOptimizer:
     def test_no_switch_when_running_the_best_plan(self, tiny_tpch):
         catalog = tiny_tpch.catalog(with_cardinalities=True)
-        reoptimizer = ReOptimizer(catalog)
+        reoptimizer = ReOptimizer()
         query = query_3a()
-        best = reoptimizer  # readability only
         from repro.optimizer.enumerator import Optimizer
 
         best_tree = Optimizer(catalog).optimize_tree(query)
-        decision = reoptimizer.evaluate(query, best_tree, ObservedStatistics())
+        decision = reoptimizer.evaluate(best_tree, SelectivityEstimator(catalog, query))
         assert not decision.switch
         assert decision.improvement == pytest.approx(0.0, abs=1e-9)
 
     def test_switch_recommended_for_clearly_bad_plan(self, tiny_tpch):
         catalog = tiny_tpch.catalog(with_cardinalities=True)
-        reoptimizer = ReOptimizer(catalog, switch_threshold=0.95)
+        reoptimizer = ReOptimizer(switch_threshold=0.95)
         query = query_3a()
-        decision = reoptimizer.evaluate(query, bad_tree_for_q3a(), ObservedStatistics())
+        decision = reoptimizer.evaluate(
+            bad_tree_for_q3a(), SelectivityEstimator(catalog, query)
+        )
         assert decision.switch
         assert decision.recommended_cost < decision.current_cost
         assert decision.improvement > 0
@@ -53,13 +54,15 @@ class TestReOptimizer:
     def test_no_switch_when_almost_done(self, tiny_tpch):
         """If nearly all source data has been consumed there is no point switching."""
         catalog = tiny_tpch.catalog(with_cardinalities=True)
-        reoptimizer = ReOptimizer(catalog, switch_threshold=0.95)
+        reoptimizer = ReOptimizer(switch_threshold=0.95)
         query = query_3a()
         observed = ObservedStatistics()
         for name in query.relations:
             total = len(tiny_tpch[name])
             observed.record_source(name, total, total, exhausted=True)
-        decision = reoptimizer.evaluate(query, bad_tree_for_q3a(), observed)
+        decision = reoptimizer.evaluate(
+            bad_tree_for_q3a(), SelectivityEstimator(catalog, query, observed)
+        )
         assert not decision.switch
         assert decision.remaining_fraction <= 0.02
 
@@ -71,19 +74,21 @@ class TestReOptimizer:
         slightly_suboptimal = Optimizer(
             tiny_tpch.catalog(with_cardinalities=False)
         ).optimize_tree(query)
-        strict = ReOptimizer(catalog, switch_threshold=0.01)
-        decision = strict.evaluate(query, slightly_suboptimal, ObservedStatistics())
+        strict = ReOptimizer(switch_threshold=0.01)
+        decision = strict.evaluate(
+            slightly_suboptimal, SelectivityEstimator(catalog, query)
+        )
         # With an extremely demanding threshold, marginal improvements never
         # trigger a switch.
         assert not decision.switch
 
     def test_invocation_counter(self, tiny_tpch):
         catalog = tiny_tpch.catalog()
-        reoptimizer = ReOptimizer(catalog)
+        reoptimizer = ReOptimizer()
         query = query_3a()
         tree = bad_tree_for_q3a()
         for _ in range(3):
-            reoptimizer.evaluate(query, tree, ObservedStatistics())
+            reoptimizer.evaluate(tree, SelectivityEstimator(catalog, query))
         assert reoptimizer.invocations == 3
 
     def test_late_stage_switches_are_suppressed(self, tiny_tpch):
@@ -94,29 +99,25 @@ class TestReOptimizer:
         work proportional to the completed fraction), a bad plan is abandoned
         early but kept once most of the inputs have been processed."""
         catalog = tiny_tpch.catalog(with_cardinalities=True)
-        reoptimizer = ReOptimizer(catalog, switch_threshold=0.8)
+        reoptimizer = ReOptimizer(switch_threshold=0.8)
         query = query_3a()
         bad = bad_tree_for_q3a()
 
-        fresh = reoptimizer.evaluate(query, bad, ObservedStatistics())
+        fresh = reoptimizer.evaluate(bad, SelectivityEstimator(catalog, query))
         assert fresh.switch, "a fresh bad plan should still be abandoned"
 
         late = ObservedStatistics()
         for name in query.relations:
             read = int(len(tiny_tpch[name]) * 0.9)
             late.record_source(name, read, read, exhausted=False)
-        decision = reoptimizer.evaluate(query, bad, late)
+        decision = reoptimizer.evaluate(bad, SelectivityEstimator(catalog, query, late))
         assert 0.02 < decision.remaining_fraction < 0.2
-        # The memoryless comparison would still switch here (it is the same
-        # ratio as the fresh decision); the sunk-work credit suppresses it.
-        memoryless = ReOptimizer(catalog, switch_threshold=0.8, stitchup_cost_weight=0.0)
-        assert memoryless.evaluate(query, bad, late).switch
         assert not decision.switch
 
     def test_observed_statistics_drive_the_recommendation(self, tiny_tpch):
         """An observed explosion in the running join should trigger a switch away."""
         catalog = tiny_tpch.catalog(with_cardinalities=False)
-        reoptimizer = ReOptimizer(catalog, switch_threshold=0.9)
+        reoptimizer = ReOptimizer(switch_threshold=0.9)
         query = query_10a()
         current = JoinTree.left_deep(["lineitem", "orders", "customer", "nation"])
         observed = ObservedStatistics()
@@ -124,7 +125,9 @@ class TestReOptimizer:
         observed.record_selectivity(["lineitem", "orders"], 0.5)
         observed.record_source("lineitem", 500, 500, False)
         observed.record_source("orders", 500, 500, False)
-        decision = reoptimizer.evaluate(query, current, observed)
+        decision = reoptimizer.evaluate(
+            current, SelectivityEstimator(catalog, query, observed)
+        )
         assert decision.recommended_cost <= decision.current_cost
 
 

@@ -605,8 +605,7 @@ class TestShardedServerValidation:
         assert report.workers == 2
         assert report.start_method == "inline"
         assert len(report.worker_summaries) == 2
-        summaries = [summary.summary() for summary in report.worker_summaries]
-        assert all(entry["sessions"] == 1 for entry in summaries)
+        assert all(summary.sessions == 1 for summary in report.worker_summaries)
 
     def test_partitioned_submission_requires_local_edge(self):
         workload = generate_workload(1)  # remote: sources are RemoteSource
