@@ -200,10 +200,13 @@ class AdaptationRun:
                 return ordering
         return None
 
-    def phase_strategies(self, tree: Any) -> dict[frozenset[str], Any] | None:
-        """Physical join-strategy assignment for a phase about to start."""
+    def phase_strategies(
+        self, tree: Any, ordering: Any | None
+    ) -> dict[frozenset[str], Any] | None:
+        """Physical join-strategy assignment for a phase about to start, from
+        the :meth:`current_ordering` gathered as it begins."""
         for policy in self.controller.policies:
-            strategies = policy.phase_strategies(self, tree)
+            strategies = policy.phase_strategies(self, tree, ordering)
             if strategies is not None:
                 return strategies
         return None

@@ -75,8 +75,9 @@ class AdaptationPolicy:
         """Ordering knowledge for initial plan choice (``None`` = no opinion)."""
         return None
 
-    def phase_strategies(self, run: AdaptationRun, tree) -> dict | None:
-        """Physical strategy assignment for a phase (``None`` = no opinion)."""
+    def phase_strategies(self, run: AdaptationRun, tree, ordering) -> dict | None:
+        """Physical strategy assignment for a phase (``None`` = no opinion),
+        given the run's ordering knowledge as the phase begins."""
         return None
 
     def rate_outlook(self, run: AdaptationRun) -> dict | None:
@@ -201,8 +202,8 @@ class JoinStrategyPolicy(AdaptationPolicy):
         observed = run.monitor.observed if run.monitor is not None else None
         return OrderingKnowledge.gather(self.catalog, run.query, observed)
 
-    def phase_strategies(self, run: AdaptationRun, tree) -> dict | None:
-        return plan_join_strategies(run.query, tree, self.current_ordering(run))
+    def phase_strategies(self, run: AdaptationRun, tree, ordering) -> dict | None:
+        return plan_join_strategies(run.query, tree, ordering)
 
 
 class SharedLearningPolicy(AdaptationPolicy):

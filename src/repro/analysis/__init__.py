@@ -8,10 +8,10 @@ AST-level lint rules (see :mod:`repro.analysis.rules` for the framework):
   engine answer paths (:mod:`repro.analysis.determinism`);
 * ``accounting.uncharged-mutation`` — every operator mutation path reaches
   an ``ExecutionMetrics`` charge (:mod:`repro.analysis.accounting`);
-* ``sharding.shared-channel`` / ``sharding.session-isolation`` /
-  ``sharding.clock-discipline`` / ``sharding.picklability`` — the serving
-  layer's sharing contract (:mod:`repro.serving.channels`) is explicit and
-  honored (:mod:`repro.analysis.sharding`);
+* ``sharding.clock-discipline`` / ``sharding.picklability`` — only the
+  listed clock writers move a simulated clock, and what crosses a process
+  boundary pickles, against the two literal tuples of
+  :mod:`repro.serving.channels` (:mod:`repro.analysis.sharding`);
 * ``effects.global-mutable`` — no module-level mutable globals outside
   reviewed idempotent caches (:mod:`repro.analysis.effects`);
 * ``reachability.unread`` — every public callable has a reader in the
@@ -21,17 +21,11 @@ AST-level lint rules (see :mod:`repro.analysis.rules` for the framework):
 :func:`repro.analysis.runner.run_lint` drives a full scan;
 :mod:`repro.analysis.codegen_audit` runs the same rules over *generated*
 compiled-engine source.  The ``repro-lint`` CLI subcommand and the CI
-``analysis`` job gate on a clean report.
+``analysis`` job gate on a clean report; an inline ``# lint: ignore[rule]``
+pragma with its reason is the one way to suppress a finding.
 """
 
-from repro.analysis.findings import (
-    Finding,
-    PragmaIgnore,
-    PragmaSet,
-    Whitelist,
-    WhitelistEntry,
-    collect_pragmas,
-)
+from repro.analysis.findings import Finding, PragmaIgnore, PragmaSet, collect_pragmas
 from repro.analysis.rules import (
     LintRule,
     RuleContext,
@@ -40,21 +34,16 @@ from repro.analysis.rules import (
     registered_rules,
 )
 from repro.analysis.runner import LintReport, run_lint
-from repro.analysis.whitelist import DEFAULT_WHITELIST_ENTRIES, default_whitelist
 
 __all__ = [
-    "DEFAULT_WHITELIST_ENTRIES",
     "Finding",
     "LintReport",
     "LintRule",
     "PragmaIgnore",
     "PragmaSet",
     "RuleContext",
-    "Whitelist",
-    "WhitelistEntry",
     "collect_pragmas",
     "default_rules",
-    "default_whitelist",
     "register_rule",
     "registered_rules",
     "run_lint",

@@ -1,20 +1,12 @@
-"""Findings, the whitelist, and inline pragma suppression of the analyzer.
+"""Findings and inline pragma suppression of the analyzer.
 
-A :class:`Finding` is one rule violation pinned to a file and line.  Two
-sanctioned ways exist to ship code that trips a rule:
-
-* the central :class:`Whitelist` — each :class:`WhitelistEntry` names the
-  rule, the file and the exact enclosing symbol it suppresses, plus a
-  human-readable reason.  Matching is deliberately line-independent
-  (symbols move, invariants don't) and exact — no globs — so a whitelist
-  entry can never silently widen;
-* an inline ``# lint: ignore[rule-name]`` pragma on the offending line
-  (:class:`PragmaIgnore`) — scoped to exactly that line of that file, for
-  one-off exemptions that would otherwise accrete in the central list.
-
-Both are kept honest the same way: entries/pragmas that suppress nothing
-are *stale* and reported as findings themselves — the suppression surface
-must describe exactly the violations that exist, no more.
+A :class:`Finding` is one rule violation pinned to a file and line.  The one
+sanctioned way to ship code that trips a rule is an inline
+``# lint: ignore[rule-name]`` pragma on the offending line
+(:class:`PragmaIgnore`), with its reason beside it — scoped to exactly that
+line of that file.  A pragma that suppresses nothing is *stale* and reported
+as a finding itself, so the pragmas describe exactly the violations that
+exist, no more.
 """
 
 from __future__ import annotations
@@ -31,8 +23,7 @@ class Finding:
 
     ``path`` is the file's posix-style path relative to the scan root
     (``engine/pipelined.py``); ``symbol`` is the dotted enclosing scope
-    (``PipelinedExecutor.execute``, or ``<module>`` at module level) —
-    whitelist entries match on ``(rule, path, symbol)``.
+    (``PipelinedExecutor.execute``, or ``<module>`` at module level).
     """
 
     rule: str
@@ -56,49 +47,6 @@ class Finding:
             "symbol": self.symbol,
             "message": self.message,
         }
-
-
-@dataclass(frozen=True)
-class WhitelistEntry:
-    """Suppresses findings of one rule at one (file, symbol) pair."""
-
-    rule: str
-    path: str
-    symbol: str
-    reason: str
-
-    def matches(self, finding: Finding) -> bool:
-        return (
-            finding.rule == self.rule
-            and finding.path == self.path
-            and finding.symbol == self.symbol
-        )
-
-    def render(self) -> str:
-        return f"{self.path} [{self.rule}] {self.symbol}: {self.reason}"
-
-
-@dataclass
-class Whitelist:
-    """An ordered collection of whitelist entries with usage tracking."""
-
-    entries: tuple[WhitelistEntry, ...] = ()
-    _used: set[WhitelistEntry] = field(default_factory=set, repr=False)
-
-    def suppresses(self, finding: Finding) -> WhitelistEntry | None:
-        """The entry suppressing ``finding``, or ``None``; records usage."""
-        for entry in self.entries:
-            if entry.matches(finding):
-                self._used.add(entry)
-                return entry
-        return None
-
-    def stale_entries(self) -> tuple[WhitelistEntry, ...]:
-        """Entries that suppressed nothing in the run(s) seen so far."""
-        return tuple(entry for entry in self.entries if entry not in self._used)
-
-    def reset(self) -> None:
-        self._used.clear()
 
 
 #: the inline suppression syntax (several rules may be listed

@@ -1,11 +1,11 @@
-"""The lint runner: scan a package tree, apply every rule, fold in the whitelist.
+"""The lint runner: scan a package tree, apply every rule, fold in the pragmas.
 
 :func:`run_lint` walks the package root (``src/repro`` by default), parses
 every ``*.py`` file, runs all registered per-module and project-wide rules,
 and splits the raw findings into *active* findings and *suppressed* ones
-(matched by the whitelist).  Whitelist entries that matched nothing are
-themselves reported as findings under the ``whitelist.stale-entry`` rule —
-a whitelist must describe exactly the violations that exist.
+(matched by an inline pragma).  Pragmas that matched nothing are themselves
+reported as findings under the ``pragma.stale-ignore`` rule — the pragmas
+must describe exactly the violations that exist.
 
 The CI gate and the ``repro-lint`` CLI both call :func:`run_lint` and fail
 on any active finding.
@@ -16,18 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.findings import (
-    Finding,
-    PragmaIgnore,
-    PragmaSet,
-    Whitelist,
-    WhitelistEntry,
-    collect_pragmas,
-)
+from repro.analysis.findings import Finding, PragmaIgnore, PragmaSet, collect_pragmas
 from repro.analysis.rules import LintRule, RuleContext, default_rules
-from repro.analysis.whitelist import default_whitelist
 
-STALE_ENTRY_RULE = "whitelist.stale-entry"
 STALE_PRAGMA_RULE = "pragma.stale-ignore"
 
 
@@ -41,9 +32,7 @@ class LintReport:
     """The outcome of one analyzer run."""
 
     findings: list[Finding] = field(default_factory=list)
-    suppressed: list[tuple[Finding, WhitelistEntry | PragmaIgnore]] = field(
-        default_factory=list
-    )
+    suppressed: list[tuple[Finding, PragmaIgnore]] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: tuple[str, ...] = ()
 
@@ -60,8 +49,8 @@ class LintReport:
         ]
         for finding in self.findings:
             lines.append("  " + finding.render())
-        for finding, entry in self.suppressed:
-            lines.append(f"  [suppressed] {finding.location()} {entry.render()}")
+        for finding, pragma in self.suppressed:
+            lines.append(f"  [suppressed] {finding.location()} {pragma.render()}")
         return "\n".join(lines)
 
     def to_json(self) -> dict[str, object]:
@@ -78,8 +67,8 @@ class LintReport:
             "rules_run": list(self.rules_run),
             "findings": [finding.as_dict() for finding in self.findings],
             "suppressed": [
-                {**finding.as_dict(), "suppressed_by": entry.render()}
-                for finding, entry in self.suppressed
+                {**finding.as_dict(), "suppressed_by": pragma.render()}
+                for finding, pragma in self.suppressed
             ],
         }
 
@@ -95,7 +84,7 @@ def load_contexts(root: Path) -> list[RuleContext]:
 def apply_rules(
     contexts: list[RuleContext], rules: list[LintRule]
 ) -> list[Finding]:
-    """All raw findings of ``rules`` over ``contexts`` (whitelist not applied)."""
+    """All raw findings of ``rules`` over ``contexts`` (pragmas not applied)."""
     findings: list[Finding] = []
     for rule in rules:
         if rule.project_wide:
@@ -107,17 +96,10 @@ def apply_rules(
     return sorted(findings)
 
 
-def run_lint(
-    root: Path | None = None,
-    *,
-    rules: list[LintRule] | None = None,
-    whitelist: Whitelist | None = None,
-) -> LintReport:
+def run_lint(root: Path | None = None) -> LintReport:
     """Run the full analyzer over ``root`` (default: the installed package)."""
     scan_root = package_root() if root is None else root
-    active_rules = default_rules() if rules is None else rules
-    active_whitelist = default_whitelist() if whitelist is None else whitelist
-    active_whitelist.reset()
+    active_rules = default_rules()
 
     contexts = load_contexts(scan_root)
     raw = apply_rules(contexts, active_rules)
@@ -134,14 +116,11 @@ def run_lint(
         rules_run=tuple(rule.name for rule in active_rules),
     )
     for finding in raw:
-        suppressor: WhitelistEntry | PragmaIgnore | None
-        suppressor = pragmas.suppresses(finding)
-        if suppressor is None:
-            suppressor = active_whitelist.suppresses(finding)
-        if suppressor is None:
+        pragma = pragmas.suppresses(finding)
+        if pragma is None:
             report.findings.append(finding)
         else:
-            report.suppressed.append((finding, suppressor))
+            report.suppressed.append((finding, pragma))
     for pragma in pragmas.stale_pragmas():
         report.findings.append(
             Finding(
@@ -153,20 +132,6 @@ def run_lint(
                     f"inline pragma ignore[{pragma.rule}] suppressed nothing; "
                     "the violation it exempted no longer exists — delete the "
                     "pragma"
-                ),
-            )
-        )
-    for entry in active_whitelist.stale_entries():
-        report.findings.append(
-            Finding(
-                rule=STALE_ENTRY_RULE,
-                path=entry.path,
-                line=0,
-                symbol=entry.symbol,
-                message=(
-                    f"whitelist entry for rule {entry.rule!r} suppressed "
-                    "nothing; the violation it described no longer exists — "
-                    "delete the entry"
                 ),
             )
         )

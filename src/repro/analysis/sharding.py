@@ -1,43 +1,30 @@
-"""Shard-safety rules: certify the serving layer for multi-process sharding.
+"""Shard-safety rules: what a worker process may touch and receive.
 
-ROADMAP item 1 splits :class:`~repro.serving.server.QueryServer` into N
-worker processes.  These rules machine-check the package against the
-explicit sharing contract of :mod:`repro.serving.channels`:
+A shard runs each session on a private clock and receives its state as one
+pickled task.  Two rules check the package against the two literal tuples
+of :mod:`repro.serving.channels`:
 
-* ``sharding.shared-channel`` — escape/aliasing analysis.  In every
-  session-spawning serving class (one that constructs ``*Session`` objects),
-  a mutable attribute passed into session-reachable calls must be a declared
-  channel attribute; across ``serving/``, ``core/``, ``adaptivity/`` and
-  ``engine/``, a channel object stored under an attribute name the registry
-  does not declare is an undeclared alias.  Malformed declarations and
-  channels whose attributes no longer correspond to any observed escape
-  (stale, mirroring ``whitelist.stale-entry``) are findings too.
-* ``sharding.session-isolation`` — call-graph closure (the by-bare-name
-  machinery of :mod:`repro.analysis.accounting`) from every
-  ``execute_incremental`` entry point: functions on the session tick path
-  may mutate declared channels only from the channel's sanctioned writer
-  symbols; everything else they touch must be session-owned.
-* ``sharding.clock-discipline`` — only the declared drive-loop writers may
-  reach :class:`~repro.engine.cost.SimulatedClock` mutators
-  (``advance`` / ``wait_until`` / ``charge``); any
+* ``sharding.clock-discipline`` — only the functions listed in
+  ``CLOCK_WRITERS`` may reach :class:`~repro.engine.cost.SimulatedClock`
+  mutators (``advance`` / ``wait_until`` / ``charge``); any
   other access — calls *or* aliasing loads like ``hop = self.clock.advance``
   — is a finding.  Sessions, policies and operators may only read ``now``,
   and a direct store to a time field (``clock.now += ...``) is a finding
   everywhere: the mutator *names* are all the rule could otherwise see.
 * ``sharding.picklability`` — transitive field-type inference over every
-  ``cross_process_safe`` channel type and hand-off payload: lambdas,
+  class in ``CROSS_PROCESS_TYPES``: lambdas,
   generator expressions, bound methods and fields annotated with
   unpicklable types (iterators, callables, open cursors, code objects)
   cannot cross a process boundary; and compiled pipelines built with
   ``exec`` must record ``__compiled_source__`` so they can be rebuilt from
   source + constants on the other side.
 
-The rules parse the channel registry *statically* from the scanned tree
-(``serving/channels.py`` is literal-only by design), so fixture trees carry
-their own miniature registry and the analyzer never imports the package it
-audits.  A scan without a registry module yields no shard findings — the
-audit is certified by :mod:`tests.test_analysis` asserting the real scan
-both parses the registry and comes back clean.
+Both rules read their tuple *statically* from the scanned tree, so fixture
+trees carry their own miniature registry and the analyzer never imports the
+package it audits.  A registry entry that names no function or class of the
+scanned tree is a finding at its line, and so is a tuple that is missing or
+not a literal of strings; a scan without a registry module yields no shard
+findings.
 """
 
 from __future__ import annotations
@@ -46,46 +33,19 @@ import ast
 import re
 from dataclasses import dataclass
 
-from repro.analysis.accounting import FunctionInfo, index_functions
+from repro.analysis.accounting import index_functions
 from repro.analysis.findings import Finding
 from repro.analysis.rules import LintRule, RuleContext, ScopeTracker, register_rule
 
-#: where the channel registry lives, relative to the scan root
-CHANNELS_RELPATH = "serving/channels.py"
-
-#: must agree with repro.serving.channels.DISCIPLINES (both are literals;
-#: the registry parse is deliberately import-free)
-DISCIPLINES = ("read_only", "single_writer", "cross_process_safe")
-
-#: the tick-path entry point the isolation closure starts from
-SESSION_ENTRY_POINT = "execute_incremental"
-
-#: builtins whose calls never leak a reference into session-reachable
-#: state (copies, reads, predicates); passing an attribute to anything
-#: else counts as an escape
-PURE_BUILTINS = frozenset(
-    {
-        "abs", "all", "any", "bool", "dict", "enumerate", "filter", "float",
-        "format", "frozenset", "getattr", "hasattr", "id", "int",
-        "isinstance", "iter", "len", "list", "map", "max", "min", "next",
-        "print", "repr", "reversed", "round", "set", "sorted", "str", "sum",
-        "tuple", "zip",
-    }
-)
-
-#: annotation tokens denoting immutable values; an attribute whose value
-#: comes from a parameter annotated purely with these never carries shared
-#: mutable state
-IMMUTABLE_ANNOTATION_TOKENS = frozenset(
-    {"int", "float", "str", "bool", "bytes", "None", "Optional", ""}
-)
+#: where the registry lives, relative to the scan root
+REGISTRY_RELPATH = "serving/channels.py"
 
 #: type names that cannot cross a process boundary via pickle.  The second
 #: block is the real-I/O fabric's resources: sockets, locks, threads, file
 #: handles, live DB connections, and the transport/envelope objects that own
-#: them — declaring any of these in a ``cross_process_safe`` channel's
-#: payload family is a finding (sockets don't pickle; each worker must
-#: rebuild its own envelopes from picklable backend descriptions).
+#: them — a field of one of these types on a cross-process class is a
+#: finding (sockets don't pickle; each worker must rebuild its own envelopes
+#: from picklable backend descriptions).
 UNPICKLABLE_TYPE_NAMES = frozenset(
     {
         "AsyncGenerator",
@@ -123,177 +83,67 @@ UNPICKLABLE_TYPE_NAMES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ParsedChannel:
-    """One channel declaration read statically from the registry module."""
+class RegistryError(ValueError):
+    """The registry's tuple ``name`` is missing or not a literal of strings."""
 
-    name: str
-    type_name: str
-    discipline: str
-    rationale: str
-    attributes: tuple[str, ...]
-    mutators: tuple[str, ...]
-    writers: tuple[str, ...]
-    payload_types: tuple[str, ...]
-    lineno: int
-    malformed: bool = False
+    def __init__(self, name: str, line: int) -> None:
+        super().__init__(
+            f"{REGISTRY_RELPATH} must define {name} as a literal tuple of strings"
+        )
+        self.name = name
+        self.line = line
 
-
-@dataclass
-class ParsedRegistry:
-    """The statically-parsed channel registry of one scanned tree."""
-
-    relpath: str
-    channels: list[ParsedChannel]
-    #: (lineno, symbol, message) declaration problems
-    problems: list[tuple[int, str, str]]
-
-    def declared_attributes(self) -> dict[str, ParsedChannel]:
-        """Attribute name → owning channel, over well-formed channels."""
-        return {
-            attr: channel
-            for channel in self.channels
-            if not channel.malformed
-            for attr in channel.attributes
-        }
+    def finding(self, rule: str) -> Finding:
+        """The error as ``rule``'s finding at the assignment (line 1 if none)."""
+        return Finding(
+            rule=rule,
+            path=REGISTRY_RELPATH,
+            line=self.line,
+            symbol=self.name,
+            message=str(self),
+        )
 
 
-def _literal_str(expr: ast.expr | None) -> str | None:
-    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-        return expr.value
-    return None
+def read_registry(contexts: list[RuleContext], name: str) -> list[tuple[str, int]] | None:
+    """``(entry, line)`` for each string of the registry's tuple ``name``.
 
-
-def _literal_str_tuple(expr: ast.expr | None) -> tuple[str, ...] | None:
-    if not isinstance(expr, (ast.Tuple, ast.List)):
-        return None
-    out: list[str] = []
-    for element in expr.elts:
-        value = _literal_str(element)
-        if value is None:
-            return None
-        out.append(value)
-    return tuple(out)
-
-
-def parse_channel_registry(contexts: list[RuleContext]) -> ParsedRegistry | None:
-    """Parse ``CHANNELS = (SharedChannel(...), ...)`` from the scanned tree.
-
-    Returns ``None`` when no registry module is present (the shard rules
-    then stay silent — fixture trees without one are not audited).
-    Declarations must be literal keyword arguments; anything computed is a
-    malformed-declaration problem.
+    ``None`` when the scan has no registry module (fixture trees without one
+    are not audited).  The tuple must be a literal of strings; anything else
+    is a :class:`RegistryError`, which each rule reports as its finding.
     """
-    registry_ctx = next(
-        (ctx for ctx in contexts if ctx.relpath == CHANNELS_RELPATH), None
-    )
-    if registry_ctx is None:
+    registry = next((c for c in contexts if c.relpath == REGISTRY_RELPATH), None)
+    if registry is None:
         return None
-    registry = ParsedRegistry(relpath=registry_ctx.relpath, channels=[], problems=[])
-
-    channels_value: ast.expr | None = None
-    for node in registry_ctx.tree.body:
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        else:
+    for node in registry.tree.body:
+        value: ast.expr | None = None
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        elif isinstance(node, ast.AnnAssign):
+            target, value = node.target, node.value
+        if value is None or not (isinstance(target, ast.Name) and target.id == name):
             continue
-        if any(
-            isinstance(target, ast.Name) and target.id == "CHANNELS"
-            for target in targets
-        ):
-            channels_value = node.value if isinstance(node, ast.Assign) else node.value
-            break
-    if not isinstance(channels_value, (ast.Tuple, ast.List)):
-        registry.problems.append(
-            (1, "<module>", "registry module declares no literal CHANNELS tuple")
-        )
-        return registry
+        try:
+            entries = ast.literal_eval(value)
+        except ValueError:
+            raise RegistryError(name, node.lineno) from None
+        if isinstance(value, ast.Tuple) and all(isinstance(e, str) for e in entries):
+            lines = [element.lineno for element in value.elts]
+            return list(zip(entries, lines))
+        raise RegistryError(name, node.lineno)
+    raise RegistryError(name, 1)
 
-    seen: set[str] = set()
-    for element in channels_value.elts:
-        if not (
-            isinstance(element, ast.Call)
-            and isinstance(element.func, ast.Name)
-            and element.func.id == "SharedChannel"
-        ):
-            registry.problems.append(
-                (
-                    element.lineno,
-                    "CHANNELS",
-                    "registry entry is not a literal SharedChannel(...) call",
-                )
-            )
-            continue
-        kwargs = {kw.arg: kw.value for kw in element.keywords if kw.arg}
-        name = _literal_str(kwargs.get("name")) or "<unnamed>"
-        symbol = f"CHANNELS.{name}"
-        malformed = False
 
-        def problem(message: str, line: int = element.lineno, sym: str = symbol) -> None:
-            registry.problems.append((line, sym, message))
-
-        strings: dict[str, str] = {}
-        for field_name in ("name", "type_name", "discipline", "rationale"):
-            value = _literal_str(kwargs.get(field_name))
-            if value is None and field_name in kwargs:
-                problem(f"channel field {field_name!r} is not a string literal")
-                malformed = True
-            strings[field_name] = value or ""
-        tuples: dict[str, tuple[str, ...]] = {}
-        for field_name in ("attributes", "mutators", "writers", "payload_types"):
-            if field_name not in kwargs:
-                tuples[field_name] = ()
-                continue
-            value = _literal_str_tuple(kwargs[field_name])
-            if value is None:
-                problem(
-                    f"channel field {field_name!r} is not a literal tuple of strings"
-                )
-                malformed = True
-                value = ()
-            tuples[field_name] = value
-
-        if strings["discipline"] not in DISCIPLINES:
-            problem(
-                f"unknown discipline {strings['discipline']!r}; expected one "
-                f"of {', '.join(DISCIPLINES)}"
-            )
-            malformed = True
-        if not strings["rationale"].strip():
-            problem(
-                "channel has no rationale; every shared channel must say why "
-                "its discipline is safe"
-            )
-            malformed = True
-        if strings["discipline"] == "read_only" and tuples["writers"]:
-            problem(
-                "read_only channel lists writer sites; a read-only channel "
-                "has no sanctioned writers"
-            )
-            malformed = True
-        if name in seen:
-            problem(f"duplicate channel declaration {name!r}")
-            malformed = True
-        seen.add(name)
-
-        registry.channels.append(
-            ParsedChannel(
-                name=name,
-                type_name=strings["type_name"],
-                discipline=strings["discipline"],
-                rationale=strings["rationale"],
-                attributes=tuples["attributes"],
-                mutators=tuples["mutators"],
-                writers=tuples["writers"],
-                payload_types=tuples["payload_types"],
-                lineno=element.lineno,
-                malformed=malformed,
-            )
-        )
-    return registry
+def _stale_entry(rule: str, name: str, entry: str, line: int, kind: str) -> Finding:
+    return Finding(
+        rule=rule,
+        path=REGISTRY_RELPATH,
+        line=line,
+        symbol=name,
+        message=(
+            f"{name} entry {entry!r} names no {kind} in the scanned tree; "
+            "delete the entry with what it named"
+        ),
+    )
 
 
 def _attr_chain(expr: ast.expr) -> set[str]:
@@ -309,54 +159,6 @@ def _attr_chain(expr: ast.expr) -> set[str]:
     return names
 
 
-def _annotation_is_immutable(annotation: ast.expr | None) -> bool:
-    """Does the annotation denote a value with no shared mutable state?"""
-    if annotation is None:
-        return False
-    text = ast.unparse(annotation)
-    tokens = {
-        token
-        for token in "".join(
-            ch if (ch.isalnum() or ch == "_") else " " for ch in text
-        ).split()
-    }
-    return tokens <= IMMUTABLE_ANNOTATION_TOKENS
-
-
-def _is_mutable_value(
-    value: ast.expr, param_annotations: dict[str, ast.expr | None]
-) -> bool:
-    """Conservative: could the assigned value carry shared mutable state?"""
-    if isinstance(value, ast.Constant):
-        return False
-    if isinstance(value, ast.Name):
-        if value.id in param_annotations:
-            return not _annotation_is_immutable(param_annotations[value.id])
-        return True
-    if isinstance(value, ast.Tuple):
-        return any(_is_mutable_value(e, param_annotations) for e in value.elts)
-    if isinstance(value, (ast.BoolOp,)):
-        return any(_is_mutable_value(e, param_annotations) for e in value.values)
-    if isinstance(value, ast.IfExp):
-        return _is_mutable_value(value.body, param_annotations) or _is_mutable_value(
-            value.orelse, param_annotations
-        )
-    return True
-
-
-def _init_method(node: ast.ClassDef) -> ast.FunctionDef | None:
-    for item in node.body:
-        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-            return item
-    return None
-
-
-def _param_annotations(function: ast.FunctionDef) -> dict[str, ast.expr | None]:
-    args = function.args
-    params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
-    return {arg.arg: arg.annotation for arg in params if arg.arg != "self"}
-
-
 def _self_attribute(expr: ast.expr) -> str | None:
     """``X`` when ``expr`` is exactly ``self.X``."""
     if (
@@ -366,248 +168,6 @@ def _self_attribute(expr: ast.expr) -> str | None:
     ):
         return expr.attr
     return None
-
-
-def _init_attributes(node: ast.ClassDef) -> dict[str, tuple[int, bool]]:
-    """``self.X`` attributes assigned in ``__init__`` → (line, mutable)."""
-    init = _init_method(node)
-    if init is None:
-        return {}
-    annotations = _param_annotations(init)
-    attributes: dict[str, tuple[int, bool]] = {}
-    for stmt in ast.walk(init):
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if value is None:
-            continue
-        for target in targets:
-            attr = _self_attribute(target)
-            if attr is None:
-                continue
-            mutable = _is_mutable_value(value, annotations)
-            line, known = attributes.get(attr, (stmt.lineno, False))
-            attributes[attr] = (line, known or mutable)
-    return attributes
-
-
-def _spawns_sessions(node: ast.ClassDef) -> bool:
-    """Does the class construct ``*Session`` objects (i.e. serve N of them)?"""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            func = child.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name and name.endswith("Session") and name != "Session":
-                return True
-    return False
-
-
-def _loop_aliases(function: ast.FunctionDef) -> dict[str, str]:
-    """Loop variable → iterated self-attribute (``for p in self.X``)."""
-    aliases: dict[str, str] = {}
-    for stmt in ast.walk(function):
-        if isinstance(stmt, ast.For) and isinstance(stmt.target, ast.Name):
-            attr = _self_attribute(stmt.iter)
-            if attr is not None:
-                aliases[stmt.target.id] = attr
-    return aliases
-
-
-@register_rule
-class SharedChannelRule(LintRule):
-    """Every cross-session object must be a declared channel; no undeclared
-    escapes, no undeclared aliases, no stale or malformed declarations."""
-
-    name = "sharding.shared-channel"
-    description = (
-        "mutable server state escaping into sessions must be declared in "
-        "serving/channels.py with a discipline and rationale; channel "
-        "objects may only be stored under declared attribute names; stale "
-        "and malformed declarations are findings"
-    )
-    project_wide = True
-    scope_dirs = frozenset({"serving", "core", "adaptivity", "engine", "io"})
-
-    def check_project(self, contexts: list[RuleContext]) -> list[Finding]:
-        registry = parse_channel_registry(contexts)
-        if registry is None:
-            return []
-        findings: list[Finding] = [
-            Finding(
-                rule=self.name,
-                path=registry.relpath,
-                line=line,
-                symbol=symbol,
-                message=message,
-            )
-            for line, symbol, message in registry.problems
-        ]
-        declared = registry.declared_attributes()
-        used_channels: set[str] = set()
-        scoped = [ctx for ctx in contexts if self.applies_to(ctx)]
-
-        for ctx in scoped:
-            if ctx.relpath == registry.relpath:
-                continue
-            for node in ctx.tree.body:
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                if ctx.top_directory() == "serving" and _spawns_sessions(node):
-                    findings.extend(
-                        self._check_escapes(ctx, node, declared, used_channels)
-                    )
-                findings.extend(
-                    self._check_aliases(ctx, node, registry, declared, used_channels)
-                )
-
-        for channel in registry.channels:
-            if channel.malformed or not channel.attributes:
-                continue
-            if channel.name not in used_channels:
-                findings.append(
-                    Finding(
-                        rule=self.name,
-                        path=registry.relpath,
-                        line=channel.lineno,
-                        symbol=f"CHANNELS.{channel.name}",
-                        message=(
-                            f"stale channel {channel.name!r}: none of its "
-                            "declared attributes "
-                            f"({', '.join(channel.attributes)}) escapes into "
-                            "sessions any more — delete or update the "
-                            "declaration"
-                        ),
-                    )
-                )
-        return findings
-
-    def _check_escapes(
-        self,
-        ctx: RuleContext,
-        node: ast.ClassDef,
-        declared: dict[str, ParsedChannel],
-        used_channels: set[str],
-    ) -> list[Finding]:
-        """Flag mutable ``self.X`` escaping undeclared from a session spawner."""
-        findings: list[Finding] = []
-        attributes = _init_attributes(node)
-        for method in node.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            loop_aliases = (
-                _loop_aliases(method)
-                if isinstance(method, ast.FunctionDef)
-                else {}
-            )
-            symbol = f"{node.name}.{method.name}"
-            for call in ast.walk(method):
-                if not isinstance(call, ast.Call):
-                    continue
-                if (
-                    isinstance(call.func, ast.Name)
-                    and call.func.id in PURE_BUILTINS
-                ):
-                    continue
-                args = [*call.args, *[kw.value for kw in call.keywords]]
-                for arg in args:
-                    attr = _self_attribute(arg)
-                    if attr is None and isinstance(arg, ast.Name):
-                        attr = loop_aliases.get(arg.id)
-                    if attr is None or attr not in attributes:
-                        continue
-                    _, mutable = attributes[attr]
-                    if not mutable:
-                        continue
-                    if attr in declared:
-                        used_channels.add(declared[attr].name)
-                        continue
-                    findings.append(
-                        Finding(
-                            rule=self.name,
-                            path=ctx.relpath,
-                            line=arg.lineno,
-                            symbol=symbol,
-                            message=(
-                                f"mutable server attribute self.{attr} "
-                                "escapes into session-reachable state but is "
-                                "not a declared shared channel; declare it "
-                                f"in {CHANNELS_RELPATH} with a discipline "
-                                "and rationale"
-                            ),
-                        )
-                    )
-        return findings
-
-    def _check_aliases(
-        self,
-        ctx: RuleContext,
-        node: ast.ClassDef,
-        registry: ParsedRegistry,
-        declared: dict[str, ParsedChannel],
-        used_channels: set[str],
-    ) -> list[Finding]:
-        """Flag channel objects stored under undeclared attribute names."""
-        findings: list[Finding] = []
-        init = _init_method(node)
-        if init is None:
-            return findings
-        annotations = _param_annotations(init)
-        type_owner = {
-            channel.type_name: channel
-            for channel in registry.channels
-            if channel.type_name and not channel.malformed
-        }
-
-        def param_channel(param: str) -> ParsedChannel | None:
-            if param in declared:
-                return declared[param]
-            annotation = annotations.get(param)
-            if annotation is not None:
-                tokens = _attr_chain_from_annotation(annotation)
-                for token in tokens:
-                    if token in type_owner:
-                        return type_owner[token]
-            return None
-
-        for stmt in ast.walk(init):
-            if not isinstance(stmt, ast.Assign):
-                continue
-            if not isinstance(stmt.value, ast.Name):
-                continue
-            if stmt.value.id not in annotations:
-                continue
-            channel = param_channel(stmt.value.id)
-            if channel is None:
-                continue
-            for target in stmt.targets:
-                attr = _self_attribute(target)
-                if attr is None:
-                    continue
-                if attr in channel.attributes:
-                    used_channels.add(channel.name)
-                else:
-                    findings.append(
-                        Finding(
-                            rule=self.name,
-                            path=ctx.relpath,
-                            line=stmt.lineno,
-                            symbol=f"{node.name}.__init__",
-                            message=(
-                                f"shared channel {channel.name!r} is aliased "
-                                f"under undeclared attribute self.{attr}; "
-                                "store it under a declared attribute name or "
-                                f"add the alias to {CHANNELS_RELPATH}"
-                            ),
-                        )
-                    )
-        return findings
 
 
 def _attr_chain_from_annotation(annotation: ast.expr) -> set[str]:
@@ -623,144 +183,12 @@ def _attr_chain_from_annotation(annotation: ast.expr) -> set[str]:
     return tokens
 
 
-@register_rule
-class SessionIsolationRule(LintRule):
-    """The session tick path mutates only session-owned state or declared
-    channels from their sanctioned writer symbols."""
+#: the SimulatedClock methods that move time
+CLOCK_MUTATORS = ("charge", "wait_until", "advance")
 
-    name = "sharding.session-isolation"
-    description = (
-        "functions reachable from execute_incremental may invoke a declared "
-        "channel's mutators (or store through a channel attribute) only "
-        "from the channel's sanctioned writers list"
-    )
-    project_wide = True
-    scope_dirs = frozenset(
-        {"serving", "core", "adaptivity", "engine", "optimizer", "sources", "io"}
-    )
-
-    def check_project(self, contexts: list[RuleContext]) -> list[Finding]:
-        registry = parse_channel_registry(contexts)
-        if registry is None:
-            return []
-        channels = [
-            channel
-            for channel in registry.channels
-            if not channel.malformed and channel.mutators and channel.attributes
-            # the clock has its own rule (stricter: loads count too)
-            and "clock" not in channel.attributes
-        ]
-        if not channels:
-            return []
-        scoped = [ctx for ctx in contexts if self.applies_to(ctx)]
-        functions = index_functions(scoped)
-
-        by_name: dict[str, list[str]] = {}
-        for key, info in functions.items():
-            by_name.setdefault(info.name, []).append(key)
-        closure = {
-            key
-            for key, info in functions.items()
-            if info.name == SESSION_ENTRY_POINT
-        }
-        worklist = list(closure)
-        while worklist:
-            key = worklist.pop()
-            for called in functions[key].calls:
-                for target in by_name.get(called, ()):
-                    if target not in closure:
-                        closure.add(target)
-                        worklist.append(target)
-
-        mutator_channels: dict[str, list[ParsedChannel]] = {}
-        for channel in channels:
-            for mutator in channel.mutators:
-                mutator_channels.setdefault(mutator, []).append(channel)
-
-        findings: list[Finding] = []
-        for key in sorted(closure):
-            info = functions[key]
-            if info.relpath == registry.relpath:
-                continue
-            for child in ast.walk(info.node):
-                if isinstance(child, ast.Call) and isinstance(
-                    child.func, ast.Attribute
-                ):
-                    for channel in mutator_channels.get(child.func.attr, ()):
-                        chain = _attr_chain(child.func.value)
-                        if not (chain & set(channel.attributes)):
-                            continue
-                        if key in channel.writers:
-                            continue
-                        findings.append(
-                            Finding(
-                                rule=self.name,
-                                path=info.relpath,
-                                line=child.lineno,
-                                symbol=info.qualname,
-                                message=(
-                                    f"session tick path calls channel "
-                                    f"{channel.name!r} mutator "
-                                    f".{child.func.attr}() outside its "
-                                    "sanctioned writers "
-                                    f"({', '.join(channel.writers) or 'none'})"
-                                ),
-                            )
-                        )
-                elif isinstance(child, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        child.targets
-                        if isinstance(child, ast.Assign)
-                        else [child.target]
-                    )
-                    for target in targets:
-                        findings.extend(
-                            self._store_findings(info, key, target, channels)
-                        )
-        return findings
-
-    def _store_findings(
-        self,
-        info: FunctionInfo,
-        key: str,
-        target: ast.expr,
-        channels: list[ParsedChannel],
-    ) -> list[Finding]:
-        """Stores through a channel-attribute receiver outside its writers."""
-        receiver: ast.expr | None = None
-        if isinstance(target, ast.Attribute):
-            receiver = target.value
-        elif isinstance(target, ast.Subscript):
-            receiver = target.value
-        if receiver is None:
-            return []
-        # Bare-name receivers (a session-local dict that happens to share a
-        # channel's attribute name) are out of scope; attribute receivers
-        # (``self.cache.totals[...] = ...``) are in.
-        if not isinstance(receiver, ast.Attribute):
-            return []
-        chain = _attr_chain(receiver)
-        findings: list[Finding] = []
-        for channel in channels:
-            if not (chain & set(channel.attributes)):
-                continue
-            if key in channel.writers:
-                continue
-            findings.append(
-                Finding(
-                    rule=self.name,
-                    path=info.relpath,
-                    line=target.lineno,
-                    symbol=info.qualname,
-                    message=(
-                        f"session tick path stores through channel "
-                        f"{channel.name!r} state outside its sanctioned "
-                        f"writers ({', '.join(channel.writers) or 'none'})"
-                    ),
-                )
-            )
-        return findings
-
+#: the names a clock travels under; a mutator reached through any other
+#: receiver is not a clock's
+CLOCK_RECEIVERS = frozenset({"clock", "_clock"})
 
 #: the time fields a SimulatedClock's own mutators maintain (``engine/cost.py``
 #: reaches them through ``self``, which is not a clock name); ``cpu_time`` is
@@ -772,34 +200,33 @@ class _ClockAccessVisitor(ScopeTracker):
     """Collects every mutator access, and every direct store to a time
     field, on a clock-named receiver."""
 
-    def __init__(self, mutators: frozenset[str], clock_names: frozenset[str]) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.mutators = mutators
-        self.clock_names = clock_names
         self.accesses: list[tuple[int, str, str]] = []
         self.stores: list[tuple[int, str, str]] = []
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         found = None
-        if node.attr in self.mutators:
+        if node.attr in CLOCK_MUTATORS:
             found = self.accesses
         elif node.attr in CLOCK_STATE_FIELDS and isinstance(node.ctx, ast.Store):
             # Plain and augmented assignment targets both carry Store.
             found = self.stores
-        if found is not None and _attr_chain(node.value) & self.clock_names:
+        if found is not None and _attr_chain(node.value) & CLOCK_RECEIVERS:
             found.append((node.lineno, self.symbol, node.attr))
         self.generic_visit(node)
 
 
 @register_rule
 class ClockDisciplineRule(LintRule):
-    """Only the declared drive loops may touch SimulatedClock mutators."""
+    """Only the listed clock writers may touch SimulatedClock mutators."""
 
     name = "sharding.clock-discipline"
     description = (
         "SimulatedClock mutators (advance/wait_until/charge) "
-        "may be reached only from the clock channel's sanctioned writer "
-        "symbols; sessions, policies and operators may only read .now — "
+        "may be reached only from the functions in serving/channels.py's "
+        "CLOCK_WRITERS, each of which must exist; sessions, policies and "
+        "operators may only read .now — "
         "aliasing a mutator (hop = clock.advance) counts as an access, and "
         "nobody, writers included, may store to .now/.wait_time or the anchor "
         "directly (clock.now += ...): the mutators are the only way to move time"
@@ -808,28 +235,19 @@ class ClockDisciplineRule(LintRule):
     scope_dirs = None
 
     def check_project(self, contexts: list[RuleContext]) -> list[Finding]:
-        registry = parse_channel_registry(contexts)
-        if registry is None:
+        try:
+            entries = read_registry(contexts, "CLOCK_WRITERS")
+        except RegistryError as error:
+            return [error.finding(self.name)]
+        if entries is None:
             return []
-        clock = next(
-            (
-                channel
-                for channel in registry.channels
-                if not channel.malformed and "clock" in channel.attributes
-            ),
-            None,
-        )
-        if clock is None:
-            return []
-        mutators = frozenset(clock.mutators)
-        clock_names = frozenset(clock.attributes)
-        writers = set(clock.writers)
+        writers = {writer for writer, _ in entries}
 
         findings: list[Finding] = []
         for ctx in contexts:
-            if ctx.relpath == registry.relpath:
+            if ctx.relpath == REGISTRY_RELPATH:
                 continue
-            visitor = _ClockAccessVisitor(mutators, clock_names)
+            visitor = _ClockAccessVisitor()
             visitor.visit(ctx.tree)
             for line, symbol, mutator in visitor.accesses:
                 if f"{ctx.relpath}::{symbol}" in writers:
@@ -842,9 +260,9 @@ class ClockDisciplineRule(LintRule):
                         symbol=symbol,
                         message=(
                             f"clock mutator .{mutator} accessed outside the "
-                            "sanctioned drive loops; only the clock "
-                            "channel's writers may advance or charge the "
-                            "shared clock — everything else reads .now"
+                            "sanctioned drive loops; only CLOCK_WRITERS may "
+                            "advance or charge a clock — everything else "
+                            "reads .now"
                         ),
                     )
                 )
@@ -858,11 +276,17 @@ class ClockDisciplineRule(LintRule):
                         message=(
                             f"direct store to clock field .{state_field}; "
                             "time moves only through the clock's mutators "
-                            f"({', '.join(clock.mutators)}), also inside "
+                            f"({', '.join(CLOCK_MUTATORS)}), also inside "
                             "the sanctioned drive loops"
                         ),
                     )
                 )
+        functions = index_functions(contexts)
+        findings.extend(
+            _stale_entry(self.name, "CLOCK_WRITERS", writer, line, "function")
+            for writer, line in entries
+            if writer not in functions
+        )
         return findings
 
 
@@ -918,13 +342,14 @@ def transitive_subclasses(
 
 @register_rule
 class PicklabilityRule(LintRule):
-    """Everything declared cross_process_safe must survive pickling, and
-    compiled pipelines must be reconstructible from source."""
+    """Every cross-process class must survive pickling, and compiled
+    pipelines must be reconstructible from source."""
 
     name = "sharding.picklability"
     description = (
-        "cross_process_safe channel types and hand-off payloads may not "
-        "hold lambdas, generators, bound methods, or fields of unpicklable "
+        "classes in serving/channels.py's CROSS_PROCESS_TYPES, each of which "
+        "must exist, may not hold lambdas, generators, bound methods, or "
+        "fields of unpicklable "
         "types (transitively); exec-built pipelines must record "
         "__compiled_source__ for reconstruction"
     )
@@ -932,30 +357,29 @@ class PicklabilityRule(LintRule):
     scope_dirs = None
 
     def check_project(self, contexts: list[RuleContext]) -> list[Finding]:
-        registry = parse_channel_registry(contexts)
-        if registry is None:
+        try:
+            entries = read_registry(contexts, "CROSS_PROCESS_TYPES")
+        except RegistryError as error:
+            return [error.finding(self.name)]
+        if entries is None:
             return []
-        roots: set[str] = set()
-        for channel in registry.channels:
-            if channel.malformed or channel.discipline != "cross_process_safe":
-                continue
-            if channel.type_name:
-                roots.add(channel.type_name)
-            roots.update(channel.payload_types)
-
         classes = collect_classes(contexts)
+        findings = [
+            _stale_entry(self.name, "CROSS_PROCESS_TYPES", root, line, "class")
+            for root, line in entries
+            if root not in classes
+        ]
         population: set[str] = set()
-        for root in roots:
+        for root, _ in entries:
             if root in classes:
                 population.add(root)
             population.update(transitive_subclasses(classes, root))
 
-        findings: list[Finding] = []
         audited: set[str] = set()
         queue = sorted(population)
         while queue:
             class_name = queue.pop(0)
-            if class_name in audited or class_name not in classes:
+            if class_name in audited:
                 continue
             audited.add(class_name)
             record = classes[class_name]

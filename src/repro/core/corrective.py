@@ -252,13 +252,14 @@ class CorrectiveQueryProcessor:
             query, self.catalog, monitor=monitor, cursors=cursors, sources=self.sources
         )
 
+        # Ordering knowledge is gathered once per phase, when it begins; phase
+        # 0's also picks the initial plan.
+        ordering = run.current_ordering()
         if initial_tree is not None:
             current_tree = initial_tree
         else:
             current_tree = self.optimizer.optimize_tree(
-                query,
-                ordering=run.current_ordering(),
-                rate_outlook=run.current_rate_outlook(),
+                query, ordering=ordering, rate_outlook=run.current_rate_outlook()
             )
         phase_algorithms: list[dict[str, str]] = []
         peak_state_tuples = 0
@@ -315,7 +316,7 @@ class CorrectiveQueryProcessor:
 
         phase_id = 0
         while True:
-            current_strategies = run.phase_strategies(current_tree)
+            current_strategies = run.phase_strategies(current_tree, ordering)
             plan = PipelinedPlan(
                 query,
                 current_tree,
@@ -418,6 +419,7 @@ class CorrectiveQueryProcessor:
             if plan.sources_exhausted:
                 break
             phase_id += 1
+            ordering = run.current_ordering()
 
         # Stitch-up phase: join the cross-phase combinations.
         stitchup_report: StitchUpReport | None = None

@@ -186,14 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shard-audit",
-        action="store_true",
-        help=(
-            "repro-lint: append the shared-channel inventory (name, type, "
-            "discipline, writers) and registry validation to the report"
-        ),
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -213,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_repro_lint(
     codegen: bool = True,
-    shard_audit: bool = False,
     output_format: str = "text",
     report_output: str | None = None,
 ) -> int:
@@ -223,36 +214,16 @@ def run_repro_lint(
     CI ``analysis`` job gates on it:
 
     * ``0`` — every rule clean (nothing unsuppressed);
-    * ``1`` — at least one finding (lint, codegen audit, or an invalid
-      channel registry under ``--shard-audit``);
+    * ``1`` — at least one finding (lint or codegen audit);
     * ``2`` — usage error (argparse rejects the invocation).
     """
     import json as _json
 
     from repro.analysis import run_lint
-    from repro.serving import channels
 
     report = run_lint()
     failed = not report.clean
     payload: dict[str, object] = report.to_json()
-
-    registry_problems: list[str] = []
-    if shard_audit:
-        registry_problems = channels.validate_registry()
-        failed = failed or bool(registry_problems)
-        payload["channels"] = [
-            {
-                "name": channel.name,
-                "type": channel.type_name,
-                "discipline": channel.discipline,
-                "attributes": list(channel.attributes),
-                "mutators": list(channel.mutators),
-                "writers": list(channel.writers),
-                "payload_types": list(channel.payload_types),
-            }
-            for channel in channels.registered_channels().values()
-        ]
-        payload["registry_problems"] = registry_problems
 
     codegen_report = None
     if codegen:
@@ -272,10 +243,6 @@ def run_repro_lint(
         print(_json.dumps(payload, indent=2))
     else:
         print(report.render())
-        if shard_audit:
-            print(channels.render_inventory())
-            for problem in registry_problems:
-                print(f"  registry problem: {problem}")
         if codegen_report is not None:
             print(codegen_report.render())
 
@@ -300,7 +267,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "repro-lint":
         return run_repro_lint(
             codegen=not args.no_codegen,
-            shard_audit=args.shard_audit,
             output_format=args.output_format,
             report_output=args.report_output,
         )

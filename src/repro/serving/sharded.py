@@ -10,8 +10,8 @@ happens in worker processes (:mod:`repro.serving.worker`): each worker is
 started with one :class:`~repro.serving.specs.ShardTask` as its process
 argument, runs its shard's sessions one at a time to completion — the
 scheduling policy orders sessions, not quanta — and returns one
-:class:`~repro.serving.specs.ShardResult` over the FIFO result queue — the
-``shard_tasks`` / ``handoff`` channels of :mod:`repro.serving.channels`.
+:class:`~repro.serving.specs.ShardResult` over the FIFO result queue; both
+are listed in :mod:`repro.serving.channels` as cross-process types.
 
 Determinism contract: session results (multisets, metrics, phase counts,
 simulated seconds) are bit-identical to solo runs of the same queries under

@@ -23,9 +23,9 @@ is one of the plain-data shapes below:
   its post-run statistics snapshot (folded into the front-end store in
   worker-id order), and wall-clock utilization telemetry.
 
-These classes are declared as ``cross_process_safe`` payloads in
-:mod:`repro.serving.channels`, which puts them — and every class their
-annotations reference — under the shard audit's picklability rule.
+These classes are listed in :mod:`repro.serving.channels`'s
+``CROSS_PROCESS_TYPES``, which puts them — and every class their
+annotations reference — under the analyzer's picklability rule.
 """
 
 from __future__ import annotations

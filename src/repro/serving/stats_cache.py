@@ -13,14 +13,6 @@ finished query's observations back in (``absorb``), and publishes learned
 exact cardinalities into its catalog (``apply_cardinalities``) so even the
 *initial* optimizer run of later queries benefits.
 
-The cache also offers an attribute-histogram store (``record_histogram`` /
-``histogram``) as the sharing point for histogram-producing consumers such
-as the Section 4.5 selectivity-prediction machinery.  The serving loop
-itself deliberately does **not** build histograms while executing — the
-paper measures ~50% maintenance overhead for incremental histograms, so
-they stay opt-in — which is why ``histograms`` is 0 in a plain serving
-run's summary.
-
 A deliberate approximation: selectivities are keyed by relation set, the
 paper's Section 4.2 definition of a logical subexpression *within one
 query*.  Two queries over the same relations but different selection
@@ -41,7 +33,6 @@ from repro.adaptivity.events import delivery_collapsed
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import SPJAQuery
 from repro.relational.catalog import Catalog
-from repro.stats.histogram import DynamicCompressedHistogram
 
 
 @dataclass(frozen=True)
@@ -59,9 +50,6 @@ class StatisticsSnapshot:
 
     observed: ObservedStatistics = field(default_factory=ObservedStatistics)
     cardinalities: dict[str, int] = field(default_factory=dict)
-    histograms: dict[tuple[str, str], DynamicCompressedHistogram] = field(
-        default_factory=dict
-    )
     rate_samples: dict[str, list[tuple[float, int]]] = field(default_factory=dict)
     rate_promises: dict[str, float] = field(default_factory=dict)
     rate_totals: dict[str, int] = field(default_factory=dict)
@@ -91,8 +79,6 @@ class SharedStatisticsCache:
         self.orderings = self._observed.orderings
         #: exact cardinalities of sources some query has fully consumed
         self.cardinalities: dict[str, int] = {}
-        #: attribute histograms keyed by ``(relation, attribute)``
-        self.histograms: dict[tuple[str, str], DynamicCompressedHistogram] = {}
         #: recent delivery telemetry per relation: ``(now, arrived)`` samples
         #: (capped at :data:`RATE_SAMPLE_WINDOW`), the promised rate, and the
         #: source's total size — fed by the server's admission/absorption
@@ -174,7 +160,6 @@ class SharedStatisticsCache:
         return StatisticsSnapshot(
             observed=copy.deepcopy(self._observed),
             cardinalities=dict(self.cardinalities),
-            histograms=dict(self.histograms),
             rate_samples={
                 relation: list(samples)
                 for relation, samples in self.rate_samples.items()
@@ -196,7 +181,6 @@ class SharedStatisticsCache:
         self.multiplicative_factors = self._observed.multiplicative_factors
         self.orderings = self._observed.orderings
         self.cardinalities = dict(snapshot.cardinalities)
-        self.histograms = dict(snapshot.histograms)
         self.rate_samples = {
             relation: list(samples)
             for relation, samples in snapshot.rate_samples.items()
@@ -221,31 +205,11 @@ class SharedStatisticsCache:
         for relation, cardinality in snapshot.cardinalities.items():
             existing_count = self.cardinalities.get(relation, 0)
             self.cardinalities[relation] = max(existing_count, cardinality)
-        self.histograms.update(snapshot.histograms)
         for relation, samples in snapshot.rate_samples.items():
             self.rate_samples[relation] = list(samples)
         self.rate_promises.update(snapshot.rate_promises)
         self.rate_totals.update(snapshot.rate_totals)
         self.queries_absorbed += snapshot.queries_absorbed
-
-    # -- histograms -------------------------------------------------------------
-
-    def record_histogram(
-        self, relation: str, attribute: str, histogram: DynamicCompressedHistogram
-    ) -> None:
-        """Cache an attribute histogram built by a histogram-producing consumer.
-
-        The serving loop itself never calls this (histogram maintenance is
-        opt-in, see the module docstring); callers that do build histograms
-        — e.g. the Section 4.5 predictor — use the cache to share them
-        across queries and successive ``serve()`` calls.
-        """
-        self.histograms[(relation, attribute)] = histogram
-
-    def histogram(
-        self, relation: str, attribute: str
-    ) -> DynamicCompressedHistogram | None:
-        return self.histograms.get((relation, attribute))
 
     # -- delivery-rate telemetry -------------------------------------------------
 
@@ -333,7 +297,6 @@ class SharedStatisticsCache:
             "multiplicative_factors": len(self.multiplicative_factors),
             "cardinalities": len(self.cardinalities),
             "orderings": len(self.orderings),
-            "histograms": len(self.histograms),
             "rate_samples": len(self.rate_samples),
             "queries_seeded": self.queries_seeded,
             "queries_absorbed": self.queries_absorbed,

@@ -34,7 +34,6 @@ from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import SPJAQuery
 from repro.relational.catalog import Catalog
 from repro.serving.stats_cache import SharedStatisticsCache, StatisticsSnapshot
-from repro.stats.histogram import DynamicCompressedHistogram
 
 
 def _make_manager(start_method: str | None) -> BaseManager:
@@ -84,17 +83,6 @@ class SharedStatisticsStore:
 
     def absorb(self, observed: ObservedStatistics) -> None:
         self._proxy.absorb(observed)
-
-    def record_histogram(
-        self, relation: str, attribute: str, histogram: DynamicCompressedHistogram
-    ) -> None:
-        self._proxy.record_histogram(relation, attribute, histogram)
-
-    def histogram(
-        self, relation: str, attribute: str
-    ) -> DynamicCompressedHistogram | None:
-        result = self._proxy.histogram(relation, attribute)
-        return result if isinstance(result, DynamicCompressedHistogram) else None
 
     def record_rate_sample(
         self,

@@ -1,49 +1,16 @@
-"""Fixture channel registry for the shard-safety rules.
+"""Fixture registry for the shard-safety rules.
 
-Never imported — only parsed.  The registry deliberately mixes well-formed
-channels (exercised by the other serving fixtures), one stale channel whose
-attributes no longer escape, and malformed declarations.
+Never imported — only parsed.  Each tuple names what the other serving
+fixtures define, plus one stale entry that names nothing in the tree.
 """
 
-CHANNELS = (
-    SharedChannel(  # noqa: F821 - parsed, never executed
-        name="clock",
-        type_name="MiniClock",
-        discipline="single_writer",
-        rationale="one clock; only the loop advances it",
-        attributes=("clock",),
-        mutators=("advance", "wait_until", "charge"),
-        writers=("serving/loop.py::MiniLoop.run",),
-    ),
-    SharedChannel(  # noqa: F821
-        name="ledger",
-        type_name="SharedLedger",
-        discipline="cross_process_safe",
-        rationale="crosses the worker boundary whole",
-        attributes=("ledger",),
-        mutators=("absorb",),
-        writers=("serving/loop.py::MiniLoop.finish",),
-        payload_types=("HandoffSnapshot",),
-    ),
-    SharedChannel(  # noqa: F821  # LINT: stale-channel
-        name="ghost",
-        type_name="GhostPool",
-        discipline="single_writer",
-        rationale="stale: nothing escapes under this name any more",
-        attributes=("ghost_pool",),
-        mutators=("fill",),
-        writers=("serving/loop.py::MiniLoop.run",),
-    ),
-    SharedChannel(  # noqa: F821  # LINT: bad-discipline
-        name="broken",
-        type_name="Broken",
-        discipline="two_phase",
-        rationale="declared with a discipline the contract does not define",
-    ),
-    SharedChannel(  # noqa: F821  # LINT: missing-rationale
-        name="mute",
-        type_name="Mute",
-        discipline="read_only",
-        rationale="",
-    ),
+CLOCK_WRITERS = (
+    "serving/loop.py::MiniLoop.run",
+    "serving/loop.py::MiniLoop.rewind",  # LINT: stale-writer
+)
+
+CROSS_PROCESS_TYPES = (
+    "SharedLedger",
+    "HandoffSnapshot",
+    "RetiredSnapshot",  # LINT: stale-payload
 )

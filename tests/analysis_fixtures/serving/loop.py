@@ -1,24 +1,19 @@
 """Fixture scheduler loop: the one sanctioned clock writer, plus rogues.
 
-``MiniLoop.run`` is certified in the fixture registry as the clock
-channel's single writer; ``EagerPolicy`` both calls a clock mutator
-directly and aliases one — each a ``sharding.clock-discipline`` violation —
-and ``HandRolledLoop`` moves time by storing to the clock's fields, which
-no mutator name gives away.
+``MiniLoop.run`` is the fixture registry's one clock writer;
+``EagerPolicy`` both calls a clock mutator directly and aliases one — each
+a ``sharding.clock-discipline`` violation — and ``HandRolledLoop`` moves
+time by storing to the clock's fields, which no mutator name gives away.
 """
 
 
 class MiniLoop:
-    def __init__(self, clock, ledger) -> None:
+    def __init__(self, clock) -> None:
         self.clock = clock
-        self.ledger = ledger
 
     def run(self, steps: int) -> None:
         for _ in range(steps):
             self.clock.advance(1.0)
-
-    def finish(self, snapshot) -> None:
-        self.ledger.absorb(snapshot)
 
 
 class EagerPolicy:

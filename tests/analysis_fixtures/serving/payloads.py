@@ -1,9 +1,9 @@
 """Fixture hand-off payloads with picklability violations.
 
-``HandoffSnapshot`` is declared in the fixture registry as a payload of
-the ``cross_process_safe`` ledger channel; the audit walks its annotated
-fields (recursing into ``SideState``) and its ``__init__`` stores.
-``SharedLedger`` itself is clean — only its payload types are dirty.
+``HandoffSnapshot`` and ``SharedLedger`` are listed in the fixture
+registry's ``CROSS_PROCESS_TYPES``; the audit walks their annotated fields
+(recursing into ``SideState``) and their ``__init__`` stores.
+``SharedLedger`` itself is clean.
 """
 
 

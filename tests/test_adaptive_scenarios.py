@@ -47,10 +47,10 @@ per_engine = pytest.mark.parametrize(
 )
 
 
-def _rate(name, knob, engine_mode, batch_size):
+def _rate(name, knob, engine_mode, batch_size, runs=1):
     cost_model = CostModel()
     query, catalog, sources, tree, work_floor = rate_scenario(name, N, SEED, cost_model)
-    return CorrectiveQueryProcessor(
+    processor = CorrectiveQueryProcessor(
         catalog,
         sources,
         cost_model,
@@ -59,13 +59,14 @@ def _rate(name, knob, engine_mode, batch_size):
         batch_size=batch_size,
         engine_mode=engine_mode,
         rate_adaptive=knob,
-    ).execute(query, initial_tree=tree)
+    )
+    return [processor.execute(query, initial_tree=tree) for _ in range(runs)][-1]
 
 
-def _failover(_name, knob, engine_mode, batch_size):
+def _failover(_name, knob, engine_mode, batch_size, runs=1):
     cost_model = CostModel()
     query, catalog, sources, work_floor = failover_scenario(N, SEED, cost_model)
-    return CorrectiveQueryProcessor(
+    processor = CorrectiveQueryProcessor(
         catalog,
         sources,
         cost_model,
@@ -74,7 +75,8 @@ def _failover(_name, knob, engine_mode, batch_size):
         engine_mode=engine_mode,
         failover_adaptive=knob,
         failover_stall_seconds=FAILOVER_STALL_FRACTION * work_floor,
-    ).execute(query)
+    )
+    return [processor.execute(query) for _ in range(runs)][-1]
 
 
 def _order(name, knob, engine_mode, batch_size):
@@ -185,16 +187,26 @@ DECISION_PINS = {
 )
 def test_rate_and_failover_decisions_are_pinned(reports, run, name, config):
     _, adaptive = reports(run, name, config)
-    adaptation = adaptive.details["adaptation"]
+    assert _decisions(adaptive) == DECISION_PINS[name]
+
+
+def _decisions(report):
+    adaptation = report.details["adaptation"]
     actions = [
         (action["policy"], action["reason"])
         for action in adaptation["switches"] + adaptation["failovers"]
     ]
-    assert (
-        actions,
-        adaptation["reprioritizations"],
-        repr(adaptive.simulated_seconds),
-    ) == DECISION_PINS[name]
+    return actions, adaptation["reprioritizations"], repr(report.simulated_seconds)
+
+
+@pytest.mark.parametrize(
+    "run, name", [(_rate, "slow"), (_failover, "failover")], ids=["slow", "failover"]
+)
+def test_a_reused_processor_repeats_its_decisions(run, name):
+    """Policy instances outlive runs, so per-run state lives in
+    ``AdaptationRun.scratch``: a processor's second run of a query makes the
+    first run's decisions, to the simulated second."""
+    assert _decisions(run(name, True, "compiled", 64, runs=2)) == DECISION_PINS[name]
 
 
 #: scenario → (merge strategy ran, speed-up above, peak-state reduction above)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import feed, latency_percentile
+from helpers import latency_percentile
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.experiments.common import DEFAULT_BATCH_SIZE, build_dataset
 from repro.integration.system import AdaptiveIntegrationSystem
@@ -24,7 +24,6 @@ from repro.serving import (
 )
 from repro.sources.network import BurstyNetworkModel
 from repro.sources.remote import RemoteSource
-from repro.stats.histogram import DynamicCompressedHistogram
 from repro.workloads.queries import query_3a, query_5, query_10a
 
 
@@ -98,15 +97,6 @@ class TestSharedStatisticsCache:
         assert catalog.statistics("people").cardinality == 5
         # Second application is a no-op.
         assert cache.apply_cardinalities(catalog) == 0
-
-    def test_histogram_store(self):
-        cache = SharedStatisticsCache()
-        histogram = DynamicCompressedHistogram(bucket_target=10)
-        feed(histogram, range(50))
-        cache.record_histogram("lineitem", "l_orderkey", histogram)
-        assert cache.histogram("lineitem", "l_orderkey") is histogram
-        assert cache.histogram("lineitem", "l_suppkey") is None
-        assert cache.summary()["histograms"] == 1
 
 
 class _StubSession:
