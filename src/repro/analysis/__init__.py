@@ -15,14 +15,15 @@ AST-level lint rules (see :mod:`repro.analysis.rules` for the framework):
 * ``effects.global-mutable`` — no module-level mutable globals outside
   reviewed idempotent caches (:mod:`repro.analysis.effects`);
 * ``reachability.unread`` — every public callable has a reader in the
-  package itself; what only tests read is deleted, what only the benchmark
-  or an example reads carries a pragma (:mod:`repro.analysis.reachability`).
+  package, the benchmark or an example; what only tests read is deleted
+  (:mod:`repro.analysis.reachability`).
 
-:func:`repro.analysis.runner.run_lint` drives a full scan;
-:mod:`repro.analysis.codegen_audit` runs the same rules over *generated*
-compiled-engine source.  The ``repro-lint`` CLI subcommand and the CI
-``analysis`` job gate on a clean report; an inline ``# lint: ignore[rule]``
-pragma with its reason is the one way to suppress a finding.
+:func:`repro.analysis.runner.run_lint` drives a full scan.  Generated code
+is not linted: :func:`repro.engine.compiled.bind_generated` refuses any name
+outside its allow-list when it compiles it.  The ``repro-lint`` CLI
+subcommand and the CI ``analysis`` job gate on a clean report; an inline
+``# lint: ignore[rule]`` pragma with its reason is the one way to suppress a
+finding.
 """
 
 from repro.analysis.findings import Finding, PragmaIgnore, PragmaSet, collect_pragmas

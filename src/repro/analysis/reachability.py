@@ -1,16 +1,18 @@
-"""Reachability: every public callable has a reader in the package itself.
+"""Reachability: every public callable has a reader outside the tests.
 
 A public function, class or method that no package code reads is surface
 that only tests (or nothing) exercise; it costs maintenance and claims a
 behaviour the system never uses.  The rule collects, per scan, every name
-the package *reads* — an ``ast.Name`` or ``ast.Attribute`` load, or a
-string constant (``getattr``-style dispatch) — and flags each public
-module-level function, class and method whose name has no read outside its
-own definition.  The check is by name, so a method read on any class keeps
-every same-named method alive (overrides, protocols).
+the package, the benchmark and the examples *read* — an ``ast.Name`` or
+``ast.Attribute`` load, or the string naming the attribute of a
+``getattr``, ``hasattr``, ``setattr`` or ``delattr`` call — and flags each
+public module-level function, class and method of the package whose name
+has no read outside its own definition.  The check is by name, so a method
+read on any class keeps every same-named method alive (overrides,
+protocols).
 
-Neither import statements nor ``__all__`` lists read a name: re-exporting
-is not using.  Entry points that need no reader:
+Neither import statements, ``__all__`` lists nor other strings equal to a
+name read it: re-exporting is not using.  Entry points that need no reader:
 
 * the names of the root ``__init__``'s ``__all__`` (the package facade);
 * ``main`` of ``experiments/cli.py`` (the CLI);
@@ -18,8 +20,8 @@ is not using.  Entry points that need no reader:
 * ``visit_*`` methods, which ``ast.NodeVisitor`` dispatches by name;
 * classes decorated with ``@register_rule``.
 
-A callable that must stay without a reader (one only the benchmark or an
-example imports, or one the standard library dispatches) carries an inline
+A callable that must stay without a reader (one that generated code or the
+standard library calls, or one kept for a planned user) carries an inline
 ``# lint: ignore[reachability.unread]`` pragma with its reason; a pragma
 whose callable gains a reader is stale, and therefore a finding.
 """
@@ -37,6 +39,9 @@ CLI_MODULE = "experiments/cli.py"
 
 Definition = ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef
 
+#: builtins whose second argument names the attribute they reach
+ATTRIBUTE_BUILTINS = frozenset({"getattr", "hasattr", "setattr", "delattr"})
+
 
 def _is_public(name: str) -> bool:
     return not name.startswith("_")
@@ -49,10 +54,9 @@ def _is_registered_rule(node: Definition) -> bool:
     )
 
 
-def _all_entries(tree: ast.Module) -> tuple[set[str], set[int]]:
-    """Names a module's ``__all__`` lists, and the ids of their constants."""
+def _all_entries(tree: ast.Module) -> set[str]:
+    """Names a module's ``__all__`` lists."""
     names: set[str] = set()
-    node_ids: set[int] = set()
     for node in tree.body:
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
@@ -64,13 +68,11 @@ def _all_entries(tree: ast.Module) -> tuple[set[str], set[int]]:
         for constant in ast.walk(node):
             if isinstance(constant, ast.Constant) and isinstance(constant.value, str):
                 names.add(constant.value)
-                node_ids.add(id(constant))
-    return names, node_ids
+    return names
 
 
 def _reads(context: RuleContext) -> list[tuple[str, int]]:
-    """``(name, line)`` of every read in one module, ``__all__`` excluded."""
-    _, exported = _all_entries(context.tree)
+    """``(name, line)`` of every read in one module."""
     reads: list[tuple[str, int]] = []
     for node in ast.walk(context.tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -78,11 +80,14 @@ def _reads(context: RuleContext) -> list[tuple[str, int]]:
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             reads.append((node.attr, node.lineno))
         elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in exported
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ATTRIBUTE_BUILTINS
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
         ):
-            reads.append((node.value, node.lineno))
+            reads.append((node.args[1].value, node.lineno))
     return reads
 
 
@@ -119,6 +124,7 @@ class UnreadCallableRule(LintRule):
         "with its reason"
     )
     project_wide = True
+    read_outside = True
 
     def check_project(self, contexts: list[RuleContext]) -> list[Finding]:
         readers: dict[str, list[tuple[str, int]]] = defaultdict(list)
@@ -128,10 +134,12 @@ class UnreadCallableRule(LintRule):
         entry_points: set[str] = set()
         for context in contexts:
             if context.relpath == "__init__.py":
-                entry_points, _ = _all_entries(context.tree)
+                entry_points = _all_entries(context.tree)
 
         findings: list[Finding] = []
         for context in contexts:
+            if not context.linted:
+                continue
             for symbol, node in _definitions(context):
                 if "." not in symbol and symbol in entry_points:
                     continue

@@ -12,8 +12,7 @@ returns :class:`~repro.analysis.findings.Finding`s.  Two kinds exist:
 
 Rules self-register via the :func:`register_rule` decorator into a global
 registry keyed by rule name; :func:`default_rules` instantiates the full
-set.  The same rule objects are reused by the compiled-codegen audit, which
-feeds them *generated* ASTs instead of files on disk.
+set.
 """
 
 from __future__ import annotations
@@ -30,16 +29,19 @@ class RuleContext:
 
     ``relpath`` is the posix-style path relative to the scan root — scope
     checks and findings use it.  ``source`` is kept so rules can quote the
-    offending text.
+    offending text.  A module that is not ``linted`` lies outside the
+    package (the benchmark, an example): it is checked by no rule, and only
+    counts as a reader for the rules that ``read_outside``.
     """
 
     relpath: str
     source: str
     tree: ast.Module
+    linted: bool = True
 
     @classmethod
-    def from_source(cls, relpath: str, source: str) -> "RuleContext":
-        return cls(relpath=relpath, source=source, tree=ast.parse(source))
+    def from_source(cls, relpath: str, source: str, linted: bool = True) -> "RuleContext":
+        return cls(relpath=relpath, source=source, tree=ast.parse(source), linted=linted)
 
     def top_directory(self) -> str:
         """First path segment (``engine`` for ``engine/state/hash_table.py``)."""
@@ -56,6 +58,8 @@ class LintRule:
     #: top-level directories (relative to the scan root) the rule covers;
     #: ``None`` means every scanned file.
     scope_dirs: frozenset[str] | None = None
+    #: a project-wide rule that also receives the modules that are not linted
+    read_outside: bool = False
 
     def applies_to(self, context: RuleContext) -> bool:
         if self.scope_dirs is None:

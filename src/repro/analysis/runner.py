@@ -73,10 +73,16 @@ class LintReport:
         }
 
 
-def load_contexts(root: Path) -> list[RuleContext]:
+#: directories beside ``src/`` whose code reads the package but is not linted
+READER_ROOTS = ("bench", "examples")
+
+
+def load_contexts(root: Path, linted: bool = True) -> list[RuleContext]:
     """Parse every ``*.py`` under ``root`` into rule contexts, sorted by path."""
     return [
-        RuleContext.from_source(path.relative_to(root).as_posix(), path.read_text())
+        RuleContext.from_source(
+            path.relative_to(root).as_posix(), path.read_text(), linted
+        )
         for path in sorted(root.rglob("*.py"))
     ]
 
@@ -85,24 +91,30 @@ def apply_rules(
     contexts: list[RuleContext], rules: list[LintRule]
 ) -> list[Finding]:
     """All raw findings of ``rules`` over ``contexts`` (pragmas not applied)."""
+    linted = [context for context in contexts if context.linted]
     findings: list[Finding] = []
     for rule in rules:
         if rule.project_wide:
-            findings.extend(rule.check_project(contexts))
+            findings.extend(rule.check_project(contexts if rule.read_outside else linted))
         else:
-            for context in contexts:
+            for context in linted:
                 if rule.applies_to(context):
                     findings.extend(rule.check_module(context))
     return sorted(findings)
 
 
 def run_lint(root: Path | None = None) -> LintReport:
-    """Run the full analyzer over ``root`` (default: the installed package)."""
+    """Run the full analyzer over ``root`` (default: the installed package,
+    read by the :data:`READER_ROOTS` of its checkout)."""
     scan_root = package_root() if root is None else root
     active_rules = default_rules()
 
     contexts = load_contexts(scan_root)
-    raw = apply_rules(contexts, active_rules)
+    readers: list[RuleContext] = []
+    if root is None:
+        for name in READER_ROOTS:
+            readers += load_contexts(scan_root.parents[1] / name, linted=False)
+    raw = apply_rules(contexts + readers, active_rules)
     pragmas = PragmaSet(
         pragmas=tuple(
             pragma

@@ -64,7 +64,7 @@ Two things are fixed:
 Cached for the run: re-keyed partitions, and per seed entry the route — join
 order and the generated loop follow from the seed's layout alone.  The
 generated text contains positions only, never object identities, so equal
-route shapes share one code object (``engine.compiled._code_for``) across
+route shapes share one code object (``engine.compiled.bind_generated``) across
 executors, sessions, rounds and workers.
 """
 
@@ -74,7 +74,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.engine.compiled import _code_for
+from repro.engine.compiled import bind_generated
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.operators.aggregate import GroupAccumulator, _tuple_display
 from repro.engine.state.hash_table import HashTableState
@@ -412,10 +412,7 @@ class StitchUpExecutor:
                 (f"_emit({row})",),
                 ("_deliver(out)",),
             )
-        exec(_code_for(src), bindings)
-        loop = bindings.pop("_route")  # left in its own globals, it is a cycle
-        loop.__compiled_source__ = src  # for the codegen audit and tests
-        return loop
+        return bind_generated(src, bindings)
 
     def _keyed_table(self, entry: RegistryEntry, attribute: str) -> HashTableState:
         """Return the partition keyed on ``attribute``, re-hashing if needed."""

@@ -50,7 +50,8 @@ consistent with the phase's join network and state structures.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
+from types import CodeType
+from typing import Any, Callable, Mapping
 
 from repro.optimizer.plans import PlanError
 from repro.relational.expressions import (
@@ -334,45 +335,71 @@ def compile_chain(plan, binding) -> Callable[[list], None]:
     src = "\n".join(
         [f"def _chain(rows, {params}):"] + prologue + lines
     )
-    return bind_chain(src, env.bindings)
+    return bind_generated(src, env.bindings)
 
 
-def bind_chain(src: str, bindings: dict) -> Callable[[list], None]:
-    """Materialize a chain from generated source plus runtime bindings.
+def bind_generated(src: str, bindings: Mapping[str, object]) -> Callable[..., Any]:
+    """Compile generated ``src`` against ``bindings``; return the function it defines.
 
-    The rehydration primitive of cross-process execution: code *objects*
-    never travel between processes — identical plan shapes generate
-    identical source text, so a worker process rebuilds a parent's pipeline
-    by regenerating (or receiving) the source and binding its own runtime
-    objects (metrics sinks, hash states, bucket maps).  The resulting
-    chain's ``__compiled_source__`` is bit-identical to the parent's, which
-    the spawn-boundary rehydration test pins.
+    The one place generated code — compiled chains, group-by folds,
+    stitch-up routes, CSV decoders — is compiled and run, with its source
+    stamped on the function as ``__compiled_source__``.  It is also the
+    rehydration primitive of cross-process execution: code *objects* never
+    travel between processes — identical plan shapes generate identical
+    source text, so a worker process rebuilds a parent's pipeline by
+    regenerating (or receiving) the source and binding its own runtime
+    objects (metrics sinks, hash states, bucket maps).
     """
+    code = _code_for(src, bindings)
     namespace = dict(bindings)
-    exec(_code_for(src), namespace)
+    exec(code, namespace)
     # popped: a namespace holding the function it is the globals of is a cycle
-    chain = namespace.pop("_chain")
-    chain.__compiled_source__ = src  # for tests / debugging / rehydration
-    return chain
+    fn = namespace.pop(_function_code(code).co_name)
+    fn.__compiled_source__ = src
+    return fn
 
+
+#: Every name generated code may read besides its bindings and the function
+#: it defines: the builtins and attributes the generators emit.  Anything
+#: else — ``set``, ``time``, ``random``, ``__import__``, ``globals`` — would
+#: reach past the bound runtime objects, so ``_code_for`` refuses it.
+GENERATED_NAMES = frozenset({
+    "len", "int", "float", "append", "get", "add_count", "count", "output_count",
+    "tuples_read", "tuples_passed", "tuples_consumed", "aggregate_updates",
+})
 
 #: Source-text → code-object cache.  Identical plan shapes (same schemas,
 #: predicates-by-position, join chain) generate identical source, so
 #: repeated plan builds — corrective phases, serving sessions, benchmark
-#: repetitions — skip the parse/compile step and only re-``exec`` against
-#: their own runtime bindings.  Bounded so a long-lived server over an
-#: unbounded stream of distinct query shapes cannot grow it without limit
-#: (eviction just costs the next build a recompile).
-_code_cache: dict[str, object] = {}  # lint: ignore[effects.global-mutable]
+#: repetitions — skip the parse/compile step and the name check, and only
+#: re-``exec`` against their own runtime bindings.  Bounded so a long-lived
+#: server over an unbounded stream of distinct query shapes cannot grow it
+#: without limit (eviction just costs the next build a recompile).
+_code_cache: dict[str, CodeType] = {}  # lint: ignore[effects.global-mutable]
 _CODE_CACHE_LIMIT = 512
 
 
-def _code_for(src: str):
+def _function_code(code: CodeType) -> CodeType:
+    (function,) = [const for const in code.co_consts if isinstance(const, CodeType)]
+    return function
+
+
+def _code_for(src: str, bindings: Mapping[str, object]) -> CodeType:
     code = _code_cache.get(src)
     if code is None:
+        code = compile(src, "<generated>", "exec")
+        allowed = GENERATED_NAMES | bindings.keys() | {_function_code(code).co_name}
+        unknown: set[str] = set()
+        pending = [code]
+        while pending:
+            current = pending.pop()
+            unknown.update(name for name in current.co_names if name not in allowed)
+            pending.extend(c for c in current.co_consts if isinstance(c, CodeType))
+        if unknown:
+            raise PlanError(f"generated code reads unknown names {sorted(unknown)}")
         if len(_code_cache) >= _CODE_CACHE_LIMIT:
             _code_cache.clear()
-        code = _code_cache[src] = compile(src, "<compiled-chain>", "exec")
+        _code_cache[src] = code
     return code
 
 

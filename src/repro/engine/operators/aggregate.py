@@ -219,19 +219,11 @@ class GroupAccumulator:
             "    _self.tuples_consumed += n\n"
             f"    _metrics.aggregate_updates += n * {len(self.aggregates)}\n"
         )
-        from repro.engine.compiled import _code_for
+        from repro.engine.compiled import bind_generated
 
-        namespace = {
-            "_groups": self._groups,
-            "_self": self,
-            "_metrics": self.metrics,
-        }
-        exec(_code_for(src), namespace)
-        fold = namespace.pop("_fold")  # left in its own globals, it is a cycle
-        # Expose the generated source for the compiled-codegen audit, same
-        # as compile_chain does for fused chains.
-        fold.__compiled_source__ = src
-        return fold
+        return bind_generated(
+            src, {"_groups": self._groups, "_self": self, "_metrics": self.metrics}
+        )
 
     def results(self) -> list[tuple]:
         """Finalize and return one output tuple per group.

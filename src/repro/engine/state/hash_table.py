@@ -47,7 +47,7 @@ class HashTableState(StateStructure):
                 bucket.append(row)
         self._count += len(rows)
 
-    def add_count(self, count: int) -> None:
+    def add_count(self, count: int) -> None:  # lint: ignore[reachability.unread] generated chains call it
         """Record ``count`` tuples inserted directly into :meth:`bucket_map`.
 
         The compiled engine's fused chains append to the bucket dictionary

@@ -178,14 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-codegen",
-        action="store_true",
-        help=(
-            "repro-lint: skip the compiled-codegen audit and only run the "
-            "file-level rules (the full gate runs both)"
-        ),
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -204,17 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_repro_lint(
-    codegen: bool = True,
     output_format: str = "text",
     report_output: str | None = None,
 ) -> int:
-    """The static-analysis gate: file-level lint plus the codegen audit.
+    """The static-analysis gate: the package lint.
 
-    Prints both reports and returns a documented process exit code — the
-    CI ``analysis`` job gates on it:
+    Prints the report and returns a documented process exit code — the CI
+    ``analysis`` job gates on it:
 
     * ``0`` — every rule clean (nothing unsuppressed);
-    * ``1`` — at least one finding (lint or codegen audit);
+    * ``1`` — at least one finding;
     * ``2`` — usage error (argparse rejects the invocation).
     """
     import json as _json
@@ -222,36 +213,18 @@ def run_repro_lint(
     from repro.analysis import run_lint
 
     report = run_lint()
-    failed = not report.clean
-    payload: dict[str, object] = report.to_json()
-
-    codegen_report = None
-    if codegen:
-        from repro.analysis.codegen_audit import audit_generated_pipelines
-
-        codegen_report = audit_generated_pipelines()
-        failed = failed or not codegen_report.clean
-        payload["codegen"] = {
-            "clean": codegen_report.clean,
-            "pipelines_audited": codegen_report.pipelines_audited,
-            "folds_audited": codegen_report.folds_audited,
-            "routes_audited": codegen_report.routes_audited,
-            "findings": [f.as_dict() for f in codegen_report.findings],
-        }
-
+    payload = report.to_json()
     if output_format == "json":
         print(_json.dumps(payload, indent=2))
     else:
         print(report.render())
-        if codegen_report is not None:
-            print(codegen_report.render())
 
     if report_output is not None:
         pathlib.Path(report_output).write_text(
             _json.dumps(payload, indent=2) + "\n"
         )
 
-    return 1 if failed else 0
+    return 0 if report.clean else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -266,7 +239,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.experiment == "repro-lint":
         return run_repro_lint(
-            codegen=not args.no_codegen,
             output_format=args.output_format,
             report_output=args.report_output,
         )

@@ -105,7 +105,7 @@ class AdaptiveIntegrationSystem:
         )
         return source_name
 
-    def register_sources(  # lint: ignore[reachability.unread] quickstart example, package doctest
+    def register_sources(
         self, sources: Iterable[Relation | DataSource]
     ) -> list[str]:
         return [self.register_source(source) for source in sources]
@@ -165,7 +165,7 @@ class AdaptiveIntegrationSystem:
 
     # -- serving -----------------------------------------------------------------------
 
-    def serve(  # lint: ignore[reachability.unread] README's multi-query front door
+    def serve(
         self,
         queries: Iterable[SPJAQuery],
         policy: str = "round_robin",
@@ -216,7 +216,7 @@ class AdaptiveIntegrationSystem:
 
     # -- introspection -----------------------------------------------------------------
 
-    def describe_sources(  # lint: ignore[reachability.unread] federation_demo example
+    def describe_sources(
         self,
     ) -> list[dict[str, object]]:
         """Summaries of all registered sources (for examples / debugging)."""

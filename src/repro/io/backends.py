@@ -51,8 +51,9 @@ import socket
 import sqlite3
 import urllib.parse
 from itertools import islice
-from typing import IO, Any, Callable, Generic, Iterator, Protocol, Sequence, TypeVar
+from typing import IO, Callable, Generic, Iterator, Protocol, Sequence, TypeVar
 
+from repro.engine.compiled import bind_generated
 from repro.io.errors import (
     ConnectError,
     ReadError,
@@ -107,12 +108,7 @@ def compile_csv_decoder(schema: Schema) -> Callable[[Iterator[list[str]], _Rows]
         f"    for {', '.join(names)}, in records:\n"
         f"        append(({', '.join(fields)},))\n"
     )
-    namespace: dict[str, Any] = {"_parse_literal": _parse_literal}
-    exec(source, namespace)
-    # popped: left in its own globals, the function would sit in a cycle
-    decode: Callable[[Iterator[list[str]], _Rows], None] = namespace.pop("decode")
-    setattr(decode, "__compiled_source__", source)
-    return decode
+    return bind_generated(source, {"_parse_literal": _parse_literal})
 
 
 #: the C scanner, without the calls ``json.loads`` wraps around it
@@ -277,7 +273,7 @@ class _FileTransport(Transport, Generic[_Raw]):
         return _RecordReader(handle, records, self._decode)
 
 
-class CSVFileTransport(_FileTransport[list[str]]):  # lint: ignore[reachability.unread] bench's io workloads
+class CSVFileTransport(_FileTransport[list[str]]):
     """Rows from a header-first CSV file (pygrametl ``CSVSource`` shape)."""
 
     def __init__(
@@ -298,7 +294,7 @@ class CSVFileTransport(_FileTransport[list[str]]):  # lint: ignore[reachability.
         self._decode_chunk(islice(records, limit), rows)
 
 
-class JSONLinesTransport(_FileTransport[str]):  # lint: ignore[reachability.unread] bench's io workloads
+class JSONLinesTransport(_FileTransport[str]):
     """Rows from a JSON-lines file (one JSON array per line; blank lines
     are not records and do not count toward an offset)."""
 
@@ -347,7 +343,7 @@ class _DBAPIReader:
             self._connection = None
 
 
-class DBAPITransport(Transport):  # lint: ignore[reachability.unread] bench's io workloads
+class DBAPITransport(Transport):
     """Rows from a DB-API query (pygrametl ``SQLSource`` shape).
 
     ``connect`` returns a fresh PEP 249 connection per open; the query's
@@ -497,7 +493,7 @@ class _HTTPReader:
             self._connection = None
 
 
-class HTTPTransport(Transport):  # lint: ignore[reachability.unread] bench's io workloads
+class HTTPTransport(Transport):
     """Rows from an HTTP endpoint speaking the JSON-lines wire protocol.
 
     ``GET <url>?offset=N`` must stream the rows from global offset ``N``
@@ -553,7 +549,7 @@ class HTTPTransport(Transport):  # lint: ignore[reachability.unread] bench's io 
 # ---------------------------------------------------------------------------
 
 
-def write_csv(  # lint: ignore[reachability.unread] bench writes its source files
+def write_csv(
     path: str, relation: Relation, delimiter: str = ","
 ) -> None:
     """Write ``relation`` as a header-first CSV file."""
@@ -564,7 +560,7 @@ def write_csv(  # lint: ignore[reachability.unread] bench writes its source file
             writer.writerow(list(row))
 
 
-def write_jsonl(  # lint: ignore[reachability.unread] bench writes its source files
+def write_jsonl(
     path: str, relation: Relation
 ) -> None:
     """Write ``relation`` as JSON lines (one array per row)."""
@@ -573,7 +569,7 @@ def write_jsonl(  # lint: ignore[reachability.unread] bench writes its source fi
             handle.write(json.dumps(list(row)) + "\n")
 
 
-def write_sqlite(  # lint: ignore[reachability.unread] bench writes its source files
+def write_sqlite(
     path: str, relation: Relation
 ) -> str:
     """Materialize ``relation`` into a SQLite file; returns the read query.

@@ -147,11 +147,14 @@ class JoinEnumerator:
         if self.ordering is not None:
             per_side = min(per_side, 2 * model.comparison)
         cardinality = estimator.estimate_cardinality(frozenset(self.query.relations))
-        raw = cardinality * model.tuple_copy + sum(
-            costs.leaf_cost(estimator, relation)
-            + estimator.selected_cardinality(relation) * per_side
-            for relation in self.query.relations
-        )
+        # a left fold: float ``sum()`` is compensated from Python 3.12 on
+        legs = 0
+        for relation in self.query.relations:
+            legs += (
+                costs.leaf_cost(estimator, relation)
+                + estimator.selected_cardinality(relation) * per_side
+            )
+        raw = cardinality * model.tuple_copy + legs
         return costs.with_aggregation(self.query, raw, cardinality) * (1 - 1e-9)
 
     # -- enumeration ------------------------------------------------------------

@@ -139,7 +139,7 @@ class ShardedServingReport(ServingReport):
     partitioned: list[PartitionedServedQuery] = field(default_factory=list)
 
 
-class ShardedQueryServer:  # lint: ignore[reachability.unread] bench's serve_sharded workload
+class ShardedQueryServer:
     """Admit queries in-process; execute them on N worker processes."""
 
     def __init__(
@@ -238,7 +238,7 @@ class ShardedQueryServer:  # lint: ignore[reachability.unread] bench's serve_sha
                 relations[name] = source.relation
         return relations
 
-    def submit_partitioned(  # lint: ignore[reachability.unread] bench's serve_sharded workload
+    def submit_partitioned(
         self,
         query: SPJAQuery,
         partitions: int,

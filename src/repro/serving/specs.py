@@ -10,7 +10,7 @@ is one of the plain-data shapes below:
   partition-parallel execution) per-partition source overrides.  The worker
   rehydrates a full :class:`~repro.serving.session.QuerySession` from it;
   compiled pipelines are rebuilt from generated source on the worker side
-  (see :func:`repro.engine.compiled.bind_chain`), never pickled.
+  (see :func:`repro.engine.compiled.bind_generated`), never pickled.
 * :class:`ShardTask` — one worker's entire assignment: catalog snapshot,
   source pool, the :class:`~repro.core.options.ProcessorOptions` record,
   scheduling policy, statistics snapshot, and the specs of every session

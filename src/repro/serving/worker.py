@@ -146,7 +146,10 @@ def drive_shard(task: ShardTask) -> ShardResult:
             )
         )
     results = tuple(collected)
-    shard_seconds = sum(result.report.simulated_seconds for result in results)
+    # a left fold: float ``sum()`` is compensated from Python 3.12 on
+    shard_seconds: float = 0
+    for result in results:
+        shard_seconds += result.report.simulated_seconds
     return ShardResult(
         worker_id=task.worker_id,
         results=results,

@@ -73,7 +73,7 @@ class DataSource:
     ) -> Iterator[Columns]:
         raise NotImplementedError
 
-    def open_stream(  # lint: ignore[reachability.unread] bench drains sources with it
+    def open_stream(
         self,
     ) -> Iterator[tuple[tuple[object, ...], float]]:
         """The stream as ``(row, arrival)`` pairs, read 256 rows ahead."""

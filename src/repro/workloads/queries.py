@@ -132,7 +132,7 @@ def query_5(region: str = "ASIA") -> SPJAQuery:
     )
 
 
-def flights_example_query(  # lint: ignore[reachability.unread] corrective_flight_query example
+def flights_example_query(
 ) -> SPJAQuery:
     """The running example of Section 2: flights, travelers, children.
 

@@ -37,6 +37,14 @@ def read_by_string():
     return 5
 
 
+def named_in_a_table():  # LINT: unread-string-table
+    """Named only by a string, which reads nothing outside ``getattr``."""
+    return 6
+
+
+HOOKS = ("named_in_a_table",)
+
+
 def _private_helper():
     return read_by_call() + getattr(Ledger(), "read_by_string", None)
 

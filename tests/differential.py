@@ -43,7 +43,7 @@ from repro.relational.relation import Relation
 from repro.serving.server import QueryServer
 from repro.sources.network import PhasedRateNetworkModel
 from repro.sources.remote import RemoteSource
-from repro.workloads.differential import DifferentialWorkload, generate_workload
+from workload_generator import DifferentialWorkload, generate_workload
 
 #: Batch sizes every differential case is executed with (issue-mandated).
 BATCH_SIZES = (1, 7, 64, 1024)

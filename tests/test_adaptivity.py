@@ -46,7 +46,7 @@ from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
 from repro.relational.catalog import Catalog, TableStatistics
 from repro.serving.server import QueryServer
 from repro.serving.stats_cache import SharedStatisticsCache
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 
 class RecordingPolicy(AdaptationPolicy):

@@ -8,8 +8,7 @@ Two layers:
   neighbouring constructs (seeded RNGs, ``sorted`` iteration, charged
   operators, compliant policies) are asserted silent;
 * **gate tests** — the real package must lint clean (zero unsuppressed
-  findings, no stale pragmas), and the compiled-codegen audit
-  must cover the required corpus breadth and come back clean.
+  findings, no stale pragmas).
 """
 
 import ast
@@ -24,21 +23,10 @@ from repro.analysis import (
     registered_rules,
     run_lint,
 )
-from repro.analysis.codegen_audit import (
-    RULE_ACCOUNTING,
-    RULE_DETERMINISM,
-    RULE_MATERIALISATION,
-    RULE_PURITY,
-    audit_chain_source,
-    audit_fold_source,
-    audit_generated_pipelines,
-    audit_route_source,
-)
 from repro.analysis.reachability import UnreadCallableRule
 from repro.analysis.rules import RuleContext
 from repro.analysis.runner import STALE_PRAGMA_RULE, apply_rules, load_contexts
 from repro.analysis.sharding import UNPICKLABLE_TYPE_NAMES, read_registry
-from repro.core.stitchup import _Hop, _loop_source
 
 FIXTURE_ROOT = Path(__file__).parent / "analysis_fixtures"
 PACKAGE_ROOT = Path(__file__).parent.parent / "src" / "repro"
@@ -192,6 +180,7 @@ class TestUnreadCallableRule:
             (line_of(self.PATH, "unread-recursive"), "selfish"),
             (line_of(self.PATH, "unread-class"), "Orphan"),
             (line_of(self.PATH, "unread-method"), "Orphan.tally"),
+            (line_of(self.PATH, "unread-string-table"), "named_in_a_table"),
         }
 
     def test_a_reader_anywhere_in_the_tree_counts(self, tmp_path):
@@ -217,6 +206,10 @@ class TestUnreadCallableRule:
         "string-read": (
             {"lib.py": "def hook(): ...", "use.py": "getattr(lib, 'hook')"},
             set(),
+        ),
+        "string-outside-attribute-builtins": (
+            {"lib.py": "def hook(): ...", "use.py": "HOOKS = ('hook',)\nprint('hook')"},
+            {"hook"},
         ),
         "import-only": (
             {"lib.py": "def helper(): ...", "use.py": "from lib import helper"},
@@ -294,6 +287,23 @@ class TestUnreadCallableRule:
         modules, flagged = self.CASES[case]
         contexts = [RuleContext.from_source(p, s) for p, s in sorted(modules.items())]
         assert {f.symbol for f in UnreadCallableRule().check_project(contexts)} == flagged
+
+    def test_an_unlinted_reader_counts_and_is_not_checked(self):
+        """The benchmark and the examples read the package; no rule checks them."""
+        contexts = [
+            RuleContext.from_source("lib.py", "def helper(): ..."),
+            RuleContext.from_source(
+                "run.py",
+                "import random\nDRAW = random.random()\ndef unread(): ...\nhelper()",
+                linted=False,
+            ),
+        ]
+        assert apply_rules(contexts, default_rules()) == []
+        contexts[1].linted = True
+        assert [(f.rule, f.path, f.line) for f in apply_rules(contexts, default_rules())] == [
+            ("determinism.module-random", "run.py", 2),
+            ("reachability.unread", "run.py", 3),
+        ]
 
     def test_pragma_suppresses_and_goes_stale_with_a_reader(self, tmp_path):
         pragma = "  # lint: ignore[reachability.unread] only the benchmark calls it"
@@ -647,7 +657,7 @@ class TestPackageGate:
     def test_cli_gate_exits_zero(self, capsys, cached_lint):
         from repro.experiments.cli import main
 
-        assert main(["repro-lint", "--no-codegen"]) == 0
+        assert main(["repro-lint"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
 
@@ -657,7 +667,6 @@ class TestPackageGate:
         out_path = tmp_path / "lint.json"
         argv = [
             "repro-lint",
-            "--no-codegen",
             "--format",
             "json",
             "--report-output",
@@ -666,11 +675,13 @@ class TestPackageGate:
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["clean"] is True
-        assert "channels" not in payload
+        assert "channels" not in payload and "codegen" not in payload
         # The artifact file carries the same payload CI uploads.
         assert json.loads(out_path.read_text()) == payload
 
-    @pytest.mark.parametrize("flag", (["--format", "yaml"], ["--shard-audit"]))
+    @pytest.mark.parametrize(
+        "flag", (["--format", "yaml"], ["--shard-audit"], ["--no-codegen"])
+    )
     def test_cli_usage_error_exits_two(self, flag):
         from repro.experiments.cli import main
 
@@ -678,176 +689,3 @@ class TestPackageGate:
             main(["repro-lint", *flag])
         assert exc.value.code == 2
 
-
-class TestCodegenAudit:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return audit_generated_pipelines()
-
-    def test_generated_corpus_is_clean(self, report):
-        assert report.clean, "\n" + report.render()
-
-    def test_corpus_breadth(self, report):
-        assert report.pipelines_audited >= 20
-        assert report.hash_pipelines > 0
-        assert report.merge_pipelines > 0
-        assert report.inline_predicate_chains > 0
-        assert report.opaque_predicate_chains > 0
-        assert report.folds_audited > 0
-        assert report.chains_audited >= report.pipelines_audited
-        assert report.routes_audited >= 10
-        assert report.folding_routes >= 3 and report.materialising_routes >= 3
-
-    def test_missing_charge_fires(self):
-        src = "def _chain(rows, _b=None, _sink=None):\n    _tr = len(rows)\n    _sink(rows)\n"
-        findings = audit_chain_source(src, "<doctored>")
-        assert any(
-            f.rule == RULE_ACCOUNTING and "exactly one top-level _charge" in f.message
-            for f in findings
-        )
-
-    def test_conditional_charge_fires(self):
-        src = (
-            "def _chain(rows, _charge=None, _sink=None):\n"
-            "    _tr = len(rows)\n"
-            "    _sink(rows)\n"
-            "    if _tr:\n"
-            "        _charge(tuples_read=_tr, predicate_evals=0, hash_inserts=0, "
-            "hash_probes=0, tuple_copies=0, tuples_output=0)\n"
-        )
-        findings = audit_chain_source(src, "<doctored>")
-        assert any(
-            f.rule == RULE_ACCOUNTING and "exactly one top-level _charge" in f.message
-            for f in findings
-        )
-
-    def test_incomplete_counter_set_fires(self):
-        src = (
-            "def _chain(rows, _charge=None, _sink=None):\n"
-            "    _tr = len(rows)\n"
-            "    _sink(rows)\n"
-            "    _charge(tuples_read=_tr)\n"
-        )
-        findings = audit_chain_source(src, "<doctored>")
-        assert any(
-            f.rule == RULE_ACCOUNTING and "omits counters" in f.message
-            for f in findings
-        )
-
-    def test_impure_predicate_fires(self):
-        src = (
-            "def _chain(rows, _charge=None, _sink=None):\n"
-            "    _tr = len(rows)\n"
-            "    rows = [row for row in rows if row[0] > len(row)]\n"
-            "    _sink(rows)\n"
-            "    _charge(tuples_read=_tr, predicate_evals=0, hash_inserts=0, "
-            "hash_probes=0, tuple_copies=0, tuples_output=0)\n"
-        )
-        findings = audit_chain_source(src, "<doctored>")
-        assert any(
-            f.rule == RULE_PURITY and "len" in f.message for f in findings
-        )
-
-    def test_banned_name_in_generated_source_fires(self):
-        src = (
-            "def _chain(rows, _charge=None, _sink=None):\n"
-            "    _tr = len(rows)\n"
-            "    _t0 = time.time()\n"
-            "    _sink(rows)\n"
-            "    _charge(tuples_read=_tr, predicate_evals=0, hash_inserts=0, "
-            "hash_probes=0, tuple_copies=0, tuples_output=0)\n"
-        )
-        findings = audit_chain_source(src, "<doctored>")
-        assert any(
-            f.rule == RULE_DETERMINISM and "'time'" in f.message for f in findings
-        )
-
-    def test_uncharged_fold_fires(self):
-        src = "def _fold(rows, _self=None, _metrics=None):\n    for row in rows:\n        pass\n"
-        findings = audit_fold_source(src, "<doctored-fold>")
-        messages = " | ".join(f.message for f in findings)
-        assert "aggregate_updates" in messages
-        assert "tuples_consumed" in messages
-
-    #: a stitch-up route as ``core/stitchup.py`` generates it: one plain hop,
-    #: one hop with a residual predicate, folding into a ``sum`` group-by
-    ROUTE = _loop_source(
-        [_Hop("s", "a", "r0[1]", ()), _Hop("t", "b", "m1[0]", (("r0[0]", "m2[1]"),))],
-        ", _groups=_groups, _get=_groups.get, _self=_self, _metrics=_metrics",
-        (),
-        (
-            "key = (r0[2], m1[1])",
-            "st = _get(key)",
-            "if st is None:",
-            "    _groups[key] = st = [0]",
-            "st[0] = st[0] + m2[2]",
-        ),
-        ("_self.tuples_consumed += n2", "_metrics.aggregate_updates += n2 * 1"),
-    )
-
-    def doctored_route(self, old, new):
-        assert self.ROUTE.count(old) == 1
-        return audit_route_source(self.ROUTE.replace(old, new), "<doctored-route>")
-
-    def test_route_fixture_is_clean(self):
-        assert audit_route_source(self.ROUTE, "<route>") == []
-
-    @pytest.mark.parametrize(
-        "old, new, complaint",
-        [
-            # only counted when the bucket is long: short ones reach the level untallied
-            (
-                "        n1 += len(b1)\n",
-                "        if len(b1) > 1:\n            n1 += len(b1)\n",
-                "no returned tally counts len(b1)",
-            ),
-            # not counted at all
-            (
-                "                continue\n            c2 += len(b2)\n",
-                "                continue\n",
-                "no returned tally counts len(b2)",
-            ),
-            (
-                "                n2 += 1\n                key",
-                "                key",
-                "survivors of the residual guard on b2",
-            ),
-            (
-                "                n2 += 1\n                key = (r0[2], m1[1])\n",
-                "                key = (r0[2], m1[1])\n                n2 += 1\n",
-                "tally 'n2' is bumped away from its level's guard",
-            ),
-        ],
-    )
-    def test_untallied_route_level_fires(self, old, new, complaint):
-        findings = self.doctored_route(old, new)
-        assert any(f.rule == RULE_ACCOUNTING and complaint in f.message for f in findings)
-
-    def test_uncharged_folding_route_fires(self):
-        findings = self.doctored_route(
-            "    _self.tuples_consumed += n2\n",
-            "    if n2:\n        _self.tuples_consumed += n2\n",
-        )
-        assert any(
-            f.rule == RULE_ACCOUNTING and "tuples_consumed" in f.message for f in findings
-        )
-
-    def test_nondeterministic_route_fires(self):
-        findings = self.doctored_route(
-            "    for r0 in rows:\n", "    for r0 in set(rows):\n"
-        )
-        assert any(f.rule == RULE_DETERMINISM and "'set'" in f.message for f in findings)
-
-    @pytest.mark.parametrize(
-        "new, complaint",
-        [
-            ("                row = r0 + m1 + m2\n", "concatenates rows"),
-            ("                row = (r0[2], m1[1], m2[2])\n", "not the group key"),
-        ],
-    )
-    def test_rematerialising_route_fires(self, new, complaint):
-        old = "                key = (r0[2], m1[1])\n"
-        findings = self.doctored_route(old, new + old)
-        assert any(
-            f.rule == RULE_MATERIALISATION and complaint in f.message for f in findings
-        )

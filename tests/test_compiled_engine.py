@@ -11,10 +11,16 @@ surface — so a regression is reported at the component that broke.
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import dataclass, replace
 
 import pytest
 
 from helpers import node_outputs
+from test_stitchup import FIXED_CASE, case_route_sources, folds_inline
+from workload_generator import generate_workload
+from repro.engine import compiled
+from repro.engine.compiled import bind_generated, compile_plan_chains
 
 from repro.engine.compiled import ENGINE_MODES, _Env, predicate_source, validate_engine_mode
 from repro.engine.cost import CostModel, ExecutionMetrics
@@ -22,7 +28,9 @@ from repro.engine.operators.aggregate import GroupAccumulator
 from repro.engine.pipelined import PipelinedExecutor, PipelinedPlan, SourceCursor
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.experiments.common import build_dataset, paper_queries
+from repro.io.backends import compile_csv_decoder
 from repro.optimizer.enumerator import Optimizer
+from repro.optimizer.ordering import JoinStrategy
 from repro.optimizer.plans import JoinTree, PlanError
 from repro.relational.algebra import SPJAQuery
 from repro.relational.expressions import (
@@ -35,6 +43,7 @@ from repro.relational.expressions import (
     Disjunction,
     JoinPredicate,
     Negation,
+    Predicate,
     TruePredicate,
 )
 from repro.relational.relation import Relation
@@ -46,6 +55,7 @@ from repro.sources.network import (
     NetworkModel,
 )
 from repro.sources.remote import RemoteSource
+from repro.workloads.tpch_schema import LINEITEM_SCHEMA
 
 
 class TestChargeBatch:
@@ -187,7 +197,8 @@ class TestBatchFold:
         folded = GroupAccumulator(self.SCHEMA, group, aggregates)
         fold = folded.make_batch_fold()
         assert fold is not None
-        fold(rows)
+        for batch in (rows[:1], [], rows[1:]):
+            fold(batch)
         assert folded._groups == reference._groups
         assert sorted(map(repr, folded.results())) == sorted(
             map(repr, reference.results())
@@ -580,7 +591,80 @@ class TestRecompilation:
         from repro.engine.compiled import _code_cache, _code_for
 
         src = "def _probe_cache_fn():\n    return 1\n"
-        code_a = _code_for(src)
-        code_b = _code_for(src)
+        code_a = _code_for(src, {})
+        code_b = _code_for(src, {})
         assert code_a is code_b
         assert src in _code_cache
+
+
+@dataclass(frozen=True)
+class OpaquePredicate(Predicate):
+    """A predicate ``predicate_source`` does not know: it binds the compiled
+    closure and emits a ``_p<N>(row)`` call."""
+
+    inner: Predicate
+
+    def compile(self, schema):
+        return self.inner.compile(schema)
+
+    def attributes(self):
+        return self.inner.attributes()
+
+    def estimated_selectivity(self):
+        return self.inner.estimated_selectivity()
+
+
+class TestGeneratedNames:
+    """``bind_generated`` compiles every generated source and refuses a name
+    that is neither bound, nor the function it defines, nor in
+    ``GENERATED_NAMES``."""
+
+    @pytest.mark.parametrize("name", ["set", "time", "random", "__import__", "globals"])
+    @pytest.mark.parametrize(
+        "body", ["return {}", "return [row for row in {}(rows)]"], ids=["top", "nested"]
+    )
+    def test_an_unknown_name_is_refused(self, name, body):
+        src = f"def _chain(rows, _sink=_sink):\n    _sink(rows)\n    {body.format(name)}\n"
+        for _ in range(2):  # a refused source is not cached
+            with pytest.raises(PlanError, match=re.escape(f"[{name!r}]")):
+                bind_generated(src, {"_sink": print})
+        assert src not in compiled._code_cache
+
+    def test_every_generator_compiles_under_the_allow_list(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_code_cache", {})
+        chains = []
+        folds = 0
+        for seed in range(6):
+            workload = generate_workload(seed)
+            query = workload.query
+            tree = JoinTree.left_deep(query.relations)
+            for opaque, merge in ((False, False), (True, False), (False, True)):
+                variant = query
+                if opaque:
+                    variant = replace(query, selections={
+                        name: OpaquePredicate(p) for name, p in query.selections.items()
+                    })
+                strategies = {
+                    node.relations(): JoinStrategy("merge", 1) for node in tree.internal_nodes()
+                } if merge else None
+                cursors = {n: SourceCursor(n, r) for n, r in workload.relations.items()}
+                plan = PipelinedPlan(
+                    variant, tree, cursors, output_sink=lambda row: None, batch_size=16,
+                    join_strategies=strategies, engine_mode="compiled",
+                )
+                chains += [c.__compiled_source__ for c in compile_plan_chains(plan).values()]
+            if query.aggregation is not None:
+                fold = GroupAccumulator(
+                    plan.output_schema,
+                    query.aggregation.group_attributes,
+                    query.aggregation.aggregates,
+                ).make_batch_fold()
+                folds += fold is not None
+        routes = case_route_sources(FIXED_CASE)
+        decoder = compile_csv_decoder(LINEITEM_SCHEMA).__compiled_source__
+        assert any("_p0(row)" in src for src in chains)  # opaque predicate
+        assert any(" == _c0)" in src for src in chains)  # inline comparison
+        assert any("_m" in src for src in chains)  # merge stage
+        assert any("_og" in src for src in chains)  # hash insert and probe
+        assert folds and {folds_inline(src) for src in routes} == {True, False}
+        assert {*chains, *routes, decoder} <= compiled._code_cache.keys()

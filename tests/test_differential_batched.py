@@ -23,7 +23,7 @@ from differential import (
     run_differential_case,
 )
 
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 SEEDS = tuple(range(50))
 

@@ -32,7 +32,7 @@ from helpers import reference_spja
 
 from repro.relational.catalog import Catalog
 from repro.serving.server import QueryServer
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 MIRROR_SEEDS = tuple(range(1000, 1025))
 

@@ -41,7 +41,7 @@ from repro.io import (
 from repro.io.faults import DELAY
 from repro.relational.catalog import Catalog, TableStatistics
 from repro.sources.source import DataSource
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 from repro.io.backends import write_csv, write_sqlite
 from repro.io.errors import ConnectError
 

@@ -37,7 +37,7 @@ from repro.optimizer.ordering import JoinStrategy
 from repro.optimizer.plans import JoinTree
 from repro.relational.catalog import Catalog
 from repro.serving.server import QueryServer
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 FORCED_MERGE_SEEDS = range(40)
 ADAPTIVE_SEEDS = range(20)

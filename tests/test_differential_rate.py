@@ -26,7 +26,7 @@ from differential import (
 from helpers import reference_spja
 from collections import Counter
 
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 RATE_SEEDS = tuple(range(900, 925))
 NO_PROMISE_SEEDS = tuple(range(930, 942))

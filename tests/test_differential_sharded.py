@@ -40,7 +40,7 @@ from repro.relational.algebra import SPJAQuery
 from repro.relational.expressions import Aggregate
 from repro.serving.sharded import ShardedQueryServer
 from repro.workloads.queries import query_3a, query_5, query_10a
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 POLICIES = ("round_robin", "shortest_remaining_cost")
 

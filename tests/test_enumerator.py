@@ -34,7 +34,7 @@ from repro.workloads.queries import (
     query_10,
     query_10a,
 )
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 
 class TestCostModel:
@@ -442,6 +442,17 @@ class TestCostFloor:
         evaluated = reoptimizer.evaluate(tree, estimator, None, merges)
         assert evaluated.switch and evaluated.same_tree
         assert reoptimizer.poll(tree, estimator, None, merges) == evaluated
+
+    def test_floor_is_the_left_fold_on_every_python(self):
+        """Q5's legs sum to 9276.900000000001 left to right and to 9276.9
+        compensated (the float ``sum()`` of Python 3.12 on), which moves the
+        floor's last bit; the screen must not depend on the interpreter."""
+        query = query_5()
+        catalog = self.catalogs[True]
+        enumerator = JoinEnumerator(
+            query, SelectivityEstimator(catalog, query), CostModel(hash_insert=1.1)
+        )
+        assert repr(enumerator.cost_floor()) == "10777.501750586136"
 
     def test_negative_weights_and_single_relations_are_not_screened(self):
         query, catalog = next(

@@ -13,7 +13,7 @@ import pytest
 
 from differential import mirror_outage_setup, run_solo_corrective
 
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 from repro.adaptivity import (
     AdaptationController,

@@ -21,7 +21,7 @@ from repro.experiments import cli
 from repro.serving.server import QueryServer
 from repro.serving.sharded import ShardedQueryServer
 from repro.serving.specs import ShardTask
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 
 def _processor(catalog, sources, **knobs):

@@ -32,7 +32,7 @@ from repro.adaptivity import (
 )
 from repro.adaptivity.events import SourceRateEvent
 from repro.optimizer.statistics import SelectivityEstimator
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 
 def _workload_with_joins(start_seed: int):

@@ -18,7 +18,7 @@ from repro.optimizer.reoptimizer import ReOptimizer
 from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
 from repro.optimizer.plans import JoinTree
 from repro.workloads.queries import query_3a, query_5, query_10a
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 
 def bad_tree_for_q3a():

@@ -7,7 +7,7 @@ travel as picklable specs, and a worker process rebuilds every compiled
 pipeline from generated source (``__compiled_source__``) plus its own
 runtime bindings.  These tests pin the three legs of that contract:
 
-* :func:`~repro.engine.compiled.bind_chain` materializes a chain from
+* :func:`~repro.engine.compiled.bind_generated` materializes a chain from
   source + bindings, and stamps the source back onto the function;
 * identical plan shapes generate bit-identical source — in one process and
   across a **spawn** boundary (fresh interpreter, nothing shared);
@@ -30,22 +30,22 @@ from differential import (
 )
 
 from repro.core.options import ProcessorOptions
-from repro.engine.compiled import bind_chain
+from repro.engine.compiled import bind_generated
 from repro.engine.pipelined import PipelinedExecutor
 from repro.optimizer.plans import JoinTree
 from repro.serving.specs import SessionSpec, ShardTask
 from repro.serving.worker import drive_shard
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 BATCH_SIZE = 64
 
 
 def test_bind_chain_rebuilds_from_source():
     """The rehydration primitive: source + bindings → working chain, with
-    the source stamped back for the next hop (and the exec audit)."""
+    the source stamped back for the next hop."""
     out: list[int] = []
-    src = "def _chain(rows):\n    _out.extend(rows)\n"
-    chain = bind_chain(src, {"_out": out})
+    src = "def _chain(rows):\n    _extend(rows)\n"
+    chain = bind_generated(src, {"_extend": out.extend})
     chain([1, 2, 3])
     assert out == [1, 2, 3]
     assert chain.__compiled_source__ == src

@@ -54,7 +54,7 @@ from repro.serving.session import QuerySession
 from repro.serving.specs import SessionResult
 from repro.serving.worker import worker_main
 from repro.sources.source import LocalSource
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 
 def _rel(name: str, attrs: list[str], rows: list[tuple]) -> Relation:

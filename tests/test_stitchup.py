@@ -33,7 +33,7 @@ from repro.relational.expressions import Aggregate, JoinPredicate
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleAdapter
-from repro.workloads.differential import generate_workload
+from workload_generator import generate_workload
 
 
 def three_way_query():
@@ -582,6 +582,12 @@ class TestStitchUpContract:
             assert [len(n.elts) for n in nodes if isinstance(n, ast.List)] == [2]
             assert not [
                 n for n in nodes if isinstance(n, ast.Attribute) and n.attr in ("append", "extend")
+            ]
+            # nor a joined row: no ``+`` of two row variables
+            assert not [
+                n for n in nodes
+                if isinstance(n, ast.BinOp)
+                and isinstance(n.left, ast.Name) and isinstance(n.right, ast.Name)
             ]
 
     def test_generated_text_is_a_function_of_the_route_shape(self):
