@@ -630,6 +630,34 @@ class TestGeneratedNames:
                 bind_generated(src, {"_sink": print})
         assert src not in compiled._code_cache
 
+    def test_a_name_is_admitted_by_binding_it(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_code_cache", {})
+        src = "def _walk(rows, _emit=_emit):\n    for row in rows:\n        _emit(row)\n"
+        with pytest.raises(PlanError, match=re.escape("['_emit']")):
+            bind_generated(src, {})
+        out: list = []
+        walk = bind_generated(src, {"_emit": out.append})
+        walk([3, 2, 1])
+        assert (out, walk.__name__, walk.__compiled_source__) == ([3, 2, 1], "_walk", src)
+
+    def test_an_admitted_source_is_compiled_and_checked_once(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_code_cache", {})
+        walks = 0
+        real_compile = compile
+
+        def counting_compile(*args, **kwargs):
+            nonlocal walks
+            walks += 1
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(compiled, "compile", counting_compile, raising=False)
+        src = "def _chain(rows, _sink=_sink):\n    _sink(len(rows))\n"
+        first, second = [], []
+        bind_generated(src, {"_sink": first.append})([1, 2])
+        bind_generated(src, {"_sink": second.append})([1, 2, 3])
+        assert (first, second, walks) == ([2], [3], 1)
+        assert list(compiled._code_cache) == [src]
+
     def test_every_generator_compiles_under_the_allow_list(self, monkeypatch):
         monkeypatch.setattr(compiled, "_code_cache", {})
         chains = []
