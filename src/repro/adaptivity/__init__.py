@@ -36,7 +36,7 @@ from repro.adaptivity.policies import (
     SharedLearningPolicy,
 )
 from repro.adaptivity.failover import MirrorFailoverPolicy
-from repro.adaptivity.rate import RateOutlookPolicy, SourceRatePolicy
+from repro.adaptivity.rate import SourceRatePolicy
 
 __all__ = [
     "AdaptationAction",
@@ -48,7 +48,6 @@ __all__ = [
     "JoinStrategyPolicy",
     "MirrorFailoverPolicy",
     "PlanSwitchPolicy",
-    "RateOutlookPolicy",
     "ReprioritizeReadsAction",
     "SharedLearningPolicy",
     "SourceRateEvent",

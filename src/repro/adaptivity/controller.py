@@ -211,18 +211,6 @@ class AdaptationRun:
                 return strategies
         return None
 
-    def current_rate_outlook(self) -> dict[str, float] | None:
-        """Known-slow-source arrival windows for initial plan choice.
-
-        ``None`` unless a policy supplies one (the serving layer's
-        rate-outlook policy, fed by cached cross-query rate telemetry).
-        """
-        for policy in self.controller.policies:
-            outlook = policy.rate_outlook(self)
-            if outlook is not None:
-                return outlook
-        return None
-
     # -- the decide loop -----------------------------------------------------------
 
     def poll(

@@ -107,7 +107,9 @@ def delivery_collapsed(
     predicts by ``now``?  Judged only once ``MIN_EXPECTED_TUPLES`` should have
     arrived.  A promise covers only the data that exists: ``total`` (the
     relation's cardinality, when known) caps the expectation, or a source that
-    delivered *everything* early would read as collapsed as time passes."""
+    delivered *everything* early would read as collapsed as time passes.
+    The rate and failover policies both judge a sample through
+    :func:`event_collapsed`, so this is the one collapse rule."""
     if promised_rate is None or promised_rate <= 0:
         return False
     expected = promised_rate * now

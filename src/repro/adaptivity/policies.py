@@ -80,17 +80,6 @@ class AdaptationPolicy:
         given the run's ordering knowledge as the phase begins."""
         return None
 
-    def rate_outlook(self, run: AdaptationRun) -> dict | None:
-        """Known-slow-source arrival windows for initial plan choice.
-
-        ``None`` = no opinion.  A non-``None`` map (relation name →
-        estimated remaining arrival window in simulated seconds) is passed
-        to the optimizer's rate-aware tree comparison so repeat queries over
-        a known-slow source start gated (see
-        :func:`repro.optimizer.exposure.choose_rate_aware_tree`).
-        """
-        return None
-
     def session_starting(self, query, catalog):
         """Serving: supply seed statistics for a session (``None`` = none)."""
         return None

@@ -307,25 +307,3 @@ class SourceRatePolicy(AdaptationPolicy):
             policy=self.name,
         )
 
-
-class RateOutlookPolicy(AdaptationPolicy):
-    """Feed cached cross-query rate telemetry into initial plan choice.
-
-    Serving-side policy (registered into every session via the server's
-    ``rate_seeded_plans`` knob): when the shared statistics cache has seen a
-    source deliver far below its promise recently, supply a
-    ``rate_outlook`` — relation → estimated remaining arrival window — so
-    the optimizer's very first tree for a repeat query over that source
-    starts *gated* instead of discovering the collapse mid-flight.  Carries
-    no per-run state and proposes no actions; it only answers the
-    :meth:`rate_outlook` hook.
-    """
-
-    name = "rate_outlook"
-
-    def __init__(self, cache) -> None:
-        """``cache`` is the server's ``SharedStatisticsCache``."""
-        self.cache = cache
-
-    def rate_outlook(self, run: AdaptationRun) -> dict[str, float] | None:
-        return self.cache.rate_outlook(run.query.relations) or None

@@ -258,9 +258,7 @@ class CorrectiveQueryProcessor:
         if initial_tree is not None:
             current_tree = initial_tree
         else:
-            current_tree = self.optimizer.optimize_tree(
-                query, ordering=ordering, rate_outlook=run.current_rate_outlook()
-            )
+            current_tree = self.optimizer.optimize_tree(query, ordering=ordering)
         phase_algorithms: list[dict[str, str]] = []
         peak_state_tuples = 0
 

@@ -49,17 +49,16 @@ Two things are fixed:
   ``hash_probes += n_0 + … + n_(K-1)`` (hop *k* probes once per row that
   reaches it), ``predicate_evals += len(residuals_k) * c_k`` (every residual
   on every candidate, rejected or not), ``tuple_copies += n_0 + … + n_K`` and
-  ``tuples_output += n_K``; the group-by's own ``aggregate_updates`` and
-  ``tuples_consumed`` are charged once per combination too, from ``n_K`` by
-  the inlined fold or by ``accumulate_batch``.  ``tuple_copies`` keeps its
-  meaning: it is the copies the paper's cost model charges a join for its
-  output, *simulated* work that prices the plan, whether or not this
-  implementation performs them.  A hop's partition is opened — marked reused
-  and, when keyed on the wrong attribute, re-keyed for ``hash_inserts +=
-  len(partition)``, once per (structure, attribute) — by the first row that
-  reaches its level, so a hop no row reaches leaves its partition untouched.
-  The clock is charged once, at the end of ``run``, and nothing reads it
-  before.
+  ``tuples_output += n_K``; the group-by's own ``aggregate_updates`` are
+  charged once per combination too, from ``n_K`` by the inlined fold or by
+  ``accumulate_batch``.  ``tuple_copies`` keeps its meaning: it is the copies
+  the paper's cost model charges a join for its output, *simulated* work that
+  prices the plan, whether or not this implementation performs them.  A hop's
+  partition is opened — marked reused and, when keyed on the wrong attribute,
+  re-keyed for ``hash_inserts += len(partition)``, once per (structure,
+  attribute) — by the first row that reaches its level, so a hop no row reaches
+  leaves its partition untouched.  The clock is charged once, at the end of
+  ``run``, and nothing reads it before.
 
 Cached for the run: re-keyed partitions, and per seed entry the route — join
 order and the generated loop follow from the seed's layout alone.  The
@@ -385,16 +384,13 @@ class StitchUpExecutor:
             )
         if fold is not None:
             # The group-by's own fold, reading the loop variables in place.
-            bindings = {"_groups": output._groups, "_self": output, "_metrics": output.metrics}
+            bindings = {"_groups": output._groups, "_metrics": output.metrics}
             src = _loop_source(
                 hops,
-                ", _groups=_groups, _get=_groups.get, _self=_self, _metrics=_metrics",
+                ", _groups=_groups, _get=_groups.get, _metrics=_metrics",
                 (),
                 fold,
-                (
-                    f"_self.tuples_consumed += {produced}",
-                    f"_metrics.aggregate_updates += {produced} * {len(output.aggregates)}",
-                ),
+                (f"_metrics.aggregate_updates += {produced} * {len(output.aggregates)}",),
             )
         else:
             # The output-layout tuple, built once and already permuted.

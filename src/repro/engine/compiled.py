@@ -365,7 +365,7 @@ def bind_generated(src: str, bindings: Mapping[str, object]) -> Callable[..., An
 #: reach past the bound runtime objects, so ``_code_for`` refuses it.
 GENERATED_NAMES = frozenset({
     "len", "int", "float", "append", "get", "add_count", "count", "output_count",
-    "tuples_read", "tuples_passed", "tuples_consumed", "aggregate_updates",
+    "tuples_read", "tuples_passed", "aggregate_updates",
 })
 
 #: Source-text → code-object cache.  Identical plan shapes (same schemas,

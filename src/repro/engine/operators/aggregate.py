@@ -72,11 +72,9 @@ class GroupAccumulator:
                 for a in self.aggregates
             )
         self._groups: dict[tuple, list] = {}
-        self.tuples_consumed = 0
 
     def accumulate(self, row: tuple) -> None:
         """Fold one input tuple into the aggregate state."""
-        self.tuples_consumed += 1
         key = tuple(row[p] for p in self._group_positions)
         states = self._groups.get(key)
         if states is None:
@@ -104,14 +102,12 @@ class GroupAccumulator:
             merges = [agg.merge_partial for agg in aggregates]
         else:
             merges = [agg.merge_value for agg in aggregates]
-        count = 0
         if len(aggregates) == 1:
             # The common SPJA shape: a single aggregate term.
             agg = aggregates[0]
             merge = merges[0]
             pos = self._value_positions[0]
             for row in rows:
-                count += 1
                 key = tuple(row[p] for p in group_positions)
                 states = groups.get(key)
                 if states is None:
@@ -120,7 +116,6 @@ class GroupAccumulator:
         else:
             value_positions = self._value_positions
             for row in rows:
-                count += 1
                 key = tuple(row[p] for p in group_positions)
                 states = groups.get(key)
                 if states is None:
@@ -128,8 +123,7 @@ class GroupAccumulator:
                 for idx, merge in enumerate(merges):
                     pos = value_positions[idx]
                     states[idx] = merge(states[idx], row[pos] if pos >= 0 else None)
-        self.tuples_consumed += count
-        self.metrics.aggregate_updates += count * len(aggregates)
+        self.metrics.aggregate_updates += len(rows) * len(aggregates)
 
     def _fold_lines(self, value_at) -> list[str] | None:
         """Source lines folding one raw tuple, the body of a generated loop.
@@ -139,10 +133,10 @@ class GroupAccumulator:
         they do not carry it.  The lines find the tuple's group through
         ``_groups`` / ``_get = _groups.get`` and update its states with the
         aggregate merges inlined, evolving the group dictionary exactly as
-        :meth:`accumulate` does; ``tuples_consumed`` and ``aggregate_updates``
-        are left for the caller to charge once per batch.  Returns ``None``
-        when no specialization applies (partial-aggregate input, or an
-        attribute the loop cannot reach).
+        :meth:`accumulate` does; ``aggregate_updates`` is left for the caller
+        to charge once per batch.  Returns ``None`` when no specialization
+        applies (partial-aggregate input, or an attribute the loop cannot
+        reach).
         """
         if self.input_is_partial:
             return None
@@ -211,19 +205,14 @@ class GroupAccumulator:
             return None
         body = "\n".join(f"        {line}" for line in fold_lines)
         src = (
-            "def _fold(rows, _groups=_groups, _get=_groups.get, _self=_self, "
-            "_metrics=_metrics):\n"
+            "def _fold(rows, _groups=_groups, _get=_groups.get, _metrics=_metrics):\n"
             "    for row in rows:\n"
             f"{body}\n"
-            "    n = len(rows)\n"
-            "    _self.tuples_consumed += n\n"
-            f"    _metrics.aggregate_updates += n * {len(self.aggregates)}\n"
+            f"    _metrics.aggregate_updates += len(rows) * {len(self.aggregates)}\n"
         )
         from repro.engine.compiled import bind_generated
 
-        return bind_generated(
-            src, {"_groups": self._groups, "_self": self, "_metrics": self.metrics}
-        )
+        return bind_generated(src, {"_groups": self._groups, "_metrics": self.metrics})
 
     def results(self) -> list[tuple]:
         """Finalize and return one output tuple per group.

@@ -186,8 +186,9 @@ class AdaptiveIntegrationSystem:
         while serving one query inform the plans of the next.  Pass a
         ``stats_cache`` to carry learned statistics across successive
         ``serve`` calls.  Remaining keyword ``options`` go to the server:
-        its own settings (``session_policies``, …) and every
-        :class:`~repro.core.options.ProcessorOptions` field.
+        its own settings (``share_statistics``, ``session_policies``,
+        ``options``) and every :class:`~repro.core.options.ProcessorOptions`
+        field; any other name is a :class:`TypeError`.
 
         Each query's result multiset is identical to what a solo
         ``execute(query, strategy="corrective")`` run would return; only the

@@ -232,7 +232,6 @@ class Optimizer:
         observed: ObservedStatistics | None = None,
         preaggregation: str | None = None,
         ordering: OrderingKnowledge | None = None,
-        rate_outlook: dict[str, float] | None = None,
     ) -> PhysicalPlan:
         """Pick the cheapest plan for ``query``.
 
@@ -242,24 +241,12 @@ class Optimizer:
         or ``"traditional"`` (blocking pre-aggregates, only where the cost
         model estimates a benefit).  ``ordering`` enables order-adaptive
         enumeration (merge-join strategies on order-eligible nodes).
-        ``rate_outlook`` maps known-slow relations to their estimated
-        remaining arrival windows (simulated seconds, from recent rate
-        telemetry): when the work-optimal tree would expose work behind such
-        a source's arrivals, the plan that *gates* joins behind the slowest
-        named source is chosen instead (see
-        :func:`repro.optimizer.exposure.choose_rate_aware_tree`).
         """
         estimator = SelectivityEstimator(self.catalog, query, observed)
         enumerator = JoinEnumerator(
             query, estimator, self.cost_model, self.bushy, ordering=ordering
         )
         tree = enumerator.best_tree()
-        if rate_outlook:
-            from repro.optimizer.exposure import choose_rate_aware_tree
-
-            tree = choose_rate_aware_tree(
-                query, enumerator, estimator, tree, rate_outlook, self.cost_model
-            )
         estimate = enumerator.cost_of(tree)
         preagg_points: tuple[PreAggPoint, ...] = ()
         if preaggregation is not None and query.aggregation is not None:
@@ -283,12 +270,9 @@ class Optimizer:
         query: SPJAQuery,
         observed: ObservedStatistics | None = None,
         ordering: OrderingKnowledge | None = None,
-        rate_outlook: dict[str, float] | None = None,
     ) -> JoinTree:
         """Shortcut returning only the chosen join tree."""
-        return self.optimize(
-            query, observed, ordering=ordering, rate_outlook=rate_outlook
-        ).join_tree
+        return self.optimize(query, observed, ordering=ordering).join_tree
 
     def _preagg_beneficial(
         self, query: SPJAQuery, point: PreAggPoint, estimator: SelectivityEstimator

@@ -14,24 +14,18 @@ where ``T_R`` is the estimated remaining arrival window of the slow source,
 its side of every join node containing it, and those nodes' outputs), and
 ``ungated_work`` is everything else — chargeable while waiting.
 
-This model is shared by two consumers on opposite sides of the layering:
-
-* the mid-flight :class:`~repro.adaptivity.rate.SourceRatePolicy`, which
-  re-scores the *running* tree against a gating candidate at every poll; and
-* the :class:`~repro.optimizer.enumerator.Optimizer` itself, which — given a
-  ``rate_outlook`` of known-slow sources from recent serving telemetry —
-  applies the same comparison to the *initial* plan choice, so a repeat
-  query over a known-slow source starts gated instead of reacting mid-flight.
-
-It lives in the optimizer layer because the optimizer must not import the
-adaptivity kernel (the kernel already imports the optimizer).
+Its one consumer is the mid-flight
+:class:`~repro.adaptivity.rate.SourceRatePolicy`, which re-scores the
+*running* tree against a gating candidate at every poll.  The model lives in
+the optimizer layer because it prices trees with the optimizer's estimator
+and enumerator.
 """
 
 from __future__ import annotations
 
 from repro.engine.cost import CostModel
 from repro.optimizer.plans import JoinTree
-from repro.optimizer.statistics import SelectivityEstimator
+from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
 
 #: cap on the estimated remaining-arrival window (keeps completion-time
 #: comparisons finite when the observed rate is ~0)
@@ -39,10 +33,10 @@ MAX_REMAINING_SECONDS = 1.0e9
 
 
 def remaining_fraction(
-    estimator: SelectivityEstimator, observed, name: str
+    estimator: SelectivityEstimator, observed: ObservedStatistics, name: str
 ) -> float:
     """Unconsumed fraction of one source (1.0 when nothing was read)."""
-    obs = observed.source(name) if observed is not None else None
+    obs = observed.source(name)
     read = obs.tuples_read if obs is not None else 0
     base = estimator.base_cardinality(name)
     return min(max(1.0 - read / max(base, 1.0), 0.0), 1.0)
@@ -84,11 +78,10 @@ def split_remaining_cost(
     relations (a mid-flight switch only re-processes remaining data
     in-phase; cross-phase combinations go to stitch-up, which competing
     candidates pay comparably), so the model compares what is still ahead,
-    not the whole run.  With ``observed=None`` every fraction is 1.0 — the
-    fresh-start form the initial plan choice uses.  Mirrors the hash-join
-    charges of :class:`~repro.optimizer.cost_model.PlanCostModel`
-    (merge-strategy refinements are ignored: a completion-time *comparison*
-    only needs the dominant terms).
+    not the whole run.  Mirrors the hash-join charges of
+    :class:`~repro.optimizer.cost_model.PlanCostModel` (merge-strategy
+    refinements are ignored: a completion-time *comparison* only needs the
+    dominant terms).
     """
     model = cost_model
     # [gated, ungated], summed in visiting order
@@ -147,55 +140,3 @@ def _split_visit(
     split[0 if relation in relations else 1] += output_cost
     return card, fraction
 
-
-def exposed_seconds(
-    query,
-    tree: JoinTree,
-    estimator: SelectivityEstimator,
-    relation: str,
-    window_seconds: float,
-    cost_model: CostModel,
-    observed=None,
-) -> float:
-    """The tree's completion-time residue under ``relation``'s arrival window."""
-    gated, ungated = split_remaining_cost(
-        query, tree, estimator, relation, observed, cost_model
-    )
-    spu = cost_model.seconds_per_unit
-    return max(ungated * spu - window_seconds, 0.0) + gated * spu
-
-
-def choose_rate_aware_tree(
-    query,
-    enumerator,
-    estimator: SelectivityEstimator,
-    best: JoinTree,
-    rate_outlook: dict[str, float],
-    cost_model: CostModel,
-) -> JoinTree:
-    """Pick between the work-optimal tree and a gating tree at plan time.
-
-    ``rate_outlook`` maps relation names to their estimated remaining
-    arrival windows (simulated seconds), as supplied by recent rate
-    telemetry (see ``SharedStatisticsCache.rate_outlook``).  The slowest
-    named relation is considered for gating; the gating tree wins when its
-    exposed work under that window beats the work-optimal tree's.  With no
-    applicable outlook the work-optimal tree is returned unchanged.
-    """
-    if len(query.relations) < 2:
-        return best
-    candidates = [
-        name
-        for name in query.relations
-        if rate_outlook.get(name, 0.0) > 0.0
-    ]
-    if not candidates:
-        return best
-    slow = max(candidates, key=lambda name: (rate_outlook[name], name))
-    window = min(rate_outlook[slow], MAX_REMAINING_SECONDS)
-    gated = gating_tree(query, enumerator, slow)
-    if gated is None or str(gated) == str(best):
-        return best
-    best_exposed = exposed_seconds(query, best, estimator, slow, window, cost_model)
-    gated_exposed = exposed_seconds(query, gated, estimator, slow, window, cost_model)
-    return gated if gated_exposed < best_exposed else best

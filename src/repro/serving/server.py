@@ -29,14 +29,12 @@ query's result multiset is identical to a solo run of the same query
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sized
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.adaptivity import (
     AdaptationController,
     AdaptationPolicy,
-    RateOutlookPolicy,
     SharedLearningPolicy,
 )
 from repro.core.corrective import CorrectiveExecutionReport, CorrectiveQueryProcessor
@@ -95,9 +93,6 @@ class ServingReport:
     clock_wait_seconds: float
     source_opens: dict[str, int] = field(default_factory=dict)
     stats_cache_summary: dict[str, int] = field(default_factory=dict)
-    #: labels of sessions whose activation admission backpressure deferred
-    #: at least once (empty when the knob is off or the pool stayed healthy)
-    backpressure_deferred: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.served)
@@ -120,8 +115,6 @@ class QueryServer:
         quantum_tuples: int = 200,
         stats_cache: SharedStatisticsCache | None = None,
         share_statistics: bool = True,
-        admission_backpressure: bool = False,
-        rate_seeded_plans: bool = False,
         session_policies: tuple[AdaptationPolicy, ...] = (),
         options: ProcessorOptions | None = None,
         **knobs: Any,
@@ -133,17 +126,6 @@ class QueryServer:
         the cache's learning (useful for ablations).  Orderings an
         order-adaptive session discovers travel through the shared
         statistics cache, so later queries can start on merge joins.
-        ``admission_backpressure=True`` defers *activating* a due session
-        while a source it reads is collapsed (delivery decisively below its
-        promise, judged from the cache's rate telemetry): healthy sessions
-        run first and the flaky session stops contending for quanta it
-        would only spend waiting.  A deferred session is force-admitted the
-        moment it would hold the only runnable slot, so backpressure can
-        starve nobody.
-        ``rate_seeded_plans=True`` registers a
-        :class:`~repro.adaptivity.rate.RateOutlookPolicy` with every session:
-        repeat queries over a source the cache knows is slow get an initial
-        plan that gates joins behind that source's arrivals.
         ``session_policies`` are extra adaptation policies registered with
         every session's controller — the serving-side extension point for
         new adaptive behaviours (no server change needed to add one).
@@ -163,10 +145,7 @@ class QueryServer:
         self.quantum_tuples = quantum_tuples
         self.stats_cache = stats_cache or SharedStatisticsCache()
         self.share_statistics = share_statistics
-        self.admission_backpressure = admission_backpressure
-        self.rate_seeded_plans = rate_seeded_plans
         self.session_policies = tuple(session_policies)
-        self._deferred_labels: list[str] = []
         # Cross-query adaptation: the shared-learning policy owns every
         # interaction with the statistics cache; the serving loop only talks
         # to this controller (session_starting / session_finished).
@@ -209,8 +188,6 @@ class QueryServer:
         )
         for policy in self.session_policies:
             processor.adaptation.register(policy)
-        if self.rate_seeded_plans:
-            processor.adaptation.register(RateOutlookPolicy(self.stats_cache))
         self._sessions.append(
             QuerySession(
                 index=index,
@@ -251,46 +228,11 @@ class QueryServer:
         while pending or active:
             # Admit sessions whose arrival time has come.  Activation runs
             # the initial optimization against the catalog as of *now*, so
-            # later arrivals see every statistic learned so far.  Under
-            # admission backpressure a due session over a collapsed source
-            # is skipped (it stays in ``pending``) while healthy due
-            # sessions behind it activate; without the knob every due
-            # session admits unconditionally, exactly as before.
-            deferred: list[QuerySession] = []
-            progressed = True
-            while progressed:
-                progressed = False
-                for session in pending:
-                    if session.admit_at > clock.now:
-                        break
-                    if session in deferred:
-                        continue
-                    reason = self._admission_deferral(session)
-                    if reason is not None:
-                        deferred.append(session)
-                        if session.label not in self._deferred_labels:
-                            self._deferred_labels.append(session.label)
-                        continue
-                    pending.remove(session)
-                    self._activate(session)
-                    (finished if session.state is session.DONE else active).append(
-                        session
-                    )
-                    # Activation charges optimizer work on the shared clock,
-                    # which may make more sessions due: rescan from the head.
-                    progressed = True
-                    break
-            if not active and deferred:
-                # Deadlock guard: a deferred session must never hold the
-                # only runnable slot.  With nothing else to overlap, holding
-                # it back buys nothing — admit the earliest one and let it
-                # run (its collapsed source is then the rate/failover
-                # policies' problem, not admission's).
-                session = deferred[0]
-                pending.remove(session)
+            # later arrivals see every statistic learned so far.
+            while pending and pending[0].admit_at <= clock.now:
+                session = pending.pop(0)
                 self._activate(session)
                 (finished if session.state is session.DONE else active).append(session)
-                continue
             if not active:
                 if pending:
                     clock.wait_until(pending[0].admit_at)
@@ -300,23 +242,15 @@ class QueryServer:
             if not ready:
                 # Every active session is waiting on a future source arrival:
                 # advance the shared clock to the earliest of them (or to the
-                # next *future* admission, whichever comes first) — simulated
-                # I/O wait that no runnable computation could overlap.
-                # Deferred sessions' past admit times are not wait targets
-                # (waiting for a past instant would freeze the clock); their
-                # admission is re-evaluated on every pass.
+                # next admission, whichever comes first) — simulated I/O wait
+                # that no runnable computation could overlap.
                 targets = [
                     arrival
                     for arrival in (session.next_arrival() for session in active)
                     if arrival is not None
                 ]
-                future_admits = [
-                    session.admit_at
-                    for session in pending
-                    if session.admit_at > clock.now
-                ]
-                if future_admits:
-                    targets.append(future_admits[0])
+                if pending:
+                    targets.append(pending[0].admit_at)
                 clock.wait_until(min(targets))
                 continue
 
@@ -361,7 +295,6 @@ class QueryServer:
                 if hasattr(source, "open_count")
             },
             stats_cache_summary=self.stats_cache.summary(),
-            backpressure_deferred=list(self._deferred_labels),
         )
 
     # -- internals ---------------------------------------------------------------
@@ -377,53 +310,7 @@ class QueryServer:
             if callable(prime):
                 prime()
 
-    def _record_rate_telemetry(self, relations: Iterable[str]) -> None:
-        """Sample the named sources' delivered counts into the stats cache.
-
-        No-op unless a consumer is on (backpressure / rate-seeded plans):
-        the samples exist for admission decisions and initial plan choice,
-        and recording them unconditionally would churn the cache summary of
-        configurations that never read them.
-        """
-        if not (self.admission_backpressure or self.rate_seeded_plans):
-            return
-        now = self.clock.now
-        for relation in relations:
-            source = self.sources.get(relation)
-            arrived_by = getattr(source, "arrived_by", None)
-            if arrived_by is None:
-                continue
-            self.stats_cache.record_rate_sample(
-                relation,
-                now,
-                arrived_by(now),
-                promised_rate=getattr(source, "promised_rate", None),
-                total=len(source) if isinstance(source, Sized) else None,
-            )
-
-    def _admission_deferral(self, session: QuerySession) -> str | None:
-        """Why activation of a due session should wait (``None`` = admit).
-
-        Admission backpressure: when recent telemetry shows a source the
-        session reads delivering decisively below its promise, the session
-        would mostly occupy scheduler slots waiting on that source's
-        trickle.  Deferring it keeps the quanta with healthy sessions; the
-        serving loop re-evaluates on every pass and force-admits the moment
-        the deferred session is the only runnable work.
-        """
-        if not self.admission_backpressure:
-            return None
-        self._record_rate_telemetry(session.query.relations)
-        outlook = self.stats_cache.rate_outlook(session.query.relations)
-        if not outlook:
-            return None
-        worst = max(outlook, key=lambda name: (outlook[name], name))
-        return (
-            f"{worst} collapsed: ~{outlook[worst]:.3f}s of arrivals outstanding"
-        )
-
     def _activate(self, session: QuerySession) -> None:
-        self._record_rate_telemetry(session.query.relations)
         seed = self.adaptation.session_starting(session.query, self.catalog)
         session.start(self.clock, seed_statistics=seed)
         if session.state is session.DONE:  # pragma: no cover - defensive
@@ -432,5 +319,4 @@ class QueryServer:
 
     def _absorb(self, session: QuerySession) -> None:
         """Let the cross-query policies absorb a finished session's learning."""
-        self._record_rate_telemetry(session.query.relations)
         self.adaptation.session_finished(session.report, self.catalog)

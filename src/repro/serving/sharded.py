@@ -31,11 +31,10 @@ query's join inputs (:mod:`repro.serving.partition`), admits one fragment
 spec per partition (round-robin routing spreads them across workers), and
 merges fragment outputs deterministically at the root when results arrive.
 
-Unsupported here (front-end features of the in-process server that need a
-shared clock or live policy objects): admission backpressure, rate-seeded
-plans, and custom ``session_policies`` instances.  ``admit_at`` orders
-activations within a shard but does not gate them — private clocks have no
-shared "now" to gate against.
+Unsupported here (a front-end feature of the in-process server that needs
+live policy objects): custom ``session_policies`` instances.  ``admit_at``
+orders activations within a shard but does not gate them — private clocks
+have no shared "now" to gate against.
 """
 
 from __future__ import annotations

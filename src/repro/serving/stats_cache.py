@@ -11,7 +11,9 @@ exact cardinalities of exhausted sources.
 seeds every admitted query's monitor from it (``seed_for``), folds each
 finished query's observations back in (``absorb``), and publishes learned
 exact cardinalities into its catalog (``apply_cardinalities``) so even the
-*initial* optimizer run of later queries benefits.
+*initial* optimizer run of later queries benefits.  The sharded tier moves
+the same learning across processes as a :class:`StatisticsSnapshot`
+(``snapshot_state`` / ``hydrate_state`` / ``absorb_snapshot``).
 
 A deliberate approximation: selectivities are keyed by relation set, the
 paper's Section 4.2 definition of a logical subexpression *within one
@@ -26,10 +28,8 @@ join structure.
 from __future__ import annotations
 
 import copy
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.adaptivity.events import delivery_collapsed
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import SPJAQuery
 from repro.relational.catalog import Catalog
@@ -50,9 +50,6 @@ class StatisticsSnapshot:
 
     observed: ObservedStatistics = field(default_factory=ObservedStatistics)
     cardinalities: dict[str, int] = field(default_factory=dict)
-    rate_samples: dict[str, list[tuple[float, int]]] = field(default_factory=dict)
-    rate_promises: dict[str, float] = field(default_factory=dict)
-    rate_totals: dict[str, int] = field(default_factory=dict)
     queries_absorbed: int = 0
 
 
@@ -79,13 +76,6 @@ class SharedStatisticsCache:
         self.orderings = self._observed.orderings
         #: exact cardinalities of sources some query has fully consumed
         self.cardinalities: dict[str, int] = {}
-        #: recent delivery telemetry per relation: ``(now, arrived)`` samples
-        #: (capped at :data:`RATE_SAMPLE_WINDOW`), the promised rate, and the
-        #: source's total size — fed by the server's admission/absorption
-        #: hooks, read by backpressure and rate-aware initial plan choice
-        self.rate_samples: dict[str, list[tuple[float, int]]] = {}
-        self.rate_promises: dict[str, float] = {}
-        self.rate_totals: dict[str, int] = {}
         self.queries_seeded = 0
         self.queries_absorbed = 0
 
@@ -160,12 +150,6 @@ class SharedStatisticsCache:
         return StatisticsSnapshot(
             observed=copy.deepcopy(self._observed),
             cardinalities=dict(self.cardinalities),
-            rate_samples={
-                relation: list(samples)
-                for relation, samples in self.rate_samples.items()
-            },
-            rate_promises=dict(self.rate_promises),
-            rate_totals=dict(self.rate_totals),
             queries_absorbed=self.queries_absorbed,
         )
 
@@ -181,12 +165,6 @@ class SharedStatisticsCache:
         self.multiplicative_factors = self._observed.multiplicative_factors
         self.orderings = self._observed.orderings
         self.cardinalities = dict(snapshot.cardinalities)
-        self.rate_samples = {
-            relation: list(samples)
-            for relation, samples in snapshot.rate_samples.items()
-        }
-        self.rate_promises = dict(snapshot.rate_promises)
-        self.rate_totals = dict(snapshot.rate_totals)
         self.queries_seeded = 0
         self.queries_absorbed = 0
 
@@ -195,99 +173,15 @@ class SharedStatisticsCache:
 
         The front-end calls this once per worker, in worker-id order, when a
         sharded run finishes — the deterministic cross-process counterpart of
-        per-query :meth:`absorb`.  Rate telemetry is folded by plain update
-        (samples were taken on the shard's own simulated clock, so merging
-        sample windows across shards would be meaningless); selectivities,
-        orderings, and factors go through :meth:`ObservedStatistics.merge`,
-        and exhausted-source cardinalities max-fold like ``absorb``'s.
+        per-query :meth:`absorb`.  Selectivities, orderings, and factors go
+        through :meth:`ObservedStatistics.merge`, and exhausted-source
+        cardinalities max-fold like ``absorb``'s.
         """
         self._observed.merge(snapshot.observed)
         for relation, cardinality in snapshot.cardinalities.items():
             existing_count = self.cardinalities.get(relation, 0)
             self.cardinalities[relation] = max(existing_count, cardinality)
-        for relation, samples in snapshot.rate_samples.items():
-            self.rate_samples[relation] = list(samples)
-        self.rate_promises.update(snapshot.rate_promises)
-        self.rate_totals.update(snapshot.rate_totals)
         self.queries_absorbed += snapshot.queries_absorbed
-
-    # -- delivery-rate telemetry -------------------------------------------------
-
-    #: how many recent ``(now, arrived)`` samples each relation keeps
-    RATE_SAMPLE_WINDOW = 8
-
-    def record_rate_sample(
-        self,
-        relation: str,
-        now: float,
-        arrived: int,
-        promised_rate: float | None = None,
-        total: int | None = None,
-    ) -> None:
-        """Record one delivery observation (source had delivered ``arrived``
-        tuples by simulated time ``now``).  Samples are deduplicated per
-        instant — the serving loop touches sources at admission *and*
-        absorption, often within the same tick — and the window keeps only
-        the most recent :data:`RATE_SAMPLE_WINDOW` entries."""
-        samples = self.rate_samples.setdefault(relation, [])
-        if samples and samples[-1][0] == now:
-            samples[-1] = (now, max(samples[-1][1], arrived))
-        else:
-            samples.append((now, arrived))
-            if len(samples) > self.RATE_SAMPLE_WINDOW:
-                del samples[0]
-        if promised_rate is not None:
-            self.rate_promises[relation] = promised_rate
-        if total is not None:
-            self.rate_totals[relation] = total
-
-    def observed_rate(self, relation: str) -> float | None:
-        """Recent delivery rate (tuples/second), or ``None`` when unmeasurable.
-
-        Windowed over the recorded samples when at least two distinct
-        instants exist; the cumulative ``arrived / now`` otherwise.
-        """
-        samples = self.rate_samples.get(relation, [])
-        if not samples:
-            return None
-        (t0, a0), (t1, a1) = samples[0], samples[-1]
-        if len(samples) >= 2 and t1 > t0:
-            return max(a1 - a0, 0) / (t1 - t0)
-        if t1 > 0:
-            return a1 / t1
-        return None
-
-    def rate_outlook(self, relations: Iterable[str]) -> dict[str, float]:
-        """Estimated remaining arrival windows of currently-collapsed sources.
-
-        For each named relation whose latest sample shows delivery
-        decisively below its promise (the rate policy's collapse rule,
-        :func:`~repro.adaptivity.events.delivery_collapsed`, with the
-        recorded total as the cardinality), the map carries
-        ``remaining_tuples / observed_rate`` in simulated seconds — the
-        ``rate_outlook`` shape the optimizer's
-        :func:`~repro.optimizer.exposure.choose_rate_aware_tree` consumes.
-        Healthy, unknown, and fully-delivered sources are absent.
-        """
-        from repro.optimizer.exposure import MAX_REMAINING_SECONDS
-
-        outlook: dict[str, float] = {}
-        for relation in relations:
-            samples = self.rate_samples.get(relation, [])
-            promised = self.rate_promises.get(relation)
-            if not samples or promised is None:
-                continue
-            t1, a1 = samples[-1]
-            total = self.rate_totals.get(relation)
-            if not delivery_collapsed(a1, promised, t1, total):
-                continue
-            remaining = max((total if total is not None else promised * t1) - a1, 0.0)
-            rate = self.observed_rate(relation)
-            if rate is None or rate <= 0:
-                outlook[relation] = MAX_REMAINING_SECONDS
-            else:
-                outlook[relation] = min(remaining / rate, MAX_REMAINING_SECONDS)
-        return outlook
 
     # -- reporting --------------------------------------------------------------
 
@@ -297,7 +191,6 @@ class SharedStatisticsCache:
             "multiplicative_factors": len(self.multiplicative_factors),
             "cardinalities": len(self.cardinalities),
             "orderings": len(self.orderings),
-            "rate_samples": len(self.rate_samples),
             "queries_seeded": self.queries_seeded,
             "queries_absorbed": self.queries_absorbed,
         }

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import multiprocessing
 from multiprocessing.managers import BaseManager
-from typing import Any, Iterable
+from typing import Any
 
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import SPJAQuery
@@ -83,23 +83,6 @@ class SharedStatisticsStore:
 
     def absorb(self, observed: ObservedStatistics) -> None:
         self._proxy.absorb(observed)
-
-    def record_rate_sample(
-        self,
-        relation: str,
-        now: float,
-        arrived: int,
-        promised_rate: float | None = None,
-        total: int | None = None,
-    ) -> None:
-        self._proxy.record_rate_sample(relation, now, arrived, promised_rate, total)
-
-    def observed_rate(self, relation: str) -> float | None:
-        rate = self._proxy.observed_rate(relation)
-        return rate if isinstance(rate, float) else None
-
-    def rate_outlook(self, relations: Iterable[str]) -> dict[str, float]:
-        return dict(self._proxy.rate_outlook(list(relations)))
 
     # -- cross-process transfer ---------------------------------------------------
 

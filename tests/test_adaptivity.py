@@ -45,7 +45,6 @@ from repro.optimizer.plans import JoinTree
 from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
 from repro.relational.catalog import Catalog, TableStatistics
 from repro.serving.server import QueryServer
-from repro.serving.stats_cache import SharedStatisticsCache
 from workload_generator import generate_workload
 
 
@@ -520,11 +519,11 @@ class TestSourceRatePolicyUnits:
             (0, 0.0, 5.0, None, False),
         ],
     )
-    def test_the_cache_outlook_and_the_rate_policy_share_one_collapse_rule(
+    def test_the_rate_policy_applies_the_shared_collapse_rule(
         self, delivered, promised, now, cardinality, collapsed
     ):
-        """``SharedStatisticsCache.rate_outlook`` flags a relation exactly
-        when the rate policy's ``_collapsed`` does."""
+        """The rate policy's ``_collapsed`` flags a sample exactly when
+        :func:`delivery_collapsed` does on its raw numbers."""
         from repro.relational.schema import Schema
 
         catalog = Catalog()
@@ -541,11 +540,8 @@ class TestSourceRatePolicyUnits:
             next_arrival=now,
             promised_rate=promised,
         )
-        cache = SharedStatisticsCache()
-        cache.record_rate_sample("f", now, delivered, promised, cardinality)
         assert delivery_collapsed(delivered, promised, now, cardinality) is collapsed
         assert SourceRatePolicy(catalog)._collapsed(event) is collapsed
-        assert ("f" in cache.rate_outlook(["f"])) is collapsed
 
     def test_gating_tree_puts_slow_relation_on_top(self):
         workload = _workload_with_joins(4700)

@@ -43,7 +43,7 @@ class TestGroupAccumulator:
         results = dict((row[0], row[1]) for row in acc.results())
         assert results == {"a": 31, "b": 12}
         assert len(acc.results()) == 2
-        assert acc.tuples_consumed == len(ROWS)
+        assert acc.metrics.aggregate_updates == len(ROWS)
 
     def test_multiple_aggregates(self):
         acc = GroupAccumulator(

@@ -84,7 +84,17 @@ def test_every_front_door_rejects_at_construction(workload, door, rejection):
 
 
 @pytest.mark.parametrize("door", sorted(FRONT_DOORS))
-@pytest.mark.parametrize("knob", ["order_tolerance", "bushy", "no_such_knob"])
+@pytest.mark.parametrize(
+    "knob",
+    [
+        "order_tolerance",
+        "bushy",
+        "no_such_knob",
+        # deleted server features: a caller still passing one hears of it
+        "admission_backpressure",
+        "rate_seeded_plans",
+    ],
+)
 def test_a_name_that_is_not_a_knob_is_a_type_error(workload, door, knob):
     with pytest.raises(TypeError, match=knob):
         FRONT_DOORS[door](workload.catalog(), workload.sources(), **{knob: 1})

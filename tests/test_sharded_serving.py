@@ -95,10 +95,11 @@ class TestStatisticsSnapshot:
     def test_snapshot_pickles(self):
         cache = SharedStatisticsCache()
         cache.absorb(self._observed())
-        cache.record_rate_sample("a", 1.0, 5, promised_rate=100.0, total=50)
+        cache.cardinalities["a"] = 50
         snapshot = pickle.loads(pickle.dumps(cache.snapshot_state()))
-        assert snapshot.rate_samples == {"a": [(1.0, 5)]}
-        assert snapshot.rate_promises == {"a": 100.0}
+        assert snapshot.observed.selectivities == {frozenset(("a", "b")): 0.25}
+        assert snapshot.cardinalities == {"a": 50}
+        assert snapshot.queries_absorbed == 1
 
     def test_hydrate_reattaches_live_views_and_zeroes_counters(self):
         source = SharedStatisticsCache()

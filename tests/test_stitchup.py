@@ -377,7 +377,7 @@ def stitch_both(query, registry, canonical, num_phases, partial=False):
     def produced(report, metrics, output):
         if isinstance(output, list):
             return report, metrics, output
-        return report, metrics, (output.results(), output.tuples_consumed)
+        return report, metrics, output.results()
 
     metrics, output = fresh()
     stitchup = StitchUpExecutor(query, registry, num_phases, canonical, output, metrics=metrics)
@@ -517,10 +517,10 @@ class TestStitchUpContract:
         )
         assert paths["layout_permuted"] and executor[0]["output_count"]
         assert paths["route_materialised"] and not paths["route_folded"]
-        groups, tuples_consumed = executor[2]
-        assert groups == oracle[2][0]  # float sums folded in the oracle's order
-        assert tuples_consumed == oracle[2][1] == executor[0]["output_count"]
+        assert executor[2] == oracle[2]  # float sums folded in the oracle's order
         assert executor[1] == oracle[1] and executor[0] == oracle[0]
+        # every output tuple folded once, into both aggregate terms
+        assert executor[1].aggregate_updates == 2 * executor[0]["output_count"]
 
     def test_no_working_set_between_the_seed_and_the_group_by(self):
         """Q10A's shape — a small seed fanning out through two hops into a
@@ -572,7 +572,8 @@ class TestStitchUpContract:
         # a working set would have had to hold them
         largest_seed = max(seed.cardinality for seed in seeds)
         assert report.output_count > 4 * report.combinations_evaluated * largest_seed > 0
-        assert output.tuples_consumed == report.output_count
+        # every output tuple folded once, into both aggregate terms
+        assert output.metrics.aggregate_updates == 2 * report.output_count
         assert handed == []
         for source in route_sources(stitchup):
             assert folds_inline(source)
