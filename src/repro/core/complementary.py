@@ -108,8 +108,9 @@ class _JoinDriver:
         if item is None:
             return None
         row, arrival = item
-        self.sync_clock()
-        self.clock.wait_until(arrival)
+        if arrival > self.clock.now:
+            self.sync_clock()
+            self.clock.wait_until(arrival)
         self.metrics.tuples_read += 1
         return row
 

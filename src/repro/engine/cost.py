@@ -187,8 +187,8 @@ class SimulatedClock:
     engine groups its charges cannot move simulated seconds.  A charge whose
     ``since`` is not the last charged work (another query's metrics on a
     shared serving clock) first re-anchors at ``now``.  ``now`` stays a plain
-    attribute and ``cpu_time`` is derived when read, so the tuple loop's
-    per-step charge stores two attributes, as a running sum would.
+    attribute and ``cpu_time`` is derived when read, so a charge stores two
+    attributes, as a running sum would.
 
     The adaptive scheduler avoids most stalls by working on whichever input
     has data available, which is exactly the behaviour that Figure 3's

@@ -559,8 +559,8 @@ class PipelinedPlan:
     :meth:`_read_schedule` — ``batch_size=1`` through the shared path
     schedules from scratch once per tuple and is several times slower
     (``bench/README.md``).  What it caches lives for one call only: the live
-    cursors' read keys (one entry re-keyed per step); the clock is charged
-    once per step, from :meth:`ExecutionMetrics.work`.
+    cursors' read keys (one entry re-keyed per step); the clock is charged,
+    from :meth:`ExecutionMetrics.work`, only before a stall and on sync.
     """
 
     def __init__(
@@ -821,9 +821,12 @@ class PipelinedPlan:
         over only between calls, so nothing invalidates the set meanwhile.)
 
         With a ``horizon`` the loop stops before the first tuple arriving
-        after it.  Each step charges the work accrued so far, reads, stalls
-        until the arrival, then propagates — one ``clock.charge`` per step,
-        so every stall starts from the current time.
+        after it.  The work is priced only where a stall can start: the
+        clock's last reading can only lag the true time, so a tuple arriving
+        at or before it never stalls, and one arriving later first charges
+        the work accrued so far, so the stall starts from the current time.
+        The rest is left to the caller's :meth:`_sync_clock`; the clock is
+        exact, so one charge lands where per-step charges would.
         """
         priorities = self.read_priorities
         live = []
@@ -849,12 +852,12 @@ class PipelinedPlan:
                 arrival = key[0]
                 if arrival > horizon:
                     break
-                work = metrics.work(model)
-                if work > charged:
-                    charge(work, charged)
-                    charged = work
                 row = cursor._take()
                 if arrival > clock.now:
+                    work = metrics.work(model)
+                    if work > charged:
+                        charge(work, charged)
+                        charged = work
                     clock.wait_until(arrival)
                 steps += 1
                 metrics.tuples_read += 1

@@ -450,24 +450,82 @@ class TestTupleDriveLoop:
         weights=st.lists(
             st.floats(0.0, 4.0, allow_nan=False), min_size=9, max_size=9
         ),
+        delay=st.sampled_from([None, 0.0, 0.5]),
     )
-    def test_loop_charges_exactly_metrics_work(self, counters, weights):
+    def test_loop_charges_exactly_metrics_work(self, counters, weights, delay):
         """What the loop charges ``==`` ``work(model)`` for arbitrary counters
-        and a non-default model (the ablations override weights): its first
-        charge, from a clock at zero, is exactly ``work * seconds_per_unit``."""
+        and a non-default model (the ablations override weights): after a
+        step and the phase's closing sync, a clock that started at zero and
+        did not stall reads exactly ``work * seconds_per_unit``.  A local
+        tuple (``delay`` None) is priced by that sync alone.  Otherwise the
+        tuple arrives ``delay`` after the preset work's time, past the clock's
+        reading of zero, so the loop prices the preset work before it tests
+        for a stall, and a stall starts from exactly that work's time."""
         model = CostModel(*weights)
+        spu = model.seconds_per_unit
+        preset = ExecutionMetrics(*counters).work(model)
+        priced = preset * spu
+        arrival = 0.0 if delay is None else priced + delay
         plan, _ = build_plan(
             chain_query(2, selective=False),
-            {"r0": ([(0, 0)], [0.0]), "r1": ([], [])},
+            {"r0": ([(0, 0)], [arrival]), "r1": ([], [])},
             1,
             model,
             [],
         )
         for name, value in zip(plan.metrics.as_dict(), counters):
             setattr(plan.metrics, name, value)
-        expected = plan.metrics.work(model)
         assert plan.step()
-        assert plan.clock.now == expected * model.seconds_per_unit
+        assert plan.clock.now == arrival
+        assert plan.clock.wait_time == max(arrival - priced, 0.0)
+        plan.finish_phase()
+        work = plan.metrics.work(model)
+        if delay:
+            # The stall re-anchored the clock at the arrival.
+            assert plan.clock.now == arrival + (work - preset) * spu
+        else:
+            assert plan.clock.now == work * spu
+
+    def test_the_loop_prices_work_only_where_a_stall_can_start(self, monkeypatch):
+        """A tuple-mode chunk calls ``ExecutionMetrics.work`` where a stall
+        can start and in its closing sync, not once per step: over local
+        sources the count per chunk does not grow with the tuples read, and
+        over plateaus of equal arrivals it is at most one per stall plus the
+        closing calls."""
+        calls, stalls = [], []
+        work, wait_until = ExecutionMetrics.work, SimulatedClock.wait_until
+
+        def counted_work(metrics, model=None):
+            calls.append(None)
+            return work(metrics, model)
+
+        def counted_wait(clock, arrival):
+            stalled = wait_until(clock, arrival)
+            if stalled:
+                stalls.append(stalled)
+            return stalled
+
+        monkeypatch.setattr(ExecutionMetrics, "work", counted_work)
+        monkeypatch.setattr(SimulatedClock, "wait_until", counted_wait)
+
+        def chunk_counts(arrivals, lag, sizes):
+            rows = [(1, i) for i in range(len(arrivals))]
+            streams = {"r0": (rows, arrivals), "r1": (rows, [a + lag for a in arrivals])}
+            plan, _ = build_plan(chain_query(2, selective=False), streams, 4, CostModel(), [])
+            counts = []
+            for size in sizes:
+                del calls[:], stalls[:]
+                assert plan.run_chunk(size) == size
+                counts.append((len(calls), len(stalls)))
+            return counts
+
+        local = chunk_counts([0.0] * 30, 0.0, [1, 2, 40])
+        closing = local[0][0]
+        assert local == [(closing, 0)] * 3
+        plateaus = [float(at) for at in range(1, 4) for _ in range(10)]
+        counts = chunk_counts(plateaus, 0.5, [25, 35])
+        for priced, stalled in counts:
+            assert 0 < stalled and priced <= stalled + closing
 
     def test_step_is_the_loop_with_a_budget_of_one(self):
         streams = {
