@@ -1,8 +1,8 @@
 """The unified adaptivity kernel.
 
 Every adaptive behaviour of the system — corrective plan switching,
-order-adaptive join-strategy selection, cross-query statistics sharing, and
-source-rate adaptivity — flows through one mechanism:
+order-adaptive join-strategy selection, source-rate adaptivity and mirror
+failover — flows through one mechanism:
 
 * the :class:`~repro.core.monitor.ExecutionMonitor` folds raw operator
   counters into observed statistics and takes one
@@ -10,7 +10,7 @@ source-rate adaptivity — flows through one mechanism:
 * an :class:`~repro.adaptivity.controller.AdaptationController` hands the
   samples to registered :class:`~repro.adaptivity.policies.AdaptationPolicy`
   instances and arbitrates the actions they propose;
-* the executors (corrective processor, query server, baselines) apply the
+* the executors (corrective processor, baselines) apply the
   winning :class:`~repro.adaptivity.controller.AdaptationAction` — switching
   plans, re-prioritizing reads — without knowing which policy asked for it.
 
@@ -33,7 +33,6 @@ from repro.adaptivity.policies import (
     AdaptationPolicy,
     JoinStrategyPolicy,
     PlanSwitchPolicy,
-    SharedLearningPolicy,
 )
 from repro.adaptivity.failover import MirrorFailoverPolicy
 from repro.adaptivity.rate import SourceRatePolicy
@@ -49,7 +48,6 @@ __all__ = [
     "MirrorFailoverPolicy",
     "PlanSwitchPolicy",
     "ReprioritizeReadsAction",
-    "SharedLearningPolicy",
     "SourceRateEvent",
     "SourceRatePolicy",
     "SwitchPlanAction",

@@ -355,25 +355,6 @@ class AdaptationController:
             self, query, catalog, monitor=monitor, cursors=cursors, sources=sources
         )
 
-    # -- cross-query (serving) hooks --------------------------------------------------
-
-    def session_starting(self, query: Any, catalog: Any) -> Any | None:
-        """A serving session is being activated: collect seed statistics.
-
-        The first policy that supplies seed observations wins (the shared
-        learning policy is the only supplier in the default stack).
-        """
-        for policy in self._policies:
-            seed = policy.session_starting(query, catalog)
-            if seed is not None:
-                return seed
-        return None
-
-    def session_finished(self, report: Any, catalog: Any) -> None:
-        """A serving session completed: let policies absorb what it learned."""
-        for policy in self._policies:
-            policy.session_finished(report, catalog)
-
     def __repr__(self) -> str:
         names = ", ".join(policy.name for policy in self._policies)
         return f"AdaptationController([{names}])"

@@ -15,12 +15,9 @@ the full hook surface; a policy implements only what it needs:
 ``current_ordering`` / ``phase_strategies``
     Knowledge for plan choice and physical-strategy assignment when a phase
     is (re)built.
-``session_starting`` / ``session_finished``
-    Cross-query hooks driven by the serving layer.
 
-**Policy-author checklist** (expanded, with the failover and serving-side
-admission/plan-seeding hooks, in ``src/repro/adaptivity/README.md``): pick a
-unique ``name``;
+**Policy-author checklist** (expanded, with the failover hooks, in
+``src/repro/adaptivity/README.md``): pick a unique ``name``;
 keep per-run state in ``run.scratch(self)`` (policy instances outlive runs);
 derive everything from rate samples / ``AdaptationContext`` — ``query``,
 ``observed``, ``now``, ``current_tree``, ``current_strategies`` and the
@@ -30,9 +27,9 @@ the controller are broken by registration order; actions must never change
 answers, only cost (plan switches are stitched up, re-prioritizations only
 reorder reads).
 
-The three policies here re-home behaviour that used to be hard-wired into
-``core/corrective.py`` and ``serving/server.py``; the differential suites
-pin that the re-homing is bit-identical.
+The two policies here re-home behaviour that used to be hard-wired into
+``core/corrective.py``; the differential suites pin that the re-homing is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -79,13 +76,6 @@ class AdaptationPolicy:
         """Physical strategy assignment for a phase (``None`` = no opinion),
         given the run's ordering knowledge as the phase begins."""
         return None
-
-    def session_starting(self, query, catalog):
-        """Serving: supply seed statistics for a session (``None`` = none)."""
-        return None
-
-    def session_finished(self, report, catalog) -> None:
-        """Serving: a session finished with ``report``."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -193,34 +183,3 @@ class JoinStrategyPolicy(AdaptationPolicy):
 
     def phase_strategies(self, run: AdaptationRun, tree, ordering) -> dict | None:
         return plan_join_strategies(run.query, tree, ordering)
-
-
-class SharedLearningPolicy(AdaptationPolicy):
-    """Cross-query statistics sharing (wraps :class:`SharedStatisticsCache`).
-
-    Serving-layer policy: seeds every activating session's monitor with what
-    earlier sessions learned, absorbs every finished session's observations,
-    and publishes exact cardinalities of exhausted sources into the server's
-    catalog.  ``share_statistics=False`` keeps the cache learning while
-    disabling the seeding/publication (the ablation configuration).
-    """
-
-    name = "shared_learning"
-
-    def __init__(self, cache, share_statistics: bool = True) -> None:
-        self.cache = cache
-        self.share_statistics = share_statistics
-
-    def session_starting(self, query, catalog):
-        if not self.share_statistics:
-            return None
-        self.cache.apply_cardinalities(catalog)
-        return self.cache.seed_for(query)
-
-    def session_finished(self, report, catalog) -> None:
-        observed = report.details.get("observed_statistics")
-        if observed is None:
-            return
-        self.cache.absorb(observed)
-        if self.share_statistics:
-            self.cache.apply_cardinalities(catalog)

@@ -51,38 +51,6 @@ from repro.relational.tuples import TupleAdapter
 
 
 @dataclass
-class CorrectiveTick:
-    """One scheduling step of an incremental corrective run.
-
-    Yielded by :meth:`CorrectiveQueryProcessor.execute_incremental` after the
-    plan for a phase is built (``tuples_processed == 0``) and after every
-    quantum that read source tuples: one chunk in cooperative mode, one poll
-    window (every chunk up to the next monitor poll) in blocking mode.  A
-    multi-query scheduler uses ``next_arrival`` to decide whether granting
-    this query another quantum would stall the shared clock, and
-    ``consumed`` to estimate how much work remains.
-    """
-
-    phase_id: int
-    tuples_processed: int
-    next_arrival: float | None
-    consumed: dict[str, int]
-
-    def __repr__(self) -> str:
-        consumed = ", ".join(
-            f"{relation}={count}" for relation, count in sorted(self.consumed.items())
-        )
-        arrival = (
-            "exhausted" if self.next_arrival is None
-            else f"next_arrival={self.next_arrival:.3f}s"
-        )
-        return (
-            f"CorrectiveTick(phase={self.phase_id}, "
-            f"ran={self.tuples_processed}, {arrival}, consumed[{consumed}])"
-        )
-
-
-@dataclass
 class CorrectiveExecutionReport:
     """Everything a corrective execution produced, for answers and analysis."""
 
@@ -165,6 +133,7 @@ class CorrectiveQueryProcessor:
         query: SPJAQuery,
         initial_tree: JoinTree | None = None,
         poll_step_limit: int = 200,
+        seed_statistics: ObservedStatistics | None = None,
     ) -> CorrectiveExecutionReport:
         """Run ``query`` with corrective query processing.
 
@@ -175,62 +144,20 @@ class CorrectiveQueryProcessor:
         honoured, not the semantics.  Batched execution clips its final batch
         to this boundary, so clock checks — and the monitor observations they
         trigger — happen at the same tuple positions for every batch size.
-        """
-        runner = self.execute_incremental(
-            query, initial_tree=initial_tree, poll_step_limit=poll_step_limit
-        )
-        while True:
-            try:
-                next(runner)
-            except StopIteration as stop:
-                return stop.value
-
-    def execute_incremental(
-        self,
-        query: SPJAQuery,
-        initial_tree: JoinTree | None = None,
-        poll_step_limit: int = 200,
-        clock: SimulatedClock | None = None,
-        seed_statistics: ObservedStatistics | None = None,
-        cooperative: bool = False,
-    ):
-        """Generator form of :meth:`execute` for cooperative multi-query serving.
-
-        Yields a :class:`CorrectiveTick` after the plan for each phase is
-        built and after every quantum that read source tuples, so a
-        scheduler can interleave several queries' executions on one shared
-        ``clock`` (pass the shared :class:`SimulatedClock`; by
-        default a private clock is created and the run is identical to
-        :meth:`execute`).  The final report is the generator's return value
-        (``StopIteration.value``).
+        Each poll window is one ``run_chunk(poll_step_limit, until=next_poll)``
+        call, at the chunk boundaries a loop of single chunks would take.
 
         ``seed_statistics`` pre-populates the execution monitor with
         observations learned elsewhere — e.g. subexpression selectivities and
         multiplicative-join flags from a cross-query statistics cache — so
         the very first re-optimization poll already has priors.  The
         monitor's own observations overwrite seeded values as data flows.
-
-        ``cooperative=True`` makes every chunk stop at the first source tuple
-        that has not yet arrived (see ``PipelinedPlan.run_chunk``'s
-        ``horizon``) and *yield* instead of stalling the shared clock, so the
-        scheduler can overlap this query's I/O waits with other queries'
-        work; the driver must then only resume the generator once progress
-        is possible (the tick's ``next_arrival`` has been reached), as
-        :class:`~repro.serving.server.QueryServer` does; a quantum is one
-        chunk of up to ``poll_step_limit`` tuples.  The default (blocking)
-        mode stalls the clock instead, and its quantum is one *poll window*:
-        a single ``run_chunk(poll_step_limit, until=next_poll)`` runs every
-        chunk up to the next monitor poll, at the chunk boundaries a loop of
-        single chunks would take, so the run equals :meth:`execute`.
         """
         if poll_step_limit < 1:
             raise ValueError(f"poll_step_limit must be positive, got {poll_step_limit}")
         wall_start = wall_now()
         metrics = ExecutionMetrics()
-        clock = clock if clock is not None else SimulatedClock(self.cost_model)
-        started_simulated = clock.now
-        own_wait_seconds = 0.0
-        wait_mark = clock.wait_time
+        clock = SimulatedClock(self.cost_model)
         registry = StateRegistry()
         monitor = ExecutionMonitor(query)
         if seed_statistics is not None:
@@ -339,43 +266,14 @@ class CorrectiveQueryProcessor:
             attach_sinks(plan)
             record = phase_manager.start_phase(current_tree, clock.now)
             switch_reason = ""
-            own_wait_seconds += clock.wait_time - wait_mark
-            yield CorrectiveTick(
-                phase_id, 0, plan.next_arrival(), plan.consumed_counts()
-            )
-            wait_mark = clock.wait_time
 
             while True:
                 next_poll = clock.now + options.polling_interval_seconds
                 progressed = False
                 while clock.now < next_poll:
-                    if cooperative:
-                        ran = plan.run_chunk(poll_step_limit, horizon=clock.now)
-                    else:
-                        ran = plan.run_chunk(poll_step_limit, until=next_poll)
+                    ran = plan.run_chunk(poll_step_limit, until=next_poll)
                     progressed = progressed or ran > 0
-                    if ran > 0:
-                        own_wait_seconds += clock.wait_time - wait_mark
-                        yield CorrectiveTick(
-                            phase_id, ran, plan.next_arrival(), plan.consumed_counts()
-                        )
-                        wait_mark = clock.wait_time
-                    if plan.sources_exhausted:
-                        break
-                    if ran == 0:
-                        if cooperative and plan.next_arrival() is not None:
-                            # Blocked on a future arrival: hand control back
-                            # so the scheduler can run other sessions (or
-                            # advance the shared clock) instead of stalling.
-                            own_wait_seconds += clock.wait_time - wait_mark
-                            yield CorrectiveTick(
-                                phase_id,
-                                0,
-                                plan.next_arrival(),
-                                plan.consumed_counts(),
-                            )
-                            wait_mark = clock.wait_time
-                            continue
+                    if plan.sources_exhausted or ran == 0:
                         break
                 if plan.sources_exhausted:
                     break
@@ -391,13 +289,8 @@ class CorrectiveQueryProcessor:
                     switch_reason = switch.reason
                     current_tree = switch.tree
                     break
-                if not progressed and not (
-                    cooperative and plan.next_arrival() is not None
-                ):
-                    # In blocking mode a windowful of zero progress means the
-                    # phase is over; in cooperative mode it merely means the
-                    # whole window passed while waiting on arrivals, and the
-                    # phase must survive to consume them.
+                if not progressed:
+                    # A windowful of zero progress means the phase is over.
                     break
 
             stats = plan.finish_phase()
@@ -443,7 +336,6 @@ class CorrectiveQueryProcessor:
             schema = canonical_schema if canonical_schema is not None else Schema(())
 
         wall_seconds = wall_now() - wall_start
-        own_wait_seconds += clock.wait_time - wait_mark
         reoptimizer = self.reoptimizer
         return CorrectiveExecutionReport(
             query_name=query.name,
@@ -452,14 +344,9 @@ class CorrectiveQueryProcessor:
             phases=list(phase_manager.records),
             stitchup=stitchup_report,
             metrics=metrics,
-            # On a shared serving clock these are this query's own share:
-            # elapsed simulated time while in flight, and only the arrival
-            # waits incurred inside this generator's own execution segments.
-            # On a private clock (solo execute()) they equal the clock's
-            # absolute now / wait_time exactly as before.
-            simulated_seconds=clock.now - started_simulated,
+            simulated_seconds=clock.now,
             wall_seconds=wall_seconds,
-            wait_seconds=own_wait_seconds,
+            wait_seconds=clock.wait_time,
             reoptimizer_polls=reoptimizer.invocations if reoptimizer else 0,
             details={
                 "registry": registry.describe(),

@@ -2,11 +2,10 @@
 
 :class:`ProcessorOptions` is the one record every front door builds a
 :class:`~repro.core.corrective.CorrectiveQueryProcessor` from: the processor
-itself, :class:`~repro.serving.server.QueryServer` (one processor per
-session) and :class:`~repro.serving.sharded.ShardedQueryServer`, which ships
-the record to its workers inside each
-:class:`~repro.serving.specs.ShardTask`.  Each front door takes
-``options=`` and also accepts the fields as keywords (see
+itself and :class:`~repro.serving.sharded.ShardedQueryServer`, which ships
+the record to its shards inside each
+:class:`~repro.serving.specs.ShardTask` (one processor per session).  Each
+front door takes ``options=`` and also accepts the fields as keywords (see
 :func:`resolve_options`).
 
 The record is frozen and validated in ``__post_init__``, so an invalid one

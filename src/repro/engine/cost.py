@@ -185,8 +185,8 @@ class SimulatedClock:
     stall and the cumulative work charged by then — and sets
     ``now = anchor + (work - anchor_work) * seconds_per_unit``, so how the
     engine groups its charges cannot move simulated seconds.  A charge whose
-    ``since`` is not the last charged work (another query's metrics on a
-    shared serving clock) first re-anchors at ``now``.  ``now`` stays a plain
+    ``since`` is not the last charged work (a plan partitioning stage built
+    after work no plan charged) first re-anchors at ``now``.  ``now`` stays a plain
     attribute and ``cpu_time`` is derived when read, so a charge stores two
     attributes, as a running sum would.
 

@@ -539,9 +539,9 @@ class PipelinedPlan:
 
     The batch path has one shape, whatever the engine mode::
 
-        step_batch      ->  ready = the clock's last reading (capped by the
-                            horizon); if nothing has arrived by then: sync
-                            the clock, wait_until(next_arrival())
+        step_batch      ->  ready = the clock's last reading; if nothing
+                            has arrived by then: sync the clock,
+                            wait_until(next_arrival())
         _read_schedule  ->  (binding, rows) groups, all arrived by ready
         step_batch      ->  per group: one kernel(rows) call
 
@@ -805,7 +805,7 @@ class PipelinedPlan:
 
     # -- execution -------------------------------------------------------------
 
-    def _drive_tuples(self, budget: int | None, horizon: float | None = None) -> int:
+    def _drive_tuples(self, budget: int | None) -> int:
         """Run up to ``budget`` tuple-at-a-time steps; return how many ran.
 
         The paper's rule (Section 4.1), one tuple at a time: read the
@@ -820,11 +820,10 @@ class PipelinedPlan:
         it.  (The controller replaces ``read_priorities`` and fails cursors
         over only between calls, so nothing invalidates the set meanwhile.)
 
-        With a ``horizon`` the loop stops before the first tuple arriving
-        after it.  The work is priced only where a stall can start: the
-        clock's last reading can only lag the true time, so a tuple arriving
-        at or before it never stalls, and one arriving later first charges
-        the work accrued so far, so the stall starts from the current time.
+        The work is priced only where a stall can start: the clock's last
+        reading can only lag the true time, so a tuple arriving at or before
+        it never stalls, and one arriving later first charges the work
+        accrued so far, so the stall starts from the current time.
         The rest is left to the caller's :meth:`_sync_clock`; the clock is
         exact, so one charge lands where per-step charges would.
         """
@@ -840,18 +839,14 @@ class PipelinedPlan:
         charge = clock.charge
         charged = self._charged_work
         model = self.cost_model
-        # No budget / no horizon: bounds no step count or arrival reaches.
+        # No budget: bounds no step count.
         limit = math.inf if budget is None else budget
-        if horizon is None:
-            horizon = math.inf
         steps = 0
         try:
             while live and steps < limit:
                 entry = live[0] if len(live) == 1 else min(live, key=_entry_key)
                 key, cursor, binding = entry
                 arrival = key[0]
-                if arrival > horizon:
-                    break
                 row = cursor._take()
                 if arrival > clock.now:
                     work = metrics.work(model)
@@ -1052,9 +1047,7 @@ class PipelinedPlan:
             for relation, binding in self.leaves.items()
         }
 
-    def step_batch(
-        self, max_tuples: int | None = None, horizon: float | None = None
-    ) -> int:
+    def step_batch(self, max_tuples: int | None = None) -> int:
         """Read one batch of source tuples that have arrived and fully
         propagate it.
 
@@ -1063,14 +1056,13 @@ class PipelinedPlan:
         (:meth:`_build_kernels`) in one call.  A group's chain writes only its
         own side of each join and probes the other, so one call gives the
         same outputs, counters and clock as any slicing of it.
-        Returns the number of source tuples consumed (0 when exhausted, or —
-        under a ``horizon`` — when every pending tuple arrives after it).
+        Returns the number of source tuples consumed (0 when exhausted).
 
         The schedule's budget is ``max_tuples`` (what is left of a
         :meth:`run_chunk`), else ``batch_size``, and it reads only tuples
-        that have arrived by the clock's last reading (never past
-        ``horizon``), so no group waits.  Only when nothing has arrived by
-        then is the clock synced, and if still nothing has, it stalls once
+        that have arrived by the clock's last reading, so no group waits.
+        Only when nothing has arrived by then is the clock synced, and if
+        still nothing has, it stalls once
         until the next arrival — the tuple rule's stall, after the same work
         — and the schedule reads up to the new reading.  The clock is exact,
         so simulated seconds equal the tuple rule's on every source.
@@ -1082,15 +1074,14 @@ class PipelinedPlan:
         if kernels is None:
             kernels = self._kernels = self._build_kernels()
         clock = self.clock
-        ceiling = math.inf if horizon is None else horizon
-        groups = self._read_schedule(budget, min(clock.now, ceiling))
+        groups = self._read_schedule(budget, clock.now)
         if not groups:
             self._sync_clock()
             arrival = self.next_arrival()
-            if arrival is None or arrival > ceiling:
+            if arrival is None:
                 return 0
             clock.wait_until(arrival)
-            groups = self._read_schedule(budget, min(clock.now, ceiling))
+            groups = self._read_schedule(budget, clock.now)
         self.metrics.batches_read += 1
         total = 0
         for binding, rows in groups:
@@ -1123,12 +1114,7 @@ class PipelinedPlan:
         self._finalize_statistics()
         return steps
 
-    def run_chunk(
-        self,
-        max_tuples: int,
-        horizon: float | None = None,
-        until: float | None = None,
-    ) -> int:
+    def run_chunk(self, max_tuples: int, until: float | None = None) -> int:
         """Process chunks of up to ``max_tuples`` source tuples; return how
         many tuples ran.
 
@@ -1149,21 +1135,15 @@ class PipelinedPlan:
         clock synced after each, until the clock reaches ``until`` or a chunk
         comes up short — the same chunks, and so the same poll positions, as
         a loop of single-chunk calls checking the clock between them.
-
-        With a ``horizon`` (cooperative serving mode) the chunk stops before
-        the first tuple that arrives after it, instead of stalling the clock:
-        a multi-query scheduler can then overlap this plan's wait with other
-        queries' work.  A return of 0 with :attr:`sources_exhausted` still
-        false means "blocked until :meth:`next_arrival`".
         """
         processed = 0
         while True:
             if self.batch_size is None:
-                ran = self._drive_tuples(max_tuples, horizon)
+                ran = self._drive_tuples(max_tuples)
             else:
                 ran = 0
                 while ran < max_tuples:
-                    read = self.step_batch(max_tuples - ran, horizon=horizon)
+                    read = self.step_batch(max_tuples - ran)
                     if read == 0:
                         break
                     ran += read
@@ -1201,27 +1181,16 @@ class PipelinedPlan:
     def sources_exhausted(self) -> bool:
         return self.next_arrival() is None
 
-    # -- cooperative scheduling ------------------------------------------------
-
     def next_arrival(self) -> float | None:
-        """Earliest pending arrival among this plan's live cursors.
-
-        ``None`` when every source is exhausted.  Together with the resumable
-        :meth:`run_chunk`, this is the hook a multi-query scheduler needs: a
-        plan whose next arrival lies in the future would stall the shared
-        clock if granted a quantum now, so the scheduler can run another
-        query's plan instead and come back once the data has arrived.
-        """
+        """Earliest pending arrival among this plan's live cursors; ``None``
+        when every source is exhausted (:attr:`sources_exhausted`).  A batch
+        that finds nothing arrived stalls the clock until it."""
         best: float | None = None
         for name in self.leaves:
             arrival = self.cursors[name].peek_arrival()
             if arrival is not None and (best is None or arrival < best):
                 best = arrival
         return best
-
-    def consumed_counts(self) -> dict[str, int]:
-        """Tuples consumed from each source cursor so far (pre-selection)."""
-        return {name: self.cursors[name].consumed for name in self.leaves}
 
     # -- monitoring ------------------------------------------------------------
 

@@ -17,8 +17,8 @@ behaved.
 
 Beyond one-shot :meth:`AdaptiveIntegrationSystem.execute`, the facade also
 exposes :meth:`AdaptiveIntegrationSystem.serve`: admit several queries at
-once and let the multi-query serving layer interleave them over the shared
-source pool on one simulated clock (see :mod:`repro.serving`).
+once and run them on the query server over the shared source pool (see
+:mod:`repro.serving`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.relational.algebra import SPJAQuery
 from repro.relational.catalog import Catalog, TableStatistics
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.serving.server import QueryServer, ServingReport
+from repro.serving.sharded import ServingReport, ShardedQueryServer
 from repro.serving.stats_cache import SharedStatisticsCache
 from repro.sources.description import MappedSource, SourceDescription
 from repro.sources.source import DataSource
@@ -170,49 +170,42 @@ class AdaptiveIntegrationSystem:
         queries: Iterable[SPJAQuery],
         policy: str = "round_robin",
         quantum_tuples: int = 200,
-        admission_times: Iterable[float] | None = None,
         stats_cache: SharedStatisticsCache | None = None,
         **options,
     ) -> ServingReport:
-        """Serve several SPJA queries concurrently over the registered sources.
+        """Serve several SPJA queries over the registered sources.
 
-        The queries are admitted to a :class:`~repro.serving.server.QueryServer`
-        (at time 0, or at the per-query simulated ``admission_times``) and
-        interleaved on one shared simulated clock under the chosen scheduling
-        ``policy`` (``"round_robin"`` or ``"shortest_remaining_cost"``).  All
-        queries share the registered source objects — remote sources keep one
-        cached arrival schedule across every consumer — and a cross-query
-        statistics cache, so selectivities and exact cardinalities learned
-        while serving one query inform the plans of the next.  Pass a
-        ``stats_cache`` to carry learned statistics across successive
-        ``serve`` calls.  Remaining keyword ``options`` go to the server:
-        its own settings (``share_statistics``, ``session_policies``,
-        ``options``) and every :class:`~repro.core.options.ProcessorOptions`
-        field; any other name is a :class:`TypeError`.
+        The queries run on an in-process, one-shard
+        :class:`~repro.serving.sharded.ShardedQueryServer`, one at a time in
+        the order of the scheduling ``policy`` (``"round_robin"`` or
+        ``"shortest_remaining_cost"``), and share the registered source
+        objects.  A statistics cache carries what finished runs learned into
+        the plans of later runs: pass a ``stats_cache`` to carry it across
+        successive ``serve`` calls.  Remaining keyword ``options`` go to the
+        server: its own settings (``share_statistics``, ``options``) and
+        every :class:`~repro.core.options.ProcessorOptions` field; any other
+        name is a :class:`TypeError`.
 
-        Each query's result multiset is identical to what a solo
-        ``execute(query, strategy="corrective")`` run would return; only the
-        timing (and possibly the plans travelled along the way) differs.
+        Each query's answer, metrics and simulated seconds are what a solo
+        ``execute(query, strategy="corrective")`` run over the same catalog
+        would return.
         """
         queries = list(queries)
         if not queries:
             raise ValueError("serve() needs at least one query")
-        times = [0.0] * len(queries) if admission_times is None else list(admission_times)
-        if len(times) != len(queries):
-            raise ValueError(
-                f"admission_times has {len(times)} entries for {len(queries)} queries"
-            )
-        server = QueryServer(
+        server = ShardedQueryServer(
             self.catalog,
             self._sources,
             cost_model=self.cost_model,
             policy=policy,
+            workers=1,
             quantum_tuples=quantum_tuples,
             stats_cache=stats_cache,
+            start_method="inline",
             **options,
         )
-        for query, admit_at in zip(queries, times):
-            server.submit(query, admit_at=admit_at)
+        for query in queries:
+            server.submit(query)
         return server.run()
 
     # -- introspection -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Multi-query serving: one shared clock in-process, or N worker shards."""
+"""Multi-query serving: one server that runs each session in a shard."""
 
 from repro.serving.scheduler import (
     POLICIES,
@@ -8,12 +8,11 @@ from repro.serving.scheduler import (
     make_policy,
     shard_assignment,
 )
-from repro.serving.server import QueryServer, ServedQuery, ServingReport
-from repro.serving.session import QuerySession
 from repro.serving.sharded import (
     PartitionedServedQuery,
+    ServedQuery,
+    ServingReport,
     ShardedQueryServer,
-    ShardedServingReport,
     WorkerSummary,
 )
 from repro.serving.specs import SessionResult, SessionSpec, ShardResult, ShardTask
@@ -23,8 +22,6 @@ from repro.serving.stats_store import SharedStatisticsStore
 __all__ = [
     "POLICIES",
     "PartitionedServedQuery",
-    "QueryServer",
-    "QuerySession",
     "RoundRobinPolicy",
     "SchedulingPolicy",
     "ServedQuery",
@@ -34,7 +31,6 @@ __all__ = [
     "ShardResult",
     "ShardTask",
     "ShardedQueryServer",
-    "ShardedServingReport",
     "SharedStatisticsCache",
     "SharedStatisticsStore",
     "ShortestRemainingCostPolicy",

@@ -23,8 +23,6 @@ from __future__ import annotations
 #: ``path::Qualified.name`` of every function that may advance, wait on or
 #: charge a simulated clock
 CLOCK_WRITERS: tuple[str, ...] = (
-    # the cooperative serving loop jumps its shared clock over idle time
-    "serving/server.py::QueryServer.run",
     # the engine's drive loops charge their work and wait for arrivals
     "engine/pipelined.py::PipelinedPlan._drive_tuples",
     "engine/pipelined.py::PipelinedPlan.step_batch",
@@ -48,7 +46,6 @@ CROSS_PROCESS_TYPES: tuple[str, ...] = (
     "SessionResult",
     "CorrectiveExecutionReport",
     "ExecutionMetrics",
-    "CorrectiveTick",
     "TableStatistics",
     # the statistics cache: snapshotted into every task, and hosted whole in
     # a manager process by the store

@@ -1,27 +1,29 @@
-"""Scheduling policies for the multi-query serving layer.
+"""Scheduling policies and shard routing for the serving layer.
 
-The :class:`~repro.serving.server.QueryServer` repeatedly asks its policy
-which of the currently *ready* sessions (admitted, unfinished, and able to
-make progress without stalling the shared clock) should receive the next
-execution quantum.  Policies are deterministic: ties are broken by admission
-order, so a serving run is a pure function of its inputs — the property the
-serving-vs-solo differential tests rely on.
+A worker runs its shard's sessions one at a time, each to completion, in
+the order its policy's :meth:`~SchedulingPolicy.sort_key` gives.  Policies
+are deterministic: ties are broken by admission order, so a serving run is
+a pure function of its inputs.  The order changes no session's result
+(every session reads the catalog as it stood at the start of the run); it
+changes only which session finishes first on the wall clock, and the order
+in which finished sessions are absorbed into the statistics cache.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.serving.session import QuerySession
+    from repro.relational.catalog import Catalog
+    from repro.serving.specs import SessionSpec
 
 
 class SchedulingPolicy:
-    """Base class: choose which ready session runs next."""
+    """Base class: the order in which a shard runs its sessions."""
 
     name = "base"
 
-    def pick(self, ready: Sequence["QuerySession"], now: float) -> "QuerySession":
+    def sort_key(self, spec: "SessionSpec", catalog: "Catalog") -> tuple[float, ...]:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
@@ -29,39 +31,29 @@ class SchedulingPolicy:
 
 
 class RoundRobinPolicy(SchedulingPolicy):
-    """Fair share: grant the quantum to the least-recently-served session.
-
-    With a static session population this degenerates to classic round-robin
-    rotation; with dynamic admissions and sessions that block on source
-    arrivals it generalizes gracefully — a session that was skipped while
-    waiting for data is first in line once its data arrives.
-    """
+    """Admission order: sessions run in the order they were submitted."""
 
     name = "round_robin"
 
-    def pick(self, ready: Sequence["QuerySession"], now: float) -> "QuerySession":
-        return min(ready, key=lambda session: (session.last_granted_turn, session.index))
+    def sort_key(self, spec: "SessionSpec", catalog: "Catalog") -> tuple[float, ...]:
+        return (spec.index,)
 
 
 class ShortestRemainingCostPolicy(SchedulingPolicy):
-    """Grant the quantum to the session with the least estimated work left.
+    """Shortest job first: the session with the least estimated work runs
+    first, which minimizes mean latency when estimates are accurate.
 
-    The classic shortest-remaining-processing-time discipline, which
-    minimizes mean latency when estimates are accurate.  Remaining cost is
-    estimated as the number of source tuples still to be read (catalog or
-    learned cardinalities minus tuples consumed), the same consistency
-    assumption the re-optimizer applies to a single query's remaining work.
-    Long queries are never starved outright: a blocked short query drops out
-    of the ready set, letting longer ones progress through its stalls.
+    The estimate is the number of source tuples the query will read: the sum
+    of its relations' catalog (or learned) cardinalities.
     """
 
     name = "shortest_remaining_cost"
 
-    def pick(self, ready: Sequence["QuerySession"], now: float) -> "QuerySession":
-        return min(
-            ready,
-            key=lambda session: (session.remaining_cost_estimate(), session.index),
-        )
+    def sort_key(self, spec: "SessionSpec", catalog: "Catalog") -> tuple[float, ...]:
+        cost = 0.0
+        for relation in spec.query.relations:
+            cost += float(catalog.assumed_cardinality(relation))
+        return (cost, spec.index)
 
 
 POLICIES: dict[str, type[SchedulingPolicy]] = {

@@ -1,28 +1,27 @@
-"""The sharded serving front-end: admission and statistics, no execution.
+"""The query server: admission and statistics here, execution in shards.
 
-:class:`ShardedQueryServer` is the multi-process counterpart of
-:class:`~repro.serving.server.QueryServer`.  It owns admission (queries
-become picklable :class:`~repro.serving.specs.SessionSpec` records), the
-deterministic session→worker routing
-(:func:`~repro.serving.scheduler.shard_assignment` — plain round-robin by
-admission index), and the persistent statistics cache.  All execution
-happens in worker processes (:mod:`repro.serving.worker`): each worker is
-started with one :class:`~repro.serving.specs.ShardTask` as its process
-argument, runs its shard's sessions one at a time to completion — the
-scheduling policy orders sessions, not quanta — and returns one
-:class:`~repro.serving.specs.ShardResult` over the FIFO result queue; both
-are listed in :mod:`repro.serving.channels` as cross-process types.
+:class:`ShardedQueryServer` admits SPJA queries over a shared catalog and
+source pool.  It owns admission (queries become picklable
+:class:`~repro.serving.specs.SessionSpec` records), the deterministic
+session→worker routing (:func:`~repro.serving.scheduler.shard_assignment` —
+plain round-robin by admission index), and the persistent statistics cache.
+All execution happens in the shards (:mod:`repro.serving.worker`): each is
+one :class:`~repro.serving.specs.ShardTask`, run in a worker process, or in
+the calling process with ``start_method="inline"``; it runs its sessions one
+at a time to completion in its scheduling policy's order and returns one
+:class:`~repro.serving.specs.ShardResult`.  Both are listed in
+:mod:`repro.serving.channels` as cross-process types.
 
 Determinism contract: session results (multisets, metrics, phase counts,
 simulated seconds) are bit-identical to solo runs of the same queries under
-every scheduling policy.  Sessions run blocking on private clocks, exactly
-like solo execution, and each reads the catalog as it stood at activation
-(the run-start snapshot's cardinalities, never what a session of the same
-run learned), so the order a policy picks cannot show in any result.  The
-front-end folds worker statistics snapshots in worker-id order, so the
-persistent cache's end state never depends on wall-clock races.  Wall-clock
-*speed* is where the workers show up: shards execute concurrently across
-processes — the benchmark's ``serve_sharded`` workload
+every scheduling policy.  Each session is one plain corrective execution,
+exactly like a solo run, and each reads the catalog as it stood at the start
+of the run (the run-start snapshot's cardinalities, never what a session of
+the same run learned), so the order a policy picks cannot show in any
+result.  The front-end folds worker statistics snapshots in worker-id order,
+so the persistent cache's end state never depends on wall-clock races.
+Wall-clock *speed* is where the workers show up: shards execute concurrently
+across processes — the benchmark's ``serve_sharded`` workload
 (``python -m bench.run``) is the instrument for it.
 
 Partition-parallel execution rides on the same fabric:
@@ -30,11 +29,6 @@ Partition-parallel execution rides on the same fabric:
 query's join inputs (:mod:`repro.serving.partition`), admits one fragment
 spec per partition (round-robin routing spreads them across workers), and
 merges fragment outputs deterministically at the root when results arrive.
-
-Unsupported here (a front-end feature of the in-process server that needs
-live policy objects): custom ``session_policies`` instances.  ``admit_at``
-orders activations within a shard but does not gate them — private clocks
-have no shared "now" to gate against.
 """
 
 from __future__ import annotations
@@ -44,6 +38,7 @@ import queue as queue_module
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
+from repro.core.corrective import CorrectiveExecutionReport
 from repro.core.options import ProcessorOptions, resolve_options
 from repro.engine.collector import collector_paused
 from repro.engine.cost import CostModel
@@ -59,7 +54,6 @@ from repro.serving.partition import (
     merge_partition_results,
 )
 from repro.serving.scheduler import SchedulingPolicy, make_policy, shard_assignment
-from repro.serving.server import ServedQuery, ServingReport
 from repro.serving.specs import SessionResult, SessionSpec, ShardResult, ShardTask
 from repro.serving.stats_cache import SharedStatisticsCache, StatisticsSnapshot
 from repro.serving.worker import drive_shard, worker_main
@@ -88,20 +82,43 @@ class StatisticsBackend(Protocol):
 
 
 @dataclass
+class ServedQuery:
+    """One completed query: its identity and its execution report."""
+
+    label: str
+    query_name: str
+    report: CorrectiveExecutionReport
+
+    @property
+    def latency(self) -> float:
+        """The query's simulated seconds (it ran on its own clock)."""
+        return self.report.simulated_seconds
+
+    @property
+    def rows(self) -> list[tuple[object, ...]]:
+        return self.report.rows
+
+    @property
+    def schema(self) -> Schema:
+        return self.report.schema
+
+    @property
+    def phases(self) -> int:
+        return self.report.num_phases
+
+
+@dataclass
 class WorkerSummary:
     """One worker's telemetry for a sharded run."""
 
     worker_id: int
     sessions: int
-    #: quanta the shard's sessions took: poll windows and phase transitions
-    #: (sessions run blocking), not chunks
-    quanta: int
     #: simulated seconds the shard's sessions charged in total
     shard_seconds: float
     #: wall seconds the worker spent driving its shard
     wall_seconds: float
-    #: wall seconds inside session activations and quanta (excludes queue
-    #: and pickling overhead)
+    #: wall seconds inside session executions (excludes queue and pickling
+    #: overhead)
     busy_wall_seconds: float
 
 
@@ -128,18 +145,28 @@ class PartitionedServedQuery:
 
 
 @dataclass
-class ShardedServingReport(ServingReport):
-    """A :class:`ServingReport` plus the sharded tier's telemetry."""
+class ServingReport:
+    """Everything one serving run produced."""
 
-    workers: int = 1
-    start_method: str = ""
-    wall_seconds: float = 0.0
+    policy: str
+    batch_size: int | None
+    quantum_tuples: int
+    served: list[ServedQuery]
+    #: simulated seconds of the longest session or partitioned query
+    makespan: float
+    workers: int
+    start_method: str
+    wall_seconds: float
+    stats_cache_summary: dict[str, int] = field(default_factory=dict)
     worker_summaries: list[WorkerSummary] = field(default_factory=list)
     partitioned: list[PartitionedServedQuery] = field(default_factory=list)
 
+    def __len__(self) -> int:
+        return len(self.served)
+
 
 class ShardedQueryServer:
-    """Admit queries in-process; execute them on N worker processes."""
+    """Admit queries in-process; execute them on N shards."""
 
     def __init__(
         self,
@@ -161,8 +188,9 @@ class ShardedQueryServer:
         every shard in the calling process — same scheduling, same results,
         no concurrency — for debugging and deterministic unit tests.
         ``quantum_tuples`` is each session's chunk size (its
-        ``poll_step_limit``): sessions run blocking, so a quantum is one poll
-        window of such chunks.  ``options`` and the keyword ``knobs`` are
+        ``poll_step_limit``).  ``share_statistics=False`` runs every session
+        without the statistics cache: nothing is seeded, published or
+        learned.  ``options`` and the keyword ``knobs`` are
         every session's :class:`~repro.core.options.ProcessorOptions`; each
         worker builds its processors from this one record."""
         if workers < 1:
@@ -189,39 +217,38 @@ class ShardedQueryServer:
 
     def _next_label(self, query: SPJAQuery, label: str | None) -> str:
         index = len(self._specs)
-        session_label = label or f"q{index}:{query.name}"
+        base = label or f"q{index}:{query.name}"
         taken = {spec.label for spec in self._specs} | set(self._partition_plans)
-        if session_label in taken:
-            session_label = f"{session_label}#{index}"
+        session_label, suffix = base, index
+        while session_label in taken:
+            session_label = f"{base}#{suffix}"
+            suffix += 1
         return session_label
 
-    def _check_submittable(self, query: SPJAQuery, admit_at: float) -> None:
+    def _check_submittable(self, query: SPJAQuery) -> None:
         if self._ran:
             raise RuntimeError("this server has already run; build a new one")
         missing = [name for name in query.relations if name not in self.sources]
         if missing:
             raise KeyError(f"query references unregistered sources: {missing}")
-        if admit_at < 0:
-            raise ValueError("admit_at must be non-negative")
 
     def submit(
         self,
         query: SPJAQuery,
-        admit_at: float = 0.0,
         initial_tree: JoinTree | None = None,
         label: str | None = None,
     ) -> str:
-        """Admit ``query``; returns its label.  Mirrors
-        :meth:`QueryServer.submit`, but only records a spec — the session is
-        rehydrated inside whichever worker the routing assigns it to."""
-        self._check_submittable(query, admit_at)
+        """Admit ``query``; returns its label, unique among this server's
+        submissions.  Only records a spec — the session runs inside whichever
+        shard the routing assigns it to.  ``initial_tree`` overrides the
+        optimizer's initial plan choice, as in the solo corrective API."""
+        self._check_submittable(query)
         session_label = self._next_label(query, label)
         self._specs.append(
             SessionSpec(
                 index=len(self._specs),
                 label=session_label,
                 query=query,
-                admit_at=admit_at,
                 quantum_tuples=self.quantum_tuples,
                 initial_tree=initial_tree,
             )
@@ -248,7 +275,7 @@ class ShardedQueryServer:
         sessions over hash-partitioned join inputs, merged at the root when
         the run collects results.  Requires the chosen join edge's sources
         to be materialized local relations."""
-        self._check_submittable(query, 0.0)
+        self._check_submittable(query)
         session_label = self._next_label(query, label)
         plan = build_partition_plan(
             session_label, query, self._materialized_relations(), partitions
@@ -259,7 +286,6 @@ class ShardedQueryServer:
                     index=len(self._specs),
                     label=f"{session_label}[p{partition_index}]",
                     query=plan.fragment,
-                    admit_at=0.0,
                     quantum_tuples=self.quantum_tuples,
                     initial_tree=initial_tree,
                     partition_of=session_label,
@@ -374,7 +400,7 @@ class ShardedQueryServer:
         return results
 
     @collector_paused()
-    def run(self) -> ShardedServingReport:
+    def run(self) -> ServingReport:
         """Route specs to shards, execute them, fold statistics and results."""
         if self._ran:
             raise RuntimeError("this server has already run; build a new one")
@@ -406,10 +432,6 @@ class ShardedQueryServer:
                 ServedQuery(
                     label=result.label,
                     query_name=result.query_name,
-                    admitted_at=result.admitted_at,
-                    started_at=result.started_at,
-                    finished_at=result.finished_at,
-                    quanta=result.quanta,
                     report=result.report,
                 )
             )
@@ -431,27 +453,24 @@ class ShardedQueryServer:
             )
 
         makespan = max(
-            [query.finished_at for query in served]
+            [query.latency for query in served]
             + [entry.simulated_seconds for entry in partitioned]
             + [0.0]
         )
-        return ShardedServingReport(
+        return ServingReport(
             policy=self.policy.name,
             batch_size=self.options.batch_size,
             quantum_tuples=self.quantum_tuples,
             served=served,
             makespan=makespan,
-            total_quanta=sum(shard.quanta for shard in shard_results),
-            clock_wait_seconds=0.0,
-            stats_cache_summary=dict(self.stats_cache.summary()),
             workers=self.workers,
             start_method=self.start_method or "default",
             wall_seconds=wall_seconds,
+            stats_cache_summary=dict(self.stats_cache.summary()),
             worker_summaries=[
                 WorkerSummary(
                     worker_id=shard.worker_id,
                     sessions=len(shard.results),
-                    quanta=shard.quanta,
                     shard_seconds=shard.shard_seconds,
                     wall_seconds=shard.wall_seconds,
                     busy_wall_seconds=shard.busy_wall_seconds,

@@ -1,21 +1,21 @@
 """Picklable hand-off payloads for the sharded serving tier.
 
-The multi-process server (:mod:`repro.serving.sharded`) never ships live
-execution state between processes — no generators, no clocks, no cursors,
-no compiled code objects.  Everything that crosses the FIFO hand-off queues
-is one of the plain-data shapes below:
+The server (:mod:`repro.serving.sharded`) never ships live execution state
+between processes — no clocks, no cursors, no compiled code objects.
+Everything that crosses the FIFO hand-off queues is one of the plain-data
+shapes below:
 
-* :class:`SessionSpec` — one admitted query as data: the query, its
-  admission time, optional plan override, quantum size, and (for
-  partition-parallel execution) per-partition source overrides.  The worker
-  rehydrates a full :class:`~repro.serving.session.QuerySession` from it;
-  compiled pipelines are rebuilt from generated source on the worker side
-  (see :func:`repro.engine.compiled.bind_generated`), never pickled.
+* :class:`SessionSpec` — one admitted query as data: the query, optional
+  plan override, quantum size, and (for partition-parallel execution)
+  per-partition source overrides.  The worker runs it as one corrective
+  execution; compiled pipelines are rebuilt from generated source on the
+  worker side (see :func:`repro.engine.compiled.bind_generated`), never
+  pickled.
 * :class:`ShardTask` — one worker's entire assignment: catalog snapshot,
   source pool, the :class:`~repro.core.options.ProcessorOptions` record,
   scheduling policy, statistics snapshot, and the specs of every session
   routed to that shard.
-* :class:`SessionResult` — one finished session: shard-clock timing plus the
+* :class:`SessionResult` — one finished session: its identity plus the
   complete :class:`~repro.core.corrective.CorrectiveExecutionReport` (the
   report is plain data end to end, so workers return it whole and the
   differential harness can compare bits, not summaries).
@@ -49,7 +49,6 @@ class SessionSpec:
     index: int
     label: str
     query: SPJAQuery
-    admit_at: float = 0.0
     #: the session's chunk size (``poll_step_limit``)
     quantum_tuples: int = 200
     initial_tree: JoinTree | None = None
@@ -84,16 +83,12 @@ class ShardTask:
 
 @dataclass(frozen=True)
 class SessionResult:
-    """One finished session, with shard-clock timing and its full report."""
+    """One finished session, with its full report."""
 
     index: int
     label: str
     query_name: str
     worker_id: int
-    admitted_at: float
-    started_at: float
-    finished_at: float
-    quanta: int
     report: CorrectiveExecutionReport
     partition_of: str | None = None
     partition_index: int = 0
@@ -108,10 +103,8 @@ class ShardResult:
     #: the worker-local cache's post-run state; ``None`` when the shard ran
     #: with statistics learning disabled
     snapshot: StatisticsSnapshot | None = None
-    #: quanta (poll windows and phase transitions) the shard's sessions took
-    quanta: int = 0
-    #: simulated seconds this shard serialized (max of its sessions' finish
-    #: times — each session ran on its own private clock)
+    #: simulated seconds this shard serialized (the sum of its sessions'
+    #: simulated seconds — each session ran on its own clock)
     shard_seconds: float = 0.0
     wall_seconds: float = 0.0
     busy_wall_seconds: float = 0.0

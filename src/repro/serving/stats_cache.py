@@ -7,13 +7,15 @@ monitor observed is exactly the prior the next execution's re-optimizer
 wants: observed subexpression selectivities, multiplicative-join flags, and
 exact cardinalities of exhausted sources.
 
-:class:`SharedStatisticsCache` is that memory.  The :class:`QueryServer`
-seeds every admitted query's monitor from it (``seed_for``), folds each
-finished query's observations back in (``absorb``), and publishes learned
-exact cardinalities into its catalog (``apply_cardinalities``) so even the
-*initial* optimizer run of later queries benefits.  The sharded tier moves
-the same learning across processes as a :class:`StatisticsSnapshot`
-(``snapshot_state`` / ``hydrate_state`` / ``absorb_snapshot``).
+:class:`SharedStatisticsCache` is that memory.  A serving shard hydrates a
+private cache from the front-end's run-start :class:`StatisticsSnapshot`
+(``hydrate_state``), publishes its learned exact cardinalities into the
+shard's catalog (``apply_cardinalities``) so even the *initial* optimizer run
+of every session benefits, seeds every session's monitor from it
+(``seed_for``) and folds each finished session's observations back in
+(``absorb``).  The front-end folds the shards' post-run snapshots into its
+persistent cache (``snapshot_state`` / ``absorb_snapshot``), so later runs
+start from what earlier runs learned.
 
 A deliberate approximation: selectivities are keyed by relation set, the
 paper's Section 4.2 definition of a logical subexpression *within one

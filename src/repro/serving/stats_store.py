@@ -10,9 +10,8 @@ serving tier, held across successive server runs.
 
 Two deliberate design points:
 
-* **Method calls only.**  Every consumer of the cache — the
-  :class:`~repro.adaptivity.policies.SharedLearningPolicy`, the sharded
-  front-end, the benchmarks — already talks to it through methods, never
+* **Method calls only.**  Every consumer of the cache — the server's
+  front-end and shards, the benchmarks — already talks to it through methods, never
   attributes, which is exactly what a manager proxy can forward.  The one
   exception, :meth:`apply_cardinalities`, mutates its *argument* (the
   caller's catalog), so the facade performs it locally from a fetched

@@ -6,27 +6,28 @@ A worker process is started with exactly one
 to completion, and sends one :class:`~repro.serving.specs.ShardResult` back
 over the result queue.  The
 shard driver is deliberately a plain function (:func:`drive_shard`) so the
-same code runs in-process for ``workers=1`` and for deterministic tests.
+same code runs in-process for ``start_method="inline"`` and for
+deterministic tests.
 
 Determinism contract (the sharded differential suites pin all of it): a
 session is a pure function of its spec and the run-start snapshot, so its
 multiset, metrics, phase count and simulated seconds are bit-identical to a
 solo run under every scheduling policy:
 
-* it runs **blocking** on its own **private**
-  :class:`~repro.engine.cost.SimulatedClock`, as solo execution does;
-* it reads the catalog as it stood at activation: the snapshot's exact
-  cardinalities are published once, before the first activation, and never
-  again (the re-optimizer rebuilds its estimator from the catalog at every
-  poll, so a later publication would leak one session's learning into
+* it is one plain :meth:`CorrectiveQueryProcessor.execute` call, on that
+  call's own clock, as solo execution is;
+* it reads the catalog as it stood at the start of the run: the snapshot's
+  exact cardinalities are published once, before any session runs, and
+  never again (the re-optimizer rebuilds its estimator from the catalog at
+  every poll, so a later publication would leak one session's learning into
   another's plan choices);
-* every session is activated in ``(admit_at, index)`` order before any
-  runs, then the worker runs **one session at a time to completion** — the
-  policy orders sessions, not quanta (results ship home together, so
-  interleaving would buy nothing and cost cache locality);
-* retired sessions are absorbed into the worker's private cache, whose
-  post-run snapshot rides home in the :class:`ShardResult`; the front-end
-  folds snapshots in worker-id order, independent of wall-clock races.
+* every session's seed statistics come from the hydrated snapshot, before
+  any session runs; then the sessions run one at a time to completion, in
+  the policy's order;
+* finished sessions are absorbed into the worker's private cache in that
+  order, and its post-run snapshot rides home in the :class:`ShardResult`;
+  the front-end folds snapshots in worker-id order, independent of
+  wall-clock races.
 
 Partition fragments (``spec.partition_of`` set) read partition-local source
 overrides and are excluded from statistics absorption: an exhausted
@@ -38,12 +39,11 @@ from __future__ import annotations
 import traceback
 from typing import TYPE_CHECKING
 
-from repro.core.corrective import CorrectiveQueryProcessor
+from repro.core.corrective import CorrectiveExecutionReport, CorrectiveQueryProcessor
 from repro.engine.collector import collector_paused
-from repro.engine.cost import CostModel, SimulatedClock
+from repro.engine.cost import CostModel
 from repro.io.wallclock import wall_now
 from repro.serving.scheduler import make_policy
-from repro.serving.session import QuerySession
 from repro.serving.specs import SessionResult, SessionSpec, ShardResult, ShardTask
 from repro.serving.stats_cache import SharedStatisticsCache
 
@@ -74,78 +74,45 @@ def drive_shard(task: ShardTask) -> ShardResult:
     if task.share_statistics:
         # The catalog's only publication: sessions must not see each other.
         cache.apply_cardinalities(catalog)
+    specs = sorted(task.specs, key=lambda spec: spec.index)
+    # Every seed comes from the run-start snapshot, before any absorption.
+    seeds = {
+        spec.index: cache.seed_for(spec.query) if task.share_statistics else None
+        for spec in specs
+    }
     policy = make_policy(task.policy)
-    specs_by_index = {spec.index: spec for spec in task.specs}
-    sessions: list[QuerySession] = []
-    for spec in sorted(task.specs, key=lambda item: item.index):
+    reports: dict[int, CorrectiveExecutionReport] = {}
+    for spec in sorted(specs, key=lambda spec: policy.sort_key(spec, catalog)):
+        step_start = wall_now()
         processor = CorrectiveQueryProcessor(
             catalog,
             _session_sources(task, spec),
             cost_model,
             options=task.processor_options,
         )
-        sessions.append(
-            QuerySession(
-                index=spec.index,
-                label=spec.label,
-                query=spec.query,
-                processor=processor,
-                catalog=catalog,
-                admit_at=spec.admit_at,
-                initial_tree=spec.initial_tree,
-                quantum_tuples=spec.quantum_tuples,
-                cooperative=False,
-            )
+        report = processor.execute(
+            spec.query,
+            initial_tree=spec.initial_tree,
+            poll_step_limit=spec.quantum_tuples,
+            seed_statistics=seeds[spec.index],
         )
-
-    # Activate in (admit_at, index) order.  On a private-clock shard,
-    # admission time orders activations but gates nothing else.
-    pending: list[QuerySession] = []
-    for session in sorted(sessions, key=lambda item: (item.admit_at, item.index)):
-        step_start = wall_now()
-        seed = cache.seed_for(session.query) if task.share_statistics else None
-        session.start(SimulatedClock(cost_model), seed)
         busy_seconds += wall_now() - step_start
-        pending.append(session)
-
-    # Ask the policy once per session, then grant that session quanta until
-    # it finishes.  Blocking sessions are always ready (they wait on their own
-    # clock, never on the scheduler), so the policy's ``now`` means nothing.
-    quanta = 0
-    while pending:
-        session = policy.pick(pending, 0.0)
-        pending.remove(session)
-        step_start = wall_now()
-        while session.state is QuerySession.ACTIVE:
-            session.grant()
-        busy_seconds += wall_now() - step_start
-        quanta += session.quanta
-        report = session.report
-        assert report is not None
-        if specs_by_index[session.index].partition_of is None:
+        reports[spec.index] = report
+        if spec.partition_of is None:
             cache.absorb(report.details["observed_statistics"])
 
-    collected: list[SessionResult] = []
-    for session in sessions:
-        report = session.report
-        assert report is not None
-        spec = specs_by_index[session.index]
-        collected.append(
-            SessionResult(
-                index=session.index,
-                label=session.label,
-                query_name=session.query.name,
-                worker_id=task.worker_id,
-                admitted_at=session.admit_at,
-                started_at=session.admit_at,
-                finished_at=session.admit_at + report.simulated_seconds,
-                quanta=session.quanta,
-                report=report,
-                partition_of=spec.partition_of,
-                partition_index=spec.partition_index,
-            )
+    results = tuple(
+        SessionResult(
+            index=spec.index,
+            label=spec.label,
+            query_name=spec.query.name,
+            worker_id=task.worker_id,
+            report=reports[spec.index],
+            partition_of=spec.partition_of,
+            partition_index=spec.partition_index,
         )
-    results = tuple(collected)
+        for spec in specs
+    )
     # a left fold: float ``sum()`` is compensated from Python 3.12 on
     shard_seconds: float = 0
     for result in results:
@@ -154,7 +121,6 @@ def drive_shard(task: ShardTask) -> ShardResult:
         worker_id=task.worker_id,
         results=results,
         snapshot=cache.snapshot_state() if task.share_statistics else None,
-        quanta=quanta,
         shard_seconds=shard_seconds,
         wall_seconds=wall_now() - wall_start,
         busy_wall_seconds=busy_seconds,

@@ -46,10 +46,9 @@ class RemoteSource(DataSource):
         self.network = network or InstantNetworkModel()
         self.promised_rate = promised_rate
         self._arrival_schedule: tuple[float, ...] | None = None
-        #: number of streams opened over this source's lifetime.  Under
-        #: multi-query serving one source object is shared by every query
-        #: that references it (each with its own cursor), so this counts the
-        #: concurrent-connection load the source pool absorbed.
+        #: number of streams opened over this source's lifetime.  One source
+        #: object is shared by every query that references it (each with its
+        #: own cursor), so this counts the connections the pool absorbed.
         self.open_count = 0
         #: replica sources serving the same rows, in failover order (see
         #: :meth:`register_mirror`).
@@ -86,18 +85,6 @@ class RemoteSource(DataSource):
         return offset + bisect_right(
             schedule, now, 0, remaining, key=lambda t: start_at + t
         )
-
-    def prime(self) -> "RemoteSource":
-        """Force-compute the arrival schedule; returns ``self``.
-
-        The serving layer primes every remote source before admitting
-        queries, making the shared-schedule contract explicit: all sessions
-        (and any solo comparison run over the same source object) observe
-        byte-for-byte identical per-tuple arrival times no matter which
-        session's cursor touches the source first.
-        """
-        _ = self.arrival_schedule
-        return self
 
     def open_stream_columns(
         self, batch_size: int, offset: int = 0, start_at: float | None = None

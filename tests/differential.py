@@ -40,7 +40,7 @@ from repro.engine.pipelined import PipelinedExecutor
 from repro.optimizer.plans import JoinTree
 from repro.relational.catalog import Catalog, TableStatistics
 from repro.relational.relation import Relation
-from repro.serving.server import QueryServer
+from repro.serving.sharded import ShardedQueryServer
 from repro.sources.network import PhasedRateNetworkModel
 from repro.sources.remote import RemoteSource
 from workload_generator import DifferentialWorkload, generate_workload
@@ -193,16 +193,20 @@ def run_solo_corrective(
     initial_tree: JoinTree | None = None,
     polling_interval: float = POLLING_INTERVAL,
     poll_step_limit: int = POLL_STEP_LIMIT,
+    bad_plan: bool = True,
     **processor_options,
 ):
     """One solo corrective run of a differential workload.
 
     The parameterized runner behind every solo differential column: engine
     mode, batch size, and any extra processor options (``order_adaptive``,
-    ``rate_adaptive``, …) vary; the bad initial tree, polling cadence and
-    canonicalization are shared.  Returns ``(report, EngineObservables)``.
+    ``rate_adaptive``, …) vary; the bad initial tree (unless ``bad_plan`` is
+    false: then the optimizer's), polling cadence and canonicalization are
+    shared.  Returns ``(report, EngineObservables)``.
     """
     query = workload.query
+    if initial_tree is None and bad_plan:
+        initial_tree = _bad_initial_tree(workload)
     report = CorrectiveQueryProcessor(
         catalog if catalog is not None else workload.catalog(),
         sources if sources is not None else workload.sources(),
@@ -212,7 +216,7 @@ def run_solo_corrective(
         **processor_options,
     ).execute(
         query,
-        initial_tree=initial_tree if initial_tree is not None else _bad_initial_tree(workload),
+        initial_tree=initial_tree,
         poll_step_limit=poll_step_limit,
     )
     observables = EngineObservables(
@@ -223,63 +227,6 @@ def run_solo_corrective(
         simulated_seconds=report.simulated_seconds,
         phases=report.num_phases,
     )
-    return report, observables
-
-
-def run_served_workloads(
-    workloads: list[DifferentialWorkload],
-    policy: str,
-    batch_size: int | None = None,
-    engine_mode: str = "interpreted",
-    **server_options,
-):
-    """One serving run over prefix-namespaced differential workloads.
-
-    The parameterized runner behind every served differential column: all
-    workloads are admitted at time zero to one :class:`QueryServer` (shared
-    catalog / source pool), each forced to start from its deliberately bad
-    join order.  Returns ``(ServingReport, [EngineObservables])`` with one
-    observables entry per workload, in admission order.
-    """
-    catalog = Catalog()
-    sources: dict[str, object] = {}
-    for workload in workloads:
-        for name, relation in workload.relations.items():
-            catalog.register(name, relation.schema)
-        sources.update(workload.sources())
-    server = QueryServer(
-        catalog,
-        sources,
-        policy=policy,
-        batch_size=batch_size,
-        quantum_tuples=POLL_STEP_LIMIT,
-        polling_interval_seconds=POLLING_INTERVAL,
-        engine_mode=engine_mode,
-        **server_options,
-    )
-    for workload in workloads:
-        server.submit(
-            workload.query,
-            initial_tree=_bad_initial_tree(workload),
-            label=workload.query.name,
-        )
-    report = server.run()
-    assert len(report.served) == len(workloads)
-    observables = []
-    for served, workload in zip(report.served, workloads):
-        assert served.query_name == workload.query.name
-        observables.append(
-            EngineObservables(
-                multiset=_canonical_multiset(
-                    served.rows,
-                    served.report.schema.names,
-                    _canonical_names(workload),
-                ),
-                metrics=served.report.metrics.as_dict(),
-                simulated_seconds=served.report.simulated_seconds,
-                phases=served.phases,
-            )
-        )
     return report, observables
 
 
@@ -372,81 +319,6 @@ def run_differential_case(seed: int) -> DifferentialResult:
 
 
 @dataclass
-class ServingDifferentialResult:
-    """One serving-vs-solo differential run, for assertions and meta-tests."""
-
-    seeds: tuple[int, ...]
-    policy: str
-    batch_size: int | None
-    workloads: list[DifferentialWorkload]
-    serving_report: object  # repro.serving.server.ServingReport
-    solo_phase_counts: list[int]
-    served_phase_counts: list[int]
-
-    @property
-    def num_remote(self) -> int:
-        return sum(1 for workload in self.workloads if workload.remote)
-
-    @property
-    def max_served_phases(self) -> int:
-        return max(self.served_phase_counts, default=0)
-
-
-def run_serving_differential_case(
-    seeds, policy: str, batch_size: int | None = None
-) -> ServingDifferentialResult:
-    """Serve several differential workloads concurrently; verify each answer.
-
-    The workloads (one per seed, relation names prefixed ``w<i>_`` so they
-    coexist in one catalog) are all admitted at time zero to a
-    :class:`~repro.serving.server.QueryServer` under ``policy``, each forced
-    to start from its deliberately bad join order.  Every served query's
-    result multiset must equal both the brute-force reference oracle and a
-    solo corrective run with identical parameters — interleaving, shared
-    clocks and cross-query statistics seeding may change plans and timing
-    but never answers.
-    """
-    workloads = [
-        generate_workload(seed, name_prefix=f"w{index}_")
-        for index, seed in enumerate(seeds)
-    ]
-
-    expectations = []
-    solo_phase_counts = []
-    for workload in workloads:
-        query = workload.query
-        reference = Counter(reference_spja(query, workload.relations))
-        _, solo = run_solo_corrective(workload, batch_size=batch_size)
-        assert solo.multiset == reference, (
-            f"solo corrective run disagrees with the reference oracle on "
-            f"query {query.name} (seed {workload.seed})"
-        )
-        solo_phase_counts.append(solo.phases)
-        expectations.append((workload, reference))
-
-    report, served_observables = run_served_workloads(
-        workloads, policy, batch_size=batch_size
-    )
-    served_phase_counts = []
-    for served, (workload, reference) in zip(served_observables, expectations):
-        assert served.multiset == reference, (
-            f"policy {policy!r} (batch_size={batch_size}): served query "
-            f"{workload.query.name!r} disagrees with its solo/reference "
-            f"result on seed {workload.seed}; query:\n{workload.query.describe()}"
-        )
-        served_phase_counts.append(served.phases)
-    return ServingDifferentialResult(
-        seeds=tuple(seeds),
-        policy=policy,
-        batch_size=batch_size,
-        workloads=workloads,
-        serving_report=report,
-        solo_phase_counts=solo_phase_counts,
-        served_phase_counts=served_phase_counts,
-    )
-
-
-@dataclass
 class CompiledDifferentialResult:
     """Interpreted-vs-compiled observables for one workload (solo corrective)."""
 
@@ -531,11 +403,12 @@ def run_compiled_serving_differential_case(
 ) -> CompiledServingDifferentialResult:
     """Serve the same workload mix with both engines and collect observables.
 
-    The servers are configured identically (shared clock, same policy and
-    quantum); because the compiled engine charges bit-identical work at
-    bit-identical points, the schedulers make identical decisions and every
-    served query must report identical answers, counters, simulated timings
-    and phase counts — the whole serving run is replayed exactly.
+    Each engine's served sessions are held bit-identical to their solo runs
+    (:func:`serve_against_solo`); because the compiled engine charges
+    bit-identical work at bit-identical points, every served query must
+    also report identical answers, counters, simulated timings and phase
+    counts across the two engines — the whole serving run is replayed
+    exactly.
     """
     workloads = [
         generate_workload(seed, name_prefix=f"w{index}_")
@@ -546,23 +419,22 @@ def run_compiled_serving_differential_case(
         for workload in workloads
     ]
 
-    observed: dict[str, list[EngineObservables]] = {}
-    makespans: dict[str, float] = {}
-    for engine_mode in ("interpreted", "compiled"):
-        report, observed[engine_mode] = run_served_workloads(
+    observed: dict[str, ShardedDifferentialResult] = {
+        engine_mode: serve_against_solo(
             workloads, policy, batch_size=batch_size, engine_mode=engine_mode
         )
-        makespans[engine_mode] = report.makespan
+        for engine_mode in ("interpreted", "compiled")
+    }
     return CompiledServingDifferentialResult(
         seeds=tuple(seeds),
         policy=policy,
         batch_size=batch_size,
         workloads=workloads,
         references=references,
-        interpreted=observed["interpreted"],
-        compiled=observed["compiled"],
-        interpreted_makespan=makespans["interpreted"],
-        compiled_makespan=makespans["compiled"],
+        interpreted=observed["interpreted"].served,
+        compiled=observed["compiled"].served,
+        interpreted_makespan=observed["interpreted"].report.makespan,
+        compiled_makespan=observed["compiled"].report.makespan,
     )
 
 
@@ -826,32 +698,41 @@ def assert_differential_case(result: DifferentialResult) -> None:
     )
 
 
+def _schemas_only(workload: DifferentialWorkload) -> tuple[Catalog, dict]:
+    """A workload's own catalog (schemas only) and sources."""
+    return workload.catalog(), workload.sources()
+
+
 def run_sharded_workloads(
     workloads: list[DifferentialWorkload],
     policy: str,
-    workers: int,
+    workers: int = 1,
     batch_size: int | None = None,
     engine_mode: str = "interpreted",
-    start_method: str | None = None,
-    **server_options,
+    start_method: str | None = "inline",
+    setup=_schemas_only,
+    bad_plan: bool = True,
+    **options,
 ):
-    """One sharded serving run over prefix-namespaced differential workloads.
+    """One serving run over prefix-namespaced differential workloads.
 
-    The multi-process counterpart of :func:`run_served_workloads`: the same
-    workload mix is admitted to a
+    The workload mix is admitted to one
     :class:`~repro.serving.sharded.ShardedQueryServer` with ``workers``
-    shards, each forced to start from its deliberately bad join order.
-    Returns ``(ShardedServingReport, [EngineObservables])`` with one
-    observables entry per workload, in admission order.
+    shards (in-process by default), whose pool merges what ``setup`` gives
+    each workload (catalog entries and sources); each session is forced to
+    start from its deliberately bad join order unless ``bad_plan`` is false.
+    Returns ``(ServingReport, [EngineObservables])`` with one observables
+    entry per workload, in admission order.
     """
-    from repro.serving.sharded import ShardedQueryServer
-
     catalog = Catalog()
     sources: dict[str, object] = {}
     for workload in workloads:
-        for name, relation in workload.relations.items():
-            catalog.register(name, relation.schema)
-        sources.update(workload.sources())
+        sub_catalog, sub_sources = setup(workload)
+        for name in workload.relations:
+            catalog.register(
+                name, sub_catalog.schema(name), sub_catalog.statistics(name)
+            )
+        sources.update(sub_sources)
     server = ShardedQueryServer(
         catalog,
         sources,
@@ -862,12 +743,12 @@ def run_sharded_workloads(
         polling_interval_seconds=POLLING_INTERVAL,
         engine_mode=engine_mode,
         start_method=start_method,
-        **server_options,
+        **options,
     )
     for workload in workloads:
         server.submit(
             workload.query,
-            initial_tree=_bad_initial_tree(workload),
+            initial_tree=_bad_initial_tree(workload) if bad_plan else None,
             label=workload.query.name,
         )
     report = server.run()
@@ -892,16 +773,15 @@ def run_sharded_workloads(
 
 @dataclass
 class ShardedDifferentialResult:
-    """One sharded-vs-solo differential run, for assertions and meta-tests."""
+    """One served-vs-solo differential run, for assertions and meta-tests."""
 
-    seeds: tuple[int, ...]
     policy: str
     workers: int
     batch_size: int | None
     engine_mode: str
     start_method: str | None
     workloads: list[DifferentialWorkload]
-    report: object  # repro.serving.sharded.ShardedServingReport
+    report: object  # repro.serving.sharded.ServingReport
     solo: list[EngineObservables]
     served: list[EngineObservables]
 
@@ -914,33 +794,40 @@ class ShardedDifferentialResult:
         return [observables.phases for observables in self.served]
 
 
-def run_sharded_differential_case(
-    seeds,
+def serve_against_solo(
+    workloads: list[DifferentialWorkload],
     policy: str,
-    workers: int,
+    workers: int = 1,
     batch_size: int | None = None,
     engine_mode: str = "interpreted",
-    start_method: str | None = None,
+    start_method: str | None = "inline",
+    setup=_schemas_only,
+    bad_plan: bool = True,
+    **options,
 ) -> ShardedDifferentialResult:
-    """Shard several differential workloads across worker processes; verify
-    each answer **bit-identically** against its solo corrective run.
+    """Serve several differential workloads; verify each answer
+    **bit-identically** against its solo corrective run.
 
-    Stronger than the in-process serving differential: because every sharded
-    session runs blocking on a private clock — exactly like solo execution —
-    not just multisets but work counters, simulated seconds *and* phase
-    counts must equal the solo run with identical parameters, on every
-    worker count, scheduling policy, engine mode and start method.
+    Every session is one plain corrective execution on its own clock,
+    exactly like solo execution, so not just multisets but work counters,
+    simulated seconds (``repr``-equal) *and* phase counts must equal the
+    solo run with identical parameters (the same ``setup``, ``bad_plan`` and
+    processor ``options``), on every worker count, scheduling policy, engine
+    mode and start method.  Every solo run must also match the brute-force
+    oracle.
     """
-    workloads = [
-        generate_workload(seed, name_prefix=f"w{index}_")
-        for index, seed in enumerate(seeds)
-    ]
-
     solo_observables = []
     for workload in workloads:
         reference = Counter(reference_spja(workload.query, workload.relations))
+        catalog, sources = setup(workload)
         _, solo = run_solo_corrective(
-            workload, batch_size=batch_size, engine_mode=engine_mode
+            workload,
+            batch_size=batch_size,
+            engine_mode=engine_mode,
+            catalog=catalog,
+            sources=sources,
+            bad_plan=bad_plan,
+            **options,
         )
         assert solo.multiset == reference, (
             f"solo corrective run disagrees with the reference oracle on "
@@ -955,13 +842,16 @@ def run_sharded_differential_case(
         batch_size=batch_size,
         engine_mode=engine_mode,
         start_method=start_method,
+        setup=setup,
+        bad_plan=bad_plan,
+        **options,
     )
     for served, solo, workload in zip(
         served_observables, solo_observables, workloads
     ):
         context = (
             f"workers={workers}, policy={policy!r}, batch_size={batch_size}, "
-            f"engine={engine_mode}, start={start_method!r}: sharded query "
+            f"engine={engine_mode}, start={start_method!r}: served query "
             f"{workload.query.name!r} (seed {workload.seed})"
         )
         assert served.multiset == solo.multiset, (
@@ -980,7 +870,6 @@ def run_sharded_differential_case(
             f"({served.phases} vs {solo.phases})"
         )
     return ShardedDifferentialResult(
-        seeds=tuple(seeds),
         policy=policy,
         workers=workers,
         batch_size=batch_size,
@@ -990,6 +879,30 @@ def run_sharded_differential_case(
         report=report,
         solo=solo_observables,
         served=served_observables,
+    )
+
+
+def run_sharded_differential_case(
+    seeds,
+    policy: str,
+    workers: int,
+    batch_size: int | None = None,
+    engine_mode: str = "interpreted",
+    start_method: str | None = None,
+) -> ShardedDifferentialResult:
+    """:func:`serve_against_solo` over one generated workload per seed,
+    relation names prefixed ``w<i>_`` so they coexist in one catalog."""
+    workloads = [
+        generate_workload(seed, name_prefix=f"w{index}_")
+        for index, seed in enumerate(seeds)
+    ]
+    return serve_against_solo(
+        workloads,
+        policy,
+        workers,
+        batch_size=batch_size,
+        engine_mode=engine_mode,
+        start_method=start_method,
     )
 
 
@@ -1006,7 +919,7 @@ class PartitionDifferentialResult:
     reference: Counter
     solo: EngineObservables
     merged: Counter
-    report: object  # repro.serving.sharded.ShardedServingReport
+    report: object  # repro.serving.sharded.ServingReport
 
     @property
     def partitioned(self):
@@ -1032,8 +945,6 @@ def run_partition_differential_case(
     aggregation queries (avg decomposed into sum/count partials).  The merged
     multiset must equal the unpartitioned answer exactly.
     """
-    from repro.serving.sharded import ShardedQueryServer
-
     if workload is None:
         workload = generate_workload(seed)
     assert not workload.remote, (

@@ -7,7 +7,6 @@ aggregation — which are easy to convince yourself are correct.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Sequence
 
@@ -40,12 +39,9 @@ def node_outputs(plan) -> dict[frozenset, int]:
     return {node.relations: node.output_count for node in plan.nodes}
 
 
-def latency_percentile(report, fraction: float) -> float:
-    """Nearest-rank percentile (``fraction`` in [0, 1]) of a serving report's
-    query latencies."""
-    latencies = sorted(query.latency for query in report.served)
-    rank = math.ceil(fraction * len(latencies))
-    return latencies[min(max(rank - 1, 0), len(latencies) - 1)]
+def consumed_counts(plan) -> dict[str, int]:
+    """Tuples consumed from each of a plan's source cursors (pre-selection)."""
+    return {name: plan.cursors[name].consumed for name in plan.leaves}
 
 
 def reference_join(

@@ -1,10 +1,10 @@
 """Unit tests for the adaptivity kernel (events, controller, policies).
 
 The headline guarantee tested here is the extension contract: a brand-new
-adaptation policy can be registered on a processor's (or server's)
-controller and participate fully — receive rate samples, propose plan
-switches and read re-prioritizations, have them applied — **without any
-change to** ``core/corrective.py`` **or** ``serving/server.py``.
+adaptation policy can be registered on a processor's controller and
+participate fully — receive rate samples, propose plan switches and read
+re-prioritizations, have them applied — **without any change to**
+``core/corrective.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.optimizer.exposure import gating_tree, split_remaining_cost
 from repro.optimizer.plans import JoinTree
 from repro.optimizer.statistics import ObservedStatistics, SelectivityEstimator
 from repro.relational.catalog import Catalog, TableStatistics
-from repro.serving.server import QueryServer
 from workload_generator import generate_workload
 
 
@@ -230,38 +229,6 @@ class TestStubPolicyExtension:
         assert _canonical_multiset(
             report.rows, report.schema.names, _canonical_names(workload)
         ) == Counter(reference_spja(workload.query, workload.relations))
-
-    def test_stub_session_policy_on_server(self):
-        seeds = (4200, 4201)
-        workloads = [
-            generate_workload(seed, name_prefix=f"w{i}_")
-            for i, seed in enumerate(seeds)
-        ]
-        catalog = Catalog()
-        sources: dict[str, object] = {}
-        for workload in workloads:
-            for name, relation in workload.relations.items():
-                catalog.register(name, relation.schema)
-            sources.update(workload.sources())
-        stub = RecordingPolicy()
-        server = QueryServer(
-            catalog,
-            sources,
-            batch_size=64,
-            quantum_tuples=POLL_STEP_LIMIT,
-            polling_interval_seconds=POLLING_INTERVAL,
-            session_policies=(stub,),
-        )
-        for workload in workloads:
-            server.submit(workload.query, label=workload.query.name)
-        report = server.run()
-        assert len(report.served) == 2
-        # One begin_run per session, and events flowed to the stub.
-        assert stub.began == 2
-        for served, workload in zip(report.served, workloads):
-            assert _canonical_multiset(
-                served.rows, served.report.schema.names, _canonical_names(workload)
-            ) == Counter(reference_spja(workload.query, workload.relations))
 
 
 class TestControllerArbitration:

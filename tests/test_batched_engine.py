@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from helpers import node_outputs
+from helpers import consumed_counts, node_outputs
 
 from repro.engine.cost import ExecutionMetrics
 from repro.engine.operators.aggregate import GroupAccumulator
@@ -57,7 +57,7 @@ class TestSourceCursorBatching:
         assert cursor.consumed == 1
         # The positive-arrival tuple is still there, untouched.
         assert cursor.peek_arrival() == pytest.approx(0.5)
-        # A later bound (a cooperative horizon) admits what has arrived by it.
+        # A later bound (a later clock reading) admits what has arrived by it.
         rows, last_arrival = cursor.read_batch(10, 1.0)
         assert rows == people.rows[1:3]
         assert last_arrival == pytest.approx(1.0)
@@ -235,7 +235,7 @@ class TestChunkSchedule:
                 break
             chunks += 1
             assert plan.metrics.batches_read == batches + 1
-            assert plan.consumed_counts() == tuple_plan.consumed_counts()
+            assert consumed_counts(plan) == consumed_counts(tuple_plan)
             counters = plan.metrics.as_dict()
             tuple_counters = tuple_plan.metrics.as_dict()
             del counters["batches_read"], tuple_counters["batches_read"]

@@ -29,7 +29,6 @@ from repro.engine.collector import collector_paused
 from repro.engine.operators.aggregate import GroupAccumulator
 from repro.engine.pipelined import PipelinedExecutor
 from repro.optimizer.plans import JoinTree, PlanError, PreAggPoint
-from repro.serving.server import QueryServer
 from repro.serving.sharded import ShardedQueryServer
 from repro.serving.worker import drive_shard
 from repro.workloads.queries import query_3a, query_10a
@@ -45,7 +44,6 @@ DRIVER_BODIES = frozenset(
         CorrectiveQueryProcessor.execute,
         StaticExecutor.execute,
         PlanPartitioningExecutor.execute,
-        QueryServer.run,
         ShardedQueryServer.run,
         drive_shard,
     )
@@ -138,7 +136,6 @@ DRIVERS = {
         ).execute,
         query_10a(),
     ),
-    "query-server": lambda tpch: _server(QueryServer, tpch).run,
     "sharded-inline": lambda tpch: _server(
         ShardedQueryServer, tpch, workers=2, start_method="inline"
     ).run,
@@ -166,14 +163,12 @@ def test_no_collection_starts_inside_a_driver(small_tpch, collections, driver):
 
 @pytest.mark.usefixtures("collector_enabled")
 def test_the_same_run_outside_a_driver_collects(small_tpch, collections):
-    """The control: drained step by step, with no driver around it, the
-    corrective run above starts dozens of collections."""
-    runner = _processor(small_tpch).execute_incremental(
-        query_3a(), initial_tree=BAD_TREE
-    )
+    """The control: run by the undecorated body, with no pause around it,
+    the corrective run above starts dozens of collections."""
+    processor = _processor(small_tpch)
+    body = inspect.unwrap(CorrectiveQueryProcessor.execute)
     collections.clear()
-    for _tick in runner:
-        pass
+    body(processor, query_3a(), initial_tree=BAD_TREE)
     assert len(collections) >= 24
 
 

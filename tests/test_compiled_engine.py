@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from helpers import node_outputs
+from helpers import consumed_counts, node_outputs
 from test_stitchup import FIXED_CASE, case_route_sources, folds_inline
 from workload_generator import generate_workload
 from repro.engine import compiled
@@ -308,7 +308,7 @@ class TestArrivalSchedulePriming:
         """Satellite regression: every access path shares one materialization."""
         network = _CountingNetwork(BurstyNetworkModel(seed=11))
         source = RemoteSource(self._relation(), network)
-        source.prime()
+        _ = source.arrival_schedule
         assert network.calls == 1
         # Every subsequent consumer — column streams, resumed streams, tuple
         # streams, cursors, repeated opens — reuses the cached schedule.
@@ -419,14 +419,14 @@ class TestEngineModeSurface:
 
     def test_server_validates_eagerly(self):
         from repro.relational.catalog import Catalog
-        from repro.serving.server import QueryServer
+        from repro.serving.sharded import ShardedQueryServer
 
         query, sources = _tiny_workload()
         catalog = Catalog()
         for name, relation in sources.items():
             catalog.register(name, relation.schema)
         with pytest.raises(ValueError, match="batch_size"):
-            QueryServer(catalog, sources, engine_mode="compiled")
+            ShardedQueryServer(catalog, sources, engine_mode="compiled")
 
     def test_modes_constant(self):
         assert ENGINE_MODES == ("interpreted", "compiled")
@@ -494,7 +494,7 @@ class TestEngineModeSurface:
             return (
                 sorted(out),
                 counters,
-                plan.consumed_counts(),
+                consumed_counts(plan),
                 {
                     name: (leaf.tuples_read, leaf.tuples_passed)
                     for name, leaf in plan.leaves.items()
@@ -526,7 +526,7 @@ class TestEngineModeSurface:
             assert compiled.metrics.batches_read == batched.metrics.batches_read
             assert compiled.clock.now == batched.clock.now
             # Nothing consumed arrives after the reading it was scheduled at.
-            consumed_s = batched.consumed_counts()["s"]
+            consumed_s = consumed_counts(batched)["s"]
             if consumed_s:
                 assert sources["s"].arrival_schedule[consumed_s - 1] <= scheduled_at[-1]
             for plan in (tuple_plan, batched, compiled):

@@ -2,7 +2,12 @@
 
 import pytest
 
-from helpers import assert_same_aggregates, assert_same_bag, reference_spja
+from helpers import (
+    assert_same_aggregates,
+    assert_same_bag,
+    consumed_counts,
+    reference_spja,
+)
 from repro.baselines.static_executor import StaticExecutor
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.core.monitor import ExecutionMonitor
@@ -193,20 +198,20 @@ class TestPollWindows:
         observe = ExecutionMonitor.observe
 
         def recording(monitor, plan, cursors):
-            records.append((plan.phase_id, plan.consumed_counts(), repr(plan.clock.now)))
+            records.append((plan.phase_id, consumed_counts(plan), repr(plan.clock.now)))
             return observe(monitor, plan, cursors)
 
         monkeypatch.setattr(ExecutionMonitor, "observe", recording)
         if chunk_by_chunk:
             run_chunk = PipelinedPlan.run_chunk
 
-            def chunk_loop(plan, max_tuples, horizon=None, until=None):
+            def chunk_loop(plan, max_tuples, until=None):
                 """The loop of single chunks a window replaced."""
-                total = run_chunk(plan, max_tuples, horizon)
+                total = run_chunk(plan, max_tuples)
                 if until is None:
                     return total
                 while plan.clock.now < until and not plan.sources_exhausted:
-                    ran = run_chunk(plan, max_tuples, horizon)
+                    ran = run_chunk(plan, max_tuples)
                     if ran == 0:
                         break
                     total += ran

@@ -9,9 +9,9 @@ order coincides) and corrective phase counts.  Two scenarios:
 
 * **solo corrective** — every seeded workload runs corrective query
   processing from the same deliberately bad initial plan with both engines;
-* **served N=4** — the workloads are served four at a time on one shared
-  clock under both scheduling policies; schedulers must make identical
-  decisions, so each served query (and the whole run's makespan) replays
+* **served N=4** — the workloads are served four at a time under both
+  scheduling policies; each served query is bit-identical to its solo run
+  with either engine, so each (and the whole run's makespan) replays
   exactly.
 
 A population meta-test keeps the generator honest: the seed range must

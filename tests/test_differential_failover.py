@@ -7,31 +7,22 @@ in the answers.  Over seeded random workloads whose sources all collapse
 into a sustained outage (each with a healthy registered mirror), corrective
 execution with ``failover_adaptive=True`` must produce the identical result
 multiset as the no-failover configuration and the brute-force oracle, in
-tuple mode, batched mode, and under serving.  A population meta-test pins
-that the suite actually exercises failovers (the per-seed assertions hold
-trivially if the outage detector never fires).
+tuple mode, batched mode, and under serving (there bit-identical to solo).
+A population meta-test pins that the suite actually exercises failovers
+(the per-seed assertions hold trivially if the outage detector never
+fires).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
 from differential import (
-    POLL_STEP_LIMIT,
-    POLLING_INTERVAL,
-    _bad_initial_tree,
-    _canonical_multiset,
-    _canonical_names,
     assert_mirror_differential_case,
     mirror_outage_setup,
     run_mirror_differential_case,
+    serve_against_solo,
 )
-from helpers import reference_spja
-
-from repro.relational.catalog import Catalog
-from repro.serving.server import QueryServer
 from workload_generator import generate_workload
 
 MIRROR_SEEDS = tuple(range(1000, 1025))
@@ -85,62 +76,26 @@ def test_mirror_failover_tuple_mode_answers_identical(seed):
 
 
 @pytest.mark.parametrize("policy", ["round_robin", "shortest_remaining_cost"])
-def test_mirror_failover_serving_answers_identical(policy):
-    """Served failover-adaptive sessions still answer exactly like the oracle."""
+def test_mirror_failover_serving_matches_solo(policy):
+    """Served failover-adaptive sessions are bit-identical to their solo
+    runs (asserted in the runner), which match the oracle."""
     seeds = (1000, 1002, 1003)
     workloads = [
         generate_workload(seed, name_prefix=f"m{index}_")
         for index, seed in enumerate(seeds)
     ]
-    references = [
-        Counter(reference_spja(workload.query, workload.relations))
-        for workload in workloads
-    ]
-    catalog = Catalog()
-    sources: dict[str, object] = {}
-    for workload in workloads:
-        sub_catalog, sub_sources = mirror_outage_setup(workload)
-        for name in workload.relations:
-            catalog.register(
-                name, sub_catalog.schema(name), sub_catalog.statistics(name)
-            )
-        sources.update(sub_sources)
-    server = QueryServer(
-        catalog,
-        sources,
-        policy=policy,
+    result = serve_against_solo(
+        workloads,
+        policy,
         batch_size=64,
-        engine_mode="interpreted",
-        quantum_tuples=POLL_STEP_LIMIT,
-        polling_interval_seconds=POLLING_INTERVAL,
+        setup=mirror_outage_setup,
         failover_adaptive=True,
         failover_stall_seconds=0.005,
     )
-    for workload in workloads:
-        server.submit(
-            workload.query,
-            initial_tree=_bad_initial_tree(workload),
-            label=workload.query.name,
-        )
-    report = server.run()
-    assert len(report.served) == len(workloads)
-    served_failovers = 0
-    for served, workload, reference in zip(report.served, workloads, references):
-        assert served.query_name == workload.query.name
-        assert (
-            _canonical_multiset(
-                served.rows,
-                served.report.schema.names,
-                _canonical_names(workload),
-            )
-            == reference
-        ), (
-            f"policy {policy!r}: served failover-adaptive query "
-            f"{workload.query.name} disagrees with the oracle"
-        )
-        served_failovers += len(
-            served.report.details.get("adaptation", {}).get("failovers", [])
-        )
+    served_failovers = sum(
+        len(served.report.details["adaptation"]["failovers"])
+        for served in result.report.served
+    )
     assert served_failovers >= 1, (
         f"policy {policy!r}: no served session exercised a mirror failover"
     )

@@ -11,8 +11,8 @@ Three layers of evidence that the merge strategy never changes answers:
   corrective processor (with and without catalog promises, across batch
   sizes) and must match both the reference oracle and the hash-only runs,
   with batch-size-invariant phase counts on local sources.
-* **Served mode** — several ordered workloads served concurrently on an
-  order-adaptive :class:`QueryServer` must each match their reference.
+* **Served mode** — several ordered workloads served together by an
+  order-adaptive server must each be bit-identical to their solo runs.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from differential import (
     _canonical_names,
     order_catalog,
     order_workload_variant,
+    serve_against_solo,
 )
 from helpers import reference_spja
 
@@ -35,8 +36,6 @@ from repro.core.corrective import CorrectiveQueryProcessor
 from repro.engine.pipelined import PipelinedExecutor
 from repro.optimizer.ordering import JoinStrategy
 from repro.optimizer.plans import JoinTree
-from repro.relational.catalog import Catalog
-from repro.serving.server import QueryServer
 from workload_generator import generate_workload
 
 FORCED_MERGE_SEEDS = range(40)
@@ -169,45 +168,26 @@ def test_adaptive_runs_actually_use_merge_somewhere():
 
 @pytest.mark.parametrize("policy", ["round_robin", "shortest_remaining_cost"])
 @pytest.mark.parametrize("batch_size", [None, 64])
-def test_order_adaptive_serving_matches_reference(policy, batch_size):
-    seeds = (3, 7, 11)
+def test_order_adaptive_serving_matches_solo(policy, batch_size):
+    """Served order-adaptive sessions over promised sorted sources are
+    bit-identical to their solo runs (asserted in the runner), which match
+    the oracle, and the orderings they discovered reach the server's cache."""
     workloads = []
-    catalog = Catalog()
-    sources: dict[str, object] = {}
-    for index, seed in enumerate(seeds):
+    sort_attrs: dict[str, str] = {}
+    for index, seed in enumerate((3, 7, 11)):
         base = generate_workload(seed, name_prefix=f"w{index}_")
-        workload, sort_attrs = order_workload_variant(base, "sorted")
-        promise_catalog = order_catalog(workload, sort_attrs, True)
-        for name in workload.relations:
-            catalog.register(
-                name, workload.relations[name].schema, promise_catalog.statistics(name)
-            )
-        sources.update(workload.sources())
+        workload, attrs = order_workload_variant(base, "sorted")
         workloads.append(workload)
-
-    server = QueryServer(
-        catalog,
-        sources,
-        policy=policy,
+        sort_attrs.update(attrs)
+    result = serve_against_solo(
+        workloads,
+        policy,
         batch_size=batch_size,
-        engine_mode="interpreted",
-        quantum_tuples=POLL_STEP_LIMIT,
-        polling_interval_seconds=POLLING_INTERVAL,
+        setup=lambda workload: (
+            order_catalog(workload, sort_attrs, True),
+            workload.sources(),
+        ),
+        bad_plan=False,
         order_adaptive=True,
     )
-    for workload in workloads:
-        server.submit(workload.query, label=workload.query.name)
-    report = server.run()
-    assert len(report.served) == len(workloads)
-    for served, workload in zip(report.served, workloads):
-        canonical_names = _canonical_names(workload)
-        reference = Counter(reference_spja(workload.query, workload.relations))
-        served_multiset = _canonical_multiset(
-            served.rows, served.report.schema.names, canonical_names
-        )
-        assert served_multiset == reference, (
-            f"policy {policy!r} (batch={batch_size}): served query "
-            f"{served.label!r} disagrees with the reference on seed "
-            f"{workload.seed}:\n{workload.query.describe()}"
-        )
-    assert report.stats_cache_summary["orderings"] > 0
+    assert result.report.stats_cache_summary["orderings"] > 0

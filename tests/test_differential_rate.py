@@ -22,9 +22,8 @@ from differential import (
     rate_collapse_setup,
     run_rate_differential_case,
     run_solo_corrective,
+    serve_against_solo,
 )
-from helpers import reference_spja
-from collections import Counter
 
 from workload_generator import generate_workload
 
@@ -83,62 +82,18 @@ def test_rate_adaptive_is_bit_identical_without_promises(seed):
 
 
 @pytest.mark.parametrize("policy", ["round_robin", "shortest_remaining_cost"])
-def test_rate_adaptive_serving_answers_identical(policy):
-    """Served rate-adaptive sessions still answer exactly like the oracle."""
-    seeds = (901, 905, 910)
+def test_rate_adaptive_serving_matches_solo(policy):
+    """Served rate-adaptive sessions, every source behind a collapsing link
+    in one shared pool, are bit-identical to their solo runs (asserted in
+    the runner), which match the oracle."""
     workloads = [
         generate_workload(seed, name_prefix=f"w{index}_")
-        for index, seed in enumerate(seeds)
+        for index, seed in enumerate((901, 905, 910))
     ]
-    references = [
-        Counter(reference_spja(workload.query, workload.relations))
-        for workload in workloads
-    ]
-    # Shared pool: every workload's sources behind collapsing links, with
-    # the promises registered in one shared catalog.
-    from repro.relational.catalog import Catalog
-    from repro.serving.server import QueryServer
-    from differential import POLL_STEP_LIMIT, POLLING_INTERVAL, _bad_initial_tree
-
-    catalog = Catalog()
-    sources: dict[str, object] = {}
-    for workload in workloads:
-        sub_catalog, sub_sources = rate_collapse_setup(workload)
-        for name in workload.relations:
-            catalog.register(
-                name, sub_catalog.schema(name), sub_catalog.statistics(name)
-            )
-        sources.update(sub_sources)
-    server = QueryServer(
-        catalog,
-        sources,
-        policy=policy,
+    serve_against_solo(
+        workloads,
+        policy,
         batch_size=64,
-        engine_mode="interpreted",
-        quantum_tuples=POLL_STEP_LIMIT,
-        polling_interval_seconds=POLLING_INTERVAL,
+        setup=rate_collapse_setup,
         rate_adaptive=True,
     )
-    for workload in workloads:
-        server.submit(
-            workload.query,
-            initial_tree=_bad_initial_tree(workload),
-            label=workload.query.name,
-        )
-    report = server.run()
-    assert len(report.served) == len(workloads)
-    for served, workload, reference in zip(report.served, workloads, references):
-        assert served.query_name == workload.query.name
-        from differential import _canonical_multiset, _canonical_names
-
-        assert (
-            _canonical_multiset(
-                served.rows,
-                served.report.schema.names,
-                _canonical_names(workload),
-            )
-            == reference
-        ), (
-            f"policy {policy!r}: served rate-adaptive query "
-            f"{workload.query.name} disagrees with the oracle"
-        )

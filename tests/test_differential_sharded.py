@@ -1,14 +1,11 @@
 """Sharded-serving-vs-solo differential tests.
 
-The correctness bar of the multi-process serving tier: routing N queries
-across worker processes — each worker driving its scheduler shard with
-per-session private clocks, statistics snapshots folded at the front-end —
-must leave every query's result **bit-identical** to its solo corrective
+The correctness bar of the serving tier: routing N queries across worker
+processes — each worker running its shard's sessions one plain corrective
+execution at a time, statistics snapshots folded at the front-end — must
+leave every query's result **bit-identical** to its solo corrective
 execution: multiset, work counters, simulated seconds and phase counts all
-equal, on every worker count, scheduling policy and engine mode.  This is
-stronger than the in-process serving differential (which only pins
-multisets): sharded sessions run blocking on private clocks, exactly like
-solo runs, so nothing about their observables may change.
+equal, on every worker count, scheduling policy and engine mode.
 
 Partition-parallel execution gets the same treatment: hash-partitioning a
 query's heaviest join edge, running one fragment per partition on separate
@@ -100,7 +97,7 @@ class SharedRelationCase:
     the report whose every session matched its solo run."""
 
     queries: list[SPJAQuery]
-    report: object  # repro.serving.sharded.ShardedServingReport
+    report: object  # repro.serving.sharded.ServingReport
 
 
 def _observables(report) -> tuple:
@@ -197,10 +194,9 @@ def test_sharded_matches_solo(workers, seeds, policy, engine_mode, batch_size):
     report = result.report
     assert len(report.served) == len(seeds)
     assert report.workers == workers
-    # Round-robin routing touched every worker and each ran real quanta.
+    # Round-robin routing touched every worker and each ran sessions.
     assert len(report.worker_summaries) == workers
-    assert all(summary.quanta >= 1 for summary in report.worker_summaries)
-    assert all(query.quanta >= 1 for query in report.served)
+    assert all(summary.sessions >= 1 for summary in report.worker_summaries)
 
 
 def test_sharded_inline_mode_identical_to_processes():

@@ -58,7 +58,6 @@ from repro.relational.catalog import Catalog
 from repro.relational.expressions import JoinPredicate
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.serving.server import QueryServer
 from repro.serving.sharded import ShardedQueryServer
 from repro.workloads.queries import query_3a, query_10a
 from repro.workloads.scenarios import (
@@ -302,11 +301,15 @@ def test_a_forked_sharded_run_leaves_no_cycles_in_the_front_end(small_tpch):
     assert_no_cycles(run)
 
 
-def test_a_shared_clock_server_run_leaves_no_cycles(small_tpch):
+def test_an_inline_server_run_leaves_no_cycles(small_tpch):
+    """The in-process shard: the worker's driver runs in this process."""
+
     def run():
-        server = QueryServer(
+        server = ShardedQueryServer(
             small_tpch.catalog(with_cardinalities=False),
             small_tpch.as_sources(),
+            workers=1,
+            start_method="inline",
             batch_size=64,
             quantum_tuples=200,
             polling_interval_seconds=0.1,

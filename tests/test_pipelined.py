@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import (
     assert_same_aggregates,
     assert_same_bag,
+    consumed_counts,
     node_outputs,
     reference_spja,
 )
@@ -293,7 +294,7 @@ class RuleOracle:
             self.plan.clock.charge(work, self.charged)
             self.charged = work
 
-    def run_chunk(self, max_tuples, horizon):
+    def run_chunk(self, max_tuples):
         plan = self.plan
         ran = 0
         while ran < max_tuples:
@@ -306,7 +307,7 @@ class RuleOracle:
                 key = (arrival, plan.read_priorities.get(name, 0), cursor.consumed, index)
                 if best is None or key < best[0]:
                     best = (key, cursor, binding)
-            if best is None or (horizon is not None and best[0][0] > horizon):
+            if best is None:
                 break
             _, cursor, binding = best
             self.sync()
@@ -364,8 +365,6 @@ def drive_cases(draw, stream=schedules(), max_leaves=5):
         st.lists(
             st.tuples(
                 st.integers(1, 7),
-                # horizon: None (blocking), or the clock plus this much
-                st.one_of(st.none(), st.sampled_from([0.0, 0.25, 2.0])),
                 st.dictionaries(st.sampled_from(names), st.integers(0, 2)),
             ),
             min_size=1,
@@ -421,24 +420,23 @@ class TestTupleDriveLoop:
 
         def check():
             assert loop_log == rule_log
-            assert plan.consumed_counts() == rule_plan.consumed_counts()
+            assert consumed_counts(plan) == consumed_counts(rule_plan)
             assert plan.metrics.as_dict() == rule_plan.metrics.as_dict()
             assert plan.clock.now == rule_plan.clock.now
             assert plan.clock.wait_time == rule_plan.clock.wait_time
             assert outputs == rule_outputs
 
         # The drawn chunks, then blocking chunks until everything is drained.
-        chunks = case["chunks"] + [(5, None, {})] * 13
-        for index, (size, ahead, priorities) in enumerate(chunks):
+        chunks = case["chunks"] + [(5, {})] * 13
+        for index, (size, priorities) in enumerate(chunks):
             if index == fail_at:
                 fail_over(case, (plan, rule_plan))
             # The controller replaces the dict, it never edits it in place.
             plan.read_priorities = dict(priorities)
             rule_plan.read_priorities = dict(priorities)
-            horizon = None if ahead is None else plan.clock.now + ahead
             steps_before = plan.statistics.steps
-            ran = plan.run_chunk(size, horizon=horizon)
-            assert ran == oracle.run_chunk(size, horizon)
+            ran = plan.run_chunk(size)
+            assert ran == oracle.run_chunk(size)
             assert plan.statistics.steps - steps_before == ran
             check()
         assert plan.sources_exhausted and rule_plan.sources_exhausted
@@ -538,12 +536,12 @@ class TestTupleDriveLoop:
         rule_plan, rule_outputs = build_plan(query, streams, 2, CostModel(), rule_log)
         oracle = RuleOracle(rule_plan)
         while plan.step():
-            assert oracle.run_chunk(1, None) == 1
+            assert oracle.run_chunk(1) == 1
             # step() leaves the last step's work uncharged, as it always has.
             plan.finish_phase()
             assert loop_log == rule_log
             assert plan.clock.now == rule_plan.clock.now
-        assert oracle.run_chunk(1, None) == 0
+        assert oracle.run_chunk(1) == 0
         assert loop_log == ["r0", "r1", "r0", "r1", "r0"]
         assert outputs == rule_outputs == [(1, 0, 1, 7), (1, 0, 1, 8), (1, 1, 1, 7), (1, 1, 1, 8)]
         assert plan.statistics.steps == plan.statistics.tuples_read == 5
@@ -653,17 +651,15 @@ class TestBisectedRun:
         )
         oracle = RuleOracle(rule_plan)
         total = sum(len(rows) for rows, _ in streams.values())
-        chunks = case["chunks"] + [(5, None, {})] * (total // 5 + 1)
-        for index, (size, ahead, priorities) in enumerate(chunks):
+        chunks = case["chunks"] + [(5, {})] * (total // 5 + 1)
+        for index, (size, priorities) in enumerate(chunks):
             if index == case["failover"][0]:
                 fail_over(case, (plan, rule_plan))
             plan.read_priorities = dict(priorities)
             rule_plan.read_priorities = dict(priorities)
-            # The clocks agree to the last bit, so one horizon serves both.
-            horizon = None if ahead is None else rule_plan.clock.now + ahead
-            ran = plan.run_chunk(size, horizon=horizon)
-            assert ran == oracle.run_chunk(size, horizon)
-            assert plan.consumed_counts() == rule_plan.consumed_counts()
+            ran = plan.run_chunk(size)
+            assert ran == oracle.run_chunk(size)
+            assert consumed_counts(plan) == consumed_counts(rule_plan)
             expected = rule_plan.metrics.as_dict()
             expected["batches_read"] = plan.metrics.batches_read
             assert plan.metrics.as_dict() == expected
@@ -687,15 +683,15 @@ class TestBisectedRun:
             chain_query(2, selective=False), streams, 64, CostModel(), [], batch_size=64
         )
         assert plan.run_chunk(4) == 4
-        assert plan.consumed_counts() == {"r0": 4, "r1": 0}
+        assert consumed_counts(plan) == {"r0": 4, "r1": 0}
         assert plan.run_chunk(5) == 5
-        assert plan.consumed_counts() == {"r0": 5, "r1": 4}
+        assert consumed_counts(plan) == {"r0": 5, "r1": 4}
         assert plan.run_chunk(3) == 3
-        assert plan.consumed_counts() == {"r0": 6, "r1": 6}
+        assert consumed_counts(plan) == {"r0": 6, "r1": 6}
         # a demoted leaf gives way for the whole shared plateau
         plan.read_priorities = {"r0": 1}
         assert plan.run_chunk(64) == 12
-        assert plan.consumed_counts() == {"r0": 12, "r1": 12}
+        assert consumed_counts(plan) == {"r0": 12, "r1": 12}
         assert plan.sources_exhausted
 
     def test_a_plateau_costs_a_bounded_number_of_peeks(self):
@@ -711,7 +707,7 @@ class TestBisectedRun:
             chain_query(2, selective=False), streams, 64, CostModel(), [], batch_size=64
         )
         assert plan.run_chunk(64) == 64
-        assert plan.consumed_counts() == {"r0": 64, "r1": 0}
+        assert consumed_counts(plan) == {"r0": 64, "r1": 0}
         assert sum(cursor.peeks for cursor in plan.cursors.values()) <= 8
 
 
@@ -787,7 +783,7 @@ class TestPollWindow:
             assert ran == loop_ran
             windows += 1
             chunks += loop_chunks
-            assert plan.consumed_counts() == loop_plan.consumed_counts()
+            assert consumed_counts(plan) == consumed_counts(loop_plan)
             assert node_outputs(plan) == node_outputs(loop_plan)
             assert plan.metrics.as_dict() == loop_plan.metrics.as_dict()
             # steps, tuples read, outputs, work units, seconds, consumed

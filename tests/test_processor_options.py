@@ -1,9 +1,9 @@
 """The corrective processor's knobs: one validated record behind every front door.
 
 Every invalid setting is rejected when :class:`ProcessorOptions` is built,
-so each front door (the processor, the shared-clock server, the sharded
-server under both start methods) fails at construction, before any query
-runs and before any worker starts.
+so each front door (the processor, the server under its former name and
+under both start methods) fails at construction, before any query runs and
+before any worker starts.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ def _processor(catalog, sources, **knobs):
     return CorrectiveQueryProcessor(catalog, sources, **knobs)
 
 
-def _server(catalog, sources, **knobs):
-    return QueryServer(catalog, sources, **knobs)
-
-
 def _sharded_inline(catalog, sources, **knobs):
     return ShardedQueryServer(catalog, sources, start_method="inline", **knobs)
 
@@ -42,7 +38,8 @@ def _sharded_default(catalog, sources, **knobs):
 
 FRONT_DOORS = {
     "processor": _processor,
-    "query_server": _server,
+    # the former name the benchmark still builds
+    "query_server": QueryServer,
     "sharded_inline": _sharded_inline,
     "sharded_default": _sharded_default,
 }
@@ -93,6 +90,7 @@ def test_every_front_door_rejects_at_construction(workload, door, rejection):
         # deleted server features: a caller still passing one hears of it
         "admission_backpressure",
         "rate_seeded_plans",
+        "session_policies",
     ],
 )
 def test_a_name_that_is_not_a_knob_is_a_type_error(workload, door, knob):
@@ -118,19 +116,19 @@ def test_knobs_override_the_record_field_by_field():
 
 def test_keywords_and_record_build_the_same_servers(workload):
     record = ProcessorOptions(polling_interval_seconds=0.25, order_adaptive=True)
-    by_keyword = QueryServer(
+    by_keyword = ShardedQueryServer(
         workload.catalog(),
         workload.sources(),
+        workers=1,
         polling_interval_seconds=0.25,
         order_adaptive=True,
     )
-    by_record = QueryServer(workload.catalog(), workload.sources(), options=record)
-    assert by_keyword.options == by_record.options == record
-    sharded = ShardedQueryServer(
+    by_record = ShardedQueryServer(
         workload.catalog(), workload.sources(), workers=1, options=record
     )
-    sharded.submit(workload.query)
-    (task,) = sharded._build_tasks()
+    assert by_keyword.options == by_record.options == record
+    by_record.submit(workload.query)
+    (task,) = by_record._build_tasks()
     assert task.processor_options == record
 
 

@@ -1,27 +1,28 @@
-"""Unit tests for the multi-query serving layer."""
+"""Unit tests for the serving layer: the statistics cache, the scheduling
+policies, the server's front door and the facade's ``serve``."""
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
-from helpers import latency_percentile
 from repro.core.corrective import CorrectiveQueryProcessor
-from repro.experiments.common import DEFAULT_BATCH_SIZE, build_dataset
+from repro.core.options import ProcessorOptions
 from repro.integration.system import AdaptiveIntegrationSystem
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import SPJAQuery
-from repro.relational.catalog import Catalog
+from repro.relational.catalog import Catalog, TableStatistics
 from repro.relational.expressions import JoinPredicate
+from repro.relational.schema import Schema
 from repro.serving import (
     POLICIES,
-    QueryServer,
     RoundRobinPolicy,
+    SessionSpec,
+    ShardedQueryServer,
     SharedStatisticsCache,
     ShortestRemainingCostPolicy,
     make_policy,
 )
+from repro.serving.server import QueryServer, corrective_processor_options
 from repro.sources.network import BurstyNetworkModel
 from repro.sources.remote import RemoteSource
 from repro.workloads.queries import query_3a, query_5, query_10a
@@ -99,14 +100,21 @@ class TestSharedStatisticsCache:
         assert cache.apply_cardinalities(catalog) == 0
 
 
-class _StubSession:
-    def __init__(self, index, last_granted_turn, remaining):
-        self.index = index
-        self.last_granted_turn = last_granted_turn
-        self._remaining = remaining
+def _observables(report) -> tuple:
+    """What a served session must share with its solo run, bit for bit."""
+    return (
+        report.rows,
+        report.metrics.as_dict(),
+        repr(report.simulated_seconds),
+        report.num_phases,
+    )
 
-    def remaining_cost_estimate(self):
-        return self._remaining
+
+def _people_orders_catalog(people, simple_orders) -> Catalog:
+    catalog = Catalog()
+    catalog.register(people.name, people.schema, relation=people)
+    catalog.register(simple_orders.name, simple_orders.schema, relation=simple_orders)
+    return catalog
 
 
 class TestSchedulingPolicies:
@@ -118,123 +126,83 @@ class TestSchedulingPolicies:
             make_policy("fifo")
         assert set(POLICIES) == {"round_robin", "shortest_remaining_cost"}
 
-    def test_round_robin_picks_least_recently_served(self):
-        sessions = [
-            _StubSession(0, last_granted_turn=5, remaining=1.0),
-            _StubSession(1, last_granted_turn=2, remaining=9.0),
-            _StubSession(2, last_granted_turn=-1, remaining=9.0),
-        ]
-        assert RoundRobinPolicy().pick(sessions, now=0.0).index == 2
-
-    def test_shortest_remaining_cost_picks_smallest_estimate(self):
-        sessions = [
-            _StubSession(0, last_granted_turn=-1, remaining=100.0),
-            _StubSession(1, last_granted_turn=-1, remaining=10.0),
-            _StubSession(2, last_granted_turn=-1, remaining=10.0),
-        ]
-        # Smallest estimate wins; admission order breaks the tie.
-        assert ShortestRemainingCostPolicy().pick(sessions, now=0.0).index == 1
-
-    def test_shortest_remaining_cost_does_not_lose_on_median_latency(self):
-        """The point of an SRPT-style discipline, on eight concurrent instances
-        of the paper's queries (Q3A, Q10A, Q5 cycled).  Simulated latencies are
-        a pure function of scale and seed: a stable pin, not a timing check."""
-        dataset = build_dataset("uniform", 0.002, 0.0, 2004)
-        makers = (query_3a, query_10a, query_5)
-        p50 = {}
-        for policy in ("round_robin", "shortest_remaining_cost"):
-            server = QueryServer(
-                dataset.catalog_no_statistics,
-                dataset.sources,
-                policy=policy,
-                batch_size=DEFAULT_BATCH_SIZE,
-                quantum_tuples=200,
-                polling_interval_seconds=0.25,
-            )
-            for index in range(8):
-                server.submit(makers[index % len(makers)]())
-            report = server.run()
-            assert len(report.served) == 8
-            p50[policy] = latency_percentile(report, 0.5)
-        assert p50["shortest_remaining_cost"] <= p50["round_robin"]
-
-
-class TestQueryServer:
-    def _server(self, people, simple_orders, **kwargs):
+    def _specs(self):
         catalog = Catalog()
-        catalog.register(people.name, people.schema, relation=people)
-        catalog.register(simple_orders.name, simple_orders.schema, relation=simple_orders)
+        for name, cardinality in (("a", 100), ("b", 10), ("c", 10)):
+            catalog.register(
+                name,
+                Schema.from_names([f"{name}_id"], relation=name),
+                TableStatistics(cardinality=cardinality),
+            )
+        queries = [
+            SPJAQuery(
+                name="ab",
+                relations=("a", "b"),
+                join_predicates=(JoinPredicate("a", "a_id", "b", "b_id"),),
+            ),
+            SPJAQuery(name="b", relations=("b",), join_predicates=()),
+            SPJAQuery(name="c", relations=("c",), join_predicates=()),
+        ]
+        specs = [
+            SessionSpec(index=index, label=query.name, query=query)
+            for index, query in enumerate(queries)
+        ]
+        return catalog, specs
+
+    def _order(self, policy, catalog, specs):
+        ordered = sorted(specs, key=lambda spec: policy.sort_key(spec, catalog))
+        return [spec.label for spec in ordered]
+
+    def test_round_robin_runs_in_admission_order(self):
+        catalog, specs = self._specs()
+        order = self._order(RoundRobinPolicy(), catalog, list(reversed(specs)))
+        assert order == ["ab", "b", "c"]
+
+    def test_shortest_remaining_cost_runs_smallest_estimate_first(self):
+        catalog, specs = self._specs()
+        # Smallest summed cardinality wins; admission order breaks the tie.
+        order = self._order(ShortestRemainingCostPolicy(), catalog, specs)
+        assert order == ["b", "c", "ab"]
+
+
+class TestServer:
+    def _server(self, people, simple_orders, **kwargs):
         sources = {"people": people, "simple_orders": simple_orders}
         kwargs.setdefault("polling_interval_seconds", 0.0001)
         kwargs.setdefault("quantum_tuples", 3)
-        return QueryServer(catalog, sources, **kwargs)
+        return ShardedQueryServer(
+            _people_orders_catalog(people, simple_orders),
+            sources,
+            workers=1,
+            start_method="inline",
+            **kwargs,
+        )
 
-    def test_submit_validates_sources_and_admission(self, people, simple_orders):
+    def _solo(self, people, simple_orders):
+        return CorrectiveQueryProcessor(
+            _people_orders_catalog(people, simple_orders),
+            {"people": people, "simple_orders": simple_orders},
+            polling_interval_seconds=0.0001,
+        ).execute(_people_orders_query(), poll_step_limit=3)
+
+    def test_submit_validates_sources_and_settings(self, people, simple_orders):
         server = self._server(people, simple_orders)
         with pytest.raises(KeyError, match="unregistered"):
             server.submit(
                 SPJAQuery(name="bad", relations=("ghost",), join_predicates=())
             )
-        with pytest.raises(ValueError, match="non-negative"):
-            server.submit(_people_orders_query(), admit_at=-1.0)
         with pytest.raises(ValueError, match="quantum_tuples"):
             self._server(people, simple_orders, quantum_tuples=0)
 
-    def test_duplicate_labels_are_uniquified(self, people, simple_orders):
-        server = self._server(people, simple_orders)
-        first = server.submit(_people_orders_query(), label="same")
-        second = server.submit(_people_orders_query(), label="same")
-        assert first == "same"
-        assert second != "same"
-
-    def test_server_is_single_use(self, people, simple_orders):
-        server = self._server(people, simple_orders)
-        server.submit(_people_orders_query())
-        server.run()
-        with pytest.raises(RuntimeError, match="already run"):
-            server.run()
-        with pytest.raises(RuntimeError, match="already run"):
-            server.submit(_people_orders_query())
-
-    def test_concurrent_sessions_interleave_and_match_solo(
-        self, people, simple_orders
-    ):
+    def test_sessions_match_solo(self, people, simple_orders):
         server = self._server(people, simple_orders)
         for index in range(3):
             server.submit(_people_orders_query(), label=f"q{index}")
         report = server.run()
-        assert len(report.served) == 3
-        # With a tiny quantum every session needs several grants, and the
-        # round-robin policy interleaves them rather than running serially.
-        assert all(query.quanta >= 3 for query in report.served)
-        grants_span = report.total_quanta
-        assert grants_span >= sum(query.quanta for query in report.served)
-
-        catalog = Catalog()
-        catalog.register(people.name, people.schema, relation=people)
-        catalog.register(simple_orders.name, simple_orders.schema, relation=simple_orders)
-        solo = CorrectiveQueryProcessor(
-            catalog,
-            {"people": people, "simple_orders": simple_orders},
-            polling_interval_seconds=0.0001,
-        ).execute(_people_orders_query(), poll_step_limit=3)
+        assert [served.label for served in report.served] == ["q0", "q1", "q2"]
+        solo = _observables(self._solo(people, simple_orders))
         for served in report.served:
-            assert Counter(served.rows) == Counter(solo.rows)
-
-    def test_staggered_admission_controls_start_times(self, people, simple_orders):
-        server = self._server(people, simple_orders)
-        server.submit(_people_orders_query(), admit_at=0.0, label="early")
-        server.submit(_people_orders_query(), admit_at=5.0, label="late")
-        report = server.run()
-        by_label = {query.label: query for query in report.served}
-        late = by_label["late"]
-        early = by_label["early"]
-        # The early query finishes long before the late one is admitted; the
-        # server's clock then jumps to the late admission time.
-        assert early.finished_at < 5.0
-        assert late.started_at == pytest.approx(5.0)
-        assert late.latency == pytest.approx(late.finished_at - 5.0)
-        assert report.makespan >= late.finished_at - report.served[0].admitted_at - 0.0
+            assert _observables(served.report) == solo
 
     def test_report_shape(self, people, simple_orders):
         server = self._server(people, simple_orders)
@@ -242,33 +210,108 @@ class TestQueryServer:
         server.submit(_people_orders_query())
         report = server.run()
         assert report.policy == "round_robin"
+        assert report.workers == 1 and report.start_method == "inline"
         assert len(report) == 2
         assert all(0 < query.latency <= report.makespan for query in report.served)
+        assert report.makespan == max(query.latency for query in report.served)
 
-    def test_learned_statistics_flow_between_sessions(self, people, simple_orders):
+    def test_learned_statistics_flow_between_runs(self, people, simple_orders):
         cache = SharedStatisticsCache()
-        server = self._server(people, simple_orders, stats_cache=cache)
-        server.submit(_people_orders_query(), admit_at=0.0)
-        server.submit(_people_orders_query(), admit_at=1.0)
-        server.run()
-        # The first query exhausts both sources; their exact cardinalities
-        # are learned and published into the server catalog before the
-        # second query is activated.
+        first = self._server(people, simple_orders, stats_cache=cache)
+        first.submit(_people_orders_query())
+        first.submit(_people_orders_query())
+        first.run()
+        # Both sessions exhaust both sources; the cache learns their exact
+        # cardinalities once the run is over.
         assert cache.cardinalities["people"] == len(people)
         assert cache.cardinalities["simple_orders"] == len(simple_orders)
-        assert server.catalog.statistics("people").cardinality == len(people)
         assert cache.queries_absorbed == 2
+        second = self._server(people, simple_orders, stats_cache=cache)
+        second.submit(_people_orders_query())
+        report = second.run()
+        assert report.served[0].report.details["seeded_statistics"]
+        assert cache.queries_absorbed == 3
+
+    def test_shortest_remaining_cost_orders_by_learned_cardinalities(
+        self, people, simple_orders, monkeypatch
+    ):
+        """The worker publishes the run-start snapshot's cardinalities once,
+        then orders its sessions by them: unknown sizes tie (admission
+        order), learned ones put the smaller relation first."""
+        by_relation = {
+            name: SPJAQuery(name=f"only_{name}", relations=(name,), join_predicates=())
+            for name in ("simple_orders", "people")
+        }
+        order: list[str] = []
+        execute = CorrectiveQueryProcessor.execute
+
+        def recording(processor, query, *args, **kwargs):
+            order.append(query.name)
+            return execute(processor, query, *args, **kwargs)
+
+        monkeypatch.setattr(CorrectiveQueryProcessor, "execute", recording)
+        cache = SharedStatisticsCache()
+        for _ in range(2):
+            server = self._server(
+                people,
+                simple_orders,
+                policy="shortest_remaining_cost",
+                stats_cache=cache,
+            )
+            for query in by_relation.values():
+                server.submit(query)
+            server.run()
+        assert len(people) < len(simple_orders)
+        assert order == [
+            # first run: both sizes unknown, so admission order
+            "only_simple_orders",
+            "only_people",
+            # second run: the learned sizes, smaller first
+            "only_people",
+            "only_simple_orders",
+        ]
 
     def test_share_statistics_can_be_disabled(self, people, simple_orders):
         cache = SharedStatisticsCache()
+        learner = self._server(people, simple_orders, stats_cache=cache)
+        learner.submit(_people_orders_query())
+        learner.run()
+        summary = cache.summary()
         server = self._server(
             people, simple_orders, stats_cache=cache, share_statistics=False
         )
-        server.submit(_people_orders_query(), admit_at=0.0)
-        server.submit(_people_orders_query(), admit_at=1.0)
-        server.run()
-        assert cache.queries_seeded == 0
+        server.submit(_people_orders_query())
+        report = server.run()
+        assert not report.served[0].report.details["seeded_statistics"]
+        assert cache.summary() == summary
         assert server.catalog.statistics("people").cardinality is None
+
+
+class TestBenchCompatNames:
+    """The former names the benchmark's probes import stay usable."""
+
+    def test_query_server_alias_serves_sessions_equal_to_solo(self, tiny_tpch):
+        catalog = Catalog()
+        for relation in tiny_tpch.relations.values():
+            catalog.register(relation.name, relation.schema, relation=relation)
+        sources = dict(tiny_tpch.relations)
+        options = dict(batch_size=64, polling_interval_seconds=0.01)
+        server = QueryServer(catalog, sources, quantum_tuples=50, **options)
+        queries = [query_3a(), query_10a(), query_5()]
+        for query in queries:
+            server.submit(query)
+        report = server.run()
+        assert report.workers == 1 and report.start_method == "inline"
+        assert [served.query_name for served in report.served] == [
+            query.name for query in queries
+        ]
+        for query, served in zip(queries, report.served):
+            solo = CorrectiveQueryProcessor(catalog.copy(), sources, **options)
+            expected = _observables(solo.execute(query, poll_step_limit=50))
+            assert _observables(served.report) == expected, query.name
+
+    def test_corrective_processor_options_is_the_options_record(self):
+        assert corrective_processor_options is ProcessorOptions
 
 
 class TestRemoteSourceSharing:
@@ -292,25 +335,22 @@ class TestRemoteSourceSharing:
         people_src.network.arrival_times = (
             lambda count: schedules.append(count) or arrival_times(count)
         )
-        catalog = Catalog()
-        catalog.register(people.name, people.schema, relation=people)
-        catalog.register(simple_orders.name, simple_orders.schema, relation=simple_orders)
-        server = QueryServer(
+        catalog = _people_orders_catalog(people, simple_orders)
+        server = ShardedQueryServer(
             catalog,
             {"people": people_src, "simple_orders": orders_src},
+            workers=1,
+            start_method="inline",
             polling_interval_seconds=0.001,
             quantum_tuples=2,
         )
         server.submit(_people_orders_query(), label="a")
         server.submit(_people_orders_query(), label="b")
         report = server.run()
-        # Priming materialized one schedule; both sessions opened streams
-        # over the same source objects.
+        # One schedule, computed on the first open; both sessions opened
+        # streams over the same source objects.
         assert schedules == [len(people)]
-        assert people_src.open_count >= 2
-        assert report.source_opens["people"] == people_src.open_count
-        # Arrival waits actually showed up on the shared clock.
-        assert report.clock_wait_seconds >= 0.0
+        assert people_src.open_count == 2
 
         solo = CorrectiveQueryProcessor(
             catalog.copy(),
@@ -318,7 +358,7 @@ class TestRemoteSourceSharing:
             polling_interval_seconds=0.001,
         ).execute(_people_orders_query(), poll_step_limit=2)
         for served in report.served:
-            assert Counter(served.rows) == Counter(solo.rows)
+            assert _observables(served.report) == _observables(solo)
 
 
 class TestSystemServeFacade:
@@ -335,23 +375,26 @@ class TestSystemServeFacade:
         assert len(report.served) == 3
         for query, served in zip(queries, report.served):
             solo = self._system(tiny_tpch).execute(query, strategy="corrective")
-            assert Counter(served.rows) == Counter(solo.rows), query.name
+            assert _observables(served.report) == _observables(solo.report), query.name
 
     def test_serve_validates_inputs(self, tiny_tpch):
         system = self._system(tiny_tpch)
         with pytest.raises(ValueError, match="at least one"):
             system.serve([])
-        with pytest.raises(ValueError, match="admission_times"):
-            system.serve([query_3a()], admission_times=[0.0, 1.0])
         with pytest.raises(KeyError, match="unregistered"):
             AdaptiveIntegrationSystem().serve([query_3a()])
+
+    def test_serve_rejects_the_deleted_admission_times(self, tiny_tpch):
+        with pytest.raises(TypeError, match="admission_times"):
+            self._system(tiny_tpch).serve([query_3a()], admission_times=[0.0])
 
     def test_stats_cache_carries_across_serve_calls(self, tiny_tpch):
         system = self._system(tiny_tpch)
         cache = SharedStatisticsCache()
-        system.serve([query_3a()], stats_cache=cache)
+        first = system.serve([query_3a()], stats_cache=cache)
         absorbed_once = cache.queries_absorbed
-        system.serve([query_3a()], stats_cache=cache)
+        second = system.serve([query_3a()], stats_cache=cache)
         assert cache.queries_absorbed > absorbed_once
-        assert cache.queries_seeded >= 1
+        assert not first.served[0].report.details["seeded_statistics"]
+        assert second.served[0].report.details["seeded_statistics"]
         assert cache.cardinalities  # exhausted sources were learned

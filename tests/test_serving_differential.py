@@ -1,26 +1,28 @@
-"""Serving-vs-solo differential tests.
+"""Serving-vs-solo differential tests for the in-process, one-shard server.
 
-The correctness bar of the multi-query serving layer: admitting N queries
-concurrently — with a shared simulated clock, shared source objects, fair
-scheduling and cross-query statistics seeding — must leave every query's
-result multiset identical to its solo corrective execution (and to the
-brute-force reference oracle).  The workloads reuse the same seeded
-generator as the engine differential tests, so the population spans
-aggregation, empty inputs, multi-join queries and remote (bursty-arrival)
-sources; a meta-test pins that coverage so the assertions cannot silently
-become vacuous.
+The correctness bar of the serving layer: admitting N queries to one server
+— shared source objects, a scheduling policy, cross-run statistics — must
+leave every query's result **bit-identical** to its solo corrective
+execution (multiset, work counters, ``repr``-equal simulated seconds and
+phase counts), and equal to the brute-force reference oracle.  The
+workloads reuse the same seeded generator as the engine differential tests,
+so the population spans aggregation, empty inputs, multi-join queries and
+remote (bursty-arrival) sources; a meta-test pins that coverage so the
+assertions cannot silently become vacuous.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from differential import run_serving_differential_case
+from differential import run_sharded_differential_case
+
+from repro.core.corrective import CorrectiveQueryProcessor
 
 POLICIES = ("round_robin", "shortest_remaining_cost")
 
-#: (concurrency level, workload seeds) — issue-mandated N ∈ {2, 4, 8}, drawn
-#: from the same seed population as the engine differential tests.
+#: (concurrency level, workload seeds) — N ∈ {2, 4, 8}, drawn from the same
+#: seed population as the engine differential tests.
 CONCURRENCY_CASES = (
     (2, (0, 1)),
     (4, (2, 3, 4, 5)),
@@ -34,7 +36,9 @@ def _case(seeds, policy, batch_size=None):
     key = (tuple(seeds), policy, batch_size)
     result = _CASE_CACHE.get(key)
     if result is None:
-        result = run_serving_differential_case(seeds, policy, batch_size=batch_size)
+        result = run_sharded_differential_case(
+            seeds, policy, 1, batch_size=batch_size, start_method="inline"
+        )
         _CASE_CACHE[key] = result
     return result
 
@@ -45,16 +49,14 @@ def _case(seeds, policy, batch_size=None):
 )
 def test_serving_matches_solo(concurrency, seeds, policy):
     result = _case(seeds, policy)
-    assert len(result.serving_report.served) == concurrency
-    # Every query genuinely ran under the shared clock.
-    assert all(query.quanta >= 1 for query in result.serving_report.served)
+    assert len(result.report.served) == concurrency
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_serving_matches_solo_batched(policy):
-    """Batched engines under concurrent serving still answer exactly."""
+    """Batched engines under serving are still bit-identical to solo."""
     result = _case((2, 3, 4, 5), policy, batch_size=64)
-    assert len(result.serving_report.served) == 4
+    assert len(result.report.served) == 4
 
 
 def test_serving_population_covers_interesting_regimes():
@@ -83,18 +85,36 @@ def test_serving_population_covers_interesting_regimes():
     assert remote >= 2, "no remote workloads served — arrival waits untested"
     assert multi_phase >= 2, (
         "no served query ran multiple corrective phases — adaptation under "
-        "concurrency is at risk of being vacuously true"
+        "serving is at risk of being vacuously true"
     )
     assert multi_join >= 4
     assert aggregated >= 2
 
 
-def test_scheduling_policies_change_timing_but_not_answers():
-    """The two policies produce different schedules over the same inputs
-    (otherwise the policy knob is dead code) while both match solo."""
+def test_scheduling_policies_change_the_run_order_but_not_answers(monkeypatch):
+    """The two policies run the same sessions in different orders (otherwise
+    the policy knob is dead code) while both stay bit-identical to solo."""
+    order: list[str] = []
+    execute = CorrectiveQueryProcessor.execute
+
+    def recording(self, query, *args, **kwargs):
+        order.append(query.name)
+        return execute(self, query, *args, **kwargs)
+
+    monkeypatch.setattr(CorrectiveQueryProcessor, "execute", recording)
     seeds = (6, 7, 8, 9, 10, 11, 12, 13)
-    round_robin = _case(seeds, "round_robin")
-    shortest = _case(seeds, "shortest_remaining_cost")
-    rr_latencies = [query.latency for query in round_robin.serving_report.served]
-    src_latencies = [query.latency for query in shortest.serving_report.served]
-    assert rr_latencies != src_latencies
+    runs = {}
+    for policy in POLICIES:
+        order.clear()
+        result = run_sharded_differential_case(
+            seeds, policy, 1, start_method="inline"
+        )
+        # The solo runs come first, in admission order; the session runs last.
+        runs[policy] = order[len(seeds):]
+        assert sorted(runs[policy]) == sorted(
+            workload.query.name for workload in result.workloads
+        )
+    assert runs["round_robin"] == [
+        workload.query.name for workload in result.workloads
+    ]
+    assert runs["shortest_remaining_cost"] != runs["round_robin"]

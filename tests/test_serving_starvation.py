@@ -1,160 +1,103 @@
-"""Serving-scheduler starvation coverage.
+"""Serving sessions whose sources are silent when the run starts.
 
-The scenario: every admitted session is simultaneously blocked on a remote
-arrival (no session is ready, the server's ready set is empty at t=0).  The
-serving loop must then advance the shared clock directly to the *earliest*
-pending arrival — not to an arbitrary session's arrival, and not spin — and
-every session must eventually be granted quanta and complete with correct
-answers, under both scheduling policies.
+Every source sits behind a connection latency, so at t=0 no session has
+anything to read; in the second pattern each source also goes silent again
+mid-stream.  Each session must still be served, under both scheduling
+policies: it stalls on its own clock until its data arrives, as a solo run
+does, so its answer equals the brute-force oracle and its metrics and
+``repr(simulated_seconds)`` equal its solo run's, and it cannot finish
+before its source came alive.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from helpers import assert_same_bag, reference_spja
 
+from repro.core.corrective import CorrectiveQueryProcessor
 from repro.relational.algebra import SPJAQuery
 from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.serving.server import QueryServer
-from repro.sources.network import ConstantRateNetworkModel
+from repro.serving.sharded import ShardedQueryServer
+from repro.sources.network import (
+    ConstantRateNetworkModel,
+    PhasedRateNetworkModel,
+)
 from repro.sources.remote import RemoteSource
 
 #: per-session connection latencies: every source is silent until its
-#: latency elapses, so at admission time all sessions are blocked at once
+#: latency elapses, so at the start every session is blocked at once
 DELAYS = (1.0, 1.5, 2.25, 3.0)
 
 ROWS_PER_SOURCE = 40
 
+#: each source delivers a burst at its latency, then nothing for a second
+PHASED = ((0.004, 5000.0), (1.0, 0.0))
 
-def _build_pool(seed: int = 11):
-    import random
 
+def _network(delay, phased):
+    if phased:
+        return PhasedRateNetworkModel(list(PHASED), tail_rate=5000.0, latency=delay)
+    return ConstantRateNetworkModel(tuples_per_second=5000.0, latency=delay)
+
+
+def _pool(phased, seed):
     rng = random.Random(seed)
     catalog = Catalog()
-    sources: dict[str, object] = {}
-    queries = []
     relations = {}
-    for index, delay in enumerate(DELAYS):
+    queries = []
+    for index in range(len(DELAYS)):
         name = f"s{index}"
         schema = Schema.from_names([f"{name}_pk", f"{name}_val"], relation=name)
-        rows = [
-            (value, rng.randrange(100)) for value in range(ROWS_PER_SOURCE)
-        ]
-        relation = Relation(name, schema, rows)
-        relations[name] = relation
-        sources[name] = RemoteSource(
-            relation,
-            ConstantRateNetworkModel(tuples_per_second=5000.0, latency=delay),
-        )
-        catalog.register(name, schema)
-        queries.append(SPJAQuery(f"q_{name}", (name,), ()))
-    return catalog, sources, queries, relations
-
-
-@pytest.mark.parametrize("policy", ["round_robin", "shortest_remaining_cost"])
-def test_all_sessions_blocked_clock_jumps_to_earliest_arrival(policy):
-    catalog, sources, queries, relations = _build_pool()
-    server = QueryServer(
-        catalog,
-        sources,
-        policy=policy,
-        quantum_tuples=16,
-        polling_interval_seconds=0.5,
-    )
-    for query in queries:
-        server.submit(query, admit_at=0.0, label=query.name)
-
-    # Record every clock advance the serving loop performs, so the
-    # starvation jump is directly observable.
-    jumps = []
-    original_wait_until = server.clock.wait_until
-
-    def recording_wait_until(arrival_time):
-        if arrival_time > server.clock.now:
-            jumps.append((server.clock.now, arrival_time))
-        return original_wait_until(arrival_time)
-
-    server.clock.wait_until = recording_wait_until
-    report = server.run()
-
-    # The very first real clock advance is the scheduler's starvation jump:
-    # from t=0 (everything blocked) straight to the earliest pending arrival.
-    assert jumps, "a fully blocked pool must advance the clock by waiting"
-    first_from, first_to = jumps[0]
-    assert first_from == 0.0
-    assert first_to == pytest.approx(min(DELAYS))
-
-    # No session was skipped: every query ran quanta, finished, and answered
-    # exactly its source's rows.
-    assert len(report.served) == len(queries)
-    for served, query in zip(report.served, queries):
-        assert served.query_name == query.name
-        assert served.quanta >= 1
-        assert_same_bag(served.rows, reference_spja(query, relations))
-
-    # Each session can only have finished after its own source came alive,
-    # and the whole run after the latest one.
-    for served, delay in zip(report.served, DELAYS):
-        assert served.finished_at >= delay
-    assert report.makespan >= max(DELAYS)
-    assert report.clock_wait_seconds >= min(DELAYS)
-
-    # Completion order must follow arrival availability (the earliest-fed
-    # session cannot be starved behind later-fed ones: its data is fully
-    # delivered before the next source even starts).
-    finish_times = [served.finished_at for served in report.served]
-    assert finish_times == sorted(finish_times)
-
-
-@pytest.mark.parametrize("policy", ["round_robin", "shortest_remaining_cost"])
-def test_staggered_blocked_sessions_interleave_without_skips(policy):
-    """Mid-run re-blocking: sessions alternate blocked/ready as bursts land.
-
-    A second source pattern: each source delivers half its rows at its
-    latency and the rest one second later, so sessions re-enter the blocked
-    state mid-flight.  Every session must still complete correctly.
-    """
-    import random
-
-    rng = random.Random(23)
-    catalog = Catalog()
-    sources: dict[str, object] = {}
-    queries = []
-    relations = {}
-    from repro.sources.network import PhasedRateNetworkModel
-
-    for index, delay in enumerate(DELAYS):
-        name = f"t{index}"
-        schema = Schema.from_names([f"{name}_pk", f"{name}_val"], relation=name)
         rows = [(value, rng.randrange(100)) for value in range(ROWS_PER_SOURCE)]
-        relation = Relation(name, schema, rows)
-        relations[name] = relation
-        sources[name] = RemoteSource(
-            relation,
-            PhasedRateNetworkModel(
-                [(0.004, 5000.0), (1.0, 0.0)],
-                tail_rate=5000.0,
-                latency=delay,
-            ),
-        )
+        relations[name] = Relation(name, schema, rows)
         catalog.register(name, schema)
         queries.append(SPJAQuery(f"q_{name}", (name,), ()))
+    return catalog, relations, queries
 
-    server = QueryServer(
+
+def _sources(relations, phased):
+    return {
+        name: RemoteSource(relation, _network(delay, phased))
+        for (name, relation), delay in zip(relations.items(), DELAYS)
+    }
+
+
+@pytest.mark.parametrize("phased", [False, True], ids=["silent-start", "re-silent"])
+@pytest.mark.parametrize("policy", ["round_robin", "shortest_remaining_cost"])
+def test_sessions_blocked_at_the_start_are_served_as_solo(policy, phased):
+    catalog, relations, queries = _pool(phased, seed=23 if phased else 11)
+    options = dict(polling_interval_seconds=0.5)
+    quantum = 8 if phased else 16
+    server = ShardedQueryServer(
         catalog,
-        sources,
+        _sources(relations, phased),
         policy=policy,
-        quantum_tuples=8,
-        polling_interval_seconds=0.5,
+        workers=1,
+        start_method="inline",
+        quantum_tuples=quantum,
+        **options,
     )
     for query in queries:
-        server.submit(query, admit_at=0.0, label=query.name)
+        server.submit(query, label=query.name)
     report = server.run()
-    assert len(report.served) == len(queries)
-    for served, query in zip(report.served, queries):
-        assert served.quanta >= 2, "re-blocked sessions must be re-granted"
+
+    assert [served.query_name for served in report.served] == [
+        query.name for query in queries
+    ]
+    for served, query, delay in zip(report.served, queries, DELAYS):
         assert_same_bag(served.rows, reference_spja(query, relations))
-    assert report.makespan >= max(DELAYS) + 1.0
+        solo = CorrectiveQueryProcessor(
+            catalog.copy(), _sources(relations, phased), **options
+        ).execute(query, poll_step_limit=quantum)
+        assert served.report.metrics.as_dict() == solo.metrics.as_dict()
+        assert repr(served.latency) == repr(solo.simulated_seconds)
+        # A session cannot finish before its source came alive (and, with a
+        # silent second, before the rest of it arrived).
+        assert served.latency >= delay + (1.0 if phased else 0.0)
+        assert served.report.wait_seconds >= delay
+    assert report.makespan == max(served.latency for served in report.served)

@@ -28,6 +28,7 @@ from differential import (
     run_sharded_workloads,
 )
 
+from repro.core.corrective import CorrectiveQueryProcessor
 from repro.io.wallclock import wall_now
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import AggregateSpec, SPJAQuery
@@ -50,7 +51,6 @@ from repro.serving.partition import (
     merge_partition_results,
     stable_partition_index,
 )
-from repro.serving.session import QuerySession
 from repro.serving.specs import SessionResult
 from repro.serving.worker import worker_main
 from repro.sources.source import LocalSource
@@ -322,8 +322,7 @@ class TestPartitionHelpers:
         names = list(fragment.output_attributes)
         results = [
             SessionResult(
-                index=index, label="q", query_name="q", worker_id=0, admitted_at=0.0,
-                started_at=0.0, finished_at=0.0, quanta=1,
+                index=index, label="q", query_name="q", worker_id=0,
                 report=SimpleNamespace(rows=rows, schema=Schema.from_names(names)),
                 partition_of="q", partition_index=index,
             )
@@ -360,69 +359,58 @@ class TestPartitionHelpers:
             merge_partition_results(plan, [])
 
 
-def _consumed(session: QuerySession) -> int:
-    tick = session.last_tick
-    return sum(tick.consumed.values()) if tick is not None else 0
-
-
 class TestRunToCompletion:
-    """A worker runs one session at a time, in its policy's order."""
+    """A worker seeds every session first, then runs one session at a time to
+    completion, in its policy's order, absorbing each as it finishes."""
 
     #: one shard of four differential workloads over 4, 2, 3 and 2 relations
     SEEDS = (0, 1, 3, 6)
-    #: retire order per policy: admission order, or shortest estimate first
-    RETIRE_ORDER = {
+    #: run order per policy: admission order, or shortest estimate first
+    RUN_ORDER = {
         "round_robin": [0, 1, 2, 3],
         "shortest_remaining_cost": [1, 3, 2, 0],
     }
-    #: per-session quanta, the same as when workers interleaved quanta
-    QUANTA = [7, 5, 7, 4]
 
-    @pytest.mark.parametrize("policy", sorted(RETIRE_ORDER))
+    @pytest.mark.parametrize("policy", sorted(RUN_ORDER))
     def test_sessions_run_to_completion_in_policy_order(self, policy, monkeypatch):
-        started: list[QuerySession] = []
-        estimates: dict[int, float] = {}
-        grants: list[tuple[int, bool, dict[int, int]]] = []
-        original_start, original_grant = QuerySession.start, QuerySession.grant
+        events: list[tuple[str, str]] = []
+        execute = CorrectiveQueryProcessor.execute
+        seed_for = SharedStatisticsCache.seed_for
+        absorb = SharedStatisticsCache.absorb
 
-        def start(session, *args):
-            original_start(session, *args)
-            started.append(session)
-            estimates[session.index] = session.remaining_cost_estimate()
+        def recording_execute(processor, query, *args, **kwargs):
+            events.append(("run", query.name))
+            return execute(processor, query, *args, **kwargs)
 
-        def grant(session):
-            done = original_grant(session)
-            consumed = {other.index: _consumed(other) for other in started}
-            grants.append((session.index, done, consumed))
-            return done
+        def recording_seed_for(cache, query):
+            events.append(("seed", query.name))
+            return seed_for(cache, query)
 
-        monkeypatch.setattr(QuerySession, "start", start)
-        monkeypatch.setattr(QuerySession, "grant", grant)
+        def recording_absorb(cache, observed):
+            events.append(("absorb", ""))
+            return absorb(cache, observed)
+
+        monkeypatch.setattr(CorrectiveQueryProcessor, "execute", recording_execute)
+        monkeypatch.setattr(SharedStatisticsCache, "seed_for", recording_seed_for)
+        monkeypatch.setattr(SharedStatisticsCache, "absorb", recording_absorb)
         workloads = [
             generate_workload(seed, name_prefix=f"w{index}_")
             for index, seed in enumerate(self.SEEDS)
         ]
+        names = [workload.query.name for workload in workloads]
         report, _ = run_sharded_workloads(workloads, policy, 1, start_method="inline")
 
-        retired = [index for index, done, _ in grants if done]
-        assert retired == self.RETIRE_ORDER[policy]
-        if policy == "shortest_remaining_cost":
-            assert retired == sorted(estimates, key=lambda i: (estimates[i], i))
-        # A session reads nothing until the one before it has retired ...
-        for index, _, consumed in grants:
-            later = retired[retired.index(index) + 1 :]
-            assert all(consumed[other] == 0 for other in later)
-        # ... and then holds the worker until it retires.
-        runs = [
-            index
-            for position, (index, _, _) in enumerate(grants)
-            if position == 0 or grants[position - 1][0] != index
-        ]
-        assert runs == retired
-        assert [served.quanta for served in report.served] == self.QUANTA
-        assert [summary.quanta for summary in report.worker_summaries] == [
-            sum(self.QUANTA)
-        ]
+        expected_runs = [names[index] for index in self.RUN_ORDER[policy]]
+        assert events == (
+            [("seed", name) for name in names]
+            + [
+                event
+                for name in expected_runs
+                for event in (("run", name), ("absorb", ""))
+            ]
+        )
+        assert [served.query_name for served in report.served] == names
+        assert report.worker_summaries[0].sessions == len(names)
 
 
 class _StubQueue:
@@ -583,11 +571,52 @@ class TestShardedServerValidation:
         with pytest.raises(KeyError):
             server.submit(ghost)
 
-    def test_duplicate_labels_are_disambiguated(self):
-        server, workload = self._server()
-        first = server.submit(workload.query, label="same")
-        second = server.submit(workload.query, label="same")
-        assert first == "same" and second != "same"
+    @pytest.mark.parametrize(
+        "submissions,expected",
+        [
+            ((("plain", "same"), ("plain", "same")), ["same", "same#1"]),
+            # a plain label that already holds the first suffix tried
+            (
+                (("plain", "x"), ("plain", "x#2"), ("plain", "x")),
+                ["x", "x#2", "x#3"],
+            ),
+            # a partitioned submission takes index 3 (after 1 + 2 specs), and
+            # an earlier one already holds ``y#3``
+            (
+                (("plain", "y"), ("partitioned", "y#3"), ("partitioned", "y")),
+                ["y", "y#3", "y#4"],
+            ),
+        ],
+        ids=["plain", "plain-suffix-taken", "partitioned-suffix-taken"],
+    )
+    def test_duplicate_labels_are_disambiguated(self, submissions, expected):
+        workload = generate_workload(3)  # local, with a join edge to partition
+        server = ShardedQueryServer(
+            workload.catalog(),
+            workload.sources(),
+            quantum_tuples=POLL_STEP_LIMIT,
+            polling_interval_seconds=POLLING_INTERVAL,
+            start_method="inline",
+        )
+        labels = [
+            server.submit(workload.query, label=label)
+            if kind == "plain"
+            else server.submit_partitioned(workload.query, 2, label=label)
+            for kind, label in submissions
+        ]
+        assert labels == expected
+        report = server.run()
+        assert [served.label for served in report.served] + [
+            entry.label for entry in report.partitioned
+        ] == [
+            label
+            for (kind, _), label in zip(submissions, labels)
+            if kind == "plain"
+        ] + [
+            label
+            for (kind, _), label in zip(submissions, labels)
+            if kind == "partitioned"
+        ]
 
     def test_single_use(self):
         server, workload = self._server()
