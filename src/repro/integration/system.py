@@ -168,7 +168,6 @@ class AdaptiveIntegrationSystem:
     def serve(
         self,
         queries: Iterable[SPJAQuery],
-        policy: str = "round_robin",
         quantum_tuples: int = 200,
         stats_cache: SharedStatisticsCache | None = None,
         **options,
@@ -177,9 +176,7 @@ class AdaptiveIntegrationSystem:
 
         The queries run on an in-process, one-shard
         :class:`~repro.serving.sharded.ShardedQueryServer`, one at a time in
-        the order of the scheduling ``policy`` (``"round_robin"`` or
-        ``"shortest_remaining_cost"``), and share the registered source
-        objects.  A statistics cache carries what finished runs learned into
+        the order given, and share the registered source objects.  A statistics cache carries what finished runs learned into
         the plans of later runs: pass a ``stats_cache`` to carry it across
         successive ``serve`` calls.  Remaining keyword ``options`` go to the
         server: its own settings (``share_statistics``, ``options``) and
@@ -188,7 +185,9 @@ class AdaptiveIntegrationSystem:
 
         Each query's answer, metrics and simulated seconds are what a solo
         ``execute(query, strategy="corrective")`` run over the same catalog
-        would return.
+        would return.  The report's ``makespan`` is the longest query's
+        simulated seconds; the queries ran back to back, and their total is
+        ``worker_summaries[0].shard_seconds``.
         """
         queries = list(queries)
         if not queries:
@@ -197,7 +196,6 @@ class AdaptiveIntegrationSystem:
             self.catalog,
             self._sources,
             cost_model=self.cost_model,
-            policy=policy,
             workers=1,
             quantum_tuples=quantum_tuples,
             stats_cache=stats_cache,

@@ -119,13 +119,6 @@ class Catalog:
     def set_statistics(self, name: str, statistics: TableStatistics) -> None:
         self.entry(name).statistics = statistics
 
-    def assumed_cardinality(
-        self, name: str, default: int = DEFAULT_ASSUMED_CARDINALITY
-    ) -> int:
-        """Cardinality the optimizer should use: published stats or the default."""
-        stats = self.statistics(name)
-        return stats.cardinality if stats.cardinality is not None else default
-
     def copy(self) -> "Catalog":
         """Independent copy sharing schemas/relations but not the entry objects.
 

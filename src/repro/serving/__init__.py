@@ -1,13 +1,6 @@
 """Multi-query serving: one server that runs each session in a shard."""
 
-from repro.serving.scheduler import (
-    POLICIES,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-    ShortestRemainingCostPolicy,
-    make_policy,
-    shard_assignment,
-)
+from repro.serving.scheduler import shard_assignment
 from repro.serving.sharded import (
     PartitionedServedQuery,
     ServedQuery,
@@ -20,10 +13,7 @@ from repro.serving.stats_cache import SharedStatisticsCache, StatisticsSnapshot
 from repro.serving.stats_store import SharedStatisticsStore
 
 __all__ = [
-    "POLICIES",
     "PartitionedServedQuery",
-    "RoundRobinPolicy",
-    "SchedulingPolicy",
     "ServedQuery",
     "ServingReport",
     "SessionResult",
@@ -33,9 +23,7 @@ __all__ = [
     "ShardedQueryServer",
     "SharedStatisticsCache",
     "SharedStatisticsStore",
-    "ShortestRemainingCostPolicy",
     "StatisticsSnapshot",
     "WorkerSummary",
-    "make_policy",
     "shard_assignment",
 ]

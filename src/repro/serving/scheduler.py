@@ -1,65 +1,29 @@
-"""Scheduling policies and shard routing for the serving layer.
+"""Shard routing and the one scheduling policy of the serving layer.
 
 A worker runs its shard's sessions one at a time, each to completion, in
-the order its policy's :meth:`~SchedulingPolicy.sort_key` gives.  Policies
-are deterministic: ties are broken by admission order, so a serving run is
-a pure function of its inputs.  The order changes no session's result
-(every session reads the catalog as it stood at the start of the run); it
-changes only which session finishes first on the wall clock, and the order
-in which finished sessions are absorbed into the statistics cache.
+admission order.  The order changes no session's result (every session reads
+the catalog as it stood at the start of the run); it fixes only the order in
+which finished sessions are absorbed into the statistics cache, so a serving
+run is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.relational.catalog import Catalog
-    from repro.serving.specs import SessionSpec
-
-
-class SchedulingPolicy:
-    """Base class: the order in which a shard runs its sessions."""
-
-    name = "base"
-
-    def sort_key(self, spec: "SessionSpec", catalog: "Catalog") -> tuple[float, ...]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debug convenience
-        return f"{type(self).__name__}()"
+#: The one scheduling policy's name: admission order.  The server and
+#: :class:`~repro.serving.specs.ShardTask` still take a ``policy`` because
+#: the benchmark passes this value.
+ROUND_ROBIN = "round_robin"
 
 
-class RoundRobinPolicy(SchedulingPolicy):
-    """Admission order: sessions run in the order they were submitted."""
-
-    name = "round_robin"
-
-    def sort_key(self, spec: "SessionSpec", catalog: "Catalog") -> tuple[float, ...]:
-        return (spec.index,)
-
-
-class ShortestRemainingCostPolicy(SchedulingPolicy):
-    """Shortest job first: the session with the least estimated work runs
-    first, which minimizes mean latency when estimates are accurate.
-
-    The estimate is the number of source tuples the query will read: the sum
-    of its relations' catalog (or learned) cardinalities.
-    """
-
-    name = "shortest_remaining_cost"
-
-    def sort_key(self, spec: "SessionSpec", catalog: "Catalog") -> tuple[float, ...]:
-        cost = 0.0
-        for relation in spec.query.relations:
-            cost += float(catalog.assumed_cardinality(relation))
-        return (cost, spec.index)
-
-
-POLICIES: dict[str, type[SchedulingPolicy]] = {
-    RoundRobinPolicy.name: RoundRobinPolicy,
-    ShortestRemainingCostPolicy.name: ShortestRemainingCostPolicy,
-}
+def check_policy(policy: str) -> str:
+    """``policy`` itself when it names the one policy; a ``ValueError``
+    naming it otherwise."""
+    if policy != ROUND_ROBIN:
+        raise ValueError(
+            f"unknown scheduling policy {policy!r}; sessions run in admission "
+            f"order, whose name is {ROUND_ROBIN!r}"
+        )
+    return policy
 
 
 def shard_assignment(num_sessions: int, workers: int) -> list[int]:
@@ -74,15 +38,3 @@ def shard_assignment(num_sessions: int, workers: int) -> list[int]:
     if workers < 1:
         raise ValueError("workers must be positive")
     return [index % workers for index in range(num_sessions)]
-
-
-def make_policy(policy: str | SchedulingPolicy) -> SchedulingPolicy:
-    """Resolve a policy name (or pass an instance through)."""
-    if isinstance(policy, SchedulingPolicy):
-        return policy
-    try:
-        return POLICIES[policy]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduling policy {policy!r}; expected one of {sorted(POLICIES)}"
-        ) from None

@@ -8,17 +8,17 @@ plain round-robin by admission index), and the persistent statistics cache.
 All execution happens in the shards (:mod:`repro.serving.worker`): each is
 one :class:`~repro.serving.specs.ShardTask`, run in a worker process, or in
 the calling process with ``start_method="inline"``; it runs its sessions one
-at a time to completion in its scheduling policy's order and returns one
+at a time to completion in admission order and returns one
 :class:`~repro.serving.specs.ShardResult`.  Both are listed in
 :mod:`repro.serving.channels` as cross-process types.
 
 Determinism contract: session results (multisets, metrics, phase counts,
-simulated seconds) are bit-identical to solo runs of the same queries under
-every scheduling policy.  Each session is one plain corrective execution,
-exactly like a solo run, and each reads the catalog as it stood at the start
-of the run (the run-start snapshot's cardinalities, never what a session of
-the same run learned), so the order a policy picks cannot show in any
-result.  The front-end folds worker statistics snapshots in worker-id order,
+simulated seconds) are bit-identical to solo runs of the same queries.
+Each session is one plain corrective execution, exactly like a solo run,
+and each reads the catalog as it stood at the start of the run (the
+run-start snapshot's cardinalities, never what a session of the same run
+learned), so neither the shard a session lands in nor the sessions run
+before it can show in its result.  The front-end folds worker statistics snapshots in worker-id order,
 so the persistent cache's end state never depends on wall-clock races.
 Wall-clock *speed* is where the workers show up: shards execute concurrently
 across processes — the benchmark's ``serve_sharded`` workload
@@ -53,7 +53,7 @@ from repro.serving.partition import (
     build_partition_plan,
     merge_partition_results,
 )
-from repro.serving.scheduler import SchedulingPolicy, make_policy, shard_assignment
+from repro.serving.scheduler import ROUND_ROBIN, check_policy, shard_assignment
 from repro.serving.specs import SessionResult, SessionSpec, ShardResult, ShardTask
 from repro.serving.stats_cache import SharedStatisticsCache, StatisticsSnapshot
 from repro.serving.worker import drive_shard, worker_main
@@ -152,7 +152,9 @@ class ServingReport:
     batch_size: int | None
     quantum_tuples: int
     served: list[ServedQuery]
-    #: simulated seconds of the longest session or partitioned query
+    #: simulated seconds of the longest session or partitioned query (each
+    #: ran on its own clock); the seconds a shard serialized by running its
+    #: sessions back to back are its ``WorkerSummary.shard_seconds``
     makespan: float
     workers: int
     start_method: str
@@ -173,7 +175,7 @@ class ShardedQueryServer:
         catalog: Catalog,
         sources: dict[str, object],
         cost_model: CostModel | None = None,
-        policy: str | SchedulingPolicy = "round_robin",
+        policy: str = ROUND_ROBIN,
         workers: int = 2,
         quantum_tuples: int = 200,
         stats_cache: StatisticsBackend | None = None,
@@ -185,8 +187,10 @@ class ShardedQueryServer:
         """``workers`` is the shard count; ``start_method`` picks the
         multiprocessing start method (``None`` = platform default, e.g.
         ``fork`` on Linux) or the special value ``"inline"`` which drives
-        every shard in the calling process — same scheduling, same results,
-        no concurrency — for debugging and deterministic unit tests.
+        every shard in the calling process — same results, no concurrency —
+        for debugging and deterministic unit tests.  ``policy`` is accepted
+        only as ``"round_robin"``: a shard runs its sessions in admission
+        order.
         ``quantum_tuples`` is each session's chunk size (its
         ``poll_step_limit``).  ``share_statistics=False`` runs every session
         without the statistics cache: nothing is seeded, published or
@@ -201,7 +205,7 @@ class ShardedQueryServer:
         self.catalog = catalog.copy()
         self.sources = dict(sources)
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.policy = make_policy(policy)
+        self.policy = check_policy(policy)
         self.workers = workers
         self.quantum_tuples = quantum_tuples
         self.stats_cache: StatisticsBackend = (
@@ -309,7 +313,7 @@ class ShardedQueryServer:
         return [
             ShardTask(
                 worker_id=worker_id,
-                policy=self.policy.name,
+                policy=self.policy,
                 catalog=self.catalog,
                 sources=self.sources,
                 specs=tuple(specs),
@@ -458,7 +462,7 @@ class ShardedQueryServer:
             + [0.0]
         )
         return ServingReport(
-            policy=self.policy.name,
+            policy=self.policy,
             batch_size=self.options.batch_size,
             quantum_tuples=self.quantum_tuples,
             served=served,

@@ -13,7 +13,7 @@ shapes below:
   pickled.
 * :class:`ShardTask` — one worker's entire assignment: catalog snapshot,
   source pool, the :class:`~repro.core.options.ProcessorOptions` record,
-  scheduling policy, statistics snapshot, and the specs of every session
+  statistics snapshot, and the specs of every session
   routed to that shard.
 * :class:`SessionResult` — one finished session: its identity plus the
   complete :class:`~repro.core.corrective.CorrectiveExecutionReport` (the
@@ -68,6 +68,7 @@ class ShardTask:
     """Everything one worker process needs to drive its scheduler shard."""
 
     worker_id: int
+    #: always ``"round_robin"`` (admission order); checked by the worker
     policy: str
     catalog: Catalog
     sources: dict[str, object]

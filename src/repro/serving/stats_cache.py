@@ -52,6 +52,7 @@ class StatisticsSnapshot:
 
     observed: ObservedStatistics = field(default_factory=ObservedStatistics)
     cardinalities: dict[str, int] = field(default_factory=dict)
+    queries_seeded: int = 0
     queries_absorbed: int = 0
 
 
@@ -152,6 +153,7 @@ class SharedStatisticsCache:
         return StatisticsSnapshot(
             observed=copy.deepcopy(self._observed),
             cardinalities=dict(self.cardinalities),
+            queries_seeded=self.queries_seeded,
             queries_absorbed=self.queries_absorbed,
         )
 
@@ -176,13 +178,15 @@ class SharedStatisticsCache:
         The front-end calls this once per worker, in worker-id order, when a
         sharded run finishes — the deterministic cross-process counterpart of
         per-query :meth:`absorb`.  Selectivities, orderings, and factors go
-        through :meth:`ObservedStatistics.merge`, and exhausted-source
-        cardinalities max-fold like ``absorb``'s.
+        through :meth:`ObservedStatistics.merge`, exhausted-source
+        cardinalities max-fold like ``absorb``'s, and the other cache's
+        seed/absorb counts add to this one's.
         """
         self._observed.merge(snapshot.observed)
         for relation, cardinality in snapshot.cardinalities.items():
             existing_count = self.cardinalities.get(relation, 0)
             self.cardinalities[relation] = max(existing_count, cardinality)
+        self.queries_seeded += snapshot.queries_seeded
         self.queries_absorbed += snapshot.queries_absorbed
 
     # -- reporting --------------------------------------------------------------

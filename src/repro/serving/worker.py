@@ -12,7 +12,7 @@ deterministic tests.
 Determinism contract (the sharded differential suites pin all of it): a
 session is a pure function of its spec and the run-start snapshot, so its
 multiset, metrics, phase count and simulated seconds are bit-identical to a
-solo run under every scheduling policy:
+solo run:
 
 * it is one plain :meth:`CorrectiveQueryProcessor.execute` call, on that
   call's own clock, as solo execution is;
@@ -23,7 +23,7 @@ solo run under every scheduling policy:
   another's plan choices);
 * every session's seed statistics come from the hydrated snapshot, before
   any session runs; then the sessions run one at a time to completion, in
-  the policy's order;
+  admission order;
 * finished sessions are absorbed into the worker's private cache in that
   order, and its post-run snapshot rides home in the :class:`ShardResult`;
   the front-end folds snapshots in worker-id order, independent of
@@ -43,7 +43,7 @@ from repro.core.corrective import CorrectiveExecutionReport, CorrectiveQueryProc
 from repro.engine.collector import collector_paused
 from repro.engine.cost import CostModel
 from repro.io.wallclock import wall_now
-from repro.serving.scheduler import make_policy
+from repro.serving.scheduler import check_policy
 from repro.serving.specs import SessionResult, SessionSpec, ShardResult, ShardTask
 from repro.serving.stats_cache import SharedStatisticsCache
 
@@ -64,6 +64,7 @@ def _session_sources(task: ShardTask, spec: SessionSpec) -> dict[str, object]:
 @collector_paused()
 def drive_shard(task: ShardTask) -> ShardResult:
     """Run one shard's sessions to completion; pure function of the task."""
+    check_policy(task.policy)
     wall_start = wall_now()
     busy_seconds = 0.0
     catalog = task.catalog.copy()
@@ -80,9 +81,8 @@ def drive_shard(task: ShardTask) -> ShardResult:
         spec.index: cache.seed_for(spec.query) if task.share_statistics else None
         for spec in specs
     }
-    policy = make_policy(task.policy)
     reports: dict[int, CorrectiveExecutionReport] = {}
-    for spec in sorted(specs, key=lambda spec: policy.sort_key(spec, catalog)):
+    for spec in specs:
         step_start = wall_now()
         processor = CorrectiveQueryProcessor(
             catalog,

@@ -61,6 +61,12 @@ POLLING_INTERVAL = 0.002
 #: Tuples between clock checks (shared by every corrective configuration).
 POLL_STEP_LIMIT = 40
 
+#: The orders a served workload mix is submitted in.  Reversing it changes
+#: the shard each session lands in and the sessions that run, and are
+#: absorbed into the statistics cache, before it: neither may show in any
+#: served answer.
+SUBMISSION_ORDERS = ("forward", "reversed")
+
 
 
 def order_workload_variant(
@@ -388,7 +394,7 @@ class CompiledServingDifferentialResult:
     """Interpreted-vs-compiled comparison of one whole serving run."""
 
     seeds: tuple[int, ...]
-    policy: str
+    order: str
     batch_size: int
     workloads: list[DifferentialWorkload]
     references: list[Counter]
@@ -399,7 +405,7 @@ class CompiledServingDifferentialResult:
 
 
 def run_compiled_serving_differential_case(
-    seeds, policy: str = "round_robin", batch_size: int = 64
+    seeds, order: str = "forward", batch_size: int = 64
 ) -> CompiledServingDifferentialResult:
     """Serve the same workload mix with both engines and collect observables.
 
@@ -421,13 +427,13 @@ def run_compiled_serving_differential_case(
 
     observed: dict[str, ShardedDifferentialResult] = {
         engine_mode: serve_against_solo(
-            workloads, policy, batch_size=batch_size, engine_mode=engine_mode
+            workloads, order, batch_size=batch_size, engine_mode=engine_mode
         )
         for engine_mode in ("interpreted", "compiled")
     }
     return CompiledServingDifferentialResult(
         seeds=tuple(seeds),
-        policy=policy,
+        order=order,
         batch_size=batch_size,
         workloads=workloads,
         references=references,
@@ -447,7 +453,7 @@ def assert_compiled_serving_differential_case(
     ):
         name = workload.query.name
         context = (
-            f"policy {result.policy!r}, batch_size={result.batch_size}, "
+            f"{result.order} submission, batch_size={result.batch_size}, "
             f"query {name} (seed {workload.seed})"
         )
         assert interpreted.multiset == reference, (
@@ -466,7 +472,7 @@ def assert_compiled_serving_differential_case(
             f"{context}: served phase counts diverge"
         )
     assert result.compiled_makespan == result.interpreted_makespan, (
-        f"policy {result.policy!r}: serving makespans diverge "
+        f"{result.order} submission: serving makespans diverge "
         f"({result.compiled_makespan!r} vs {result.interpreted_makespan!r})"
     )
 
@@ -705,7 +711,7 @@ def _schemas_only(workload: DifferentialWorkload) -> tuple[Catalog, dict]:
 
 def run_sharded_workloads(
     workloads: list[DifferentialWorkload],
-    policy: str,
+    order: str = "forward",
     workers: int = 1,
     batch_size: int | None = None,
     engine_mode: str = "interpreted",
@@ -721,9 +727,12 @@ def run_sharded_workloads(
     shards (in-process by default), whose pool merges what ``setup`` gives
     each workload (catalog entries and sources); each session is forced to
     start from its deliberately bad join order unless ``bad_plan`` is false.
-    Returns ``(ServingReport, [EngineObservables])`` with one observables
-    entry per workload, in admission order.
+    ``order`` (one of :data:`SUBMISSION_ORDERS`) is the order the mix is
+    submitted in.  Returns ``(ServingReport, [EngineObservables])`` with one
+    observables entry per workload, in the order of ``workloads``.
     """
+    if order not in SUBMISSION_ORDERS:
+        raise ValueError(f"unknown submission order {order!r}")
     catalog = Catalog()
     sources: dict[str, object] = {}
     for workload in workloads:
@@ -736,7 +745,6 @@ def run_sharded_workloads(
     server = ShardedQueryServer(
         catalog,
         sources,
-        policy=policy,
         workers=workers,
         batch_size=batch_size,
         quantum_tuples=POLL_STEP_LIMIT,
@@ -745,7 +753,8 @@ def run_sharded_workloads(
         start_method=start_method,
         **options,
     )
-    for workload in workloads:
+    reverse = order == "reversed"
+    for workload in reversed(workloads) if reverse else workloads:
         server.submit(
             workload.query,
             initial_tree=_bad_initial_tree(workload) if bad_plan else None,
@@ -754,7 +763,8 @@ def run_sharded_workloads(
     report = server.run()
     assert len(report.served) == len(workloads)
     observables = []
-    for served, workload in zip(report.served, workloads):
+    served_queries = reversed(report.served) if reverse else report.served
+    for served, workload in zip(served_queries, workloads):
         assert served.query_name == workload.query.name
         observables.append(
             EngineObservables(
@@ -775,7 +785,7 @@ def run_sharded_workloads(
 class ShardedDifferentialResult:
     """One served-vs-solo differential run, for assertions and meta-tests."""
 
-    policy: str
+    order: str
     workers: int
     batch_size: int | None
     engine_mode: str
@@ -796,7 +806,7 @@ class ShardedDifferentialResult:
 
 def serve_against_solo(
     workloads: list[DifferentialWorkload],
-    policy: str,
+    order: str = "forward",
     workers: int = 1,
     batch_size: int | None = None,
     engine_mode: str = "interpreted",
@@ -812,7 +822,7 @@ def serve_against_solo(
     exactly like solo execution, so not just multisets but work counters,
     simulated seconds (``repr``-equal) *and* phase counts must equal the
     solo run with identical parameters (the same ``setup``, ``bad_plan`` and
-    processor ``options``), on every worker count, scheduling policy, engine
+    processor ``options``), on every worker count, submission order, engine
     mode and start method.  Every solo run must also match the brute-force
     oracle.
     """
@@ -837,7 +847,7 @@ def serve_against_solo(
 
     report, served_observables = run_sharded_workloads(
         workloads,
-        policy,
+        order,
         workers,
         batch_size=batch_size,
         engine_mode=engine_mode,
@@ -850,7 +860,7 @@ def serve_against_solo(
         served_observables, solo_observables, workloads
     ):
         context = (
-            f"workers={workers}, policy={policy!r}, batch_size={batch_size}, "
+            f"workers={workers}, {order} submission, batch_size={batch_size}, "
             f"engine={engine_mode}, start={start_method!r}: served query "
             f"{workload.query.name!r} (seed {workload.seed})"
         )
@@ -870,7 +880,7 @@ def serve_against_solo(
             f"({served.phases} vs {solo.phases})"
         )
     return ShardedDifferentialResult(
-        policy=policy,
+        order=order,
         workers=workers,
         batch_size=batch_size,
         engine_mode=engine_mode,
@@ -884,7 +894,7 @@ def serve_against_solo(
 
 def run_sharded_differential_case(
     seeds,
-    policy: str,
+    order: str,
     workers: int,
     batch_size: int | None = None,
     engine_mode: str = "interpreted",
@@ -898,7 +908,7 @@ def run_sharded_differential_case(
     ]
     return serve_against_solo(
         workloads,
-        policy,
+        order,
         workers,
         batch_size=batch_size,
         engine_mode=engine_mode,

@@ -5,7 +5,6 @@ import pytest
 from repro.relational.catalog import (
     Catalog,
     CatalogError,
-    DEFAULT_ASSUMED_CARDINALITY,
     TableStatistics,
 )
 from repro.relational.relation import Relation
@@ -57,17 +56,6 @@ class TestCatalog:
         catalog = Catalog()
         catalog.register("t", SCHEMA, relation=make_relation())
         assert catalog.relation("t").cardinality == 5
-
-    def test_assumed_cardinality_default(self):
-        catalog = Catalog()
-        catalog.register("t", SCHEMA)
-        assert catalog.assumed_cardinality("t") == DEFAULT_ASSUMED_CARDINALITY
-        assert catalog.assumed_cardinality("t", default=7) == 7
-
-    def test_assumed_cardinality_published(self):
-        catalog = Catalog()
-        catalog.register("t", SCHEMA, TableStatistics(cardinality=123))
-        assert catalog.assumed_cardinality("t") == 123
 
     def test_with_cardinalities_copy(self):
         catalog = Catalog()

@@ -9,8 +9,8 @@ order coincides) and corrective phase counts.  Two scenarios:
 
 * **solo corrective** — every seeded workload runs corrective query
   processing from the same deliberately bad initial plan with both engines;
-* **served N=4** — the workloads are served four at a time under both
-  scheduling policies; each served query is bit-identical to its solo run
+* **served N=4** — the workloads are served four at a time, submitted in
+  both orders; each served query is bit-identical to its solo run
   with either engine, so each (and the whole run's makespan) replays
   exactly.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 import pytest
 
 from differential import (
+    SUBMISSION_ORDERS,
     assert_compiled_differential_case,
     assert_compiled_serving_differential_case,
     run_compiled_differential_case,
@@ -43,13 +44,10 @@ def _case(seed: int):
         result = _CASE_CACHE[seed] = run_compiled_differential_case(seed)
     return result
 
-#: The same seeds served four at a time, alternating scheduling policies.
+#: The same seeds served four at a time, alternating submission orders.
 SERVED_GROUPS = [
-    (tuple(range(start, start + 4)), policy)
-    for start, policy in zip(
-        range(0, 40, 4),
-        ("round_robin", "shortest_remaining_cost") * 5,
-    )
+    (tuple(range(start, start + 4)), order)
+    for start, order in zip(range(0, 40, 4), SUBMISSION_ORDERS * 5)
 ]
 
 
@@ -65,10 +63,10 @@ def test_compiled_solo_corrective_is_bit_identical_at_small_batch(seed):
     assert_compiled_differential_case(result)
 
 
-@pytest.mark.parametrize("seeds,policy", SERVED_GROUPS)
-def test_compiled_serving_replays_interpreted_serving(seeds, policy):
+@pytest.mark.parametrize("seeds,order", SERVED_GROUPS)
+def test_compiled_serving_replays_interpreted_serving(seeds, order):
     result = run_compiled_serving_differential_case(
-        seeds, policy=policy, batch_size=64
+        seeds, order=order, batch_size=64
     )
     assert_compiled_serving_differential_case(result)
 

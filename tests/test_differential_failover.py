@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from differential import (
+    SUBMISSION_ORDERS,
     assert_mirror_differential_case,
     mirror_outage_setup,
     run_mirror_differential_case,
@@ -75,8 +76,8 @@ def test_mirror_failover_tuple_mode_answers_identical(seed):
     assert_mirror_differential_case(result)
 
 
-@pytest.mark.parametrize("policy", ["round_robin", "shortest_remaining_cost"])
-def test_mirror_failover_serving_matches_solo(policy):
+@pytest.mark.parametrize("order", SUBMISSION_ORDERS)
+def test_mirror_failover_serving_matches_solo(order):
     """Served failover-adaptive sessions are bit-identical to their solo
     runs (asserted in the runner), which match the oracle."""
     seeds = (1000, 1002, 1003)
@@ -86,7 +87,7 @@ def test_mirror_failover_serving_matches_solo(policy):
     ]
     result = serve_against_solo(
         workloads,
-        policy,
+        order,
         batch_size=64,
         setup=mirror_outage_setup,
         failover_adaptive=True,
@@ -97,5 +98,5 @@ def test_mirror_failover_serving_matches_solo(policy):
         for served in result.report.served
     )
     assert served_failovers >= 1, (
-        f"policy {policy!r}: no served session exercised a mirror failover"
+        f"{order} submission: no served session exercised a mirror failover"
     )

@@ -24,6 +24,7 @@ import pytest
 from differential import (
     POLL_STEP_LIMIT,
     POLLING_INTERVAL,
+    SUBMISSION_ORDERS,
     _canonical_multiset,
     _canonical_names,
     order_catalog,
@@ -166,9 +167,9 @@ def test_adaptive_runs_actually_use_merge_somewhere():
     assert used >= 5, f"merge strategy only used on {used} seeds"
 
 
-@pytest.mark.parametrize("policy", ["round_robin", "shortest_remaining_cost"])
+@pytest.mark.parametrize("order", SUBMISSION_ORDERS)
 @pytest.mark.parametrize("batch_size", [None, 64])
-def test_order_adaptive_serving_matches_solo(policy, batch_size):
+def test_order_adaptive_serving_matches_solo(order, batch_size):
     """Served order-adaptive sessions over promised sorted sources are
     bit-identical to their solo runs (asserted in the runner), which match
     the oracle, and the orderings they discovered reach the server's cache."""
@@ -181,7 +182,7 @@ def test_order_adaptive_serving_matches_solo(policy, batch_size):
         sort_attrs.update(attrs)
     result = serve_against_solo(
         workloads,
-        policy,
+        order,
         batch_size=batch_size,
         setup=lambda workload: (
             order_catalog(workload, sort_attrs, True),

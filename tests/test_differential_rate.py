@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from differential import (
+    SUBMISSION_ORDERS,
     assert_rate_differential_case,
     rate_collapse_setup,
     run_rate_differential_case,
@@ -81,8 +82,8 @@ def test_rate_adaptive_is_bit_identical_without_promises(seed):
     assert adaptive.phases == static.phases
 
 
-@pytest.mark.parametrize("policy", ["round_robin", "shortest_remaining_cost"])
-def test_rate_adaptive_serving_matches_solo(policy):
+@pytest.mark.parametrize("order", SUBMISSION_ORDERS)
+def test_rate_adaptive_serving_matches_solo(order):
     """Served rate-adaptive sessions, every source behind a collapsing link
     in one shared pool, are bit-identical to their solo runs (asserted in
     the runner), which match the oracle."""
@@ -92,7 +93,7 @@ def test_rate_adaptive_serving_matches_solo(policy):
     ]
     serve_against_solo(
         workloads,
-        policy,
+        order,
         batch_size=64,
         setup=rate_collapse_setup,
         rate_adaptive=True,

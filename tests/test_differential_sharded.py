@@ -5,7 +5,7 @@ processes — each worker running its shard's sessions one plain corrective
 execution at a time, statistics snapshots folded at the front-end — must
 leave every query's result **bit-identical** to its solo corrective
 execution: multiset, work counters, simulated seconds and phase counts all
-equal, on every worker count, scheduling policy and engine mode.
+equal, on every worker count, submission order and engine mode.
 
 Partition-parallel execution gets the same treatment: hash-partitioning a
 query's heaviest join edge, running one fragment per partition on separate
@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import pytest
 
 from differential import (
+    SUBMISSION_ORDERS,
     run_partition_differential_case,
     run_sharded_differential_case,
 )
@@ -38,8 +39,6 @@ from repro.relational.expressions import Aggregate
 from repro.serving.sharded import ShardedQueryServer
 from repro.workloads.queries import query_3a, query_5, query_10a
 from workload_generator import generate_workload
-
-POLICIES = ("round_robin", "shortest_remaining_cost")
 
 #: (worker count, workload seeds) — issue-mandated N ∈ {2, 4}, drawn from
 #: the same seed population as the serving differential tests.
@@ -65,7 +64,7 @@ PARTITION_AGG_SEEDS = (23, 33)
 #: dataset seed) in this grid.  One combination runs under ``fork``.
 SHARED_DATASETS = ((0.001, 2004), (0.001, 7), (0.002, 2004), (0.002, 7))
 SHARED_ENGINES = (("compiled", 64), ("interpreted", None))
-SHARED_FORK_CASE = (0.002, 7, "shortest_remaining_cost", "compiled")
+SHARED_FORK_CASE = (0.002, 7, "reversed", "compiled")
 SHARED_SESSIONS = 8
 SHARED_POLLING_INTERVAL = 0.25
 SHARED_QUANTUM = 200
@@ -74,14 +73,14 @@ _CASE_CACHE: dict[tuple, object] = {}
 _SHARED_CACHE: dict[tuple, "SharedRelationCase"] = {}
 
 
-def _case(seeds, policy, workers, engine_mode="interpreted", batch_size=None,
+def _case(seeds, order, workers, engine_mode="interpreted", batch_size=None,
           start_method=None):
-    key = (tuple(seeds), policy, workers, engine_mode, batch_size, start_method)
+    key = (tuple(seeds), order, workers, engine_mode, batch_size, start_method)
     result = _CASE_CACHE.get(key)
     if result is None:
         result = run_sharded_differential_case(
             seeds,
-            policy,
+            order,
             workers,
             batch_size=batch_size,
             engine_mode=engine_mode,
@@ -109,14 +108,16 @@ def _observables(report) -> tuple:
     )
 
 
-def _shared_case(scale_factor, seed, policy, engine_mode, batch_size):
-    key = (scale_factor, seed, policy, engine_mode)
+def _shared_case(scale_factor, seed, order, engine_mode, batch_size):
+    key = (scale_factor, seed, order, engine_mode)
     cached = _SHARED_CACHE.get(key)
     if cached is not None:
         return cached
     dataset = build_dataset("uniform", scale_factor, 0.0, seed)
     makers = (query_3a, query_10a, query_5)
     queries = [makers[index % len(makers)]() for index in range(SHARED_SESSIONS)]
+    if order == "reversed":
+        queries.reverse()
     options = dict(
         polling_interval_seconds=SHARED_POLLING_INTERVAL,
         batch_size=batch_size,
@@ -133,7 +134,6 @@ def _shared_case(scale_factor, seed, policy, engine_mode, batch_size):
     server = ShardedQueryServer(
         dataset.catalog_no_statistics,
         dataset.sources,
-        policy=policy,
         workers=2,
         quantum_tuples=SHARED_QUANTUM,
         start_method="fork" if key == SHARED_FORK_CASE else "inline",
@@ -147,7 +147,7 @@ def _shared_case(scale_factor, seed, policy, engine_mode, batch_size):
     ]
     for served in report.served:
         assert _observables(served.report) == solo[served.query_name], (
-            f"SF {scale_factor}, seed {seed}, policy={policy!r}, "
+            f"SF {scale_factor}, seed {seed}, {order} submission, "
             f"engine={engine_mode}@{batch_size}: session {served.label!r} "
             "diverges from its solo run"
         )
@@ -157,17 +157,17 @@ def _shared_case(scale_factor, seed, policy, engine_mode, batch_size):
 
 @pytest.mark.parametrize("engine_mode,batch_size", SHARED_ENGINES,
                          ids=lambda value: str(value))
-@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("order", SUBMISSION_ORDERS)
 @pytest.mark.parametrize("scale_factor,seed", SHARED_DATASETS,
                          ids=lambda value: str(value))
 def test_sharded_sessions_sharing_relations_match_solo(
-    scale_factor, seed, policy, engine_mode, batch_size
+    scale_factor, seed, order, engine_mode, batch_size
 ):
     """Sessions that read the same relations stay bit-identical to solo
     (asserted in the runner): nothing one session learns reaches another
-    session of the same run, whatever order the policy runs them in."""
-    case = _shared_case(scale_factor, seed, policy, engine_mode, batch_size)
-    forked = (scale_factor, seed, policy, engine_mode) == SHARED_FORK_CASE
+    session of the same run, whatever order they are submitted in."""
+    case = _shared_case(scale_factor, seed, order, engine_mode, batch_size)
+    forked = (scale_factor, seed, order, engine_mode) == SHARED_FORK_CASE
     assert case.report.start_method == ("fork" if forked else "inline")
     assert len(case.report.served) == SHARED_SESSIONS
     assert len(case.report.worker_summaries) == 2
@@ -184,13 +184,13 @@ def _shares_a_relation(queries) -> bool:
 
 @pytest.mark.parametrize("engine_mode,batch_size", ENGINE_CASES,
                          ids=lambda value: str(value))
-@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("order", SUBMISSION_ORDERS)
 @pytest.mark.parametrize("workers,seeds", WORKER_CASES,
                          ids=lambda value: str(value))
-def test_sharded_matches_solo(workers, seeds, policy, engine_mode, batch_size):
+def test_sharded_matches_solo(workers, seeds, order, engine_mode, batch_size):
     """Every served query is bit-identical to solo (asserted in the runner);
     here we pin that the run genuinely sharded the work."""
-    result = _case(seeds, policy, workers, engine_mode, batch_size)
+    result = _case(seeds, order, workers, engine_mode, batch_size)
     report = result.report
     assert len(report.served) == len(seeds)
     assert report.workers == workers
@@ -204,8 +204,8 @@ def test_sharded_inline_mode_identical_to_processes():
     observables as real worker processes — the scheduling is deterministic
     and process boundaries carry no semantics."""
     seeds = (0, 1, 2, 3)
-    with_processes = _case(seeds, "round_robin", 2)
-    inline = _case(seeds, "round_robin", 2, start_method="inline")
+    with_processes = _case(seeds, "forward", 2)
+    inline = _case(seeds, "forward", 2, start_method="inline")
     for a, b in zip(with_processes.served, inline.served):
         assert a == b
 
@@ -214,7 +214,7 @@ def test_sharded_spawn_start_method():
     """The spawn start method — fresh interpreters, everything crosses the
     boundary by pickling — reproduces solo observables too.  One small case:
     spawn pays interpreter startup per worker."""
-    result = _case((0, 1), "round_robin", 2, start_method="spawn")
+    result = _case((0, 1), "forward", 2, start_method="spawn")
     assert result.report.start_method == "spawn"
     assert len(result.report.served) == 2
 
@@ -222,8 +222,8 @@ def test_sharded_spawn_start_method():
 def test_sharded_statistics_fold_deterministic():
     """The front-end folds worker snapshots in worker-id order, so the
     persistent cache summary is identical run over run."""
-    first = run_sharded_differential_case((2, 3, 4, 5), "round_robin", 4)
-    second = run_sharded_differential_case((2, 3, 4, 5), "round_robin", 4)
+    first = run_sharded_differential_case((2, 3, 4, 5), "forward", 4)
+    second = run_sharded_differential_case((2, 3, 4, 5), "forward", 4)
     assert first.report.stats_cache_summary == second.report.stats_cache_summary
     assert first.report.stats_cache_summary["queries_absorbed"] == 4
 
@@ -312,14 +312,14 @@ def test_sharded_population_covers_interesting_regimes():
     relations, so what one session learns about a relation never has
     another session to leak into.  The shared-relation cases do."""
     cases = [
-        _case(seeds, policy, workers)
+        _case(seeds, order, workers)
         for workers, seeds in WORKER_CASES
-        for policy in POLICIES
+        for order in SUBMISSION_ORDERS
     ]
     shared_cases = [
-        _shared_case(scale_factor, seed, policy, engine_mode, batch_size)
+        _shared_case(scale_factor, seed, order, engine_mode, batch_size)
         for scale_factor, seed in SHARED_DATASETS[:1]
-        for policy in POLICIES
+        for order in SUBMISSION_ORDERS
         for engine_mode, batch_size in SHARED_ENGINES[:1]
     ]
     sharing = sum(

@@ -249,7 +249,7 @@ def test_screen_is_invisible_on_a_sharded_inline_run(monkeypatch):
 
     def run():
         report, _ = run_sharded_workloads(
-            workloads, "round_robin", workers=1, batch_size=64, start_method="inline"
+            workloads, workers=1, batch_size=64, start_method="inline"
         )
         return [served.report for served in report.served]
 

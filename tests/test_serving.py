@@ -1,5 +1,5 @@
-"""Unit tests for the serving layer: the statistics cache, the scheduling
-policies, the server's front door and the facade's ``serve``."""
+"""Unit tests for the serving layer: the statistics cache, the server's
+front door and the facade's ``serve``."""
 
 from __future__ import annotations
 
@@ -10,18 +10,9 @@ from repro.core.options import ProcessorOptions
 from repro.integration.system import AdaptiveIntegrationSystem
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import SPJAQuery
-from repro.relational.catalog import Catalog, TableStatistics
+from repro.relational.catalog import Catalog
 from repro.relational.expressions import JoinPredicate
-from repro.relational.schema import Schema
-from repro.serving import (
-    POLICIES,
-    RoundRobinPolicy,
-    SessionSpec,
-    ShardedQueryServer,
-    SharedStatisticsCache,
-    ShortestRemainingCostPolicy,
-    make_policy,
-)
+from repro.serving import ShardedQueryServer, SharedStatisticsCache
 from repro.serving.server import QueryServer, corrective_processor_options
 from repro.sources.network import BurstyNetworkModel
 from repro.sources.remote import RemoteSource
@@ -117,54 +108,6 @@ def _people_orders_catalog(people, simple_orders) -> Catalog:
     return catalog
 
 
-class TestSchedulingPolicies:
-    def test_make_policy_resolves_names_and_instances(self):
-        assert isinstance(make_policy("round_robin"), RoundRobinPolicy)
-        policy = ShortestRemainingCostPolicy()
-        assert make_policy(policy) is policy
-        with pytest.raises(ValueError, match="unknown scheduling policy"):
-            make_policy("fifo")
-        assert set(POLICIES) == {"round_robin", "shortest_remaining_cost"}
-
-    def _specs(self):
-        catalog = Catalog()
-        for name, cardinality in (("a", 100), ("b", 10), ("c", 10)):
-            catalog.register(
-                name,
-                Schema.from_names([f"{name}_id"], relation=name),
-                TableStatistics(cardinality=cardinality),
-            )
-        queries = [
-            SPJAQuery(
-                name="ab",
-                relations=("a", "b"),
-                join_predicates=(JoinPredicate("a", "a_id", "b", "b_id"),),
-            ),
-            SPJAQuery(name="b", relations=("b",), join_predicates=()),
-            SPJAQuery(name="c", relations=("c",), join_predicates=()),
-        ]
-        specs = [
-            SessionSpec(index=index, label=query.name, query=query)
-            for index, query in enumerate(queries)
-        ]
-        return catalog, specs
-
-    def _order(self, policy, catalog, specs):
-        ordered = sorted(specs, key=lambda spec: policy.sort_key(spec, catalog))
-        return [spec.label for spec in ordered]
-
-    def test_round_robin_runs_in_admission_order(self):
-        catalog, specs = self._specs()
-        order = self._order(RoundRobinPolicy(), catalog, list(reversed(specs)))
-        assert order == ["ab", "b", "c"]
-
-    def test_shortest_remaining_cost_runs_smallest_estimate_first(self):
-        catalog, specs = self._specs()
-        # Smallest summed cardinality wins; admission order breaks the tie.
-        order = self._order(ShortestRemainingCostPolicy(), catalog, specs)
-        assert order == ["b", "c", "ab"]
-
-
 class TestServer:
     def _server(self, people, simple_orders, **kwargs):
         sources = {"people": people, "simple_orders": simple_orders}
@@ -231,45 +174,6 @@ class TestServer:
         report = second.run()
         assert report.served[0].report.details["seeded_statistics"]
         assert cache.queries_absorbed == 3
-
-    def test_shortest_remaining_cost_orders_by_learned_cardinalities(
-        self, people, simple_orders, monkeypatch
-    ):
-        """The worker publishes the run-start snapshot's cardinalities once,
-        then orders its sessions by them: unknown sizes tie (admission
-        order), learned ones put the smaller relation first."""
-        by_relation = {
-            name: SPJAQuery(name=f"only_{name}", relations=(name,), join_predicates=())
-            for name in ("simple_orders", "people")
-        }
-        order: list[str] = []
-        execute = CorrectiveQueryProcessor.execute
-
-        def recording(processor, query, *args, **kwargs):
-            order.append(query.name)
-            return execute(processor, query, *args, **kwargs)
-
-        monkeypatch.setattr(CorrectiveQueryProcessor, "execute", recording)
-        cache = SharedStatisticsCache()
-        for _ in range(2):
-            server = self._server(
-                people,
-                simple_orders,
-                policy="shortest_remaining_cost",
-                stats_cache=cache,
-            )
-            for query in by_relation.values():
-                server.submit(query)
-            server.run()
-        assert len(people) < len(simple_orders)
-        assert order == [
-            # first run: both sizes unknown, so admission order
-            "only_simple_orders",
-            "only_people",
-            # second run: the learned sizes, smaller first
-            "only_people",
-            "only_simple_orders",
-        ]
 
     def test_share_statistics_can_be_disabled(self, people, simple_orders):
         cache = SharedStatisticsCache()
@@ -371,7 +275,7 @@ class TestSystemServeFacade:
     def test_serve_matches_solo_execute(self, tiny_tpch):
         system = self._system(tiny_tpch)
         queries = [query_3a(), query_10a(), query_5()]
-        report = system.serve(queries, policy="shortest_remaining_cost")
+        report = system.serve(queries)
         assert len(report.served) == 3
         for query, served in zip(queries, report.served):
             solo = self._system(tiny_tpch).execute(query, strategy="corrective")
@@ -383,6 +287,9 @@ class TestSystemServeFacade:
             system.serve([])
         with pytest.raises(KeyError, match="unregistered"):
             AdaptiveIntegrationSystem().serve([query_3a()])
+        with pytest.raises(ValueError, match="unknown scheduling policy"):
+            system.serve([query_3a()], policy="shortest_remaining_cost")
+        assert system.serve([query_3a()], policy="round_robin").policy == "round_robin"
 
     def test_serve_rejects_the_deleted_admission_times(self, tiny_tpch):
         with pytest.raises(TypeError, match="admission_times"):
@@ -397,4 +304,7 @@ class TestSystemServeFacade:
         assert cache.queries_absorbed > absorbed_once
         assert not first.served[0].report.details["seeded_statistics"]
         assert second.served[0].report.details["seeded_statistics"]
+        # the shard's seed count rides home with its snapshot
+        assert cache.queries_seeded >= 1
+        assert second.stats_cache_summary["queries_seeded"] == cache.queries_seeded
         assert cache.cardinalities  # exhausted sources were learned

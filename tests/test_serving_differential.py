@@ -1,7 +1,7 @@
 """Serving-vs-solo differential tests for the in-process, one-shard server.
 
 The correctness bar of the serving layer: admitting N queries to one server
-— shared source objects, a scheduling policy, cross-run statistics — must
+— shared source objects, any submission order, cross-run statistics — must
 leave every query's result **bit-identical** to its solo corrective
 execution (multiset, work counters, ``repr``-equal simulated seconds and
 phase counts), and equal to the brute-force reference oracle.  The
@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import pytest
 
-from differential import run_sharded_differential_case
+from differential import SUBMISSION_ORDERS, run_sharded_differential_case
 
 from repro.core.corrective import CorrectiveQueryProcessor
-
-POLICIES = ("round_robin", "shortest_remaining_cost")
 
 #: (concurrency level, workload seeds) — N ∈ {2, 4, 8}, drawn from the same
 #: seed population as the engine differential tests.
@@ -32,39 +30,39 @@ CONCURRENCY_CASES = (
 _CASE_CACHE: dict[tuple, object] = {}
 
 
-def _case(seeds, policy, batch_size=None):
-    key = (tuple(seeds), policy, batch_size)
+def _case(seeds, order, batch_size=None):
+    key = (tuple(seeds), order, batch_size)
     result = _CASE_CACHE.get(key)
     if result is None:
         result = run_sharded_differential_case(
-            seeds, policy, 1, batch_size=batch_size, start_method="inline"
+            seeds, order, 1, batch_size=batch_size, start_method="inline"
         )
         _CASE_CACHE[key] = result
     return result
 
 
-@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("order", SUBMISSION_ORDERS)
 @pytest.mark.parametrize(
     "concurrency,seeds", CONCURRENCY_CASES, ids=lambda value: str(value)
 )
-def test_serving_matches_solo(concurrency, seeds, policy):
-    result = _case(seeds, policy)
+def test_serving_matches_solo(concurrency, seeds, order):
+    result = _case(seeds, order)
     assert len(result.report.served) == concurrency
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_serving_matches_solo_batched(policy):
+@pytest.mark.parametrize("order", SUBMISSION_ORDERS)
+def test_serving_matches_solo_batched(order):
     """Batched engines under serving are still bit-identical to solo."""
-    result = _case((2, 3, 4, 5), policy, batch_size=64)
+    result = _case((2, 3, 4, 5), order, batch_size=64)
     assert len(result.report.served) == 4
 
 
 def test_serving_population_covers_interesting_regimes():
     """The equivalence claims only bite if the served population is diverse."""
     cases = [
-        _case(seeds, policy)
+        _case(seeds, order)
         for _, seeds in CONCURRENCY_CASES
-        for policy in POLICIES
+        for order in SUBMISSION_ORDERS
     ]
     remote = sum(case.num_remote for case in cases)
     multi_phase = sum(
@@ -91,9 +89,9 @@ def test_serving_population_covers_interesting_regimes():
     assert aggregated >= 2
 
 
-def test_scheduling_policies_change_the_run_order_but_not_answers(monkeypatch):
-    """The two policies run the same sessions in different orders (otherwise
-    the policy knob is dead code) while both stay bit-identical to solo."""
+def test_submission_order_is_the_run_order_and_changes_no_answer(monkeypatch):
+    """A shard runs its sessions in admission order, so reversing the
+    submissions reverses the runs, while both stay bit-identical to solo."""
     order: list[str] = []
     execute = CorrectiveQueryProcessor.execute
 
@@ -104,17 +102,13 @@ def test_scheduling_policies_change_the_run_order_but_not_answers(monkeypatch):
     monkeypatch.setattr(CorrectiveQueryProcessor, "execute", recording)
     seeds = (6, 7, 8, 9, 10, 11, 12, 13)
     runs = {}
-    for policy in POLICIES:
+    for submission in SUBMISSION_ORDERS:
         order.clear()
         result = run_sharded_differential_case(
-            seeds, policy, 1, start_method="inline"
+            seeds, submission, 1, start_method="inline"
         )
-        # The solo runs come first, in admission order; the session runs last.
-        runs[policy] = order[len(seeds):]
-        assert sorted(runs[policy]) == sorted(
-            workload.query.name for workload in result.workloads
-        )
-    assert runs["round_robin"] == [
-        workload.query.name for workload in result.workloads
-    ]
-    assert runs["shortest_remaining_cost"] != runs["round_robin"]
+        # The solo runs come first, in workload order; the session runs last.
+        runs[submission] = order[len(seeds):]
+    names = [workload.query.name for workload in result.workloads]
+    assert runs["forward"] == names
+    assert runs["reversed"] == names[::-1]

@@ -2,9 +2,9 @@
 
 Every source sits behind a connection latency, so at t=0 no session has
 anything to read; in the second pattern each source also goes silent again
-mid-stream.  Each session must still be served, under both scheduling
-policies: it stalls on its own clock until its data arrives, as a solo run
-does, so its answer equals the brute-force oracle and its metrics and
+mid-stream.  Each session must still be served, whichever order the
+sessions are submitted in: it stalls on its own clock until its data
+arrives, as a solo run does, so its answer equals the brute-force oracle and its metrics and
 ``repr(simulated_seconds)`` equal its solo run's, and it cannot finish
 before its source came alive.
 """
@@ -68,28 +68,30 @@ def _sources(relations, phased):
 
 
 @pytest.mark.parametrize("phased", [False, True], ids=["silent-start", "re-silent"])
-@pytest.mark.parametrize("policy", ["round_robin", "shortest_remaining_cost"])
-def test_sessions_blocked_at_the_start_are_served_as_solo(policy, phased):
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_sessions_blocked_at_the_start_are_served_as_solo(order, phased):
     catalog, relations, queries = _pool(phased, seed=23 if phased else 11)
     options = dict(polling_interval_seconds=0.5)
     quantum = 8 if phased else 16
     server = ShardedQueryServer(
         catalog,
         _sources(relations, phased),
-        policy=policy,
         workers=1,
         start_method="inline",
         quantum_tuples=quantum,
         **options,
     )
-    for query in queries:
+    submitted = list(zip(queries, DELAYS))
+    if order == "reversed":
+        submitted.reverse()
+    for query, _delay in submitted:
         server.submit(query, label=query.name)
     report = server.run()
 
     assert [served.query_name for served in report.served] == [
-        query.name for query in queries
+        query.name for query, _delay in submitted
     ]
-    for served, query, delay in zip(report.served, queries, DELAYS):
+    for served, (query, delay) in zip(report.served, submitted):
         assert_same_bag(served.rows, reference_spja(query, relations))
         solo = CorrectiveQueryProcessor(
             catalog.copy(), _sources(relations, phased), **options

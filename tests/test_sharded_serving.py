@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from differential import (
     POLL_STEP_LIMIT,
     POLLING_INTERVAL,
+    SUBMISSION_ORDERS,
     run_sharded_workloads,
 )
 
@@ -52,8 +53,9 @@ from repro.serving.partition import (
     stable_partition_index,
 )
 from repro.serving.specs import SessionResult
-from repro.serving.worker import worker_main
+from repro.serving.worker import drive_shard, worker_main
 from repro.sources.source import LocalSource
+from repro.workloads.queries import query_3a, query_10a
 from workload_generator import generate_workload
 
 
@@ -101,13 +103,22 @@ class TestStatisticsSnapshot:
         assert snapshot.cardinalities == {"a": 50}
         assert snapshot.queries_absorbed == 1
 
+    def _query_ab(self) -> SPJAQuery:
+        return SPJAQuery(
+            name="ab",
+            relations=("a", "b"),
+            join_predicates=(JoinPredicate("a", "x", "b", "y"),),
+        )
+
     def test_hydrate_reattaches_live_views_and_zeroes_counters(self):
         source = SharedStatisticsCache()
         source.absorb(self._observed())
+        assert source.seed_for(self._query_ab()) is not None
         worker = SharedStatisticsCache()
         worker.hydrate_state(source.snapshot_state())
         assert worker.selectivities == source.selectivities
         assert worker.queries_absorbed == 0
+        assert worker.queries_seeded == 0
         # The live views must point at the hydrated observations: a
         # subsequent absorb must show up through them.
         worker.absorb(self._observed(0.5))
@@ -119,10 +130,41 @@ class TestStatisticsSnapshot:
         shard = SharedStatisticsCache()
         shard.absorb(self._observed())
         shard.cardinalities.update({"a": 10, "b": 7})
+        assert shard.seed_for(self._query_ab()) is not None
         front.absorb_snapshot(shard.snapshot_state())
         assert front.cardinalities == {"a": 20, "b": 7}
         assert front.selectivities[frozenset(("a", "b"))] == 0.25
+        # the shard's counters add to the front-end's
         assert front.queries_absorbed == 1
+        assert front.queries_seeded == 1
+
+    def test_every_shards_seed_count_reaches_the_front_end(self, tiny_tpch):
+        catalog = Catalog()
+        for relation in tiny_tpch.relations.values():
+            catalog.register(relation.name, relation.schema, relation=relation)
+        cache = SharedStatisticsCache()
+        reports = []
+        for _ in range(2):
+            server = ShardedQueryServer(
+                catalog,
+                dict(tiny_tpch.relations),
+                workers=2,
+                start_method="inline",
+                stats_cache=cache,
+            )
+            for query in (query_3a(), query_10a(), query_3a()):
+                server.submit(query)
+            reports.append(server.run())
+        seeded = [
+            [served.report.details["seeded_statistics"] for served in report.served]
+            for report in reports
+        ]
+        # the first run starts from an empty cache; every session of the
+        # second is seeded, in whichever of the two shards it ran
+        assert seeded == [[False] * 3, [True] * 3]
+        assert cache.queries_seeded == 3
+        assert cache.queries_absorbed == 6
+        assert reports[1].stats_cache_summary == cache.summary()
 
 
 class TestSharedStatisticsStore:
@@ -361,18 +403,15 @@ class TestPartitionHelpers:
 
 class TestRunToCompletion:
     """A worker seeds every session first, then runs one session at a time to
-    completion, in its policy's order, absorbing each as it finishes."""
+    completion, in admission order, absorbing each as it finishes."""
 
     #: one shard of four differential workloads over 4, 2, 3 and 2 relations
     SEEDS = (0, 1, 3, 6)
-    #: run order per policy: admission order, or shortest estimate first
-    RUN_ORDER = {
-        "round_robin": [0, 1, 2, 3],
-        "shortest_remaining_cost": [1, 3, 2, 0],
-    }
+    #: admission order per submission order, as indexes into ``SEEDS``
+    ADMITTED = {"forward": [0, 1, 2, 3], "reversed": [3, 2, 1, 0]}
 
-    @pytest.mark.parametrize("policy", sorted(RUN_ORDER))
-    def test_sessions_run_to_completion_in_policy_order(self, policy, monkeypatch):
+    @pytest.mark.parametrize("order", SUBMISSION_ORDERS)
+    def test_sessions_run_to_completion_in_admission_order(self, order, monkeypatch):
         events: list[tuple[str, str]] = []
         execute = CorrectiveQueryProcessor.execute
         seed_for = SharedStatisticsCache.seed_for
@@ -397,15 +436,14 @@ class TestRunToCompletion:
             generate_workload(seed, name_prefix=f"w{index}_")
             for index, seed in enumerate(self.SEEDS)
         ]
-        names = [workload.query.name for workload in workloads]
-        report, _ = run_sharded_workloads(workloads, policy, 1, start_method="inline")
+        report, _ = run_sharded_workloads(workloads, order, 1, start_method="inline")
 
-        expected_runs = [names[index] for index in self.RUN_ORDER[policy]]
+        names = [workloads[index].query.name for index in self.ADMITTED[order]]
         assert events == (
             [("seed", name) for name in names]
             + [
                 event
-                for name in expected_runs
+                for name in names
                 for event in (("run", name), ("absorb", ""))
             ]
         )
@@ -564,6 +602,23 @@ class TestShardedServerValidation:
         workload = generate_workload(2)
         with pytest.raises(ValueError):
             ShardedQueryServer(workload.catalog(), workload.sources(), workers=0)
+
+    @pytest.mark.parametrize("policy", ["shortest_remaining_cost", "fifo"])
+    def test_only_admission_order_is_a_policy(self, policy):
+        """``"round_robin"`` (admission order) is the one policy; the server
+        and a worker handed a task directly both reject any other name."""
+        workload = generate_workload(2)
+        with pytest.raises(ValueError, match="unknown scheduling policy"):
+            ShardedQueryServer(workload.catalog(), workload.sources(), policy=policy)
+        task = ShardTask(
+            worker_id=0,
+            policy=policy,
+            catalog=workload.catalog(),
+            sources=workload.sources(),
+            specs=(SessionSpec(index=0, label="q", query=workload.query),),
+        )
+        with pytest.raises(ValueError, match=repr(policy)):
+            drive_shard(task)
 
     def test_rejects_unregistered_sources(self):
         server, workload = self._server()
