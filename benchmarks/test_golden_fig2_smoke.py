@@ -3,10 +3,11 @@
 Pins headline simulated-seconds / phase-count numbers from the seed run
 (``benchmarks/results/fig2_corrective_local.txt``, scale 0.003, seed 2004)
 behind a tolerance so that engine or cost-model regressions surface in
-tier-1, and holds the batched engine to the tuple engine's accounting on the
-same workload and on Figure 3's wireless sources.  Tuple mode is the
-reference.  No wall-clock number is recorded or asserted here:
-``python -m bench.run`` is the instrument for those.
+tier-1, and holds the batched engine to the accounting of the
+tuple-at-a-time clock oracle (``helpers.tuple_at_a_time``) on the same
+workload and on Figure 3's wireless sources.  The oracle is the reference.
+No wall-clock number is recorded or asserted here: ``python -m bench.run``
+is the instrument for those.
 
 Two layers of protection:
 
@@ -14,11 +15,15 @@ Two layers of protection:
   work accounting; a 15% tolerance leaves room for deliberate cost-model
   tuning, not for accidental behaviour changes);
 * the *batched* engine must report the **same** simulated seconds (to the
-  last bit), answers and phase counts as tuple-at-a-time, over local and
+  last bit), answers and phase counts as the oracle, over local and
   wireless sources alike.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
+
+from helpers import tuple_at_a_time
 
 from repro.experiments.common import DEFAULT_BATCH_SIZE, build_dataset
 from repro.experiments.corrective import run_corrective_comparison
@@ -47,15 +52,17 @@ GOLDEN_RELATIVE_TOLERANCE = 0.15
 
 
 def _run(batch_size, datasets, scale_factor=SCALE_FACTOR, wireless=False):
-    return run_corrective_comparison(
-        query_names=QUERIES,
-        datasets=datasets,
-        scale_factor=scale_factor,
-        wireless=wireless,
-        forced_bad_start=True,
-        seed=SEED,
-        batch_size=batch_size,
-    )
+    """The comparison at ``batch_size``; ``None`` runs the oracle."""
+    with tuple_at_a_time() if batch_size is None else nullcontext():
+        return run_corrective_comparison(
+            query_names=QUERIES,
+            datasets=datasets,
+            scale_factor=scale_factor,
+            wireless=wireless,
+            forced_bad_start=True,
+            seed=SEED,
+            batch_size=batch_size,
+        )
 
 
 def _assert_batched_equals_tuple_mode(tuple_results, batched_results):
@@ -102,7 +109,7 @@ def test_golden_fig2_smoke_and_batched_speedup():
 
 def test_batched_wireless_runs_equal_tuple_mode():
     """Figure 3's bursty wireless sources: batches read only what has
-    arrived, so the clock stalls exactly where tuple mode's does."""
+    arrived, so the clock stalls exactly where the oracle's does."""
     datasets = {
         "uniform": build_dataset("uniform", WIRELESS_SCALE_FACTOR, 0.0, SEED)
     }

@@ -23,8 +23,8 @@ This rule checks the invariant statically over the ``engine/`` package:
 3. Every call site of a **state-structure mutation** (``insert``,
    ``insert_batch``, ``add_count``) outside ``engine/state/`` must sit in a
    charging function: state structures deliberately do not self-charge
-   (batched and tuple-at-a-time modes charge differently), so the operator
-   that drives them must.
+   (the interpreted and compiled kernels charge differently), so the
+   operator that drives them must.
 """
 
 from __future__ import annotations

@@ -197,7 +197,7 @@ class CorrectiveQueryProcessor:
         collected: list[tuple] = []
 
         def attach_sinks(plan: PipelinedPlan) -> None:
-            """Point the plan's output (tuple and batch) at the shared group-by."""
+            """Point the plan's output at the shared group-by (or collector)."""
             nonlocal canonical_schema, accumulator
             if canonical_schema is None:
                 canonical_schema = plan.output_schema
@@ -210,15 +210,11 @@ class CorrectiveQueryProcessor:
                         metrics=metrics,
                     )
             adapter = TupleAdapter(plan.output_schema, canonical_schema)
-            adapt = adapter.adapt
             if accumulator is not None:
-                accumulate = accumulator.accumulate
                 accumulate_batch = accumulator.accumulate_batch
                 if adapter.is_identity:
-                    plan.output.sink = accumulate
                     plan.output.sink_batch = accumulate_batch
                 else:
-                    plan.output.sink = lambda row: accumulate(adapt(row))
                     plan.output.sink_batch = lambda rows: accumulate_batch(
                         adapter.adapt_many(rows)
                     )
@@ -230,11 +226,8 @@ class CorrectiveQueryProcessor:
                     if fold is not None:
                         plan.output.sink_batch = fold
             elif adapter.is_identity:
-                plan.output.sink = collected.append
                 plan.output.sink_batch = collected.extend
             else:
-                append = collected.append
-                plan.output.sink = lambda row: append(adapt(row))
                 plan.output.sink_batch = lambda rows: collected.extend(
                     adapter.adapt_many(rows)
                 )
@@ -299,7 +292,6 @@ class CorrectiveQueryProcessor:
             monitor.observe(plan, cursors)
             phase_manager.finish_current(
                 ended_at=clock.now,
-                steps=stats.steps,
                 tuples_read=stats.tuples_read,
                 outputs=plan.output.count,
                 consumed_per_relation=stats.consumed_per_relation,

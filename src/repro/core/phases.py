@@ -22,7 +22,6 @@ class PhaseRecord:
     join_tree: JoinTree
     started_at: float
     ended_at: float = 0.0
-    steps: int = 0
     tuples_read: int = 0
     outputs: int = 0
     consumed_per_relation: dict[str, int] = field(default_factory=dict)
@@ -74,7 +73,6 @@ class PhaseManager:
     def finish_current(
         self,
         ended_at: float,
-        steps: int,
         tuples_read: int,
         outputs: int,
         consumed_per_relation: dict[str, int],
@@ -83,7 +81,6 @@ class PhaseManager:
     ) -> PhaseRecord:
         record = self.current()
         record.ended_at = ended_at
-        record.steps = steps
         record.tuples_read = tuples_read
         record.outputs = outputs
         record.consumed_per_relation = dict(consumed_per_relation)

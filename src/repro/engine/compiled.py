@@ -67,8 +67,8 @@ from repro.relational.expressions import (
 from repro.relational.schema import Schema
 
 #: Execution modes of the pipelined engine.  ``interpreted`` is the generic
-#: batched/tuple-at-a-time operator code; ``compiled`` is this module's
-#: fused, plan-specialized batch pipelines (requires a batch size).
+#: operator code; ``compiled`` is this module's fused, plan-specialized batch
+#: pipelines (requires a batch size).
 ENGINE_MODES = ("interpreted", "compiled")
 
 
@@ -78,9 +78,9 @@ def validate_engine_mode(
     """Reject a batch size below 1, an unknown mode, or compiled mode
     without a batch size; return the mode a plan runs.
 
-    ``None`` lets the plan decide: a batched plan runs the compiled chains,
-    and tuple mode — or a plan with pre-aggregation stages (``staged``),
-    which the chains cannot run — the interpreted kernel.
+    ``None`` lets the plan decide: a plan with a batch size runs the
+    compiled chains, and one without — or a plan with pre-aggregation stages
+    (``staged``), which the chains cannot run — the interpreted kernel.
 
     The one statement of the rule, checked by the two places that accept
     the pair: :class:`~repro.engine.pipelined.PipelinedPlan` and
@@ -97,9 +97,8 @@ def validate_engine_mode(
         )
     if engine_mode == "compiled" and batch_size is None:
         raise PlanError(
-            "engine_mode='compiled' requires a batch_size (the compiled "
-            "engine specializes the batch path; tuple-at-a-time execution "
-            "is always interpreted)"
+            "engine_mode='compiled' requires a batch_size (without one a "
+            "plan runs the interpreted kernel)"
         )
     return engine_mode
 

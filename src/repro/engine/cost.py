@@ -18,16 +18,13 @@ counter                        charged for
 ``tuple_copies``               materializing a combined (joined / adapted) tuple
 ``aggregate_updates``          folding a value into an aggregate accumulator
 ``tuples_output``              emitting a tuple to the parent / final consumer
-``batches_read``               forming one source batch (batched mode only)
 ============================  =====================================================
 
-``batches_read`` counts scheduling decisions of the batch-at-a-time engine.
-Its default weight is zero so that tuple-at-a-time and batched executions of
-the same query charge *identical* work — the differential harness depends on
-that — while still letting ablations model a per-batch dispatch overhead.
-
-``ExecutionMetrics.work`` is the weighted sum of the counters using the
+``ExecutionMetrics.work`` is the weighted sum of these counters using the
 weights in :class:`CostModel`; benchmarks report it alongside wall-clock.
+A ninth counter, ``batches_read``, counts the engine's scheduling steps; it
+carries no weight, so work — and simulated time — is the same for every
+batch size.
 
 **Deferred charging invariant** (the compiled engine's accounting contract):
 :meth:`ExecutionMetrics.charge_batch` applies one integer delta per counter,
@@ -77,10 +74,6 @@ class CostModel:
     tuple_copy: float = 0.5
     aggregate_update: float = 0.75
     tuple_output: float = 0.25
-    # Per-batch dispatch overhead of the batched execution mode.  Zero by
-    # default so tuple-at-a-time and batched runs of the same query report
-    # identical work (and identical simulated seconds on local sources).
-    batch_read: float = 0.0
     # How many simulated seconds one work unit costs.  The default is tuned
     # so that the paper's workloads land in the "tens of seconds" range the
     # paper reports, purely for readability of the reproduced tables.
@@ -117,7 +110,6 @@ class ExecutionMetrics:
             + self.tuple_copies * model.tuple_copy
             + self.aggregate_updates * model.aggregate_update
             + self.tuples_output * model.tuple_output
-            + self.batches_read * model.batch_read
         )
 
     def charge_batch(

@@ -40,7 +40,7 @@ def aggregate_output_schema(
 class GroupAccumulator:
     """Push-style hash-aggregation state shared across plans and phases.
 
-    ``accumulate(row)`` folds one tuple (raw or partial, depending on
+    ``accumulate_batch(rows)`` folds tuples (raw or partial, depending on
     ``input_is_partial``), ``results()`` finalizes and returns the grouped
     output.
     """
@@ -73,27 +73,11 @@ class GroupAccumulator:
             )
         self._groups: dict[tuple, list] = {}
 
-    def accumulate(self, row: tuple) -> None:
-        """Fold one input tuple into the aggregate state."""
-        key = tuple(row[p] for p in self._group_positions)
-        states = self._groups.get(key)
-        if states is None:
-            states = [agg.initial_state() for agg in self.aggregates]
-            self._groups[key] = states
-        for idx, agg in enumerate(self.aggregates):
-            pos = self._value_positions[idx]
-            value = row[pos] if pos >= 0 else None
-            self.metrics.aggregate_updates += 1
-            if self.input_is_partial:
-                states[idx] = agg.merge_partial(states[idx], value)
-            else:
-                states[idx] = agg.merge_value(states[idx], value)
-
     def accumulate_batch(self, rows: list[tuple]) -> None:
         """Fold a whole batch with one tight loop per aggregate term.
 
-        Charges exactly the counters :meth:`accumulate` would charge, so
-        batched and tuple-at-a-time executions report identical work.
+        Charges one ``aggregate_updates`` per row and aggregate term, so the
+        work does not depend on how the output is batched.
         """
         groups = self._groups
         group_positions = self._group_positions
@@ -133,7 +117,7 @@ class GroupAccumulator:
         they do not carry it.  The lines find the tuple's group through
         ``_groups`` / ``_get = _groups.get`` and update its states with the
         aggregate merges inlined, evolving the group dictionary exactly as
-        :meth:`accumulate` does; ``aggregate_updates`` is left for the caller
+        :meth:`accumulate_batch` does; ``aggregate_updates`` is left for the caller
         to charge once per batch.  Returns ``None`` when no specialization
         applies (partial-aggregate input, or an attribute the loop cannot
         reach).

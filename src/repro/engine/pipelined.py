@@ -1,10 +1,11 @@
 """Push-based pipelined hash-join network.
 
 This module implements Tukwila's default execution strategy for data
-integration queries: a tree of symmetric (pipelined) hash joins fed tuple by
-tuple from the data sources.  The crucial property for adaptive data
-partitioning is that execution proceeds in discrete **steps** — one source
-tuple is read and fully propagated through the join network before the next
+integration queries: a tree of symmetric (pipelined) hash joins fed from the
+data sources in the order of the paper's read rule (Section 4.1: read the
+earliest-available tuple).  The crucial property for adaptive data
+partitioning is that execution proceeds in discrete **steps** — the tuples a
+step reads are fully propagated through the join network before the next
 step begins — so that between steps the plan is always in a consistent state
 and can be suspended, monitored, or replaced (Section 4.1: "allow the plan to
 reach a consistent state ... and switch to another plan").
@@ -22,7 +23,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
@@ -146,22 +146,17 @@ class SourceCursor:
         arrivals = self._arrivals
         return 0.0 if arrivals is None else arrivals[self._pos]
 
-    def _take(self) -> tuple:
-        """Consume the buffered tuple a :meth:`peek_arrival` just reported."""
-        pos = self._pos
-        row = self._rows[pos]
-        self._pos = pos + 1
-        self.consumed += 1
-        if self._order_detectors:
-            self._observe_order(row)
-        return row
-
     def read(self) -> tuple[tuple, float] | None:
         """Consume and return ``(row, arrival_time)``, or ``None`` at end."""
         arrival = self.peek_arrival()
         if arrival is None:
             return None
-        return self._take(), arrival
+        row = self._rows[self._pos]
+        self._pos += 1
+        self.consumed += 1
+        if self._order_detectors:
+            self._observe_order(row)
+        return row, arrival
 
     def read_batch(
         self, max_count: int, bound: float | None = None
@@ -297,7 +292,6 @@ class PipelinedJoinNode:
         # Wiring (set by PipelinedPlan): where this node's outputs go.
         self.parent: "PipelinedJoinNode | None" = None
         self.parent_side: str | None = None
-        self.sink: Callable[[tuple], None] | None = None
         self.sink_batch: Callable[[list[tuple]], None] | None = None
         # Relations covered by each input (for registry signatures / monitor).
         self.left_relations: frozenset[str] = frozenset()
@@ -311,32 +305,16 @@ class PipelinedJoinNode:
         """Join-key position inside the given side's input tuples."""
         return self._left_key_pos if side == "left" else self._right_key_pos
 
-    def push(self, row: tuple, side: str) -> None:
-        """Insert ``row`` on ``side`` ('left'/'right'), probe the other side,
-        and propagate every resulting join tuple upward."""
-        metrics = self.metrics
-        metrics.hash_inserts += 1
-        metrics.hash_probes += 1
-        if side == "left":
-            self.left_state.insert(row)
-            matches = self.right_state.probe(row[self._left_key_pos])
-            for other in matches:
-                self._emit(row + other)
-        else:
-            self.right_state.insert(row)
-            matches = self.left_state.probe(row[self._right_key_pos])
-            for other in matches:
-                self._emit(other + row)
-
     def push_batch(self, rows: list[tuple], side: str) -> None:
-        """Batched :meth:`push`: insert a whole single-side batch, probe the
-        other side in one tight loop, and propagate the combined batch upward.
+        """Insert a whole single-side batch on ``side`` ('left'/'right'),
+        probe the other side in one tight loop, and propagate the combined
+        batch upward.
 
         Inserting the batch before probing is equivalent to interleaving,
         because a batch only ever carries tuples for one side and probes read
-        the *other* side's table.  All metric counters are charged exactly as
-        the tuple-at-a-time path would charge them, so work accounting (and
-        the simulated clock on local sources) is identical.
+        the *other* side's table.  Every counter is charged per row, so the
+        work (and the simulated clock) does not depend on how a source's
+        rows are cut into batches.
         """
         if not rows:
             return
@@ -370,28 +348,9 @@ class PipelinedJoinNode:
         self.output_count += len(combined)
         if self.parent is not None:
             self.parent.push_batch(combined, self.parent_side)
-        elif self.sink_batch is not None:
+        else:
             metrics.tuples_output += len(combined)
             self.sink_batch(combined)
-        elif self.sink is not None:
-            metrics.tuples_output += len(combined)
-            sink = self.sink
-            for row in combined:
-                sink(row)
-
-    def _emit(self, combined: tuple) -> None:
-        metrics = self.metrics
-        if self._residual_fn is not None:
-            metrics.predicate_evals += 1
-            if not self._residual_fn(combined):
-                return
-        metrics.tuple_copies += 1
-        self.output_count += 1
-        if self.parent is not None:
-            self.parent.push(combined, self.parent_side)
-        elif self.sink is not None:
-            metrics.tuples_output += 1
-            self.sink(combined)
 
     def peak_state_tuples(self) -> int:
         """Peak resident build-side tuples (hash tables only ever grow)."""
@@ -402,9 +361,9 @@ class PreAggregationStage:
     """A plan's pre-aggregation point (Section 6) as a stage of the network.
 
     It sits where its subtree's output went — a leaf's binding, or the
-    parent of the subtree's root join — and has the join node's ``push`` /
-    ``push_batch`` interface, so neither drive loop nor the batch kernel
-    knows it is there.  Every tuple is fed to the stage's
+    parent of the subtree's root join — and has the join node's
+    ``push_batch`` interface, so the interpreted kernel does not know it is
+    there.  Every tuple is fed to the stage's
     :class:`~repro.core.preaggregation.WindowedPreAggregator`; the partial
     aggregates a closing window emits go on to the join above, and
     :meth:`flush` closes the last window once the sources are exhausted.
@@ -415,10 +374,6 @@ class PreAggregationStage:
         # Wiring (set by PipelinedPlan): the join node and side fed.
         self.parent: PipelinedJoinNode | None = None
         self.parent_side: str | None = None
-
-    def push(self, row: tuple, side: str) -> None:
-        for partial in self.aggregator.feed(row):
-            self.parent.push(partial, self.parent_side)
 
     def push_batch(self, rows: list[tuple], side: str) -> None:
         feed = self.aggregator.feed
@@ -435,8 +390,10 @@ class PreAggregationStage:
 class PlanOutput:
     """Where a plan's root delivers: its output sinks and :attr:`count`.
 
-    The plan owns it, and the root node's sinks, the interpreted kernels and
-    the compiled chains bind it in place of the plan.  Nothing the plan
+    The plan owns it, and the root node's batch sink, the interpreted
+    kernels and the compiled chains bind it in place of the plan.  Rows go
+    to ``sink_batch``, or row by row to ``sink`` for a caller that passed
+    only that.  Nothing the plan
     reaches points back at the plan, so reference counting frees a phase's
     plan, join state included, as soon as the phase is replaced.
     """
@@ -446,10 +403,6 @@ class PlanOutput:
         self.sink_batch: Callable[[list[tuple]], None] | None = sink_batch
         self.metrics = metrics
         self.count = 0
-
-    def emit(self, row: tuple) -> None:
-        self.count += 1
-        self.sink(row)
 
     def emit_batch(self, rows: list[tuple]) -> None:
         self.count += len(rows)
@@ -498,7 +451,6 @@ class PhaseStatistics:
     """Per-phase execution summary used by reports and the re-optimizer."""
 
     phase_id: int
-    steps: int = 0
     tuples_read: int = 0
     outputs: int = 0
     work_units: float = 0.0
@@ -518,26 +470,22 @@ def _add_rows(groups: list[tuple], binding: LeafBinding, rows: list[tuple]) -> N
     groups.append((binding, rows))
 
 
-#: tuple drive-loop entry -> its read key
-_entry_key = itemgetter(0)
-
-
 class PipelinedPlan:
     """An instantiated push network for one ADP phase of an SPJA query.
 
-    ``batch_size`` selects the execution granularity.  ``None`` (the default)
-    is the paper's tuple-at-a-time mode: one :meth:`step` reads one source
-    tuple and fully propagates it.  An integer enables batch-at-a-time mode:
-    one step (:meth:`step_batch`) reads the source tuples that have arrived,
-    up to its budget (``batch_size`` in a static :meth:`run`, what is left of
-    the chunk in :meth:`run_chunk`) — **in exactly the per-source counts the
-    tuple-at-a-time scheduler would have chosen** — and propagates them, one
-    kernel call per per-leaf group.  Because a step always fully propagates
-    what it read, the plan is in a consistent state between steps, so
-    suspension, monitoring and corrective plan switching keep working, just
-    at step granularity.
+    Execution proceeds in **steps**: one step (:meth:`step_batch`) reads the
+    source tuples that have arrived, up to its budget, **in exactly the
+    per-source counts the paper's tuple-at-a-time rule would have chosen**
+    (Section 4.1: read the earliest-available tuple and propagate it fully),
+    and propagates them, one kernel call per per-leaf group.  Because a step
+    always fully propagates what it read, the plan is in a consistent state
+    between steps, so suspension, monitoring and corrective plan switching
+    work at step granularity.
 
-    The batch path has one shape, whatever the engine mode::
+    The budget is what is left of a :meth:`run_chunk` — a corrective poll
+    chunk is one schedule — and in a static :meth:`run` the ``batch_size``,
+    or :attr:`SourceCursor.DEFAULT_PREFETCH` without one.  Each step has one
+    shape, whatever the engine mode::
 
         step_batch      ->  ready = the clock's last reading; if nothing
                             has arrived by then: sync the clock,
@@ -545,21 +493,10 @@ class PipelinedPlan:
         _read_schedule  ->  (binding, rows) groups, all arrived by ready
         step_batch      ->  per group: one kernel(rows) call
 
-    :meth:`_read_schedule` is the only batch scheduler and :meth:`step_batch`
-    the only batch driver.  ``engine_mode`` picks nothing but the per-leaf
-    *kernel* (:meth:`_build_kernels`, consulted once, on the first batch):
-    the interpreted group body or a fused compiled chain.
-
-    Tuple mode has one scheduler and driver of its own,
-    :meth:`_drive_tuples`, behind :meth:`step` (a budget of one),
-    :meth:`run` and :meth:`run_chunk`.  It states the paper's rule (Section
-    4.1: read the earliest-available tuple, propagate it fully) one tuple at
-    a time and is the reference the differential suites compare every batch
-    configuration against, so it shares no scheduling code with
-    :meth:`_read_schedule` — ``batch_size=1`` through the shared path
-    schedules from scratch once per tuple and is several times slower
-    (``bench/README.md``).  What it caches lives for one call only: the live
-    cursors' read keys (one entry re-keyed per step); the clock is charged,
+    :meth:`_read_schedule` is the only scheduler and :meth:`step_batch` the
+    only driver.  ``engine_mode`` picks nothing but the per-leaf *kernel*
+    (:meth:`_build_kernels`, consulted once, on the first step): the
+    interpreted group body or a fused compiled chain.  The clock is charged,
     from :meth:`ExecutionMetrics.work`, only before a stall and on sync.
     """
 
@@ -591,7 +528,8 @@ class PipelinedPlan:
         with identical results and work accounting.  Compiled mode requires
         a ``batch_size``; chains are (re)generated per plan, so corrective
         phase switches and hash↔merge strategy switches recompile naturally.
-        By default (``None``) a batched plan without stages runs compiled.
+        By default (``None``) a plan with a ``batch_size`` and without stages
+        runs compiled, any other the interpreted kernel.
 
         ``preagg_points`` are a :class:`~repro.optimizer.plans.PhysicalPlan`'s
         pre-aggregation points; each becomes a :class:`PreAggregationStage`
@@ -772,7 +710,6 @@ class PipelinedPlan:
         node.parent = parent
         node.parent_side = parent_side
         if parent is None:
-            node.sink = self.output.emit
             node.sink_batch = self.output.emit_batch
         self.nodes.append(node)
 
@@ -804,86 +741,6 @@ class PipelinedPlan:
         return self._output_schema_of(self.join_tree)
 
     # -- execution -------------------------------------------------------------
-
-    def _drive_tuples(self, budget: int | None) -> int:
-        """Run up to ``budget`` tuple-at-a-time steps; return how many ran.
-
-        The paper's rule (Section 4.1), one tuple at a time: read the
-        earliest-available source tuple and propagate it fully.  The next
-        read is the minimum ``(arrival, priority class, consumed)``, first in
-        leaf order on ties — the earliest arrival masks bursty network
-        delays, the consumption count keeps sources draining at similar
-        rates, and a :attr:`read_priorities` demotion only defers a source
-        behind equally *available* ones.  Between two steps only the cursor
-        that was read changes its key, so the live set is keyed once on
-        entry and re-keyed one entry per step, and an exhausted cursor leaves
-        it.  (The controller replaces ``read_priorities`` and fails cursors
-        over only between calls, so nothing invalidates the set meanwhile.)
-
-        The work is priced only where a stall can start: the clock's last
-        reading can only lag the true time, so a tuple arriving at or before
-        it never stalls, and one arriving later first charges the work
-        accrued so far, so the stall starts from the current time.
-        The rest is left to the caller's :meth:`_sync_clock`; the clock is
-        exact, so one charge lands where per-step charges would.
-        """
-        priorities = self.read_priorities
-        live = []
-        for binding, cursor in self._leaf_pairs:
-            arrival = cursor.peek_arrival()
-            if arrival is not None:
-                priority = priorities.get(binding.relation, 0)
-                live.append([(arrival, priority, cursor.consumed), cursor, binding])
-        metrics = self.metrics
-        clock = self.clock
-        charge = clock.charge
-        charged = self._charged_work
-        model = self.cost_model
-        # No budget: bounds no step count.
-        limit = math.inf if budget is None else budget
-        steps = 0
-        try:
-            while live and steps < limit:
-                entry = live[0] if len(live) == 1 else min(live, key=_entry_key)
-                key, cursor, binding = entry
-                arrival = key[0]
-                row = cursor._take()
-                if arrival > clock.now:
-                    work = metrics.work(model)
-                    if work > charged:
-                        charge(work, charged)
-                        charged = work
-                    clock.wait_until(arrival)
-                steps += 1
-                metrics.tuples_read += 1
-                binding.tuples_read += 1
-                selection_fn = binding.selection_fn
-                if selection_fn is not None:
-                    metrics.predicate_evals += 1
-                if selection_fn is None or selection_fn(row):
-                    binding.tuples_passed += 1
-                    if binding.node is None:
-                        # Single-relation query.
-                        metrics.tuples_output += 1
-                        self.output.emit(row)
-                    else:
-                        binding.node.push(row, binding.side)
-                arrival = cursor.peek_arrival()
-                if arrival is None:
-                    live.remove(entry)
-                else:
-                    entry[0] = (arrival, key[1], cursor.consumed)
-        finally:
-            # Also on an error out of a source, predicate or sink: the clock
-            # has been charged, so a later sync must not charge it again.
-            self._charged_work = charged
-            self.statistics.steps += steps
-            self.statistics.tuples_read += steps
-        return steps
-
-    def step(self) -> bool:
-        """Read one source tuple and propagate it; return False when done."""
-        return self._drive_tuples(1) == 1
 
     @staticmethod
     def _zero_quotas(counts: list[int], budget: int) -> list[int]:
@@ -932,15 +789,17 @@ class PipelinedPlan:
         """Read up to ``budget`` source tuples that have arrived by ``ready``,
         grouped per leaf.
 
-        The only batch scheduler: every batch of either engine mode is cut
-        here.  It consumes **exactly the tuples the tuple-at-a-time rule**
-        (:meth:`_drive_tuples`) reads next, in the same per-source counts,
-        as far as they have arrived by ``ready``.  For a symmetric-hash-join
-        network every boundary observable — result multiset, per-leaf pass
-        counts, node output counts, work counters and hence the simulated
-        clock — depends only on those per-source counts, not on the
-        interleaving, so monitor observations and re-optimizer decisions
-        taken at chunk boundaries are identical for every batch size.  Freed
+        The only scheduler: every step of either engine mode is cut here.
+        It consumes **exactly the tuples the tuple-at-a-time rule** reads
+        next — the minimum ``(arrival, priority class, consumed)`` among the
+        arrived sources, first in leaf order on ties — in the same
+        per-source counts, as far as they have arrived by ``ready``.  For a
+        symmetric-hash-join network every boundary observable — result
+        multiset, per-leaf pass counts, node output counts, work counters and
+        hence the simulated clock — depends only on those per-source counts,
+        not on the interleaving, so monitor observations and re-optimizer
+        decisions taken at chunk boundaries are identical for every batch
+        size.  Freed
         from replaying the exact interleaving, the schedule coalesces each
         source's share into one contiguous per-leaf run, which is what makes
         whole-batch propagation worthwhile.
@@ -1026,7 +885,7 @@ class PipelinedPlan:
         return groups
 
     def _build_kernels(self) -> dict[str, Callable[[list], None]]:
-        """Per-leaf batch kernels — the one place the plan reads ``engine_mode``.
+        """Per-leaf kernels — the one place the plan reads ``engine_mode``.
 
         A kernel consumes one scheduled group's rows and does everything the
         group owes: selection, the leaf→root join chain, root emission, and
@@ -1034,7 +893,7 @@ class PipelinedPlan:
         the generic :meth:`PlanOutput._interpreted_group` body; ``"compiled"``
         takes the fused chains of
         :func:`repro.engine.compiled.compile_plan_chains`.  Either binds the
-        plan's :class:`PlanOutput`, never the plan.  Built on the first batch
+        plan's :class:`PlanOutput`, never the plan.  Built on the first
         step, by which point executors have attached their sinks.
         """
         if self.engine_mode == "compiled":
@@ -1051,7 +910,7 @@ class PipelinedPlan:
         """Read one batch of source tuples that have arrived and fully
         propagate it.
 
-        The only batch driver: :meth:`_read_schedule` cuts the batch into
+        The only driver: :meth:`_read_schedule` cuts the batch into
         per-leaf groups, and each group is handed to its leaf's kernel
         (:meth:`_build_kernels`) in one call.  A group's chain writes only its
         own side of each join and probes the other, so one call gives the
@@ -1059,7 +918,8 @@ class PipelinedPlan:
         Returns the number of source tuples consumed (0 when exhausted).
 
         The schedule's budget is ``max_tuples`` (what is left of a
-        :meth:`run_chunk`), else ``batch_size``, and it reads only tuples
+        :meth:`run_chunk`), else ``batch_size`` or, without one,
+        :attr:`SourceCursor.DEFAULT_PREFETCH`, and it reads only tuples
         that have arrived by the clock's last reading, so no group waits.
         Only when nothing has arrived by then is the clock synced, and if
         still nothing has, it stalls once
@@ -1067,7 +927,9 @@ class PipelinedPlan:
         — and the schedule reads up to the new reading.  The clock is exact,
         so simulated seconds equal the tuple rule's on every source.
         """
-        budget = (self.batch_size or 1) if max_tuples is None else max_tuples
+        budget = max_tuples
+        if budget is None:
+            budget = self.batch_size or SourceCursor.DEFAULT_PREFETCH
         if budget < 1:
             return 0
         kernels = self._kernels
@@ -1087,7 +949,6 @@ class PipelinedPlan:
         for binding, rows in groups:
             total += len(rows)
             kernels[binding.relation](rows)
-        self.statistics.steps += 1
         self.statistics.tuples_read += total
         return total
 
@@ -1098,17 +959,11 @@ class PipelinedPlan:
             self._charged_work = work
 
     def run(self, max_steps: int | None = None) -> int:
-        """Run until sources are exhausted or ``max_steps`` steps have run.
-
-        In tuple-at-a-time mode a step is one source tuple; in batched mode a
-        step is one batch of up to ``batch_size`` tuples.
-        """
-        if self.batch_size is None:
-            steps = self._drive_tuples(max_steps)
-        else:
-            steps = 0
-            while (max_steps is None or steps < max_steps) and self.step_batch():
-                steps += 1
+        """Run until sources are exhausted or ``max_steps`` steps have run;
+        a step is one :meth:`step_batch` of its default budget."""
+        steps = 0
+        while (max_steps is None or steps < max_steps) and self.step_batch():
+            steps += 1
         self._flush_stages()
         self._sync_clock()
         self._finalize_statistics()
@@ -1118,17 +973,17 @@ class PipelinedPlan:
         """Process chunks of up to ``max_tuples`` source tuples; return how
         many tuples ran.
 
-        Unlike :meth:`run`, the cap is expressed in *tuples* in both modes,
-        and the final batch is clipped so the chunk ends on exactly the
-        requested tuple boundary.  The corrective processor checks its clock
-        at chunk boundaries, so plan-switch decisions are taken at identical
-        tuple positions regardless of batch size — which is what makes phase
-        counts comparable (and differential-testable) across batch sizes.
+        Unlike :meth:`run`, the cap is expressed in *tuples*, and the chunk
+        ends on exactly the requested tuple boundary.  The corrective
+        processor checks its clock at chunk boundaries, so plan-switch
+        decisions are taken at identical tuple positions regardless of batch
+        size — which is what makes phase counts comparable (and
+        differential-testable) across batch sizes.
 
-        In batched mode what is left of the chunk is :meth:`step_batch`'s
-        budget: one schedule reads all of it that has arrived (on local
-        sources the whole chunk, one ``batches_read``), and each of its
-        per-leaf groups is one kernel call, whatever the ``batch_size``.
+        What is left of the chunk is :meth:`step_batch`'s budget: one
+        schedule reads all of it that has arrived (on local sources the whole
+        chunk, one ``batches_read``), and each of its per-leaf groups is one
+        kernel call, whatever the ``batch_size``.
 
         Without ``until`` this is one chunk.  With ``until`` (a blocking
         run's next poll) it is one *poll window*: chunk after chunk, the
@@ -1138,15 +993,12 @@ class PipelinedPlan:
         """
         processed = 0
         while True:
-            if self.batch_size is None:
-                ran = self._drive_tuples(max_tuples)
-            else:
-                ran = 0
-                while ran < max_tuples:
-                    read = self.step_batch(max_tuples - ran)
-                    if read == 0:
-                        break
-                    ran += read
+            ran = 0
+            while ran < max_tuples:
+                read = self.step_batch(max_tuples - ran)
+                if read == 0:
+                    break
+                ran += read
             processed += ran
             if until is None or ran < max_tuples:
                 break
@@ -1254,8 +1106,11 @@ class PipelinedExecutor:
 
     This is the *static* execution strategy — optimize once, run the chosen
     join tree with pipelined hash joins until the sources are exhausted.
-    ``batch_size=None`` keeps the paper's tuple-at-a-time granularity; an
-    integer runs the same plan batch-at-a-time.
+    ``batch_size`` sets the step of :meth:`PipelinedPlan.run` and the
+    prefetch floor, and alone selects the compiled kernels; ``None`` steps
+    by :attr:`SourceCursor.DEFAULT_PREFETCH` on the interpreted kernel.
+    Every configuration reads in the paper's tuple order, so the answers,
+    counters (``batches_read`` aside) and simulated seconds are the same.
     """
 
     def __init__(
@@ -1326,7 +1181,6 @@ class PipelinedExecutor:
                 input_is_partial=bool(preagg_points),
                 metrics=metrics,
             )
-            plan.output.sink = accumulator.accumulate
             plan.output.sink_batch = accumulator.accumulate_batch
             if plan.engine_mode == "compiled":
                 from repro.engine.compiled import fused_output_sink

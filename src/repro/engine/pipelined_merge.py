@@ -18,9 +18,10 @@ reflects that: in-order arrivals charge two comparisons (ordered insert +
 ordered probe) instead of a hash insert + probe, while *late* arrivals on
 leaf inputs additionally pay the hash rates for their detour through the
 archived partition.  All charges are functions of per-source arrival
-sequences and match counts alone — never of cross-source interleaving — so
-batched execution charges identical work and the corrective poll clock stays
-batch-size-invariant on local sources, exactly like the hash path.
+sequences and match counts alone — never of cross-source interleaving or of
+how a source's rows are cut into batches — so every batch size charges
+identical work and the corrective poll clock stays batch-size-invariant,
+exactly like the hash path.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from repro.relational.schema import Schema
 class PipelinedMergeJoinNode:
     """One streaming merge join inside the push network.
 
-    Interface-compatible with ``PipelinedJoinNode`` (``push``/``push_batch``,
-    wiring attributes, ``output_count``), so plans, monitors and the state
-    registry treat both uniformly.
+    Interface-compatible with ``PipelinedJoinNode`` (``push_batch``, wiring
+    attributes, ``output_count``), so plans, monitors and the state registry
+    treat both uniformly.
     """
 
     algorithm = "merge"
@@ -80,7 +81,6 @@ class PipelinedMergeJoinNode:
         # Wiring (set by PipelinedPlan): where this node's outputs go.
         self.parent = None
         self.parent_side: str | None = None
-        self.sink: Callable[[tuple], None] | None = None
         self.sink_batch: Callable[[list[tuple]], None] | None = None
         # Relations covered by each input (for registry signatures / monitor).
         self.left_relations: frozenset[str] = frozenset()
@@ -108,8 +108,8 @@ class PipelinedMergeJoinNode:
         arrival on a leaf input additionally pays one hash insert + probe for
         its archived-partition detour.  Eviction and archive bookkeeping are
         deliberately uncharged — the charge structure must depend only on
-        per-source sequences so batched and tuple-at-a-time execution account
-        identically (see the module docstring).
+        per-source sequences so every batch size accounts identically (see
+        the module docstring).
         """
         metrics = self.metrics
         metrics.comparisons += 2
@@ -164,23 +164,6 @@ class PipelinedMergeJoinNode:
 
     # -- push interface ------------------------------------------------------------
 
-    def push(self, row: tuple, side: str) -> None:
-        """Tuple-at-a-time arrival: process and propagate each result upward."""
-        metrics = self.metrics
-        residual_fn = self._residual_fn
-        for combined in self._process(row, side):
-            if residual_fn is not None:
-                metrics.predicate_evals += 1
-                if not residual_fn(combined):
-                    continue
-            metrics.tuple_copies += 1
-            self.output_count += 1
-            if self.parent is not None:
-                self.parent.push(combined, self.parent_side)
-            elif self.sink is not None:
-                metrics.tuples_output += 1
-                self.sink(combined)
-
     def process_batch(self, rows: list[tuple], side: str) -> list[tuple]:
         """Process a batch of arrivals and return the post-residual outputs.
 
@@ -188,8 +171,8 @@ class PipelinedMergeJoinNode:
         a merge node into a fused leaf→root chain as one stage: the charges
         (per-row :meth:`_process` comparisons, batch-level residual /
         tuple-copy counters) and :attr:`output_count` updates are exactly
-        those of the interpreted batched path; only the propagation of the
-        returned batch differs between the callers.
+        those of the interpreted path; only the propagation of the returned
+        batch differs between the callers.
         """
         combined: list[tuple] = []
         extend = combined.extend
@@ -210,11 +193,11 @@ class PipelinedMergeJoinNode:
         return combined
 
     def push_batch(self, rows: list[tuple], side: str) -> None:
-        """Batched arrivals: identical per-row processing, one upward batch.
+        """Batched arrivals: per-row processing, one upward batch.
 
-        Rows are processed in order through the same :meth:`_process` loop as
-        tuple-at-a-time execution (state evolution and charges are exactly
-        equal); only the propagation of the combined results is batched.
+        Rows are processed in order through :meth:`_process`, so state
+        evolution and charges do not depend on the batch's length; only the
+        propagation of the combined results is batched.
         """
         if not rows:
             return
@@ -224,14 +207,9 @@ class PipelinedMergeJoinNode:
         metrics = self.metrics
         if self.parent is not None:
             self.parent.push_batch(combined, self.parent_side)
-        elif self.sink_batch is not None:
+        else:
             metrics.tuples_output += len(combined)
             self.sink_batch(combined)
-        elif self.sink is not None:
-            metrics.tuples_output += len(combined)
-            sink = self.sink
-            for row in combined:
-                sink(row)
 
     # -- inspection ----------------------------------------------------------------
 

@@ -158,10 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "fig2, fig3: execute the engines batch-at-a-time with this batch "
-            "size (default: tuple-at-a-time, as in the paper).  Results, "
-            "phases and simulated timings are bit-identical and regeneration "
-            "is much faster.  A usage error with any other experiment."
+            "fig2, fig3: run the compiled batch kernels with this batch size "
+            "(default: the interpreted kernel).  Results, phases and "
+            "simulated timings are bit-identical.  A usage error with any "
+            "other experiment."
         ),
     )
     parser.add_argument(

@@ -20,11 +20,10 @@ DEFAULT_SCALE_FACTOR = 0.003
 DEFAULT_SKEW_Z = 0.5
 #: Seed used everywhere so every run of the harness sees identical data.
 DEFAULT_SEED = 2004
-#: Recommended batch size for batch-at-a-time execution (used by the golden
-#: smoke benchmark; pass it explicitly — experiments default to the paper's
-#: tuple-at-a-time mode).  64 keeps batches comfortably inside the corrective
-#: poll chunk (``poll_step_limit``, 200 tuples) while amortizing nearly all
-#: of the per-tuple interpreter overhead.
+#: Recommended batch size for the compiled kernels (used by the golden smoke
+#: benchmark; pass it explicitly — experiments default to the interpreted
+#: kernel).  64 keeps a static run's steps inside the corrective poll chunk
+#: (``poll_step_limit``, 200 tuples).
 DEFAULT_BATCH_SIZE = 64
 
 

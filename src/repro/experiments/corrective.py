@@ -108,15 +108,13 @@ def run_corrective_comparison(
 ) -> list[CorrectiveRunResult]:
     """Run the Figure 2 (or Figure 3, with ``wireless=True``) comparison.
 
-    ``batch_size`` selects the engines' execution granularity (``None`` =
-    tuple-at-a-time).  Results, phase counts and simulated seconds are
-    bit-identical either way, for the local experiments (Figure 2) and the
-    wireless ones (Figure 3) alike.  Only the wall-clock cost of
-    regenerating the experiment changes.
-
-    A batched run goes through the fused compiled batch pipelines unless
-    ``engine_mode="interpreted"`` asks for the reference kernel — results,
-    simulated seconds and phase counts are bit-identical either way.
+    Every engine configuration reads in the paper's tuple order, so results,
+    phase counts and simulated seconds are bit-identical for any
+    ``batch_size`` and ``engine_mode``, for the local experiments (Figure 2)
+    and the wireless ones (Figure 3) alike; only the wall-clock cost of
+    regenerating the experiment changes.  A ``batch_size`` alone selects
+    the fused compiled kernels; ``None`` or ``engine_mode="interpreted"``
+    the interpreted one.
     """
     datasets = datasets or build_paper_datasets(scale_factor, seed)
     queries = paper_queries(query_names)

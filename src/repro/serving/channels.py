@@ -23,8 +23,7 @@ from __future__ import annotations
 #: ``path::Qualified.name`` of every function that may advance, wait on or
 #: charge a simulated clock
 CLOCK_WRITERS: tuple[str, ...] = (
-    # the engine's drive loops charge their work and wait for arrivals
-    "engine/pipelined.py::PipelinedPlan._drive_tuples",
+    # the engine's driver charges its work and waits for arrivals
     "engine/pipelined.py::PipelinedPlan.step_batch",
     "engine/pipelined.py::PipelinedPlan._sync_clock",
     # the complementary-join baseline drives its own read loop

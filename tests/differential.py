@@ -5,22 +5,25 @@ one through every engine configuration:
 
 * a brute-force reference evaluation (``helpers.reference_spja``) — the
   independent oracle;
-* the static executor (optimizer-chosen tree, tuple-at-a-time);
-* the pipelined engine, tuple-at-a-time, on a fixed join tree;
-* the batched pipelined engine on the same tree at several batch sizes;
-* the corrective query processor, tuple-at-a-time and batched, forced to
-  start from a deliberately poor plan so that multi-phase executions (and
-  therefore stitch-up and phase accounting) get exercised.
+* the static executor (optimizer-chosen tree);
+* the pipelined engine on a fixed join tree, under the tuple-at-a-time
+  clock oracle and at several batch sizes;
+* the corrective query processor, under the oracle and at several batch
+  sizes, forced to start from a deliberately poor plan so that multi-phase
+  executions (and therefore stitch-up and phase accounting) get exercised.
 
-Every configuration must produce the **identical multiset** of result rows,
-and every corrective configuration must report the **identical number of
-corrective phases** and the **identical simulated seconds** (``repr``-equal),
-on local and remote sources alike.  Both hold by construction: batches
-consume the same per-source tuple counts at every poll boundary as
-tuple-at-a-time execution, read only tuples that have arrived by the clock's
-reading and stall only where the tuple rule stalls (see
-``PipelinedPlan._read_schedule`` and ``step_batch``), and the simulated
-clock that drives polling is a function of the work done and those stalls.
+Throughout this harness ``batch_size=None`` means the clock oracle
+(``helpers.tuple_at_a_time``): the paper's read rule applied one tuple at a
+time, each tuple its own kernel call.  Every configuration must produce the
+**identical multiset** of result rows, and every corrective configuration
+must report the **identical number of corrective phases** and the
+**identical simulated seconds** (``repr``-equal), on local and remote
+sources alike.  Both hold by construction: a schedule consumes the same
+per-source tuple counts at every poll boundary as the rule, reads only
+tuples that have arrived by the clock's reading and stalls only where the
+rule stalls (see ``PipelinedPlan._read_schedule`` and ``step_batch``), and
+the simulated clock that drives polling is a function of the work done and
+those stalls.
 
 All aggregate input values are integers, so grouped sums compare exactly
 regardless of the order in which each engine folds them.
@@ -30,9 +33,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from helpers import reference_spja
+from helpers import reference_spja, tuple_at_a_time
 
 from repro.baselines.static_executor import StaticExecutor
 from repro.core.corrective import CorrectiveQueryProcessor
@@ -205,26 +209,28 @@ def run_solo_corrective(
     """One solo corrective run of a differential workload.
 
     The parameterized runner behind every solo differential column: engine
-    mode, batch size, and any extra processor options (``order_adaptive``,
-    ``rate_adaptive``, …) vary; the bad initial tree (unless ``bad_plan`` is
-    false: then the optimizer's), polling cadence and canonicalization are
-    shared.  Returns ``(report, EngineObservables)``.
+    mode, batch size (``None``: the tuple-at-a-time clock oracle), and any
+    extra processor options (``order_adaptive``, ``rate_adaptive``, …) vary;
+    the bad initial tree (unless ``bad_plan`` is false: then the
+    optimizer's), polling cadence and canonicalization are shared.  Returns
+    ``(report, EngineObservables)``.
     """
     query = workload.query
     if initial_tree is None and bad_plan:
         initial_tree = _bad_initial_tree(workload)
-    report = CorrectiveQueryProcessor(
-        catalog if catalog is not None else workload.catalog(),
-        sources if sources is not None else workload.sources(),
-        polling_interval_seconds=polling_interval,
-        batch_size=batch_size,
-        engine_mode=engine_mode,
-        **processor_options,
-    ).execute(
-        query,
-        initial_tree=initial_tree,
-        poll_step_limit=poll_step_limit,
-    )
+    with tuple_at_a_time() if batch_size is None else nullcontext():
+        report = CorrectiveQueryProcessor(
+            catalog if catalog is not None else workload.catalog(),
+            sources if sources is not None else workload.sources(),
+            polling_interval_seconds=polling_interval,
+            batch_size=batch_size,
+            engine_mode=engine_mode,
+            **processor_options,
+        ).execute(
+            query,
+            initial_tree=initial_tree,
+            poll_step_limit=poll_step_limit,
+        )
     observables = EngineObservables(
         multiset=_canonical_multiset(
             report.rows, report.schema.names, _canonical_names(workload)
@@ -290,9 +296,10 @@ def run_differential_case(seed: int) -> DifferentialResult:
         for batch_size in COMPILED_BATCH_SIZES
     ]
     for label, batch_size, engine_mode in engine_columns:
-        rows, plan = PipelinedExecutor(
-            workload.sources(), batch_size=batch_size, engine_mode=engine_mode
-        ).execute(query, fixed_tree)
+        with tuple_at_a_time() if batch_size is None else nullcontext():
+            rows, plan = PipelinedExecutor(
+                workload.sources(), batch_size=batch_size, engine_mode=engine_mode
+            ).execute(query, fixed_tree)
         names = (
             canonical_names
             if query.aggregation is not None

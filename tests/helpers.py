@@ -2,14 +2,19 @@
 
 The engine's operators and the adaptive executors are checked against these
 deliberately naive implementations — nested-loop joins, dictionary-based
-aggregation — which are easy to convince yourself are correct.
+aggregation, the read rule applied one tuple at a time — which are easy to
+convince yourself are correct.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from typing import Sequence
 
+import pytest
+
+from repro.engine.pipelined import PipelinedPlan
 from repro.relational.algebra import SPJAQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -174,3 +179,40 @@ def count_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def tuple_schedule(plan, budget: int, ready: float) -> list[tuple]:
+    """The paper's read rule (Section 4.1) one tuple at a time: the clock
+    oracle ``PipelinedPlan._read_schedule`` is held to.
+
+    Each read is the minimum ``(arrival, priority class, consumed)`` among
+    the cursors whose next tuple has arrived by ``ready``, first in leaf
+    order on ties, and is its own single-row group, so the kernels see the
+    rows one by one in the rule's order.  It stops at ``budget`` or when
+    nothing has arrived by ``ready``; the driver then stalls as it would
+    after any schedule."""
+    groups: list[tuple] = []
+    priorities = plan.read_priorities
+    while len(groups) < budget:
+        best = None
+        for binding, cursor in plan._leaf_pairs:
+            arrival = cursor.peek_arrival()
+            if arrival is None or arrival > ready:
+                continue
+            key = (arrival, priorities.get(binding.relation, 0), cursor.consumed)
+            if best is None or key < best[0]:
+                best = (key, binding, cursor)
+        if best is None:
+            break
+        row, _ = best[2].read()
+        groups.append((best[1], [row]))
+    return groups
+
+
+@contextmanager
+def tuple_at_a_time():
+    """Every plan steps by :func:`tuple_schedule` inside the block (forked
+    shard workers started inside it too)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PipelinedPlan, "_read_schedule", tuple_schedule)
+        yield

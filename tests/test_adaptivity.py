@@ -18,7 +18,7 @@ from differential import (
     POLL_STEP_LIMIT,
     POLLING_INTERVAL,
 )
-from helpers import reference_spja
+from helpers import reference_spja, tuple_at_a_time
 from collections import Counter
 
 from repro.adaptivity import (
@@ -568,6 +568,8 @@ class TestOnePollContext:
             rate_scenario,
         )
 
+        # The pinned digest below hashes answers in sink order, the order of
+        # the tuple-at-a-time clock oracle.
         cost_model = CostModel()
         if scenario == "failover":
             query, catalog, sources, work_floor = failover_scenario(3000, 2004, cost_model)
@@ -576,17 +578,18 @@ class TestOnePollContext:
             query, catalog, sources, tree, work_floor = rate_scenario(
                 scenario, 3000, 2004, cost_model
             )
-        return CorrectiveQueryProcessor(
-            catalog,
-            sources,
-            cost_model,
-            polling_interval_seconds=POLLING_FRACTION * work_floor,
-            switch_threshold=SWITCH_THRESHOLD,
-            order_adaptive=True,
-            rate_adaptive=True,
-            failover_adaptive=True,
-            failover_stall_seconds=FAILOVER_STALL_FRACTION * work_floor,
-        ).execute(query, initial_tree=tree)
+        with tuple_at_a_time():
+            return CorrectiveQueryProcessor(
+                catalog,
+                sources,
+                cost_model,
+                polling_interval_seconds=POLLING_FRACTION * work_floor,
+                switch_threshold=SWITCH_THRESHOLD,
+                order_adaptive=True,
+                rate_adaptive=True,
+                failover_adaptive=True,
+                failover_stall_seconds=FAILOVER_STALL_FRACTION * work_floor,
+            ).execute(query, initial_tree=tree)
 
     def test_one_estimator_and_one_ordering_per_poll(self, monkeypatch):
         import hashlib

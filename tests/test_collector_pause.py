@@ -6,8 +6,8 @@
   on return and on exception, however the drivers nest.  Reference counting
   frees what a query leaves; ``test_no_reference_cycles.py`` is the
   contract that makes that true.
-* ``batch_size`` alone selects the fused compiled kernels; tuple mode and a
-  plan with a pre-aggregation stage run the interpreted kernel.
+* ``batch_size`` alone selects the fused compiled kernels; a plan without
+  one, and a plan with a pre-aggregation stage, run the interpreted kernel.
 """
 
 from __future__ import annotations
@@ -174,10 +174,10 @@ def test_the_same_run_outside_a_driver_collects(small_tpch, collections):
 
 @pytest.mark.usefixtures("collector_enabled")
 def test_a_driver_that_raises_restores_the_collector(small_tpch, monkeypatch):
-    def failing_sink(self, row):
+    def failing_sink(self, rows):
         raise RuntimeError("the sink failed")
 
-    monkeypatch.setattr(GroupAccumulator, "accumulate", failing_sink)
+    monkeypatch.setattr(GroupAccumulator, "accumulate_batch", failing_sink)
     with pytest.raises(RuntimeError, match="the sink failed"):
         run("corrective", small_tpch)
     assert gc.isenabled()

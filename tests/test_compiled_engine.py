@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from helpers import consumed_counts, node_outputs
+from helpers import consumed_counts, node_outputs, tuple_at_a_time
 from test_stitchup import FIXED_CASE, case_route_sources, folds_inline
 from workload_generator import generate_workload
 from repro.engine import compiled
@@ -490,7 +490,7 @@ class TestEngineModeSurface:
 
         def observables(plan, out):
             counters = plan.metrics.as_dict()
-            del counters["batches_read"]  # the only counter tuple mode lacks
+            del counters["batches_read"]  # the oracle steps at its own cadence
             return (
                 sorted(out),
                 counters,
@@ -519,8 +519,8 @@ class TestEngineModeSurface:
             assert compiled.step_batch() == read
             if read == 0:
                 break
-            for _ in range(read):
-                assert tuple_plan.step()
+            with tuple_at_a_time():
+                assert tuple_plan.run_chunk(read) == read
             assert observables(compiled, compiled_out) == observables(batched, batched_out)
             assert observables(batched, batched_out) == observables(tuple_plan, tuple_out)
             assert compiled.metrics.batches_read == batched.metrics.batches_read
@@ -533,7 +533,8 @@ class TestEngineModeSurface:
                 plan.finish_phase()
             assert repr(batched.clock.now) == repr(tuple_plan.clock.now)
             assert repr(compiled.clock.now) == repr(tuple_plan.clock.now)
-        assert not tuple_plan.step()
+        with tuple_at_a_time():
+            assert tuple_plan.run_chunk(1) == 0
         assert sorted(batched_out)
 
 

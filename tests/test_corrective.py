@@ -7,6 +7,7 @@ from helpers import (
     assert_same_bag,
     consumed_counts,
     reference_spja,
+    tuple_at_a_time,
 )
 from repro.baselines.static_executor import StaticExecutor
 from repro.core.corrective import CorrectiveQueryProcessor
@@ -110,7 +111,7 @@ class TestCorrectness:
         assert report.wait_seconds > 0
 
     @pytest.mark.parametrize("limit", [0, -5])
-    @pytest.mark.parametrize("engine", [{}, {"batch_size": 64}], ids=["tuple", "batch64"])
+    @pytest.mark.parametrize("engine", [{}, {"batch_size": 64}], ids=["default", "batch64"])
     def test_a_poll_step_limit_below_one_is_rejected(self, tiny_tpch, limit, engine):
         """A chunk of no tuples never reaches the next poll: rejected, not spun."""
         processor = CorrectiveQueryProcessor(
@@ -137,13 +138,14 @@ class TestAblationWeights:
         )
         return processor.execute(query, initial_tree=bad_tree(query))
 
-    def test_tuple_mode_run_under_non_default_weights_is_pinned(self, small_tpch):
+    def test_the_oracle_run_under_non_default_weights_is_pinned(self, small_tpch):
         """Weights that are not binary fractions (1.3, 0.1, 0.7, 0.3) make
         every float sum of work deltas depend on its order and grouping.
         The clock no longer sums deltas: between stalls it derives ``now``
         from the cumulative work once, so the pinned value is the one every
         engine configuration reaches, whatever its charge cadence."""
-        report = self._run(small_tpch)
+        with tuple_at_a_time():
+            report = self._run(small_tpch)
         assert repr(report.simulated_seconds) == self.PINNED
         assert report.num_phases == 2
         assert report.metrics.as_dict() == {
@@ -155,16 +157,19 @@ class TestAblationWeights:
             "tuple_copies": 5256,
             "aggregate_updates": 1943,
             "tuples_output": 1943,
-            "batches_read": 0,
+            "batches_read": 38,
         }
 
     @pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
-    def test_every_batch_size_reaches_the_tuple_mode_clock(self, small_tpch, engine_mode):
-        """Under the same non-binary weights, batches of 1/7/64 charge at
-        other cadences than tuple mode yet give its pinned
-        ``repr(simulated_seconds)``."""
-        for batch_size in (1, 7, 64):
-            report = self._run(small_tpch, batch_size=batch_size, engine_mode=engine_mode)
+    def test_every_batch_size_reaches_the_oracle_clock(self, small_tpch, engine_mode):
+        """Under the same non-binary weights, batches of 1/7/64 (and the
+        default step) charge at other cadences than the oracle yet give its
+        pinned ``repr(simulated_seconds)``."""
+        engines = [{"batch_size": size, "engine_mode": engine_mode} for size in (1, 7, 64)]
+        if engine_mode == "interpreted":
+            engines.append({})
+        for engine in engines:
+            report = self._run(small_tpch, **engine)
             assert repr(report.simulated_seconds) == self.PINNED
             assert report.num_phases == 2
 
@@ -231,13 +236,14 @@ class TestPollWindows:
         return records, report
 
     @pytest.mark.parametrize("remote", [False, True], ids=["local", "bursty"])
-    def test_every_batch_size_polls_where_tuple_mode_polls(
+    def test_every_batch_size_polls_where_the_oracle_polls(
         self, small_tpch, monkeypatch, remote
     ):
-        expected, report = self.observe_run(monkeypatch, small_tpch, remote)
+        with tuple_at_a_time():
+            expected, report = self.observe_run(monkeypatch, small_tpch, remote)
         assert report.num_phases >= 2
         assert len(expected) > 2 * report.num_phases
-        for batch_size in (1, 7, 64):
+        for batch_size in (None, 1, 7, 64):
             records, batched = self.observe_run(
                 monkeypatch, small_tpch, remote, batch_size=batch_size
             )
@@ -245,7 +251,7 @@ class TestPollWindows:
             assert repr(batched.simulated_seconds) == repr(report.simulated_seconds)
 
     @pytest.mark.parametrize("remote", [False, True], ids=["local", "bursty"])
-    @pytest.mark.parametrize("engine", [{}, {"batch_size": 7}], ids=["tuple", "batch7"])
+    @pytest.mark.parametrize("engine", [{}, {"batch_size": 7}], ids=["default", "batch7"])
     def test_a_window_is_the_chunk_loop_it_replaced(
         self, small_tpch, monkeypatch, remote, engine
     ):
@@ -264,8 +270,9 @@ class TestPollWindows:
 
 class TestKernelCalls:
     """``batch_size`` does not shape a corrective run's kernel calls: every
-    scheduled per-leaf group is one call, so each batch size hands its
-    kernels the same row counts, and all of them match tuple mode."""
+    scheduled per-leaf group is one call, so each batch size, and the
+    default step, hands its kernels the same row counts, and all of them
+    match the tuple-at-a-time clock oracle."""
 
     @staticmethod
     def run(monkeypatch, dataset, query, remote, **engine):
@@ -295,7 +302,7 @@ class TestKernelCalls:
 
     @staticmethod
     def phase_view(phase):
-        """A phase record but its step count (a tuple or a batch)."""
+        """The fields of a phase record."""
         return (
             str(phase.join_tree),
             phase.switch_reason,
@@ -313,11 +320,12 @@ class TestKernelCalls:
     def test_every_batch_size_makes_the_same_kernel_calls(
         self, small_tpch, monkeypatch, query, remote
     ):
-        expected, _ = self.run(monkeypatch, small_tpch, query, remote)
+        with tuple_at_a_time():
+            expected, _ = self.run(monkeypatch, small_tpch, query, remote)
         counters = expected.metrics.as_dict()
         del counters["batches_read"]
         sequences = []
-        for batch_size in (1, 7, 64):
+        for batch_size in (None, 1, 7, 64):
             report, calls = self.run(
                 monkeypatch, small_tpch, query, remote, batch_size=batch_size
             )
@@ -330,7 +338,7 @@ class TestKernelCalls:
                 self.phase_view(p) for p in expected.phases
             ]
             assert repr(report.simulated_seconds) == repr(expected.simulated_seconds)
-        assert sequences[0] == sequences[1] == sequences[2]
+        assert sequences[0] == sequences[1] == sequences[2] == sequences[3]
         assert expected.num_phases >= 2
         assert max(rows for _, _, rows in sequences[0]) > 64
 

@@ -34,9 +34,10 @@ class TestExecutionMetrics:
         assert metrics.work() == pytest.approx(3 * CostModel().tuple_read)
 
     def test_work_pairs_each_counter_with_its_own_weight(self):
-        """``work()`` is the only weighted sum (the tuple drive loop calls it
-        every step): nine distinct weights make a counter multiplied by its
-        neighbour's weight visible."""
+        """``work()`` is the only weighted sum (every clock sync calls it):
+        eight distinct weights make a counter multiplied by its neighbour's
+        weight visible, and the scheduling counter ``batches_read`` weighs
+        nothing."""
         weight_of = {
             "tuples_read": "tuple_read",
             "hash_inserts": "hash_insert",
@@ -46,9 +47,8 @@ class TestExecutionMetrics:
             "tuple_copies": "tuple_copy",
             "aggregate_updates": "aggregate_update",
             "tuples_output": "tuple_output",
-            "batches_read": "batch_read",
         }
-        assert list(ExecutionMetrics().as_dict()) == list(weight_of)
+        assert list(ExecutionMetrics().as_dict()) == [*weight_of, "batches_read"]
         model = CostModel(
             **{name: 1.0 + i / 16 for i, name in enumerate(weight_of.values())}
         )
@@ -56,9 +56,10 @@ class TestExecutionMetrics:
             assert ExecutionMetrics(**{counter: 3}).work(model) == 3 * getattr(
                 model, weight
             )
+        assert ExecutionMetrics(batches_read=3).work(model) == 0.0
         # seconds_per_unit converts work to time; it is not a work weight.
-        everything = ExecutionMetrics(**dict.fromkeys(weight_of, 1))
-        assert everything.work(model) == sum(1.0 + i / 16 for i in range(9))
+        everything = ExecutionMetrics(**dict.fromkeys([*weight_of, "batches_read"], 1))
+        assert everything.work(model) == sum(1.0 + i / 16 for i in range(8))
 
     def test_snapshot_is_independent(self):
         metrics = ExecutionMetrics(hash_probes=1)

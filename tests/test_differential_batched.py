@@ -2,9 +2,9 @@
 
 The centerpiece of the batched-execution work: ~50 seeded random SPJA
 queries over randomized workloads, each executed by the brute-force
-reference, the static executor, the tuple-at-a-time pipelined engine, the
-batched engine (batch sizes 1, 7, 64, 1024) and the corrective processor in
-both modes.  All must produce identical multisets of result rows, and all
+reference, the static executor, the pipelined engine under the
+tuple-at-a-time clock oracle and at batch sizes 1, 7, 64, 1024, and the
+corrective processor in the same configurations.  All must produce identical multisets of result rows, and all
 corrective configurations must report identical final phase counts and
 ``repr``-equal simulated seconds, on local and remote workloads alike.
 

@@ -6,8 +6,9 @@ partial primary read stitched to the mirror's remainder — must be invisible
 in the answers.  Over seeded random workloads whose sources all collapse
 into a sustained outage (each with a healthy registered mirror), corrective
 execution with ``failover_adaptive=True`` must produce the identical result
-multiset as the no-failover configuration and the brute-force oracle, in
-tuple mode, batched mode, and under serving (there bit-identical to solo).
+multiset as the no-failover configuration and the brute-force oracle, under
+the tuple-at-a-time clock oracle, batched, and under serving (there
+bit-identical to solo).
 A population meta-test pins that the suite actually exercises failovers
 (the per-seed assertions hold trivially if the outage detector never
 fires).

@@ -5,7 +5,7 @@ Three layers of evidence that the merge strategy never changes answers:
 * **Forced-merge robustness** — every internal node of a plan is forced to
   the merge strategy over *arbitrary* (unordered!) randomized workloads;
   the out-of-order archive fallback must still produce the exact reference
-  multiset, tuple-at-a-time and batched.
+  multiset, under the tuple-at-a-time clock oracle and batched.
 * **Adaptive corrective differential** — sorted and perturbed-sorted
   variants of the randomized workloads run through the order-adaptive
   corrective processor (with and without catalog promises, across batch
@@ -18,6 +18,7 @@ Three layers of evidence that the merge strategy never changes answers:
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 
@@ -31,7 +32,7 @@ from differential import (
     order_workload_variant,
     serve_against_solo,
 )
-from helpers import reference_spja
+from helpers import reference_spja, tuple_at_a_time
 
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.engine.pipelined import PipelinedExecutor
@@ -61,12 +62,13 @@ def test_forced_merge_matches_reference_on_arbitrary_workloads(seed):
     reference = Counter(reference_spja(query, workload.relations))
 
     for batch_size in (None,) + ORDER_BATCH_SIZES:
-        rows, plan = PipelinedExecutor(
-            workload.sources(),
-            batch_size=batch_size,
-            join_strategies=_force_merge_strategies(tree),
-            engine_mode="interpreted",
-        ).execute(query, tree)
+        with tuple_at_a_time() if batch_size is None else nullcontext():
+            rows, plan = PipelinedExecutor(
+                workload.sources(),
+                batch_size=batch_size,
+                join_strategies=_force_merge_strategies(tree),
+                engine_mode="interpreted",
+            ).execute(query, tree)
         names = (
             canonical_names
             if query.aggregation is not None
@@ -96,14 +98,15 @@ def test_order_adaptive_corrective_differential(seed, variant):
     for with_promises in (False, True):
         for batch_size in (None,) + ORDER_BATCH_SIZES:
             catalog = order_catalog(workload, sort_attrs, with_promises)
-            report = CorrectiveQueryProcessor(
-                catalog,
-                workload.sources(),
-                polling_interval_seconds=POLLING_INTERVAL,
-                batch_size=batch_size,
-                engine_mode="interpreted",
-                order_adaptive=True,
-            ).execute(query, poll_step_limit=POLL_STEP_LIMIT)
+            with tuple_at_a_time() if batch_size is None else nullcontext():
+                report = CorrectiveQueryProcessor(
+                    catalog,
+                    workload.sources(),
+                    polling_interval_seconds=POLLING_INTERVAL,
+                    batch_size=batch_size,
+                    engine_mode="interpreted",
+                    order_adaptive=True,
+                ).execute(query, poll_step_limit=POLL_STEP_LIMIT)
             label = f"adaptive[promise={with_promises},batch={batch_size}]"
             multisets[label] = _canonical_multiset(
                 report.rows, report.schema.names, canonical_names

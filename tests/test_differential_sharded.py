@@ -22,6 +22,7 @@ population diversity so the assertions cannot silently become vacuous.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import pytest
@@ -31,6 +32,7 @@ from differential import (
     run_partition_differential_case,
     run_sharded_differential_case,
 )
+from helpers import tuple_at_a_time
 
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.experiments.common import build_dataset
@@ -47,7 +49,8 @@ WORKER_CASES = (
     (4, (6, 7, 8, 9, 10, 11, 12, 13)),
 )
 
-#: (engine mode, batch size): tuple-at-a-time, batched, compiled.
+#: (engine mode, batch size): the default step (its solo runs under the
+#: tuple-at-a-time clock oracle), batched, compiled.
 ENGINE_CASES = (
     ("interpreted", None),
     ("interpreted", 64),
@@ -123,14 +126,15 @@ def _shared_case(scale_factor, seed, order, engine_mode, batch_size):
         batch_size=batch_size,
         engine_mode=engine_mode,
     )
-    solo = {
-        query.name: _observables(
-            CorrectiveQueryProcessor(
-                dataset.catalog_no_statistics.copy(), dataset.sources, **options
-            ).execute(query, poll_step_limit=SHARED_QUANTUM)
-        )
-        for query in queries[: len(makers)]
-    }
+    with tuple_at_a_time() if batch_size is None else nullcontext():
+        solo = {
+            query.name: _observables(
+                CorrectiveQueryProcessor(
+                    dataset.catalog_no_statistics.copy(), dataset.sources, **options
+                ).execute(query, poll_step_limit=SHARED_QUANTUM)
+            )
+            for query in queries[: len(makers)]
+        }
     server = ShardedQueryServer(
         dataset.catalog_no_statistics,
         dataset.sources,

@@ -53,7 +53,7 @@ class TestExecutionMonitor:
         monitor = ExecutionMonitor(query)
         cursors = {name: SourceCursor(name, src) for name, src in sources.items()}
         plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, lambda row: None)
-        plan.run(max_steps=5)
+        plan.run_chunk(5)
         observed = monitor.observe(plan, cursors)
         assert observed.selectivity_of(frozenset({"r", "s"})) is None
 
@@ -82,7 +82,7 @@ class TestExecutionMonitor:
         monitor = ExecutionMonitor(query)
         cursors = {name: SourceCursor(name, src) for name, src in sources.items()}
         plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, lambda row: None)
-        plan.run(max_steps=8)
+        plan.run_chunk(8)
         observed = monitor.observe(plan, cursors)
         assert not observed.source("r").exhausted
         assert observed.selectivity_of(frozenset({"r", "s"})) is None
@@ -127,7 +127,6 @@ class TestPhaseManager:
         manager.start_phase(tree, started_at=0.0)
         record = manager.finish_current(
             ended_at=1.5,
-            steps=10,
             tuples_read=10,
             outputs=4,
             consumed_per_relation={"r": 6, "s": 4},
@@ -148,5 +147,5 @@ class TestPhaseManager:
         tree = JoinTree.left_deep(["r", "s"])
         for i in range(3):
             manager.start_phase(tree, started_at=float(i))
-            manager.finish_current(float(i + 1), 1, 1, 1, {}, 1.0)
+            manager.finish_current(float(i + 1), 1, 1, {}, 1.0)
         assert [record.phase_id for record in manager] == [0, 1, 2]

@@ -95,9 +95,10 @@ def bad_tree(query) -> JoinTree:
     return JoinTree.left_deep([r for r in order if r in query.relations])
 
 
-#: (batch_size, engine_mode): tuple, interpreted batch 1 / 64, compiled 64
+#: (batch_size, engine_mode): the default step, interpreted batch 1 / 64,
+#: compiled 64
 ENGINES = {
-    "tuple": (None, "interpreted"),
+    "default": (None, "interpreted"),
     "batch1": (1, "interpreted"),
     "batch64": (64, "interpreted"),
     "compiled64": (64, "compiled"),

@@ -67,9 +67,7 @@ class TestGroupAccumulator:
         acc = GroupAccumulator(
             partial_schema, ["g"], [Aggregate("sum", "v", "total")], input_is_partial=True
         )
-        acc.accumulate(("a", 30))
-        acc.accumulate(("a", 1))
-        acc.accumulate(("b", 12))
+        acc.accumulate_batch([("a", 30), ("a", 1), ("b", 12)])
         assert dict((r[0], r[1]) for r in acc.results()) == {"a": 31, "b": 12}
 
     def test_empty_input(self):

@@ -32,14 +32,14 @@ EXPECTED = reference_join(LEFT, RIGHT, "lk", "rk")
 def join(left, right, residual=None, batched=False):
     """Push both inputs through one root node; returns ``(node, output rows)``.
 
-    Tuple mode alternates the two inputs, ``batched`` pushes each whole.
+    By default the inputs alternate in single-row batches, ``batched``
+    pushes each whole.
     """
     residual_fn = residual.compile(left.schema.concat(right.schema)) if residual else None
     node = PipelinedJoinNode(
         left.schema, right.schema, "lk", "rk", residual_fn, ExecutionMetrics()
     )
     output: list[tuple] = []
-    node.sink = output.append
     node.sink_batch = output.extend
     if batched:
         node.push_batch(list(left.rows), "left")
@@ -47,9 +47,9 @@ def join(left, right, residual=None, batched=False):
     else:
         for left_row, right_row in zip_longest(left.rows, right.rows):
             if left_row is not None:
-                node.push(left_row, "left")
+                node.push_batch([left_row], "left")
             if right_row is not None:
-                node.push(right_row, "right")
+                node.push_batch([right_row], "right")
     return node, output
 
 
@@ -87,7 +87,7 @@ class TestCostAccounting:
 
 # ---------------------------------------------------------------------------
 # Property: the join node agrees with the brute-force reference for arbitrary
-# key multisets, pushed tuple at a time and as whole batches.
+# key multisets, pushed row by row and as whole batches.
 # ---------------------------------------------------------------------------
 
 key_lists = st.lists(st.integers(min_value=0, max_value=8), max_size=40)

@@ -284,15 +284,14 @@ class TestPipelinedMergeNode:
         node.left_relations = frozenset(("l",))
         node.right_relations = frozenset(("r",))
         out = []
-        node.sink = out.append
         node.sink_batch = out.extend
         return node, out
 
     def test_sorted_streams_join_with_bounded_window(self):
         node, out = self._node()
         for i in range(100):
-            node.push((i,), "left")
-            node.push((i,), "right")
+            node.push_batch([(i,)], "left")
+            node.push_batch([(i,)], "right")
         assert sorted(out) == [(i, i) for i in range(100)]
         assert node.late_arrivals == 0
         # The active window stays tiny: eviction tracks the watermarks.
@@ -306,8 +305,8 @@ class TestPipelinedMergeNode:
         right_rows = [(rng.randrange(30),) for _ in range(200)]
         node, out = self._node()
         for l, r in zip(left_rows, right_rows):
-            node.push(l, "left")
-            node.push(r, "right")
+            node.push_batch([l], "left")
+            node.push_batch([r], "right")
         expected = Counter(
             (l[0], r[0]) for l in left_rows for r in right_rows if l[0] == r[0]
         )
@@ -315,26 +314,11 @@ class TestPipelinedMergeNode:
         assert node.late_arrivals > 0
         assert node.metrics.hash_inserts == node.metrics.hash_probes > 0
 
-    def test_push_batch_matches_push_exactly(self):
-        rng = random.Random(23)
-        left_rows = [(rng.randrange(20),) for _ in range(150)]
-        right_rows = [(rng.randrange(20),) for _ in range(150)]
-        tuple_node, tuple_out = self._node()
-        for row in left_rows:
-            tuple_node.push(row, "left")
-        for row in right_rows:
-            tuple_node.push(row, "right")
-        batch_node, batch_out = self._node()
-        batch_node.push_batch(left_rows, "left")
-        batch_node.push_batch(right_rows, "right")
-        assert Counter(batch_out) == Counter(tuple_out)
-        assert batch_node.metrics.as_dict() == tuple_node.metrics.as_dict()
-
     def test_descending_direction(self):
         node, out = self._node(direction=-1)
         for i in range(50, 0, -1):
-            node.push((i,), "left")
-            node.push((i,), "right")
+            node.push_batch([(i,)], "left")
+            node.push_batch([(i,)], "right")
         assert sorted(out) == [(i, i) for i in range(1, 51)]
         assert node.late_arrivals == 0
         assert node.peak_state_tuples() <= 6

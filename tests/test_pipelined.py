@@ -10,6 +10,7 @@ from helpers import (
     consumed_counts,
     node_outputs,
     reference_spja,
+    tuple_at_a_time,
 )
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.pipelined import PipelinedExecutor, PipelinedPlan, SourceCursor
@@ -144,6 +145,7 @@ class TestPipelinedPlan:
             JoinTree.left_deep(["people", "simple_orders"]),
             cursors,
             collected.append,
+            batch_size=1,
         )
         ran = plan.run(max_steps=3)
         assert ran == 3
@@ -203,7 +205,7 @@ class TestPipelinedPlan:
         assert plan.leaf_counts()["simple_orders"] == len(simple_orders)
 
 
-# -- the tuple drive loop against a from-scratch statement of the rule -----------
+# -- the clock oracle against a from-scratch statement of the rule ---------------
 
 
 class ScheduledSource(DataSource):
@@ -219,7 +221,8 @@ class ScheduledSource(DataSource):
 
 
 class CountingCursor(SourceCursor):
-    """Logs every consumed tuple's relation and counts the scheduler's calls."""
+    """Logs the relation of every tuple consumed by ``read`` (the rule's
+    one-at-a-time reads) and counts the scheduler's calls."""
 
     def __init__(self, name, source, prefetch, log):
         super().__init__(name, source, prefetch=prefetch)
@@ -236,9 +239,11 @@ class CountingCursor(SourceCursor):
             self.fills_when_exhausted += 1
         return super()._fill()
 
-    def _take(self):
-        self.log.append(self.name)
-        return super()._take()
+    def read(self):
+        item = super().read()
+        if item is not None:
+            self.log.append(self.name)
+        return item
 
 
 def chain_query(leaves: int, selective: bool) -> SPJAQuery:
@@ -258,8 +263,8 @@ def chain_query(leaves: int, selective: bool) -> SPJAQuery:
 
 
 def build_plan(query, streams, prefetch, cost_model, log, **engine):
-    """A plan (tuple-mode unless ``engine`` says otherwise) over fresh
-    counting cursors; returns (plan, outputs)."""
+    """A plan (the default engine unless ``engine`` says otherwise) over
+    fresh counting cursors; returns (plan, outputs)."""
     cursors = {}
     for name, (rows, arrivals) in streams.items():
         schema = Schema.from_names([f"{name}_k", f"{name}_v"], relation=name)
@@ -319,7 +324,7 @@ class RuleOracle:
                 plan.metrics.predicate_evals += 1
                 if not binding.selection_fn(row):
                     continue
-            binding.node.push(row, binding.side)
+            binding.node.push_batch([row], binding.side)
         self.sync()
         return ran
 
@@ -403,62 +408,67 @@ def fail_over(case, plans):
         cursor.failover_to(ScheduledSource(cursor.schema, rows, schedule), None)
 
 
-class TestTupleDriveLoop:
+class TestTupleOracle:
+    """``helpers.tuple_schedule``, the clock oracle every differential holds
+    the engine to, reads exactly what the rule stated from scratch reads."""
+
     @settings(max_examples=120, deadline=None)
     @given(case=drive_cases())
-    def test_loop_equals_the_rule_stated_from_scratch(self, case):
+    def test_oracle_equals_the_rule_stated_from_scratch(self, case):
         query, streams = case["query"], case["streams"]
-        loop_log, rule_log = [], []
+        oracle_log, rule_log = [], []
         plan, outputs = build_plan(
-            query, streams, case["prefetch"], case["cost_model"], loop_log
+            query, streams, case["prefetch"], case["cost_model"], oracle_log
         )
         rule_plan, rule_outputs = build_plan(
             query, streams, case["prefetch"], case["cost_model"], rule_log
         )
-        oracle = RuleOracle(rule_plan)
+        rule = RuleOracle(rule_plan)
         fail_at = case["failover"][0]
 
-        def check():
-            assert loop_log == rule_log
-            assert consumed_counts(plan) == consumed_counts(rule_plan)
-            assert plan.metrics.as_dict() == rule_plan.metrics.as_dict()
-            assert plan.clock.now == rule_plan.clock.now
-            assert plan.clock.wait_time == rule_plan.clock.wait_time
-            assert outputs == rule_outputs
-
-        # The drawn chunks, then blocking chunks until everything is drained.
+        # The drawn chunks, then chunks until everything is drained.
         chunks = case["chunks"] + [(5, {})] * 13
-        for index, (size, priorities) in enumerate(chunks):
-            if index == fail_at:
-                fail_over(case, (plan, rule_plan))
-            # The controller replaces the dict, it never edits it in place.
-            plan.read_priorities = dict(priorities)
-            rule_plan.read_priorities = dict(priorities)
-            steps_before = plan.statistics.steps
-            ran = plan.run_chunk(size)
-            assert ran == oracle.run_chunk(size)
-            assert plan.statistics.steps - steps_before == ran
-            check()
+        with tuple_at_a_time():
+            for index, (size, priorities) in enumerate(chunks):
+                if index == fail_at:
+                    fail_over(case, (plan, rule_plan))
+                # The controller replaces the dict, it never edits it in place.
+                plan.read_priorities = dict(priorities)
+                rule_plan.read_priorities = dict(priorities)
+                read_before = plan.statistics.tuples_read
+                ran = plan.run_chunk(size)
+                assert ran == rule.run_chunk(size)
+                assert plan.statistics.tuples_read - read_before == ran
+                assert oracle_log == rule_log
+                assert consumed_counts(plan) == consumed_counts(rule_plan)
+                expected = rule_plan.metrics.as_dict()
+                expected["batches_read"] = plan.metrics.batches_read
+                assert plan.metrics.as_dict() == expected
+                assert plan.clock.now == rule_plan.clock.now
+                assert plan.clock.wait_time == rule_plan.clock.wait_time
+                assert outputs == rule_outputs
         assert plan.sources_exhausted and rule_plan.sources_exhausted
-        assert len(loop_log) == sum(len(rows) for rows, _ in streams.values())
+        assert len(oracle_log) == sum(len(rows) for rows, _ in streams.values())
 
+
+class TestStep:
     @settings(max_examples=60, deadline=None)
     @given(
         counters=st.lists(st.integers(0, 10**9), min_size=9, max_size=9),
         weights=st.lists(
-            st.floats(0.0, 4.0, allow_nan=False), min_size=9, max_size=9
+            st.floats(0.0, 4.0, allow_nan=False), min_size=8, max_size=8
         ),
         delay=st.sampled_from([None, 0.0, 0.5]),
     )
-    def test_loop_charges_exactly_metrics_work(self, counters, weights, delay):
-        """What the loop charges ``==`` ``work(model)`` for arbitrary counters
+    def test_a_step_charges_exactly_metrics_work(self, counters, weights, delay):
+        """What a step charges ``==`` ``work(model)`` for arbitrary counters
         and a non-default model (the ablations override weights): after a
         step and the phase's closing sync, a clock that started at zero and
         did not stall reads exactly ``work * seconds_per_unit``.  A local
         tuple (``delay`` None) is priced by that sync alone.  Otherwise the
         tuple arrives ``delay`` after the preset work's time, past the clock's
-        reading of zero, so the loop prices the preset work before it tests
-        for a stall, and a stall starts from exactly that work's time."""
+        reading of zero, so the step prices the preset work before it stalls,
+        and the stall starts from exactly that work's time."""
         model = CostModel(*weights)
         spu = model.seconds_per_unit
         preset = ExecutionMetrics(*counters).work(model)
@@ -473,7 +483,7 @@ class TestTupleDriveLoop:
         )
         for name, value in zip(plan.metrics.as_dict(), counters):
             setattr(plan.metrics, name, value)
-        assert plan.step()
+        assert plan.step_batch() == 1
         assert plan.clock.now == arrival
         assert plan.clock.wait_time == max(arrival - priced, 0.0)
         plan.finish_phase()
@@ -484,12 +494,12 @@ class TestTupleDriveLoop:
         else:
             assert plan.clock.now == work * spu
 
-    def test_the_loop_prices_work_only_where_a_stall_can_start(self, monkeypatch):
-        """A tuple-mode chunk calls ``ExecutionMetrics.work`` where a stall
-        can start and in its closing sync, not once per step: over local
-        sources the count per chunk does not grow with the tuples read, and
-        over plateaus of equal arrivals it is at most one per stall plus the
-        closing calls."""
+    def test_work_is_priced_only_where_a_stall_can_start(self, monkeypatch):
+        """A chunk calls ``ExecutionMetrics.work`` where a stall can start
+        and in its closing sync, not once per tuple: over local sources the
+        count per chunk does not grow with the tuples read, and over plateaus
+        of equal arrivals it is at most one per stall plus the closing
+        calls."""
         calls, stalls = [], []
         work, wait_until = ExecutionMetrics.work, SimulatedClock.wait_until
 
@@ -525,38 +535,17 @@ class TestTupleDriveLoop:
         for priced, stalled in counts:
             assert 0 < stalled and priced <= stalled + closing
 
-    def test_step_is_the_loop_with_a_budget_of_one(self):
-        streams = {
-            "r0": ([(1, 0), (2, 5), (1, 1)], [0.0, 0.0, 2.0]),
-            "r1": ([(1, 7), (1, 8)], [0.0, 1.0]),
-        }
-        query = chain_query(2, selective=True)
-        loop_log, rule_log = [], []
-        plan, outputs = build_plan(query, streams, 2, CostModel(), loop_log)
-        rule_plan, rule_outputs = build_plan(query, streams, 2, CostModel(), rule_log)
-        oracle = RuleOracle(rule_plan)
-        while plan.step():
-            assert oracle.run_chunk(1) == 1
-            # step() leaves the last step's work uncharged, as it always has.
-            plan.finish_phase()
-            assert loop_log == rule_log
-            assert plan.clock.now == rule_plan.clock.now
-        assert oracle.run_chunk(1) == 0
-        assert loop_log == ["r0", "r1", "r0", "r1", "r0"]
-        assert outputs == rule_outputs == [(1, 0, 1, 7), (1, 0, 1, 8), (1, 1, 1, 7), (1, 1, 1, 8)]
-        assert plan.statistics.steps == plan.statistics.tuples_read == 5
-
-    def test_an_error_mid_chunk_leaves_the_accounting_consistent(self):
-        """A sink (or predicate, or source) that raises must not lose the
-        chunk's step count or leave charged work un-noted: the next sync
-        would charge it to the clock a second time."""
+    def test_an_error_mid_chunk_leaves_the_clock_consistent(self):
+        """A sink (or predicate, or source) that raises must not leave
+        charged work un-noted: the next sync would charge it to the clock a
+        second time.  The sink is a per-row one, the fallback of a plan
+        given no batch sink."""
         streams = {
             "r0": ([(1, 0), (1, 1), (1, 2)], [0.0] * 3),
             "r1": ([(1, 7), (1, 8), (1, 9)], [0.0] * 3),
         }
-        log = []
         plan, outputs = build_plan(
-            chain_query(2, selective=False), streams, 2, ABLATION_WEIGHTS, log
+            chain_query(2, selective=False), streams, 2, ABLATION_WEIGHTS, []
         )
 
         def sink(row):
@@ -567,18 +556,13 @@ class TestTupleDriveLoop:
         plan.output.sink = sink
         with pytest.raises(RuntimeError, match="sink full"):
             plan.run_chunk(6)
-        assert plan.statistics.steps == plan.statistics.tuples_read == len(log)
-        assert plan.metrics.tuples_read == len(log)
         plan.finish_phase()
         assert plan.clock.now == pytest.approx(
             plan.metrics.work(ABLATION_WEIGHTS) * ABLATION_WEIGHTS.seconds_per_unit,
             rel=1e-12,
         )
 
-    def test_one_peek_per_step_and_none_into_an_exhausted_cursor(self):
-        """Guards the work removed: the old step rescanned every leaf per
-        tuple (5.4 peeks a step on the benchmark's queries) and called
-        ``_fill`` on every drained cursor each time."""
+    def test_no_fill_into_an_exhausted_cursor(self):
         sizes = {"r0": 3, "r1": 40, "r2": 7, "r3": 1}
         streams = {
             name: ([(i % 3, i % 4) for i in range(size)], [0.0] * size)
@@ -586,15 +570,13 @@ class TestTupleDriveLoop:
         }
         plan, _ = build_plan(chain_query(4, selective=False), streams, 4, CostModel(), [])
         cursors = list(plan.cursors.values())
-        chunks = steps = 0
+        steps = 0
         while True:
             ran = plan.run_chunk(6)
-            chunks += 1
             steps += ran
             if ran == 0:
                 break
         assert steps == sum(sizes.values())
-        assert sum(c.peeks for c in cursors) <= steps + len(cursors) * chunks
         assert [c.fills_when_exhausted for c in cursors] == [0, 0, 0, 0]
         # ... and a peek of a drained cursor does not reach _fill at all.
         assert all(c.exhausted and c.peek_arrival() is None for c in cursors)
@@ -745,7 +727,7 @@ class TestPollWindow:
             {"batch_size": 64},
             {"batch_size": 64, "engine_mode": "compiled"},
         ],
-        ids=["tuple", "batch1", "batch7", "batch64", "compiled64"],
+        ids=["default", "batch1", "batch7", "batch64", "compiled64"],
     )
     def test_a_window_ends_where_the_chunk_loop_ends(
         self, tiny_tpch, engine, remote, priorities
@@ -786,7 +768,7 @@ class TestPollWindow:
             assert consumed_counts(plan) == consumed_counts(loop_plan)
             assert node_outputs(plan) == node_outputs(loop_plan)
             assert plan.metrics.as_dict() == loop_plan.metrics.as_dict()
-            # steps, tuples read, outputs, work units, seconds, consumed
+            # tuples read, outputs, work units, seconds, consumed
             assert plan.statistics == loop_plan.statistics
             assert repr(plan.clock.now) == repr(loop_plan.clock.now)
             assert repr(plan.clock.wait_time) == repr(loop_plan.clock.wait_time)

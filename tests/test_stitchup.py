@@ -80,7 +80,7 @@ def run_in_phases(query, sources, trees, boundaries):
             if adapter.is_identity
             else (lambda row, a=adapter: collected.append(a.adapt(row)))
         )
-        plan.run(max_steps=max_steps)
+        plan.run() if max_steps is None else plan.run_chunk(max_steps)
         plan.register_state(registry)
         phase_id += 1
         if plan.sources_exhausted:
@@ -179,7 +179,7 @@ class TestStitchUpAccounting:
         cursors = {name: SourceCursor(name, sources[name]) for name in query.relations}
         registry = StateRegistry()
         plan0 = PipelinedPlan(query, tree, cursors, lambda row: None, phase_id=0)
-        plan0.run(max_steps=150)
+        plan0.run_chunk(150)
         plan0.register_state(registry)
         plan1 = PipelinedPlan(query, tree, cursors, lambda row: None, phase_id=1)
         plan1.run()
@@ -324,7 +324,7 @@ def register_phases(query, relations, trees, boundaries, merge_first=False):
             join_strategies=strategies,
         )
         canonical = canonical or plan.output_schema
-        plan.run(max_steps=max_steps)
+        plan.run() if max_steps is None else plan.run_chunk(max_steps)
         plan.register_state(registry)
         phases += 1
         if plan.sources_exhausted:
@@ -384,7 +384,11 @@ def stitch_both(query, registry, canonical, num_phases, partial=False):
     executor = produced(stitchup.run().as_dict(), metrics, output)
 
     metrics, output = fresh()
-    sink = output.append if isinstance(output, list) else output.accumulate
+    if isinstance(output, list):
+        sink = output.append
+    else:
+        def sink(row):
+            output.accumulate_batch([row])
     report, paths = oracle_stitchup(query, registry, num_phases, canonical, sink, metrics)
     for source in route_sources(stitchup):
         paths["route_folded" if folds_inline(source) else "route_materialised"] += 1
