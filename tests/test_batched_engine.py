@@ -106,6 +106,30 @@ class TestJoinNodeBatching:
         right = Schema.from_names(["b", "y"])
         return PipelinedJoinNode(left, right, "a", "b", None, metrics)
 
+    def test_one_batch_matches_single_row_batches(self):
+        left_rows = [(i % 4, f"l{i}") for i in range(12)]
+        right_rows = [(i % 4, f"r{i}") for i in range(8)]
+
+        row_metrics = ExecutionMetrics()
+        row_node = self._node(row_metrics)
+        row_out = []
+        row_node.sink_batch = row_out.extend
+        for row in left_rows:
+            row_node.push_batch([row], "left")
+        for row in right_rows:
+            row_node.push_batch([row], "right")
+
+        batch_metrics = ExecutionMetrics()
+        batch_node = self._node(batch_metrics)
+        batch_out = []
+        batch_node.sink_batch = batch_out.extend
+        batch_node.push_batch(left_rows, "left")
+        batch_node.push_batch(right_rows, "right")
+
+        assert sorted(batch_out) == sorted(row_out)
+        assert batch_node.output_count == row_node.output_count
+        assert batch_metrics.as_dict() == row_metrics.as_dict()
+
     def test_push_batch_intra_batch_probes_do_not_self_match(self):
         # A single-side batch must never join against itself.
         metrics = ExecutionMetrics()

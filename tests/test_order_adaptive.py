@@ -314,6 +314,21 @@ class TestPipelinedMergeNode:
         assert node.late_arrivals > 0
         assert node.metrics.hash_inserts == node.metrics.hash_probes > 0
 
+    def test_one_batch_matches_single_row_batches(self):
+        rng = random.Random(23)
+        left_rows = [(rng.randrange(20),) for _ in range(150)]
+        right_rows = [(rng.randrange(20),) for _ in range(150)]
+        row_node, row_out = self._node()
+        for row in left_rows:
+            row_node.push_batch([row], "left")
+        for row in right_rows:
+            row_node.push_batch([row], "right")
+        batch_node, batch_out = self._node()
+        batch_node.push_batch(left_rows, "left")
+        batch_node.push_batch(right_rows, "right")
+        assert Counter(batch_out) == Counter(row_out)
+        assert batch_node.metrics.as_dict() == row_node.metrics.as_dict()
+
     def test_descending_direction(self):
         node, out = self._node(direction=-1)
         for i in range(50, 0, -1):

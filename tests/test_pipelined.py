@@ -535,6 +535,29 @@ class TestStep:
         for priced, stalled in counts:
             assert 0 < stalled and priced <= stalled + closing
 
+    def test_chunks_of_one_read_the_rule_tuple_by_tuple(self):
+        """A budget of one tuple is the rule's single step: chunk by chunk
+        the plan reads from the leaf the rule reads from, and its clock,
+        rows and tuple count agree with the rule's after every one."""
+        streams = {
+            "r0": ([(1, 0), (2, 5), (1, 1)], [0.0, 0.0, 2.0]),
+            "r1": ([(1, 7), (1, 8)], [0.0, 1.0]),
+        }
+        query = chain_query(2, selective=True)
+        rule_log = []
+        plan, outputs = build_plan(query, streams, 2, CostModel(), [])
+        rule_plan, rule_outputs = build_plan(query, streams, 2, CostModel(), rule_log)
+        rule = RuleOracle(rule_plan)
+        while plan.run_chunk(1):
+            assert rule.run_chunk(1) == 1
+            assert consumed_counts(plan) == consumed_counts(rule_plan)
+            assert plan.clock.now == rule_plan.clock.now
+            assert plan.clock.wait_time == rule_plan.clock.wait_time
+        assert rule.run_chunk(1) == 0
+        assert rule_log == ["r0", "r1", "r0", "r1", "r0"]
+        assert outputs == rule_outputs == [(1, 0, 1, 7), (1, 0, 1, 8), (1, 1, 1, 7), (1, 1, 1, 8)]
+        assert plan.statistics.tuples_read == 5
+
     def test_an_error_mid_chunk_leaves_the_clock_consistent(self):
         """A sink (or predicate, or source) that raises must not leave
         charged work un-noted: the next sync would charge it to the clock a
