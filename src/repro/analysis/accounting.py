@@ -59,8 +59,6 @@ MUTATION_ENTRY_POINTS = frozenset(
         "push",
         "push_batch",
         "process_batch",
-        "_emit",
-        "accumulate",
         "accumulate_batch",
     }
 )

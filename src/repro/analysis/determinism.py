@@ -256,18 +256,18 @@ EMIT_PATH_METHODS = frozenset(
     {
         "push",
         "push_batch",
-        "_emit",
         "emit",
         "process_batch",
-        "step",
         "step_batch",
+        "_read_schedule",
+        "_zero_quotas",
         "_interpreted_group",
         "run_chunk",
         "read_batch",
+        "read_run",
         "insert",
         "insert_batch",
         "probe",
-        "accumulate",
         "accumulate_batch",
         "results",
         "scan",

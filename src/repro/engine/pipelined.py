@@ -944,13 +944,17 @@ class PipelinedPlan:
                 return 0
             clock.wait_until(arrival)
             groups = self._read_schedule(budget, clock.now)
-        self.metrics.batches_read += 1
-        total = 0
-        for binding, rows in groups:
-            total += len(rows)
-            kernels[binding.relation](rows)
-        self.statistics.tuples_read += total
-        return total
+        metrics = self.metrics
+        metrics.batches_read += 1
+        charged = metrics.tuples_read
+        try:
+            for binding, rows in groups:
+                kernels[binding.relation](rows)
+        finally:
+            # What the kernels charged, so a sink or predicate that raises
+            # leaves the phase's count equal to the metrics'.
+            self.statistics.tuples_read += metrics.tuples_read - charged
+        return sum(len(rows) for _, rows in groups)
 
     def _sync_clock(self) -> None:
         work = self.metrics.work(self.cost_model)
@@ -958,16 +962,14 @@ class PipelinedPlan:
             self.clock.charge(work, self._charged_work)
             self._charged_work = work
 
-    def run(self, max_steps: int | None = None) -> int:
-        """Run until sources are exhausted or ``max_steps`` steps have run;
-        a step is one :meth:`step_batch` of its default budget."""
-        steps = 0
-        while (max_steps is None or steps < max_steps) and self.step_batch():
-            steps += 1
+    def run(self) -> None:
+        """Run until sources are exhausted, one :meth:`step_batch` of its
+        default budget at a time."""
+        while self.step_batch():
+            pass
         self._flush_stages()
         self._sync_clock()
         self._finalize_statistics()
-        return steps
 
     def run_chunk(self, max_tuples: int, until: float | None = None) -> int:
         """Process chunks of up to ``max_tuples`` source tuples; return how

@@ -558,7 +558,11 @@ class TestOnePollContext:
     source: every poll builds one estimator and gathers the ordering once,
     and a phase build gathers it once more (phase 0 shares the initial plan's)."""
 
-    def _run(self, scenario):
+    def _run(self, scenario, oracle=True):
+        """One corrective run of ``scenario``, stepped by the tuple-at-a-time
+        clock oracle unless ``oracle`` is false (the engine's own schedule)."""
+        from contextlib import nullcontext
+
         from repro.engine.cost import CostModel
         from repro.workloads.scenarios import (
             FAILOVER_STALL_FRACTION,
@@ -578,7 +582,7 @@ class TestOnePollContext:
             query, catalog, sources, tree, work_floor = rate_scenario(
                 scenario, 3000, 2004, cost_model
             )
-        with tuple_at_a_time():
+        with tuple_at_a_time() if oracle else nullcontext():
             return CorrectiveQueryProcessor(
                 catalog,
                 sources,
@@ -661,3 +665,40 @@ class TestOnePollContext:
                 ).encode()
             )
         assert digest.hexdigest() == ONE_POLL_CONTEXT_SHA256
+
+    @pytest.mark.parametrize("scenario", ["failover", "slow"])
+    def test_the_engine_schedule_matches_the_oracle(self, scenario):
+        """The pinned digest runs under the oracle; the engine's own
+        schedule must give the same run on everything but the read
+        batching and the answers' sink order."""
+
+        def view(report):
+            adaptation = report.details["adaptation"]
+            counters = report.metrics.as_dict()
+            del counters["batches_read"]
+            return (
+                sorted(report.rows),
+                [
+                    (
+                        str(phase.join_tree),
+                        phase.switch_reason,
+                        phase.tuples_read,
+                        phase.outputs,
+                        phase.consumed_per_relation,
+                        repr(phase.ended_at),
+                    )
+                    for phase in report.phases
+                ],
+                [
+                    (action["policy"], action["reason"])
+                    for action in adaptation["switches"] + adaptation["failovers"]
+                ],
+                adaptation["reprioritizations"],
+                report.reoptimizer_polls,
+                counters,
+                repr(report.simulated_seconds),
+            )
+
+        expected = self._run(scenario)
+        assert view(self._run(scenario, oracle=False)) == view(expected)
+        assert expected.details["adaptation"]["reprioritizations"]

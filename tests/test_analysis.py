@@ -129,6 +129,25 @@ class TestUnorderedIterationRule:
         }
         assert all(f.symbol == "LeakyEmitter.push_batch" for f in hits)
 
+    def test_the_method_tables_name_only_live_methods(self):
+        """Both rules select methods by name: a name no package class
+        defines any more checks nothing, and the read scheduler, which
+        decides every tuple's read order, must be on the emit path."""
+        from repro.analysis.accounting import MUTATION_ENTRY_POINTS
+        from repro.analysis.determinism import EMIT_PATH_METHODS
+
+        defined = {
+            item.name
+            for path in PACKAGE_ROOT.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert EMIT_PATH_METHODS <= defined
+        assert MUTATION_ENTRY_POINTS <= defined
+        assert {"_read_schedule", "_zero_quotas", "read_run"} <= EMIT_PATH_METHODS
+
     def test_sorted_iteration_and_non_emit_methods_are_silent(
         self, fixture_findings
     ):

@@ -145,10 +145,8 @@ class TestPipelinedPlan:
             JoinTree.left_deep(["people", "simple_orders"]),
             cursors,
             collected.append,
-            batch_size=1,
         )
-        ran = plan.run(max_steps=3)
-        assert ran == 3
+        assert plan.run_chunk(3) == 3
         assert not plan.sources_exhausted
         # Resume and finish.
         plan.run()
@@ -558,17 +556,22 @@ class TestStep:
         assert outputs == rule_outputs == [(1, 0, 1, 7), (1, 0, 1, 8), (1, 1, 1, 7), (1, 1, 1, 8)]
         assert plan.statistics.tuples_read == 5
 
-    def test_an_error_mid_chunk_leaves_the_clock_consistent(self):
-        """A sink (or predicate, or source) that raises must not leave
-        charged work un-noted: the next sync would charge it to the clock a
-        second time.  The sink is a per-row one, the fallback of a plan
-        given no batch sink."""
+    @pytest.mark.parametrize(
+        "engine", [{}, {"batch_size": 4}], ids=["interpreted", "compiled"]
+    )
+    def test_an_error_mid_chunk_leaves_the_accounting_consistent(self, engine):
+        """A sink (or predicate, or source) that raises must not lose the
+        chunk's tuple count or leave charged work un-noted: the next sync
+        would charge it to the clock a second time.  The sink is a per-row
+        one, the fallback of a plan given no batch sink; it raises inside
+        the second group's kernel call.  The interpreted kernel charges a
+        group as it starts, the compiled one as it ends."""
         streams = {
             "r0": ([(1, 0), (1, 1), (1, 2)], [0.0] * 3),
             "r1": ([(1, 7), (1, 8), (1, 9)], [0.0] * 3),
         }
         plan, outputs = build_plan(
-            chain_query(2, selective=False), streams, 2, ABLATION_WEIGHTS, []
+            chain_query(2, selective=False), streams, 2, ABLATION_WEIGHTS, [], **engine
         )
 
         def sink(row):
@@ -579,13 +582,19 @@ class TestStep:
         plan.output.sink = sink
         with pytest.raises(RuntimeError, match="sink full"):
             plan.run_chunk(6)
+        assert sum(cursor.consumed for cursor in plan.cursors.values()) == 6
+        charged = 6 if plan.engine_mode == "interpreted" else 3
+        assert plan.statistics.tuples_read == plan.metrics.tuples_read == charged
         plan.finish_phase()
         assert plan.clock.now == pytest.approx(
             plan.metrics.work(ABLATION_WEIGHTS) * ABLATION_WEIGHTS.seconds_per_unit,
             rel=1e-12,
         )
 
-    def test_no_fill_into_an_exhausted_cursor(self):
+    def test_one_peek_per_step_and_none_into_an_exhausted_cursor(self):
+        """Guards the work removed: the old step rescanned every leaf per
+        tuple (5.4 peeks a step on the benchmark's queries) and called
+        ``_fill`` on every drained cursor each time."""
         sizes = {"r0": 3, "r1": 40, "r2": 7, "r3": 1}
         streams = {
             name: ([(i % 3, i % 4) for i in range(size)], [0.0] * size)
@@ -593,13 +602,15 @@ class TestStep:
         }
         plan, _ = build_plan(chain_query(4, selective=False), streams, 4, CostModel(), [])
         cursors = list(plan.cursors.values())
-        steps = 0
+        chunks = steps = 0
         while True:
             ran = plan.run_chunk(6)
+            chunks += 1
             steps += ran
             if ran == 0:
                 break
         assert steps == sum(sizes.values())
+        assert sum(c.peeks for c in cursors) <= steps + len(cursors) * chunks
         assert [c.fills_when_exhausted for c in cursors] == [0, 0, 0, 0]
         # ... and a peek of a drained cursor does not reach _fill at all.
         assert all(c.exhausted and c.peek_arrival() is None for c in cursors)
