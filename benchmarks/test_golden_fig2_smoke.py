@@ -52,8 +52,10 @@ GOLDEN_RELATIVE_TOLERANCE = 0.15
 
 
 def _run(batch_size, datasets, scale_factor=SCALE_FACTOR, wireless=False):
-    """The comparison at ``batch_size``; ``None`` runs the oracle."""
-    with tuple_at_a_time() if batch_size is None else nullcontext():
+    """The comparison at ``batch_size`` on the default kernel; ``None`` runs
+    the oracle, on the interpreted kernel."""
+    oracle = batch_size is None
+    with tuple_at_a_time() if oracle else nullcontext():
         return run_corrective_comparison(
             query_names=QUERIES,
             datasets=datasets,
@@ -62,6 +64,7 @@ def _run(batch_size, datasets, scale_factor=SCALE_FACTOR, wireless=False):
             forced_bad_start=True,
             seed=SEED,
             batch_size=batch_size,
+            engine_mode="interpreted" if oracle else None,
         )
 
 

@@ -239,7 +239,7 @@ class CorrectiveQueryProcessor:
                 query,
                 current_tree,
                 cursors,
-                output_sink=lambda row: None,  # replaced below once schema known
+                output_sink=lambda rows: None,  # replaced below once schema known
                 phase_id=phase_id,
                 metrics=metrics,
                 clock=clock,

@@ -27,17 +27,16 @@ class ProcessorOptions:
     """The paper's experimental knobs for corrective query processing."""
 
     #: an integer ``>= 1`` sets the step of a static ``run()`` and the cursor
-    #: prefetch floor (``max(batch_size, DEFAULT_PREFETCH)``) and, alone,
-    #: selects the compiled kernels; ``None`` runs the interpreted kernel at
-    #: the ``DEFAULT_PREFETCH`` step.  Every value reads in the paper's tuple
+    #: prefetch floor (``max(batch_size, DEFAULT_PREFETCH)``); ``None`` steps
+    #: by ``DEFAULT_PREFETCH``.  Every value reads in the paper's tuple
     #: order (Section 4.1), so answers, adaptation decisions, phase counts
     #: and ``repr(simulated_seconds)`` are the same on every source, local or
     #: delayed; a corrective run hands each per-leaf group of a poll chunk to
     #: its kernel whole.
     batch_size: int | None = None
-    #: the kernel.  By default (``None``) a run with a ``batch_size`` goes
-    #: through the fused plan-specialized pipelines of
-    #: :mod:`repro.engine.compiled`.  ``"interpreted"`` forces the generic
+    #: the kernel.  By default (``None``) a run goes through the fused
+    #: plan-specialized pipelines of :mod:`repro.engine.compiled`.
+    #: ``"interpreted"`` forces the generic
     #: operator code, the reference they are held to: answers, work
     #: counters, simulated seconds and phase counts are bit-identical.
     engine_mode: str | None = None

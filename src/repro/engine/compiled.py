@@ -66,21 +66,22 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import Schema
 
-#: Execution modes of the pipelined engine.  ``interpreted`` is the generic
-#: operator code; ``compiled`` is this module's fused, plan-specialized batch
-#: pipelines (requires a batch size).
+#: Kernels of the pipelined engine.  ``compiled`` is this module's fused,
+#: plan-specialized chains, the default wherever they can run;
+#: ``interpreted`` is the generic operator code they are held to, which
+#: staged plans need.
 ENGINE_MODES = ("interpreted", "compiled")
 
 
 def validate_engine_mode(
     engine_mode: str | None, batch_size: int | None, staged: bool = False
 ) -> str:
-    """Reject a batch size below 1, an unknown mode, or compiled mode
-    without a batch size; return the mode a plan runs.
+    """Reject a batch size below 1 or an unknown mode; return the mode a
+    plan runs.
 
-    ``None`` lets the plan decide: a plan with a batch size runs the
-    compiled chains, and one without — or a plan with pre-aggregation stages
-    (``staged``), which the chains cannot run — the interpreted kernel.
+    ``None`` lets the plan decide: a plan with pre-aggregation stages
+    (``staged``), which the chains cannot run, runs the interpreted kernel,
+    and any other the compiled chains.
 
     The one statement of the rule, checked by the two places that accept
     the pair: :class:`~repro.engine.pipelined.PipelinedPlan` and
@@ -90,15 +91,10 @@ def validate_engine_mode(
     if batch_size is not None and batch_size < 1:
         raise PlanError(f"batch_size must be positive, got {batch_size}")
     if engine_mode is None:
-        return "compiled" if batch_size is not None and not staged else "interpreted"
+        return "interpreted" if staged else "compiled"
     if engine_mode not in ENGINE_MODES:
         raise PlanError(
             f"unknown engine_mode {engine_mode!r}; expected one of {ENGINE_MODES}"
-        )
-    if engine_mode == "compiled" and batch_size is None:
-        raise PlanError(
-            "engine_mode='compiled' requires a batch_size (without one a "
-            "plan runs the interpreted kernel)"
         )
     return engine_mode
 
@@ -177,29 +173,26 @@ def compile_chain(plan, binding) -> Callable[[list], None]:
 
     The returned callable is that leaf's batch kernel: it consumes one
     non-empty group of source rows, as cut by ``_read_schedule`` and
-    dispatched by ``step_batch``, and performs selection, the full join chain, root emission, all per-node /
-    per-leaf count updates and one deferred ``charge_batch`` call.
+    dispatched by ``step_batch``, and performs selection, the full join
+    chain, root emission, all per-node / per-leaf count updates and one
+    deferred ``charge_batch`` call.  The counts are applied in a ``finally``,
+    so a sink or predicate that raises leaves what the group did charged,
+    as the interpreted kernel does.
     """
     from repro.engine.pipelined import PipelinedJoinNode
 
     env = _Env()
     env.bindings["_charge"] = plan.metrics.charge_batch
     env.bindings["_b"] = binding
-    # Root emission binds the plan's PlanOutput, never the plan: its batch
-    # sink directly when one is attached (chains are compiled lazily, on the
-    # first batch step, by which point executors have attached their sinks),
-    # bumping its count exactly like emit_batch does.
-    output = plan.output
-    if output.sink_batch is not None:
-        env.bindings["_sink"] = output.sink_batch
-        env.bindings["_po"] = output
-        root_lines = ["_po.count += _n", "_sink({var})"]
-    else:
-        env.bindings["_sink"] = output.emit_batch
-        root_lines = ["_sink({var})"]
+    # Root emission binds the plan's PlanOutput, never the plan: its sink
+    # directly (chains are compiled lazily, on the first batch step, by which
+    # point executors have attached their sinks), bumping its count exactly
+    # like emit_batch does.
+    env.bindings["_sink"] = plan.output.sink_batch
+    env.bindings["_po"] = plan.output
 
     lines: list[str] = []
-    indent = 1
+    indent = 2
 
     def emit(line: str) -> None:
         lines.append("    " * indent + line)
@@ -215,9 +208,6 @@ def compile_chain(plan, binding) -> Callable[[list], None]:
     hash_out_vars: list[tuple[str, str]] = []  # (node env name, output count var)
     insert_counts: list[tuple[str, str]] = []  # (state env name, insert count var)
 
-    emit("_pe = _hi = _hp = _tc = _to = 0")
-    emit("_tr = len(rows)")
-
     # Selection (charged per read tuple, like the interpreted leaf body).
     selection = plan.query.selection_for(binding.relation)
     if isinstance(selection, TruePredicate):
@@ -227,8 +217,8 @@ def compile_chain(plan, binding) -> Callable[[list], None]:
         sel_src = predicate_source(
             selection, plan.cursors[binding.relation].schema, env
         )
-        emit(f"rows = [row for row in rows if {sel_src}]")
         emit("_pe += _tr")
+        emit(f"rows = [row for row in rows if {sel_src}]")
         emit("_ps = len(rows)")
         emit("if rows:")
         indent += 1
@@ -237,8 +227,8 @@ def compile_chain(plan, binding) -> Callable[[list], None]:
     def emit_root(var: str, count_expr: str) -> None:
         emit(f"_n = {count_expr}")
         emit("_to += _n")
-        for line in root_lines:
-            emit(line.format(var=var))
+        emit("_po.count += _n")
+        emit(f"_sink({var})")
 
     if not stages:
         # Single-relation query: selection survivors go straight to the sink.
@@ -309,8 +299,10 @@ def compile_chain(plan, binding) -> Callable[[list], None]:
                 cur = out
         emit_root(cur, f"len({cur})")
 
-    # Footer: single exit, unconditional count/charge application.
+    # Footer: single exit, count/charge application in the ``finally``.
     indent = 1
+    emit("finally:")
+    indent = 2
     emit("_b.tuples_read += _tr")
     emit("_b.tuples_passed += _ps")
     for state_name, local in insert_counts:
@@ -324,11 +316,11 @@ def compile_chain(plan, binding) -> Callable[[list], None]:
         "hash_probes=_hp, tuple_copies=_tc, tuples_output=_to)"
     )
 
-    # Per-stage tallies must exist on every path.
-    zeroed = [local for _, local in hash_out_vars] + [
-        local for _, local in insert_counts
+    # Every tally the footer reads exists on every path, a raise included.
+    zeroed = ["_pe", "_hi", "_hp", "_tc", "_to", "_ps"] + [
+        local for _, local in hash_out_vars + insert_counts
     ]
-    prologue = ["    " + " = ".join(zeroed) + " = 0"] if zeroed else []
+    prologue = ["    " + " = ".join(zeroed) + " = 0", "    _tr = len(rows)", "    try:"]
 
     params = ", ".join(f"{name}={name}" for name in env.bindings)
     src = "\n".join(

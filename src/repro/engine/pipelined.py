@@ -388,30 +388,24 @@ class PreAggregationStage:
 
 
 class PlanOutput:
-    """Where a plan's root delivers: its output sinks and :attr:`count`.
+    """Where a plan's root delivers: its batch sink and :attr:`count`.
 
     The plan owns it, and the root node's batch sink, the interpreted
-    kernels and the compiled chains bind it in place of the plan.  Rows go
-    to ``sink_batch``, or row by row to ``sink`` for a caller that passed
-    only that.  Nothing the plan
-    reaches points back at the plan, so reference counting frees a phase's
-    plan, join state included, as soon as the phase is replaced.
+    kernels and the compiled chains bind it in place of the plan.  Nothing
+    the plan reaches points back at the plan, so reference counting frees a
+    phase's plan, join state included, as soon as the phase is replaced.
     """
 
-    def __init__(self, sink, sink_batch, metrics: ExecutionMetrics) -> None:
-        self.sink: Callable[[tuple], None] = sink
-        self.sink_batch: Callable[[list[tuple]], None] | None = sink_batch
+    def __init__(
+        self, sink_batch: Callable[[list[tuple]], None], metrics: ExecutionMetrics
+    ) -> None:
+        self.sink_batch = sink_batch
         self.metrics = metrics
         self.count = 0
 
     def emit_batch(self, rows: list[tuple]) -> None:
         self.count += len(rows)
-        if self.sink_batch is not None:
-            self.sink_batch(rows)
-        else:
-            sink = self.sink
-            for row in rows:
-                sink(row)
+        self.sink_batch(rows)
 
     def _interpreted_group(self, binding: "LeafBinding", rows: list[tuple]) -> None:
         """The interpreted kernel: one group through the generic operators."""
@@ -505,31 +499,33 @@ class PipelinedPlan:
         query: SPJAQuery,
         join_tree: JoinTree,
         cursors: dict[str, SourceCursor],
-        output_sink: Callable[[tuple], None],
+        output_sink: Callable[[list[tuple]], None],
         phase_id: int = 0,
         metrics: ExecutionMetrics | None = None,
         clock: SimulatedClock | None = None,
         cost_model: CostModel | None = None,
         batch_size: int | None = None,
-        output_sink_batch: Callable[[list[tuple]], None] | None = None,
         join_strategies: dict[frozenset[str], object] | None = None,
         engine_mode: str | None = None,
         preagg_points: Sequence[PreAggPoint] = (),
     ) -> None:
-        """``join_strategies`` optionally maps a node's relation set to a
+        """``output_sink`` receives the root's output rows, one list per
+        kernel call; executors may re-point it (``output.sink_batch``) until
+        the first step.
+
+        ``join_strategies`` optionally maps a node's relation set to a
         :class:`~repro.optimizer.ordering.JoinStrategy`; nodes mapped to the
         ``"merge"`` algorithm are built as
         :class:`~repro.engine.pipelined_merge.PipelinedMergeJoinNode` instead
         of symmetric hash joins (the order-adaptive physical strategy).
 
-        ``engine_mode`` selects how batches are propagated: ``"interpreted"``
-        walks the generic operator code, ``"compiled"`` runs fused
-        plan-specialized batch functions (see :mod:`repro.engine.compiled`)
-        with identical results and work accounting.  Compiled mode requires
-        a ``batch_size``; chains are (re)generated per plan, so corrective
-        phase switches and hash↔merge strategy switches recompile naturally.
-        By default (``None``) a plan with a ``batch_size`` and without stages
-        runs compiled, any other the interpreted kernel.
+        ``engine_mode`` selects the kernel: ``"compiled"`` runs fused
+        plan-specialized batch functions (see :mod:`repro.engine.compiled`),
+        ``"interpreted"`` the generic operator code, with identical results
+        and work accounting.  Chains are (re)generated per plan, so
+        corrective phase switches and hash↔merge strategy switches recompile
+        naturally.  By default (``None``) a plan without stages runs
+        compiled, a staged one the interpreted kernel.
 
         ``preagg_points`` are a :class:`~repro.optimizer.plans.PhysicalPlan`'s
         pre-aggregation points; each becomes a :class:`PreAggregationStage`
@@ -567,8 +563,8 @@ class PipelinedPlan:
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
         self.cost_model = cost_model or CostModel()
         self.clock = clock if clock is not None else SimulatedClock(self.cost_model)
-        #: the root's sinks and output count (executors re-point the sinks)
-        self.output = PlanOutput(output_sink, output_sink_batch, self.metrics)
+        #: the root's sink and output count (executors re-point the sink)
+        self.output = PlanOutput(output_sink, self.metrics)
         #: read-priority overrides (relation -> priority class, lower runs
         #: first among equally *available* tuples).  Empty by default, in
         #: which case every scheduling path below is byte-identical to the
@@ -1109,8 +1105,7 @@ class PipelinedExecutor:
     This is the *static* execution strategy — optimize once, run the chosen
     join tree with pipelined hash joins until the sources are exhausted.
     ``batch_size`` sets the step of :meth:`PipelinedPlan.run` and the
-    prefetch floor, and alone selects the compiled kernels; ``None`` steps
-    by :attr:`SourceCursor.DEFAULT_PREFETCH` on the interpreted kernel.
+    prefetch floor; ``None`` steps by :attr:`SourceCursor.DEFAULT_PREFETCH`.
     Every configuration reads in the paper's tuple order, so the answers,
     counters (``batches_read`` aside) and simulated seconds are the same.
     """
@@ -1162,13 +1157,12 @@ class PipelinedExecutor:
             query,
             join_tree,
             cursors,
-            collected.append,
+            collected.extend,
             0,
             metrics,
             clock,
             self.cost_model,
             batch_size=self.batch_size,
-            output_sink_batch=collected.extend,
             join_strategies=self.join_strategies,
             engine_mode=self.engine_mode,
             preagg_points=preagg_points,

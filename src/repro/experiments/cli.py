@@ -13,11 +13,11 @@ Regenerate any of the paper's tables/figures without going through pytest::
 
 Use ``--scale`` to trade runtime for fidelity (default 0.003) and ``--seed``
 for a different deterministic instance.  ``fig2`` and ``fig3`` run the
-pipelined engines and additionally honour ``--batch-size N`` (batch-at-a-time
-execution: identical results, much faster regeneration) and ``--engine-mode
-compiled`` (requires ``--batch-size``; the fused compiled batch pipelines —
-identical results and simulated timings); with any other experiment those two
-flags are a usage error, and ``all`` forwards them to ``fig2``/``fig3`` only.
+pipelined engines and additionally honour ``--batch-size N`` (the step of a
+static run) and ``--engine-mode interpreted`` (the generic operator code the
+default fused compiled pipelines are held to — identical results and
+simulated timings); with any other experiment those two flags are a usage
+error, and ``all`` forwards them to ``fig2``/``fig3`` only.
 
 Wall-clock measurement is not this module's job: ``python -m bench.run`` is
 the one instrument for it (``bench/README.md``).
@@ -158,10 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "fig2, fig3: run the compiled batch kernels with this batch size "
-            "(default: the interpreted kernel).  Results, phases and "
-            "simulated timings are bit-identical.  A usage error with any "
-            "other experiment."
+            "fig2, fig3: the step of a static run and the prefetch floor.  "
+            "Results, phases and simulated timings are bit-identical.  A "
+            "usage error with any other experiment."
         ),
     )
     parser.add_argument(
@@ -169,11 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("interpreted", "compiled"),
         default=None,
         help=(
-            "fig2, fig3: execution mode for the pipelined engines (default: "
-            "'compiled' with --batch-size, 'interpreted' without); "
-            "'compiled' runs fused plan-specialized batch pipelines and "
-            "requires --batch-size; 'interpreted' is the reference, and "
-            "results and simulated timings are bit-identical to it.  A "
+            "fig2, fig3: the kernel (default 'compiled', the fused "
+            "plan-specialized pipelines); 'interpreted' is the reference, "
+            "and results and simulated timings are bit-identical to it.  A "
             "usage error with any other experiment."
         ),
     )

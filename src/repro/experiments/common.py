@@ -20,10 +20,9 @@ DEFAULT_SCALE_FACTOR = 0.003
 DEFAULT_SKEW_Z = 0.5
 #: Seed used everywhere so every run of the harness sees identical data.
 DEFAULT_SEED = 2004
-#: Recommended batch size for the compiled kernels (used by the golden smoke
-#: benchmark; pass it explicitly — experiments default to the interpreted
-#: kernel).  64 keeps a static run's steps inside the corrective poll chunk
-#: (``poll_step_limit``, 200 tuples).
+#: Recommended batch size (used by the golden smoke benchmark; pass it
+#: explicitly).  64 keeps a static run's steps inside the corrective poll
+#: chunk (``poll_step_limit``, 200 tuples).
 DEFAULT_BATCH_SIZE = 64
 
 

@@ -112,9 +112,7 @@ def run_corrective_comparison(
     phase counts and simulated seconds are bit-identical for any
     ``batch_size`` and ``engine_mode``, for the local experiments (Figure 2)
     and the wireless ones (Figure 3) alike; only the wall-clock cost of
-    regenerating the experiment changes.  A ``batch_size`` alone selects
-    the fused compiled kernels; ``None`` or ``engine_mode="interpreted"``
-    the interpreted one.
+    regenerating the experiment changes.
     """
     datasets = datasets or build_paper_datasets(scale_factor, seed)
     queries = paper_queries(query_names)

@@ -190,7 +190,10 @@ def tuple_schedule(plan, budget: int, ready: float) -> list[tuple]:
     order on ties, and is its own single-row group, so the kernels see the
     rows one by one in the rule's order.  It stops at ``budget`` or when
     nothing has arrived by ``ready``; the driver then stalls as it would
-    after any schedule."""
+    after any schedule.  It runs the interpreted kernel only, so a defect of
+    the compiled chains, the default, cannot sit on both sides of a
+    comparison with it."""
+    assert plan.engine_mode == "interpreted", "the oracle runs engine_mode='interpreted'"
     groups: list[tuple] = []
     priorities = plan.read_priorities
     while len(groups) < budget:
@@ -212,7 +215,8 @@ def tuple_schedule(plan, budget: int, ready: float) -> list[tuple]:
 @contextmanager
 def tuple_at_a_time():
     """Every plan steps by :func:`tuple_schedule` inside the block (forked
-    shard workers started inside it too)."""
+    shard workers started inside it too); each must be built with
+    ``engine_mode="interpreted"``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PipelinedPlan, "_read_schedule", tuple_schedule)
         yield

@@ -346,7 +346,7 @@ class TestMonitorEvents:
             for name, source in workload.sources().items()
         }
         tree = JoinTree.left_deep(query.relations)
-        plan = PipelinedPlan(query, tree, cursors, lambda row: None)
+        plan = PipelinedPlan(query, tree, cursors, lambda rows: None)
         monitor = ExecutionMonitor(query)
         plan.run_chunk(50)
         monitor.observe(plan, cursors)
@@ -587,6 +587,7 @@ class TestOnePollContext:
                 catalog,
                 sources,
                 cost_model,
+                engine_mode="interpreted" if oracle else None,
                 polling_interval_seconds=POLLING_FRACTION * work_floor,
                 switch_threshold=SWITCH_THRESHOLD,
                 order_adaptive=True,

@@ -189,7 +189,7 @@ class TestChunkSchedule:
         query = query_3a()
         tree = JoinTree.left_deep(["lineitem", "orders", "customer"])
 
-        def build(batch_size, mode=None):
+        def build(batch_size, mode):
             cursors = {
                 name: SourceCursor(name, tiny_tpch.relations[name])
                 for name in query.relations
@@ -198,14 +198,14 @@ class TestChunkSchedule:
                 query,
                 tree,
                 cursors,
-                lambda row: None,
+                lambda rows: None,
                 batch_size=batch_size,
                 engine_mode=mode,
             )
             plan.read_priorities = dict(priorities)
             return plan
 
-        tuple_plan, plan = build(None), build(64, engine_mode)
+        tuple_plan, plan = build(None, "interpreted"), build(64, engine_mode)
         calls, groups = [], []
         read_schedule = plan._read_schedule
 
@@ -353,7 +353,7 @@ class TestValidation:
                 query,
                 JoinTree.leaf("people"),
                 cursors,
-                lambda row: None,
+                lambda rows: None,
                 batch_size=0,
             )
 

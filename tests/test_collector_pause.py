@@ -6,8 +6,9 @@
   on return and on exception, however the drivers nest.  Reference counting
   frees what a query leaves; ``test_no_reference_cycles.py`` is the
   contract that makes that true.
-* ``batch_size`` alone selects the fused compiled kernels; a plan without
-  one, and a plan with a pre-aggregation stage, run the interpreted kernel.
+* A plan runs the fused compiled chains, with or without a ``batch_size``;
+  only a plan with a pre-aggregation stage, or one given
+  ``engine_mode="interpreted"``, runs the interpreted kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import partial
 
 import pytest
 
+import repro.core.corrective as corrective_module
 import repro.engine.compiled as compiled_module
 import repro.serving.sharded as sharded_module
 from repro.baselines.plan_partitioning import PlanPartitioningExecutor
@@ -173,13 +175,20 @@ def test_the_same_run_outside_a_driver_collects(small_tpch, collections):
 
 
 @pytest.mark.usefixtures("collector_enabled")
-def test_a_driver_that_raises_restores_the_collector(small_tpch, monkeypatch):
+@pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
+def test_a_driver_that_raises_restores_the_collector(
+    small_tpch, monkeypatch, engine_mode
+):
     def failing_sink(self, rows):
         raise RuntimeError("the sink failed")
 
+    # Without a fused fold the compiled chains emit into accumulate_batch too.
+    monkeypatch.setattr(corrective_module, "fused_output_sink", lambda *args: None)
     monkeypatch.setattr(GroupAccumulator, "accumulate_batch", failing_sink)
     with pytest.raises(RuntimeError, match="the sink failed"):
-        run("corrective", small_tpch)
+        _processor(small_tpch, engine_mode=engine_mode).execute(
+            query_3a(), initial_tree=BAD_TREE
+        )
     assert gc.isenabled()
 
 
@@ -255,14 +264,16 @@ def test_a_batched_run_compiles_its_chains_by_default(small_tpch, compiles):
     assert compiles == list(range(report.num_phases))
 
 
-def test_tuple_mode_and_the_interpreted_reference_compile_nothing(
+def test_the_default_compiles_and_the_interpreted_reference_does_not(
     small_tpch, compiles
 ):
-    run("corrective", small_tpch)
     _processor(small_tpch, batch_size=64, engine_mode="interpreted").execute(
         query_3a(), initial_tree=BAD_TREE
     )
     assert compiles == []
+    assert ProcessorOptions().engine_mode is None
+    report = run("corrective", small_tpch)
+    assert compiles == list(range(report.num_phases))
 
 
 def test_a_plan_with_a_stage_runs_the_interpreted_kernel(tiny_tpch, compiles):

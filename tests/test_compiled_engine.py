@@ -367,7 +367,7 @@ class TestEngineModeSurface:
     @pytest.mark.parametrize(
         "mode, batch_size, staged, resolved",
         [
-            (None, None, False, "interpreted"),
+            (None, None, False, "compiled"),
             (None, 64, False, "compiled"),
             (None, 64, True, "interpreted"),
             ("interpreted", None, False, "interpreted"),
@@ -384,7 +384,6 @@ class TestEngineModeSurface:
             (None, 0, "batch_size must be positive"),
             ("compiled", -1, "batch_size must be positive"),
             ("jit", 8, "unknown engine_mode 'jit'"),
-            ("compiled", None, "requires a batch_size"),
         ],
     )
     def test_invalid_pairs_are_plan_errors(self, mode, batch_size, message):
@@ -398,12 +397,28 @@ class TestEngineModeSurface:
                 query, JoinTree.left_deep(["r", "s"])
             )
 
-    def test_compiled_requires_batch_size(self):
-        query, sources = _tiny_workload()
-        with pytest.raises(PlanError, match="batch_size"):
-            PipelinedExecutor(sources, engine_mode="compiled").execute(
-                query, JoinTree.left_deep(["r", "s"])
-            )
+    def test_compiled_without_a_batch_size_equals_the_interpreted_kernel(self):
+        """No ``batch_size``: both kernels step by the default prefetch, so
+        Q3A/Q10A/Q5 give the same answers, every counter (``batches_read``
+        too) and, to the last bit, the same simulated seconds."""
+        dataset = build_dataset("uniform", 0.002, 0.0, 2004)
+        for name, query in paper_queries(("Q3A", "Q10A", "Q5")).items():
+            interpreted, compiled_run = [
+                CorrectiveQueryProcessor(
+                    dataset.catalog_no_statistics.copy(),
+                    dataset.sources,
+                    polling_interval_seconds=0.25,
+                    engine_mode=mode,
+                ).execute(query)
+                for mode in ("interpreted", "compiled")
+            ]
+            assert sorted(compiled_run.rows) == sorted(interpreted.rows), name
+            assert (
+                compiled_run.metrics.as_dict() == interpreted.metrics.as_dict()
+            ), name
+            assert repr(compiled_run.simulated_seconds) == repr(
+                interpreted.simulated_seconds
+            ), name
 
     def test_corrective_validates_eagerly(self):
         query, sources = _tiny_workload()
@@ -413,7 +428,7 @@ class TestEngineModeSurface:
         for name, relation in sources.items():
             catalog.register(name, relation.schema)
         with pytest.raises(ValueError, match="batch_size"):
-            CorrectiveQueryProcessor(catalog, sources, engine_mode="compiled")
+            CorrectiveQueryProcessor(catalog, sources, engine_mode="compiled", batch_size=0)
         with pytest.raises(ValueError, match="engine_mode"):
             CorrectiveQueryProcessor(catalog, sources, engine_mode="fused")
 
@@ -426,7 +441,7 @@ class TestEngineModeSurface:
         for name, relation in sources.items():
             catalog.register(name, relation.schema)
         with pytest.raises(ValueError, match="batch_size"):
-            ShardedQueryServer(catalog, sources, engine_mode="compiled")
+            ShardedQueryServer(catalog, sources, engine_mode="compiled", batch_size=0)
 
     def test_modes_constant(self):
         assert ENGINE_MODES == ("interpreted", "compiled")
@@ -481,7 +496,7 @@ class TestEngineModeSurface:
                 query,
                 tree,
                 {name: SourceCursor(name, source) for name, source in sources.items()},
-                out.append,
+                out.extend,
                 batch_size=batch_size,
                 engine_mode=engine_mode,
             )
@@ -549,7 +564,7 @@ class TestRecompilation:
             query,
             tree,
             cursors,
-            output_sink=lambda row: None,
+            output_sink=lambda rows: None,
             batch_size=8,
             engine_mode="compiled",
         )
@@ -571,7 +586,7 @@ class TestRecompilation:
                 query,
                 tree,
                 cursors,
-                output_sink=lambda row: None,
+                output_sink=lambda rows: None,
                 batch_size=8,
                 engine_mode="compiled",
             )
@@ -677,7 +692,7 @@ class TestGeneratedNames:
                 } if merge else None
                 cursors = {n: SourceCursor(n, r) for n, r in workload.relations.items()}
                 plan = PipelinedPlan(
-                    variant, tree, cursors, output_sink=lambda row: None, batch_size=16,
+                    variant, tree, cursors, output_sink=lambda rows: None, batch_size=16,
                     join_strategies=strategies, engine_mode="compiled",
                 )
                 chains += [c.__compiled_source__ for c in compile_plan_chains(plan).values()]

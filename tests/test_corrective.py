@@ -145,7 +145,7 @@ class TestAblationWeights:
         from the cumulative work once, so the pinned value is the one every
         engine configuration reaches, whatever its charge cadence."""
         with tuple_at_a_time():
-            report = self._run(small_tpch)
+            report = self._run(small_tpch, engine_mode="interpreted")
         assert repr(report.simulated_seconds) == self.PINNED
         assert report.num_phases == 2
         assert report.metrics.as_dict() == {
@@ -165,11 +165,8 @@ class TestAblationWeights:
         """Under the same non-binary weights, batches of 1/7/64 (and the
         default step) charge at other cadences than the oracle yet give its
         pinned ``repr(simulated_seconds)``."""
-        engines = [{"batch_size": size, "engine_mode": engine_mode} for size in (1, 7, 64)]
-        if engine_mode == "interpreted":
-            engines.append({})
-        for engine in engines:
-            report = self._run(small_tpch, **engine)
+        for batch_size in (None, 1, 7, 64):
+            report = self._run(small_tpch, batch_size=batch_size, engine_mode=engine_mode)
             assert repr(report.simulated_seconds) == self.PINNED
             assert report.num_phases == 2
 
@@ -240,7 +237,9 @@ class TestPollWindows:
         self, small_tpch, monkeypatch, remote
     ):
         with tuple_at_a_time():
-            expected, report = self.observe_run(monkeypatch, small_tpch, remote)
+            expected, report = self.observe_run(
+                monkeypatch, small_tpch, remote, engine_mode="interpreted"
+            )
         assert report.num_phases >= 2
         assert len(expected) > 2 * report.num_phases
         for batch_size in (None, 1, 7, 64):
@@ -321,7 +320,9 @@ class TestKernelCalls:
         self, small_tpch, monkeypatch, query, remote
     ):
         with tuple_at_a_time():
-            expected, _ = self.run(monkeypatch, small_tpch, query, remote)
+            expected, _ = self.run(
+                monkeypatch, small_tpch, query, remote, engine_mode="interpreted"
+            )
         counters = expected.metrics.as_dict()
         del counters["batches_read"]
         sequences = []

@@ -37,7 +37,7 @@ class TestExecutionMonitor:
         monitor = ExecutionMonitor(query)
         cursors = {name: SourceCursor(name, src) for name, src in sources.items()}
         collected = []
-        plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, collected.append)
+        plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, collected.extend)
         plan.run()
         observed = monitor.observe(plan, cursors)
         assert observed.source("r").tuples_read == 100
@@ -52,7 +52,7 @@ class TestExecutionMonitor:
         sources = make_sources()
         monitor = ExecutionMonitor(query)
         cursors = {name: SourceCursor(name, src) for name, src in sources.items()}
-        plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, lambda row: None)
+        plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, lambda rows: None)
         plan.run_chunk(5)
         observed = monitor.observe(plan, cursors)
         assert observed.selectivity_of(frozenset({"r", "s"})) is None
@@ -66,7 +66,7 @@ class TestExecutionMonitor:
         sources = make_sources(r_rows=5, s_rows=5)
         monitor = ExecutionMonitor(query)
         cursors = {name: SourceCursor(name, src) for name, src in sources.items()}
-        plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, lambda row: None)
+        plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, lambda rows: None)
         plan.run()
         observed = monitor.observe(plan, cursors)
         assert observed.source("r").exhausted and observed.source("s").exhausted
@@ -81,7 +81,7 @@ class TestExecutionMonitor:
         sources = make_sources(r_rows=40, s_rows=40)
         monitor = ExecutionMonitor(query)
         cursors = {name: SourceCursor(name, src) for name, src in sources.items()}
-        plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, lambda row: None)
+        plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, lambda rows: None)
         plan.run_chunk(8)
         observed = monitor.observe(plan, cursors)
         assert not observed.source("r").exhausted
@@ -96,7 +96,7 @@ class TestExecutionMonitor:
         query = join_query()
         monitor = ExecutionMonitor(query)
         cursors = {"r": SourceCursor("r", r), "s": SourceCursor("s", s)}
-        plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, lambda row: None)
+        plan = PipelinedPlan(query, JoinTree.left_deep(["r", "s"]), cursors, lambda rows: None)
         plan.run()
         observed = monitor.observe(plan, cursors)
         predicate = query.join_predicates[0]
@@ -112,7 +112,7 @@ class TestExecutionMonitor:
         cursors = {name: SourceCursor(name, sources[name]) for name in query.relations}
         collected = []
         plan = PipelinedPlan(
-            query, JoinTree.left_deep(["customer", "orders", "lineitem"]), cursors, collected.append
+            query, JoinTree.left_deep(["customer", "orders", "lineitem"]), cursors, collected.extend
         )
         plan.run()
         observed = monitor.observe(plan, cursors)

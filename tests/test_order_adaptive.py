@@ -395,7 +395,7 @@ class TestOrderAdaptiveExecution:
         cursors = {name: SourceCursor(name, rel) for name, rel in relations.items()}
         cursors["s"].ensure_order_detector("s_fk")
         plan = PipelinedPlan(
-            query, JoinTree.left_deep(("r", "s")), cursors, lambda row: None
+            query, JoinTree.left_deep(("r", "s")), cursors, lambda rows: None
         )
         plan.run()
         monitor = ExecutionMonitor(query)

@@ -131,7 +131,7 @@ class TestPipelinedPlan:
             "simple_orders": SourceCursor("simple_orders", simple_orders),
         }
         with pytest.raises(PlanError):
-            PipelinedPlan(query, JoinTree.leaf("people"), cursors, lambda row: None)
+            PipelinedPlan(query, JoinTree.leaf("people"), cursors, lambda rows: None)
 
     def test_step_granularity_and_suspension(self, people, simple_orders):
         query = simple_join_query()
@@ -144,7 +144,7 @@ class TestPipelinedPlan:
             query,
             JoinTree.left_deep(["people", "simple_orders"]),
             cursors,
-            collected.append,
+            collected.extend,
         )
         assert plan.run_chunk(3) == 3
         assert not plan.sources_exhausted
@@ -274,7 +274,7 @@ def build_plan(query, streams, prefetch, cost_model, log, **engine):
         query,
         JoinTree.left_deep(list(query.relations)),
         cursors,
-        outputs.append,
+        outputs.extend,
         cost_model=cost_model,
         **engine,
     )
@@ -416,7 +416,12 @@ class TestTupleOracle:
         query, streams = case["query"], case["streams"]
         oracle_log, rule_log = [], []
         plan, outputs = build_plan(
-            query, streams, case["prefetch"], case["cost_model"], oracle_log
+            query,
+            streams,
+            case["prefetch"],
+            case["cost_model"],
+            oracle_log,
+            engine_mode="interpreted",
         )
         rule_plan, rule_outputs = build_plan(
             query, streams, case["prefetch"], case["cost_model"], rule_log
@@ -557,34 +562,44 @@ class TestStep:
         assert plan.statistics.tuples_read == 5
 
     @pytest.mark.parametrize(
-        "engine", [{}, {"batch_size": 4}], ids=["interpreted", "compiled"]
+        "engine", [{"engine_mode": "interpreted"}, {}], ids=["interpreted", "compiled"]
     )
     def test_an_error_mid_chunk_leaves_the_accounting_consistent(self, engine):
         """A sink (or predicate, or source) that raises must not lose the
         chunk's tuple count or leave charged work un-noted: the next sync
-        would charge it to the clock a second time.  The sink is a per-row
-        one, the fallback of a plan given no batch sink; it raises inside
+        would charge it to the clock a second time.  The sink raises inside
         the second group's kernel call.  The interpreted kernel charges a
-        group as it starts, the compiled one as it ends."""
+        group as it starts, the compiled one in a ``finally`` as it ends, so
+        both charge all six tuples."""
         streams = {
             "r0": ([(1, 0), (1, 1), (1, 2)], [0.0] * 3),
             "r1": ([(1, 7), (1, 8), (1, 9)], [0.0] * 3),
         }
-        plan, outputs = build_plan(
+        plan, _ = build_plan(
             chain_query(2, selective=False), streams, 2, ABLATION_WEIGHTS, [], **engine
         )
 
-        def sink(row):
-            if len(outputs) == 2:
-                raise RuntimeError("sink full")
-            outputs.append(row)
+        def sink(rows):
+            raise RuntimeError("sink full")
 
-        plan.output.sink = sink
+        plan.output.sink_batch = sink
         with pytest.raises(RuntimeError, match="sink full"):
             plan.run_chunk(6)
         assert sum(cursor.consumed for cursor in plan.cursors.values()) == 6
-        charged = 6 if plan.engine_mode == "interpreted" else 3
-        assert plan.statistics.tuples_read == plan.metrics.tuples_read == charged
+        assert plan.statistics.tuples_read == plan.metrics.tuples_read == 6
+        # Both kernels leave the same counters: the 3 x 3 join outputs that
+        # reached the sink are charged.
+        assert plan.metrics.as_dict() == {
+            "tuples_read": 6,
+            "hash_inserts": 6,
+            "hash_probes": 6,
+            "comparisons": 0,
+            "predicate_evals": 0,
+            "tuple_copies": 9,
+            "aggregate_updates": 0,
+            "tuples_output": 9,
+            "batches_read": 1,
+        }
         plan.finish_phase()
         assert plan.clock.now == pytest.approx(
             plan.metrics.work(ABLATION_WEIGHTS) * ABLATION_WEIGHTS.seconds_per_unit,
@@ -786,7 +801,7 @@ class TestPollWindow:
                     )
                 cursors[name] = SourceCursor(name, source)
             outputs = []
-            plan = PipelinedPlan(query, tree, cursors, outputs.append, **engine)
+            plan = PipelinedPlan(query, tree, cursors, outputs.extend, **engine)
             plan.read_priorities = dict(priorities)
             return plan, outputs
 

@@ -71,14 +71,14 @@ def run_in_phases(query, sources, trees, boundaries):
 
     phase_id = 0
     for tree, max_steps in itertools.zip_longest(trees, boundaries):
-        plan = PipelinedPlan(query, tree, cursors, lambda row: None, phase_id=phase_id)
+        plan = PipelinedPlan(query, tree, cursors, lambda rows: None, phase_id=phase_id)
         if canonical_schema is None:
             canonical_schema = plan.output_schema
         adapter = TupleAdapter(plan.output_schema, canonical_schema)
-        plan.output.sink = (
-            collected.append
+        plan.output.sink_batch = (
+            collected.extend
             if adapter.is_identity
-            else (lambda row, a=adapter: collected.append(a.adapt(row)))
+            else (lambda rows, a=adapter: collected.extend(a.adapt_many(rows)))
         )
         plan.run() if max_steps is None else plan.run_chunk(max_steps)
         plan.register_state(registry)
@@ -178,10 +178,10 @@ class TestStitchUpAccounting:
         tree = JoinTree.left_deep(["r", "s", "t"])
         cursors = {name: SourceCursor(name, sources[name]) for name in query.relations}
         registry = StateRegistry()
-        plan0 = PipelinedPlan(query, tree, cursors, lambda row: None, phase_id=0)
+        plan0 = PipelinedPlan(query, tree, cursors, lambda rows: None, phase_id=0)
         plan0.run_chunk(150)
         plan0.register_state(registry)
-        plan1 = PipelinedPlan(query, tree, cursors, lambda row: None, phase_id=1)
+        plan1 = PipelinedPlan(query, tree, cursors, lambda rows: None, phase_id=1)
         plan1.run()
         plan1.register_state(registry)
         stitchup = StitchUpExecutor(query, registry, 2, plan0.output_schema, [])
@@ -320,7 +320,7 @@ def register_phases(query, relations, trees, boundaries, merge_first=False):
                 for node in tree.internal_nodes()
             }
         plan = PipelinedPlan(
-            query, tree, cursors, lambda row: None, phase_id=phases,
+            query, tree, cursors, lambda rows: None, phase_id=phases,
             join_strategies=strategies,
         )
         canonical = canonical or plan.output_schema
