@@ -28,6 +28,7 @@ from repro.engine.operators.aggregate import GroupAccumulator
 from repro.engine.pipelined import PipelinedExecutor, PipelinedPlan, SourceCursor
 from repro.core.corrective import CorrectiveQueryProcessor
 from repro.experiments.common import build_dataset, paper_queries
+from repro.experiments.corrective import worst_left_deep_tree
 from repro.io.backends import compile_csv_decoder
 from repro.optimizer.enumerator import Optimizer
 from repro.optimizer.ordering import JoinStrategy
@@ -344,6 +345,12 @@ class TestArrivalSchedulePriming:
         assert list(source.open_stream()) == pairs
 
 
+@pytest.fixture(scope="module")
+def paper_dataset():
+    """Uniform TPC-H at SF 0.002, the shape a solo benchmark round runs."""
+    return build_dataset("uniform", 0.002, 0.0, 2004)
+
+
 def _tiny_workload():
     r = Relation(
         "r", Schema.from_names(["r_pk", "r_v"], relation="r"),
@@ -397,28 +404,35 @@ class TestEngineModeSurface:
                 query, JoinTree.left_deep(["r", "s"])
             )
 
-    def test_compiled_without_a_batch_size_equals_the_interpreted_kernel(self):
+    @pytest.mark.parametrize("start", ["optimizer", "worst"])
+    @pytest.mark.parametrize("name", ["Q3A", "Q10A", "Q5"])
+    def test_compiled_without_a_batch_size_equals_the_interpreted_kernel(
+        self, paper_dataset, name, start
+    ):
         """No ``batch_size``: both kernels step by the default prefetch, so
-        Q3A/Q10A/Q5 give the same answers, every counter (``batches_read``
-        too) and, to the last bit, the same simulated seconds."""
-        dataset = build_dataset("uniform", 0.002, 0.0, 2004)
-        for name, query in paper_queries(("Q3A", "Q10A", "Q5")).items():
-            interpreted, compiled_run = [
-                CorrectiveQueryProcessor(
-                    dataset.catalog_no_statistics.copy(),
-                    dataset.sources,
-                    polling_interval_seconds=0.25,
-                    engine_mode=mode,
-                ).execute(query)
-                for mode in ("interpreted", "compiled")
-            ]
-            assert sorted(compiled_run.rows) == sorted(interpreted.rows), name
-            assert (
-                compiled_run.metrics.as_dict() == interpreted.metrics.as_dict()
-            ), name
-            assert repr(compiled_run.simulated_seconds) == repr(
-                interpreted.simulated_seconds
-            ), name
+        each query gives the same answers, every counter (``batches_read``
+        too) and, to the last bit, the same simulated seconds — from the
+        optimizer's own plan and from ``worst_left_deep_tree``, the two
+        starts of a solo benchmark round and its reference answers."""
+        (query,) = paper_queries((name,)).values()
+        tree = worst_left_deep_tree(query, paper_dataset) if start == "worst" else None
+        interpreted, compiled_run = [
+            CorrectiveQueryProcessor(
+                paper_dataset.catalog_no_statistics.copy(),
+                paper_dataset.sources,
+                polling_interval_seconds=0.25,
+                engine_mode=mode,
+            ).execute(query, initial_tree=tree)
+            for mode in ("interpreted", "compiled")
+        ]
+        assert sorted(compiled_run.rows) == sorted(interpreted.rows)
+        assert compiled_run.metrics.as_dict() == interpreted.metrics.as_dict()
+        assert [p.tuples_read for p in compiled_run.phases] == [
+            p.tuples_read for p in interpreted.phases
+        ]
+        assert repr(compiled_run.simulated_seconds) == repr(
+            interpreted.simulated_seconds
+        )
 
     def test_corrective_validates_eagerly(self):
         query, sources = _tiny_workload()
@@ -428,7 +442,7 @@ class TestEngineModeSurface:
         for name, relation in sources.items():
             catalog.register(name, relation.schema)
         with pytest.raises(ValueError, match="batch_size"):
-            CorrectiveQueryProcessor(catalog, sources, engine_mode="compiled", batch_size=0)
+            CorrectiveQueryProcessor(catalog, sources, batch_size=0)
         with pytest.raises(ValueError, match="engine_mode"):
             CorrectiveQueryProcessor(catalog, sources, engine_mode="fused")
 
@@ -441,7 +455,7 @@ class TestEngineModeSurface:
         for name, relation in sources.items():
             catalog.register(name, relation.schema)
         with pytest.raises(ValueError, match="batch_size"):
-            ShardedQueryServer(catalog, sources, engine_mode="compiled", batch_size=0)
+            ShardedQueryServer(catalog, sources, batch_size=0)
 
     def test_modes_constant(self):
         assert ENGINE_MODES == ("interpreted", "compiled")

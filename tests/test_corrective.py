@@ -21,6 +21,18 @@ from repro.sources.remote import RemoteSource
 from repro.workloads.queries import query_3a, query_5, query_10a
 
 
+#: The engine configurations held to the oracle: the default step and three
+#: batch sizes on the compiled chains, and the interpreted kernel, which
+#: staged plans still run, at the default step.
+ENGINES = [
+    {},
+    {"batch_size": 1},
+    {"batch_size": 7},
+    {"batch_size": 64},
+    {"engine_mode": "interpreted"},
+]
+
+
 def bad_tree(query):
     """A deliberately poor left-deep order: biggest relations joined first."""
     order = ["lineitem", "orders", "customer", "supplier", "nation", "region"]
@@ -242,15 +254,17 @@ class TestPollWindows:
             )
         assert report.num_phases >= 2
         assert len(expected) > 2 * report.num_phases
-        for batch_size in (None, 1, 7, 64):
-            records, batched = self.observe_run(
-                monkeypatch, small_tpch, remote, batch_size=batch_size
-            )
+        for engine in ENGINES:
+            records, batched = self.observe_run(monkeypatch, small_tpch, remote, **engine)
             assert records == expected
             assert repr(batched.simulated_seconds) == repr(report.simulated_seconds)
 
     @pytest.mark.parametrize("remote", [False, True], ids=["local", "bursty"])
-    @pytest.mark.parametrize("engine", [{}, {"batch_size": 7}], ids=["default", "batch7"])
+    @pytest.mark.parametrize(
+        "engine",
+        [{}, {"batch_size": 7}, {"engine_mode": "interpreted"}],
+        ids=["default", "batch7", "interpreted"],
+    )
     def test_a_window_is_the_chunk_loop_it_replaced(
         self, small_tpch, monkeypatch, remote, engine
     ):
@@ -270,8 +284,8 @@ class TestPollWindows:
 class TestKernelCalls:
     """``batch_size`` does not shape a corrective run's kernel calls: every
     scheduled per-leaf group is one call, so each batch size, and the
-    default step, hands its kernels the same row counts, and all of them
-    match the tuple-at-a-time clock oracle."""
+    default step on either kernel, hands its kernels the same row counts,
+    and all of them match the tuple-at-a-time clock oracle."""
 
     @staticmethod
     def run(monkeypatch, dataset, query, remote, **engine):
@@ -326,10 +340,8 @@ class TestKernelCalls:
         counters = expected.metrics.as_dict()
         del counters["batches_read"]
         sequences = []
-        for batch_size in (None, 1, 7, 64):
-            report, calls = self.run(
-                monkeypatch, small_tpch, query, remote, batch_size=batch_size
-            )
+        for engine in ENGINES:
+            report, calls = self.run(monkeypatch, small_tpch, query, remote, **engine)
             sequences.append(calls)
             assert sorted(report.rows) == sorted(expected.rows)
             batched = report.metrics.as_dict()
@@ -339,7 +351,7 @@ class TestKernelCalls:
                 self.phase_view(p) for p in expected.phases
             ]
             assert repr(report.simulated_seconds) == repr(expected.simulated_seconds)
-        assert sequences[0] == sequences[1] == sequences[2] == sequences[3]
+        assert all(calls == sequences[0] for calls in sequences)
         assert expected.num_phases >= 2
         assert max(rows for _, _, rows in sequences[0]) > 64
 

@@ -1,5 +1,7 @@
 """Tests for the push-based pipelined hash-join network."""
 
+from dataclasses import dataclass, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.relational.expressions import (
     Comparison,
     Constant,
     JoinPredicate,
+    Predicate,
 )
 from repro.relational.schema import Schema
 from repro.sources.network import BurstyNetworkModel, ConstantRateNetworkModel
@@ -598,6 +601,64 @@ class TestStep:
             "tuple_copies": 9,
             "aggregate_updates": 0,
             "tuples_output": 9,
+            "batches_read": 1,
+        }
+        plan.finish_phase()
+        assert plan.clock.now == pytest.approx(
+            plan.metrics.work(ABLATION_WEIGHTS) * ABLATION_WEIGHTS.seconds_per_unit,
+            rel=1e-12,
+        )
+
+    @pytest.mark.parametrize(
+        "engine", [{"engine_mode": "interpreted"}, {}], ids=["interpreted", "compiled"]
+    )
+    def test_a_selection_that_raises_leaves_both_kernels_the_same_accounting(
+        self, engine
+    ):
+        """A selection that raises on the last row of the first group: the
+        error reaches the caller unchanged (the compiled chain's ``finally``
+        reads only tallies its prologue zeroed), and both kernels charge
+        the group's reads and predicate evaluations and nothing else."""
+
+        @dataclass(frozen=True)
+        class RaisingSelection(Predicate):
+            def compile(self, schema):
+                position = schema.position("r0_v")
+
+                def test(row):
+                    if row[position] == 2:
+                        raise RuntimeError("bad row")
+                    return True
+
+                return test
+
+            def attributes(self):
+                return frozenset({"r0_v"})
+
+            def estimated_selectivity(self):
+                return 1.0
+
+        streams = {
+            "r0": ([(1, 0), (1, 1), (1, 2)], [0.0] * 3),
+            "r1": ([(1, 7), (1, 8), (1, 9)], [0.0] * 3),
+        }
+        query = replace(
+            chain_query(2, selective=False), selections={"r0": RaisingSelection()}
+        )
+        plan, outputs = build_plan(query, streams, 2, ABLATION_WEIGHTS, [], **engine)
+        with pytest.raises(RuntimeError, match="bad row"):
+            plan.run_chunk(6)
+        assert outputs == []
+        assert plan.statistics.tuples_read == plan.metrics.tuples_read == 3
+        assert plan.metrics.as_dict() == {
+            "tuples_read": 3,
+            "hash_inserts": 0,
+            "hash_probes": 0,
+            "comparisons": 0,
+            "predicate_evals": 3,
+            "tuple_copies": 0,
+            "aggregate_updates": 0,
+            "tuples_output": 0,
             "batches_read": 1,
         }
         plan.finish_phase()
