@@ -44,10 +44,10 @@ class ProcessorOptions:
     #: polls every second of wall-clock); must be ``> 0``
     polling_interval_seconds: float = 1.0
     #: how much cheaper an alternative plan must be before the processor
-    #: switches to it
+    #: switches to it, in (0, 1]
     switch_threshold: float = 0.8
-    #: the most sequential plans one query may run through (a safety valve,
-    #: rarely reached)
+    #: the most sequential plans one query may run through, an int >= 1 (a
+    #: safety valve, rarely reached)
     max_phases: int = 8
     #: order-adaptive join processing: every cursor gets an order detector on
     #: its join attributes, catalog promises seed the ordering knowledge, the
@@ -69,18 +69,23 @@ class ProcessorOptions:
     #: so a recoverable outage is repaired rather than gated around.
     failover_adaptive: bool = False
     #: how long a source must stall within one poll for that poll to count
-    #: toward an outage (failover policy only)
+    #: toward an outage, > 0 (failover policy only)
     failover_stall_seconds: float = 0.05
 
     def __post_init__(self) -> None:
+        # Each test is written so that NaN fails it too: a non-positive
+        # interval makes every poll window empty, and the phase loop would
+        # never end.
+        for name, valid, rule in (
+            ("batch_size", self.batch_size is None or isinstance(self.batch_size, int), "an int"),
+            ("polling_interval_seconds", self.polling_interval_seconds > 0, "> 0"),
+            ("switch_threshold", 0 < self.switch_threshold <= 1, "in (0, 1]"),
+            ("max_phases", isinstance(self.max_phases, int) and self.max_phases >= 1, "an int >= 1"),
+            ("failover_stall_seconds", self.failover_stall_seconds > 0, "> 0"),
+        ):
+            if not valid:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         validate_engine_mode(self.engine_mode, self.batch_size)
-        # Written so that NaN fails too: a non-positive interval makes every
-        # poll window empty, and the phase loop would never end.
-        if not (self.polling_interval_seconds > 0):
-            raise ValueError(
-                "polling_interval_seconds must be > 0, got "
-                f"{self.polling_interval_seconds!r}"
-            )
 
 
 _KNOBS = frozenset(field.name for field in fields(ProcessorOptions))

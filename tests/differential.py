@@ -1,97 +1,215 @@
-"""Differential testing harness for the execution engines.
+"""The differential harness: one case table, one runner, one check.
 
-Generates seeded random SPJA queries over randomized relations and runs each
-one through every engine configuration:
+The corrective processor may switch plans, stitch up partial results, fail
+over to a mirror or change join algorithm mid-query; none of it may change
+the answer.  Every row of ``test_differential.CASES`` is a seed plus one
+value per axis:
 
-* a brute-force reference evaluation (``helpers.reference_spja``) — the
-  independent oracle;
-* the static executor (optimizer-chosen tree);
-* the pipelined engine on a fixed join tree, under the tuple-at-a-time
-  clock oracle and at several batch sizes;
-* the corrective query processor, under the oracle and at several batch
-  sizes, forced to start from a deliberately poor plan so that multi-phase
-  executions (and therefore stitch-up and phase accounting) get exercised.
+* ``kernel`` — :data:`KERNELS`: the clock oracle (``"oracle"``: the paper's
+  read rule one tuple at a time, :func:`helpers.tuple_at_a_time`, on the
+  interpreted kernel), the interpreted kernel at the default step, the
+  default configuration (``engine_mode=None, batch_size=None``: the compiled
+  chains), and the compiled chains at batch sizes 1, 7, 64 and 1024;
+* ``sources`` — :data:`SOURCES`: local relations, the generator's bursty
+  remote links, links collapsing below a promised rate, an outage with a
+  healthy mirror, sorted and near-sorted relations with and without sort
+  promises, and CSV/SQLite/HTTP backends behind faulted resilience
+  envelopes (each with a clean mirror envelope);
+* ``policies`` — :data:`POLICIES`: none, rate, failover, order, or all three;
+* ``serving`` — :data:`SERVING`: solo, one inline shard, 2 and 4 forked
+  workers, a spawned worker, or one query partitioned 2 or 4 ways next to a
+  plain session;
+* ``order`` — forward or reversed submission, for served rows only.
 
-Throughout this harness ``batch_size=None`` means the clock oracle
-(``helpers.tuple_at_a_time``): the paper's read rule applied one tuple at a
-time, each tuple its own kernel call.  Every configuration must produce the
-**identical multiset** of result rows, and every corrective configuration
-must report the **identical number of corrective phases** and the
-**identical simulated seconds** (``repr``-equal), on local and remote
-sources alike.  Both hold by construction: a schedule consumes the same
-per-source tuple counts at every poll boundary as the rule, reads only
-tuples that have arrived by the clock's reading and stalls only where the
-rule stalls (see ``PipelinedPlan._read_schedule`` and ``step_batch``), and
-the simulated clock that drives polling is a function of the work done and
-those stalls.
+:func:`check_case` runs a row and asserts, for every workload it serves:
+
+1. its answer equals :func:`helpers.reference_spja`;
+2. its rows, every :class:`~repro.engine.cost.ExecutionMetrics` counter,
+   ``repr(simulated_seconds)`` and phase count equal those of the oracle's
+   solo run over the same sources and policies — and so do the default
+   configuration's, which every row runs.  A partitioned query compares its
+   merged answer;
+3. with a policy on, its answer equals the default configuration's run
+   with the policies off, and where no policy's trigger is present (no
+   promised rate, no mirror, no order) the two runs are bit-identical.
+
+Rows over real backends check answers only (check 1), the contract the
+fault-injection suite has always held them to.
 
 All aggregate input values are integers, so grouped sums compare exactly
-regardless of the order in which each engine folds them.
+whatever order a kernel folds them in.
 """
 
 from __future__ import annotations
 
 import random
+import sqlite3
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from helpers import reference_spja, tuple_at_a_time
 
-from repro.baselines.static_executor import StaticExecutor
 from repro.core.corrective import CorrectiveQueryProcessor
-from repro.engine.pipelined import PipelinedExecutor
+from repro.io import (
+    CSVFileTransport,
+    DBAPITransport,
+    FaultPlan,
+    FixtureServer,
+    HTTPTransport,
+    InjectedTransport,
+    ResilientSource,
+)
+from repro.io.backends import write_csv, write_sqlite
 from repro.optimizer.plans import JoinTree
 from repro.relational.catalog import Catalog, TableStatistics
 from repro.relational.relation import Relation
+from repro.serving.partition import choose_partition_edge
 from repro.serving.sharded import ShardedQueryServer
 from repro.sources.network import PhasedRateNetworkModel
 from repro.sources.remote import RemoteSource
 from workload_generator import DifferentialWorkload, generate_workload
 
-#: Batch sizes every differential case is executed with (issue-mandated).
-BATCH_SIZES = (1, 7, 64, 1024)
-
-#: Batch sizes the compiled engine column runs at (a subset keeps the base
-#: suite's runtime in check; the dedicated compiled differential suite in
-#: ``test_differential_compiled.py`` covers the full equivalence contract).
-COMPILED_BATCH_SIZES = (7, 64)
-
-#: Re-optimization poll interval for the corrective runs.  Small enough that
-#: even the tiny randomized workloads get polled several times, so plan
-#: switches actually happen on a healthy fraction of the seeds.
+#: Re-optimization poll interval: small enough that even the tiny generated
+#: workloads are polled several times, so plans switch on many seeds.
 POLLING_INTERVAL = 0.002
 
-#: Tuples between clock checks (shared by every corrective configuration).
+#: Tuples between clock checks (a served session's quantum).
 POLL_STEP_LIMIT = 40
 
 #: The orders a served workload mix is submitted in.  Reversing it changes
-#: the shard each session lands in and the sessions that run, and are
-#: absorbed into the statistics cache, before it: neither may show in any
-#: served answer.
+#: the shard each session lands in and the sessions that run before it:
+#: neither may show in any served answer.
 SUBMISSION_ORDERS = ("forward", "reversed")
 
+#: kernel -> its ``ProcessorOptions`` fields.  The oracle additionally runs
+#: under :func:`helpers.tuple_at_a_time`; only it and ``"interpreted"`` pass
+#: ``engine_mode="interpreted"``.
+KERNELS = {
+    "oracle": {"engine_mode": "interpreted"},
+    "interpreted": {"engine_mode": "interpreted"},
+    "default": {},
+    **{
+        f"compiled{size}": {"engine_mode": "compiled", "batch_size": size}
+        for size in (1, 7, 64, 1024)
+    },
+}
+
+#: policies -> its ``ProcessorOptions`` fields (every run, policy or not,
+#: counts a poll stalled past 5 ms toward an outage).
+POLICIES = {
+    "none": {},
+    "rate": {"rate_adaptive": True},
+    "failover": {"failover_adaptive": True},
+    "order": {"order_adaptive": True},
+    "all": {"rate_adaptive": True, "failover_adaptive": True, "order_adaptive": True},
+}
+
+#: serving -> (workers, start method, workloads served).  A ``partN`` row
+#: submits its first workload partitioned N ways and the second as a plain
+#: session.
+SERVING = {
+    "solo": None,
+    "inline1": (1, "inline", 2),
+    "fork2": (2, "fork", 2),
+    "fork4": (4, "fork", 4),
+    "spawn": (1, "spawn", 2),
+    "part2": (2, "inline", 2),
+    "part4": (2, "inline", 2),
+}
+
+#: Real backends: their rows compare answers only.
+IO_SOURCES = ("csv", "sqlite", "http")
+ORDERED_SOURCES = ("sorted", "sorted_promised", "perturbed", "perturbed_promised")
+#: Promised orders start from the optimizer's plan, which may choose merge
+#: joins up front; every other row from a deliberately bad one.
+PROMISED_ORDERS = ("sorted_promised", "perturbed_promised")
+SOURCES = ("local", "bursty", "collapsing", "outage", *ORDERED_SOURCES, *IO_SOURCES)
+
+#: policy -> the sources on which it may act: a promised rate, a mirror, an
+#: order.  Elsewhere turning it on must change nothing at all.
+TRIGGERS = {
+    "rate": {"collapsing", "outage"},
+    "failover": {"outage", *IO_SOURCES},
+    "order": set(ORDERED_SOURCES),
+}
+
+PROMISED_RATE = 4000.0
+
+
+class Case(NamedTuple):
+    """One row of the table; its pytest id is its fields joined by ``-``
+    (a solo row has no order)."""
+
+    seed: int
+    kernel: str
+    sources: str
+    policies: str
+    serving: str
+    order: str = "-"
+
+    @property
+    def id(self) -> str:
+        return "-".join(str(value) for value in self if value != "-")
+
+
+def active_policies(policies: str) -> tuple[str, ...]:
+    """The policies a ``policies`` value turns on."""
+    return {"none": (), "all": ("rate", "failover", "order")}.get(policies, (policies,))
+
+
+def triggered(sources: str, policies: str) -> bool:
+    """Whether any policy ``policies`` turns on may act on ``sources``."""
+    return any(sources in TRIGGERS[policy] for policy in active_policies(policies))
+
+
+def case_workloads(case: Case) -> list[DifferentialWorkload]:
+    """The workloads a row serves: its seed alone, or ``seed + i`` for the
+    ``i``-th of a served mix, relation names prefixed ``w<i>_``."""
+    if case.serving == "solo":
+        return [_workload(case.seed, "")]
+    return [
+        _workload(case.seed + index, f"w{index}_")
+        for index in range(SERVING[case.serving][2])
+    ]
+
+
+_workload = lru_cache(maxsize=None)(generate_workload)
+
+
+# -- sources -------------------------------------------------------------------
+
+
+def bad_initial_tree(workload: DifferentialWorkload) -> JoinTree:
+    """A deliberately poor left-deep order: largest relations first (kept
+    connected), so the corrective processor has something worth switching
+    away from."""
+    query = workload.query
+    order = sorted(query.relations, key=lambda name: -len(workload.relations[name]))
+    chosen = [order[0]]
+    remaining = order[1:]
+    while remaining:
+        for name in list(remaining):
+            if query.predicates_between(frozenset(chosen), frozenset((name,))):
+                chosen.append(name)
+                remaining.remove(name)
+                break
+        else:  # pragma: no cover - generated join graphs are connected
+            chosen.extend(remaining)
+            break
+    return JoinTree.left_deep(chosen)
 
 
 def order_workload_variant(
     workload: DifferentialWorkload, variant: str
 ) -> tuple[DifferentialWorkload, dict[str, str]]:
-    """Derive a sorted / perturbed-sorted variant of a generated workload.
-
-    Each relation is re-ordered on one of its join attributes — the foreign
-    key when it has one (so child⋈parent joins line up sorted streams on
-    both sides), else its primary key.  ``variant``:
-
-    * ``"sorted"`` — rows exactly sorted on the chosen attribute;
-    * ``"perturbed"`` — sorted, then ~5% of adjacent pairs swapped (a
-      near-sorted stream that stays within the order detectors' tolerance).
-
-    Returns the re-ordered workload plus the chosen sort attribute per
-    relation (for registering ordering promises).  Row *multisets* are
-    unchanged, so the original workload's reference results still apply.
-    """
-    if variant not in ("sorted", "perturbed"):
-        raise ValueError(f"unknown order variant {variant!r}")
+    """A sorted (``"sorted"``) or near-sorted (``"perturbed"``: ~5% of
+    adjacent pairs swapped, within the order detectors' tolerance) copy of
+    a workload, each relation ordered on its foreign key if it has one,
+    else its primary key.  Returns it with the sort attribute per relation;
+    row multisets are unchanged."""
     rng = random.Random(workload.seed * 7919 + 13)
     relations: dict[str, Relation] = {}
     sort_attrs: dict[str, str] = {}
@@ -106,911 +224,347 @@ def order_workload_variant(
                 rows[i], rows[i + 1] = rows[i + 1], rows[i]
         relations[name] = Relation(name, relation.schema, rows)
         sort_attrs[name] = attr
-    ordered = DifferentialWorkload(
-        seed=workload.seed,
-        query=workload.query,
-        relations=relations,
-        remote=workload.remote,
-    )
-    return ordered, sort_attrs
+    return replace(workload, relations=relations), sort_attrs
 
 
 def order_catalog(
-    workload: DifferentialWorkload,
-    sort_attrs: dict[str, str],
-    with_promises: bool,
+    workload: DifferentialWorkload, sort_attrs: dict[str, str], with_promises: bool
 ) -> Catalog:
     """Catalog for an ordered workload, optionally carrying sort promises."""
-    from repro.relational.catalog import TableStatistics
-
     catalog = Catalog()
     for name, relation in workload.relations.items():
-        statistics = None
-        if with_promises:
-            statistics = TableStatistics(sorted_on=(sort_attrs[name],))
+        statistics = (
+            TableStatistics(sorted_on=(sort_attrs[name],)) if with_promises else None
+        )
         catalog.register(name, relation.schema, statistics)
     return catalog
 
 
-def _bad_initial_tree(workload: DifferentialWorkload) -> JoinTree:
-    """A deliberately poor left-deep order: largest relations first (kept
-    connected), so the corrective processor has something worth switching
-    away from."""
-    query = workload.query
-    order = sorted(query.relations, key=lambda name: -len(workload.relations[name]))
-    chosen = [order[0]]
-    remaining = [name for name in order[1:]]
-    while remaining:
-        for name in list(remaining):
-            if query.predicates_between(frozenset(chosen), frozenset((name,))):
-                chosen.append(name)
-                remaining.remove(name)
-                break
-        else:  # pragma: no cover - generated join graphs are connected
-            chosen.extend(remaining)
-            break
-    return JoinTree.left_deep(chosen)
-
-
-def _canonical_names(workload: DifferentialWorkload) -> list[str]:
-    """Canonical column order for a workload's results.
-
-    The reference evaluation's layout: relation schemas concatenated in
-    query order for SPJ queries; group attributes plus aggregate aliases for
-    aggregation queries (a layout every engine shares).
-    """
-    query = workload.query
-    if query.aggregation is None:
-        names: list[str] = []
-        for relation in query.relations:
-            names.extend(workload.relations[relation].schema.names)
-        return names
-    return list(query.aggregation.output_attributes)
-
-
-def _canonical_multiset(rows, schema_names, canonical_names) -> Counter:
-    """Multiset of rows with columns permuted into the canonical order.
-
-    Different join trees emit SPJ result tuples with the same values in
-    different column orders (each engine's layout follows its tree); since
-    attribute names are globally unique, permuting by name makes the
-    multisets directly comparable.
-    """
-    schema_names = tuple(schema_names)
-    canonical_names = tuple(canonical_names)
-    if schema_names == canonical_names:
-        return Counter(rows)
-    positions = [schema_names.index(name) for name in canonical_names]
-    return Counter(tuple(row[p] for p in positions) for row in rows)
-
-
-@dataclass
-class EngineObservables:
-    """Everything the engine-equivalence contracts pin for one run."""
-
-    multiset: Counter
-    metrics: dict[str, int]
-    simulated_seconds: float
-    phases: int
-
-
-def run_solo_corrective(
-    workload: DifferentialWorkload,
-    batch_size: int | None = None,
-    engine_mode: str = "interpreted",
-    catalog: Catalog | None = None,
-    sources: dict | None = None,
-    initial_tree: JoinTree | None = None,
-    polling_interval: float = POLLING_INTERVAL,
-    poll_step_limit: int = POLL_STEP_LIMIT,
-    bad_plan: bool = True,
-    **processor_options,
-):
-    """One solo corrective run of a differential workload.
-
-    The parameterized runner behind every solo differential column: engine
-    mode, batch size (``None``: the tuple-at-a-time clock oracle), and any
-    extra processor options (``order_adaptive``, ``rate_adaptive``, …) vary;
-    the bad initial tree (unless ``bad_plan`` is false: then the
-    optimizer's), polling cadence and canonicalization are shared.  Returns
-    ``(report, EngineObservables)``.
-    """
-    query = workload.query
-    if initial_tree is None and bad_plan:
-        initial_tree = _bad_initial_tree(workload)
-    with tuple_at_a_time() if batch_size is None else nullcontext():
-        report = CorrectiveQueryProcessor(
-            catalog if catalog is not None else workload.catalog(),
-            sources if sources is not None else workload.sources(),
-            polling_interval_seconds=polling_interval,
-            batch_size=batch_size,
-            engine_mode=engine_mode,
-            **processor_options,
-        ).execute(
-            query,
-            initial_tree=initial_tree,
-            poll_step_limit=poll_step_limit,
-        )
-    observables = EngineObservables(
-        multiset=_canonical_multiset(
-            report.rows, report.schema.names, _canonical_names(workload)
-        ),
-        metrics=report.metrics.as_dict(),
-        simulated_seconds=report.simulated_seconds,
-        phases=report.num_phases,
-    )
-    return report, observables
-
-
-@dataclass
-class DifferentialResult:
-    """Everything a differential case produced, for assertions and reports."""
-
-    seed: int
-    workload: DifferentialWorkload
-    reference: Counter
-    row_multisets: dict[str, Counter] = field(default_factory=dict)
-    phase_counts: dict[str, int] = field(default_factory=dict)
-    #: ``repr`` of each corrective column's simulated seconds
-    clocks: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def uses_aggregation(self) -> bool:
-        return self.workload.query.aggregation is not None
-
-    @property
-    def max_phases(self) -> int:
-        return max(self.phase_counts.values(), default=0)
-
-
-def run_differential_case(seed: int) -> DifferentialResult:
-    """Run one seed through every engine configuration and compare."""
-    workload = generate_workload(seed)
-    query = workload.query
-    catalog = workload.catalog()
-    fixed_tree = JoinTree.left_deep(query.relations)
-    bad_tree = _bad_initial_tree(workload)
-
-    canonical_names = _canonical_names(workload)
-
-    result = DifferentialResult(
-        seed=seed,
-        workload=workload,
-        reference=Counter(reference_spja(query, workload.relations)),
-    )
-
-    static_report = StaticExecutor(catalog, workload.sources()).execute(query)
-    result.row_multisets["static"] = _canonical_multiset(
-        static_report.rows,
-        canonical_names
-        if static_report.schema is None
-        else static_report.schema.names,
-        canonical_names,
-    )
-
-    engine_columns = [("pipelined", None, "interpreted")] + [
-        (f"batched[{batch_size}]", batch_size, "interpreted")
-        for batch_size in BATCH_SIZES
-    ] + [
-        (f"compiled[{batch_size}]", batch_size, "compiled")
-        for batch_size in COMPILED_BATCH_SIZES
-    ]
-    for label, batch_size, engine_mode in engine_columns:
-        with tuple_at_a_time() if batch_size is None else nullcontext():
-            rows, plan = PipelinedExecutor(
-                workload.sources(), batch_size=batch_size, engine_mode=engine_mode
-            ).execute(query, fixed_tree)
-        names = (
-            canonical_names
-            if query.aggregation is not None
-            else plan.output_schema.names
-        )
-        result.row_multisets[label] = _canonical_multiset(
-            rows, names, canonical_names
-        )
-
-    corrective_columns = [("corrective", None, "interpreted")] + [
-        (f"corrective[{batch_size}]", batch_size, "interpreted")
-        for batch_size in BATCH_SIZES
-    ] + [
-        (f"corrective-compiled[{batch_size}]", batch_size, "compiled")
-        for batch_size in COMPILED_BATCH_SIZES
-    ]
-    for label, batch_size, engine_mode in corrective_columns:
-        _, observables = run_solo_corrective(
-            workload,
-            batch_size=batch_size,
-            engine_mode=engine_mode,
-            catalog=catalog,
-            initial_tree=bad_tree,
-        )
-        result.row_multisets[label] = observables.multiset
-        result.phase_counts[label] = observables.phases
-        result.clocks[label] = repr(observables.simulated_seconds)
-
-    return result
-
-
-@dataclass
-class CompiledDifferentialResult:
-    """Interpreted-vs-compiled observables for one workload (solo corrective)."""
-
-    seed: int
-    workload: DifferentialWorkload
-    reference: Counter
-    interpreted: EngineObservables
-    compiled: EngineObservables
-
-
-def run_compiled_differential_case(
-    seed: int, batch_size: int = 64
-) -> CompiledDifferentialResult:
-    """Run one workload through corrective processing with both engines.
-
-    Both runs start from the same deliberately bad plan with identical
-    polling parameters, so they traverse the same phases — the compiled
-    engine must match the interpreted batched engine **bit for bit**:
-    result multiset, every work counter, simulated seconds (local *and*
-    remote sources — the compiled engine preserves even the clock-charge
-    granularity) and the number of corrective phases.
-    """
-    workload = generate_workload(seed)
-    query = workload.query
-    observed = {}
-    for engine_mode in ("interpreted", "compiled"):
-        _, observed[engine_mode] = run_solo_corrective(
-            workload, batch_size=batch_size, engine_mode=engine_mode
-        )
-    return CompiledDifferentialResult(
-        seed=seed,
-        workload=workload,
-        reference=Counter(reference_spja(query, workload.relations)),
-        interpreted=observed["interpreted"],
-        compiled=observed["compiled"],
-    )
-
-
-def assert_compiled_differential_case(result: CompiledDifferentialResult) -> None:
-    """Assert the full bit-identical contract for one solo compiled case."""
-    name = result.workload.query.name
-    assert result.interpreted.multiset == result.reference, (
-        f"seed {result.seed}: interpreted corrective run disagrees with the "
-        f"reference oracle on {name}"
-    )
-    assert result.compiled.multiset == result.reference, (
-        f"seed {result.seed}: compiled corrective run disagrees with the "
-        f"reference oracle on {name}"
-    )
-    assert result.compiled.metrics == result.interpreted.metrics, (
-        f"seed {result.seed}: compiled work counters diverge on {name}: "
-        f"{result.compiled.metrics} vs {result.interpreted.metrics}"
-    )
-    assert result.compiled.simulated_seconds == result.interpreted.simulated_seconds, (
-        f"seed {result.seed}: compiled simulated seconds diverge on {name} "
-        f"({result.compiled.simulated_seconds!r} vs "
-        f"{result.interpreted.simulated_seconds!r})"
-    )
-    assert result.compiled.phases == result.interpreted.phases, (
-        f"seed {result.seed}: compiled phase count diverges on {name} "
-        f"({result.compiled.phases} vs {result.interpreted.phases})"
-    )
-
-
-@dataclass
-class CompiledServingDifferentialResult:
-    """Interpreted-vs-compiled comparison of one whole serving run."""
-
-    seeds: tuple[int, ...]
-    order: str
-    batch_size: int
-    workloads: list[DifferentialWorkload]
-    references: list[Counter]
-    interpreted: list[EngineObservables]
-    compiled: list[EngineObservables]
-    interpreted_makespan: float
-    compiled_makespan: float
-
-
-def run_compiled_serving_differential_case(
-    seeds, order: str = "forward", batch_size: int = 64
-) -> CompiledServingDifferentialResult:
-    """Serve the same workload mix with both engines and collect observables.
-
-    Each engine's served sessions are held bit-identical to their solo runs
-    (:func:`serve_against_solo`); because the compiled engine charges
-    bit-identical work at bit-identical points, every served query must
-    also report identical answers, counters, simulated timings and phase
-    counts across the two engines — the whole serving run is replayed
-    exactly.
-    """
-    workloads = [
-        generate_workload(seed, name_prefix=f"w{index}_")
-        for index, seed in enumerate(seeds)
-    ]
-    references = [
-        Counter(reference_spja(workload.query, workload.relations))
-        for workload in workloads
-    ]
-
-    observed: dict[str, ShardedDifferentialResult] = {
-        engine_mode: serve_against_solo(
-            workloads, order, batch_size=batch_size, engine_mode=engine_mode
-        )
-        for engine_mode in ("interpreted", "compiled")
-    }
-    return CompiledServingDifferentialResult(
-        seeds=tuple(seeds),
-        order=order,
-        batch_size=batch_size,
-        workloads=workloads,
-        references=references,
-        interpreted=observed["interpreted"].served,
-        compiled=observed["compiled"].served,
-        interpreted_makespan=observed["interpreted"].report.makespan,
-        compiled_makespan=observed["compiled"].report.makespan,
-    )
-
-
-def assert_compiled_serving_differential_case(
-    result: CompiledServingDifferentialResult,
-) -> None:
-    """Assert the bit-identical contract for one served workload mix."""
-    for workload, reference, interpreted, compiled in zip(
-        result.workloads, result.references, result.interpreted, result.compiled
-    ):
-        name = workload.query.name
-        context = (
-            f"{result.order} submission, batch_size={result.batch_size}, "
-            f"query {name} (seed {workload.seed})"
-        )
-        assert interpreted.multiset == reference, (
-            f"{context}: interpreted served answer disagrees with the oracle"
-        )
-        assert compiled.multiset == reference, (
-            f"{context}: compiled served answer disagrees with the oracle"
-        )
-        assert compiled.metrics == interpreted.metrics, (
-            f"{context}: served work counters diverge"
-        )
-        assert compiled.simulated_seconds == interpreted.simulated_seconds, (
-            f"{context}: served simulated seconds diverge"
-        )
-        assert compiled.phases == interpreted.phases, (
-            f"{context}: served phase counts diverge"
-        )
-    assert result.compiled_makespan == result.interpreted_makespan, (
-        f"{result.order} submission: serving makespans diverge "
-        f"({result.compiled_makespan!r} vs {result.interpreted_makespan!r})"
-    )
-
-
-def rate_collapse_setup(
-    workload: DifferentialWorkload, promised_rate: float = 4000.0
-) -> tuple[Catalog, dict[str, object]]:
-    """Every source behind a rate-promising link that collapses then recovers.
-
-    The catalog carries each source's ``promised_rate`` and the network
-    delivers a 2% trickle before recovering at full rate, so the
-    source-rate policy's collapse detector fires on most seeds — the rate
-    differential suite then pins that whatever it does (read demotions,
-    rate-aware plan switches) never changes answers.
-    """
-    catalog = Catalog()
-    sources: dict[str, object] = {}
+def rate_collapse_setup(workload: DifferentialWorkload) -> tuple[Catalog, dict]:
+    """Every source behind a rate-promising link that delivers a 2% trickle,
+    then recovers: the source-rate policy's collapse detector fires on most
+    seeds."""
+    catalog, sources = Catalog(), {}
     for index, (name, relation) in enumerate(workload.relations.items()):
         network = PhasedRateNetworkModel(
-            [(0.004 + 0.002 * index, 0.02 * promised_rate)],
-            tail_rate=promised_rate,
+            [(0.004 + 0.002 * index, 0.02 * PROMISED_RATE)],
+            tail_rate=PROMISED_RATE,
             latency=0.0005,
         )
-        sources[name] = RemoteSource(
-            relation, network, promised_rate=promised_rate
-        )
+        sources[name] = RemoteSource(relation, network, promised_rate=PROMISED_RATE)
         catalog.register(
-            name, relation.schema, TableStatistics(promised_rate=promised_rate)
+            name, relation.schema, TableStatistics(promised_rate=PROMISED_RATE)
         )
     return catalog, sources
 
 
-@dataclass
-class RateDifferentialResult:
-    """Static-vs-rate-adaptive observables for one collapsed-source workload."""
-
-    seed: int
-    workload: DifferentialWorkload
-    reference: Counter
-    static: EngineObservables
-    adaptive: EngineObservables
-    rate_switches: int
-    reprioritizations: int
-
-
-def run_rate_differential_case(
-    seed: int, batch_size: int | None = 64
-) -> RateDifferentialResult:
-    """Run one workload over collapsing sources with and without rate adaptivity.
-
-    Both runs start from the same deliberately bad plan; the adaptive run's
-    result multiset must match the static run and the reference oracle no
-    matter what the source-rate policy decided to do.
-    """
-    workload = generate_workload(seed)
-    observed = {}
-    details = {}
-    for rate_adaptive in (False, True):
-        catalog, sources = rate_collapse_setup(workload)
-        report, observables = run_solo_corrective(
-            workload,
-            batch_size=batch_size,
-            catalog=catalog,
-            sources=sources,
-            rate_adaptive=rate_adaptive,
-        )
-        observed[rate_adaptive] = observables
-        details[rate_adaptive] = report.details.get("adaptation", {})
-    switches = [
-        switch
-        for switch in details[True].get("switches", [])
-        if switch["policy"] == "source_rate"
-    ]
-    return RateDifferentialResult(
-        seed=seed,
-        workload=workload,
-        reference=Counter(reference_spja(workload.query, workload.relations)),
-        static=observed[False],
-        adaptive=observed[True],
-        rate_switches=len(switches),
-        reprioritizations=details[True].get("reprioritizations", 0),
-    )
-
-
-def assert_rate_differential_case(result: RateDifferentialResult) -> None:
-    """Assert the answers-never-change contract for one rate case."""
-    name = result.workload.query.name
-    assert result.static.multiset == result.reference, (
-        f"seed {result.seed}: static run over collapsing sources disagrees "
-        f"with the reference oracle on {name}"
-    )
-    assert result.adaptive.multiset == result.reference, (
-        f"seed {result.seed}: rate-adaptive run disagrees with the reference "
-        f"oracle on {name} (switches={result.rate_switches}, "
-        f"reprioritizations={result.reprioritizations})"
-    )
-
-
-def mirror_outage_setup(
-    workload: DifferentialWorkload, promised_rate: float = 4000.0
-) -> tuple[Catalog, dict[str, object]]:
-    """Every source: healthy opening burst, then a sustained outage — with a
-    healthy mirror registered on each primary.
-
-    The primary delivers at full promised rate for a few milliseconds, then
-    collapses into a deep trickle (0.5% of the promise) for the rest of the
-    run; a replica behind a healthy constant-rate link is registered as its
-    mirror.  With ``failover_adaptive=True`` the mirror-failover policy
-    detects the sustained outage and resumes the remainder of each stream
-    from the mirror; the differential suite pins that the stitched
-    partial-primary + resumed-mirror reads answer bit-identically to the
-    no-failover run and the brute-force oracle.
-    """
-    catalog = Catalog()
-    sources: dict[str, object] = {}
+def mirror_outage_setup(workload: DifferentialWorkload) -> tuple[Catalog, dict]:
+    """Every source: a healthy opening burst, then a sustained outage (0.5%
+    of its promised rate), with a healthy mirror registered on it."""
+    catalog, sources = Catalog(), {}
     for index, (name, relation) in enumerate(workload.relations.items()):
-        outage_network = PhasedRateNetworkModel(
-            [
-                (0.003 + 0.001 * index, promised_rate),
-                (30.0, 0.005 * promised_rate),
-            ],
-            tail_rate=promised_rate,
+        outage = PhasedRateNetworkModel(
+            [(0.003 + 0.001 * index, PROMISED_RATE), (30.0, 0.005 * PROMISED_RATE)],
+            tail_rate=PROMISED_RATE,
             latency=0.0005,
         )
-        mirror_network = PhasedRateNetworkModel(
-            [(0.001, promised_rate)],
-            tail_rate=promised_rate,
-            latency=0.0005,
+        healthy = PhasedRateNetworkModel(
+            [(0.001, PROMISED_RATE)], tail_rate=PROMISED_RATE, latency=0.0005
         )
-        primary = RemoteSource(relation, outage_network, promised_rate=promised_rate)
+        primary = RemoteSource(relation, outage, promised_rate=PROMISED_RATE)
         primary.register_mirror(
             RemoteSource(
-                relation,
-                mirror_network,
-                name=f"{name}_mirror",
-                promised_rate=promised_rate,
+                relation, healthy, name=f"{name}_mirror", promised_rate=PROMISED_RATE
             )
         )
         sources[name] = primary
         catalog.register(
-            name, relation.schema, TableStatistics(promised_rate=promised_rate)
+            name, relation.schema, TableStatistics(promised_rate=PROMISED_RATE)
         )
     return catalog, sources
 
 
-@dataclass
-class MirrorDifferentialResult:
-    """No-failover vs mirror-failover observables for one outage workload."""
-
-    seed: int
-    workload: DifferentialWorkload
-    reference: Counter
-    static: EngineObservables
-    failover: EngineObservables
-    failovers: int
-    failover_details: list[dict]
+def fault_plan(seed: int, index: int, row_count: int) -> FaultPlan:
+    """The seeded fault plan of relation ``index`` of workload ``seed``."""
+    return FaultPlan.seeded(seed * 1009 + index, row_count)
 
 
-def run_mirror_differential_case(
-    seed: int, batch_size: int | None = 64
-) -> MirrorDifferentialResult:
-    """Run one workload over outage-bound mirrored sources with and without
-    mirror failover.
+class IoFabric:
+    """Where real-backend rows put their files and HTTP endpoints: one
+    scratch directory and, once an HTTP row asks, one fixture server.  Every
+    build registers fresh names, so each run replays its fault plans from
+    the start."""
 
-    Both runs start from the same deliberately bad plan; the failover run's
-    result multiset must match the no-failover run and the reference oracle
-    no matter which sources failed over (only arrival times may differ).
-    """
-    workload = generate_workload(seed)
-    observed = {}
-    details = {}
-    for failover_adaptive in (False, True):
-        catalog, sources = mirror_outage_setup(workload)
-        report, observables = run_solo_corrective(
-            workload,
-            batch_size=batch_size,
-            catalog=catalog,
-            sources=sources,
-            failover_adaptive=failover_adaptive,
-            failover_stall_seconds=0.005,
+    def __init__(self, directory) -> None:
+        self.directory = directory
+        self.builds = 0
+        self.server: FixtureServer | None = None
+
+    def close(self) -> None:
+        if self.server is not None:
+            self.server.close()
+
+    def transports(self, backend: str, name: str, relation: Relation, plan):
+        """(faulted primary transport, clean mirror transport)."""
+        key = f"{name}.{self.builds}"
+        if backend == "http":
+            if self.server is None:
+                self.server = FixtureServer().start()
+            return (
+                HTTPTransport(name, self.server.add_relation(key, relation, plan), relation.schema),
+                HTTPTransport(name, self.server.add_relation(f"{key}.m", relation), relation.schema),
+            )
+        if backend == "csv":
+            path = str(self.directory / f"{key}.csv")
+            write_csv(path, relation)
+            make = partial(CSVFileTransport, name, path, relation.schema)
+        else:
+            path = str(self.directory / f"{key}.db")
+            text = write_sqlite(path, relation)
+            make = partial(
+                DBAPITransport, name, partial(sqlite3.connect, path), text, relation.schema
+            )
+        return InjectedTransport(make(), plan), make()
+
+    def sources(self, backend: str, workload: DifferentialWorkload) -> dict:
+        self.builds += 1
+        sources = {}
+        for index, (name, relation) in enumerate(workload.relations.items()):
+            plan = fault_plan(workload.seed, index, len(relation.rows))
+            primary, mirror = self.transports(backend, name, relation, plan)
+            sources[name] = ResilientSource(primary)
+            sources[name].register_mirror(ResilientSource(mirror))
+        return sources
+
+
+def build_sources(
+    kind: str, workload: DifferentialWorkload, fabric: IoFabric | None
+) -> tuple[Catalog, dict]:
+    """The catalog and source pool of one ``sources`` axis value."""
+    if kind == "local":
+        return workload.catalog(), dict(workload.relations)
+    if kind == "bursty":
+        return workload.catalog(), replace(workload, remote=True).sources()
+    if kind == "collapsing":
+        return rate_collapse_setup(workload)
+    if kind == "outage":
+        return mirror_outage_setup(workload)
+    if kind in ORDERED_SOURCES:
+        variant, _, promised = kind.partition("_")
+        ordered, sort_attrs = order_workload_variant(workload, variant)
+        return order_catalog(ordered, sort_attrs, bool(promised)), dict(ordered.relations)
+    assert fabric is not None, f"{kind} sources need an IoFabric"
+    return workload.catalog(), fabric.sources(kind, workload)
+
+
+# -- runs ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Observed:
+    """Everything the contract pins of one query's run."""
+
+    multiset: Counter
+    metrics: dict
+    seconds: str
+    phases: int
+
+
+def canonical_multiset(rows, schema_names, workload: DifferentialWorkload) -> Counter:
+    """Rows with columns permuted from ``schema_names`` (``None``: already
+    canonical) into the reference layout — relation schemas in query order,
+    or group attributes plus aggregate aliases: join trees lay SPJ columns
+    out differently, and attribute names are unique."""
+    query = workload.query
+    if query.aggregation is None:
+        canonical = tuple(
+            name for relation in query.relations
+            for name in workload.relations[relation].schema.names
         )
-        observed[failover_adaptive] = observables
-        details[failover_adaptive] = report.details.get("adaptation", {})
-    failover_details = details[True].get("failovers", [])
-    return MirrorDifferentialResult(
-        seed=seed,
-        workload=workload,
-        reference=Counter(reference_spja(workload.query, workload.relations)),
-        static=observed[False],
-        failover=observed[True],
-        failovers=len(failover_details),
-        failover_details=failover_details,
+    else:
+        canonical = tuple(query.aggregation.output_attributes)
+    schema_names = canonical if schema_names is None else tuple(schema_names)
+    if schema_names == canonical:
+        return Counter(rows)
+    positions = [schema_names.index(name) for name in canonical]
+    return Counter(tuple(row[p] for p in positions) for row in rows)
+
+
+def observe(report, workload: DifferentialWorkload) -> Observed:
+    return Observed(
+        canonical_multiset(report.rows, report.schema.names, workload),
+        report.metrics.as_dict(),
+        repr(report.simulated_seconds),
+        report.num_phases,
     )
 
 
-def assert_mirror_differential_case(result: MirrorDifferentialResult) -> None:
-    """Assert the answers-never-change contract for one mirror-failover case."""
-    name = result.workload.query.name
-    assert result.static.multiset == result.reference, (
-        f"seed {result.seed}: no-failover run over outage sources disagrees "
-        f"with the reference oracle on {name}"
-    )
-    assert result.failover.multiset == result.reference, (
-        f"seed {result.seed}: mirror-failover run disagrees with the "
-        f"reference oracle on {name} (failovers={result.failover_details})"
+def processor_options(kernel: str, policies: str) -> dict:
+    return dict(
+        polling_interval_seconds=POLLING_INTERVAL,
+        failover_stall_seconds=0.005,
+        **KERNELS[kernel],
+        **POLICIES[policies],
     )
 
 
-def assert_differential_case(result: DifferentialResult) -> None:
-    """Assert the equivalence contract for one differential case."""
-    for label, multiset in result.row_multisets.items():
-        assert multiset == result.reference, (
-            f"seed {result.seed}: engine {label!r} disagrees with the "
-            f"reference evaluation on query {result.workload.query.name} "
-            f"({len(multiset)} distinct rows vs {len(result.reference)}); "
-            f"query:\n{result.workload.query.describe()}"
-        )
-    assert all(count >= 1 for count in result.phase_counts.values())
-    phase_counts = set(result.phase_counts.values())
-    assert len(phase_counts) <= 1, (
-        f"seed {result.seed}: corrective phase counts diverge across "
-        f"batch sizes: {result.phase_counts} for query "
-        f"{result.workload.query.name}"
-    )
-    assert len(set(result.clocks.values())) == 1, (
-        f"seed {result.seed}: corrective simulated seconds diverge "
-        f"across engine modes: {result.clocks} for query "
-        f"{result.workload.query.name}"
-    )
+def kernel_context(kernel: str):
+    return tuple_at_a_time() if kernel == "oracle" else nullcontext()
 
 
-def _schemas_only(workload: DifferentialWorkload) -> tuple[Catalog, dict]:
-    """A workload's own catalog (schemas only) and sources."""
-    return workload.catalog(), workload.sources()
-
-
-def run_sharded_workloads(
-    workloads: list[DifferentialWorkload],
-    order: str = "forward",
-    workers: int = 1,
-    batch_size: int | None = None,
-    engine_mode: str = "interpreted",
-    start_method: str | None = "inline",
-    setup=_schemas_only,
-    bad_plan: bool = True,
+def run_corrective(
+    workload: DifferentialWorkload,
+    catalog: Catalog,
+    sources: dict,
+    kernel: str = "default",
+    policies: str = "none",
+    optimizer_plan: bool = False,
     **options,
 ):
-    """One serving run over prefix-namespaced differential workloads.
+    """One solo corrective run from the bad initial tree (or, with
+    ``optimizer_plan``, the optimizer's); returns the report.  ``options``
+    are further ``ProcessorOptions`` fields."""
+    with kernel_context(kernel):
+        return CorrectiveQueryProcessor(
+            catalog, sources, **{**processor_options(kernel, policies), **options}
+        ).execute(
+            workload.query,
+            initial_tree=None if optimizer_plan else bad_initial_tree(workload),
+            poll_step_limit=POLL_STEP_LIMIT,
+        )
 
-    The workload mix is admitted to one
-    :class:`~repro.serving.sharded.ShardedQueryServer` with ``workers``
-    shards (in-process by default), whose pool merges what ``setup`` gives
-    each workload (catalog entries and sources); each session is forced to
-    start from its deliberately bad join order unless ``bad_plan`` is false.
-    ``order`` (one of :data:`SUBMISSION_ORDERS`) is the order the mix is
-    submitted in.  Returns ``(ServingReport, [EngineObservables])`` with one
-    observables entry per workload, in the order of ``workloads``.
-    """
-    if order not in SUBMISSION_ORDERS:
-        raise ValueError(f"unknown submission order {order!r}")
-    catalog = Catalog()
-    sources: dict[str, object] = {}
+
+_SOLO: dict[tuple, tuple] = {}
+
+
+def solo(
+    workload: DifferentialWorkload,
+    kernel: str,
+    sources: str,
+    policies: str,
+    fabric: IoFabric | None = None,
+):
+    """One solo :func:`run_corrective` over a ``sources`` axis value,
+    memoized per query and axis values: ``(report, Observed)``."""
+    key = (workload.query.name, kernel, sources, policies)
+    if key not in _SOLO:
+        report = run_corrective(
+            workload,
+            *build_sources(sources, workload, fabric),
+            kernel,
+            policies,
+            optimizer_plan=sources in PROMISED_ORDERS,
+        )
+        _SOLO[key] = (report, observe(report, workload))
+    return _SOLO[key]
+
+
+_REFERENCE: dict[str, Counter] = {}
+
+
+def reference(workload: DifferentialWorkload) -> Counter:
+    name = workload.query.name
+    if name not in _REFERENCE:
+        _REFERENCE[name] = Counter(reference_spja(workload.query, workload.relations))
+    return _REFERENCE[name]
+
+
+def serve(case: Case, workloads: list[DifferentialWorkload], fabric):
+    """Serve a row's workloads on one server; returns the report and, per
+    workload, its served ``Observed`` (a partitioned query: its merged
+    multiset only)."""
+    workers, start_method, _ = SERVING[case.serving]
+    partitions = int(case.serving[4:]) if case.serving.startswith("part") else 0
+    catalog, pool = Catalog(), {}
     for workload in workloads:
-        sub_catalog, sub_sources = setup(workload)
+        sub_catalog, sub_pool = build_sources(case.sources, workload, fabric)
         for name in workload.relations:
-            catalog.register(
-                name, sub_catalog.schema(name), sub_catalog.statistics(name)
-            )
-        sources.update(sub_sources)
+            catalog.register(name, sub_catalog.schema(name), sub_catalog.statistics(name))
+        pool.update(sub_pool)
+    if partitions:
+        # The partitioned join edge must be materialized: those two relations
+        # are local, every other one is of the row's kind.
+        first = workloads[0]
+        edge = choose_partition_edge(first.query, first.relations)
+        for name in (edge.left_relation, edge.right_relation):
+            if not isinstance(pool[name], Relation):
+                pool[name] = first.relations[name]
     server = ShardedQueryServer(
         catalog,
-        sources,
+        pool,
         workers=workers,
-        batch_size=batch_size,
         quantum_tuples=POLL_STEP_LIMIT,
-        polling_interval_seconds=POLLING_INTERVAL,
-        engine_mode=engine_mode,
         start_method=start_method,
-        **options,
+        **processor_options(case.kernel, case.policies),
     )
-    reverse = order == "reversed"
-    for workload in reversed(workloads) if reverse else workloads:
-        server.submit(
-            workload.query,
-            initial_tree=_bad_initial_tree(workload) if bad_plan else None,
-            label=workload.query.name,
-        )
-    report = server.run()
-    assert len(report.served) == len(workloads)
-    observables = []
-    served_queries = reversed(report.served) if reverse else report.served
-    for served, workload in zip(served_queries, workloads):
-        assert served.query_name == workload.query.name
-        observables.append(
-            EngineObservables(
-                multiset=_canonical_multiset(
-                    served.rows,
-                    served.report.schema.names,
-                    _canonical_names(workload),
+    submissions = list(enumerate(workloads))
+    for index, workload in submissions[::-1] if case.order == "reversed" else submissions:
+        if partitions and index == 0:
+            server.submit_partitioned(workload.query, partitions, label=workload.query.name)
+        else:
+            server.submit(
+                workload.query,
+                initial_tree=(
+                    None if case.sources in PROMISED_ORDERS else bad_initial_tree(workload)
                 ),
-                metrics=served.report.metrics.as_dict(),
-                simulated_seconds=served.report.simulated_seconds,
-                phases=served.phases,
+                label=workload.query.name,
             )
-        )
-    return report, observables
+    with kernel_context(case.kernel):
+        report = server.run()
+    # The run really sharded the work: every worker ran a session.
+    assert report.start_method == start_method
+    assert len(report.worker_summaries) == workers
+    assert all(summary.sessions >= 1 for summary in report.worker_summaries)
+    by_label = {served.label: served for served in report.served}
+    observed = []
+    for index, workload in enumerate(workloads):
+        if partitions and index == 0:
+            (merged,) = report.partitioned
+            assert merged.partitions == len(merged.fragments) == partitions
+            if workload.query.aggregation is None:
+                # co-located hash partitions split the SPJ answer exactly
+                assert sum(len(f.report.rows) for f in merged.fragments) == len(merged.rows)
+            observed.append(
+                Observed(canonical_multiset(merged.rows, merged.schema.names, workload), {}, "", 0)
+            )
+        else:
+            observed.append(observe(by_label[workload.query.name].report, workload))
+    return report, observed
 
 
-@dataclass
-class ShardedDifferentialResult:
-    """One served-vs-solo differential run, for assertions and meta-tests."""
-
-    order: str
-    workers: int
-    batch_size: int | None
-    engine_mode: str
-    start_method: str | None
-    workloads: list[DifferentialWorkload]
-    report: object  # repro.serving.sharded.ServingReport
-    solo: list[EngineObservables]
-    served: list[EngineObservables]
-
-    @property
-    def num_remote(self) -> int:
-        return sum(1 for workload in self.workloads if workload.remote)
-
-    @property
-    def served_phase_counts(self) -> list[int]:
-        return [observables.phases for observables in self.served]
-
-
-def serve_against_solo(
-    workloads: list[DifferentialWorkload],
-    order: str = "forward",
-    workers: int = 1,
-    batch_size: int | None = None,
-    engine_mode: str = "interpreted",
-    start_method: str | None = "inline",
-    setup=_schemas_only,
-    bad_plan: bool = True,
-    **options,
-) -> ShardedDifferentialResult:
-    """Serve several differential workloads; verify each answer
-    **bit-identically** against its solo corrective run.
-
-    Every session is one plain corrective execution on its own clock,
-    exactly like solo execution, so not just multisets but work counters,
-    simulated seconds (``repr``-equal) *and* phase counts must equal the
-    solo run with identical parameters (the same ``setup``, ``bad_plan`` and
-    processor ``options``), on every worker count, submission order, engine
-    mode and start method.  Every solo run must also match the brute-force
-    oracle.
-    """
-    solo_observables = []
-    for workload in workloads:
-        reference = Counter(reference_spja(workload.query, workload.relations))
-        catalog, sources = setup(workload)
-        _, solo = run_solo_corrective(
-            workload,
-            batch_size=batch_size,
-            engine_mode=engine_mode,
-            catalog=catalog,
-            sources=sources,
-            bad_plan=bad_plan,
-            **options,
-        )
-        assert solo.multiset == reference, (
-            f"solo corrective run disagrees with the reference oracle on "
-            f"query {workload.query.name} (seed {workload.seed})"
-        )
-        solo_observables.append(solo)
-
-    report, served_observables = run_sharded_workloads(
-        workloads,
-        order,
-        workers,
-        batch_size=batch_size,
-        engine_mode=engine_mode,
-        start_method=start_method,
-        setup=setup,
-        bad_plan=bad_plan,
-        **options,
-    )
-    for served, solo, workload in zip(
-        served_observables, solo_observables, workloads
-    ):
-        context = (
-            f"workers={workers}, {order} submission, batch_size={batch_size}, "
-            f"engine={engine_mode}, start={start_method!r}: served query "
-            f"{workload.query.name!r} (seed {workload.seed})"
-        )
-        assert served.multiset == solo.multiset, (
-            f"{context} disagrees with its solo/reference multiset; query:\n"
-            f"{workload.query.describe()}"
-        )
-        assert served.metrics == solo.metrics, (
-            f"{context}: work counters diverge from solo"
-        )
-        assert served.simulated_seconds == solo.simulated_seconds, (
-            f"{context}: simulated seconds diverge from solo "
-            f"({served.simulated_seconds!r} vs {solo.simulated_seconds!r})"
-        )
-        assert served.phases == solo.phases, (
-            f"{context}: phase counts diverge from solo "
-            f"({served.phases} vs {solo.phases})"
-        )
-    return ShardedDifferentialResult(
-        order=order,
-        workers=workers,
-        batch_size=batch_size,
-        engine_mode=engine_mode,
-        start_method=start_method,
-        workloads=workloads,
-        report=report,
-        solo=solo_observables,
-        served=served_observables,
-    )
-
-
-def run_sharded_differential_case(
-    seeds,
-    order: str,
-    workers: int,
-    batch_size: int | None = None,
-    engine_mode: str = "interpreted",
-    start_method: str | None = None,
-) -> ShardedDifferentialResult:
-    """:func:`serve_against_solo` over one generated workload per seed,
-    relation names prefixed ``w<i>_`` so they coexist in one catalog."""
-    workloads = [
-        generate_workload(seed, name_prefix=f"w{index}_")
-        for index, seed in enumerate(seeds)
-    ]
-    return serve_against_solo(
-        workloads,
-        order,
-        workers,
-        batch_size=batch_size,
-        engine_mode=engine_mode,
-        start_method=start_method,
-    )
-
-
-@dataclass
-class PartitionDifferentialResult:
-    """One partition-parallel-vs-solo differential run."""
-
-    seed: int
-    partitions: int
-    workers: int
-    batch_size: int | None
-    engine_mode: str
-    workload: DifferentialWorkload
-    reference: Counter
-    solo: EngineObservables
-    merged: Counter
-    report: object  # repro.serving.sharded.ServingReport
-
-    @property
-    def partitioned(self):
-        return self.report.partitioned[0]
-
-
-def run_partition_differential_case(
-    seed: int,
-    partitions: int,
-    workers: int = 2,
-    batch_size: int | None = None,
-    engine_mode: str = "interpreted",
-    start_method: str | None = None,
-    workload: DifferentialWorkload | None = None,
-) -> PartitionDifferentialResult:
-    """Execute one local workload partition-parallel; verify the merged
-    multiset against the solo run and the reference oracle.
-
-    Both join inputs of the heaviest edge are hash-partitioned, one fragment
-    session runs per partition (spread round-robin across ``workers``
-    shards), and the front-end merges fragment outputs at the root —
-    concatenation for SPJ queries, per-group partial-aggregate folding for
-    aggregation queries (avg decomposed into sum/count partials).  The merged
-    multiset must equal the unpartitioned answer exactly.
-    """
-    if workload is None:
-        workload = generate_workload(seed)
-    assert not workload.remote, (
-        "partition differential cases need materialized local relations"
-    )
-    query = workload.query
-    reference = Counter(reference_spja(query, workload.relations))
-    _, solo = run_solo_corrective(
-        workload, batch_size=batch_size, engine_mode=engine_mode
-    )
-    assert solo.multiset == reference, (
-        f"solo corrective run disagrees with the reference oracle on "
-        f"query {query.name} (seed {seed})"
-    )
-
-    server = ShardedQueryServer(
-        workload.catalog(),
-        workload.sources(),
-        workers=workers,
-        batch_size=batch_size,
-        quantum_tuples=POLL_STEP_LIMIT,
-        polling_interval_seconds=POLLING_INTERVAL,
-        engine_mode=engine_mode,
-        start_method=start_method,
-    )
-    label = server.submit_partitioned(query, partitions, label=query.name)
-    report = server.run()
-    assert len(report.partitioned) == 1 and report.partitioned[0].label == label
-    merged_query = report.partitioned[0]
-    assert len(merged_query.fragments) == partitions
-    merged = _canonical_multiset(
-        merged_query.rows, merged_query.schema.names, _canonical_names(workload)
-    )
-    assert merged == reference, (
-        f"seed {seed}, partitions={partitions}, workers={workers}, "
-        f"batch_size={batch_size}, engine={engine_mode}: partition-parallel "
-        f"merge disagrees with the reference oracle on {query.name} "
-        f"({len(merged)} distinct rows vs {len(reference)}); query:\n"
-        f"{query.describe()}"
-    )
-    return PartitionDifferentialResult(
-        seed=seed,
-        partitions=partitions,
-        workers=workers,
-        batch_size=batch_size,
-        engine_mode=engine_mode,
-        workload=workload,
-        reference=reference,
-        solo=solo,
-        merged=merged,
-        report=report,
-    )
+def check_case(case: Case, fabric: IoFabric | None = None):
+    """Run one row and assert the three checks; returns the serving report
+    (``None`` for a solo row)."""
+    workloads = case_workloads(case)
+    io = case.sources in IO_SOURCES
+    if case.serving == "solo":
+        report = None
+        rows = [solo(workloads[0], case.kernel, case.sources, case.policies, fabric)[1]]
+    else:
+        report, rows = serve(case, workloads, fabric)
+    partitioned = case.serving.startswith("part")
+    if report is not None and "order" in active_policies(case.policies):
+        if case.sources in PROMISED_ORDERS:
+            # what the sessions learned about orderings reaches the server
+            assert report.stats_cache_summary["orderings"] > 0, case.id
+    for index, (workload, row) in enumerate(zip(workloads, rows)):
+        context = f"{case.id}: query {workload.query.name}"
+        expected = reference(workload)
+        _, default = solo(workload, "default", case.sources, case.policies, fabric)
+        # 1. the answer is the reference's
+        assert row.multiset == expected, f"{context}: answer differs from the reference"
+        assert default.multiset == expected, f"{context}: default answer differs"
+        if io:
+            continue  # real backends: answers only
+        # 2. the whole run is the oracle's
+        _, oracle = solo(workload, "oracle", case.sources, case.policies)
+        assert default == oracle, f"{context}: default configuration diverges from the oracle"
+        if not (partitioned and index == 0):
+            assert row == oracle, f"{context}: run diverges from the oracle"
+        # 3. a policy changes no answer, and nothing at all where it cannot act
+        if case.policies != "none":
+            _, off = solo(workload, "default", case.sources, "none")
+            assert off.multiset == expected, f"{context}: policy-off answer differs"
+            if not triggered(case.sources, case.policies):
+                assert default == off, f"{context}: an untriggered policy changed the run"
+    return report

@@ -12,11 +12,10 @@ from __future__ import annotations
 import pytest
 
 from differential import (
-    _bad_initial_tree,
-    _canonical_multiset,
-    _canonical_names,
     POLL_STEP_LIMIT,
     POLLING_INTERVAL,
+    bad_initial_tree,
+    canonical_multiset,
 )
 from helpers import reference_spja, tuple_at_a_time
 from collections import Counter
@@ -126,7 +125,7 @@ class TestStubPolicyExtension:
         processor.adaptation.register(stub)
         report = processor.execute(
             workload.query,
-            initial_tree=_bad_initial_tree(workload),
+            initial_tree=bad_initial_tree(workload),
             poll_step_limit=POLL_STEP_LIMIT,
         )
         assert stub.began == 1
@@ -143,8 +142,8 @@ class TestStubPolicyExtension:
                 for phase in report.phases
             )
         # Whatever the stub did, answers are still exactly the oracle's.
-        assert _canonical_multiset(
-            report.rows, report.schema.names, _canonical_names(workload)
+        assert canonical_multiset(
+            report.rows, report.schema.names, workload
         ) == Counter(reference_spja(workload.query, workload.relations))
 
     def test_stub_policy_sees_population_where_forced_switch_lands(self):
@@ -162,7 +161,7 @@ class TestStubPolicyExtension:
             processor.adaptation.register(stub)
             report = processor.execute(
                 workload.query,
-                initial_tree=_bad_initial_tree(workload),
+                initial_tree=bad_initial_tree(workload),
                 poll_step_limit=POLL_STEP_LIMIT,
             )
             if stub.switched:
@@ -220,14 +219,14 @@ class TestStubPolicyExtension:
         )
         processor.adaptation.register(stub)
         report = processor.execute(
-            workload.query, initial_tree=_bad_initial_tree(workload)
+            workload.query, initial_tree=bad_initial_tree(workload)
         )
         adaptation = report.details["adaptation"]
         if stub.decides:
             assert adaptation["read_priorities"] == {demoted: 1}
             assert adaptation["reprioritizations"] == 1  # applied once, not per poll
-        assert _canonical_multiset(
-            report.rows, report.schema.names, _canonical_names(workload)
+        assert canonical_multiset(
+            report.rows, report.schema.names, workload
         ) == Counter(reference_spja(workload.query, workload.relations))
 
 

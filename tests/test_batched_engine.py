@@ -1,6 +1,6 @@
 """Unit tests for the batch-at-a-time execution primitives.
 
-The differential harness (``test_differential_batched.py``) proves end-to-end
+The differential table (``test_differential.py``) proves end-to-end
 equivalence; these tests pin down the individual batched building blocks —
 cursors, hash state, join nodes, the water-filling scheduler, batched
 aggregation — including their *counter* equivalence, which the simulated-clock

@@ -1,6 +1,6 @@
 """Unit tests for the compiled fused-pipeline engine and its satellites.
 
-The differential suites (``test_differential_compiled.py``) prove
+The differential table (``test_differential.py``) proves
 end-to-end bit-identity; these tests pin the individual contracts — the
 deferred-charging API, predicate source emission, the specialized
 aggregation fold, the tuple-adapter fast path, arrival-schedule priming

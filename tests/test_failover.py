@@ -4,14 +4,14 @@ Bottom-up over the three layers the tentpole touches: the source layer
 (mirror registration and resumed streams), the cursor (mid-stream
 re-pointing), and the policy (sustained-outage detection and the action it
 proposes through the controller).  The end-to-end answer contract lives in
-the mirror-failover differential suite.
+the differential table's outage rows (``test_differential.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from differential import mirror_outage_setup, run_solo_corrective
+from differential import solo
 
 from workload_generator import generate_workload
 
@@ -222,15 +222,7 @@ class TestMirrorFailoverPolicy:
     def test_controller_applies_failover_and_reports_it(self):
         """End to end through the executor: describe() carries the failover."""
         workload = self._query()
-        catalog, sources = mirror_outage_setup(workload)
-        report, observables = run_solo_corrective(
-            workload,
-            batch_size=64,
-            catalog=catalog,
-            sources=sources,
-            failover_adaptive=True,
-            failover_stall_seconds=0.005,
-        )
+        report, _ = solo(workload, "default", "outage", "failover")
         adaptation = report.details["adaptation"]
         assert "mirror_failover" in adaptation["policies"]
         for entry in adaptation["failovers"]:

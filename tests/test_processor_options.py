@@ -57,6 +57,23 @@ REJECTIONS = {
     ),
     "batch_zero": ({"batch_size": 0}, ("batch_size",)),
     "batch_negative": ({"batch_size": -4}, ("batch_size",)),
+    "batch_fractional": ({"batch_size": 2.5}, ("batch_size", "2.5")),
+    "phases_zero": ({"max_phases": 0}, ("max_phases", "0")),
+    "phases_negative": ({"max_phases": -1}, ("max_phases", "-1")),
+    "phases_fractional": ({"max_phases": 2.5}, ("max_phases", "2.5")),
+    "threshold_zero": ({"switch_threshold": 0.0}, ("switch_threshold",)),
+    "threshold_negative": ({"switch_threshold": -1.0}, ("switch_threshold", "-1.0")),
+    "threshold_above_one": ({"switch_threshold": 1.5}, ("switch_threshold", "1.5")),
+    "threshold_nan": ({"switch_threshold": math.nan}, ("switch_threshold", "nan")),
+    "stall_zero": ({"failover_stall_seconds": 0.0}, ("failover_stall_seconds",)),
+    "stall_negative": (
+        {"failover_stall_seconds": -1.0},
+        ("failover_stall_seconds", "-1.0"),
+    ),
+    "stall_nan": (
+        {"failover_stall_seconds": math.nan},
+        ("failover_stall_seconds", "nan"),
+    ),
     "unknown_engine": ({"engine_mode": "jit"}, ("engine_mode",)),
 }
 

@@ -3,11 +3,12 @@
 import pytest
 
 from differential import (
+    Case,
     order_catalog,
     order_workload_variant,
     rate_collapse_setup,
-    run_sharded_workloads,
-    run_solo_corrective,
+    run_corrective,
+    serve,
 )
 
 from repro.core.corrective import CorrectiveQueryProcessor
@@ -179,8 +180,10 @@ def assert_screen_is_invisible(monkeypatch, run):
     return screened[0]
 
 
-def solo(workload, **options):
-    return lambda: [run_solo_corrective(workload, **options)[0]]
+def solo(workload, catalog=None, sources=None, kernel="oracle", **options):
+    catalog = workload.catalog() if catalog is None else catalog
+    sources = workload.sources() if sources is None else sources
+    return lambda: [run_corrective(workload, catalog, sources, kernel, **options)]
 
 
 @pytest.mark.parametrize("seed", SCREEN_SEEDS)
@@ -188,8 +191,8 @@ def solo(workload, **options):
     "engine",
     [
         {},
-        {"batch_size": 64, "engine_mode": "compiled"},
-        {"batch_size": 64, "engine_mode": "interpreted"},
+        {"kernel": "compiled64"},
+        {"kernel": "interpreted", "batch_size": 64},
     ],
     ids=["tuple", "compiled64", "interpreted64"],
 )
@@ -202,8 +205,9 @@ def test_screen_is_invisible_on_order_adaptive_runs(monkeypatch, seed):
     workload, sort_attrs = order_workload_variant(generate_workload(seed), "perturbed")
     run = solo(
         workload,
-        batch_size=64,
         catalog=order_catalog(workload, sort_attrs, True),
+        kernel="interpreted",
+        batch_size=64,
         order_adaptive=True,
     )
     assert_screen_is_invisible(monkeypatch, run)
@@ -216,7 +220,7 @@ def test_screen_is_invisible_on_rate_adaptive_runs(monkeypatch, seed):
     def run():
         catalog, sources = rate_collapse_setup(workload)
         return solo(
-            workload, batch_size=64, catalog=catalog, sources=sources, rate_adaptive=True
+            workload, catalog, sources, "interpreted", batch_size=64, rate_adaptive=True
         )()
 
     assert_screen_is_invisible(monkeypatch, run)
@@ -248,9 +252,8 @@ def test_screen_is_invisible_on_a_sharded_inline_run(monkeypatch):
     ]
 
     def run():
-        report, _ = run_sharded_workloads(
-            workloads, workers=1, batch_size=64, start_method="inline"
-        )
+        case = Case(0, "interpreted", "local", "none", "inline1", "forward")
+        report, _ = serve(case, workloads, None)
         return [served.report for served in report.served]
 
     assert_screen_is_invisible(monkeypatch, run)

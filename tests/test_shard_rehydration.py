@@ -25,8 +25,8 @@ from multiprocessing import get_context
 from differential import (
     POLL_STEP_LIMIT,
     POLLING_INTERVAL,
-    _bad_initial_tree,
-    run_solo_corrective,
+    bad_initial_tree,
+    run_corrective,
 )
 
 from repro.core.options import ProcessorOptions
@@ -119,7 +119,7 @@ def test_session_spec_rehydrates_across_spawn_boundary():
                 label=query.name,
                 query=query,
                 quantum_tuples=POLL_STEP_LIMIT,
-                initial_tree=_bad_initial_tree(workload),
+                initial_tree=bad_initial_tree(workload),
             ),
         ),
         processor_options=ProcessorOptions(
@@ -141,14 +141,18 @@ def test_session_spec_rehydrates_across_spawn_boundary():
     assert child["error"] is None
 
     # The parent's solo run with identical parameters.
-    solo_report, solo = run_solo_corrective(
-        workload, batch_size=BATCH_SIZE, engine_mode="compiled"
+    solo_report = run_corrective(
+        workload,
+        workload.catalog(),
+        workload.sources(),
+        engine_mode="compiled",
+        batch_size=BATCH_SIZE,
     )
     assert Counter(child["report_rows"]) == Counter(solo_report.rows)
     assert child["report_schema"] == solo_report.schema.names
-    assert child["metrics"] == solo.metrics
-    assert child["simulated_seconds"] == solo.simulated_seconds
-    assert child["phases"] == solo.phases
+    assert child["metrics"] == solo_report.metrics.as_dict()
+    assert child["simulated_seconds"] == solo_report.simulated_seconds
+    assert child["phases"] == solo_report.num_phases
 
     # The parent's raw compiled pipeline on the same tree: the child's
     # regenerated source must be byte-identical, leaf for leaf.

@@ -1,6 +1,6 @@
 """Unit tests for the sharded serving tier.
 
-The differential suites (``test_differential_sharded.py``) pin the
+The differential table (``test_differential.py``) pins the
 end-to-end bit-identity contract; these tests pin the individual pieces:
 session→worker routing, the statistics snapshot protocol, the cross-process
 manager store, the hash-partition helpers, worker failure propagation and
@@ -26,7 +26,8 @@ from differential import (
     POLL_STEP_LIMIT,
     POLLING_INTERVAL,
     SUBMISSION_ORDERS,
-    run_sharded_workloads,
+    Case,
+    serve,
 )
 
 from repro.core.corrective import CorrectiveQueryProcessor
@@ -436,7 +437,9 @@ class TestRunToCompletion:
             generate_workload(seed, name_prefix=f"w{index}_")
             for index, seed in enumerate(self.SEEDS)
         ]
-        report, _ = run_sharded_workloads(workloads, order, 1, start_method="inline")
+        report, _ = serve(
+            Case(0, "default", "local", "none", "inline1", order), workloads, None
+        )
 
         names = [workloads[index].query.name for index in self.ADMITTED[order]]
         assert events == (
