@@ -374,34 +374,41 @@ def test_workload_generation_is_deterministic():
     assert first.remote == second.remote
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_static_plans_match_the_reference(kernel):
+@pytest.mark.parametrize(
+    "seed,kernel",
+    [
+        pytest.param(seed, kernel, id=f"{seed}-{kernel}")
+        for seed in range(50)
+        for kernel in KERNELS
+    ],
+)
+def test_static_plans_match_the_reference(seed, kernel):
     """Static plans: a fixed left-deep tree on every kernel, with hash joins
     and with every join forced to merge — over unordered data, where the
-    merge falls back to its out-of-order archive — and the optimizer's."""
-    for seed in range(50):
-        workload = generate_workload(seed)
-        query, expected = workload.query, reference(workload)
-        tree = JoinTree.left_deep(query.relations)
-        merge = {
-            node.relations(): JoinStrategy(algorithm="merge", direction=1)
-            for node in tree.internal_nodes()
-        }
-        for strategies in (None, merge):
-            with kernel_context(kernel):
-                rows, plan = PipelinedExecutor(
-                    workload.sources(), join_strategies=strategies, **KERNELS[kernel]
-                ).execute(query, tree)
-            if strategies:
-                assert set(plan.join_algorithms().values()) <= {"merge"}
-            names = None if query.aggregation else plan.output_schema.names
-            assert canonical_multiset(rows, names, workload) == expected, (
-                f"seed {seed}, {kernel}, {'merge' if strategies else 'hash'} joins"
-            )
-        if kernel == "default":
-            static = StaticExecutor(workload.catalog(), workload.sources()).execute(query)
-            names = static.schema.names if static.schema is not None else None
-            assert canonical_multiset(static.rows, names, workload) == expected, seed
+    merge falls back to its out-of-order archive — and the optimizer's.
+    One test per seed and kernel, so ``-k 17-compiled7`` replays one."""
+    workload = generate_workload(seed)
+    query, expected = workload.query, reference(workload)
+    tree = JoinTree.left_deep(query.relations)
+    merge = {
+        node.relations(): JoinStrategy(algorithm="merge", direction=1)
+        for node in tree.internal_nodes()
+    }
+    for strategies in (None, merge):
+        with kernel_context(kernel):
+            rows, plan = PipelinedExecutor(
+                workload.sources(), join_strategies=strategies, **KERNELS[kernel]
+            ).execute(query, tree)
+        if strategies:
+            assert set(plan.join_algorithms().values()) <= {"merge"}
+        names = None if query.aggregation else plan.output_schema.names
+        assert canonical_multiset(rows, names, workload) == expected, (
+            f"{'merge' if strategies else 'hash'} joins"
+        )
+    if kernel == "default":
+        static = StaticExecutor(workload.catalog(), workload.sources()).execute(query)
+        names = static.schema.names if static.schema is not None else None
+        assert canonical_multiset(static.rows, names, workload) == expected
 
 
 class NaiveSource(DataSource):
